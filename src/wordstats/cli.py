@@ -13,6 +13,7 @@ any consumer.  Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -21,6 +22,7 @@ from .formulas import evaluate
 from .oracle import (
     BudgetExceededError,
     ConstraintSpec,
+    coordinate_distribution,
     count_matching,
     rearrangement_distribution,
 )
@@ -45,10 +47,14 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
 def _parse_partition(raw: str, k: int) -> BlockPartition:
     """Grammar: threshold:<t> | mod:<s> | blocks:<b1,...,bk>."""
     kind, _, arg = raw.partition(":")
-    if kind == "threshold":
-        return BlockPartition.threshold(k, int(arg))
-    if kind == "mod":
-        return BlockPartition.mod_residue(k, int(arg))
+    if kind in ("threshold", "mod"):
+        try:
+            value = int(arg)
+        except ValueError:
+            raise InputError(f"partition {kind}:<int> needs an integer, got {arg!r}")
+        if kind == "threshold":
+            return BlockPartition.threshold(k, value)
+        return BlockPartition.mod_residue(k, value)
     if kind == "blocks":
         blocks = _parse_int_list(arg)
         if len(blocks) != k:
@@ -79,52 +85,92 @@ def _emit(record: dict) -> None:
 
 # Per family: how to compute one count and the full table, on each engine.
 
+# The one coordinate a threshold family reads off the transfer DP.
+_THRESHOLD_COORDINATE = {
+    "levels-threshold": (1, "lev"),
+    "des-le": (1, "des"),
+    "des-gt": (2, "des"),
+}
 
-def _family_count(family: str, args, value: int, engine: str) -> int:
-    if family == "levels-threshold":
-        if engine == "closed-form":
-            return evaluate(family, (args.k, args.t, args.n, value)).value
-        partition = BlockPartition.threshold(args.k, args.t)
-        spec = ConstraintSpec.of((1, "lev", value))
-        return count_matching(args.k, args.n, partition, spec, engine=engine)
+
+def _dp_query(family: str, args):
+    """(alphabet size, partition, coordinates) of a family on the oracle/transfer engines."""
     if family == "levels-blocks":
         sizes = _parse_int_list(args.block_sizes)
-        targets = _parse_int_list(args.targets)
-        if engine == "closed-form":
-            return evaluate(family, (sizes, args.n, targets)).value
-        partition = _partition_from_sizes(sizes)
-        spec = ConstraintSpec.of(
-            *[(i + 1, "lev", t) for i, t in enumerate(targets)]
-        )
-        return count_matching(sum(sizes), args.n, partition, spec, engine=engine)
-    if family == "des-le":
-        if engine == "closed-form":
-            return evaluate(family, (args.k, args.t, args.n, value)).value
-        partition = BlockPartition.threshold(args.k, args.t)
-        spec = ConstraintSpec.of((1, "des", value))
-        return count_matching(args.k, args.n, partition, spec, engine=engine)
-    if family == "des-gt":
-        if engine == "closed-form":
-            return evaluate(family, (args.k, args.t, args.n, value)).value
-        partition = BlockPartition.threshold(args.k, args.t)
-        spec = ConstraintSpec.of((2, "des", value))
-        return count_matching(args.k, args.n, partition, spec, engine=engine)
+        coords = [(block, "lev") for block in range(1, len(sizes) + 1)]
+        return sum(sizes), _partition_from_sizes(sizes), coords
     if family == "des-mod":
-        if engine == "closed-form":
-            return evaluate(family, (args.s, args.alphabet, args.r, args.n, value)).value
         partition = BlockPartition.mod_residue(args.alphabet, args.s)
-        spec = ConstraintSpec.of((args.r, "des", value))
-        return count_matching(args.alphabet, args.n, partition, spec, engine=engine)
+        return args.alphabet, partition, [(args.r, "des")]
+    if family in _THRESHOLD_COORDINATE:
+        partition = BlockPartition.threshold(args.k, args.t)
+        return args.k, partition, [_THRESHOLD_COORDINATE[family]]
+    raise InputError(f"unknown family {family!r}")
+
+
+def _hall_remmel_query(args):
+    rho = _parse_int_list(args.rho)
+    return rho, _parse_letter_set(args.x, len(rho)), _parse_letter_set(args.y, len(rho))
+
+
+def _hall_remmel_distribution(rho, tops, bottoms, engine: str) -> dict[int, int]:
+    if engine == "transfer":
+        raise InputError("hall-remmel supports the closed-form and oracle engines")
+    return rearrangement_distribution(rho, tops, bottoms)
+
+
+def _closed_form_params(family: str, args, value: int) -> tuple:
+    if family == "levels-blocks":
+        return (_parse_int_list(args.block_sizes), args.n, _parse_int_list(args.targets))
+    if family == "des-mod":
+        return (args.s, args.alphabet, args.r, args.n, value)
+    return (args.k, args.t, args.n, value)
+
+
+def _family_count(family: str, args, value: int, engine: str) -> int:
     if family == "hall-remmel":
-        rho = _parse_int_list(args.rho)
-        tops = _parse_letter_set(args.x, len(rho))
-        bottoms = _parse_letter_set(args.y, len(rho))
+        rho, tops, bottoms = _hall_remmel_query(args)
         if engine == "closed-form":
             return evaluate(family, (rho, tops, bottoms, value)).value
-        if engine == "transfer":
-            raise InputError("hall-remmel supports the closed-form and oracle engines")
-        return rearrangement_distribution(rho, tops, bottoms).get(value, 0)
-    raise InputError(f"unknown family {family!r}")
+        return _hall_remmel_distribution(rho, tops, bottoms, engine).get(value, 0)
+    if engine == "closed-form":
+        return evaluate(family, _closed_form_params(family, args, value)).value
+    k, partition, coords = _dp_query(family, args)
+    if family == "levels-blocks":
+        values = _parse_int_list(args.targets)
+        if len(values) != len(coords):
+            raise InputError(f"{len(coords)} block sizes but {len(values)} level targets")
+    else:
+        values = (value,)
+    spec = ConstraintSpec.of(*[(block, stat, v) for (block, stat), v in zip(coords, values)])
+    return count_matching(k, args.n, partition, spec, engine=engine)
+
+
+def _engine_table(family: str, args, engine: str) -> dict:
+    """Every row of a table from one oracle or transfer engine call."""
+    if family == "hall-remmel":
+        return _hall_remmel_distribution(*_hall_remmel_query(args), engine)
+    k, partition, coords = _dp_query(family, args)
+    dist = coordinate_distribution(k, args.n, partition, coords, engine=engine)
+    if family == "levels-blocks":
+        return dist
+    return {key[0]: count for key, count in dist.items()}
+
+
+def _closed_form_table(family: str, args) -> dict:
+    """Every row of a table from one closed-form evaluation per statistic value."""
+    if family == "levels-blocks":
+        sizes = _parse_int_list(args.block_sizes)
+        ceiling = max(args.n - 1, 0)
+        return {
+            targets: evaluate(family, (sizes, args.n, targets)).value
+            for targets in itertools.product(range(ceiling + 1), repeat=len(sizes))
+            if sum(targets) <= ceiling
+        }
+    return {
+        value: _family_count(family, args, value, "closed-form")
+        for value in range(_statistic_ceiling(family, args) + 1)
+    }
 
 
 def _partition_from_sizes(sizes: tuple[int, ...]) -> BlockPartition:
@@ -193,13 +239,19 @@ def _statistic_ceiling(family: str, args) -> int:
 def _cmd_table(args) -> int:
     family = args.family
     engine = args.engine
-    if family == "levels-blocks":
-        rows, total = _levels_blocks_table(args, engine)
+    if engine == "closed-form":
+        dist = _closed_form_table(family, args)
     else:
-        ceiling = _statistic_ceiling(family, args)
-        counts = [
-            _family_count(family, args, value, engine) for value in range(ceiling + 1)
+        dist = _engine_table(family, args, engine)
+    if family == "levels-blocks":
+        rows = [
+            {"value": list(targets), "count": str(count)}
+            for targets, count in sorted(dist.items())
+            if count
         ]
+        total = sum(dist.values())
+    else:
+        counts = [dist.get(value, 0) for value in range(_statistic_ceiling(family, args) + 1)]
         while len(counts) > 1 and counts[-1] == 0:
             counts.pop()
         rows = [
@@ -217,24 +269,6 @@ def _cmd_table(args) -> int:
     else:
         _emit(record)
     return EXIT_OK
-
-
-def _levels_blocks_table(args, engine: str):
-    import itertools
-
-    sizes = _parse_int_list(args.block_sizes)
-    rows = []
-    total = 0
-    ceiling = max(args.n - 1, 0)
-    for targets in itertools.product(range(ceiling + 1), repeat=len(sizes)):
-        if sum(targets) > ceiling:
-            continue
-        args.targets = ",".join(str(t) for t in targets)
-        count = _family_count("levels-blocks", args, None, engine)
-        if count:
-            rows.append({"value": list(targets), "count": str(count)})
-            total += count
-    return rows, total
 
 
 def _emit_csv(rows, total) -> None:

@@ -1,10 +1,21 @@
 """Ground-truth engines for the joint statistic distributions.
 
 Two independent routes produce the same exact object: ``brute_distribution``
-walks every word of [k]^n, while ``transfer_distribution`` runs a dynamic
+walks every word of [k]^n, while the transfer engine runs a dynamic
 program over (last letter, accumulated statistics).  Their agreement is a
 load-bearing cross-check, so neither is ever expressed in terms of the
-other.  A third oracle, ``rearrangement_distribution``, enumerates a fixed
+other.
+
+The transfer engine is one kernel, ``_transfer_kernel``, with two entry
+points: ``transfer_distribution`` tracks all 4t (block, statistic)
+coordinates and returns ``StatVector`` entries, ``statistic_distribution``
+tracks only the coordinates a query names.  The kernel packs the tracked
+values into one integer key and precomputes the key increment of every
+letter pair, so a transition is one integer add.  ``coordinate_distribution``
+answers a set of coordinates from one pass of either engine; counts and
+tables both read off it.
+
+A third oracle, ``rearrangement_distribution``, enumerates a fixed
 rearrangement class and counts descents whose top letter lies in one set
 and whose bottom letter lies in another.
 
@@ -69,11 +80,15 @@ class DistPolynomial:
 
     def marginal(self, block: int, stat: str) -> dict[int, int]:
         """Distribution of one coordinate, e.g. descents charged to a block."""
-        index = _stat_index(stat)
-        out: dict[int, int] = {}
+        return {key[0]: count for key, count in self.joint([(block, stat)]).items()}
+
+    def joint(self, coords: Sequence[tuple[int, str]]) -> dict[tuple[int, ...], int]:
+        """Joint distribution of selected (block, statistic) coordinates."""
+        indexed = [(block - 1, _stat_index(stat)) for block, stat in coords]
+        out: dict[tuple[int, ...], int] = {}
         for vector, count in self.entries.items():
-            value = vector.blocks[block - 1][index]
-            out[value] = out.get(value, 0) + count
+            key = tuple(vector.blocks[row][index] for row, index in indexed)
+            out[key] = out.get(key, 0) + count
         return out
 
 
@@ -114,51 +129,84 @@ def brute_distribution(
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
-def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
-    """Same distribution via a dynamic program over the last letter.
+def _pair_index(a: int, b: int) -> int:
+    """Statistic index of the adjacent pair (a, b): descent, level or rise."""
+    if a > b:
+        return _STAT_INDEX["des"]
+    if a == b:
+        return _STAT_INDEX["lev"]
+    return _STAT_INDEX["ris"]
 
-    State is (last letter, accumulated raw statistics); appending a letter
-    charges the new pair to the block of the old last letter.  Runs in time
-    polynomial in n for fixed k, independent of the enumeration budget.
+
+def _transfer_kernel(
+    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]]
+) -> dict[int, int]:
+    """The transfer-matrix DP over the last letter, on packed integer keys.
+
+    ``coords`` lists (block, statistic index) pairs.  Coordinate i is digit
+    i of a packed key in radix n + 1, which no coordinate of a length-n word
+    exceeds, so digits never carry.  ``delta[a][b]`` is the key increment of
+    appending letter b after letter a: the pair (a, b) charged to the block
+    of a, plus one letter counted in the block of b.  A transition is then a
+    single integer add.  Returns packed key -> number of words of length n.
+    """
+    if n == 0:
+        return {0: 1}
+    radix = n + 1
+    place: dict[tuple[int, int], int] = {}
+    for position, coord in enumerate(coords):
+        place[coord] = place.get(coord, 0) + radix**position
+    blocks = partition.blocks
+    letters = range(1, k + 1)
+    start = [place.get((blocks[b - 1], _STAT_INDEX["cnt"]), 0) for b in letters]
+    delta = [
+        [place.get((blocks[a - 1], _pair_index(a, b)), 0) + start[b - 1] for b in letters]
+        for a in letters
+    ]
+
+    states = [{key: 1} for key in start]
+    for _ in range(n - 1):
+        new_states = []
+        for b in range(k):
+            merged: dict[int, int] = {}
+            get = merged.get
+            for a in range(k):
+                shift = delta[a][b]
+                for key, count in states[a].items():
+                    key += shift
+                    merged[key] = get(key, 0) + count
+            new_states.append(merged)
+        states = new_states
+
+    out: dict[int, int] = {}
+    for table in states:
+        for key, count in table.items():
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def _unpack(key: int, size: int, radix: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(size):
+        key, digit = divmod(key, radix)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
+    """Same distribution via the transfer DP over the last letter.
+
+    The kernel tracks all 4t coordinates; appending a letter charges the new
+    pair to the block of the old last letter.  Runs in time polynomial in n
+    for fixed k, independent of the enumeration budget.
     """
     _validate_shape(k, n, partition)
     t = partition.t
-    blocks = partition.blocks
-    if n == 0:
-        return DistPolynomial(
-            entries={StatVector.zero(t): 1}, k=k, n=n, partition=partition
-        )
-
-    def bump(key: tuple, block: int, index: int) -> tuple:
-        rows = [list(row) for row in key]
-        rows[block - 1][index] += 1
-        return tuple(tuple(row) for row in rows)
-
-    zero = tuple((0, 0, 0, 0) for _ in range(t))
-    states: dict[tuple[int, tuple], int] = {}
-    for letter in range(1, k + 1):
-        states[(letter, bump(zero, blocks[letter - 1], 3))] = 1
-
-    for _ in range(n - 1):
-        new_states: dict[tuple[int, tuple], int] = {}
-        for (last, key), count in states.items():
-            last_block = blocks[last - 1]
-            for nxt in range(1, k + 1):
-                if last > nxt:
-                    pair_index = 0
-                elif last == nxt:
-                    pair_index = 2
-                else:
-                    pair_index = 1
-                new_key = bump(bump(key, last_block, pair_index), blocks[nxt - 1], 3)
-                state = (nxt, new_key)
-                new_states[state] = new_states.get(state, 0) + count
-        states = new_states
-
-    raw: dict[tuple, int] = {}
-    for (_, key), count in states.items():
-        raw[key] = raw.get(key, 0) + count
-    entries = {StatVector(key): count for key, count in raw.items()}
+    coords = [(block, index) for block in range(1, t + 1) for index in range(4)]
+    entries = {}
+    for key, count in _transfer_kernel(k, n, partition, coords).items():
+        values = _unpack(key, 4 * t, n + 1)
+        entries[StatVector(tuple(values[i : i + 4] for i in range(0, 4 * t, 4)))] = count
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
@@ -170,69 +218,18 @@ def statistic_distribution(
 ) -> dict[tuple[int, ...], int]:
     """Joint distribution of selected (block, statistic) coordinates only.
 
-    A reduced version of the transfer dynamic program that tracks just the
-    requested coordinates, keeping the state space small when a query needs
-    a single marginal out of a large partition.
+    The transfer DP tracking just the requested coordinates, keeping the
+    state space small when a query needs a single marginal out of a large
+    partition.
     """
     _validate_shape(k, n, partition)
-    coords = list(coords)
+    indexed = []
     for block, stat in coords:
         if not 1 <= block <= partition.t:
             raise InputError(f"block {block} outside 1..{partition.t}")
-        _stat_index(stat)
-    zero = (0,) * len(coords)
-    if n == 0:
-        return {zero: 1}
-
-    blocks = partition.blocks
-    cnt_slot: dict[int, list[int]] = {}
-    pair_slot: dict[tuple[int, int], list[int]] = {}
-    for position, (block, stat) in enumerate(coords):
-        if stat == "cnt":
-            cnt_slot.setdefault(block, []).append(position)
-        else:
-            pair_slot.setdefault((block, _stat_index(stat)), []).append(position)
-
-    def add_count(values: tuple, letter: int) -> tuple:
-        slots = cnt_slot.get(blocks[letter - 1])
-        if not slots:
-            return values
-        out = list(values)
-        for position in slots:
-            out[position] += 1
-        return tuple(out)
-
-    states: dict[tuple[int, tuple], int] = {}
-    for letter in range(1, k + 1):
-        states[(letter, add_count(zero, letter))] = 1
-
-    for _ in range(n - 1):
-        new_states: dict[tuple[int, tuple], int] = {}
-        for (last, values), count in states.items():
-            last_block = blocks[last - 1]
-            for nxt in range(1, k + 1):
-                if last > nxt:
-                    pair_index = 0
-                elif last == nxt:
-                    pair_index = 2
-                else:
-                    pair_index = 1
-                slots = pair_slot.get((last_block, pair_index))
-                if slots:
-                    bumped = list(values)
-                    for position in slots:
-                        bumped[position] += 1
-                    new_values = add_count(tuple(bumped), nxt)
-                else:
-                    new_values = add_count(values, nxt)
-                state = (nxt, new_values)
-                new_states[state] = new_states.get(state, 0) + count
-        states = new_states
-
-    out: dict[tuple[int, ...], int] = {}
-    for (_, values), count in states.items():
-        out[values] = out.get(values, 0) + count
-    return out
+        indexed.append((block, _stat_index(stat)))
+    packed = _transfer_kernel(k, n, partition, indexed)
+    return {_unpack(key, len(indexed), n + 1): count for key, count in packed.items()}
 
 
 @dataclass(frozen=True)
@@ -247,19 +244,40 @@ class ConstraintSpec:
 
     def validate(self, partition: BlockPartition) -> None:
         for block, stat, value in self.exact:
-            if not 1 <= block <= partition.t:
-                raise InputError(
-                    f"constraint names block {block}, partition has 1..{partition.t}"
-                )
-            _stat_index(stat)
+            _check_coordinate(partition, block, stat)
             if value < 0:
                 raise InputError(f"constraint value must be nonnegative, got {value}")
 
-    def matches(self, vector: StatVector) -> bool:
-        return all(
-            vector.blocks[block - 1][_stat_index(stat)] == value
-            for block, stat, value in self.exact
+
+def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> None:
+    if not 1 <= block <= partition.t:
+        raise InputError(
+            f"constraint names block {block}, partition has 1..{partition.t}"
         )
+    _stat_index(stat)
+
+
+def coordinate_distribution(
+    k: int,
+    n: int,
+    partition: BlockPartition,
+    coords: Sequence[tuple[int, str]],
+    engine: str = "transfer",
+    budget: int | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Joint distribution of (block, statistic) coordinates from one engine pass.
+
+    ``oracle`` enumerates every word and projects onto ``coords``;
+    ``transfer`` runs the DP tracking only ``coords``.  A count reads one
+    entry of the result, a table reads all of them.
+    """
+    for block, stat in coords:
+        _check_coordinate(partition, block, stat)
+    if engine == "oracle":
+        return brute_distribution(k, n, partition, budget=budget).joint(coords)
+    if engine == "transfer":
+        return statistic_distribution(k, n, partition, coords)
+    raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
 
 
 def count_matching(
@@ -272,18 +290,12 @@ def count_matching(
 ) -> int:
     """Number of words of [k]^n whose statistics satisfy every constraint."""
     constraints.validate(partition)
-    if engine == "oracle":
-        dist = brute_distribution(k, n, partition, budget=budget)
-        return sum(
-            count for vector, count in dist.entries.items() if constraints.matches(vector)
-        )
-    if engine == "transfer":
-        if not constraints.exact:
-            return k**n
-        coords = [(block, stat) for block, stat, _ in constraints.exact]
-        target = tuple(value for _, _, value in constraints.exact)
-        return statistic_distribution(k, n, partition, coords).get(target, 0)
-    raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
+    if engine == "transfer" and not constraints.exact:
+        return k**n
+    coords = [(block, stat) for block, stat, _ in constraints.exact]
+    target = tuple(value for _, _, value in constraints.exact)
+    dist = coordinate_distribution(k, n, partition, coords, engine=engine, budget=budget)
+    return dist.get(target, 0)
 
 
 def rearrangement_distribution(

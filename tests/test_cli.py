@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wordstats import cli
+from wordstats import cli, oracle
 from wordstats.oracle import BUDGET_ENV_VAR
 
 
@@ -174,6 +174,87 @@ class TestTable:
         )
         assert closed["result"]["rows"] == oracle["result"]["rows"]
 
+    # One query per family; hall-remmel has no transfer engine and runs on the oracle.
+    FAMILY_QUERIES = [
+        ("levels-threshold", ["--k", "3", "--t", "2", "--n", "6"]),
+        ("levels-blocks", ["--block-sizes", "2,1,1", "--n", "6"]),
+        ("des-le", ["--k", "4", "--t", "2", "--n", "6"]),
+        ("des-gt", ["--k", "4", "--t", "1", "--n", "6"]),
+        ("des-mod", ["--s", "3", "--alphabet", "5", "--r", "2", "--n", "6"]),
+        ("hall-remmel", ["--rho", "2,1,2", "--x", "2,3", "--y", "all"]),
+    ]
+
+    @staticmethod
+    def _dp_engines(family):
+        return ["oracle"] if family == "hall-remmel" else ["transfer", "oracle"]
+
+    @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
+    def test_engine_table_equals_closed_form(self, capsys, family, params):
+        closed = run_json(capsys, "table", family, *params)
+        _, closed_csv, _ = run(capsys, "table", family, *params, "--format", "csv")
+        for engine in self._dp_engines(family):
+            record = run_json(capsys, "table", family, *params, "--engine", engine)
+            assert record["result"] == closed["result"], engine
+            code, csv, _ = run(
+                capsys, "table", family, *params, "--engine", engine, "--format", "csv"
+            )
+            assert code == 0
+            assert csv == closed_csv, engine
+
+    @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
+    def test_engine_table_is_one_engine_call(self, capsys, monkeypatch, family, params):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("statistic_distribution", "brute_distribution"):
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        monkeypatch.setattr(
+            cli, "rearrangement_distribution",
+            counting("rearrangement_distribution", cli.rearrangement_distribution),
+        )
+        expected = {
+            "transfer": "statistic_distribution",
+            "oracle": "rearrangement_distribution"
+            if family == "hall-remmel" else "brute_distribution",
+        }
+        for engine in self._dp_engines(family):
+            calls.clear()
+            run_json(capsys, "table", family, *params, "--engine", engine)
+            assert calls == [expected[engine]], engine
+
+    def test_des_mod_transfer_table_bad_residue(self, capsys):
+        code, out, err = run(
+            capsys, "table", "des-mod", "--s", "3", "--alphabet", "5", "--r", "4",
+            "--n", "4", "--engine", "transfer",
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "constraint names block 4, partition has 1..3" in err
+
+    def test_levels_blocks_table_leaves_arguments_alone(self, capsys):
+        args = cli.build_parser().parse_args(
+            ["table", "levels-blocks", "--block-sizes", "1,2", "--n", "4"]
+        )
+        before = vars(args).copy()
+        assert cli._cmd_table(args) == cli.EXIT_OK
+        capsys.readouterr()
+        assert vars(args) == before
+
+    def test_levels_blocks_count_needs_one_target_per_block(self, capsys):
+        for engine in ("closed-form", "oracle", "transfer"):
+            for targets in ("1", "1,0,0"):
+                code, out, err = run(
+                    capsys, "count", "levels-blocks", "--block-sizes", "1,2",
+                    "--n", "4", "--targets", targets, "--engine", engine,
+                )
+                assert code == cli.EXIT_USAGE, (engine, targets)
+                assert "block sizes but" in err
+
 
 class TestSeries:
     def test_tracked_single_marker(self, capsys):
@@ -219,11 +300,14 @@ class TestSeries:
         assert first == second
 
     def test_bad_partition_spec(self, capsys):
-        code, _, err = run(
-            capsys, "series", "--gf", "A", "--k", "2", "--partition", "stripes:1",
-            "--order", "2",
-        )
-        assert code == cli.EXIT_USAGE
+        for spec in ("stripes:1", "threshold:abc", "mod:x"):
+            code, out, err = run(
+                capsys, "series", "--gf", "A", "--k", "2", "--partition", spec,
+                "--order", "2",
+            )
+            assert code == cli.EXIT_USAGE, spec
+            assert out == ""
+            assert err.startswith("error:"), spec
 
     def test_negative_order(self, capsys):
         code, _, _ = run(

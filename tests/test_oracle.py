@@ -15,7 +15,13 @@ from wordstats import (
     statistic_distribution,
     transfer_distribution,
 )
-from wordstats.oracle import BUDGET_ENV_VAR, DEFAULT_ENUMERATION_BUDGET, resolve_budget
+from wordstats import oracle
+from wordstats.oracle import (
+    BUDGET_ENV_VAR,
+    DEFAULT_ENUMERATION_BUDGET,
+    coordinate_distribution,
+    resolve_budget,
+)
 
 
 def _partitions(k):
@@ -124,6 +130,57 @@ class TestStatisticDistribution:
             statistic_distribution(2, 2, part, [(3, "des")])
 
 
+class TestTransferKernel:
+    """Edges of the packed-key kernel behind both transfer entry points."""
+
+    def test_duplicate_coordinates(self):
+        part = BlockPartition.mod_residue(3, 2)
+        for n in range(5):
+            single = statistic_distribution(3, n, part, [(1, "des")])
+            doubled = statistic_distribution(3, n, part, [(1, "des"), (1, "des")])
+            assert doubled == {(v, v): c for (v,), c in single.items()}
+
+    def test_count_reaching_n_does_not_carry(self):
+        # threshold(k, k) leaves block 2 empty: cnt of block 1 is exactly n,
+        # the largest digit the radix n + 1 must hold.
+        for k in (1, 2, 3):
+            part = BlockPartition.threshold(k, k)
+            for n in range(1, 6):
+                joint = statistic_distribution(k, n, part, [(1, "cnt"), (2, "cnt")])
+                assert joint == {(n, 0): k**n}
+                full = transfer_distribution(k, n, part)
+                assert full.marginal(1, "cnt") == {n: k**n}
+                assert full.marginal(2, "cnt") == {0: k**n}
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_shortest_words(self, n):
+        for k in (1, 2, 3):
+            for part in _partitions(k):
+                assert transfer_distribution(k, n, part) == brute_distribution(k, n, part)
+                coords = [(1, "des"), (part.t, "cnt"), (1, "lev")]
+                assert statistic_distribution(k, n, part, coords) == brute_distribution(
+                    k, n, part
+                ).joint(coords)
+
+    def test_reduced_matches_full_marginal_k3_n9(self):
+        for part in _partitions(3):
+            full = transfer_distribution(3, 9, part)
+            for block in range(1, part.t + 1):
+                for stat in ("des", "ris", "lev", "cnt"):
+                    reduced = statistic_distribution(3, 9, part, [(block, stat)])
+                    assert {v[0]: c for v, c in reduced.items()} == full.marginal(
+                        block, stat
+                    )
+
+    def test_brute_force_runs_without_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("brute_distribution reached the transfer kernel")
+
+        monkeypatch.setattr(oracle, "_transfer_kernel", refuse)
+        part = BlockPartition.threshold(2, 1)
+        assert brute_distribution(2, 3, part).total() == 8
+
+
 class TestCountMatching:
     def test_single_descent_block_one(self):
         part = BlockPartition.threshold(2, 2)
@@ -146,6 +203,20 @@ class TestCountMatching:
             assert count_matching(3, n, part, spec, engine="oracle") == count_matching(
                 3, n, part, spec, engine="transfer"
             )
+
+    def test_coordinate_distribution_engines_agree(self):
+        part = BlockPartition.mod_residue(4, 3)
+        coords = [(3, "des"), (1, "lev"), (2, "cnt")]
+        for n in range(5):
+            assert coordinate_distribution(
+                4, n, part, coords, engine="oracle"
+            ) == coordinate_distribution(4, n, part, coords, engine="transfer")
+
+    def test_coordinate_distribution_names_the_block(self):
+        part = BlockPartition.mod_residue(4, 3)
+        for engine in ("oracle", "transfer"):
+            with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
+                coordinate_distribution(4, 2, part, [(4, "des")], engine=engine)
 
     def test_unknown_block_rejected(self):
         part = BlockPartition.threshold(2, 1)
