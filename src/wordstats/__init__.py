@@ -46,6 +46,7 @@ from .formulas import (
     count_des_mod_uncorrected,
     count_levels_blocks,
     count_levels_threshold,
+    distribution,
     evaluate,
     hall_remmel_count,
     hall_remmel_even_words,
@@ -90,6 +91,7 @@ __all__ = [
     "count_matching",
     "direct_count_top_letter",
     "direct_count_two_bottom",
+    "distribution",
     "evaluate",
     "hall_remmel_count",
     "hall_remmel_even_words",

@@ -13,12 +13,12 @@ any consumer.  Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 
 from . import verify
-from .formulas import evaluate
+from .formulas import check_modulus, check_threshold, distribution, evaluate
 from .oracle import (
     BudgetExceededError,
     ConstraintSpec,
@@ -100,9 +100,11 @@ def _dp_query(family: str, args):
         coords = [(block, "lev") for block in range(1, len(sizes) + 1)]
         return sum(sizes), _partition_from_sizes(sizes), coords
     if family == "des-mod":
+        check_modulus(args.s)
         partition = BlockPartition.mod_residue(args.alphabet, args.s)
         return args.alphabet, partition, [(args.r, "des")]
     if family in _THRESHOLD_COORDINATE:
+        check_threshold(family, args.k, args.t)
         partition = BlockPartition.threshold(args.k, args.t)
         return args.k, partition, [_THRESHOLD_COORDINATE[family]]
     raise InputError(f"unknown family {family!r}")
@@ -119,22 +121,25 @@ def _hall_remmel_distribution(rho, tops, bottoms, engine: str) -> dict[int, int]
     return rearrangement_distribution(rho, tops, bottoms)
 
 
-def _closed_form_params(family: str, args, value: int) -> tuple:
+def _closed_form_params(family: str, args) -> tuple:
+    """A family's closed-form parameters, without the statistic value."""
+    if family == "hall-remmel":
+        return _hall_remmel_query(args)
     if family == "levels-blocks":
-        return (_parse_int_list(args.block_sizes), args.n, _parse_int_list(args.targets))
+        return (_parse_int_list(args.block_sizes), args.n)
     if family == "des-mod":
-        return (args.s, args.alphabet, args.r, args.n, value)
-    return (args.k, args.t, args.n, value)
+        return (args.s, args.alphabet, args.r, args.n)
+    return (args.k, args.t, args.n)
 
 
 def _family_count(family: str, args, value: int, engine: str) -> int:
-    if family == "hall-remmel":
-        rho, tops, bottoms = _hall_remmel_query(args)
-        if engine == "closed-form":
-            return evaluate(family, (rho, tops, bottoms, value)).value
-        return _hall_remmel_distribution(rho, tops, bottoms, engine).get(value, 0)
     if engine == "closed-form":
-        return evaluate(family, _closed_form_params(family, args, value)).value
+        params = _closed_form_params(family, args)
+        if family == "levels-blocks":
+            value = _parse_int_list(args.targets)
+        return evaluate(family, params + (value,)).value
+    if family == "hall-remmel":
+        return _hall_remmel_distribution(*_hall_remmel_query(args), engine).get(value, 0)
     k, partition, coords = _dp_query(family, args)
     if family == "levels-blocks":
         values = _parse_int_list(args.targets)
@@ -155,22 +160,6 @@ def _engine_table(family: str, args, engine: str) -> dict:
     if family == "levels-blocks":
         return dist
     return {key[0]: count for key, count in dist.items()}
-
-
-def _closed_form_table(family: str, args) -> dict:
-    """Every row of a table from one closed-form evaluation per statistic value."""
-    if family == "levels-blocks":
-        sizes = _parse_int_list(args.block_sizes)
-        ceiling = max(args.n - 1, 0)
-        return {
-            targets: evaluate(family, (sizes, args.n, targets)).value
-            for targets in itertools.product(range(ceiling + 1), repeat=len(sizes))
-            if sum(targets) <= ceiling
-        }
-    return {
-        value: _family_count(family, args, value, "closed-form")
-        for value in range(_statistic_ceiling(family, args) + 1)
-    }
 
 
 def _partition_from_sizes(sizes: tuple[int, ...]) -> BlockPartition:
@@ -240,7 +229,7 @@ def _cmd_table(args) -> int:
     family = args.family
     engine = args.engine
     if engine == "closed-form":
-        dist = _closed_form_table(family, args)
+        dist = distribution(family, _closed_form_params(family, args))
     else:
         dist = _engine_table(family, args, engine)
     if family == "levels-blocks":
@@ -457,10 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argparse tree ``main`` parses with; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "table":

@@ -7,14 +7,28 @@ verification suite over a dense parameter grid; a couple of transcription
 variants that the suite *rejects* are kept available (see
 ``count_des_mod_uncorrected``) so the suite can demonstrate that exactly
 one reading survives cross-validation.
+
+In the threshold and residue sums the statistic value s enters only
+through ``C(n-m, s)`` and the sign ``(-1)^(n-m-s)``:
+
+    count(s) = sum_m (-1)^(n-m-s) C(n-m, s) inner(m)
+
+so the whole distribution is the polynomial ``sum_m inner(m) (u-1)^(n-m)``
+in a marker u.  Each family builds its s-free ``inner(m)`` once;
+``_coefficient`` reads one coefficient of that polynomial (a count) and
+``_coefficients`` reads all of them from one pass over m (a table).
+The joint level count over blocks factors per block and is a dynamic
+program over blocks.  ``distribution`` returns a whole table of any
+family from one call.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .combinat import binom, compositions, multinomial, sign
+from .combinat import binom, multinomial, sign
 from .words import InputError
 
 
@@ -42,32 +56,84 @@ def evaluate(formula: str, params: Sequence) -> FormulaResult:
     return FormulaResult(formula, params, fn(*params))
 
 
+def distribution(formula: str, params: Sequence) -> dict:
+    """Every statistic value of a closed form with its count, from one call.
+
+    ``params`` are the formula's parameters without the statistic value.
+    Keys are statistic values, or target tuples for ``levels-blocks``;
+    values the closed form gives as 0 may be present or absent.
+    """
+    try:
+        fn = DISTRIBUTIONS[formula]
+    except KeyError:
+        raise InputError(f"unknown formula {formula!r}, expected one of {sorted(DISTRIBUTIONS)}")
+    return fn(*params)
+
+
+# Smallest threshold t each threshold family accepts; every engine checks it.
+LOWEST_THRESHOLD = {"levels-threshold": 1, "des-le": 1, "des-gt": 0}
+
+
+def check_threshold(family: str, k: int, t: int) -> None:
+    lowest = LOWEST_THRESHOLD[family]
+    if not lowest <= t <= k:
+        raise InputError(f"threshold {t} outside {lowest}..{k}")
+
+
+def check_modulus(s: int) -> None:
+    if s < 2:
+        raise InputError(f"modulus must be at least 2, got {s}")
+
+
+def _check_length(n: int, s: int = 0) -> None:
+    if n < 0 or s < 0:
+        raise InputError("length and statistic value must be nonnegative")
+
+
+def _shifted_power(d: int) -> list[int]:
+    """Coefficients of (u-1)^d, lowest power first."""
+    return [sign(d - s) * binom(d, s) for s in range(d + 1)]
+
+
+def _coefficient(inner: Callable[[int], int], n: int, s: int) -> int:
+    """Coefficient of u^s in sum_m inner(m) (u-1)^(n-m); reads inner(m) only for m <= n-s."""
+    _check_length(n, s)
+    return sum(sign(n - m - s) * binom(n - m, s) * inner(m) for m in range(n - s + 1))
+
+
+def _coefficients(inner: Callable[[int], int], n: int) -> dict[int, int]:
+    """Every coefficient of sum_m inner(m) (u-1)^(n-m), from one pass over m."""
+    coeffs = [0] * (n + 1)
+    for m in range(n + 1):
+        value = inner(m)
+        if value:
+            for s, step in enumerate(_shifted_power(n - m)):
+                coeffs[s] += step * value
+    return dict(enumerate(coeffs))
+
+
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     """Words in [k]^n with exactly s levels starting at a letter <= t.
 
     Evaluates  sum_{m,i} (-1)^(n-m-s) C(m,i) C(i+n-m-1, n-m) C(n-m, s)
     (k-t)^(m-i) t^i.
     """
-    if not 1 <= t <= k:
-        raise InputError(f"threshold {t} outside 1..{k}")
-    if n < 0 or s < 0:
-        raise InputError("length and statistic value must be nonnegative")
-    total = 0
-    for m in range(n + 1):
-        pick = binom(n - m, s)
-        if not pick:
-            continue
-        sgn = sign(n - m - s)
-        for i in range(m + 1):
-            total += (
-                sgn
-                * binom(m, i)
-                * binom(i + n - m - 1, n - m)
-                * pick
-                * (k - t) ** (m - i)
-                * t**i
-            )
-    return total
+    return _coefficient(_levels_threshold(k, t, n), n, s)
+
+
+def _levels_threshold(k: int, t: int, n: int):
+    """The s-free inner(m) of ``count_levels_threshold``, after checking its parameters."""
+    check_threshold("levels-threshold", k, t)
+    _check_length(n)
+
+    def inner(m: int) -> int:
+        d = n - m
+        return sum(
+            binom(m, i) * binom(i + d - 1, d) * (k - t) ** (m - i) * t**i
+            for i in range(m + 1)
+        )
+
+    return inner
 
 
 def count_levels_blocks(
@@ -82,9 +148,7 @@ def count_levels_blocks(
     return _levels_blocks(tuple(block_sizes), n, tuple(targets), signed=True)
 
 
-def _levels_blocks(
-    block_sizes: tuple[int, ...], n: int, targets: tuple[int, ...], signed: bool
-) -> int:
+def _check_blocks(block_sizes: tuple[int, ...], n: int, targets: tuple[int, ...]) -> None:
     if len(block_sizes) != len(targets):
         raise InputError(
             f"{len(block_sizes)} block sizes but {len(targets)} level targets"
@@ -93,27 +157,75 @@ def _levels_blocks(
         raise InputError("block sizes and level targets must be nonnegative")
     if n < 0:
         raise InputError(f"length must be nonnegative, got {n}")
-    parts = len(block_sizes)
-    target_sum = sum(targets)
-    total = 0
-    for m in range(n + 1):
-        sgn = sign(n - m - target_sum) if signed else 1
-        for avec in compositions(m, parts):
-            weight = multinomial(m, avec)
-            for size, a in zip(block_sizes, avec):
-                weight *= size**a
-                if not weight:
-                    break
-            if not weight:
-                continue
-            for bvec in compositions(n - m, parts):
-                term = weight
-                for a, b, tt in zip(avec, bvec, targets):
-                    term *= binom(a + b - 1, b) * binom(b, tt)
-                    if not term:
-                        break
-                total += sgn * term
-    return total
+
+
+def _block_program(block_sizes: tuple[int, ...], n: int, levels) -> dict:
+    """The levels-blocks sum over every (a_i, b_i), grouped by key.
+
+    Block i takes a_i letters and b_i level slots, all blocks together n
+    positions, with weight C(A_i, a_i) size_i^a_i C(a_i+b_i-1, b_i) where
+    A_i = a_1+...+a_i: where its letters sit among the earlier ones, which
+    letters they are, and how its levels spread over them.  Each pair
+    (key part, factor) of ``levels(i, b_i)`` multiplies the weight and
+    extends the key.  The state is (letters placed, level slots used).
+    """
+    states = {(0, 0): {(): 1}}
+    last = len(block_sizes) - 1
+    for index, size in enumerate(block_sizes):
+        factors = [tuple(levels(index, b)) for b in range(n + 1)]
+        grown: dict = defaultdict(lambda: defaultdict(int))
+        for (placed, slots), spread in states.items():
+            room = n - placed - slots
+            for a in range(room + 1):
+                lead = binom(placed + a, a) * size**a
+                if not lead:
+                    continue
+                # The last block takes all the room that is left.
+                for b in range(room - a if index == last else 0, room - a + 1):
+                    weight = lead * binom(a + b - 1, b)
+                    if not (weight and factors[b]):
+                        continue
+                    into = grown[placed + a, slots + b]
+                    for part, factor in factors[b]:
+                        for key, value in spread.items():
+                            into[key + part] += weight * factor * value
+        states = grown
+    joint: dict = defaultdict(int)
+    for (placed, slots), spread in states.items():
+        if placed + slots == n:
+            for key, value in spread.items():
+                joint[key] += value
+    return joint
+
+
+def _levels_blocks(
+    block_sizes: tuple[int, ...], n: int, targets: tuple[int, ...], signed: bool
+) -> int:
+    """One joint count: block i contributes C(b_i, targets_i) (-1)^(b_i - targets_i).
+
+    ``signed=False`` drops the sign, a reading the oracle rejects.
+    """
+    _check_blocks(block_sizes, n, targets)
+
+    def levels(index: int, b: int):
+        level = targets[index]
+        pick = binom(b, level) * (sign(b - level) if signed else 1)
+        return (((), pick),) if pick else ()
+
+    return _block_program(block_sizes, n, levels).get((), 0)
+
+
+def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
+    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one pass.
+
+    Block i contributes (u_i - 1)^(b_i); the coefficients of the product are the counts.
+    """
+    sizes = tuple(block_sizes)
+    _check_blocks(sizes, n, (0,) * len(sizes))
+    joint = _block_program(
+        sizes, n, lambda index, b: [((level,), step) for level, step in enumerate(_shifted_power(b))]
+    )
+    return {key: value for key, value in joint.items() if value}
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -122,27 +234,30 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     By complementation this also counts words with s rises starting at a
     letter in {k+1-t, ..., k}.
     """
-    if not 1 <= t <= k:
-        raise InputError(f"threshold {t} outside 1..{k}")
-    if n < 0 or s < 0:
-        raise InputError("length and statistic value must be nonnegative")
-    total = 0
-    for m in range(n + 1):
-        pick = binom(n - m, s)
-        if not pick:
-            continue
+    return _coefficient(_des_le(k, t, n), n, s)
+
+
+def _des_le(k: int, t: int, n: int):
+    """The s-free inner(m) of ``count_des_le``, after checking its parameters."""
+    check_threshold("des-le", k, t)
+    _check_length(n)
+
+    def inner(m: int) -> int:
+        total = 0
         for a in range(m + 1):
             left = binom(m, a)
-            for b in range(m - a + 1):
+            # C(t*a, n-b) vanishes below b = n - t*a.
+            for b in range(max(n - t * a, 0), m - a + 1):
                 total += (
-                    sign(n - a - b - s)
+                    sign(m - a - b)
                     * left
                     * binom(m - a, b)
                     * binom(t * a, n - b)
-                    * pick
                     * (k - t) ** b
                 )
-    return total
+        return total
+
+    return inner
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -151,26 +266,24 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     Dually, words with s rises starting at a letter <= k-t.  t = k is the
     empty statistic (every word scores 0) and t = 0 gives plain descents.
     """
-    if not 0 <= t <= k:
-        raise InputError(f"threshold {t} outside 0..{k}")
-    if n < 0 or s < 0:
-        raise InputError("length and statistic value must be nonnegative")
-    total = 0
-    for m in range(n + 1):
-        pick = binom(n - m, s)
-        if not pick:
-            continue
+    return _coefficient(_des_gt(k, t, n), n, s)
+
+
+def _des_gt(k: int, t: int, n: int):
+    """The s-free inner(m) of ``count_des_gt``, after checking its parameters."""
+    check_threshold("des-gt", k, t)
+    _check_length(n)
+
+    def inner(m: int) -> int:
+        total = 0
         for a in range(m + 1):
-            left = binom(m, a) * sign(n - a - s)
-            for b in range(a + 1):
-                total += (
-                    left
-                    * binom(a, b)
-                    * binom((k - t) * a, n - b)
-                    * pick
-                    * t**b
-                )
-    return total
+            left = binom(m, a) * sign(m - a)
+            # C((k-t)*a, n-b) vanishes below b = n - (k-t)*a.
+            for b in range(max(n - (k - t) * a, 0), a + 1):
+                total += left * binom(a, b) * binom((k - t) * a, n - b) * t**b
+        return total
+
+    return inner
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -181,12 +294,7 @@ def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
     on t and on whether r exceeds t, matching the three regimes the
     residue classes of the top letter create.
     """
-    kq, t = _des_mod_validate(s, alphabet, r, n, p)
-    if t == 0:
-        return _des_mod_aligned(s, kq, r, n, p, base=r - 1)
-    if r > t:
-        return _des_mod_offset(s, kq, t, r, n, p, high=True, pin_j=False)
-    return _des_mod_offset(s, kq, t, r, n, p, high=False, pin_j=False)
+    return _coefficient(_des_mod(s, alphabet, r, n, corrected=True), n, p)
 
 
 def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -198,78 +306,60 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     verification suite can demonstrate these readings disagree with the
     oracle on explicit tuples.
     """
-    kq, t = _des_mod_validate(s, alphabet, r, n, p)
-    if t == 0:
-        return _des_mod_aligned(s, kq, r, n, p, base=s - 1)
-    if r > t:
-        return _des_mod_offset(s, kq, t, r, n, p, high=True, pin_j=True)
-    return _des_mod_offset(s, kq, t, r, n, p, high=False, pin_j=True)
+    return _coefficient(_des_mod(s, alphabet, r, n, corrected=False), n, p)
 
 
-def _des_mod_validate(s: int, alphabet: int, r: int, n: int, p: int):
-    if s < 2:
-        raise InputError(f"modulus must be at least 2, got {s}")
+def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
+    """The p-free inner(m) of ``count_des_mod``, or of the rejected readings if not ``corrected``."""
+    check_modulus(s)
     if not 1 <= r <= s:
         raise InputError(f"residue class {r} outside 1..{s}")
     if alphabet < 1:
         raise InputError(f"alphabet size must be at least 1, got {alphabet}")
-    if n < 0 or p < 0:
-        raise InputError("length and statistic value must be nonnegative")
-    return divmod(alphabet, s)
+    _check_length(n)
+    kq, t = divmod(alphabet, s)
+    if t == 0:
+        return _des_mod_aligned(s, kq, n, base=r - 1 if corrected else s - 1)
+    return _des_mod_offset(s, kq, t, r, n, high=r > t, pin_j=not corrected)
 
 
-def _des_mod_aligned(s: int, kq: int, r: int, n: int, p: int, base: int) -> int:
-    total = 0
-    for j in range(n + 1):
-        pick = binom(n - j, p)
-        if not pick:
-            continue
+def _des_mod_aligned(s: int, kq: int, n: int, base: int):
+    def inner(j: int) -> int:
+        total = 0
         for i1 in range(j + 1):
             left = binom(j, i1) * s ** (j - i1) * base**i1
             if not left:
                 continue
             for i2 in range(j + 1):
-                total += (
-                    sign(n + p + i2)
-                    * left
-                    * binom(j, i2)
-                    * binom(kq * i2, n - i1)
-                    * pick
-                )
-    return total
+                total += sign(j + i2) * left * binom(j, i2) * binom(kq * i2, n - i1)
+        return total
+
+    return inner
 
 
-def _des_mod_offset(
-    s: int, kq: int, t: int, r: int, n: int, p: int, high: bool, pin_j: bool
-) -> int:
+def _des_mod_offset(s: int, kq: int, t: int, r: int, n: int, high: bool, pin_j: bool):
     i1_base = (r - 1 - t) if high else (s - t + r - 1)
-    total = 0
-    for m in range(n + 1):
-        pick = binom(n - m, p)
-        if not pick:
-            continue
+
+    def inner(m: int) -> int:
+        total = 0
         for j in ((m,) if pin_j else range(m + 1)):
-            sgn = sign(n + p + j)
-            choose_j = binom(m, j)
+            outer = sign(m + j) * binom(m, j)
             top = kq * j if high else kq * j + j
             for i1 in range(m - j + 1):
                 left = binom(m - j, i1) * i1_base**i1
                 if not left:
                     continue
-                for i2 in range(j + 1):
+                # C(top, n-i1-i2) vanishes below i2 = n - i1 - top.
+                for i2 in range(max(n - i1 - top, 0), j + 1):
                     mid = binom(j, i2) * (r - 1) ** i2
                     if not mid:
                         continue
                     total += (
-                        sgn
-                        * choose_j
-                        * left
-                        * mid
-                        * s ** (m - i1 - i2)
-                        * binom(top, n - i1 - i2)
-                        * pick
+                        outer * left * mid * s ** (m - i1 - i2) * binom(top, n - i1 - i2)
                     )
-    return total
+        return total
+
+    return inner
 
 
 def hall_remmel_count(
@@ -350,6 +440,12 @@ def hall_remmel_even_words(rho: Sequence[int], n: int, p: int) -> int:
     return prefactor * total
 
 
+def _hall_remmel_table(rho: Sequence[int], top_letters, bottom_letters) -> dict[int, int]:
+    """Every ``hall_remmel_count`` value of the class rho, one sum per value of s."""
+    weight = max(sum(rho), 0)
+    return {s: hall_remmel_count(rho, top_letters, bottom_letters, s) for s in range(weight + 1)}
+
+
 CLOSED_FORMS = {
     "levels-threshold": count_levels_threshold,
     "levels-blocks": count_levels_blocks,
@@ -358,4 +454,16 @@ CLOSED_FORMS = {
     "des-mod": count_des_mod,
     "hall-remmel": hall_remmel_count,
     "hall-remmel-even-words": hall_remmel_even_words,
+}
+
+
+DISTRIBUTIONS = {
+    "levels-threshold": lambda k, t, n: _coefficients(_levels_threshold(k, t, n), n),
+    "levels-blocks": _levels_blocks_table,
+    "des-le": lambda k, t, n: _coefficients(_des_le(k, t, n), n),
+    "des-gt": lambda k, t, n: _coefficients(_des_gt(k, t, n), n),
+    "des-mod": lambda s, alphabet, r, n: _coefficients(
+        _des_mod(s, alphabet, r, n, corrected=True), n
+    ),
+    "hall-remmel": _hall_remmel_table,
 }

@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from wordstats import cli, oracle
+from wordstats import cli, formulas, oracle
 from wordstats.oracle import BUDGET_ENV_VAR
 
 
@@ -16,6 +17,14 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def counting_calls(calls, name, fn):
+    """``fn`` that appends ``name`` to ``calls`` each time it is called."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestCount:
@@ -204,13 +213,7 @@ class TestTable:
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_engine_table_is_one_engine_call(self, capsys, monkeypatch, family, params):
         calls = []
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
+        counting = functools.partial(counting_calls, calls)
         for name in ("statistic_distribution", "brute_distribution"):
             monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
         monkeypatch.setattr(
@@ -226,6 +229,35 @@ class TestTable:
             calls.clear()
             run_json(capsys, "table", family, *params, "--engine", engine)
             assert calls == [expected[engine]], engine
+
+    @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
+    def test_closed_form_table_is_one_formula_call(self, capsys, monkeypatch, family, params):
+        calls = []
+        counting = functools.partial(counting_calls, calls)
+        monkeypatch.setattr(cli, "evaluate", counting("evaluate", cli.evaluate))
+        monkeypatch.setattr(formulas, "evaluate", counting("evaluate", formulas.evaluate))
+        monkeypatch.setattr(cli, "distribution", counting("distribution", cli.distribution))
+        run_json(capsys, "table", family, *params)
+        assert calls == ["distribution"]
+
+    @pytest.mark.parametrize("family, params", FAMILY_QUERIES[:5])
+    def test_negative_length_table_exits_2_on_every_engine(self, capsys, family, params):
+        query = params[: params.index("--n")] + ["--n", "-1"]
+        for engine in ("closed-form", "transfer", "oracle"):
+            code, out, err = run(capsys, "table", family, *query, "--engine", engine)
+            assert code == cli.EXIT_USAGE, engine
+            assert out == "", engine
+            assert "nonnegative" in err, engine
+
+    def test_negative_multiplicity_table_exits_2(self, capsys):
+        for engine in ("closed-form", "oracle"):
+            code, out, err = run(
+                capsys, "table", "hall-remmel", "--rho=-5,1", "--x", "all", "--y", "all",
+                "--engine", engine,
+            )
+            assert code == cli.EXIT_USAGE, engine
+            assert out == ""
+            assert "multiplicities must be nonnegative" in err
 
     def test_des_mod_transfer_table_bad_residue(self, capsys):
         code, out, err = run(
@@ -350,3 +382,74 @@ class TestVerify:
     def test_fault_flag_limited_to_formula_suite(self, capsys):
         code, _, err = run(capsys, "verify", "identities", "--inject-fault")
         assert code == cli.EXIT_USAGE
+
+
+class TestParameterRanges:
+    # Thresholds and a modulus the closed forms reject; the DP engines could
+    # answer them, but every engine accepts the same queries.
+    QUERIES = [
+        ("levels-threshold", ["--k", "3", "--t", "0", "--n", "4"], ["--s", "1"],
+         "threshold 0 outside 1..3"),
+        ("des-le", ["--k", "3", "--t", "0", "--n", "4"], ["--s", "1"],
+         "threshold 0 outside 1..3"),
+        ("des-gt", ["--k", "3", "--t", "4", "--n", "4"], ["--s", "1"],
+         "threshold 4 outside 0..3"),
+        ("des-mod", ["--s", "1", "--alphabet", "3", "--r", "1", "--n", "4"], ["--p", "1"],
+         "modulus must be at least 2, got 1"),
+    ]
+
+    @pytest.mark.parametrize("family, query, value, message", QUERIES)
+    def test_every_engine_rejects_with_the_closed_form_message(
+        self, capsys, family, query, value, message
+    ):
+        for engine in ("closed-form", "transfer", "oracle"):
+            for argv in (["count", family, *query, *value], ["table", family, *query]):
+                code, out, err = run(capsys, *argv, "--engine", engine)
+                assert code == cli.EXIT_USAGE, (engine, argv)
+                assert out == ""
+                assert err == f"error: {message}\n", (engine, argv)
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["count", "des-le", "--k", "3", "--t", "2", "--n", "4", "--s", "1"],
+        ["table", "des-le", "--k", "3", "--t", "x", "--n", "4"],  # argparse usage error
+        ["table", "levels-blocks", "--block-sizes", "2,1", "--n", "3", "--format", "csv"],
+        ["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "-1"],  # InputError
+        ["count", "des-le", "--k", "2", "--t", "1", "--n", "5", "--s", "1",
+         "--engine", "oracle"],  # over the budget set below
+        ["table", "des-any", "--k", "3"],  # unknown family
+        ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "3"],
+        ["count", "des-le", "--k", "3", "--t", "2", "--n", "4", "--s", "1",
+         "--engine", "transfer"],
+        ["verify", "identities", "--n-max", "2", "--inject-fault"],
+        ["table", "des-mod", "--s", "2", "--alphabet", "3", "--r", "1", "--n", "3"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "10")
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return cli.build_parser()
+
+        monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
+        reused = [self.outcome(capsys, argv) for argv in self.ARGVS * 2]
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [self.outcome(capsys, argv) for argv in self.ARGVS * 2]
+        assert reused == fresh
+        assert [code for code, _, _ in reused[: len(self.ARGVS)]] == [0, 2, 0, 2, 3, 2, 0, 0, 2, 0]
+
+    def test_main_builds_the_parser_once(self):
+        assert cli._parser() is cli._parser()

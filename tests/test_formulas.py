@@ -13,13 +13,14 @@ from wordstats import (
     count_des_mod_uncorrected,
     count_levels_blocks,
     count_levels_threshold,
+    distribution,
     evaluate,
     hall_remmel_count,
     hall_remmel_even_words,
     rearrangement_distribution,
     statistic_distribution,
 )
-from wordstats.combinat import binom, compositions, sign
+from wordstats.combinat import binom, compositions, multinomial, sign
 from wordstats.formulas import _levels_blocks
 
 
@@ -47,6 +48,66 @@ class TestEvaluate:
             result = evaluate(name, params)
             assert result.value >= 0
             assert result.formula == name
+
+
+class TestDistribution:
+    COUNTS = {
+        "levels-threshold": count_levels_threshold,
+        "des-le": count_des_le,
+        "des-gt": count_des_gt,
+    }
+
+    def test_threshold_tables_equal_counts(self):
+        for family, count in self.COUNTS.items():
+            for k in range(1, 5):
+                for t in range(0, k + 1):
+                    if family != "des-gt" and t == 0:
+                        continue
+                    for n in range(7):
+                        table = distribution(family, (k, t, n))
+                        assert sum(table.values()) == k**n
+                        for s in range(n + 2):
+                            assert table.get(s, 0) == count(k, t, n, s), (family, k, t, n, s)
+
+    def test_des_mod_table_equals_counts(self):
+        for s in (2, 3, 4):
+            for alphabet in range(1, 8):
+                for r in range(1, s + 1):
+                    for n in range(6):
+                        table = distribution("des-mod", (s, alphabet, r, n))
+                        for p in range(n + 2):
+                            assert table.get(p, 0) == count_des_mod(s, alphabet, r, n, p)
+
+    def test_levels_blocks_table_equals_counts(self):
+        for sizes in [(1,), (3,), (2, 1), (1, 0, 2), (2, 1, 1)]:
+            for n in range(6):
+                table = distribution("levels-blocks", (sizes, n))
+                assert sum(table.values()) == sum(sizes) ** n
+                assert all(table.values())
+                for targets in itertools.product(range(n + 1), repeat=len(sizes)):
+                    assert table.get(targets, 0) == count_levels_blocks(sizes, n, targets)
+
+    def test_hall_remmel_table_equals_counts(self):
+        table = distribution("hall-remmel", ((2, 1, 2), {2, 3}, {1, 2, 3}))
+        assert table == {s: hall_remmel_count((2, 1, 2), {2, 3}, {1, 2, 3}, s) for s in range(6)}
+
+    def test_validation_matches_counts(self):
+        for family, params in [
+            ("levels-threshold", (3, 0, 4)),
+            ("des-le", (3, 4, 4)),
+            ("des-gt", (3, 1, -1)),
+            ("des-mod", (1, 3, 1, 4)),
+            ("des-mod", (2, 3, 3, 4)),
+            ("levels-blocks", ((1, -1), 3)),
+            ("levels-blocks", ((1, 1), -1)),
+            ("hall-remmel", ((1, -3), {1}, {1})),
+        ]:
+            with pytest.raises(InputError):
+                distribution(family, params)
+
+    def test_unknown_formula(self):
+        with pytest.raises(InputError):
+            distribution("des-diagonal", (1, 2, 3))
 
 
 class TestCountLevelsThreshold:
@@ -113,6 +174,24 @@ class TestCountLevelsBlocks:
                         assert count_levels_blocks(sizes, n, targets) == joint.get(
                             targets, 0
                         )
+
+    def test_block_program_equals_composition_sum(self):
+        # the paper's sum over pairs of compositions, kept here as the reference
+        def literal(sizes, n, targets):
+            total = 0
+            for m in range(n + 1):
+                for avec in compositions(m, len(sizes)):
+                    for bvec in compositions(n - m, len(sizes)):
+                        term = sign(n - m - sum(targets)) * multinomial(m, avec)
+                        for size, a, b, tt in zip(sizes, avec, bvec, targets):
+                            term *= size**a * binom(a + b - 1, b) * binom(b, tt)
+                        total += term
+            return total
+
+        for sizes, n_max in [((2,), 6), ((0, 2), 6), ((2, 3, 1), 4), ((1, 1, 1, 1), 3)]:
+            for n in range(n_max + 1):
+                for targets in itertools.product(range(n + 1), repeat=len(sizes)):
+                    assert count_levels_blocks(sizes, n, targets) == literal(sizes, n, targets)
 
     def test_unsigned_variant_is_wrong(self):
         # dropping the sign factor breaks already at two letters
