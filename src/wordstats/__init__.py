@@ -49,7 +49,6 @@ from .formulas import (
     distribution,
     evaluate,
     hall_remmel_count,
-    hall_remmel_even_words,
 )
 from .identities import (
     IdentityReport,
@@ -94,7 +93,6 @@ __all__ = [
     "distribution",
     "evaluate",
     "hall_remmel_count",
-    "hall_remmel_even_words",
     "rearrangement_distribution",
     "solve_block_system",
     "stat_vector",

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
+from operator import mul
 from typing import Callable, Sequence
 
 from .combinat import binom, multinomial, sign
@@ -83,6 +85,11 @@ def check_threshold(family: str, k: int, t: int) -> None:
 def check_modulus(s: int) -> None:
     if s < 2:
         raise InputError(f"modulus must be at least 2, got {s}")
+
+
+def _check_alphabet(k: int) -> None:
+    if k < 1:
+        raise InputError(f"alphabet size must be at least 1, got {k}")
 
 
 def _check_length(n: int, s: int = 0) -> None:
@@ -149,6 +156,8 @@ def count_levels_blocks(
 
 
 def _check_blocks(block_sizes: tuple[int, ...], n: int, targets: tuple[int, ...]) -> None:
+    if not any(size > 0 for size in block_sizes):
+        raise InputError("block sizes must cover at least one letter")
     if len(block_sizes) != len(targets):
         raise InputError(
             f"{len(block_sizes)} block sizes but {len(targets)} level targets"
@@ -272,6 +281,7 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
 def _des_gt(k: int, t: int, n: int):
     """The s-free inner(m) of ``count_des_gt``, after checking its parameters."""
     check_threshold("des-gt", k, t)
+    _check_alphabet(k)
     _check_length(n)
 
     def inner(m: int) -> int:
@@ -314,8 +324,7 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
     check_modulus(s)
     if not 1 <= r <= s:
         raise InputError(f"residue class {r} outside 1..{s}")
-    if alphabet < 1:
-        raise InputError(f"alphabet size must be at least 1, got {alphabet}")
+    _check_alphabet(alphabet)
     _check_length(n)
     kq, t = divmod(alphabet, s)
     if t == 0:
@@ -371,79 +380,63 @@ def hall_remmel_count(
     second in ``bottom_letters``.  Single alternating sum over products of
     binomials; equals the rearrangement oracle entry at s.
     """
-    rho = tuple(rho)
-    if any(reps < 0 for reps in rho):
-        raise InputError(f"multiplicities must be nonnegative, got {rho}")
+    prefactor, inner, n = _hall_remmel(rho, top_letters, bottom_letters)
     if s < 0:
         return 0
-    m = len(rho)
-    n = sum(rho)
-    tops = set(top_letters) & set(range(1, m + 1))
-    bottoms = set(bottom_letters)
-    outside = [v for v in range(1, m + 1) if v not in tops]
-    a = sum(rho[v - 1] for v in outside)
-    prefactor = multinomial(a, [rho[v - 1] for v in outside])
-    alpha = {
-        x: sum(rho[z - 1] for z in outside if z > x) for x in tops
-    }
-    beta = {
-        x: sum(rho[z - 1] for z in range(1, x) if z not in bottoms) for x in tops
-    }
-    total = 0
-    for r in range(s + 1):
-        term = sign(s - r) * binom(a + r, r) * binom(n + 1, s - r)
-        if not term:
-            continue
-        for x in sorted(tops):
-            term *= binom(rho[x - 1] + r + alpha[x] + beta[x], rho[x - 1])
-            if not term:
-                break
-        total += term
-    return prefactor * total
+    # C(n+1, s-r) vanishes below r = s-n-1.
+    return prefactor * sum(
+        sign(s - r) * binom(n + 1, s - r) * inner(r) for r in range(max(s - n - 1, 0), s + 1)
+    )
 
 
-def hall_remmel_even_words(rho: Sequence[int], n: int, p: int) -> int:
-    """Words of one rearrangement class over [2k] with p even-start descents.
+def _hall_remmel(rho: Sequence[int], top_letters, bottom_letters):
+    """(prefactor, s-free inner(r), weight) of ``hall_remmel_count``, after checking rho.
 
-    ``rho`` must list multiplicities for a full even alphabet and sum to
-    n.  The outer factor arranges the odd letters; each even letter 2i
-    contributes a binomial whose slack counts the larger odd letters.
-    Summed over all classes of weight n this matches the residue-class
-    count with modulus 2.
+    count(s) = prefactor sum_{r<=s} (-1)^(s-r) C(n+1, s-r) inner(r), with
+    inner(r) = C(a+r, r) prod_x C(rho_x + r + alpha_x + beta_x, rho_x) over
+    the top letters x; a counts the letters outside the tops, alpha_x the
+    ones above x, and beta_x the non-bottom letters below x.
     """
     rho = tuple(rho)
     if any(reps < 0 for reps in rho):
         raise InputError(f"multiplicities must be nonnegative, got {rho}")
-    if len(rho) % 2 or not rho:
-        raise InputError(
-            f"multiplicity vector must cover an even alphabet, got {len(rho)} letters"
-        )
-    if sum(rho) != n:
-        raise InputError(f"multiplicities sum to {sum(rho)}, expected {n}")
-    if p < 0:
-        return 0
-    odd = list(range(1, len(rho) + 1, 2))
-    even = list(range(2, len(rho) + 1, 2))
-    a = sum(rho[v - 1] for v in odd)
-    prefactor = multinomial(a, [rho[v - 1] for v in odd])
-    total = 0
-    for r in range(p + 1):
-        term = sign(p - r) * binom(a + r, r) * binom(n + 1, p - r)
-        if not term:
-            continue
-        for x in even:
-            higher_odds = sum(rho[z - 1] for z in odd if z > x)
-            term *= binom(rho[x - 1] + r + higher_odds, rho[x - 1])
-            if not term:
-                break
-        total += term
-    return prefactor * total
+    tops = set(top_letters)
+    bottoms = set(bottom_letters)
+    outside = [0 if x in tops else reps for x, reps in enumerate(rho, start=1)]
+    a = sum(outside)
+    prefactor = multinomial(a, outside)
+    # Per top letter x: (rho_x, rho_x + alpha_x + beta_x).
+    slots = []
+    above, below = a, 0
+    for x, reps in enumerate(rho, start=1):
+        above -= outside[x - 1]
+        if x in tops:
+            slots.append((reps, reps + above + below))
+        if x not in bottoms:
+            below += reps
+
+    # Every argument is nonnegative, so math.comb follows the binom convention.
+    def inner(r: int) -> int:
+        term = comb(a + r, r)
+        for reps, base in slots:
+            term *= comb(base + r, reps)
+        return term
+
+    return prefactor, inner, sum(rho)
 
 
 def _hall_remmel_table(rho: Sequence[int], top_letters, bottom_letters) -> dict[int, int]:
-    """Every ``hall_remmel_count`` value of the class rho, one sum per value of s."""
-    weight = max(sum(rho), 0)
-    return {s: hall_remmel_count(rho, top_letters, bottom_letters, s) for s in range(weight + 1)}
+    """Every ``hall_remmel_count`` value of the class rho, from one pass over r.
+
+    The counts are prefactor times the coefficients of
+    (sum_r inner(r) u^r) (1-u)^(n+1) up to u^n.
+    """
+    prefactor, inner, n = _hall_remmel(rho, top_letters, bottom_letters)
+    values = [inner(r) for r in range(n + 1)]
+    steps = [sign(j) * comb(n + 1, j) for j in range(n + 1)]
+    return {
+        s: prefactor * sum(map(mul, steps[s::-1], values)) for s in range(n + 1)
+    }
 
 
 CLOSED_FORMS = {
@@ -453,7 +446,6 @@ CLOSED_FORMS = {
     "des-gt": count_des_gt,
     "des-mod": count_des_mod,
     "hall-remmel": hall_remmel_count,
-    "hall-remmel-even-words": hall_remmel_even_words,
 }
 
 

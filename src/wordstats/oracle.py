@@ -15,9 +15,14 @@ letter pair, so a transition is one integer add.  ``coordinate_distribution``
 answers a set of coordinates from one pass of either engine; counts and
 tables both read off it.
 
-A third oracle, ``rearrangement_distribution``, enumerates a fixed
-rearrangement class and counts descents whose top letter lies in one set
-and whose bottom letter lies in another.
+A third oracle, ``rearrangement_distribution``, counts descents whose top
+letter lies in one set and whose bottom letter lies in another over a
+fixed rearrangement class.  It is a dynamic program over (letters still
+to place, last letter), not an enumeration of the class: the answer
+depends only on the set of counted (top, bottom) letter pairs
+(``counted_pairs``), and ``pair_distribution`` runs the program for one
+such set.  Each state holds its whole distribution of counted descents
+packed into one integer, so appending a letter is a shift and an add.
 
 All counts are exact Python integers; nothing here floats.
 """
@@ -27,7 +32,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .words import BlockPartition, InputError, StatVector, _stat_key
@@ -309,7 +314,8 @@ def rearrangement_distribution(
     ``rho[j-1]`` is the multiplicity of letter j; a descent position counts
     when its first letter lies in ``top_letters`` and its second in
     ``bottom_letters``.  The all-zero class contributes the empty word,
-    giving {0: 1}.
+    giving {0: 1}.  The budget is charged n!, the cost of walking every
+    arrangement of the n letters, although the dynamic program never does.
     """
     rho = tuple(rho)
     if any(r < 0 for r in rho):
@@ -318,17 +324,78 @@ def rearrangement_distribution(
     limit = resolve_budget(budget)
     if factorial(n) > limit:
         raise BudgetExceededError(factorial(n), limit)
+    return pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
+
+
+def counted_pairs(
+    rho: Sequence[int], top_letters: Iterable[int], bottom_letters: Iterable[int]
+) -> frozenset[tuple[int, int]]:
+    """The (top, bottom) descents that count, among letters the class rho uses.
+
+    A descent a > b counts when a is a top letter and b a bottom letter;
+    letters of multiplicity 0 never occur, so their pairs are left out.
+    """
     tops = frozenset(top_letters)
     bottoms = frozenset(bottom_letters)
-    base = tuple(
-        letter for letter, reps in enumerate(rho, start=1) for _ in range(reps)
+    used = [letter for letter, reps in enumerate(rho, start=1) if reps > 0]
+    return frozenset(
+        (a, b) for a in used if a in tops for b in used if b < a and b in bottoms
     )
+
+
+def pair_distribution(
+    rho: Sequence[int], pairs: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """Number of rearrangements of rho with each number of adjacent ``pairs``.
+
+    A dynamic program over (letters placed, last letter).  The letters
+    placed are a mixed-radix integer with digit j in 0..rho[j], and placing
+    a letter only raises it, so visiting the integers in increasing order
+    visits every state after all of its predecessors.  A state holds the
+    distribution of counted pairs so far as one integer, count i in bit
+    field i of ``width`` bits: no count exceeds the size of the class, so
+    fields never carry, and a counted pair is a shift by one field.
+    Multiplicities must be nonnegative; no budget is charged.
+    """
+    rho = tuple(rho)
+    n = sum(rho)
+    if n == 0:
+        return {0: 1}
+    m = len(rho)
+    counted = frozenset(pairs)
+    width = factorial(n).bit_length()
+    field = (1 << width) - 1
+    place = [1] * m
+    for j in range(1, m):
+        place[j] = place[j - 1] * (rho[j - 1] + 1)
+    # Per appended letter b: the last letters whose pair with b counts.
+    before = [[a for a in range(m) if (a + 1, b + 1) in counted] for b in range(m)]
+
+    ends_at: list[list[int] | None] = [None] * prod(reps + 1 for reps in rho)
+    ends_at[0] = [0] * m
+    # Digits of the integers 0, 1, 2, ... in the mixed radix, most significant first.
+    placed = itertools.product(*(range(reps + 1) for reps in reversed(rho)))
+    for used, digits in enumerate(placed):
+        ends = ends_at[used]
+        if ends is None:
+            continue
+        # State 0 holds only the empty word, which has no last letter.
+        total = sum(ends) if used else 1
+        for b in range(m):
+            if digits[m - 1 - b] == rho[b]:
+                continue
+            shifted = 0
+            for a in before[b]:
+                shifted += ends[a]
+            into = ends_at[used + place[b]]
+            if into is None:
+                into = ends_at[used + place[b]] = [0] * m
+            # (total - shifted) + (shifted << width): a counted pair moves its words up a field.
+            into[b] += total + shifted * field
+    packed = sum(ends_at[-1])
     out: dict[int, int] = {}
-    for word in set(itertools.permutations(base)):
-        hits = sum(
-            1
-            for i in range(n - 1)
-            if word[i] > word[i + 1] and word[i] in tops and word[i + 1] in bottoms
-        )
-        out[hits] = out.get(hits, 0) + 1
+    for hits in range(n):
+        count = (packed >> (hits * width)) & field
+        if count:
+            out[hits] = count
     return out

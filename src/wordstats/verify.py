@@ -17,7 +17,13 @@ import itertools
 from dataclasses import dataclass
 
 from . import formulas, identities
-from .oracle import brute_distribution, statistic_distribution, transfer_distribution
+from .oracle import (
+    brute_distribution,
+    counted_pairs,
+    pair_distribution,
+    statistic_distribution,
+    transfer_distribution,
+)
 from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
 from .words import BlockPartition
 from .combinat import compositions
@@ -191,9 +197,12 @@ def hall_remmel_suite(
 ) -> SuiteResult:
     """Rearrangement-class closed form against its oracle, all letter sets.
 
-    Also checks that the even-alphabet specialization, summed over every
-    rearrangement class of a given weight, reproduces the residue-class
-    descent count with modulus 2.
+    The oracle's answer depends on (X, Y) only through the set of counted
+    descent pairs, so it runs once per distinct set and class; the closed
+    form is evaluated for every (X, Y).  Also checks that the closed form
+    with the even letters on top and every letter at the bottom, summed
+    over every rearrangement class of a given weight, reproduces the
+    residue-class descent count with modulus 2.
     """
     tally = _Tally("hall-remmel")
     for m in range(1, m_max + 1):
@@ -205,56 +214,38 @@ def hall_remmel_suite(
         ]
         for weight in range(weight_max + 1):
             for rho in compositions(weight, m):
-                words = _rearrangement_words(rho)
+                oracle_by_pairs: dict[frozenset, dict[int, int]] = {}
                 for tops in subsets:
                     for bottoms in subsets:
-                        dist: dict[int, int] = {}
-                        for pairs in words:
-                            hits = sum(
-                                1 for a, b in pairs if a in tops and b in bottoms
-                            )
-                            dist[hits] = dist.get(hits, 0) + 1
-                        ok = all(
-                            formulas.hall_remmel_count(rho, tops, bottoms, s)
-                            == dist.get(s, 0)
-                            for s in range(weight + 1)
-                        )
+                        pairs = counted_pairs(rho, tops, bottoms)
+                        if pairs not in oracle_by_pairs:
+                            dist = pair_distribution(rho, pairs)
+                            oracle_by_pairs[pairs] = {s: dist.get(s, 0) for s in range(weight + 1)}
+                        table = formulas.distribution("hall-remmel", (rho, tops, bottoms))
                         tally.record(
-                            ok,
+                            table == oracle_by_pairs[pairs],
                             lambda rho=rho, tops=tops, bottoms=bottoms: f"rearrangement rho={rho} X={sorted(tops)} Y={sorted(bottoms)}",
                         )
 
     for alphabet in even_alphabets:
+        evens = frozenset(range(2, alphabet + 1, 2))
+        everything = frozenset(range(1, alphabet + 1))
         for n in range(even_n_max + 1):
+            summed = [0] * (n + 1)
+            for rho in compositions(n, alphabet):
+                table = formulas.distribution("hall-remmel", (rho, evens, everything))
+                for p in range(n + 1):
+                    summed[p] += table[p]
+            residue = formulas.distribution("des-mod", (2, alphabet, 2, n))
             for p in range(n + 1):
-                summed = sum(
-                    formulas.hall_remmel_even_words(rho, n, p)
-                    for rho in compositions(n, alphabet)
-                )
                 tally.record(
-                    summed == formulas.count_des_mod(2, alphabet, 2, n, p),
+                    summed[p] == residue.get(p, 0),
                     lambda alphabet=alphabet, n=n, p=p: f"even-words-sum alphabet={alphabet} n={n} p={p}",
                 )
     return tally.result
 
 
-def _rearrangement_words(rho: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    """Descent pairs of every distinct rearrangement of the class rho."""
-    base = tuple(
-        letter for letter, reps in enumerate(rho, start=1) for _ in range(reps)
-    )
-    out = []
-    for word in set(itertools.permutations(base)):
-        out.append(
-            tuple(
-                (word[i], word[i + 1])
-                for i in range(len(word) - 1)
-                if word[i] > word[i + 1]
-            )
-        )
-    return out
-
-
+# Deliberately independent of words._stat_key, so the duality suite shares no code with the engines.
 def _des_in(letters: tuple[int, ...], members: frozenset) -> int:
     return sum(
         1

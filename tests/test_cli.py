@@ -385,8 +385,9 @@ class TestVerify:
 
 
 class TestParameterRanges:
-    # Thresholds and a modulus the closed forms reject; the DP engines could
-    # answer them, but every engine accepts the same queries.
+    # Thresholds and a modulus the closed forms reject, which the DP engines
+    # could answer, and empty alphabets the DP engines reject, which the
+    # closed forms could answer; every engine accepts the same queries.
     QUERIES = [
         ("levels-threshold", ["--k", "3", "--t", "0", "--n", "4"], ["--s", "1"],
          "threshold 0 outside 1..3"),
@@ -396,6 +397,10 @@ class TestParameterRanges:
          "threshold 4 outside 0..3"),
         ("des-mod", ["--s", "1", "--alphabet", "3", "--r", "1", "--n", "4"], ["--p", "1"],
          "modulus must be at least 2, got 1"),
+        ("des-gt", ["--k", "0", "--t", "0", "--n", "0"], ["--s", "0"],
+         "alphabet size must be at least 1, got 0"),
+        ("levels-blocks", ["--block-sizes", "0,0", "--n", "2"], ["--targets", "0,0"],
+         "block sizes must cover at least one letter"),
     ]
 
     @pytest.mark.parametrize("family, query, value, message", QUERIES)

@@ -16,7 +16,6 @@ from wordstats import (
     distribution,
     evaluate,
     hall_remmel_count,
-    hall_remmel_even_words,
     rearrangement_distribution,
     statistic_distribution,
 )
@@ -41,7 +40,6 @@ class TestEvaluate:
             "des-gt": (3, 1, 4, 1),
             "des-mod": (2, 3, 2, 4, 1),
             "hall-remmel": ((2, 1), {2}, {1, 2}, 1),
-            "hall-remmel-even-words": ((1, 1), 2, 1),
         }
         assert set(queries) == set(CLOSED_FORMS)
         for name, params in queries.items():
@@ -90,6 +88,15 @@ class TestDistribution:
     def test_hall_remmel_table_equals_counts(self):
         table = distribution("hall-remmel", ((2, 1, 2), {2, 3}, {1, 2, 3}))
         assert table == {s: hall_remmel_count((2, 1, 2), {2, 3}, {1, 2, 3}, s) for s in range(6)}
+        subsets = [set(c) for size in range(4) for c in itertools.combinations((1, 2, 3), size)]
+        for rho in [(0, 0, 0), (1, 0, 2), (3, 1, 1), (2, 2, 2)]:
+            for tops in subsets:
+                for bottoms in subsets:
+                    table = distribution("hall-remmel", (rho, tops, bottoms))
+                    n = sum(rho)
+                    assert list(table) == list(range(n + 1))
+                    for s in range(n + 3):
+                        assert table.get(s, 0) == hall_remmel_count(rho, tops, bottoms, s)
 
     def test_validation_matches_counts(self):
         for family, params in [
@@ -421,35 +428,50 @@ class TestHallRemmelCount:
 
 
 class TestHallRemmelEvenWords:
+    # Even letters on top and every letter at the bottom: descents starting
+    # at an even letter, so summing over every class of weight n gives the
+    # residue-class count with modulus 2.
+
     def test_examples(self):
-        assert hall_remmel_even_words((1, 1), 2, 1) == 1
-        assert hall_remmel_even_words((2, 0), 2, 0) == 1
-
-    def test_weight_mismatch(self):
-        with pytest.raises(InputError):
-            hall_remmel_even_words((1, 1), 3, 0)
-
-    def test_odd_alphabet_rejected(self):
-        with pytest.raises(InputError):
-            hall_remmel_even_words((1, 1, 1), 3, 0)
+        assert hall_remmel_count((1, 1), {2}, {1, 2}, 1) == 1
+        assert hall_remmel_count((2, 0), {2}, {1, 2}, 0) == 1
 
     def test_matches_general_formula(self):
+        # the even-alphabet specialization, kept here as the reference: the
+        # odd letters are arranged freely and each even letter x contributes
+        # a binomial whose slack counts the odd letters above x
+        def even_words(rho, n, p):
+            odd = range(1, len(rho) + 1, 2)
+            a = sum(rho[v - 1] for v in odd)
+            total = 0
+            for r in range(p + 1):
+                term = sign(p - r) * binom(a + r, r) * binom(n + 1, p - r)
+                for x in range(2, len(rho) + 1, 2):
+                    higher_odds = sum(rho[z - 1] for z in odd if z > x)
+                    term *= binom(rho[x - 1] + r + higher_odds, rho[x - 1])
+                total += term
+            return multinomial(a, [rho[v - 1] for v in odd]) * total
+
         for alphabet in (2, 4):
             evens = set(range(2, alphabet + 1, 2))
             everything = set(range(1, alphabet + 1))
             for n in range(5):
                 for rho in compositions(n, alphabet):
                     for p in range(n + 1):
-                        assert hall_remmel_even_words(rho, n, p) == hall_remmel_count(
+                        assert even_words(rho, n, p) == hall_remmel_count(
                             rho, evens, everything, p
                         )
 
     def test_sum_over_classes_matches_mod_count(self):
-        for alphabet in (2, 4):
+        for alphabet in (2, 3, 4):
+            evens = set(range(2, alphabet + 1, 2))
+            everything = set(range(1, alphabet + 1))
             for n in range(5):
-                for p in range(n + 1):
-                    total = sum(
-                        hall_remmel_even_words(rho, n, p)
-                        for rho in compositions(n, alphabet)
-                    )
-                    assert total == count_des_mod(2, alphabet, 2, n, p)
+                summed = [0] * (n + 1)
+                for rho in compositions(n, alphabet):
+                    table = distribution("hall-remmel", (rho, evens, everything))
+                    for p in range(n + 1):
+                        summed[p] += table[p]
+                residue = distribution("des-mod", (2, alphabet, 2, n))
+                assert summed == [residue.get(p, 0) for p in range(n + 1)]
+                assert summed == [count_des_mod(2, alphabet, 2, n, p) for p in range(n + 1)]

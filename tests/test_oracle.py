@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import factorial
 
 import pytest
@@ -15,11 +16,14 @@ from wordstats import (
     statistic_distribution,
     transfer_distribution,
 )
-from wordstats import oracle
+from wordstats import cli, oracle
+from wordstats.combinat import compositions
 from wordstats.oracle import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUMERATION_BUDGET,
     coordinate_distribution,
+    counted_pairs,
+    pair_distribution,
     resolve_budget,
 )
 
@@ -247,8 +251,68 @@ class TestRearrangementDistribution:
             rearrangement_distribution((1, -1), {1}, {1})
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as caught:
             rearrangement_distribution((20, 20), {1}, {1}, budget=1000)
+        # the charge is n!, the cost of walking every arrangement
+        assert (caught.value.required, caught.value.limit) == (factorial(40), 1000)
+
+    def test_over_budget_class_exits_3_on_the_cli(self, capsys, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        code = cli.main(["count", "hall-remmel", "--rho", "3,3,3,2", "--x", "all",
+                         "--y", "all", "--s", "0", "--engine", "oracle"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err == (
+            "error: enumeration needs 39916800 words, over the budget of 16777216 "
+            f"(override with an explicit budget or {BUDGET_ENV_VAR})\n"
+        )
+
+    def test_ten_distinct_letters_without_enumeration(self):
+        start = time.perf_counter()
+        dist = rearrangement_distribution((1,) * 10, {2, 4, 6, 8, 10}, range(1, 11),
+                                          budget=factorial(10))
+        elapsed = time.perf_counter() - start
+        assert sum(dist.values()) == factorial(10)
+        assert elapsed < 1.0, elapsed
+
+    def test_dp_matches_enumeration(self):
+        # every class of weight <= 6 over <= 4 letters, every pair of letter sets
+        for m in range(1, 5):
+            subsets = [
+                frozenset(combo)
+                for size in range(m + 1)
+                for combo in itertools.combinations(range(1, m + 1), size)
+            ]
+            for weight in range(7):
+                for rho in compositions(weight, m):
+                    descents = _enumerated_descents(rho)
+                    for tops in subsets:
+                        for bottoms in subsets:
+                            want: dict[int, int] = {}
+                            for pairs, words in descents.items():
+                                hits = sum(1 for a, b in pairs if a in tops and b in bottoms)
+                                want[hits] = want.get(hits, 0) + words
+                            got = rearrangement_distribution(rho, tops, bottoms)
+                            assert got == want, (rho, tops, bottoms)
+
+    def test_counted_pairs(self):
+        # descents only, and only among letters the class uses
+        assert counted_pairs((1, 0, 2), {1, 2, 3}, {1, 2, 3}) == {(3, 1)}
+        assert counted_pairs((1, 1, 1), {3}, {1, 2, 3}) == {(3, 1), (3, 2)}
+        assert counted_pairs((1, 1, 1), {1}, {1, 2, 3}) == frozenset()
+        assert counted_pairs((1, 1), {2, 7}, {1, 9}) == {(2, 1)}
+
+    def test_answer_depends_only_on_the_counted_pairs(self):
+        rho = (2, 1, 2)
+        # 3 is never the bottom of a descent and 1 never its top
+        same = [({3}, {1, 2}), ({1, 3}, {1, 2, 3}), ({3}, {1, 2, 3})]
+        for tops, bottoms in same:
+            assert rearrangement_distribution(rho, tops, bottoms) == pair_distribution(
+                rho, {(3, 1), (3, 2)}
+            )
+        assert pair_distribution((0, 0), set()) == {0: 1}
+        assert pair_distribution((), set()) == {0: 1}
 
     def test_total_mass_is_multinomial(self):
         for rho in [(2, 1), (1, 1, 2), (3, 0, 1), (2, 2, 1)]:
@@ -258,6 +322,16 @@ class TestRearrangementDistribution:
                 expected //= factorial(reps)
             dist = rearrangement_distribution(rho, {1, 2}, {1, 2, 3})
             assert sum(dist.values()) == expected
+
+
+def _enumerated_descents(rho):
+    """Descent pairs of each distinct rearrangement of rho, with how many words have them."""
+    base = tuple(letter for letter, reps in enumerate(rho, start=1) for _ in range(reps))
+    out: dict[tuple, int] = {}
+    for word in set(itertools.permutations(base)):
+        pairs = tuple(sorted((a, b) for a, b in zip(word, word[1:]) if a > b))
+        out[pairs] = out.get(pairs, 0) + 1
+    return out
 
 
 class TestDistributionSymmetries:

@@ -1,0 +1,62 @@
+import itertools
+
+from wordstats import formulas, verify
+from wordstats.combinat import compositions
+from wordstats.oracle import counted_pairs
+
+
+class TestHallRemmelSuite:
+    def test_small_grid_result(self):
+        result = verify.hall_remmel_suite(m_max=3, weight_max=5, even_n_max=6)
+        assert result == verify.SuiteResult("hall-remmel", 4000, 0, None)
+
+    def test_default_grid_result(self):
+        assert verify.hall_remmel_suite() == verify.SuiteResult("hall-remmel", 92824, 0, None)
+
+    def test_wrong_closed_form_is_caught_and_named(self, monkeypatch):
+        table = formulas.DISTRIBUTIONS["hall-remmel"]
+
+        def skewed(rho, tops, bottoms):
+            dist = table(rho, tops, bottoms)
+            if (rho, tops, bottoms) == ((2, 1), {2}, {1}):
+                dist[1] += 1
+            return dist
+
+        monkeypatch.setitem(formulas.DISTRIBUTIONS, "hall-remmel", skewed)
+        result = verify.hall_remmel_suite(m_max=2, weight_max=3, even_n_max=2)
+        assert result.failures == 1
+        assert result.first_failure == "rearrangement rho=(2, 1) X=[2] Y=[1]"
+
+    def test_wrong_even_identity_is_caught_and_named(self, monkeypatch):
+        table = formulas.DISTRIBUTIONS["des-mod"]
+
+        def skewed(s, alphabet, r, n):
+            dist = table(s, alphabet, r, n)
+            if (alphabet, n) == (4, 3):
+                dist[2] += 1
+            return dist
+
+        monkeypatch.setitem(formulas.DISTRIBUTIONS, "des-mod", skewed)
+        result = verify.hall_remmel_suite(m_max=1, weight_max=1, even_n_max=4)
+        assert result.failures == 1
+        assert result.first_failure == "even-words-sum alphabet=4 n=3 p=2"
+
+    def test_oracle_runs_once_per_counted_pair_set(self, monkeypatch):
+        calls = []
+        dp = verify.pair_distribution
+
+        def counting(rho, pairs):
+            calls.append((rho, pairs))
+            return dp(rho, pairs)
+
+        monkeypatch.setattr(verify, "pair_distribution", counting)
+        verify.hall_remmel_suite(m_max=3, weight_max=4, even_n_max=0)
+        expected = []
+        for m in range(1, 4):
+            subsets = [set(c) for size in range(m + 1)
+                       for c in itertools.combinations(range(1, m + 1), size)]
+            for weight in range(5):
+                for rho in compositions(weight, m):
+                    expected.append({counted_pairs(rho, x, y) for x in subsets for y in subsets})
+        assert len(calls) == sum(len(sets) for sets in expected)
+        assert len(calls) == len(set(calls))
