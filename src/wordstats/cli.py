@@ -8,6 +8,12 @@ any consumer.  Exit codes are part of the contract:
     1  a verification suite found a mismatch
     2  invalid usage or parameters
     3  enumeration budget exceeded
+
+``FAMILIES`` is the one place a statistic family of ``count`` and
+``table`` is defined: its options, its closed-form parameters, its query
+on the oracle and transfer engines, and the shape of its table.  Every
+engine checks a query with the closed forms' own checks
+(``formulas.check_params``) before it does any work.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import verify
-from .formulas import check_modulus, check_threshold, distribution, evaluate
+from .formulas import check_params, distribution, evaluate
 from .oracle import (
     BudgetExceededError,
     ConstraintSpec,
@@ -83,156 +91,156 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, indent=2, sort_keys=False))
 
 
-# Per family: how to compute one count and the full table, on each engine.
-
-# The one coordinate a threshold family reads off the transfer DP.
-_THRESHOLD_COORDINATE = {
-    "levels-threshold": (1, "lev"),
-    "des-le": (1, "des"),
-    "des-gt": (2, "des"),
-}
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _dp_query(family: str, args):
-    """(alphabet size, partition, coordinates) of a family on the oracle/transfer engines."""
-    if family == "levels-blocks":
-        sizes = _parse_int_list(args.block_sizes)
-        coords = [(block, "lev") for block in range(1, len(sizes) + 1)]
-        return sum(sizes), _partition_from_sizes(sizes), coords
-    if family == "des-mod":
-        check_modulus(args.s)
-        partition = BlockPartition.mod_residue(args.alphabet, args.s)
-        return args.alphabet, partition, [(args.r, "des")]
-    if family in _THRESHOLD_COORDINATE:
-        check_threshold(family, args.k, args.t)
-        partition = BlockPartition.threshold(args.k, args.t)
-        return args.k, partition, [_THRESHOLD_COORDINATE[family]]
-    raise InputError(f"unknown family {family!r}")
+@dataclass(frozen=True)
+class Family:
+    """How ``count`` and ``table`` read, check and answer one statistic family.
+
+    ``options`` are the (flag, type, help) of the query options, in the
+    order the ``parameters`` echo lists them; ``statistic`` is the option
+    ``count`` adds.  ``params`` builds the closed-form parameters from the
+    parsed arguments, and ``dp_query`` turns them into (alphabet size,
+    partition, coordinates) for the oracle and transfer engines; a family
+    without one is answered by the rearrangement oracle.  A ``joint``
+    table is keyed by target tuples, one per block; any other table has a
+    row for each statistic value up to ``ceiling(params)``.
+    """
+
+    options: tuple[tuple[str, type | None, str | None], ...]
+    statistic: tuple[str, type | None, str | None]
+    params: Callable[[argparse.Namespace], tuple]
+    dp_query: Callable[..., tuple] | None
+    joint: bool = False
+    ceiling: Callable[[tuple], int] = lambda params: params[-1]
 
 
-def _hall_remmel_query(args):
+def _threshold_family(coordinate: tuple[int, str]) -> Family:
+    """A family read off one coordinate of the threshold partition at t."""
+    return Family(
+        options=(("--k", int, None), ("--t", int, None), ("--n", int, None)),
+        statistic=("--s", int, None),
+        params=lambda args: (args.k, args.t, args.n),
+        dp_query=lambda k, t, n: (k, BlockPartition.threshold(k, t), [coordinate]),
+    )
+
+
+def _levels_blocks_query(sizes: tuple[int, ...], n: int):
+    blocks = [block for block, size in enumerate(sizes, start=1) for _ in range(size)]
+    coords = [(block, "lev") for block in range(1, len(sizes) + 1)]
+    return sum(sizes), BlockPartition.from_blocks(blocks, t=len(sizes)), coords
+
+
+def _hall_remmel_params(args) -> tuple:
     rho = _parse_int_list(args.rho)
     return rho, _parse_letter_set(args.x, len(rho)), _parse_letter_set(args.y, len(rho))
 
 
-def _hall_remmel_distribution(rho, tops, bottoms, engine: str) -> dict[int, int]:
-    if engine == "transfer":
-        raise InputError("hall-remmel supports the closed-form and oracle engines")
-    return rearrangement_distribution(rho, tops, bottoms)
+FAMILIES = {
+    "levels-threshold": _threshold_family((1, "lev")),
+    "levels-blocks": Family(
+        options=(("--block-sizes", None, None), ("--n", int, None)),
+        statistic=("--targets", None, None),
+        params=lambda args: (_parse_int_list(args.block_sizes), args.n),
+        dp_query=_levels_blocks_query,
+        joint=True,
+    ),
+    "des-le": _threshold_family((1, "des")),
+    "des-gt": _threshold_family((2, "des")),
+    "des-mod": Family(
+        options=(
+            ("--s", int, "modulus (number of residue classes)"),
+            ("--alphabet", int, None),
+            ("--r", int, "residue class of the first letter"),
+            ("--n", int, None),
+        ),
+        statistic=("--p", int, "descent count"),
+        params=lambda args: (args.s, args.alphabet, args.r, args.n),
+        dp_query=lambda s, alphabet, r, n: (
+            alphabet, BlockPartition.mod_residue(alphabet, s), [(r, "des")]
+        ),
+    ),
+    "hall-remmel": Family(
+        options=(
+            ("--rho", None, "comma-separated multiplicities"),
+            ("--x", None, "top letter set, comma list or 'all'"),
+            ("--y", None, "bottom letter set, comma list or 'all'"),
+        ),
+        statistic=("--s", int, None),
+        params=_hall_remmel_params,
+        dp_query=None,
+        ceiling=lambda params: sum(params[0]),
+    ),
+}
 
 
-def _closed_form_params(family: str, args) -> tuple:
-    """A family's closed-form parameters, without the statistic value."""
-    if family == "hall-remmel":
-        return _hall_remmel_query(args)
-    if family == "levels-blocks":
-        return (_parse_int_list(args.block_sizes), args.n)
-    if family == "des-mod":
-        return (args.s, args.alphabet, args.r, args.n)
-    return (args.k, args.t, args.n)
+def _statistic_value(family: Family, args):
+    """The statistic value ``count`` asks for, as the family's closed form takes it."""
+    value = getattr(args, _dest(family.statistic[0]))
+    if family.joint:
+        return _parse_int_list(value)
+    if value is None:
+        raise InputError("count needs the statistic value (--s / --p)")
+    if value < 0:
+        raise InputError("statistic value must be nonnegative")
+    return value
 
 
-def _family_count(family: str, args, value: int, engine: str) -> int:
-    if engine == "closed-form":
-        params = _closed_form_params(family, args)
-        if family == "levels-blocks":
-            value = _parse_int_list(args.targets)
-        return evaluate(family, params + (value,)).value
-    if family == "hall-remmel":
-        return _hall_remmel_distribution(*_hall_remmel_query(args), engine).get(value, 0)
-    k, partition, coords = _dp_query(family, args)
-    if family == "levels-blocks":
-        values = _parse_int_list(args.targets)
-        if len(values) != len(coords):
-            raise InputError(f"{len(coords)} block sizes but {len(values)} level targets")
-    else:
-        values = (value,)
-    spec = ConstraintSpec.of(*[(block, stat, v) for (block, stat), v in zip(coords, values)])
-    return count_matching(k, args.n, partition, spec, engine=engine)
-
-
-def _engine_table(family: str, args, engine: str) -> dict:
-    """Every row of a table from one oracle or transfer engine call."""
-    if family == "hall-remmel":
-        return _hall_remmel_distribution(*_hall_remmel_query(args), engine)
-    k, partition, coords = _dp_query(family, args)
-    dist = coordinate_distribution(k, args.n, partition, coords, engine=engine)
-    if family == "levels-blocks":
-        return dist
-    return {key[0]: count for key, count in dist.items()}
-
-
-def _partition_from_sizes(sizes: tuple[int, ...]) -> BlockPartition:
-    blocks: list[int] = []
-    for index, size in enumerate(sizes, start=1):
-        blocks.extend([index] * size)
-    if not blocks:
-        raise InputError("block sizes must cover at least one letter")
-    return BlockPartition.from_blocks(blocks, t=len(sizes))
-
-
-def _family_parameters(family: str, args, include_value: bool) -> dict:
-    if family == "levels-threshold":
-        params = {"k": args.k, "t": args.t, "n": args.n}
-        if include_value:
-            params["s"] = args.s
-    elif family == "levels-blocks":
-        params = {"block_sizes": args.block_sizes, "n": args.n}
-        if include_value:
-            params["targets"] = args.targets
-    elif family in ("des-le", "des-gt"):
-        params = {"k": args.k, "t": args.t, "n": args.n}
-        if include_value:
-            params["s"] = args.s
-    elif family == "des-mod":
-        params = {"s": args.s, "alphabet": args.alphabet, "r": args.r, "n": args.n}
-        if include_value:
-            params["p"] = args.p
-    elif family == "hall-remmel":
-        params = {"rho": args.rho, "x": args.x, "y": args.y}
-        if include_value:
-            params["s"] = args.s
-    else:
-        raise InputError(f"unknown family {family!r}")
-    params["family"] = family
+def _checked_params(family: Family, args, value: tuple = ()) -> tuple:
+    """A query's closed-form parameters, checked by the closed forms on every engine."""
+    params = family.params(args)
+    if family.dp_query is None and args.engine == "transfer":
+        raise InputError(f"{args.family} supports the closed-form and oracle engines")
+    check_params(args.family, params + value)
     return params
 
 
+def _parameters(family: Family, args) -> dict:
+    """The ``parameters`` echo: every option's value, then the family."""
+    options = family.options + ((family.statistic,) if args.command == "count" else ())
+    echo = {_dest(flag): getattr(args, _dest(flag)) for flag, _, _ in options}
+    echo["family"] = args.family
+    return echo
+
+
+def _count(family: Family, args, params: tuple, value) -> int:
+    if args.engine == "closed-form":
+        return evaluate(args.family, params + (value,)).value
+    if family.dp_query is None:
+        return rearrangement_distribution(*params).get(value, 0)
+    k, partition, coords = family.dp_query(*params)
+    values = value if family.joint else (value,)
+    spec = ConstraintSpec.of(*[(block, stat, v) for (block, stat), v in zip(coords, values)])
+    return count_matching(k, args.n, partition, spec, engine=args.engine)
+
+
+def _table(family: Family, args, params: tuple) -> dict:
+    """Every row of a table from one engine call."""
+    if args.engine == "closed-form":
+        return distribution(args.family, params)
+    if family.dp_query is None:
+        return rearrangement_distribution(*params)
+    k, partition, coords = family.dp_query(*params)
+    dist = coordinate_distribution(k, args.n, partition, coords, engine=args.engine)
+    return dist if family.joint else {key[0]: count for key, count in dist.items()}
+
+
 def _cmd_count(args) -> int:
-    family = args.family
-    if family == "levels-blocks":
-        value = None  # targets carry the statistic for this family
-    else:
-        value = args.p if family == "des-mod" else args.s
-        if value is None:
-            raise InputError("count needs the statistic value (--s / --p)")
-        if value < 0:
-            raise InputError("statistic value must be nonnegative")
-    count = _family_count(family, args, value, args.engine)
-    record = _record(
-        "count",
-        _family_parameters(family, args, include_value=True),
-        args.engine,
-        {"count": str(count)},
-    )
-    _emit(record)
+    family = FAMILIES[args.family]
+    value = _statistic_value(family, args)
+    params = _checked_params(family, args, (value,))
+    count = _count(family, args, params, value)
+    _emit(_record("count", _parameters(family, args), args.engine, {"count": str(count)}))
     return EXIT_OK
 
 
-def _statistic_ceiling(family: str, args) -> int:
-    if family == "hall-remmel":
-        return sum(_parse_int_list(args.rho))
-    return args.n
-
-
 def _cmd_table(args) -> int:
-    family = args.family
-    engine = args.engine
-    if engine == "closed-form":
-        dist = distribution(family, _closed_form_params(family, args))
-    else:
-        dist = _engine_table(family, args, engine)
-    if family == "levels-blocks":
+    family = FAMILIES[args.family]
+    params = _checked_params(family, args)
+    dist = _table(family, args, params)
+    if family.joint:
         rows = [
             {"value": list(targets), "count": str(count)}
             for targets, count in sorted(dist.items())
@@ -240,7 +248,7 @@ def _cmd_table(args) -> int:
         ]
         total = sum(dist.values())
     else:
-        counts = [dist.get(value, 0) for value in range(_statistic_ceiling(family, args) + 1)]
+        counts = [dist.get(value, 0) for value in range(family.ceiling(params) + 1)]
         while len(counts) > 1 and counts[-1] == 0:
             counts.pop()
         rows = [
@@ -248,10 +256,7 @@ def _cmd_table(args) -> int:
         ]
         total = sum(counts)
     record = _record(
-        "table",
-        _family_parameters(family, args, include_value=False),
-        engine,
-        {"rows": rows, "total": str(total)},
+        "table", _parameters(family, args), args.engine, {"rows": rows, "total": str(total)}
     )
     if args.format == "csv":
         _emit_csv(rows, total)
@@ -310,43 +315,38 @@ def _cmd_series(args) -> int:
     return EXIT_OK
 
 
+# Per verify suite: its function in ``verify`` and the keyword(s) each
+# CLI bound sets; a bound that is not given keeps the function's default.
+VERIFY_SUITES = {
+    "oracle-vs-transfer": ("oracle_vs_transfer", {"k_max": ("k_max",), "n_max": ("n_max",)}),
+    "series-vs-oracle": ("series_vs_oracle", {"k_max": ("k_max",), "n_max": ("n_max",)}),
+    "formulas-vs-oracle": (
+        "formulas_vs_oracle",
+        {"k_max": ("alphabet_max",), "n_max": ("n_max",), "inject_fault": ("corrupt",)},
+    ),
+    "identities": ("identities_suite", {"n_max": ("top_n_max", "two_bottom_n_max")}),
+    "hall-remmel": (
+        "hall_remmel_suite",
+        {"m_max": ("m_max",), "weight_max": ("weight_max",), "n_max": ("even_n_max",)},
+    ),
+}
+
+
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    if args.inject_fault and suite != "formulas-vs-oracle":
+    name, bounds = VERIFY_SUITES[args.suite]
+    if args.inject_fault and "inject_fault" not in bounds:
         raise InputError("--inject-fault applies to the formulas-vs-oracle suite")
-
-    def bound(value, default):
-        return default if value is None else value
-
-    if suite == "oracle-vs-transfer":
-        result = verify.oracle_vs_transfer(
-            k_max=bound(args.k_max, 4), n_max=bound(args.n_max, 8)
-        )
-    elif suite == "series-vs-oracle":
-        result = verify.series_vs_oracle(
-            k_max=bound(args.k_max, 4), n_max=bound(args.n_max, 6)
-        )
-    elif suite == "formulas-vs-oracle":
-        result = verify.formulas_vs_oracle(
-            alphabet_max=bound(args.k_max, 6),
-            n_max=bound(args.n_max, 7),
-            corrupt=args.inject_fault,
-        )
-    elif suite == "identities":
-        result = verify.identities_suite(
-            top_n_max=bound(args.n_max, 12), two_bottom_n_max=bound(args.n_max, 10)
-        )
-    elif suite == "hall-remmel":
-        result = verify.hall_remmel_suite(
-            m_max=bound(args.m_max, 4),
-            weight_max=bound(args.weight_max, 7),
-            even_n_max=bound(args.n_max, 6),
-        )
-    else:
-        raise InputError(f"unknown suite {suite!r}")
+    kwargs = {
+        keyword: getattr(args, flag)
+        for flag, keywords in bounds.items()
+        if getattr(args, flag) is not None
+        for keyword in keywords
+    }
+    # Looked up at call time, so a wrapper patched onto ``verify`` runs.
+    result = getattr(verify, name)(**kwargs)
     record = _record(
         "verify",
-        {"suite": suite},
+        {"suite": args.suite},
         "verify",
         {
             "checked": result.checked,
@@ -361,8 +361,14 @@ def _cmd_verify(args) -> int:
 def _add_count_subparsers(sub, command: str):
     parser = sub.add_parser(command, help=f"{command} one statistic family")
     families = parser.add_subparsers(dest="family", required=True)
-
-    def common(p):
+    for name, entry in FAMILIES.items():
+        p = families.add_parser(name)
+        for flag, kind, text in entry.options:
+            p.add_argument(flag, type=kind, required=True, help=text)
+        if command == "count":
+            # Targets are a joint family's statistic, so it must give them.
+            flag, kind, text = entry.statistic
+            p.add_argument(flag, type=kind, required=entry.joint, help=text)
         p.add_argument(
             "--engine",
             choices=("closed-form", "oracle", "transfer"),
@@ -370,47 +376,6 @@ def _add_count_subparsers(sub, command: str):
         )
         if command == "table":
             p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = families.add_parser("levels-threshold")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    if command == "count":
-        p.add_argument("--s", type=int, default=None)
-    common(p)
-
-    p = families.add_parser("levels-blocks")
-    p.add_argument("--block-sizes", dest="block_sizes", required=True)
-    p.add_argument("--n", type=int, required=True)
-    if command == "count":
-        p.add_argument("--targets", required=True)
-    common(p)
-
-    for name in ("des-le", "des-gt"):
-        p = families.add_parser(name)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        if command == "count":
-            p.add_argument("--s", type=int, default=None)
-        common(p)
-
-    p = families.add_parser("des-mod")
-    p.add_argument("--s", type=int, required=True, help="modulus (number of residue classes)")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--r", type=int, required=True, help="residue class of the first letter")
-    p.add_argument("--n", type=int, required=True)
-    if command == "count":
-        p.add_argument("--p", type=int, default=None, help="descent count")
-    common(p)
-
-    p = families.add_parser("hall-remmel")
-    p.add_argument("--rho", required=True, help="comma-separated multiplicities")
-    p.add_argument("--x", required=True, help="top letter set, comma list or 'all'")
-    p.add_argument("--y", required=True, help="bottom letter set, comma list or 'all'")
-    if command == "count":
-        p.add_argument("--s", type=int, default=None)
-    common(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", choices=("common", "per-block"), default="common")
 
     p = sub.add_parser("verify", help="run a cross-engine verification suite")
-    p.add_argument("suite", choices=sorted(verify.SUITES))
+    p.add_argument("suite", choices=sorted(VERIFY_SUITES))
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--m-max", dest="m_max", type=int, default=None)
@@ -441,9 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inject-fault",
         action="store_true",
+        default=None,
         help="deliberately corrupt one closed form; the run must then fail (harness self-test)",
     )
     return parser
+
+
+_COMMANDS = {"count": _cmd_count, "table": _cmd_table, "series": _cmd_series, "verify": _cmd_verify}
 
 
 @functools.cache
@@ -455,15 +424,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise InputError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

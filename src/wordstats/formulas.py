@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from operator import mul
 from typing import Callable, Sequence
@@ -48,14 +49,17 @@ class FormulaResult:
     value: int
 
 
+def _named(table: dict, formula: str):
+    try:
+        return table[formula]
+    except KeyError:
+        raise InputError(f"unknown formula {formula!r}, expected one of {sorted(table)}")
+
+
 def evaluate(formula: str, params: Sequence) -> FormulaResult:
     """Evaluate a closed form by name; see ``CLOSED_FORMS`` for the names."""
-    try:
-        fn = CLOSED_FORMS[formula]
-    except KeyError:
-        raise InputError(f"unknown formula {formula!r}, expected one of {sorted(CLOSED_FORMS)}")
     params = tuple(params)
-    return FormulaResult(formula, params, fn(*params))
+    return FormulaResult(formula, params, _named(CLOSED_FORMS, formula)(*params))
 
 
 def distribution(formula: str, params: Sequence) -> dict:
@@ -65,26 +69,45 @@ def distribution(formula: str, params: Sequence) -> dict:
     Keys are statistic values, or target tuples for ``levels-blocks``;
     values the closed form gives as 0 may be present or absent.
     """
-    try:
-        fn = DISTRIBUTIONS[formula]
-    except KeyError:
-        raise InputError(f"unknown formula {formula!r}, expected one of {sorted(DISTRIBUTIONS)}")
-    return fn(*params)
+    return _named(DISTRIBUTIONS, formula)(*params)
 
 
-# Smallest threshold t each threshold family accepts; every engine checks it.
+def check_params(formula: str, params: Sequence) -> None:
+    """Run a closed form's parameter checks on ``params`` without evaluating it.
+
+    ``params`` are those of ``distribution``, optionally followed by the
+    statistic value ``evaluate`` takes.  The closed forms run these same
+    checks, so an engine that validates through here refuses exactly the
+    queries they refuse, with the same message.
+    """
+    _named(CHECKS, formula)(*params)
+
+
+# Smallest threshold t each threshold family accepts.
 LOWEST_THRESHOLD = {"levels-threshold": 1, "des-le": 1, "des-gt": 0}
 
 
-def check_threshold(family: str, k: int, t: int) -> None:
+def _check_threshold(family: str, k: int, t: int, n: int, s: int = 0) -> None:
     lowest = LOWEST_THRESHOLD[family]
     if not lowest <= t <= k:
         raise InputError(f"threshold {t} outside {lowest}..{k}")
+    _check_alphabet(k)
+    _check_length(n, s)
 
 
-def check_modulus(s: int) -> None:
+def _check_des_mod(s: int, alphabet: int, r: int, n: int, p: int = 0) -> None:
     if s < 2:
         raise InputError(f"modulus must be at least 2, got {s}")
+    if not 1 <= r <= s:
+        raise InputError(f"residue class {r} outside 1..{s}")
+    _check_alphabet(alphabet)
+    _check_length(n, p)
+
+
+def _check_class(rho: Sequence[int], *letters_and_value) -> None:
+    """Checks of ``hall_remmel_count``: any letter sets and statistic value pass."""
+    if any(reps < 0 for reps in rho):
+        raise InputError(f"multiplicities must be nonnegative, got {tuple(rho)}")
 
 
 def _check_alphabet(k: int) -> None:
@@ -130,8 +153,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
 
 def _levels_threshold(k: int, t: int, n: int):
     """The s-free inner(m) of ``count_levels_threshold``, after checking its parameters."""
-    check_threshold("levels-threshold", k, t)
-    _check_length(n)
+    _check_threshold("levels-threshold", k, t, n)
 
     def inner(m: int) -> int:
         d = n - m
@@ -155,7 +177,12 @@ def count_levels_blocks(
     return _levels_blocks(tuple(block_sizes), n, tuple(targets), signed=True)
 
 
-def _check_blocks(block_sizes: tuple[int, ...], n: int, targets: tuple[int, ...]) -> None:
+def _check_blocks(
+    block_sizes: Sequence[int], n: int, targets: Sequence[int] | None = None
+) -> None:
+    """Checks of ``count_levels_blocks``; without targets, those of its table."""
+    if targets is None:
+        targets = (0,) * len(block_sizes)
     if not any(size > 0 for size in block_sizes):
         raise InputError("block sizes must cover at least one letter")
     if len(block_sizes) != len(targets):
@@ -230,7 +257,7 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     Block i contributes (u_i - 1)^(b_i); the coefficients of the product are the counts.
     """
     sizes = tuple(block_sizes)
-    _check_blocks(sizes, n, (0,) * len(sizes))
+    _check_blocks(sizes, n)
     joint = _block_program(
         sizes, n, lambda index, b: [((level,), step) for level, step in enumerate(_shifted_power(b))]
     )
@@ -248,8 +275,7 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
 
 def _des_le(k: int, t: int, n: int):
     """The s-free inner(m) of ``count_des_le``, after checking its parameters."""
-    check_threshold("des-le", k, t)
-    _check_length(n)
+    _check_threshold("des-le", k, t, n)
 
     def inner(m: int) -> int:
         total = 0
@@ -280,9 +306,7 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
 
 def _des_gt(k: int, t: int, n: int):
     """The s-free inner(m) of ``count_des_gt``, after checking its parameters."""
-    check_threshold("des-gt", k, t)
-    _check_alphabet(k)
-    _check_length(n)
+    _check_threshold("des-gt", k, t, n)
 
     def inner(m: int) -> int:
         total = 0
@@ -321,11 +345,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
 
 def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
     """The p-free inner(m) of ``count_des_mod``, or of the rejected readings if not ``corrected``."""
-    check_modulus(s)
-    if not 1 <= r <= s:
-        raise InputError(f"residue class {r} outside 1..{s}")
-    _check_alphabet(alphabet)
-    _check_length(n)
+    _check_des_mod(s, alphabet, r, n)
     kq, t = divmod(alphabet, s)
     if t == 0:
         return _des_mod_aligned(s, kq, n, base=r - 1 if corrected else s - 1)
@@ -398,8 +418,7 @@ def _hall_remmel(rho: Sequence[int], top_letters, bottom_letters):
     ones above x, and beta_x the non-bottom letters below x.
     """
     rho = tuple(rho)
-    if any(reps < 0 for reps in rho):
-        raise InputError(f"multiplicities must be nonnegative, got {rho}")
+    _check_class(rho)
     tops = set(top_letters)
     bottoms = set(bottom_letters)
     outside = [0 if x in tops else reps for x, reps in enumerate(rho, start=1)]
@@ -458,4 +477,12 @@ DISTRIBUTIONS = {
         _des_mod(s, alphabet, r, n, corrected=True), n
     ),
     "hall-remmel": _hall_remmel_table,
+}
+
+
+CHECKS = {
+    **{family: partial(_check_threshold, family) for family in LOWEST_THRESHOLD},
+    "levels-blocks": _check_blocks,
+    "des-mod": _check_des_mod,
+    "hall-remmel": _check_class,
 }

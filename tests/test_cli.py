@@ -1,9 +1,10 @@
 import functools
+import inspect
 import json
 
 import pytest
 
-from wordstats import cli, formulas, oracle
+from wordstats import cli, formulas, oracle, verify
 from wordstats.oracle import BUDGET_ENV_VAR
 
 
@@ -259,15 +260,6 @@ class TestTable:
             assert out == ""
             assert "multiplicities must be nonnegative" in err
 
-    def test_des_mod_transfer_table_bad_residue(self, capsys):
-        code, out, err = run(
-            capsys, "table", "des-mod", "--s", "3", "--alphabet", "5", "--r", "4",
-            "--n", "4", "--engine", "transfer",
-        )
-        assert code == cli.EXIT_USAGE
-        assert out == ""
-        assert "constraint names block 4, partition has 1..3" in err
-
     def test_levels_blocks_table_leaves_arguments_alone(self, capsys):
         args = cli.build_parser().parse_args(
             ["table", "levels-blocks", "--block-sizes", "1,2", "--n", "4"]
@@ -383,6 +375,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "identities", "--inject-fault")
         assert code == cli.EXIT_USAGE
 
+    def test_suite_table_matches_the_suites(self):
+        assert set(cli.VERIFY_SUITES) == set(verify.SUITES)
+        for suite, (name, bounds) in cli.VERIFY_SUITES.items():
+            assert getattr(verify, name) is verify.SUITES[suite]
+            keywords = inspect.signature(verify.SUITES[suite]).parameters
+            assert {kw for kws in bounds.values() for kw in kws} <= set(keywords), suite
+
+    def test_only_given_bounds_reach_the_suite(self, capsys, monkeypatch):
+        calls = []
+
+        def suite(**kwargs):
+            calls.append(kwargs)
+            return verify.SuiteResult("identities", checked=1, failures=0)
+
+        monkeypatch.setattr(verify, "identities_suite", suite)
+        run_json(capsys, "verify", "identities")
+        run_json(capsys, "verify", "identities", "--n-max", "0", "--k-max", "3")
+        assert calls == [{}, {"top_n_max": 0, "two_bottom_n_max": 0}]
+
 
 class TestParameterRanges:
     # Thresholds and a modulus the closed forms reject, which the DP engines
@@ -401,18 +412,55 @@ class TestParameterRanges:
          "alphabet size must be at least 1, got 0"),
         ("levels-blocks", ["--block-sizes", "0,0", "--n", "2"], ["--targets", "0,0"],
          "block sizes must cover at least one letter"),
+        ("des-mod", ["--s", "3", "--alphabet", "5", "--r", "4", "--n", "4"], ["--p", "1"],
+         "residue class 4 outside 1..3"),
+        ("levels-blocks", ["--block-sizes=-1,3", "--n", "3"], ["--targets", "0,0"],
+         "block sizes and level targets must be nonnegative"),
     ]
+    # The fault of these rows lies in the statistic value, which a table does not take.
+    VALUE_FAULTS = [
+        ("levels-blocks", ["--block-sizes", "2,3", "--n", "5"], ["--targets=-1,0"],
+         "block sizes and level targets must be nonnegative"),
+    ]
+    QUERIES += VALUE_FAULTS
 
     @pytest.mark.parametrize("family, query, value, message", QUERIES)
     def test_every_engine_rejects_with_the_closed_form_message(
         self, capsys, family, query, value, message
     ):
+        argvs = [["count", family, *query, *value]]
+        if (family, query, value, message) not in self.VALUE_FAULTS:
+            argvs.append(["table", family, *query])
         for engine in ("closed-form", "transfer", "oracle"):
-            for argv in (["count", family, *query, *value], ["table", family, *query]):
+            for argv in argvs:
                 code, out, err = run(capsys, *argv, "--engine", engine)
                 assert code == cli.EXIT_USAGE, (engine, argv)
                 assert out == ""
                 assert err == f"error: {message}\n", (engine, argv)
+
+
+class TestParametersEcho:
+    # (query keys, count's statistic key) per family, as docs/output_schema.md lists them.
+    KEYS = {
+        "levels-threshold": (["k", "t", "n"], "s"),
+        "levels-blocks": (["block_sizes", "n"], "targets"),
+        "des-le": (["k", "t", "n"], "s"),
+        "des-gt": (["k", "t", "n"], "s"),
+        "des-mod": (["s", "alphabet", "r", "n"], "p"),
+        "hall-remmel": (["rho", "x", "y"], "s"),
+    }
+    VALUES = {"s": "1", "p": "1", "targets": "1,0,0"}
+
+    @pytest.mark.parametrize("family, params", TestTable.FAMILY_QUERIES)
+    def test_keys_in_order(self, capsys, family, params):
+        query, statistic = self.KEYS[family]
+        table = run_json(capsys, "table", family, *params)
+        assert list(table["parameters"]) == query + ["family"]
+        assert table["parameters"]["family"] == family
+        count = run_json(
+            capsys, "count", family, *params, f"--{statistic}", self.VALUES[statistic]
+        )
+        assert list(count["parameters"]) == query + [statistic, "family"]
 
 
 class TestParserReuse:

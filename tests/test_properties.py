@@ -1,9 +1,10 @@
-"""Property tests over random small queries of the five word families.
+"""Property tests over random small queries of the six families.
 
-Each closed-form table must equal its per-value counts and the transfer
-engine's table; a threshold or modulus outside a family's range must be
-refused by every engine alike.  Examples are derandomized so a run is
-repeatable.
+Each closed-form table of a word family must equal its per-value counts
+and the transfer engine's table; a threshold or modulus outside a
+family's range must be refused by every engine alike, and so must any
+query with one parameter out of range.  Examples are derandomized so a
+run is repeatable.
 """
 
 import contextlib
@@ -100,3 +101,76 @@ def test_every_engine_accepts_the_same_thresholds_and_moduli(argv):
         assert len({json.loads(out)["result"]["count"] for _, out, _ in outcomes}) == 1
     else:
         assert len({err for _, _, err in outcomes}) == 1, outcomes
+
+
+NEGATIVE = st.integers(-3, -1)
+
+
+@st.composite
+def invalid_queries(draw):
+    """(count or table argv, engines serving the family) with one parameter out of range."""
+    family = draw(st.sampled_from(sorted(COUNTS) + ["hall-remmel"]))
+    command = draw(st.sampled_from(["count", "table"]))
+    n = draw(st.integers(0, 4))
+    if family == "hall-remmel":
+        rho = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+        rho[draw(st.integers(0, len(rho) - 1))] = draw(NEGATIVE)
+        query = {"rho": ",".join(map(str, rho)), "x": "all", "y": "all"}
+        value = {"s": 0}
+    elif family == "levels-blocks":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        targets = [0] * len(sizes)
+        faults = ["length", "negative size", "no letters"]
+        if command == "count":
+            faults += ["negative target", "target count"]
+        fault = draw(st.sampled_from(faults))
+        if fault == "length":
+            n = draw(NEGATIVE)
+        elif fault == "negative size":
+            sizes[draw(st.integers(0, len(sizes) - 1))] = draw(NEGATIVE)
+        elif fault == "no letters":
+            sizes = [0] * len(sizes)
+        elif fault == "negative target":
+            targets[draw(st.integers(0, len(targets) - 1))] = draw(NEGATIVE)
+        else:
+            targets = [0] * draw(st.integers(0, 4).filter(lambda count: count != len(sizes)))
+        query = {"block-sizes": ",".join(map(str, sizes)), "n": n}
+        value = {"targets": ",".join(map(str, targets))}
+    elif family == "des-mod":
+        s, alphabet = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+        r = draw(st.integers(1, s))
+        fault = draw(st.sampled_from(["length", "modulus", "residue"]))
+        if fault == "length":
+            n = draw(NEGATIVE)
+        elif fault == "modulus":
+            s, r = draw(st.integers(-1, 1)), 1
+        else:
+            r = draw(st.one_of(st.integers(-1, 0), st.integers(s + 1, s + 3)))
+        query = {"s": s, "alphabet": alphabet, "r": r, "n": n}
+        value = {"p": 0}
+    else:
+        k = draw(st.integers(1, 4))
+        t = draw(st.integers(LOWEST_THRESHOLD[family], k))
+        if draw(st.booleans()):
+            n = draw(NEGATIVE)
+        else:
+            t = draw(st.one_of(st.integers(-2, LOWEST_THRESHOLD[family] - 1),
+                               st.integers(k + 1, k + 2)))
+        query = {"k": k, "t": t, "n": n}
+        value = {"s": 0}
+    options = {**query, **value} if command == "count" else query
+    argv = [command, family] + [f"--{flag}={arg}" for flag, arg in options.items()]
+    engines = ["closed-form", "oracle"] + ([] if family == "hall-remmel" else ["transfer"])
+    return argv, engines
+
+
+@PROPERTY
+@given(invalid_queries())
+def test_every_engine_refuses_an_invalid_query_alike(query):
+    argv, engines = query
+    outcomes = {call(*argv, "--engine", engine) for engine in engines}
+    assert len(outcomes) == 1, outcomes
+    code, out, err = outcomes.pop()
+    assert code == cli.EXIT_USAGE, err
+    assert out == ""
+    assert err.startswith("error: ")
