@@ -260,6 +260,15 @@ class TestTable:
             assert out == ""
             assert "multiplicities must be nonnegative" in err
 
+    def test_des_mod_transfer_table_bad_residue(self, capsys):
+        code, out, err = run(
+            capsys, "table", "des-mod", "--s", "3", "--alphabet", "5", "--r", "4",
+            "--n", "4", "--engine", "transfer",
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: residue class 4 outside 1..3\n"
+
     def test_levels_blocks_table_leaves_arguments_alone(self, capsys):
         args = cli.build_parser().parse_args(
             ["table", "levels-blocks", "--block-sizes", "1,2", "--n", "4"]
