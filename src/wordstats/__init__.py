@@ -8,16 +8,7 @@ truncated generating-function expansion, closed-form alternating sums) and
 ships the verification suites that pin them against each other.
 """
 
-from .words import (
-    BlockPartition,
-    InputError,
-    PairKind,
-    StatVector,
-    Word,
-    classify_pair,
-    complement,
-    stat_vector,
-)
+from .words import BlockPartition, InputError, stat_key
 from .oracle import (
     BudgetExceededError,
     ConstraintSpec,
@@ -39,7 +30,6 @@ from .series import (
 )
 from .formulas import (
     CLOSED_FORMS,
-    FormulaResult,
     count_des_gt,
     count_des_le,
     count_des_mod,
@@ -64,23 +54,17 @@ __all__ = [
     "CLOSED_FORMS",
     "ConstraintSpec",
     "DistPolynomial",
-    "FormulaResult",
     "IdentityReport",
     "InputError",
-    "PairKind",
     "Polynomial",
     "PowerSeries",
-    "StatVector",
     "TrackingSpec",
-    "Word",
     "brute_distribution",
     "build_ak_series",
     "build_bk_series",
     "check_top_letter_identity",
     "check_two_bottom_identity",
-    "classify_pair",
     "coefficient_distribution",
-    "complement",
     "count_des_gt",
     "count_des_le",
     "count_des_mod",
@@ -95,7 +79,7 @@ __all__ = [
     "hall_remmel_count",
     "rearrangement_distribution",
     "solve_block_system",
-    "stat_vector",
+    "stat_key",
     "statistic_distribution",
     "transfer_distribution",
 ]

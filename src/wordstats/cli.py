@@ -72,9 +72,14 @@ def _parse_partition(raw: str, k: int) -> BlockPartition:
 
 
 def _parse_letter_set(raw: str, m: int) -> frozenset:
+    """Grammar: all | <l1,...>, each letter in 1..m."""
     if raw == "all":
         return frozenset(range(1, m + 1))
-    return frozenset(_parse_int_list(raw))
+    letters = frozenset(_parse_int_list(raw))
+    for letter in sorted(letters):
+        if not 1 <= letter <= m:
+            raise InputError(f"letter {letter} outside 1..{m}")
+    return letters
 
 
 def _record(command: str, parameters: dict, engine: str, result) -> dict:
@@ -207,7 +212,7 @@ def _parameters(family: Family, args) -> dict:
 
 def _count(family: Family, args, params: tuple, value) -> int:
     if args.engine == "closed-form":
-        return evaluate(args.family, params + (value,)).value
+        return evaluate(args.family, params + (value,))
     if family.dp_query is None:
         return rearrangement_distribution(*params).get(value, 0)
     k, partition, coords = family.dp_query(*params)

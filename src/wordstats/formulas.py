@@ -25,7 +25,6 @@ family from one call.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from math import comb
 from operator import mul
@@ -35,20 +34,6 @@ from .combinat import binom, multinomial, sign
 from .words import InputError
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    """One evaluated closed form: which formula, on what, giving what.
-
-    Genuine counting parameters always yield value >= 0; the alternating
-    sums may pass through negative partial terms but never a negative
-    total.
-    """
-
-    formula: str
-    params: tuple
-    value: int
-
-
 def _named(table: dict, formula: str):
     try:
         return table[formula]
@@ -56,10 +41,13 @@ def _named(table: dict, formula: str):
         raise InputError(f"unknown formula {formula!r}, expected one of {sorted(table)}")
 
 
-def evaluate(formula: str, params: Sequence) -> FormulaResult:
-    """Evaluate a closed form by name; see ``CLOSED_FORMS`` for the names."""
-    params = tuple(params)
-    return FormulaResult(formula, params, _named(CLOSED_FORMS, formula)(*params))
+def evaluate(formula: str, params: Sequence) -> int:
+    """Evaluate a closed form by name; see ``CLOSED_FORMS`` for the names.
+
+    Genuine counting parameters always give a count >= 0; the alternating
+    sums may pass through negative partial terms but never a negative total.
+    """
+    return _named(CLOSED_FORMS, formula)(*params)
 
 
 def distribution(formula: str, params: Sequence) -> dict:

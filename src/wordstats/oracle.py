@@ -8,12 +8,12 @@ other.
 
 The transfer engine is one kernel, ``_transfer_kernel``, with two entry
 points: ``transfer_distribution`` tracks all 4t (block, statistic)
-coordinates and returns ``StatVector`` entries, ``statistic_distribution``
-tracks only the coordinates a query names.  The kernel packs the tracked
-values into one integer key and precomputes the key increment of every
-letter pair, so a transition is one integer add.  ``coordinate_distribution``
-answers a set of coordinates from one pass of either engine; counts and
-tables both read off it.
+coordinates, ``statistic_distribution`` tracks only the coordinates a
+query names.  The kernel packs the tracked values into one integer key
+and precomputes the key increment of every letter pair, so a transition
+is one integer add.  ``coordinate_distribution`` answers a set of
+coordinates from one pass of either engine; counts and tables both read
+off it.
 
 A third oracle, ``rearrangement_distribution``, counts descents whose top
 letter lies in one set and whose bottom letter lies in another over a
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .words import BlockPartition, InputError, StatVector, _stat_key
+from .words import BlockPartition, InputError, stat_key
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
@@ -70,18 +70,15 @@ def resolve_budget(budget: int | None = None) -> int:
 
 @dataclass
 class DistPolynomial:
-    """Exact joint distribution: StatVector -> number of words attaining it."""
+    """Exact joint distribution: ``stat_key`` tuple -> number of words attaining it."""
 
-    entries: dict[StatVector, int]
+    entries: dict[tuple[tuple[int, int, int, int], ...], int]
     k: int
     n: int
     partition: BlockPartition
 
     def total(self) -> int:
         return sum(self.entries.values())
-
-    def count(self, vector: StatVector) -> int:
-        return self.entries.get(vector, 0)
 
     def marginal(self, block: int, stat: str) -> dict[int, int]:
         """Distribution of one coordinate, e.g. descents charged to a block."""
@@ -92,7 +89,7 @@ class DistPolynomial:
         indexed = [(block - 1, _stat_index(stat)) for block, stat in coords]
         out: dict[tuple[int, ...], int] = {}
         for vector, count in self.entries.items():
-            key = tuple(vector.blocks[row][index] for row, index in indexed)
+            key = tuple(vector[row][index] for row, index in indexed)
             out[key] = out.get(key, 0) + count
         return out
 
@@ -126,14 +123,14 @@ def brute_distribution(
         raise BudgetExceededError(required, limit)
     blocks = partition.blocks
     t = partition.t
-    raw: dict[tuple, int] = {}
+    entries: dict[tuple, int] = {}
     for letters in itertools.product(range(1, k + 1), repeat=n):
-        key = _stat_key(letters, blocks, t)
-        raw[key] = raw.get(key, 0) + 1
-    entries = {StatVector(key): count for key, count in raw.items()}
+        key = stat_key(letters, blocks, t)
+        entries[key] = entries.get(key, 0) + 1
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
+# The transfer kernel's own pair classification, not stat_key's, so the two oracles stay independent.
 def _pair_index(a: int, b: int) -> int:
     """Statistic index of the adjacent pair (a, b): descent, level or rise."""
     if a > b:
@@ -211,7 +208,7 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
     entries = {}
     for key, count in _transfer_kernel(k, n, partition, coords).items():
         values = _unpack(key, 4 * t, n + 1)
-        entries[StatVector(tuple(values[i : i + 4] for i in range(0, 4 * t, 4)))] = count
+        entries[tuple(values[i : i + 4] for i in range(0, 4 * t, 4))] = count
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .oracle import DistPolynomial
 from .polynomials import Polynomial
-from .words import BlockPartition, InputError, StatVector
+from .words import BlockPartition, InputError
 
 
 @dataclass
@@ -92,9 +92,6 @@ class PowerSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return PowerSeries(self.var, self.names, out)
-
-    def scale(self, poly: Polynomial) -> "PowerSeries":
-        return PowerSeries(self.var, self.names, [c * poly for c in self.coeffs])
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Truncated quotient; the divisor's constant coefficient must be 1."""
@@ -348,15 +345,9 @@ def coefficient_distribution(
     expected = spec.poly_names(common_q_var=False)
     if series.names != expected:
         raise InputError(f"series variables {series.names} do not match {expected}")
-    poly = series.coefficient(n)
-    entries: dict[StatVector, int] = {}
-    for exponents, coefficient in poly.terms.items():
-        rows = []
-        for i in range(t):
-            des = exponents[i]
-            ris = exponents[t + i]
-            lev = exponents[2 * t + i]
-            cnt = exponents[3 * t + i]
-            rows.append((des, ris, lev, cnt))
-        entries[StatVector(tuple(rows))] = coefficient
+    # Variables run x1..xt, y1..yt, z1..zt, q1..qt, so block i's row is every t-th exponent.
+    entries = {
+        tuple(exponents[i::t] for i in range(t)): coefficient
+        for exponents, coefficient in series.coefficient(n).terms.items()
+    }
     return DistPolynomial(entries=entries, k=partition.k, n=n, partition=partition)

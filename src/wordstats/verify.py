@@ -245,7 +245,7 @@ def hall_remmel_suite(
     return tally.result
 
 
-# Deliberately independent of words._stat_key, so the duality suite shares no code with the engines.
+# Deliberately independent of words.stat_key, so the duality suite shares no code with the engines.
 def _des_in(letters: tuple[int, ...], members: frozenset) -> int:
     return sum(
         1
@@ -412,11 +412,3 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
                                 need_example = False
     return list(cases.values())
 
-
-SUITES = {
-    "oracle-vs-transfer": oracle_vs_transfer,
-    "formulas-vs-oracle": formulas_vs_oracle,
-    "series-vs-oracle": series_vs_oracle,
-    "identities": identities_suite,
-    "hall-remmel": hall_remmel_suite,
-}

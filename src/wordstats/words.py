@@ -1,68 +1,27 @@
 """Words over a finite alphabet and their refined pair statistics.
 
-A word is a finite sequence of letters from {1, ..., k}.  Every adjacent
-pair is a descent, a level, or a rise, and is charged to the block of a
-fixed alphabet partition that contains the pair's *first* letter.  Letter
-counts per block are tracked alongside, so a word of length n always
-accounts for n letters and n-1 classified pairs.
+A word is a finite sequence of letters from {1, ..., k}, given as any
+sequence of ints.  Every adjacent pair is a descent, a level, or a rise,
+and is charged to the block of a fixed alphabet partition that contains
+the pair's *first* letter.  Letter counts per block are tracked
+alongside, so a word of length n always accounts for n letters and n-1
+classified pairs.
+
+``stat_key`` is the one definition and the one representation of a
+word's statistics: a tuple with one (descents, rises, levels, letters)
+row per block.  Every distribution (``DistPolynomial.entries``) is keyed
+by such tuples.  The brute-force oracle computes them with ``stat_key``;
+the transfer DP and the series engine build them from their own pair
+classification, so that the engines stay independent of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 
 class InputError(ValueError):
     """A documented precondition was violated by the caller."""
-
-
-class PairKind(Enum):
-    DESCENT = "descent"
-    LEVEL = "level"
-    RISE = "rise"
-
-
-def classify_pair(a: int, b: int, k: int) -> PairKind:
-    """Classify the adjacent pair (a, b): descent a>b, level a=b, rise a<b."""
-    for letter in (a, b):
-        if not 1 <= letter <= k:
-            raise InputError(f"letter {letter} outside alphabet 1..{k}")
-    if a > b:
-        return PairKind.DESCENT
-    if a == b:
-        return PairKind.LEVEL
-    return PairKind.RISE
-
-
-@dataclass(frozen=True)
-class Word:
-    """Immutable word over the alphabet {1, ..., k}.  Length 0 is legal."""
-
-    letters: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.k < 1:
-            raise InputError(f"alphabet size must be at least 1, got {self.k}")
-        for letter in self.letters:
-            if not 1 <= letter <= self.k:
-                raise InputError(f"letter {letter} outside alphabet 1..{self.k}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def complement(self) -> "Word":
-        """Letter-wise map l -> k+1-l; an involution that swaps descents and rises."""
-        return Word(tuple(self.k + 1 - letter for letter in self.letters), self.k)
-
-
-def complement(word: Word) -> Word:
-    return word.complement()
 
 
 @dataclass(frozen=True)
@@ -145,45 +104,13 @@ class BlockPartition:
         return tuple(j for j in range(1, self.k + 1) if self.blocks[j - 1] == block)
 
 
-@dataclass(frozen=True)
-class StatVector:
-    """Per-block (descents, rises, levels, letter count) totals of one word."""
+def stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per-block (descents, rises, levels, letters) totals of one word.
 
-    blocks: tuple[tuple[int, int, int, int], ...]
-
-    @classmethod
-    def zero(cls, t: int) -> "StatVector":
-        return cls(((0, 0, 0, 0),) * t)
-
-    @property
-    def t(self) -> int:
-        return len(self.blocks)
-
-    def des(self, block: int) -> int:
-        return self.blocks[block - 1][0]
-
-    def ris(self, block: int) -> int:
-        return self.blocks[block - 1][1]
-
-    def lev(self, block: int) -> int:
-        return self.blocks[block - 1][2]
-
-    def cnt(self, block: int) -> int:
-        return self.blocks[block - 1][3]
-
-    @property
-    def length(self) -> int:
-        """Word length implied by the letter counts."""
-        return sum(row[3] for row in self.blocks)
-
-    @property
-    def pair_total(self) -> int:
-        """Total classified pairs; equals max(length - 1, 0) for a real word."""
-        return sum(row[0] + row[1] + row[2] for row in self.blocks)
-
-
-def _stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Raw nested-tuple statistics; hot path shared by the oracles."""
+    ``blocks`` and ``t`` are those of a ``BlockPartition``; row i - 1 holds
+    block i.  Letters are not range-checked: this is the brute-force
+    oracle's inner loop.
+    """
     rows = [[0, 0, 0, 0] for _ in range(t)]
     prev = 0
     for letter in letters:
@@ -198,12 +125,3 @@ def _stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
                 row[1] += 1
         prev = letter
     return tuple(tuple(row) for row in rows)
-
-
-def stat_vector(word: Word, partition: BlockPartition) -> StatVector:
-    """Evaluate all per-block statistics of ``word`` under ``partition``."""
-    if word.k != partition.k:
-        raise InputError(
-            f"alphabet mismatch: word over [{word.k}], partition over [{partition.k}]"
-        )
-    return StatVector(_stat_key(word.letters, partition.blocks, partition.t))

@@ -114,8 +114,13 @@ def invalid_queries(draw):
     n = draw(st.integers(0, 4))
     if family == "hall-remmel":
         rho = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-        rho[draw(st.integers(0, len(rho) - 1))] = draw(NEGATIVE)
-        query = {"rho": ",".join(map(str, rho)), "x": "all", "y": "all"}
+        letters = {"x": "all", "y": "all"}
+        if draw(st.booleans()):
+            rho[draw(st.integers(0, len(rho) - 1))] = draw(NEGATIVE)
+        else:
+            stray = draw(st.one_of(st.integers(-2, 0), st.integers(len(rho) + 1, len(rho) + 3)))
+            letters[draw(st.sampled_from(["x", "y"]))] = f"1,{stray}"
+        query = {"rho": ",".join(map(str, rho)), **letters}
         value = {"s": 0}
     elif family == "levels-blocks":
         sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))

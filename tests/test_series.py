@@ -13,7 +13,7 @@ from wordstats import (
     solve_block_system,
     transfer_distribution,
 )
-from wordstats.words import _stat_key
+from wordstats.words import stat_key
 
 NAMES = ("u",)
 
@@ -150,7 +150,7 @@ class TestCompositionSeries:
         for weight in range(7):
             expected: dict = {}
             for comp in _compositions(weight, k):
-                key = _stat_key(comp, part.blocks, t)
+                key = stat_key(comp, part.blocks, t)
                 exps = tuple(
                     key[i][coord] for coord in range(4) for i in range(t)
                 )

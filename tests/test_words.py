@@ -2,66 +2,55 @@ import itertools
 
 import pytest
 
-from wordstats import (
-    BlockPartition,
-    InputError,
-    PairKind,
-    StatVector,
-    Word,
-    classify_pair,
-    complement,
-    stat_vector,
-)
+from wordstats import BlockPartition, DistPolynomial, InputError, stat_key
+
+
+def _key(letters, partition):
+    return stat_key(letters, partition.blocks, partition.t)
+
+
+def _complement(letters, k):
+    return tuple(k + 1 - x for x in letters)
 
 
 class TestClassifyPair:
+    # A two-letter word has one pair, charged to the block of its first letter.
+    ONE_BLOCK = BlockPartition.threshold(4, 4)
+
     def test_descent(self):
-        assert classify_pair(2, 1, k=2) is PairKind.DESCENT
+        assert _key((2, 1), self.ONE_BLOCK)[0] == (1, 0, 0, 2)
 
     def test_level(self):
-        assert classify_pair(3, 3, k=3) is PairKind.LEVEL
+        assert _key((3, 3), self.ONE_BLOCK)[0] == (0, 0, 1, 2)
 
     def test_rise(self):
-        assert classify_pair(1, 4, k=4) is PairKind.RISE
-
-    def test_out_of_range_letter(self):
-        with pytest.raises(InputError):
-            classify_pair(0, 1, k=3)
-        with pytest.raises(InputError):
-            classify_pair(1, 5, k=4)
+        assert _key((1, 4), self.ONE_BLOCK)[0] == (0, 1, 0, 2)
 
     def test_total_and_exclusive(self):
-        # every pair lands in exactly one class
+        # every pair lands in exactly one class, in the block of its first letter
+        part = BlockPartition.threshold(4, 2)
         for a, b in itertools.product(range(1, 5), repeat=2):
-            kind = classify_pair(a, b, k=4)
-            assert kind in (PairKind.DESCENT, PairKind.LEVEL, PairKind.RISE)
-            assert (kind is PairKind.DESCENT) == (a > b)
-            assert (kind is PairKind.LEVEL) == (a == b)
-            assert (kind is PairKind.RISE) == (a < b)
+            key = _key((a, b), part)
+            row = key[part.block_of(a) - 1]
+            assert row[:3] == (int(a > b), int(a < b), int(a == b))
+            assert sum(sum(r[:3]) for r in key) == 1
 
 
 class TestWord:
+    # A word is any sequence of letters, the empty one included.
     def test_empty_word_is_valid(self):
-        assert len(Word((), 3)) == 0
-
-    def test_letter_validation(self):
-        with pytest.raises(InputError):
-            Word((1, 3), 2)
-        with pytest.raises(InputError):
-            Word((0,), 2)
-        with pytest.raises(InputError):
-            Word((), 0)
+        for t in (1, 2, 3):
+            assert _key((), BlockPartition.mod_residue(3, t)) == ((0, 0, 0, 0),) * t
 
     def test_complement_examples(self):
-        assert complement(Word((1, 3, 2), 3)).letters == (3, 1, 2)
-        assert complement(Word((), 5)).letters == ()
-
-    def test_complement_is_involution(self):
-        word = Word((2, 4, 1, 4, 1), 4)
-        assert complement(complement(word)) == word
+        # the complement l -> k+1-l swaps descents and rises and keeps levels
+        one_block = BlockPartition.threshold(3, 3)
+        assert _key((1, 3, 2), one_block)[0] == (1, 1, 0, 3)
+        assert _key((3, 3, 1), one_block)[0] == (1, 0, 1, 3)
+        assert _key((1, 1, 3), one_block)[0] == (0, 1, 1, 3)
         for letters in itertools.product(range(1, 4), repeat=4):
-            word = Word(letters, 3)
-            assert word.complement().complement() == word
+            des, ris, lev, cnt = _key(letters, one_block)[0]
+            assert _key(_complement(letters, 3), one_block)[0] == (ris, des, lev, cnt)
 
 
 class TestBlockPartition:
@@ -108,27 +97,30 @@ class TestStatVector:
     def test_hand_evaluated_word(self):
         # 2121: pairs (2,1) descent, (1,2) rise, (2,1) descent; the rise
         # starts at the 1, the descents at the 2s
-        vec = stat_vector(Word((2, 1, 2, 1), 2), BlockPartition.threshold(2, 1))
-        assert vec.blocks == ((0, 1, 0, 2), (2, 0, 0, 2))
+        assert _key((2, 1, 2, 1), BlockPartition.threshold(2, 1)) == (
+            (0, 1, 0, 2),
+            (2, 0, 0, 2),
+        )
 
     def test_empty_word(self):
         part = BlockPartition.mod_residue(4, 2)
-        assert stat_vector(Word((), 4), part) == StatVector.zero(2)
+        assert _key((), part) == ((0, 0, 0, 0), (0, 0, 0, 0))
 
     def test_constant_word_only_levels(self):
-        vec = stat_vector(Word((1, 1, 1), 3), BlockPartition.mod_residue(3, 2))
-        assert vec.blocks == ((0, 0, 2, 3), (0, 0, 0, 0))
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(InputError):
-            stat_vector(Word((1,), 2), BlockPartition.threshold(3, 1))
+        assert _key((1, 1, 1), BlockPartition.mod_residue(3, 2)) == (
+            (0, 0, 2, 3),
+            (0, 0, 0, 0),
+        )
 
     def test_accessors(self):
-        vec = StatVector(((1, 2, 3, 4), (5, 6, 7, 8)))
-        assert (vec.des(1), vec.ris(1), vec.lev(1), vec.cnt(1)) == (1, 2, 3, 4)
-        assert (vec.des(2), vec.ris(2), vec.lev(2), vec.cnt(2)) == (5, 6, 7, 8)
-        assert vec.length == 12
-        assert vec.pair_total == 24
+        # the named statistics read stat_key's rows as (des, ris, lev, cnt)
+        key = ((1, 2, 3, 4), (5, 6, 7, 8))
+        dist = DistPolynomial({key: 1}, k=2, n=12, partition=BlockPartition.threshold(2, 1))
+        for block, row in enumerate(key, start=1):
+            for stat, value in zip(("des", "ris", "lev", "cnt"), row):
+                assert dist.marginal(block, stat) == {value: 1}
+        with pytest.raises(InputError):
+            dist.marginal(1, "peaks")
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pair_and_count_invariants(self, k):
@@ -136,27 +128,10 @@ class TestStatVector:
         partitions.append(BlockPartition.mod_residue(k, 2))
         for n in range(5):
             for letters in itertools.product(range(1, k + 1), repeat=n):
-                word = Word(letters, k)
                 for part in partitions:
-                    vec = stat_vector(word, part)
-                    assert vec.length == n
-                    assert vec.pair_total == max(n - 1, 0)
-
-
-def _des_in(letters, members):
-    return sum(
-        1
-        for i in range(len(letters) - 1)
-        if letters[i] > letters[i + 1] and letters[i] in members
-    )
-
-
-def _ris_in(letters, members):
-    return sum(
-        1
-        for i in range(len(letters) - 1)
-        if letters[i] < letters[i + 1] and letters[i] in members
-    )
+                    key = _key(letters, part)
+                    assert sum(row[3] for row in key) == n
+                    assert sum(sum(row[:3]) for row in key) == max(n - 1, 0)
 
 
 class TestComplementDuality:
@@ -165,11 +140,11 @@ class TestComplementDuality:
         # descents starting <= t become rises starting in the top t letters
         for n in range(5):
             for letters in itertools.product(range(1, k + 1), repeat=n):
-                mirror = tuple(k + 1 - x for x in letters)
+                mirror = _complement(letters, k)
                 for t in range(k + 1):
-                    bottom = set(range(1, t + 1))
-                    top = set(range(k + 1 - t, k + 1))
-                    assert _des_in(letters, bottom) == _ris_in(mirror, top)
+                    low, high = _key(letters, BlockPartition.threshold(k, t))
+                    co_low, co_high = _key(mirror, BlockPartition.threshold(k, k - t))
+                    assert low[0] == co_high[1] and high[0] == co_low[1]
 
     @pytest.mark.parametrize("s,k", [(2, 2), (2, 4), (3, 3)])
     def test_residue_duality_full_alphabet(self, s, k):
@@ -177,10 +152,9 @@ class TestComplementDuality:
         part = BlockPartition.mod_residue(k, s)
         for n in range(5):
             for letters in itertools.product(range(1, k + 1), repeat=n):
-                mirror = tuple(k + 1 - x for x in letters)
+                key = _key(letters, part)
+                co_key = _key(_complement(letters, k), part)
                 for r in range(1, s + 1):
-                    members = set(part.letters_in(r))
                     image_block = (k - r) % s + 1
                     assert image_block == s + 1 - r  # s divides k here
-                    image = set(part.letters_in(image_block))
-                    assert _des_in(letters, members) == _ris_in(mirror, image)
+                    assert key[r - 1][0] == co_key[image_block - 1][1]
