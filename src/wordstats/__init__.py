@@ -8,11 +8,10 @@ truncated generating-function expansion, closed-form alternating sums) and
 ships the verification suites that pin them against each other.
 """
 
-from .words import BlockPartition, InputError, stat_key
+from .words import BlockPartition, DistPolynomial, InputError, stat_key
 from .oracle import (
     BudgetExceededError,
     ConstraintSpec,
-    DistPolynomial,
     brute_distribution,
     count_matching,
     rearrangement_distribution,

@@ -35,12 +35,10 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .words import BlockPartition, InputError, stat_key
+from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _stat_index, stat_key
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
-
-_STAT_INDEX = {"des": 0, "ris": 1, "lev": 2, "cnt": 3}
 
 
 class BudgetExceededError(RuntimeError):
@@ -66,39 +64,6 @@ def resolve_budget(budget: int | None = None) -> int:
         except ValueError:
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
     return DEFAULT_ENUMERATION_BUDGET
-
-
-@dataclass
-class DistPolynomial:
-    """Exact joint distribution: ``stat_key`` tuple -> number of words attaining it."""
-
-    entries: dict[tuple[tuple[int, int, int, int], ...], int]
-    k: int
-    n: int
-    partition: BlockPartition
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def marginal(self, block: int, stat: str) -> dict[int, int]:
-        """Distribution of one coordinate, e.g. descents charged to a block."""
-        return {key[0]: count for key, count in self.joint([(block, stat)]).items()}
-
-    def joint(self, coords: Sequence[tuple[int, str]]) -> dict[tuple[int, ...], int]:
-        """Joint distribution of selected (block, statistic) coordinates."""
-        indexed = [(block - 1, _stat_index(stat)) for block, stat in coords]
-        out: dict[tuple[int, ...], int] = {}
-        for vector, count in self.entries.items():
-            key = tuple(vector[row][index] for row, index in indexed)
-            out[key] = out.get(key, 0) + count
-        return out
-
-
-def _stat_index(stat: str) -> int:
-    try:
-        return _STAT_INDEX[stat]
-    except KeyError:
-        raise InputError(f"unknown statistic {stat!r}, expected des/ris/lev/cnt")
 
 
 def _validate_shape(k: int, n: int, partition: BlockPartition) -> None:

@@ -1,47 +1,90 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
-Terms live in a dict mapping exponent tuples to nonzero ints; every
-polynomial in a computation shares one ordered tuple of variable names, so
-exponent tuples have fixed arity and compare positionally.  The canonical
-printed form orders terms by total degree, then lexicographically, which
-the CLI relies on for deterministic output.
+Every polynomial in a computation shares one ordered tuple of variable
+names.  A term is keyed by one packed integer (Kronecker substitution):
+``FIELD_BITS``-bit fields, big-endian, the total degree on top and then
+each variable's exponent in name order.  A monomial product is one
+integer add, and sorting the keys as ints gives the canonical printed
+order (total degree, then exponent tuples lexicographically), which the
+CLI relies on for deterministic output.
+
+No field carries silently: the total degree bounds every exponent, so a
+key sum carries only if its degree field overflows, which puts it at or
+above 2**(FIELD_BITS * (len(names) + 1)), and ``from_keys`` refuses such
+a key with ``InputError``.  Keys are decoded only where exponents are
+shown: ``exponents``, ``sorted_terms`` and ``__str__``.
 """
 
 from __future__ import annotations
 
 from .words import InputError
 
+FIELD_BITS = 16
+_MASK = (1 << FIELD_BITS) - 1
+
+
+def encode(exponents: tuple[int, ...]) -> int:
+    key = sum(exponents)
+    if key > _MASK or min(exponents, default=0) < 0:
+        raise InputError(f"exponents {tuple(exponents)} outside 0..{_MASK} in total")
+    for e in exponents:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def decode(key: int, arity: int) -> tuple[int, ...]:
+    return tuple([(key >> (FIELD_BITS * i)) & _MASK for i in range(arity - 1, -1, -1)])
+
+
+def add_product(acc: dict[int, int], left: dict[int, int], right: dict[int, int], sign: int = 1) -> None:
+    """acc += sign * left * right, all keyed by packed exponents."""
+    # Series factors are often one or two terms: loop over the larger side inside.
+    if len(left) > len(right):
+        left, right = right, left
+    get = acc.get
+    right_items = right.items()
+    for key_a, coeff_a in left.items():
+        coeff_a *= sign
+        for key_b, coeff_b in right_items:
+            key = key_a + key_b
+            acc[key] = get(key, 0) + coeff_a * coeff_b
+
 
 class Polynomial:
+    """``terms`` maps packed keys to nonzero ints; ``exponents()`` decodes them."""
+
     __slots__ = ("names", "terms")
 
     def __init__(self, names: tuple[str, ...], terms: dict[tuple[int, ...], int] | None = None):
         self.names = tuple(names)
-        arity = len(self.names)
-        cleaned: dict[tuple[int, ...], int] = {}
+        self.terms = {}
         for exponents, coefficient in (terms or {}).items():
-            if len(exponents) != arity:
+            if len(exponents) != len(self.names):
                 raise InputError(
-                    f"exponent tuple {exponents} has arity {len(exponents)}, expected {arity}"
+                    f"exponent tuple {exponents} has arity {len(exponents)}, expected {len(self.names)}"
                 )
             if coefficient:
-                cleaned[tuple(exponents)] = coefficient
-        self.terms = cleaned
+                self.terms[encode(exponents)] = coefficient
+
+    @classmethod
+    def from_keys(cls, names: tuple[str, ...], terms: dict[int, int]) -> "Polynomial":
+        """Wrap packed terms, dropping zeros; a carried key raises ``InputError``."""
+        if terms and max(terms) >> (FIELD_BITS * (len(names) + 1)):
+            raise InputError(f"an exponent of {names} exceeds the {FIELD_BITS}-bit field")
+        poly = object.__new__(cls)
+        poly.names = tuple(names)
+        poly.terms = {key: c for key, c in terms.items() if c}
+        return poly
 
     @classmethod
     def constant(cls, names: tuple[str, ...], value: int) -> "Polynomial":
-        if value == 0:
-            return cls(names)
-        return cls(names, {(0,) * len(names): value})
+        return cls.from_keys(names, {0: value})
 
     @classmethod
     def variable(cls, names: tuple[str, ...], name: str) -> "Polynomial":
-        try:
-            index = names.index(name)
-        except ValueError:
+        if name not in names:
             raise InputError(f"variable {name!r} not among {names}")
-        exponents = tuple(1 if i == index else 0 for i in range(len(names)))
-        return cls(names, {exponents: 1})
+        return cls(names, {tuple(int(other == name) for other in names): 1})
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -59,21 +102,16 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         merged = dict(self.terms)
-        for exponents, coefficient in other.terms.items():
-            merged[exponents] = merged.get(exponents, 0) + coefficient
-        return Polynomial(self.names, merged)
+        for key, coefficient in other.terms.items():
+            merged[key] = merged.get(key, 0) + coefficient
+        return Polynomial.from_keys(self.names, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(
-            self.names, {exp: -coefficient for exp, coefficient in self.terms.items()}
-        )
+        return self * -1
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -81,29 +119,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial(self.names)
-            return Polynomial(
-                self.names,
-                {exp: coefficient * other for exp, coefficient in self.terms.items()},
-            )
+            return Polynomial.from_keys(self.names, {key: c * other for key, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        product: dict[tuple[int, ...], int] = {}
-        for exp_a, coeff_a in self.terms.items():
-            for exp_b, coeff_b in other.terms.items():
-                key = tuple(a + b for a, b in zip(exp_a, exp_b))
-                product[key] = product.get(key, 0) + coeff_a * coeff_b
-        return Polynomial(self.names, product)
+        product: dict[int, int] = {}
+        add_product(product, self.terms, other.terms)
+        return Polynomial.from_keys(self.names, product)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(0,) * len(self.names): other}
+            return self.terms == ({0: other} if other else {})
         if isinstance(other, Polynomial):
             return self.names == other.names and self.terms == other.terms
         return NotImplemented
@@ -112,34 +140,33 @@ class Polynomial:
         return not self.terms
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.names), 0)
+        return self.terms.get(0, 0)
+
+    def exponents(self) -> dict[tuple[int, ...], int]:
+        """Terms keyed by exponent tuples, in the order of ``names``."""
+        return {decode(key, len(self.names)): c for key, c in self.terms.items()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in canonical order: graded, then lexicographic."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        return [(decode(key, len(self.names)), c) for key, c in sorted(self.terms.items())]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+        arity = len(self.names)
+        fields = [(name, FIELD_BITS * (arity - 1 - i)) for i, name in enumerate(self.names)]
         pieces: list[str] = []
-        for exponents, coefficient in self.sorted_terms():
-            factors = [
-                name if power == 1 else f"{name}^{power}"
-                for name, power in zip(self.names, exponents)
-                if power
-            ]
+        for key, coefficient in sorted(self.terms.items()):
             magnitude = abs(coefficient)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
+            body = [] if magnitude == 1 and key else [str(magnitude)]
+            for name, shift in fields:
+                power = (key >> shift) & _MASK
+                if power:
+                    body.append(name if power == 1 else f"{name}^{power}")
+            text = "*".join(body)
+            if pieces:
+                pieces.append(("+ " if coefficient > 0 else "- ") + text)
             else:
-                body = "*".join([str(magnitude)] + factors)
-            if not pieces:
-                pieces.append(body if coefficient > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coefficient > 0 else f"- {body}")
-        return " ".join(pieces)
+                pieces.append(text if coefficient > 0 else "-" + text)
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

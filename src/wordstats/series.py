@@ -9,25 +9,29 @@ as a truncated series; the denominator always has constant coefficient 1,
 so division never leaves the integers.
 
 Per-letter factors, with every letter i resolving its block m through the
-partition (Q_m is the block letter-count marker when tracked):
+partition (Q_m is the block letter-count marker when tracked) and entering
+with the expansion variable to the power g_i (1 for words, i for
+compositions):
 
-    a_i = q * Q_m * (1 - y_m)          d_i = 1 - q * Q_m * (z_m - y_m)
-    b_i = q * Q_m * y_m                c_i = 1 - q * Q_m * (z_m - x_m)
+    a_i = q^g * Q_m * (1 - y_m)          d_i = 1 - q^g * Q_m * (z_m - y_m)
+    b_i = q^g * Q_m * y_m                c_i = 1 - q^g * Q_m * (z_m - x_m)
 
     numerator   = prod(d) + sum_j a_j * prod(d before j) * prod(c after j)
     denominator = prod(d) - sum_j b_j * prod(d before j) * prod(c after j)
 
-The composition-weighted variant substitutes q -> v**i per letter i, which
-decorates all four factors (the level term included) with v**i.
+One builder, ``_build_series``, makes both series.  It accumulates each
+sum letter by letter, S_j = S_(j-1) * c_j + a_j * prod(d before j), so each
+product it takes has a two-term factor.  Series products and quotients add
+every coefficient product into one packed-key dict per output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .oracle import DistPolynomial
-from .polynomials import Polynomial
-from .words import BlockPartition, InputError
+from .polynomials import Polynomial, add_product
+from .words import BlockPartition, DistPolynomial, InputError
 
 
 @dataclass
@@ -49,12 +53,11 @@ class PowerSeries:
     @classmethod
     def lift(cls, var: str, names: tuple[str, ...], spine: list, order: int) -> "PowerSeries":
         """Build from a short list of int/Polynomial entries, zero-padded."""
-        coeffs = []
-        for i in range(order + 1):
-            entry = spine[i] if i < len(spine) else 0
-            if isinstance(entry, int):
-                entry = Polynomial.constant(names, entry)
-            coeffs.append(entry)
+        coeffs = [
+            Polynomial.constant(names, entry) if isinstance(entry, int) else entry
+            for entry in spine[: order + 1]
+        ]
+        coeffs += [Polynomial.constant(names, 0)] * (order + 1 - len(coeffs))
         return cls(var, names, coeffs)
 
     def coefficient(self, i: int) -> Polynomial:
@@ -81,31 +84,22 @@ class PowerSeries:
         )
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        zero = Polynomial(self.names)
-        out = [zero for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.var, self.names, out)
+        return _sum_of_products((self, other))
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Truncated quotient; the divisor's constant coefficient must be 1."""
         self._check(other)
         if other.coeffs[0] != 1:
             raise InputError("series division requires a divisor with constant term 1")
+        right = [(j, b.terms) for j, b in enumerate(other.coeffs) if j and b.terms]
         out: list[Polynomial] = []
-        for i in range(self.order + 1):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    acc = acc - b * out[i - j]
-            out.append(acc)
+        for i, a in enumerate(self.coeffs):
+            acc = dict(a.terms)
+            for j, b in right:
+                if j > i:
+                    break
+                add_product(acc, b, out[i - j].terms, -1)
+            out.append(Polynomial.from_keys(self.names, acc))
         return PowerSeries(self.var, self.names, out)
 
     def __eq__(self, other) -> bool:
@@ -116,6 +110,26 @@ class PowerSeries:
             and self.names == other.names
             and self.coeffs == other.coeffs
         )
+
+
+def _sum_of_products(*pairs: tuple[PowerSeries, PowerSeries]) -> PowerSeries:
+    """sum(left * right for left, right in pairs), one dict per output coefficient."""
+    first = pairs[0][0]
+    order = first.order
+    out: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for left, right in pairs:
+        first._check(left)
+        first._check(right)
+        right_terms = [(j, b.terms) for j, b in enumerate(right.coeffs) if b.terms]
+        for i, a in enumerate(left.coeffs):
+            if a.terms:
+                for j, b in right_terms:
+                    if i + j > order:
+                        break
+                    add_product(out[i + j], a.terms, b)
+    return PowerSeries(
+        first.var, first.names, [Polynomial.from_keys(first.names, c) for c in out]
+    )
 
 
 @dataclass(frozen=True)
@@ -180,58 +194,50 @@ class TrackingSpec:
         return tuple(names)
 
 
-def _letter_markers(
-    partition: BlockPartition, spec: TrackingSpec, names: tuple[str, ...], letter: int,
-    common_q_var: bool,
-):
-    """(x, y, z, q) marker polynomials (or integer 1) for one letter."""
+def _build_series(
+    k: int, partition: BlockPartition, spec: TrackingSpec, order: int, var: str,
+    degrees: Iterable[int],
+) -> tuple[PowerSeries, list[tuple[PowerSeries, ...]]]:
+    """The series in ``var`` and its per-letter factors (a, b, c, d).
+
+    Letter i enters with var**degrees[i - 1].  The composition variable v
+    keeps a common part-count marker q; for words q is ``var`` itself.
+    """
+    if order < 0:
+        raise InputError(f"truncation order must be nonnegative, got {order}")
+    if k != partition.k:
+        raise InputError(f"partition covers [{partition.k}], requested alphabet [{k}]")
     if spec.t != partition.t:
         raise InputError(
             f"tracking spec covers {spec.t} blocks, partition has {partition.t}"
         )
-    m = partition.block_of(letter)
+    names = spec.poly_names(common_q_var=var == "v")
 
-    def marker(kind: str, flags: tuple[bool, ...]):
-        if flags[m - 1]:
-            return Polynomial.variable(names, f"{kind}{m}")
-        return 1
+    def marker(name: str):
+        return Polynomial.variable(names, name) if name in names else 1
 
-    xs = marker("x", spec.x)
-    ys = marker("y", spec.y)
-    zs = marker("z", spec.z)
-    if spec.per_block_q:
-        qs = Polynomial.variable(names, f"q{m}")
-    elif common_q_var:
-        qs = Polynomial.variable(names, "q")
-    else:
-        qs = 1
-    return xs, ys, zs, qs
+    def lift(constant, value, degree: int) -> PowerSeries:
+        return PowerSeries.lift(var, names, [constant] + [0] * (degree - 1) + [value], order)
 
-
-def _quotient_from_factors(
-    var: str,
-    names: tuple[str, ...],
-    a_list: list[PowerSeries],
-    b_list: list[PowerSeries],
-    c_list: list[PowerSeries],
-    d_list: list[PowerSeries],
-    order: int,
-) -> PowerSeries:
-    k = len(a_list)
-    one = PowerSeries.lift(var, names, [1], order)
-    prefix_d = [one]
-    for d in d_list:
-        prefix_d.append(prefix_d[-1] * d)
-    suffix_c = [one] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix_c[j] = c_list[j] * suffix_c[j + 1]
-    numerator = prefix_d[k]
-    denominator = prefix_d[k]
-    for j in range(k):
-        wings = prefix_d[j] * suffix_c[j + 1]
-        numerator = numerator + a_list[j] * wings
-        denominator = denominator - b_list[j] * wings
-    return numerator.divide(denominator)
+    factors = []
+    for letter, degree in enumerate(degrees, start=1):
+        m = partition.block_of(letter)
+        xs, ys, zs = (marker(f"{kind}{m}") for kind in "xyz")
+        qs = marker(f"q{m}" if spec.per_block_q else "q")
+        factors.append((
+            lift(0, qs * (1 - ys), degree),
+            lift(0, qs * ys, degree),
+            lift(1, -(qs * (zs - xs)), degree),
+            lift(1, -(qs * (zs - ys)), degree),
+        ))
+    # Running sums S_j = S_(j-1) * c_j + a_j * prod(d before j), and likewise with b.
+    prefix_d = PowerSeries.lift(var, names, [1], order)
+    with_a = with_b = PowerSeries.lift(var, names, [], order)
+    for a, b, c, d in factors:
+        with_a = _sum_of_products((with_a, c), (a, prefix_d))
+        with_b = _sum_of_products((with_b, c), (b, prefix_d))
+        prefix_d = prefix_d * d
+    return (prefix_d + with_a).divide(prefix_d - with_b), factors
 
 
 def build_ak_series(
@@ -243,21 +249,7 @@ def build_ak_series(
     the length-n words, under the requested specialization.  The constant
     coefficient is always 1 (the empty word).
     """
-    if order < 0:
-        raise InputError(f"truncation order must be nonnegative, got {order}")
-    if k != partition.k:
-        raise InputError(f"partition covers [{partition.k}], requested alphabet [{k}]")
-    names = spec.poly_names(common_q_var=False)
-    a_list, b_list, c_list, d_list = [], [], [], []
-    for letter in range(1, k + 1):
-        xs, ys, zs, qs = _letter_markers(partition, spec, names, letter, False)
-        lift = lambda spine: PowerSeries.lift("q", names, spine, order)
-        one_poly = Polynomial.constant(names, 1)
-        a_list.append(lift([0, qs * (one_poly - ys)]))
-        b_list.append(lift([0, qs * ys]))
-        c_list.append(lift([1, -(qs * (zs - xs))]))
-        d_list.append(lift([1, -(qs * (zs - ys))]))
-    return _quotient_from_factors("q", names, a_list, b_list, c_list, d_list, order)
+    return _build_series(k, partition, spec, order, "q", [1] * k)[0]
 
 
 def build_bk_series(
@@ -270,29 +262,7 @@ def build_bk_series(
     v**w is a polynomial whose q-power records how many parts a
     composition of weight w uses.
     """
-    if order < 0:
-        raise InputError(f"truncation order must be nonnegative, got {order}")
-    if k != partition.k:
-        raise InputError(f"partition covers [{partition.k}], requested alphabet [{k}]")
-    names = spec.poly_names(common_q_var=True)
-    a_list, b_list, c_list, d_list = [], [], [], []
-    for letter in range(1, k + 1):
-        xs, ys, zs, qs = _letter_markers(partition, spec, names, letter, True)
-        one_poly = Polynomial.constant(names, 1)
-
-        def lift_at(value, degree: int) -> PowerSeries:
-            spine: list = [0] * degree + [value]
-            return PowerSeries.lift("v", names, spine, order)
-
-        def lift_unit_minus(value, degree: int) -> PowerSeries:
-            spine: list = [1] + [0] * (degree - 1) + [-value]
-            return PowerSeries.lift("v", names, spine, order)
-
-        a_list.append(lift_at(qs * (one_poly - ys), letter))
-        b_list.append(lift_at(qs * ys, letter))
-        c_list.append(lift_unit_minus(qs * (zs - xs), letter))
-        d_list.append(lift_unit_minus(qs * (zs - ys), letter))
-    return _quotient_from_factors("v", names, a_list, b_list, c_list, d_list, order)
+    return _build_series(k, partition, spec, order, "v", range(1, k + 1))[0]
 
 
 def solve_block_system(
@@ -307,24 +277,16 @@ def solve_block_system(
         F(s) = gamma_s - alpha_s * (F(1) + ... + F(s-1))
 
     with gamma_s = nu_s * G + lambda_s, and lambda, nu, alpha the cleared
-    per-letter ratios (each denominator has constant term 1, so the ratios
-    expand exactly).  The identity 1 + sum_s F(s) = G holds through the
-    truncation order and is enforced by the test suite.
+    per-letter ratios a_s / d_s, b_s / d_s and (d_s - c_s) / d_s of the
+    builder's factors, so F(s) is one quotient by d_s.  The identity
+    1 + sum_s F(s) = G holds through the truncation order and is enforced by
+    the test suite.
     """
-    full = build_ak_series(k, partition, spec, order)
-    names = full.names
-    one_poly = Polynomial.constant(names, 1)
+    full, factors = _build_series(k, partition, spec, order, "q", [1] * k)
     solved: list[PowerSeries] = []
-    running = PowerSeries.lift("q", names, [], order)
-    for letter in range(1, k + 1):
-        xs, ys, zs, qs = _letter_markers(partition, spec, names, letter, False)
-        lift = lambda spine: PowerSeries.lift("q", names, spine, order)
-        denom = lift([1, -(qs * (zs - ys))])
-        lam = lift([0, qs * (one_poly - ys)]).divide(denom)
-        nu = lift([0, qs * ys]).divide(denom)
-        alpha = lift([0, qs * (ys - xs)]).divide(denom)
-        gamma = nu * full + lam
-        here = gamma - alpha * running
+    running = PowerSeries.lift("q", full.names, [], order)
+    for a, b, c, d in factors:
+        here = (a + _sum_of_products((b, full), (c - d, running))).divide(d)
         solved.append(here)
         running = running + here
     return solved
@@ -348,6 +310,6 @@ def coefficient_distribution(
     # Variables run x1..xt, y1..yt, z1..zt, q1..qt, so block i's row is every t-th exponent.
     entries = {
         tuple(exponents[i::t] for i in range(t)): coefficient
-        for exponents, coefficient in series.coefficient(n).terms.items()
+        for exponents, coefficient in series.coefficient(n).exponents().items()
     }
     return DistPolynomial(entries=entries, k=partition.k, n=n, partition=partition)

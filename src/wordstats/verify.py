@@ -337,13 +337,13 @@ def series_weight_suite(k_max: int = 3, n_max: int = 4) -> SuiteResult:
             for n in range(n_max + 1):
                 collected: dict[tuple[int, ...], int] = {}
                 for w in range(comp_series.order + 1):
-                    for exps, coeff in comp_series.coefficient(w).terms.items():
+                    for exps, coeff in comp_series.coefficient(w).exponents().items():
                         if exps[q_pos] == n:
                             key = tuple(e for i, e in enumerate(exps) if i != q_pos)
                             collected[key] = collected.get(key, 0) + coeff
                 collected = {key: c for key, c in collected.items() if c}
                 tally.record(
-                    collected == word_series.coefficient(n).terms,
+                    collected == word_series.coefficient(n).exponents(),
                     lambda k=k, n=n, partition=partition: f"weight-compat k={k} n={n} partition={partition.blocks}",
                 )
     return tally.result

@@ -18,6 +18,9 @@ classification, so that the engines stay independent of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+_STAT_INDEX = {"des": 0, "ris": 1, "lev": 2, "cnt": 3}
 
 
 class InputError(ValueError):
@@ -125,3 +128,36 @@ def stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
                 row[1] += 1
         prev = letter
     return tuple(tuple(row) for row in rows)
+
+
+@dataclass
+class DistPolynomial:
+    """Exact joint distribution: ``stat_key`` tuple -> number of words attaining it."""
+
+    entries: dict[tuple[tuple[int, int, int, int], ...], int]
+    k: int
+    n: int
+    partition: BlockPartition
+
+    def total(self) -> int:
+        return sum(self.entries.values())
+
+    def marginal(self, block: int, stat: str) -> dict[int, int]:
+        """Distribution of one coordinate, e.g. descents charged to a block."""
+        return {key[0]: count for key, count in self.joint([(block, stat)]).items()}
+
+    def joint(self, coords: Sequence[tuple[int, str]]) -> dict[tuple[int, ...], int]:
+        """Joint distribution of selected (block, statistic) coordinates."""
+        indexed = [(block - 1, _stat_index(stat)) for block, stat in coords]
+        out: dict[tuple[int, ...], int] = {}
+        for vector, count in self.entries.items():
+            key = tuple(vector[row][index] for row, index in indexed)
+            out[key] = out.get(key, 0) + count
+        return out
+
+
+def _stat_index(stat: str) -> int:
+    try:
+        return _STAT_INDEX[stat]
+    except KeyError:
+        raise InputError(f"unknown statistic {stat!r}, expected des/ris/lev/cnt")

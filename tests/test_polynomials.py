@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wordstats import InputError, Polynomial
+from test_properties import PROPERTY
+from wordstats import InputError, Polynomial, PowerSeries
+from wordstats.polynomials import FIELD_BITS
 
 NAMES = ("x1", "y1", "q")
 
@@ -12,16 +16,16 @@ def P(terms):
 class TestConstruction:
     def test_zero_coefficients_dropped(self):
         poly = P({(1, 0, 0): 0, (0, 1, 0): 2})
-        assert poly.terms == {(0, 1, 0): 2}
+        assert poly.exponents() == {(0, 1, 0): 2}
 
     def test_arity_checked(self):
         with pytest.raises(InputError):
             P({(1, 0): 1})
 
     def test_constant_and_variable(self):
-        assert Polynomial.constant(NAMES, 5).terms == {(0, 0, 0): 5}
+        assert Polynomial.constant(NAMES, 5).exponents() == {(0, 0, 0): 5}
         assert Polynomial.constant(NAMES, 0).is_zero()
-        assert Polynomial.variable(NAMES, "y1").terms == {(0, 1, 0): 1}
+        assert Polynomial.variable(NAMES, "y1").exponents() == {(0, 1, 0): 1}
         with pytest.raises(InputError):
             Polynomial.variable(NAMES, "z9")
 
@@ -30,13 +34,13 @@ class TestArithmetic:
     def test_add_cancels(self):
         a = P({(1, 0, 0): 3})
         b = P({(1, 0, 0): -3, (0, 0, 1): 1})
-        assert (a + b).terms == {(0, 0, 1): 1}
+        assert (a + b).exponents() == {(0, 0, 1): 1}
 
     def test_int_operands(self):
         x = Polynomial.variable(NAMES, "x1")
-        assert (1 + x).terms == {(0, 0, 0): 1, (1, 0, 0): 1}
-        assert (x - 1).terms == {(0, 0, 0): -1, (1, 0, 0): 1}
-        assert (2 * x).terms == {(1, 0, 0): 2}
+        assert (1 + x).exponents() == {(0, 0, 0): 1, (1, 0, 0): 1}
+        assert (x - 1).exponents() == {(0, 0, 0): -1, (1, 0, 0): 1}
+        assert (2 * x).exponents() == {(1, 0, 0): 2}
         assert (x * 0).is_zero()
 
     def test_product(self):
@@ -45,7 +49,7 @@ class TestArithmetic:
         left = 1 + x
         right = 2 + q
         product = left * right
-        assert product.terms == {
+        assert product.exponents() == {
             (0, 0, 0): 2,
             (1, 0, 0): 2,
             (0, 0, 1): 1,
@@ -102,3 +106,104 @@ class TestPrinting:
             (1, 1, 0),
             (2, 0, 0),
         ]
+
+
+class TestNoCarry:
+    TOP = (1 << FIELD_BITS) - 1
+
+    def test_largest_total_degree_fits(self):
+        x = Polynomial.variable(NAMES, "x1")
+        assert (P({(self.TOP - 1, 0, 0): 1}) * x).exponents() == {(self.TOP, 0, 0): 1}
+
+    def test_constructor_refuses_exponents_outside_the_field(self):
+        for exponents in [(self.TOP + 1, 0, 0), (self.TOP, 1, 0), (-1, 0, 0)]:
+            with pytest.raises(InputError):
+                P({exponents: 1})
+
+    def test_product_overflowing_a_field_raises(self):
+        # x1*y1 overflows only the degree field, x1*x1 also the x1 field.
+        top = P({(self.TOP, 0, 0): 1})
+        for other in [Polynomial.variable(NAMES, "y1"), Polynomial.variable(NAMES, "x1"), top]:
+            with pytest.raises(InputError):
+                top * other
+            with pytest.raises(InputError):
+                other * top
+
+    def test_series_product_and_quotient_overflow_raise(self):
+        top = PowerSeries.lift("v", NAMES, [1, P({(self.TOP, 0, 0): 1})], 2)
+        with pytest.raises(InputError):
+            top * top
+        with pytest.raises(InputError):
+            PowerSeries.lift("v", NAMES, [1], 2).divide(top)
+
+
+def reference_add(left, right):
+    """Tuple-keyed sum, as Polynomial.__add__ computed it before packed keys."""
+    merged = dict(left)
+    for exponents, coefficient in right.items():
+        merged[exponents] = merged.get(exponents, 0) + coefficient
+    return {exponents: c for exponents, c in merged.items() if c}
+
+
+def reference_mul(left, right):
+    """Tuple-keyed product, as Polynomial.__mul__ computed it before packed keys."""
+    product = {}
+    for exp_a, coeff_a in left.items():
+        for exp_b, coeff_b in right.items():
+            key = tuple(a + b for a, b in zip(exp_a, exp_b))
+            product[key] = product.get(key, 0) + coeff_a * coeff_b
+    return {exponents: c for exponents, c in product.items() if c}
+
+
+def reference_str(names, terms):
+    """Polynomial.__str__ before packed keys: graded, then lexicographic."""
+    if not terms:
+        return "0"
+    pieces = []
+    for exponents, coefficient in sorted(terms.items(), key=lambda item: (sum(item[0]), item[0])):
+        factors = [
+            name if power == 1 else f"{name}^{power}"
+            for name, power in zip(names, exponents)
+            if power
+        ]
+        magnitude = abs(coefficient)
+        if not factors:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(magnitude)] + factors)
+        if not pieces:
+            pieces.append(body if coefficient > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coefficient > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Variable names and two tuple-keyed term maps over them, zeros dropped."""
+    names = ("a", "b", "c", "d")[: draw(st.integers(0, 4))]
+    exponents = st.tuples(*[st.integers(0, 4)] * len(names))
+    terms = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+    left, right = draw(terms), draw(terms)
+    drop = lambda t: {exponents: c for exponents, c in t.items() if c}
+    return names, drop(left), drop(right)
+
+
+@PROPERTY
+@given(polynomial_pairs())
+def test_packed_arithmetic_matches_tuple_reference(pair):
+    names, left, right = pair
+    a, b = Polynomial(names, left), Polynomial(names, right)
+    assert a.exponents() == left
+    for got, want in [
+        (a, left),
+        (a + b, reference_add(left, right)),
+        (a - b, reference_add(left, {e: -c for e, c in right.items()})),
+        (a * b, reference_mul(left, right)),
+        (b * a, reference_mul(left, right)),
+    ]:
+        assert got.exponents() == want
+        assert str(got) == reference_str(names, want)
+        assert got.sorted_terms() == sorted(want.items(), key=lambda item: (sum(item[0]), item[0]))

@@ -3,8 +3,10 @@
 Each closed-form table of a word family must equal its per-value counts
 and the transfer engine's table; a threshold or modulus outside a
 family's range must be refused by every engine alike, and so must any
-query with one parameter out of range.  Examples are derandomized so a
-run is repeatable.
+query with one parameter out of range.  The fully tracked word series
+under a random ``blocks:`` partition must read back as the transfer
+engine's distribution.  Examples are derandomized so a run is
+repeatable.
 """
 
 import contextlib
@@ -15,7 +17,14 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordstats import cli, formulas
+from wordstats import (
+    TrackingSpec,
+    build_ak_series,
+    cli,
+    coefficient_distribution,
+    formulas,
+    transfer_distribution,
+)
 from wordstats.formulas import LOWEST_THRESHOLD
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -179,3 +188,22 @@ def test_every_engine_refuses_an_invalid_query_alike(query):
     assert code == cli.EXIT_USAGE, err
     assert out == ""
     assert err.startswith("error: ")
+
+
+@st.composite
+def blocks_partitions(draw):
+    """A partition in the series command's ``blocks:`` grammar, and a truncation order."""
+    k = draw(st.integers(1, 4))
+    blocks = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return cli._parse_partition("blocks:" + ",".join(map(str, blocks)), k), draw(st.integers(0, 4))
+
+
+@PROPERTY
+@given(blocks_partitions())
+def test_series_coefficients_equal_transfer_distribution(query):
+    partition, order = query
+    spec = TrackingSpec.all_tracked(partition.t)
+    series = build_ak_series(partition.k, partition, spec, order)
+    for n in range(order + 1):
+        got = coefficient_distribution(series, spec, partition, n)
+        assert got == transfer_distribution(partition.k, n, partition)

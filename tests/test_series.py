@@ -155,7 +155,7 @@ class TestCompositionSeries:
                     key[i][coord] for coord in range(4) for i in range(t)
                 )
                 expected[exps] = expected.get(exps, 0) + 1
-            assert series.coefficient(weight).terms == expected
+            assert series.coefficient(weight).exponents() == expected
 
 
 class TestBlockSystem:
@@ -213,6 +213,40 @@ class TestBlockSystem:
             for n in range(6):
                 total = sum(p.coefficient(n).constant_term() for p in refined)
                 assert total == k**n - (1 if n == 0 else 0)
+
+
+# Highest truncation order of the series-expand benchmark ladder, by tracking and k.
+LADDER_TOP = {
+    "all": {1: 14, 2: 14, 3: 9, 4: 6},
+    "partial": {1: 18, 2: 18, 3: 13, 4: 10},
+    "none": {1: 26, 2: 26, 3: 18, 4: 14},
+}
+
+
+def _tracking(mode, t, per_block_q):
+    markers = {"all": {f"{kind}{i}" for kind in "xyz" for i in range(1, t + 1)},
+               "partial": {"x1", f"y{t}", "z1"}, "none": set()}[mode]
+    return TrackingSpec.only(t, markers, per_block_q)
+
+
+class TestNoCarryInvariant:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", sorted(LADDER_TOP))
+    def test_exponents_of_coefficient_i_are_at_most_i(self, k, mode):
+        order = LADDER_TOP[mode][k]
+        partitions = [
+            BlockPartition.threshold(k, k // 2),
+            BlockPartition.mod_residue(k, 2),
+            BlockPartition.from_blocks([letter % 3 + 1 for letter in range(k)], t=3),
+        ]
+        for part in partitions:
+            for per_block_q in (False, True):
+                spec = _tracking(mode, part.t, per_block_q)
+                for build in (build_ak_series, build_bk_series):
+                    series = build(k, part, spec, order)
+                    for i, coefficient in enumerate(series.coeffs):
+                        for exponents in coefficient.exponents():
+                            assert max(exponents, default=0) <= i, (build.__name__, part, i)
 
 
 class TestTrackingSpec:
