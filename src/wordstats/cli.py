@@ -339,6 +339,10 @@ VERIFY_SUITES = {
 
 def _cmd_verify(args) -> int:
     name, bounds = VERIFY_SUITES[args.suite]
+    for flag in ("k_max", "n_max", "m_max", "weight_max"):
+        bound = getattr(args, flag)
+        if bound is not None and bound < 0:
+            raise InputError(f"--{flag.replace('_', '-')} must be nonnegative, got {bound}")
     if args.inject_fault and "inject_fault" not in bounds:
         raise InputError("--inject-fault applies to the formulas-vs-oracle suite")
     kwargs = {

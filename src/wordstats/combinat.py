@@ -8,6 +8,7 @@ negative, k exceeds a nonnegative n, or n is negative with k positive.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Sequence
 
@@ -25,6 +26,30 @@ def binom(n: int, k: int) -> int:
 def sign(exponent: int) -> int:
     """(-1) ** exponent without ever touching floats."""
     return -1 if exponent % 2 else 1
+
+
+# Rows up to this degree are cached, so the cache holds at most 129 rows.
+CACHED_ROW_DEGREE = 128
+
+
+def signed_row(d: int) -> tuple[int, ...]:
+    """Coefficients of (1-u)^d, lowest power first: (-1)^j C(d, j) for j = 0..d.
+
+    Read backwards they are the coefficients of (u-1)^d.  Rows of degree
+    above ``CACHED_ROW_DEGREE`` are built on every call.
+    """
+    return _cached_row(d) if d <= CACHED_ROW_DEGREE else _row(d)
+
+
+def _row(d: int) -> tuple[int, ...]:
+    row = [1]
+    for j in range(d):
+        # C(d, j+1) = C(d, j) (d-j) / (j+1), exactly.
+        row.append(-row[-1] * (d - j) // (j + 1))
+    return tuple(row)
+
+
+_cached_row = functools.cache(_row)
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:

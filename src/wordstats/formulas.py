@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
+from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import Callable, Sequence
 
-from .combinat import binom, multinomial, sign
+from .combinat import binom, multinomial, sign, signed_row
 from .words import InputError
 
 
@@ -108,25 +109,58 @@ def _check_length(n: int, s: int = 0) -> None:
         raise InputError("length and statistic value must be nonnegative")
 
 
-def _shifted_power(d: int) -> list[int]:
-    """Coefficients of (u-1)^d, lowest power first."""
-    return [sign(d - s) * binom(d, s) for s in range(d + 1)]
+def _diagonal(factor: Callable[[list[int]], list[int]], n: int) -> list[int]:
+    """inner(m) = [x^n] F^m for m = 0..n; ``factor`` multiplies a series cut after x^n by F."""
+    power = [1] + [0] * n
+    inner = []
+    for _ in range(n + 1):
+        inner.append(power[n])
+        power = factor(power)
+    return inner
 
 
-def _coefficient(inner: Callable[[int], int], n: int, s: int) -> int:
-    """Coefficient of u^s in sum_m inner(m) (u-1)^(n-m); reads inner(m) only for m <= n-s."""
+def _polynomial(coefficients: Sequence[int]) -> Callable[[list[int]], list[int]]:
+    """Multiplication by a polynomial (lowest power first), cut at the operand's length."""
+    terms = [(j, c) for j, c in enumerate(coefficients) if c]
+
+    def times(series: list[int]) -> list[int]:
+        # A power of an F with F(0) = 0 starts with zeros; skip them.
+        low = next((i for i, v in enumerate(series) if v), len(series))
+        product = [0] * len(series)
+        for j, c in terms:
+            product[low + j :] = [p + c * v for p, v in zip(product[low + j :], series[low:])]
+        return product
+
+    return times
+
+
+def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
+    """Multiplication by F = (1+x)^tau (lead + slope x) - c0 - c1 x.
+
+    Every descent family's inner(m) is [x^n] F^m for one such F.
+    """
+    coefficients = [lead * binom(tau, i) + slope * binom(tau, i - 1) for i in range(tau + 2)]
+    coefficients[0] -= c0
+    coefficients[1] -= c1
+    return _polynomial(coefficients)
+
+
+def _coefficient(factor: Callable[[list[int]], list[int]], n: int, s: int) -> int:
+    """Coefficient of u^s in sum_m [x^n] F^m (u-1)^(n-m); reads m <= n-s only."""
     _check_length(n, s)
-    return sum(sign(n - m - s) * binom(n - m, s) * inner(m) for m in range(n - s + 1))
+    inner = _diagonal(factor, n)
+    return sum(signed_row(n - m)[n - m - s] * inner[m] for m in range(n - s + 1))
 
 
-def _coefficients(inner: Callable[[int], int], n: int) -> dict[int, int]:
-    """Every coefficient of sum_m inner(m) (u-1)^(n-m), from one pass over m."""
+def _coefficients(factor: Callable[[list[int]], list[int]], n: int) -> dict[int, int]:
+    """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
     coeffs = [0] * (n + 1)
-    for m in range(n + 1):
-        value = inner(m)
+    for m, value in enumerate(_diagonal(factor, n)):
         if value:
-            for s, step in enumerate(_shifted_power(n - m)):
-                coeffs[s] += step * value
+            # signed_row(d) backwards is (u-1)^d; zip stops after its d+1 entries.
+            coeffs[: n - m + 1] = [
+                c + step * value for c, step in zip(coeffs, reversed(signed_row(n - m)))
+            ]
     return dict(enumerate(coeffs))
 
 
@@ -140,17 +174,18 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
 
 
 def _levels_threshold(k: int, t: int, n: int):
-    """The s-free inner(m) of ``count_levels_threshold``, after checking its parameters."""
+    """The factor F of ``count_levels_threshold``, after checking its parameters.
+
+    C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
+    [x^(n-m)] ((k-t) + t/(1-x))^m = [x^n] F^m with F = x (k - (k-t)x) / (1-x).
+    """
     _check_threshold("levels-threshold", k, t, n)
 
-    def inner(m: int) -> int:
-        d = n - m
-        return sum(
-            binom(m, i) * binom(i + d - 1, d) * (k - t) ** (m - i) * t**i
-            for i in range(m + 1)
-        )
+    def times(series: list[int]) -> list[int]:
+        # Times k - (k-t)x, then prefix sums (1/(1-x)), then the shift by x.
+        return [0, *accumulate(k * v - (k - t) * w for v, w in zip(series[:-1], [0, *series]))]
 
-    return inner
+    return times
 
 
 def count_levels_blocks(
@@ -191,34 +226,49 @@ def _block_program(block_sizes: tuple[int, ...], n: int, levels) -> dict:
     A_i = a_1+...+a_i: where its letters sit among the earlier ones, which
     letters they are, and how its levels spread over them.  Each pair
     (key part, factor) of ``levels(i, b_i)`` multiplies the weight and
-    extends the key.  The state is (letters placed, level slots used).
+    extends the key.  The state is (letters placed, level slots used, key);
+    a state's weights over the next b_i are summed as one vector before
+    ``levels`` is applied.
     """
-    states = {(0, 0): {(): 1}}
-    last = len(block_sizes) - 1
-    for index, size in enumerate(block_sizes):
-        factors = [tuple(levels(index, b)) for b in range(n + 1)]
-        grown: dict = defaultdict(lambda: defaultdict(int))
-        for (placed, slots), spread in states.items():
+    # spread[a][b] = C(a+b-1, b): b level slots over a letters; row a sums row a-1.
+    spread = [[1] + [0] * n]
+    for _ in range(n):
+        spread.append(list(accumulate(spread[-1])))
+    states = {(0, 0, ()): 1}
+    for index, size in enumerate(block_sizes[:-1]):
+        grown: dict = {}
+        for (placed, slots, key), value in states.items():
             room = n - placed - slots
             for a in range(room + 1):
-                lead = binom(placed + a, a) * size**a
-                if not lead:
-                    continue
-                # The last block takes all the room that is left.
-                for b in range(room - a if index == last else 0, room - a + 1):
-                    weight = lead * binom(a + b - 1, b)
-                    if not (weight and factors[b]):
-                        continue
-                    into = grown[placed + a, slots + b]
-                    for part, factor in factors[b]:
-                        for key, value in spread.items():
-                            into[key + part] += weight * factor * value
-        states = grown
+                lead = comb(placed + a, a) * size**a * value
+                if lead:
+                    # Every state reaching (placed + a, slots, key) has room - a slots left.
+                    weights = grown.get((placed + a, slots, key)) or [0] * (room - a + 1)
+                    grown[placed + a, slots, key] = [
+                        w + lead * c for w, c in zip(weights, spread[a])
+                    ]
+        states = defaultdict(int)
+        for (placed, slots, key), weights in grown.items():
+            for b, weight in enumerate(weights):
+                for part, factor in levels(index, b) if weight else ():
+                    states[placed, slots + b, key + part] += weight * factor
+    # The last block takes all the room that is left: a = room - b.
+    size = block_sizes[-1]
+    powers = [size**a for a in range(n + 1)]
+    last: dict = {}
+    for (placed, slots, key), value in states.items():
+        room = n - placed - slots
+        weights = last.get((slots, key)) or [0] * (n - slots + 1)
+        weights[: room + 1] = [
+            w + value * comb(placed + room - b, placed) * powers[room - b] * spread[room - b][b]
+            for b, w in enumerate(weights[: room + 1])
+        ]
+        last[slots, key] = weights
     joint: dict = defaultdict(int)
-    for (placed, slots), spread in states.items():
-        if placed + slots == n:
-            for key, value in spread.items():
-                joint[key] += value
+    for (slots, key), weights in last.items():
+        for b, weight in enumerate(weights):
+            for part, factor in levels(len(block_sizes) - 1, b) if weight else ():
+                joint[key + part] += weight * factor
     return joint
 
 
@@ -242,14 +292,29 @@ def _levels_blocks(
 def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
     """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one pass.
 
-    Block i contributes (u_i - 1)^(b_i); the coefficients of the product are the counts.
+    The program runs keyed by (b_1, ..., b_t); block i contributes
+    (u_i - 1)^(b_i), expanded once at the end, one axis at a time.
     """
     sizes = tuple(block_sizes)
     _check_blocks(sizes, n)
-    joint = _block_program(
-        sizes, n, lambda index, b: [((level,), step) for level, step in enumerate(_shifted_power(b))]
-    )
-    return {key: value for key, value in joint.items() if value}
+    joint = _block_program(sizes, n, lambda index, b: (((b,), 1),))
+    for axis in range(len(sizes)):
+        # The keys that differ only on this axis form one fiber, expanded as one polynomial.
+        fibers: dict = defaultdict(dict)
+        for key, value in joint.items():
+            fibers[key[:axis], key[axis + 1 :]][key[axis]] = value
+        joint = {}
+        for (head, tail), fiber in fibers.items():
+            counts = [0] * (max(fiber) + 1)
+            for b, value in fiber.items():
+                # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
+                counts[: b + 1] = [
+                    c + step * value for c, step in zip(counts, reversed(signed_row(b)))
+                ]
+            for level, count in enumerate(counts):
+                if count:
+                    joint[head + (level,) + tail] = count
+    return joint
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -262,25 +327,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
 
 
 def _des_le(k: int, t: int, n: int):
-    """The s-free inner(m) of ``count_des_le``, after checking its parameters."""
+    """The factor F of ``count_des_le``, after checking its parameters.
+
+    inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
+    The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
+    binomial expansion, so F = (1+x)^t + (k-t)x - 1.
+    """
     _check_threshold("des-le", k, t, n)
-
-    def inner(m: int) -> int:
-        total = 0
-        for a in range(m + 1):
-            left = binom(m, a)
-            # C(t*a, n-b) vanishes below b = n - t*a.
-            for b in range(max(n - t * a, 0), m - a + 1):
-                total += (
-                    sign(m - a - b)
-                    * left
-                    * binom(m - a, b)
-                    * binom(t * a, n - b)
-                    * (k - t) ** b
-                )
-        return total
-
-    return inner
+    return _descent_factor(t, 1, 0, 1, t - k)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -293,28 +347,22 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
 
 
 def _des_gt(k: int, t: int, n: int):
-    """The s-free inner(m) of ``count_des_gt``, after checking its parameters."""
+    """The factor F of ``count_des_gt``, after checking its parameters.
+
+    inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
+    g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
+    L = (1+tx)(1+x)^(k-t); so F = L - 1.
+    """
     _check_threshold("des-gt", k, t, n)
-
-    def inner(m: int) -> int:
-        total = 0
-        for a in range(m + 1):
-            left = binom(m, a) * sign(m - a)
-            # C((k-t)*a, n-b) vanishes below b = n - (k-t)*a.
-            for b in range(max(n - (k - t) * a, 0), a + 1):
-                total += left * binom(a, b) * binom((k - t) * a, n - b) * t**b
-        return total
-
-    return inner
+    return _descent_factor(k - t, 1, t, 1, 0)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
     """Words in [alphabet]^n with p descents starting at a letter = r mod s.
 
     Blocks follow the residue partition (block s holds multiples of s).
-    Writing alphabet = s*k + t with 0 <= t < s, the evaluation dispatches
-    on t and on whether r exceeds t, matching the three regimes the
-    residue classes of the top letter create.
+    Writing alphabet = s*k + t with 0 <= t < s, the paper's sum has three
+    regimes: t = 0, and t > 0 with r above or within the offset t.
     """
     return _coefficient(_des_mod(s, alphabet, r, n, corrected=True), n, p)
 
@@ -332,51 +380,29 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
 
 
 def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
-    """The p-free inner(m) of ``count_des_mod``, or of the rejected readings if not ``corrected``."""
+    """The factor F of ``count_des_mod``, or of the rejected readings if not ``corrected``.
+
+    Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
+    C(m-j,i1) B^i1 C(j,i2) (r-1)^i2 s^(m-i1-i2) C(tau j, n-i1-i2), where
+    B = r-1-t and tau = k if r > t, else B = s-t+r-1 and tau = k+1.  Its
+    terms depend on i1 and i2 only through c = i1+i2, with weight
+    [x^c] (s+Bx)^(m-j) (s+(r-1)x)^j; the c-sum against C(tau j, n-c) is
+    [x^n] of the product with (1+x)^(tau j), and the j-sum a binomial
+    expansion: F = (1+x)^tau (s+(r-1)x) - s - Bx.  Pinning j to m (the
+    rejected reading) leaves F = (1+x)^tau (s+(r-1)x).
+
+    Aligned regime (t = 0): inner(j) = sum_{i1,i2} (-1)^(j+i2) C(j,i1)
+    s^(j-i1) base^i1 C(j,i2) C(k i2, n-i1) = [x^n] ((s+base x)((1+x)^k - 1))^j,
+    the offset factor at t = 0 when base = r-1; the rejected reading has
+    base = s-1.  In both regimes B = (r-1-t) mod s.
+    """
     _check_des_mod(s, alphabet, r, n)
     kq, t = divmod(alphabet, s)
+    if corrected:
+        return _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s)
     if t == 0:
-        return _des_mod_aligned(s, kq, n, base=r - 1 if corrected else s - 1)
-    return _des_mod_offset(s, kq, t, r, n, high=r > t, pin_j=not corrected)
-
-
-def _des_mod_aligned(s: int, kq: int, n: int, base: int):
-    def inner(j: int) -> int:
-        total = 0
-        for i1 in range(j + 1):
-            left = binom(j, i1) * s ** (j - i1) * base**i1
-            if not left:
-                continue
-            for i2 in range(j + 1):
-                total += sign(j + i2) * left * binom(j, i2) * binom(kq * i2, n - i1)
-        return total
-
-    return inner
-
-
-def _des_mod_offset(s: int, kq: int, t: int, r: int, n: int, high: bool, pin_j: bool):
-    i1_base = (r - 1 - t) if high else (s - t + r - 1)
-
-    def inner(m: int) -> int:
-        total = 0
-        for j in ((m,) if pin_j else range(m + 1)):
-            outer = sign(m + j) * binom(m, j)
-            top = kq * j if high else kq * j + j
-            for i1 in range(m - j + 1):
-                left = binom(m - j, i1) * i1_base**i1
-                if not left:
-                    continue
-                # C(top, n-i1-i2) vanishes below i2 = n - i1 - top.
-                for i2 in range(max(n - i1 - top, 0), j + 1):
-                    mid = binom(j, i2) * (r - 1) ** i2
-                    if not mid:
-                        continue
-                    total += (
-                        outer * left * mid * s ** (m - i1 - i2) * binom(top, n - i1 - i2)
-                    )
-        return total
-
-    return inner
+        return _descent_factor(kq, s, s - 1, s, s - 1)
+    return _descent_factor(kq + (r <= t), s, r - 1, 0, 0)
 
 
 def hall_remmel_count(
@@ -391,10 +417,9 @@ def hall_remmel_count(
     prefactor, inner, n = _hall_remmel(rho, top_letters, bottom_letters)
     if s < 0:
         return 0
+    steps = signed_row(n + 1)
     # C(n+1, s-r) vanishes below r = s-n-1.
-    return prefactor * sum(
-        sign(s - r) * binom(n + 1, s - r) * inner(r) for r in range(max(s - n - 1, 0), s + 1)
-    )
+    return prefactor * sum(steps[s - r] * inner(r) for r in range(max(s - n - 1, 0), s + 1))
 
 
 def _hall_remmel(rho: Sequence[int], top_letters, bottom_letters):
@@ -440,7 +465,7 @@ def _hall_remmel_table(rho: Sequence[int], top_letters, bottom_letters) -> dict[
     """
     prefactor, inner, n = _hall_remmel(rho, top_letters, bottom_letters)
     values = [inner(r) for r in range(n + 1)]
-    steps = [sign(j) * comb(n + 1, j) for j in range(n + 1)]
+    steps = signed_row(n + 1)
     return {
         s: prefactor * sum(map(mul, steps[s::-1], values)) for s in range(n + 1)
     }

@@ -380,6 +380,15 @@ class TestVerify:
         assert record["result"]["failures"] > 0
         assert record["result"]["first_failure"]
 
+    @pytest.mark.parametrize("suite", sorted(cli.VERIFY_SUITES))
+    @pytest.mark.parametrize("flag", ["--k-max", "--n-max", "--m-max", "--weight-max"])
+    def test_negative_bound_refused(self, capsys, suite, flag):
+        # on every suite, also one that ignores the bound; --n-max 3 keeps a missed refusal short
+        code, out, err = run(capsys, "verify", suite, "--n-max", "3", flag, "-2")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {flag} must be nonnegative, got -2\n"
+
     def test_fault_flag_limited_to_formula_suite(self, capsys):
         code, _, err = run(capsys, "verify", "identities", "--inject-fault")
         assert code == cli.EXIT_USAGE

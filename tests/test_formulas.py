@@ -113,6 +113,113 @@ class TestDistribution:
             distribution("des-diagonal", (1, 2, 3))
 
 
+class TestInnerSumsReference:
+    """The paper's s-free inner sums, term by term, as the reference for the closed forms.
+
+    Each family's count is sum_m (-1)^(n-m-s) C(n-m, s) inner(m); the
+    closed forms evaluate inner(m) as a coefficient of a power instead.
+    """
+
+    @staticmethod
+    def expected(inner, n):
+        values = [inner(m) for m in range(n + 1)]
+        return [
+            sum(sign(n - m - s) * binom(n - m, s) * values[m] for m in range(n + 1))
+            for s in range(n + 2)
+        ]
+
+    def check(self, family, count, params, inner, n):
+        expected = self.expected(inner, n)
+        table = distribution(family, params)
+        assert [table.get(s, 0) for s in range(n + 2)] == expected, (family, params)
+        assert [count(*params, s) for s in range(n + 2)] == expected, (family, params)
+
+    @staticmethod
+    def levels_threshold(k, t, n):
+        return lambda m: sum(
+            binom(m, i) * binom(i + n - m - 1, n - m) * (k - t) ** (m - i) * t**i
+            for i in range(m + 1)
+        )
+
+    @staticmethod
+    def des_le(k, t, n):
+        return lambda m: sum(
+            sign(m - a - b) * binom(m, a) * binom(m - a, b) * binom(t * a, n - b) * (k - t) ** b
+            for a in range(m + 1)
+            for b in range(m - a + 1)
+        )
+
+    @staticmethod
+    def des_gt(k, t, n):
+        return lambda m: sum(
+            sign(m - a) * binom(m, a) * binom(a, b) * binom((k - t) * a, n - b) * t**b
+            for a in range(m + 1)
+            for b in range(a + 1)
+        )
+
+    @staticmethod
+    def des_mod(s, alphabet, r, n, corrected):
+        kq, t = divmod(alphabet, s)
+        if t == 0:
+            # aligned regime; the rejected reading takes the (s-1) power base
+            base = r - 1 if corrected else s - 1
+            return lambda j: sum(
+                sign(j + i2) * binom(j, i1) * s ** (j - i1) * base**i1 * binom(j, i2)
+                * binom(kq * i2, n - i1)
+                for i1 in range(j + 1)
+                for i2 in range(j + 1)
+            )
+        # offset regime, r above or within the offset t; the rejected reading pins j to m
+        high = r > t
+        i1_base = r - 1 - t if high else s - t + r - 1
+        top = kq if high else kq + 1
+        return lambda m: sum(
+            sign(m + j) * binom(m, j) * binom(m - j, i1) * i1_base**i1 * binom(j, i2)
+            * (r - 1) ** i2 * s ** (m - i1 - i2) * binom(top * j, n - i1 - i2)
+            for j in (range(m + 1) if corrected else (m,))
+            for i1 in range(m - j + 1)
+            for i2 in range(j + 1)
+        )
+
+    def test_threshold_families(self):
+        families = [
+            ("levels-threshold", count_levels_threshold, self.levels_threshold, 1),
+            ("des-le", count_des_le, self.des_le, 1),
+            ("des-gt", count_des_gt, self.des_gt, 0),
+        ]
+        for family, count, inner, lowest in families:
+            for k in range(1, 6):
+                for t in range(lowest, k + 1):
+                    for n in range(8):
+                        self.check(family, count, (k, t, n), inner(k, t, n), n)
+
+    def test_des_mod_every_regime(self):
+        # alphabets below s (kq = 0), multiples of s, and offsets with r <= t and r > t
+        regimes = set()
+        for s in (2, 3, 4):
+            for alphabet in range(1, 10):
+                t = alphabet % s
+                for r in range(1, s + 1):
+                    regimes.add((alphabet < s, t == 0, r <= t))
+                    for n in range(7):
+                        params = (s, alphabet, r, n)
+                        self.check(
+                            "des-mod", count_des_mod, params,
+                            self.des_mod(*params, corrected=True), n,
+                        )
+                        rejected = self.expected(self.des_mod(*params, corrected=False), n)
+                        assert [
+                            count_des_mod_uncorrected(*params, p) for p in range(n + 2)
+                        ] == rejected, params
+        assert regimes == {
+            (below, aligned, within)
+            for below in (True, False)
+            for aligned in (True, False)
+            for within in (True, False)
+            if not (aligned and within) and not (below and aligned)
+        }
+
+
 class TestCountLevelsThreshold:
     def test_constant_word(self):
         assert count_levels_threshold(1, 1, 3, 2) == 1
