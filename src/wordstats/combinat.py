@@ -28,25 +28,16 @@ def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-# Rows up to this degree are cached, so the cache holds at most 129 rows.
-CACHED_ROW_DEGREE = 128
-
-
 def signed_row(d: int) -> tuple[int, ...]:
-    """Coefficients of (1-u)^d, lowest power first: (-1)^j C(d, j) for j = 0..d.
+    """(-1)^j C(d, j) for j = 0..d: (1-u)^d lowest power first, (u-1)^d read backwards.
 
-    Read backwards they are the coefficients of (u-1)^d.  Rows of degree
-    above ``CACHED_ROW_DEGREE`` are built on every call.
+    Rows up to degree 128 are cached, so the cache holds at most 129 rows.
     """
-    return _cached_row(d) if d <= CACHED_ROW_DEGREE else _row(d)
+    return _cached_row(d) if d <= 128 else _row(d)
 
 
 def _row(d: int) -> tuple[int, ...]:
-    row = [1]
-    for j in range(d):
-        # C(d, j+1) = C(d, j) (d-j) / (j+1), exactly.
-        row.append(-row[-1] * (d - j) // (j + 1))
-    return tuple(row)
+    return tuple(sign(j) * math.comb(d, j) for j in range(d + 1))
 
 
 _cached_row = functools.cache(_row)

@@ -14,12 +14,28 @@ through ``C(n-m, s)`` and the sign ``(-1)^(n-m-s)``:
     count(s) = sum_m (-1)^(n-m-s) C(n-m, s) inner(m)
 
 so the whole distribution is the polynomial ``sum_m inner(m) (u-1)^(n-m)``
-in a marker u.  Each family builds its s-free ``inner(m)`` once;
-``_coefficient`` reads one coefficient of that polynomial (a count) and
-``_coefficients`` reads all of them from one pass over m (a table).
-The joint level count over blocks factors per block and is a dynamic
-program over blocks.  ``distribution`` returns a whole table of any
-family from one call.
+in a marker u.  ``_coefficient`` reads one coefficient of that polynomial
+(a count) and ``_coefficients`` reads all of them from one pass over m (a
+table), both with the signed binomial rows of ``combinat.signed_row``.
+
+The s-free ``inner(m)`` is not summed term by term.  Its innermost sums
+are hoisted out of m or convolved (a sum over i1 + i2 = c, or against
+C(N, n-c), is a coefficient of a product), and what is left over m is a
+binomial expansion, so every family has a small factor F with
+inner(m) = [x^n] F^m; each family's helper derives its F from the
+paper's sum.  For the descent families F is a polynomial of degree at
+most the alphabet size plus 1; for ``levels-threshold`` it is a series
+whose products take O(n) each.  The n+1 powers of F cut after x^n and
+the (u-1) expansion then make a table or a count of ``levels-threshold``,
+``des-le``, ``des-gt`` or ``des-mod`` cost O(n^2) multiply-adds for a
+fixed alphabet.
+
+The joint level count over t blocks is a dynamic program over blocks
+keyed by each block's number of level slots b_i; a table expands each
+block's (u_i - 1)^(b_i) once at the end and costs O(t n^(t+1)).
+``hall-remmel`` is one sum over r: O(n) products per count, O(n^2) per
+table.  ``distribution`` returns a whole table of any family from one
+call.
 """
 
 from __future__ import annotations
@@ -119,36 +135,32 @@ def _diagonal(factor: Callable[[list[int]], list[int]], n: int) -> list[int]:
     return inner
 
 
-def _polynomial(coefficients: Sequence[int]) -> Callable[[list[int]], list[int]]:
-    """Multiplication by a polynomial (lowest power first), cut at the operand's length."""
-    terms = [(j, c) for j, c in enumerate(coefficients) if c]
+def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
+    """Multiplication by F = (1+x)^tau (lead + slope x) - c0 - c1 x, cut at the operand's length.
+
+    Every descent family's inner(m) is [x^n] F^m for one such F.
+    """
+    terms = [lead * binom(tau, j) + slope * binom(tau, j - 1) for j in range(tau + 2)]
+    terms[0] -= c0
+    terms[1] -= c1
 
     def times(series: list[int]) -> list[int]:
         # A power of an F with F(0) = 0 starts with zeros; skip them.
         low = next((i for i, v in enumerate(series) if v), len(series))
         product = [0] * len(series)
-        for j, c in terms:
-            product[low + j :] = [p + c * v for p, v in zip(product[low + j :], series[low:])]
+        for j, c in enumerate(terms):
+            if c:
+                product[low + j :] = [p + c * v for p, v in zip(product[low + j :], series[low:])]
         return product
 
     return times
 
 
-def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
-    """Multiplication by F = (1+x)^tau (lead + slope x) - c0 - c1 x.
-
-    Every descent family's inner(m) is [x^n] F^m for one such F.
-    """
-    coefficients = [lead * binom(tau, i) + slope * binom(tau, i - 1) for i in range(tau + 2)]
-    coefficients[0] -= c0
-    coefficients[1] -= c1
-    return _polynomial(coefficients)
-
-
 def _coefficient(factor: Callable[[list[int]], list[int]], n: int, s: int) -> int:
-    """Coefficient of u^s in sum_m [x^n] F^m (u-1)^(n-m); reads m <= n-s only."""
+    """Coefficient of u^s in sum_m [x^n] F^m (u-1)^(n-m)."""
     _check_length(n, s)
     inner = _diagonal(factor, n)
+    # C(n-m, s) vanishes above m = n-s.
     return sum(signed_row(n - m)[n - m - s] * inner[m] for m in range(n - s + 1))
 
 
@@ -218,58 +230,55 @@ def _check_blocks(
         raise InputError(f"length must be nonnegative, got {n}")
 
 
-def _block_program(block_sizes: tuple[int, ...], n: int, levels) -> dict:
-    """The levels-blocks sum over every (a_i, b_i), grouped by key.
+def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """The levels-blocks sum over every (a_i, b_i), keyed by (b_1, ..., b_t).
 
     Block i takes a_i letters and b_i level slots, all blocks together n
     positions, with weight C(A_i, a_i) size_i^a_i C(a_i+b_i-1, b_i) where
     A_i = a_1+...+a_i: where its letters sit among the earlier ones, which
-    letters they are, and how its levels spread over them.  Each pair
-    (key part, factor) of ``levels(i, b_i)`` multiplies the weight and
-    extends the key.  The state is (letters placed, level slots used, key);
-    a state's weights over the next b_i are summed as one vector before
-    ``levels`` is applied.
+    letters they are, and how its levels spread over them.  The caller
+    applies each block's level factor (u_i - 1)^(b_i).  The state is
+    (letters placed, slots so far); its weights over the next b_i add up
+    as one vector.
     """
     # spread[a][b] = C(a+b-1, b): b level slots over a letters; row a sums row a-1.
     spread = [[1] + [0] * n]
     for _ in range(n):
         spread.append(list(accumulate(spread[-1])))
-    states = {(0, 0, ()): 1}
-    for index, size in enumerate(block_sizes[:-1]):
+    states = {(0, ()): 1}
+    for size in block_sizes[:-1]:
         grown: dict = {}
-        for (placed, slots, key), value in states.items():
-            room = n - placed - slots
+        for (placed, slots), value in states.items():
+            room = n - placed - sum(slots)
             for a in range(room + 1):
                 lead = comb(placed + a, a) * size**a * value
                 if lead:
-                    # Every state reaching (placed + a, slots, key) has room - a slots left.
-                    weights = grown.get((placed + a, slots, key)) or [0] * (room - a + 1)
-                    grown[placed + a, slots, key] = [
-                        w + lead * c for w, c in zip(weights, spread[a])
-                    ]
-        states = defaultdict(int)
-        for (placed, slots, key), weights in grown.items():
-            for b, weight in enumerate(weights):
-                for part, factor in levels(index, b) if weight else ():
-                    states[placed, slots + b, key + part] += weight * factor
+                    # Every state reaching (placed + a, slots) has room - a slots left.
+                    weights = grown.get((placed + a, slots)) or [0] * (room - a + 1)
+                    grown[placed + a, slots] = [w + lead * c for w, c in zip(weights, spread[a])]
+        states = {
+            (placed, slots + (b,)): weight
+            for (placed, slots), weights in grown.items()
+            for b, weight in enumerate(weights)
+            if weight
+        }
     # The last block takes all the room that is left: a = room - b.
     size = block_sizes[-1]
-    powers = [size**a for a in range(n + 1)]
-    last: dict = {}
-    for (placed, slots, key), value in states.items():
-        room = n - placed - slots
-        weights = last.get((slots, key)) or [0] * (n - slots + 1)
+    joint: dict = {}
+    for (placed, slots), value in states.items():
+        room = n - placed - sum(slots)
+        weights = joint.get(slots) or [0] * (n - sum(slots) + 1)
         weights[: room + 1] = [
-            w + value * comb(placed + room - b, placed) * powers[room - b] * spread[room - b][b]
+            w + value * comb(placed + room - b, placed) * size ** (room - b) * spread[room - b][b]
             for b, w in enumerate(weights[: room + 1])
         ]
-        last[slots, key] = weights
-    joint: dict = defaultdict(int)
-    for (slots, key), weights in last.items():
-        for b, weight in enumerate(weights):
-            for part, factor in levels(len(block_sizes) - 1, b) if weight else ():
-                joint[key + part] += weight * factor
-    return joint
+        joint[slots] = weights
+    return {
+        slots + (b,): weight
+        for slots, weights in joint.items()
+        for b, weight in enumerate(weights)
+        if weight
+    }
 
 
 def _levels_blocks(
@@ -280,13 +289,12 @@ def _levels_blocks(
     ``signed=False`` drops the sign, a reading the oracle rejects.
     """
     _check_blocks(block_sizes, n, targets)
-
-    def levels(index: int, b: int):
-        level = targets[index]
-        pick = binom(b, level) * (sign(b - level) if signed else 1)
-        return (((), pick),) if pick else ()
-
-    return _block_program(block_sizes, n, levels).get((), 0)
+    total = 0
+    for slots, value in _block_program(block_sizes, n).items():
+        for b, level in zip(slots, targets):
+            value *= binom(b, level) * (sign(b - level) if signed else 1)
+        total += value
+    return total
 
 
 def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
@@ -297,9 +305,9 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     """
     sizes = tuple(block_sizes)
     _check_blocks(sizes, n)
-    joint = _block_program(sizes, n, lambda index, b: (((b,), 1),))
+    joint = _block_program(sizes, n)
     for axis in range(len(sizes)):
-        # The keys that differ only on this axis form one fiber, expanded as one polynomial.
+        # The keys equal off this axis form a fiber: one polynomial in (u_axis - 1).
         fibers: dict = defaultdict(dict)
         for key, value in joint.items():
             fibers[key[:axis], key[axis + 1 :]][key[axis]] = value
@@ -308,12 +316,8 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
             counts = [0] * (max(fiber) + 1)
             for b, value in fiber.items():
                 # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
-                counts[: b + 1] = [
-                    c + step * value for c, step in zip(counts, reversed(signed_row(b)))
-                ]
-            for level, count in enumerate(counts):
-                if count:
-                    joint[head + (level,) + tail] = count
+                counts[: b + 1] = [c + step * value for c, step in zip(counts, reversed(signed_row(b)))]
+            joint.update(((*head, level, *tail), count) for level, count in enumerate(counts) if count)
     return joint
 
 
