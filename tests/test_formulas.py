@@ -18,7 +18,8 @@ from wordstats import (
     rearrangement_distribution,
     statistic_distribution,
 )
-from wordstats.combinat import binom, compositions, multinomial, sign
+from wordstats import combinat
+from wordstats.combinat import binom, compositions, multinomial, sign, signed_row
 from wordstats.formulas import _levels_blocks
 
 
@@ -111,6 +112,13 @@ class TestDistribution:
     def test_unknown_formula(self):
         with pytest.raises(InputError):
             distribution("des-diagonal", (1, 2, 3))
+
+
+def test_signed_rows_and_their_bounded_cache():
+    # below and above the cached degrees; the cache never holds more than 129 rows
+    for d in range(301):
+        assert signed_row(d) == tuple(sign(j) * binom(d, j) for j in range(d + 1))
+    assert combinat._cached_row.cache_info().currsize <= 129
 
 
 class TestInnerSumsReference:
@@ -211,12 +219,10 @@ class TestInnerSumsReference:
                         assert [
                             count_des_mod_uncorrected(*params, p) for p in range(n + 2)
                         ] == rejected, params
+        # (alphabet < s, aligned, r <= t): every combination that can occur
         assert regimes == {
-            (below, aligned, within)
-            for below in (True, False)
-            for aligned in (True, False)
-            for within in (True, False)
-            if not (aligned and within) and not (below and aligned)
+            (True, False, True), (True, False, False),
+            (False, True, False), (False, False, True), (False, False, False),
         }
 
 
