@@ -45,7 +45,7 @@ from functools import partial
 from itertools import accumulate
 from math import comb
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .combinat import binom, multinomial, sign, signed_row
 from .words import InputError
@@ -125,14 +125,12 @@ def _check_length(n: int, s: int = 0) -> None:
         raise InputError("length and statistic value must be nonnegative")
 
 
-def _diagonal(factor: Callable[[list[int]], list[int]], n: int) -> list[int]:
-    """inner(m) = [x^n] F^m for m = 0..n; ``factor`` multiplies a series cut after x^n by F."""
+def _diagonal(factor: Callable[[list[int]], list[int]], n: int) -> Iterator[int]:
+    """inner(m) = [x^n] F^m for m = 0, 1, ...; ``factor`` multiplies a series cut after x^n by F."""
     power = [1] + [0] * n
-    inner = []
-    for _ in range(n + 1):
-        inner.append(power[n])
+    while True:
+        yield power[n]
         power = factor(power)
-    return inner
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
@@ -140,17 +138,19 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
 
     Every descent family's inner(m) is [x^n] F^m for one such F.
     """
-    terms = [lead * binom(tau, j) + slope * binom(tau, j - 1) for j in range(tau + 2)]
-    terms[0] -= c0
-    terms[1] -= c1
+    coefficients = [lead * binom(tau, j) + slope * binom(tau, j - 1) for j in range(tau + 2)]
+    coefficients[0] -= c0
+    coefficients[1] -= c1
+    terms = [(j, c) for j, c in enumerate(coefficients) if c]
 
     def times(series: list[int]) -> list[int]:
         # A power of an F with F(0) = 0 starts with zeros; skip them.
-        low = next((i for i, v in enumerate(series) if v), len(series))
+        low = 0
+        while low < len(series) and not series[low]:
+            low += 1
         product = [0] * len(series)
-        for j, c in enumerate(terms):
-            if c:
-                product[low + j :] = [p + c * v for p, v in zip(product[low + j :], series[low:])]
+        for j, c in terms:
+            product[low + j :] = [p + c * v for p, v in zip(product[low + j :], series[low:])]
         return product
 
     return times
@@ -159,15 +159,15 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
 def _coefficient(factor: Callable[[list[int]], list[int]], n: int, s: int) -> int:
     """Coefficient of u^s in sum_m [x^n] F^m (u-1)^(n-m)."""
     _check_length(n, s)
-    inner = _diagonal(factor, n)
     # C(n-m, s) vanishes above m = n-s.
-    return sum(signed_row(n - m)[n - m - s] * inner[m] for m in range(n - s + 1))
+    inner = zip(range(n - s + 1), _diagonal(factor, n))
+    return sum(signed_row(n - m)[n - m - s] * value for m, value in inner)
 
 
 def _coefficients(factor: Callable[[list[int]], list[int]], n: int) -> dict[int, int]:
     """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
     coeffs = [0] * (n + 1)
-    for m, value in enumerate(_diagonal(factor, n)):
+    for m, value in zip(range(n + 1), _diagonal(factor, n)):
         if value:
             # signed_row(d) backwards is (u-1)^d; zip stops after its d+1 entries.
             coeffs[: n - m + 1] = [
