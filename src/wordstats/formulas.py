@@ -14,28 +14,20 @@ through ``C(n-m, s)`` and the sign ``(-1)^(n-m-s)``:
     count(s) = sum_m (-1)^(n-m-s) C(n-m, s) inner(m)
 
 so the whole distribution is the polynomial ``sum_m inner(m) (u-1)^(n-m)``
-in a marker u.  ``_coefficient`` reads one coefficient of that polynomial
-(a count) and ``_coefficients`` reads all of them from one pass over m (a
-table), both with the signed binomial rows of ``combinat.signed_row``.
+in a marker u, read with the rows of ``combinat.signed_row``: one
+coefficient by ``_coefficient`` (a count), all by ``_coefficients`` (a
+table).  ``inner(m)`` is not summed term by term: its inner sums are
+hoisted out of m or convolved into one product, and the sum left over m
+is a binomial expansion, so inner(m) = [x^n] F^m for a small factor F
+that each family derives from the paper's sum.  F is a polynomial of
+degree at most the alphabet size plus 1, or for ``levels-threshold`` a
+series multiplied in O(n), so a table or a count of ``levels-threshold``,
+``des-le``, ``des-gt`` or ``des-mod`` costs O(n^2) for a fixed alphabet.
 
-The s-free ``inner(m)`` is not summed term by term.  Its innermost sums
-are hoisted out of m or convolved (a sum over i1 + i2 = c, or against
-C(N, n-c), is a coefficient of a product), and what is left over m is a
-binomial expansion, so every family has a small factor F with
-inner(m) = [x^n] F^m; each family's helper derives its F from the
-paper's sum.  For the descent families F is a polynomial of degree at
-most the alphabet size plus 1; for ``levels-threshold`` it is a series
-whose products take O(n) each.  The n+1 powers of F cut after x^n and
-the (u-1) expansion then make a table or a count of ``levels-threshold``,
-``des-le``, ``des-gt`` or ``des-mod`` cost O(n^2) multiply-adds for a
-fixed alphabet.
-
-The joint level count over t blocks is a dynamic program over blocks
-keyed by each block's number of level slots b_i; a table expands each
-block's (u_i - 1)^(b_i) once at the end and costs O(t n^(t+1)).
-``hall-remmel`` is one sum over r: O(n) products per count, O(n^2) per
-table.  ``distribution`` returns a whole table of any family from one
-call.
+The joint level count over t blocks is a program over blocks keyed by
+each block's level slots b_i; a table expands every (u_i - 1)^(b_i) once
+at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
+``distribution`` returns a whole table of any family from one call.
 """
 
 from __future__ import annotations
@@ -166,14 +158,19 @@ def _coefficient(factor: Callable[[list[int]], list[int]], n: int, s: int) -> in
 
 def _coefficients(factor: Callable[[list[int]], list[int]], n: int) -> dict[int, int]:
     """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
-    coeffs = [0] * (n + 1)
-    for m, value in zip(range(n + 1), _diagonal(factor, n)):
-        if value:
-            # signed_row(d) backwards is (u-1)^d; zip stops after its d+1 entries.
-            coeffs[: n - m + 1] = [
-                c + step * value for c, step in zip(coeffs, reversed(signed_row(n - m)))
-            ]
-    return dict(enumerate(coeffs))
+    # (u-1)^b with b = n-m has weight inner(m).
+    weights = dict(zip(range(n, -1, -1), _diagonal(factor, n)))
+    return dict(enumerate(_expand(weights)))
+
+
+def _expand(weights: dict[int, int]) -> list[int]:
+    """Coefficients of sum_b weights[b] (u-1)^b, lowest power first."""
+    counts = [0] * (max(weights) + 1)
+    for b, weight in weights.items():
+        if weight:
+            # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
+            counts[: b + 1] = [c + step * weight for c, step in zip(counts, reversed(signed_row(b)))]
+    return counts
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -230,8 +227,8 @@ def _check_blocks(
         raise InputError(f"length must be nonnegative, got {n}")
 
 
-def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
-    """The levels-blocks sum over every (a_i, b_i), keyed by (b_1, ..., b_t).
+def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], list[int]]:
+    """The levels-blocks sum over every (a_i, b_i): (b_1, ..., b_(t-1)) -> weights over b_t.
 
     Block i takes a_i letters and b_i level slots, all blocks together n
     positions, with weight C(A_i, a_i) size_i^a_i C(a_i+b_i-1, b_i) where
@@ -263,22 +260,17 @@ def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...]
             if weight
         }
     # The last block takes all the room that is left: a = room - b.
-    size = block_sizes[-1]
+    powers = [block_sizes[-1] ** a for a in range(n + 1)]
     joint: dict = {}
     for (placed, slots), value in states.items():
         room = n - placed - sum(slots)
         weights = joint.get(slots) or [0] * (n - sum(slots) + 1)
         weights[: room + 1] = [
-            w + value * comb(placed + room - b, placed) * size ** (room - b) * spread[room - b][b]
+            w + value * comb(placed + room - b, placed) * powers[room - b] * spread[room - b][b]
             for b, w in enumerate(weights[: room + 1])
         ]
         joint[slots] = weights
-    return {
-        slots + (b,): weight
-        for slots, weights in joint.items()
-        for b, weight in enumerate(weights)
-        if weight
-    }
+    return joint
 
 
 def _levels_blocks(
@@ -289,11 +281,17 @@ def _levels_blocks(
     ``signed=False`` drops the sign, a reading the oracle rejects.
     """
     _check_blocks(block_sizes, n, targets)
+
+    def pick(b: int, level: int) -> int:
+        return binom(b, level) * (sign(b - level) if signed else 1)
+
     total = 0
-    for slots, value in _block_program(block_sizes, n).items():
+    for slots, weights in _block_program(block_sizes, n).items():
+        head = 1
         for b, level in zip(slots, targets):
-            value *= binom(b, level) * (sign(b - level) if signed else 1)
-        total += value
+            head *= pick(b, level)
+        if head:
+            total += head * sum(weight * pick(b, targets[-1]) for b, weight in enumerate(weights))
     return total
 
 
@@ -305,19 +303,23 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     """
     sizes = tuple(block_sizes)
     _check_blocks(sizes, n)
-    joint = _block_program(sizes, n)
+    joint = {
+        (*slots, b): weight
+        for slots, weights in _block_program(sizes, n).items()
+        for b, weight in enumerate(weights)
+        if weight
+    }
     for axis in range(len(sizes)):
-        # The keys equal off this axis form a fiber: one polynomial in (u_axis - 1).
+        # The keys equal off this axis form a fiber, one polynomial in u_axis - 1.
         fibers: dict = defaultdict(dict)
         for key, value in joint.items():
             fibers[key[:axis], key[axis + 1 :]][key[axis]] = value
-        joint = {}
-        for (head, tail), fiber in fibers.items():
-            counts = [0] * (max(fiber) + 1)
-            for b, value in fiber.items():
-                # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
-                counts[: b + 1] = [c + step * value for c, step in zip(counts, reversed(signed_row(b)))]
-            joint.update(((*head, level, *tail), count) for level, count in enumerate(counts) if count)
+        joint = {
+            (*head, level, *tail): count
+            for (head, tail), fiber in fibers.items()
+            for level, count in enumerate(_expand(fiber))
+            if count
+        }
     return joint
 
 
@@ -387,18 +389,14 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
     """The factor F of ``count_des_mod``, or of the rejected readings if not ``corrected``.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
-    C(m-j,i1) B^i1 C(j,i2) (r-1)^i2 s^(m-i1-i2) C(tau j, n-i1-i2), where
-    B = r-1-t and tau = k if r > t, else B = s-t+r-1 and tau = k+1.  Its
-    terms depend on i1 and i2 only through c = i1+i2, with weight
-    [x^c] (s+Bx)^(m-j) (s+(r-1)x)^j; the c-sum against C(tau j, n-c) is
-    [x^n] of the product with (1+x)^(tau j), and the j-sum a binomial
-    expansion: F = (1+x)^tau (s+(r-1)x) - s - Bx.  Pinning j to m (the
-    rejected reading) leaves F = (1+x)^tau (s+(r-1)x).
-
-    Aligned regime (t = 0): inner(j) = sum_{i1,i2} (-1)^(j+i2) C(j,i1)
-    s^(j-i1) base^i1 C(j,i2) C(k i2, n-i1) = [x^n] ((s+base x)((1+x)^k - 1))^j,
-    the offset factor at t = 0 when base = r-1; the rejected reading has
-    base = s-1.  In both regimes B = (r-1-t) mod s.
+    C(m-j,i1) B^i1 C(j,i2) (r-1)^i2 s^(m-i1-i2) C(tau j, n-i1-i2), with
+    B = r-1-t, tau = k if r > t and B = s-t+r-1, tau = k+1 otherwise.  The
+    (i1, i2) weights of c = i1+i2 are [x^c] (s+Bx)^(m-j) (s+(r-1)x)^j, the
+    c-sum against C(tau j, n-c) is one more product, and the j-sum a
+    binomial expansion: F = (1+x)^tau (s+(r-1)x) - s - Bx.  Pinning j to m
+    (rejected) leaves (1+x)^tau (s+(r-1)x).  Aligned regime (t = 0): the
+    same F at t = 0, B = r-1; the rejected reading's base s-1 replaces r-1
+    in both places.  In every regime B = (r-1-t) mod s.
     """
     _check_des_mod(s, alphabet, r, n)
     kq, t = divmod(alphabet, s)
