@@ -29,9 +29,9 @@ def sign(exponent: int) -> int:
 
 
 def signed_row(d: int) -> tuple[int, ...]:
-    """(-1)^j C(d, j) for j = 0..d: (1-u)^d lowest power first, (u-1)^d read backwards.
+    """(-1)^j C(d, j) for j = 0..d: (1-u)^d lowest power first, (u-1)^d backwards.
 
-    Rows up to degree 128 are cached, so the cache holds at most 129 rows.
+    Only rows up to degree 128 are cached, so the cache holds at most 129.
     """
     return _cached_row(d) if d <= 128 else _row(d)
 

@@ -126,10 +126,7 @@ def _diagonal(factor: Callable[[list[int]], list[int]], n: int) -> Iterator[int]
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
-    """Multiplication by F = (1+x)^tau (lead + slope x) - c0 - c1 x, cut at the operand's length.
-
-    Every descent family's inner(m) is [x^n] F^m for one such F.
-    """
+    """Multiplication by F = (1+x)^tau (lead + slope x) - c0 - c1 x, cut at the operand's length."""
     coefficients = [lead * binom(tau, j) + slope * binom(tau, j - 1) for j in range(tau + 2)]
     coefficients[0] -= c0
     coefficients[1] -= c1
@@ -298,8 +295,7 @@ def _levels_blocks(
 def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
     """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one pass.
 
-    The program runs keyed by (b_1, ..., b_t); block i contributes
-    (u_i - 1)^(b_i), expanded once at the end, one axis at a time.
+    Block i contributes (u_i - 1)^(b_i), expanded once, one axis at a time.
     """
     sizes = tuple(block_sizes)
     _check_blocks(sizes, n)
