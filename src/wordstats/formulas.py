@@ -117,35 +117,39 @@ def _check_length(n: int, s: int = 0) -> None:
         raise InputError("length and statistic value must be nonnegative")
 
 
-def _diagonal(factor: Callable[[list[int]], list[int]], n: int) -> Iterator[int]:
-    """inner(m) = [x^n] F^m for m = 0, 1, ...; ``factor`` multiplies a series cut after x^n by F."""
+def _diagonal(factor: tuple[Callable[[list[int]], list[int]], int], n: int) -> Iterator[int]:
+    """inner(m) = [x^n] F^m for m = 0, 1, ... (at most n+1 of them).
+
+    ``factor`` is (times, shift) with F = x^shift G, shift 0 or 1, and
+    ``times`` multiplying a series by G, cut at the series' length; G^m
+    is kept only up to x^(n - shift m), the coefficient inner(m) reads.
+    """
+    times, shift = factor
     power = [1] + [0] * n
     while True:
-        yield power[n]
-        power = factor(power)
+        yield power[-1]
+        power = times(power[: len(power) - shift])
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
-    """Multiplication by F = (1+x)^tau (lead + slope x) - c0 - c1 x, cut at the operand's length."""
-    coefficients = [lead * binom(tau, j) + slope * binom(tau, j - 1) for j in range(tau + 2)]
+    """The factor F = (1+x)^tau (lead + slope x) - c0 - c1 x, as ``_diagonal`` takes it."""
+    row = [comb(tau, j) for j in range(tau + 1)]
+    coefficients = [lead * a + slope * b for a, b in zip(row + [0], [0] + row)]
     coefficients[0] -= c0
     coefficients[1] -= c1
-    terms = [(j, c) for j, c in enumerate(coefficients) if c]
+    shift = 0 if coefficients[0] else 1
+    terms = [(j, c) for j, c in enumerate(coefficients[shift:]) if c]
 
     def times(series: list[int]) -> list[int]:
-        # A power of an F with F(0) = 0 starts with zeros; skip them.
-        low = 0
-        while low < len(series) and not series[low]:
-            low += 1
         product = [0] * len(series)
         for j, c in terms:
-            product[low + j :] = [p + c * v for p, v in zip(product[low + j :], series[low:])]
+            product[j:] = [p + c * v for p, v in zip(product[j:], series)]
         return product
 
-    return times
+    return times, shift
 
 
-def _coefficient(factor: Callable[[list[int]], list[int]], n: int, s: int) -> int:
+def _coefficient(factor, n: int, s: int) -> int:
     """Coefficient of u^s in sum_m [x^n] F^m (u-1)^(n-m)."""
     _check_length(n, s)
     # C(n-m, s) vanishes above m = n-s.
@@ -153,7 +157,7 @@ def _coefficient(factor: Callable[[list[int]], list[int]], n: int, s: int) -> in
     return sum(signed_row(n - m)[n - m - s] * value for m, value in inner)
 
 
-def _coefficients(factor: Callable[[list[int]], list[int]], n: int) -> dict[int, int]:
+def _coefficients(factor, n: int) -> dict[int, int]:
     """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
     # (u-1)^b with b = n-m has weight inner(m).
     weights = dict(zip(range(n, -1, -1), _diagonal(factor, n)))
@@ -188,10 +192,10 @@ def _levels_threshold(k: int, t: int, n: int):
     _check_threshold("levels-threshold", k, t, n)
 
     def times(series: list[int]) -> list[int]:
-        # Times k - (k-t)x, then prefix sums (1/(1-x)), then the shift by x.
-        return [0, *accumulate(k * v - (k - t) * w for v, w in zip(series[:-1], [0, *series]))]
+        # Times k - (k-t)x, then prefix sums for 1/(1-x).
+        return list(accumulate(k * v - (k - t) * w for v, w in zip(series, [0, *series])))
 
-    return times
+    return times, 1
 
 
 def count_levels_blocks(
