@@ -343,8 +343,11 @@ def _cmd_verify(args) -> int:
         bound = getattr(args, flag)
         if bound is not None and bound < 0:
             raise InputError(f"--{flag.replace('_', '-')} must be nonnegative, got {bound}")
-    if args.inject_fault and "inject_fault" not in bounds:
-        raise InputError("--inject-fault applies to the formulas-vs-oracle suite")
+    for flag in ("k_max", "n_max", "m_max", "weight_max", "inject_fault"):
+        if getattr(args, flag) is not None and flag not in bounds:
+            takers = [suite for suite, (_, taken) in VERIFY_SUITES.items() if flag in taken]
+            plural = "s" if len(takers) > 1 else ""
+            raise InputError(f"--{flag.replace('_', '-')} applies to the {', '.join(takers)} suite{plural}")
     kwargs = {
         keyword: getattr(args, flag)
         for flag, keywords in bounds.items()

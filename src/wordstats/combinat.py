@@ -43,6 +43,16 @@ def _row(d: int) -> tuple[int, ...]:
 _cached_row = functools.cache(_row)
 
 
+def expand_shifted(weights: dict[int, int]) -> list[int]:
+    """Coefficients of sum_b weights[b] (u-1)^b, lowest power first."""
+    counts = [0] * (max(weights) + 1)
+    for b, weight in weights.items():
+        if weight:
+            # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
+            counts[: b + 1] = [c + step * weight for c, step in zip(counts, reversed(signed_row(b)))]
+    return counts
+
+
 def multinomial(total: int, parts: Sequence[int]) -> int:
     """total! / (parts_1! ... parts_m!); zero unless the parts sum to total."""
     if total < 0 or any(p < 0 for p in parts):

@@ -39,7 +39,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .combinat import binom, multinomial, sign, signed_row
+from .combinat import binom, expand_shifted, multinomial, sign, signed_row
 from .words import InputError
 
 
@@ -161,17 +161,7 @@ def _coefficients(factor, n: int) -> dict[int, int]:
     """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
     # (u-1)^b with b = n-m has weight inner(m).
     weights = dict(zip(range(n, -1, -1), _diagonal(factor, n)))
-    return dict(enumerate(_expand(weights)))
-
-
-def _expand(weights: dict[int, int]) -> list[int]:
-    """Coefficients of sum_b weights[b] (u-1)^b, lowest power first."""
-    counts = [0] * (max(weights) + 1)
-    for b, weight in weights.items():
-        if weight:
-            # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
-            counts[: b + 1] = [c + step * weight for c, step in zip(counts, reversed(signed_row(b)))]
-    return counts
+    return dict(enumerate(expand_shifted(weights)))
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -317,7 +307,7 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
         joint = {
             (*head, level, *tail): count
             for (head, tail), fiber in fibers.items()
-            for level, count in enumerate(_expand(fiber))
+            for level, count in enumerate(expand_shifted(fiber))
             if count
         }
     return joint
@@ -416,57 +406,52 @@ def hall_remmel_count(
     second in ``bottom_letters``.  Single alternating sum over products of
     binomials; equals the rearrangement oracle entry at s.
     """
-    prefactor, inner, n = _hall_remmel(rho, top_letters, bottom_letters)
-    if s < 0:
-        return 0
-    steps = signed_row(n + 1)
-    # C(n+1, s-r) vanishes below r = s-n-1.
-    return prefactor * sum(steps[s - r] * inner(r) for r in range(max(s - n - 1, 0), s + 1))
+    return hall_remmel_table(*hall_remmel_inputs(rho, top_letters, bottom_letters)).get(s, 0)
 
 
-def _hall_remmel(rho: Sequence[int], top_letters, bottom_letters):
-    """(prefactor, s-free inner(r), weight) of ``hall_remmel_count``, after checking rho.
+def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple:
+    """(outside, slots, n): all the closed form reads of rho, X and Y, after checking rho.
 
     count(s) = prefactor sum_{r<=s} (-1)^(s-r) C(n+1, s-r) inner(r), with
     inner(r) = C(a+r, r) prod_x C(rho_x + r + alpha_x + beta_x, rho_x) over
-    the top letters x; a counts the letters outside the tops, alpha_x the
-    ones above x, and beta_x the non-bottom letters below x.
+    the top letters x.  ``outside`` holds the multiplicities of the letters
+    outside the tops, a in total, whose multinomial is the prefactor;
+    ``slots`` one (rho_x, rho_x + alpha_x + beta_x) per top letter x, where
+    alpha_x counts the outside letters above x and beta_x the non-bottom
+    letters below x.
     """
     rho = tuple(rho)
     _check_class(rho)
-    tops = set(top_letters)
-    bottoms = set(bottom_letters)
-    outside = [0 if x in tops else reps for x, reps in enumerate(rho, start=1)]
-    a = sum(outside)
-    prefactor = multinomial(a, outside)
-    # Per top letter x: (rho_x, rho_x + alpha_x + beta_x).
+    tops = frozenset(top_letters)
+    bottoms = frozenset(bottom_letters)
+    outside = tuple([0 if x in tops else reps for x, reps in enumerate(rho, start=1)])
     slots = []
-    above, below = a, 0
+    above, below = sum(outside), 0
     for x, reps in enumerate(rho, start=1):
-        above -= outside[x - 1]
         if x in tops:
             slots.append((reps, reps + above + below))
+        else:
+            above -= reps
         if x not in bottoms:
             below += reps
+    return outside, tuple(slots), sum(rho)
 
+
+def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
+    """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, from one pass over r.
+
+    The counts are prefactor times the coefficients of
+    (sum_r inner(r) u^r) (1-u)^(n+1) up to u^n; above u^n they vanish.
+    """
+    a = sum(outside)
+    values = []
     # Every argument is nonnegative, so math.comb follows the binom convention.
-    def inner(r: int) -> int:
+    for r in range(n + 1):
         term = comb(a + r, r)
         for reps, base in slots:
             term *= comb(base + r, reps)
-        return term
-
-    return prefactor, inner, sum(rho)
-
-
-def _hall_remmel_table(rho: Sequence[int], top_letters, bottom_letters) -> dict[int, int]:
-    """Every ``hall_remmel_count`` value of the class rho, from one pass over r.
-
-    The counts are prefactor times the coefficients of
-    (sum_r inner(r) u^r) (1-u)^(n+1) up to u^n.
-    """
-    prefactor, inner, n = _hall_remmel(rho, top_letters, bottom_letters)
-    values = [inner(r) for r in range(n + 1)]
+        values.append(term)
+    prefactor = multinomial(a, outside)
     steps = signed_row(n + 1)
     return {
         s: prefactor * sum(map(mul, steps[s::-1], values)) for s in range(n + 1)
@@ -491,7 +476,9 @@ DISTRIBUTIONS = {
     "des-mod": lambda s, alphabet, r, n: _coefficients(
         _des_mod(s, alphabet, r, n, corrected=True), n
     ),
-    "hall-remmel": _hall_remmel_table,
+    "hall-remmel": lambda rho, tops, bottoms: hall_remmel_table(
+        *hall_remmel_inputs(rho, tops, bottoms)
+    ),
 }
 
 

@@ -6,16 +6,19 @@ the two bottom letters.  Equating each direct count with the general
 alternating-sum formula, coefficient by coefficient, yields a pure
 binomial identity; both sides are evaluated here numerically and compared.
 
-Each check evaluates the primary summation bounds first and, only if the
-two sides disagree, also evaluates an alternate bound variant so the
-report shows which reading survives.
+In both right-hand sides s enters only through C(n-m, s) and a sign, so
+``top_letter_row`` and ``two_bottom_row`` read every s of one (n, r) off
+one s-free row, as the closed forms do.  Only where a cell's two sides
+disagree is an alternate bound variant evaluated too, so the report shows
+which reading survives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .combinat import binom, sign
+from .combinat import binom, expand_shifted, sign
 from .words import InputError
 
 
@@ -77,28 +80,28 @@ def direct_count_two_bottom(k: int, n: int, s: int) -> int:
 
 def check_top_letter_identity(n: int, r: int, s: int) -> IdentityReport:
     """C(r,s) C(n-r,s) against its alternating quadruple-binomial expansion."""
-    if n < 0 or r < 0 or s < 0:
-        raise InputError("identity parameters must be nonnegative")
-    lhs = binom(r, s) * binom(n - r, s)
-    rhs = sum(
-        sign(n - a - s) * binom(m, a) * binom(a, r) * binom(a, n - r) * binom(n - m, s)
-        for m in range(r, n - s + 1)
-        for a in range(r, m + 1)
-    )
-    alt = None
-    if lhs != rhs:
+    return top_letter_row(n, r, (s,))[0]
+
+
+def top_letter_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
+    """``check_top_letter_identity`` at each s of ``values`` (default 0..n), from one row.
+
+    rhs(s) = sum_{r <= a <= m <= n-s} (-1)^(n-a-s) C(m,a) C(a,r) C(a,n-r) C(n-m,s).
+    """
+    return _row(
+        "top-letter-binomial", n, r, values,
+        lhs=lambda s: binom(r, s) * binom(n - r, s),
+        weight=lambda m: sum(
+            sign(m - a) * binom(m, a) * binom(a, r) * binom(a, n - r) for a in range(r, m + 1)
+        ),
         # widened outer range; zero binomials make the extra terms vanish
         # when the two readings agree
-        alt = sum(
-            sign(n - a - s)
-            * binom(m, a)
-            * binom(a, r)
-            * binom(a, n - r)
-            * binom(n - m, s)
+        alt=lambda s: sum(
+            sign(n - a - s) * binom(m, a) * binom(a, r) * binom(a, n - r) * binom(n - m, s)
             for m in range(0, n + 1)
             for a in range(r, m + 1)
-        )
-    return IdentityReport("top-letter-binomial", (n, r, s), lhs, rhs, alt)
+        ),
+    )
 
 
 def check_two_bottom_identity(n: int, r: int, s: int) -> IdentityReport:
@@ -107,30 +110,46 @@ def check_two_bottom_identity(n: int, r: int, s: int) -> IdentityReport:
     lhs: sum_a C(r+s, s) C(a+r, a-s) C(n-a, n-a-r-s)
     rhs: sum_{m, a <= m-r} (-1)^(n-a-r-s) C(m,a) C(m-a,r) C(2a, n-r) C(n-m, s)
     """
-    if n < 0 or r < 0 or s < 0:
-        raise InputError("identity parameters must be nonnegative")
-    lhs = sum(
-        binom(r + s, s) * binom(a + r, a - s) * binom(n - a, n - a - r - s)
-        for a in range(s, n - s + 1)
-    )
-    rhs = sum(
-        sign(n - a - r - s)
-        * binom(m, a)
-        * binom(m - a, r)
-        * binom(2 * a, n - r)
-        * binom(n - m, s)
-        for m in range(0, n + 1)
-        for a in range(0, m - r + 1)
-    )
-    alt = None
-    if lhs != rhs:
-        alt = sum(
-            sign(n - a - r - s)
-            * binom(m, a)
-            * binom(m - a, r)
-            * binom(2 * a, n - r)
+    return two_bottom_row(n, r, (s,))[0]
+
+
+def two_bottom_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
+    """``check_two_bottom_identity`` at each s of ``values`` (default 0..n), from one row."""
+    return _row(
+        "two-bottom-binomial", n, r, values,
+        lhs=lambda s: sum(
+            binom(r + s, s) * binom(a + r, a - s) * binom(n - a, n - a - r - s)
+            for a in range(s, n - s + 1)
+        ),
+        weight=lambda m: sum(
+            sign(m - a - r) * binom(m, a) * binom(m - a, r) * binom(2 * a, n - r)
+            for a in range(0, m - r + 1)
+        ),
+        # the a-range widened to a <= m
+        alt=lambda s: sum(
+            sign(n - a - r - s) * binom(m, a) * binom(m - a, r) * binom(2 * a, n - r)
             * binom(n - m, s)
             for m in range(0, n + 1)
             for a in range(0, m + 1)
-        )
-    return IdentityReport("two-bottom-binomial", (n, r, s), lhs, rhs, alt)
+        ),
+    )
+
+
+def _row(identity: str, n: int, r: int, values, lhs, weight, alt) -> list[IdentityReport]:
+    """One report per s of ``values``; every rhs(s) is a coefficient of one s-free row.
+
+    Both right-hand sides are sum_m (-1)^(n-m-s) C(n-m, s) w(m), with the
+    s-free ``weight`` w(m) a sum over a.  The factor of s is the coefficient
+    of u^s in (u-1)^(n-m), so rhs(s) is the u^s coefficient of
+    sum_m w(m) (u-1)^(n-m).
+    """
+    values = range(n + 1) if values is None else values
+    if n < 0 or r < 0 or any(s < 0 for s in values):
+        raise InputError("identity parameters must be nonnegative")
+    row = expand_shifted({n - m: weight(m) for m in range(n + 1)})
+    reports = []
+    for s in values:
+        left, right = lhs(s), row[s] if s <= n else 0
+        # the alternate bounds only where the two sides differ
+        reports.append(IdentityReport(identity, (n, r, s), left, right, None if left == right else alt(s)))
+    return reports

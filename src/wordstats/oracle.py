@@ -4,7 +4,10 @@ Two independent routes produce the same exact object: ``brute_distribution``
 walks every word of [k]^n, while the transfer engine runs a dynamic
 program over (last letter, accumulated statistics).  Their agreement is a
 load-bearing cross-check, so neither is ever expressed in terms of the
-other.
+other.  The walk is depth first and merges no words: each prefix carries
+its statistics packed into one integer, and appending a letter adds an
+increment read off ``stat_key`` on one- and two-letter words, so a word
+costs O(1), not O(n).
 
 The transfer engine is one kernel, ``_transfer_kernel``, with two entry
 points: ``transfer_distribution`` tracks all 4t (block, statistic)
@@ -86,12 +89,40 @@ def brute_distribution(
     required = k**n
     if required > limit:
         raise BudgetExceededError(required, limit)
-    blocks = partition.blocks
-    t = partition.t
-    entries: dict[tuple, int] = {}
-    for letters in itertools.product(range(1, k + 1), repeat=n):
-        key = stat_key(letters, blocks, t)
-        entries[key] = entries.get(key, 0) + 1
+    blocks, t = partition.blocks, partition.t
+    # Coordinate (block i, statistic j) is bit field 4(i-1)+j; no value exceeds n.
+    width = n.bit_length()
+    fields = [width * f for f in range(4 * t)]
+
+    def pack(letters) -> int:
+        return sum(v << f for v, f in zip(itertools.chain(*stat_key(letters, blocks, t)), fields))
+
+    letters = range(1, k + 1)
+    start = [pack((b,)) for b in letters]
+    # step[a][b-1]: what appending b adds to a word ending in a, or to the empty word at a = 0.
+    step = [start] + [[pack((a, b)) - start[a - 1] for b in letters] for a in letters]
+    # Pushed last letter first, so words are tallied in lexicographic order.
+    children = [list(enumerate(row, start=1))[::-1] for row in step]
+    tally: dict[int, int] = {} if n else {0: 1}
+    get = tally.get
+    # Prefixes still to extend: (packed statistics, last letter, letters to append).
+    # A stack, not recursion: at k = 1 the budget admits any length.
+    stack = [(0, 0, n)] if n else []
+    while stack:
+        key, last, left = stack.pop()
+        if left == 1:
+            for shift in step[last]:
+                word = key + shift
+                tally[word] = get(word, 0) + 1
+        else:
+            left -= 1
+            for b, shift in children[last]:
+                stack.append((key + shift, b, left))
+    mask = (1 << width) - 1
+    entries = {
+        tuple(tuple(key >> f & mask for f in fields[i : i + 4]) for i in range(0, 4 * t, 4)): count
+        for key, count in tally.items()
+    }
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
@@ -257,6 +288,8 @@ def count_matching(
 ) -> int:
     """Number of words of [k]^n whose statistics satisfy every constraint."""
     constraints.validate(partition)
+    # Before the shortcut, so every engine refuses the same queries.
+    _validate_shape(k, n, partition)
     if engine == "transfer" and not constraints.exact:
         return k**n
     coords = [(block, stat) for block, stat, _ in constraints.exact]

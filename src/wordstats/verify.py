@@ -154,22 +154,15 @@ def formulas_vs_oracle(
 def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteResult:
     """Both binomial identities on their full grids, plus the direct counts."""
     tally = _Tally("identities")
-    for n in range(top_n_max + 1):
-        for r in range(n + 1):
-            for s in range(n + 1):
-                report = identities.check_top_letter_identity(n, r, s)
-                tally.record(
-                    report.ok,
-                    lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
-                )
-    for n in range(two_bottom_n_max + 1):
-        for r in range(n + 1):
-            for s in range(n + 1):
-                report = identities.check_two_bottom_identity(n, r, s)
-                tally.record(
-                    report.ok,
-                    lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
-                )
+    rows = ((identities.top_letter_row, top_n_max), (identities.two_bottom_row, two_bottom_n_max))
+    for row, n_max in rows:
+        for n in range(n_max + 1):
+            for r in range(n + 1):
+                for report in row(n, r):
+                    tally.record(
+                        report.ok,
+                        lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
+                    )
     for k in range(1, 7):
         for n in range(9):
             for s in range(n + 1):
@@ -198,8 +191,9 @@ def hall_remmel_suite(
     """Rearrangement-class closed form against its oracle, all letter sets.
 
     The oracle's answer depends on (X, Y) only through the set of counted
-    descent pairs, so it runs once per distinct set and class; the closed
-    form is evaluated for every (X, Y).  Also checks that the closed form
+    descent pairs, so it runs once per distinct set and class.  The closed
+    form's inputs are derived for every (X, Y), and each distinct input
+    tuple is evaluated once per class.  Also checks that the closed form
     with the even letters on top and every letter at the bottom, summed
     over every rearrangement class of a given weight, reproduces the
     residue-class descent count with modulus 2.
@@ -215,15 +209,19 @@ def hall_remmel_suite(
         for weight in range(weight_max + 1):
             for rho in compositions(weight, m):
                 oracle_by_pairs: dict[frozenset, dict[int, int]] = {}
+                # Keyed by the closed form's own inputs, never by counted pairs.
+                closed_by_inputs: dict[tuple, dict[int, int]] = {}
                 for tops in subsets:
                     for bottoms in subsets:
                         pairs = counted_pairs(rho, tops, bottoms)
                         if pairs not in oracle_by_pairs:
                             dist = pair_distribution(rho, pairs)
                             oracle_by_pairs[pairs] = {s: dist.get(s, 0) for s in range(weight + 1)}
-                        table = formulas.distribution("hall-remmel", (rho, tops, bottoms))
+                        inputs = formulas.hall_remmel_inputs(rho, tops, bottoms)
+                        if inputs not in closed_by_inputs:
+                            closed_by_inputs[inputs] = formulas.hall_remmel_table(*inputs)
                         tally.record(
-                            table == oracle_by_pairs[pairs],
+                            closed_by_inputs[inputs] == oracle_by_pairs[pairs],
                             lambda rho=rho, tops=tops, bottoms=bottoms: f"rearrangement rho={rho} X={sorted(tops)} Y={sorted(bottoms)}",
                         )
 

@@ -407,8 +407,30 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "identities_suite", suite)
         run_json(capsys, "verify", "identities")
-        run_json(capsys, "verify", "identities", "--n-max", "0", "--k-max", "3")
+        run_json(capsys, "verify", "identities", "--n-max", "0")
         assert calls == [{}, {"top_n_max": 0, "two_bottom_n_max": 0}]
+
+    @pytest.mark.parametrize(
+        "suite, bound, message",
+        [
+            ("identities", ["--k-max", "99"],
+             "--k-max applies to the oracle-vs-transfer, series-vs-oracle, formulas-vs-oracle suites"),
+            ("identities", ["--m-max", "5"], "--m-max applies to the hall-remmel suite"),
+            ("oracle-vs-transfer", ["--weight-max", "2"], "--weight-max applies to the hall-remmel suite"),
+            ("series-vs-oracle", ["--m-max", "1"], "--m-max applies to the hall-remmel suite"),
+            ("formulas-vs-oracle", ["--weight-max", "0"], "--weight-max applies to the hall-remmel suite"),
+            ("hall-remmel", ["--k-max", "1"],
+             "--k-max applies to the oracle-vs-transfer, series-vs-oracle, formulas-vs-oracle suites"),
+            ("hall-remmel", ["--inject-fault"], "--inject-fault applies to the formulas-vs-oracle suite"),
+        ],
+    )
+    def test_bound_the_suite_does_not_take_refused(self, capsys, monkeypatch, suite, bound, message):
+        name, _ = cli.VERIFY_SUITES[suite]
+        monkeypatch.setattr(verify, name, lambda **kwargs: pytest.fail("the suite ran"))
+        code, out, err = run(capsys, "verify", suite, "--n-max", "2", *bound)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestParameterRanges:

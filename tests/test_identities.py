@@ -9,6 +9,8 @@ from wordstats import (
     direct_count_top_letter,
     direct_count_two_bottom,
 )
+from wordstats import identities
+from wordstats.combinat import binom, sign
 
 
 class TestDirectCountTopLetter:
@@ -119,3 +121,69 @@ class TestIdentityReport:
         report = IdentityReport("demo", (1,), 2, 3)
         assert report.verdict == "unequal"
         assert not report.ok
+
+
+class TestIdentityRows:
+    """Every s of a row against the per-cell sums the checks evaluated before rows."""
+
+    @staticmethod
+    def top_letter(n, r, s):
+        return sum(
+            sign(n - a - s) * binom(m, a) * binom(a, r) * binom(a, n - r) * binom(n - m, s)
+            for m in range(r, n - s + 1)
+            for a in range(r, m + 1)
+        )
+
+    @staticmethod
+    def two_bottom(n, r, s):
+        return sum(
+            sign(n - a - r - s) * binom(m, a) * binom(m - a, r) * binom(2 * a, n - r)
+            * binom(n - m, s)
+            for m in range(0, n + 1)
+            for a in range(0, m - r + 1)
+        )
+
+    @staticmethod
+    def two_bottom_lhs(n, r, s):
+        return sum(
+            binom(r + s, s) * binom(a + r, a - s) * binom(n - a, n - a - r - s)
+            for a in range(s, n - s + 1)
+        )
+
+    def test_rows_equal_per_cell_sums(self):
+        for n in range(17):
+            for r in range(n + 1):
+                top = identities.top_letter_row(n, r)
+                bottom = identities.two_bottom_row(n, r)
+                assert [report.params for report in top + bottom] == [(n, r, s) for s in range(n + 1)] * 2
+                for s in range(n + 1):
+                    assert (top[s].lhs, top[s].rhs) == (
+                        binom(r, s) * binom(n - r, s), self.top_letter(n, r, s)
+                    ), (n, r, s)
+                    assert (bottom[s].lhs, bottom[s].rhs) == (
+                        self.two_bottom_lhs(n, r, s), self.two_bottom(n, r, s)
+                    ), (n, r, s)
+
+    def test_cells_beyond_the_row(self):
+        # r or s above n, which a row of s = 0..n does not reach
+        for n in range(7):
+            for r in range(n + 3):
+                for s in range(n + 3):
+                    top = check_top_letter_identity(n, r, s)
+                    assert (top.lhs, top.rhs) == (binom(r, s) * binom(n - r, s), self.top_letter(n, r, s))
+                    bottom = check_two_bottom_identity(n, r, s)
+                    assert (bottom.lhs, bottom.rhs) == (self.two_bottom_lhs(n, r, s), self.two_bottom(n, r, s))
+
+    def test_forced_mismatch_fills_alt_rhs(self, monkeypatch):
+        expand = identities.expand_shifted
+        monkeypatch.setattr(identities, "expand_shifted", lambda weights: [c + 1 for c in expand(weights)])
+        top = check_top_letter_identity(6, 3, 2)
+        assert (top.lhs, top.rhs, top.alt_rhs) == (9, 10, 9)
+        bottom = check_two_bottom_identity(4, 1, 1)
+        widened = sum(
+            sign(4 - a - 1 - 1) * binom(m, a) * binom(m - a, 1) * binom(2 * a, 3) * binom(4 - m, 1)
+            for m in range(5)
+            for a in range(m + 1)
+        )
+        assert (bottom.rhs, bottom.alt_rhs) == (bottom.lhs + 1, widened)
+        assert not bottom.ok

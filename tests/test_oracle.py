@@ -26,6 +26,7 @@ from wordstats.oracle import (
     pair_distribution,
     resolve_budget,
 )
+from wordstats.verify import _grid_partitions
 
 
 def _partitions(k):
@@ -40,6 +41,8 @@ class TestBruteDistribution:
         part = BlockPartition.threshold(1, 1)
         dist = brute_distribution(1, 3, part)
         assert dist.entries == {((0, 0, 2, 3), (0, 0, 0, 0)): 1}
+        # one word, walked as deep as it is long
+        assert brute_distribution(1, 5000, part).entries == {((0, 0, 4999, 5000), (0, 0, 0, 0)): 1}
 
     def test_four_words_all_distinct(self):
         part = BlockPartition.threshold(2, 1)
@@ -178,11 +181,24 @@ class TestTransferKernel:
 
     def test_brute_force_runs_without_the_kernel(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("brute_distribution reached the transfer kernel")
+            raise AssertionError("brute_distribution reached the transfer DP")
 
         monkeypatch.setattr(oracle, "_transfer_kernel", refuse)
+        monkeypatch.setattr(oracle, "_pair_index", refuse)
         part = BlockPartition.threshold(2, 1)
         assert brute_distribution(2, 3, part).total() == 8
+
+    def test_walk_equals_stat_key_word_by_word(self):
+        for k in range(1, 4):
+            # block 2 of the last partition holds no letter
+            parts = _grid_partitions(k) + [BlockPartition.from_blocks((1,) * (k - 1) + (3,))]
+            for part in parts:
+                for n in range(7):
+                    tally = {}
+                    for letters in itertools.product(range(1, k + 1), repeat=n):
+                        key = stat_key(letters, part.blocks, part.t)
+                        tally[key] = tally.get(key, 0) + 1
+                    assert brute_distribution(k, n, part).entries == tally, (k, n, part)
 
 
 class TestCountMatching:
@@ -221,6 +237,21 @@ class TestCountMatching:
         for engine in ("oracle", "transfer"):
             with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
                 coordinate_distribution(4, 2, part, [(4, "des")], engine=engine)
+
+    @pytest.mark.parametrize(
+        "k, n, part, message",
+        [
+            (2, -1, BlockPartition.threshold(2, 1), "word length must be nonnegative, got -1"),
+            (3, 2, BlockPartition.threshold(2, 1), "partition covers [2], queried alphabet is [3]"),
+        ],
+    )
+    def test_engines_refuse_a_bad_shape_alike(self, k, n, part, message):
+        # also without constraints, where the transfer engine answers k**n unread
+        for spec in (ConstraintSpec(), ConstraintSpec.of((1, "des", 0))):
+            for engine in ("transfer", "oracle"):
+                with pytest.raises(InputError) as caught:
+                    count_matching(k, n, part, spec, engine=engine)
+                assert str(caught.value) == message, (spec, engine)
 
     def test_unknown_block_rejected(self):
         part = BlockPartition.threshold(2, 1)

@@ -13,19 +13,44 @@ class TestHallRemmelSuite:
     def test_default_grid_result(self):
         assert verify.hall_remmel_suite() == verify.SuiteResult("hall-remmel", 92824, 0, None)
 
-    def test_wrong_closed_form_is_caught_and_named(self, monkeypatch):
-        table = formulas.DISTRIBUTIONS["hall-remmel"]
+    def test_wrong_input_derivation_is_caught_and_named(self, monkeypatch):
+        derive = formulas.hall_remmel_inputs
 
         def skewed(rho, tops, bottoms):
-            dist = table(rho, tops, bottoms)
+            outside, slots, n = derive(rho, tops, bottoms)
             if (rho, tops, bottoms) == ((2, 1), {2}, {1}):
-                dist[1] += 1
-            return dist
+                slots = tuple((reps, base + 1) for reps, base in slots)
+            return outside, slots, n
 
-        monkeypatch.setitem(formulas.DISTRIBUTIONS, "hall-remmel", skewed)
+        monkeypatch.setattr(formulas, "hall_remmel_inputs", skewed)
         result = verify.hall_remmel_suite(m_max=2, weight_max=3, even_n_max=2)
         assert result.failures == 1
         assert result.first_failure == "rearrangement rho=(2, 1) X=[2] Y=[1]"
+
+    def test_wrong_evaluation_is_caught_at_every_letter_set_sharing_it(self, monkeypatch):
+        rho = (2, 1)
+        wrong = formulas.hall_remmel_inputs(rho, {2}, {1})
+        subsets = [set(), {1}, {2}, {1, 2}]
+        sharing = [(x, y) for x in subsets for y in subsets
+                   if formulas.hall_remmel_inputs(rho, x, y) == wrong]
+        assert len(sharing) > 1
+        evaluate = formulas.hall_remmel_table
+        calls = []
+
+        def skewed(*inputs):
+            calls.append(inputs)
+            table = evaluate(*inputs)
+            if inputs == wrong:
+                table[1] += 1
+            return table
+
+        monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
+        result = verify.hall_remmel_suite(m_max=2, weight_max=3, even_n_max=2)
+        assert result.failures == len(sharing)
+        x, y = sharing[0]
+        assert result.first_failure == f"rearrangement rho=(2, 1) X={sorted(x)} Y={sorted(y)}"
+        # once per distinct input tuple and class
+        assert calls.count(wrong) == 1
 
     def test_wrong_even_identity_is_caught_and_named(self, monkeypatch):
         table = formulas.DISTRIBUTIONS["des-mod"]
