@@ -14,20 +14,22 @@ through ``C(n-m, s)`` and the sign ``(-1)^(n-m-s)``:
     count(s) = sum_m (-1)^(n-m-s) C(n-m, s) inner(m)
 
 so the whole distribution is the polynomial ``sum_m inner(m) (u-1)^(n-m)``
-in a marker u, read with the rows of ``combinat.signed_row``: one
-coefficient by ``_coefficient`` (a count), all by ``_coefficients`` (a
-table).  ``inner(m)`` is not summed term by term: its inner sums are
-hoisted out of m or convolved into one product, and the sum left over m
-is a binomial expansion, so inner(m) = [x^n] F^m for a small factor F
-that each family derives from the paper's sum.  F is a polynomial of
-degree at most the alphabet size plus 1, or for ``levels-threshold`` a
-series multiplied in O(n), so a table or a count of ``levels-threshold``,
-``des-le``, ``des-gt`` or ``des-mod`` costs O(n^2) for a fixed alphabet.
+in a marker u, expanded by ``_coefficients`` with the rows of
+``combinat.signed_row``.  ``inner(m)`` is not summed term by term: its
+inner sums are hoisted out of m or convolved into one product, and the
+sum left over m is a binomial expansion, so inner(m) = [x^n] F^m for a
+small factor F that each family derives from the paper's sum.  F is a
+polynomial of degree at most the alphabet size plus 1, or for
+``levels-threshold`` a series multiplied in O(n), so a table of
+``levels-threshold``, ``des-le``, ``des-gt`` or ``des-mod`` costs O(n^2)
+for a fixed alphabet.
 
 The joint level count over t blocks is a program over blocks keyed by
-each block's level slots b_i; a table expands every (u_i - 1)^(b_i) once
-at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
-``distribution`` returns a whole table of any family from one call.
+each block's level slots b_i; its table expands every (u_i - 1)^(b_i)
+once at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
+``distribution`` returns a whole table of any family from one call, and
+every count is one entry of that table, read after the count's own
+parameter checks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from math import comb
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .combinat import binom, expand_shifted, multinomial, sign, signed_row
+# binom is not called here; bench/tracing.py counts calls at formulas.binom.
+from .combinat import binom, expand_shifted, multinomial, signed_row
 from .words import InputError
 
 
@@ -78,6 +81,12 @@ def check_params(formula: str, params: Sequence) -> None:
     queries they refuse, with the same message.
     """
     _named(CHECKS, formula)(*params)
+
+
+def _entry(formula: str, params: tuple, value):
+    """A count: ``value``'s entry of the family's table, after the count's checks."""
+    check_params(formula, (*params, value))
+    return distribution(formula, params).get(value, 0)
 
 
 # Smallest threshold t each threshold family accepts.
@@ -149,14 +158,6 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
     return times, shift
 
 
-def _coefficient(factor, n: int, s: int) -> int:
-    """Coefficient of u^s in sum_m [x^n] F^m (u-1)^(n-m)."""
-    _check_length(n, s)
-    # C(n-m, s) vanishes above m = n-s.
-    inner = zip(range(n - s + 1), _diagonal(factor, n))
-    return sum(signed_row(n - m)[n - m - s] * value for m, value in inner)
-
-
 def _coefficients(factor, n: int) -> dict[int, int]:
     """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
     # (u-1)^b with b = n-m has weight inner(m).
@@ -170,7 +171,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     Evaluates  sum_{m,i} (-1)^(n-m-s) C(m,i) C(i+n-m-1, n-m) C(n-m, s)
     (k-t)^(m-i) t^i.
     """
-    return _coefficient(_levels_threshold(k, t, n), n, s)
+    return _entry("levels-threshold", (k, t, n), s)
 
 
 def _levels_threshold(k: int, t: int, n: int):
@@ -197,7 +198,7 @@ def count_levels_blocks(
     alphabet size is their sum.  Level statistics depend on blocks only
     through these cardinalities.
     """
-    return _levels_blocks(tuple(block_sizes), n, tuple(targets), signed=True)
+    return _entry("levels-blocks", (block_sizes, n), tuple(targets))
 
 
 def _check_blocks(
@@ -264,28 +265,6 @@ def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...]
     return joint
 
 
-def _levels_blocks(
-    block_sizes: tuple[int, ...], n: int, targets: tuple[int, ...], signed: bool
-) -> int:
-    """One joint count: block i contributes C(b_i, targets_i) (-1)^(b_i - targets_i).
-
-    ``signed=False`` drops the sign, a reading the oracle rejects.
-    """
-    _check_blocks(block_sizes, n, targets)
-
-    def pick(b: int, level: int) -> int:
-        return binom(b, level) * (sign(b - level) if signed else 1)
-
-    total = 0
-    for slots, weights in _block_program(block_sizes, n).items():
-        head = 1
-        for b, level in zip(slots, targets):
-            head *= pick(b, level)
-        if head:
-            total += head * sum(weight * pick(b, targets[-1]) for b, weight in enumerate(weights))
-    return total
-
-
 def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
     """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one pass.
 
@@ -319,7 +298,7 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     By complementation this also counts words with s rises starting at a
     letter in {k+1-t, ..., k}.
     """
-    return _coefficient(_des_le(k, t, n), n, s)
+    return _entry("des-le", (k, t, n), s)
 
 
 def _des_le(k: int, t: int, n: int):
@@ -339,7 +318,7 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     Dually, words with s rises starting at a letter <= k-t.  t = k is the
     empty statistic (every word scores 0) and t = 0 gives plain descents.
     """
-    return _coefficient(_des_gt(k, t, n), n, s)
+    return _entry("des-gt", (k, t, n), s)
 
 
 def _des_gt(k: int, t: int, n: int):
@@ -360,7 +339,7 @@ def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
     Writing alphabet = s*k + t with 0 <= t < s, the paper's sum has three
     regimes: t = 0, and t > 0 with r above or within the offset t.
     """
-    return _coefficient(_des_mod(s, alphabet, r, n, corrected=True), n, p)
+    return _entry("des-mod", (s, alphabet, r, n), p)
 
 
 def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -372,7 +351,8 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     verification suite can demonstrate these readings disagree with the
     oracle on explicit tuples.
     """
-    return _coefficient(_des_mod(s, alphabet, r, n, corrected=False), n, p)
+    _check_des_mod(s, alphabet, r, n, p)
+    return _coefficients(_des_mod(s, alphabet, r, n, corrected=False), n).get(p, 0)
 
 
 def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
@@ -406,7 +386,7 @@ def hall_remmel_count(
     second in ``bottom_letters``.  Single alternating sum over products of
     binomials; equals the rearrangement oracle entry at s.
     """
-    return hall_remmel_table(*hall_remmel_inputs(rho, top_letters, bottom_letters)).get(s, 0)
+    return _entry("hall-remmel", (rho, top_letters, bottom_letters), s)
 
 
 def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple:

@@ -146,6 +146,8 @@ def _row(identity: str, n: int, r: int, values, lhs, weight, alt) -> list[Identi
     values = range(n + 1) if values is None else values
     if n < 0 or r < 0 or any(s < 0 for s in values):
         raise InputError("identity parameters must be nonnegative")
+    if r > n:
+        raise InputError(f"identity parameter r must be at most n, got r={r} > n={n}")
     row = expand_shifted({n - m: weight(m) for m in range(n + 1)})
     reports = []
     for s in values:

@@ -220,12 +220,10 @@ def statistic_distribution(
     state space small when a query needs a single marginal out of a large
     partition.
     """
-    _validate_shape(k, n, partition)
-    indexed = []
     for block, stat in coords:
-        if not 1 <= block <= partition.t:
-            raise InputError(f"block {block} outside 1..{partition.t}")
-        indexed.append((block, _stat_index(stat)))
+        _check_coordinate(partition, block, stat)
+    _validate_shape(k, n, partition)
+    indexed = [(block, _stat_index(stat)) for block, stat in coords]
     packed = _transfer_kernel(k, n, partition, indexed)
     return {_unpack(key, len(indexed), n + 1): count for key, count in packed.items()}
 
@@ -266,15 +264,16 @@ def coordinate_distribution(
     """Joint distribution of (block, statistic) coordinates from one engine pass.
 
     ``oracle`` enumerates every word and projects onto ``coords``;
-    ``transfer`` runs the DP tracking only ``coords``.  A count reads one
-    entry of the result, a table reads all of them.
+    ``transfer`` runs the DP tracking only ``coords``, which checks them
+    itself.  A count reads one entry of the result, a table reads all of
+    them.
     """
+    if engine == "transfer":
+        return statistic_distribution(k, n, partition, coords)
     for block, stat in coords:
         _check_coordinate(partition, block, stat)
     if engine == "oracle":
         return brute_distribution(k, n, partition, budget=budget).joint(coords)
-    if engine == "transfer":
-        return statistic_distribution(k, n, partition, coords)
     raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
 
 
@@ -286,12 +285,11 @@ def count_matching(
     engine: str = "transfer",
     budget: int | None = None,
 ) -> int:
-    """Number of words of [k]^n whose statistics satisfy every constraint."""
+    """Number of words of [k]^n whose statistics satisfy every constraint.
+
+    One entry of ``coordinate_distribution``, also without constraints.
+    """
     constraints.validate(partition)
-    # Before the shortcut, so every engine refuses the same queries.
-    _validate_shape(k, n, partition)
-    if engine == "transfer" and not constraints.exact:
-        return k**n
     coords = [(block, stat) for block, stat, _ in constraints.exact]
     target = tuple(value for _, _, value in constraints.exact)
     dist = coordinate_distribution(k, n, partition, coords, engine=engine, budget=budget)

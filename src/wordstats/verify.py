@@ -94,32 +94,32 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
 def formulas_vs_oracle(
     alphabet_max: int = 6, n_max: int = 7, corrupt: bool = False
 ) -> SuiteResult:
-    """Every closed form against the reduced transfer oracle, on a dense grid."""
+    """Every closed form against the reduced transfer oracle, on a dense grid.
+
+    Each grid cell's closed-form table is built once and compared entry by
+    entry with the oracle's marginal, one check per statistic value.
+    """
     skew = 1 if corrupt else 0
     tally = _Tally("formulas-vs-oracle")
 
     for k in range(1, alphabet_max + 1):
         for t in range(0, k + 1):
             partition = BlockPartition.threshold(k, t)
+            # (family, oracle coordinate, skew); levels-threshold and des-le need t >= 1.
+            cells = [("levels-threshold", (1, "lev"), skew), ("des-le", (1, "des"), 0)] if t else []
+            cells.append(("des-gt", (2, "des"), 0))
             for n in range(n_max + 1):
-                lev1 = statistic_distribution(k, n, partition, [(1, "lev")])
-                des1 = statistic_distribution(k, n, partition, [(1, "des")])
-                des2 = statistic_distribution(k, n, partition, [(2, "des")])
+                pairs = [
+                    (family, formulas.distribution(family, (k, t, n)),
+                     statistic_distribution(k, n, partition, [coord]), shift)
+                    for family, coord, shift in cells
+                ]
                 for s in range(n + 1):
-                    if t >= 1:
+                    for family, table, marginal, shift in pairs:
                         tally.record(
-                            formulas.count_levels_threshold(k, t, n, s) + skew
-                            == lev1.get((s,), 0),
-                            lambda k=k, t=t, n=n, s=s: f"levels-threshold k={k} t={t} n={n} s={s}",
+                            table.get(s, 0) + shift == marginal.get((s,), 0),
+                            lambda family=family, k=k, t=t, n=n, s=s: f"{family} k={k} t={t} n={n} s={s}",
                         )
-                        tally.record(
-                            formulas.count_des_le(k, t, n, s) == des1.get((s,), 0),
-                            lambda k=k, t=t, n=n, s=s: f"des-le k={k} t={t} n={n} s={s}",
-                        )
-                    tally.record(
-                        formulas.count_des_gt(k, t, n, s) == des2.get((s,), 0),
-                        lambda k=k, t=t, n=n, s=s: f"des-gt k={k} t={t} n={n} s={s}",
-                    )
 
     for k in range(1, alphabet_max + 1):
         for partition in _grid_partitions(k):
@@ -127,12 +127,12 @@ def formulas_vs_oracle(
             coords = [(i, "lev") for i in range(1, partition.t + 1)]
             for n in range(n_max + 1):
                 joint = statistic_distribution(k, n, partition, coords)
+                table = formulas.distribution("levels-blocks", (sizes, n))
                 for targets in itertools.product(range(n + 1), repeat=partition.t):
                     if sum(targets) > max(n - 1, 0):
                         continue
                     tally.record(
-                        formulas.count_levels_blocks(sizes, n, targets)
-                        == joint.get(targets, 0),
+                        table.get(targets, 0) == joint.get(targets, 0),
                         lambda sizes=sizes, n=n, targets=targets: f"levels-blocks sizes={sizes} n={n} targets={targets}",
                     )
 
@@ -142,10 +142,10 @@ def formulas_vs_oracle(
             for n in range(n_max + 1):
                 for r in range(1, s + 1):
                     marginal = statistic_distribution(alphabet, n, partition, [(r, "des")])
+                    table = formulas.distribution("des-mod", (s, alphabet, r, n))
                     for p in range(n + 1):
                         tally.record(
-                            formulas.count_des_mod(s, alphabet, r, n, p)
-                            == marginal.get((p,), 0),
+                            table.get(p, 0) == marginal.get((p,), 0),
                             lambda s=s, alphabet=alphabet, r=r, n=n, p=p: f"des-mod s={s} alphabet={alphabet} r={r} n={n} p={p}",
                         )
     return tally.result
@@ -395,9 +395,10 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
                     marginal = statistic_distribution(
                         alphabet, n, partition, [(r, "des")]
                     )
+                    shipped = formulas.distribution("des-mod", (s, alphabet, r, n))
                     for p in range(n + 1):
                         want = marginal.get((p,), 0)
-                        if formulas.count_des_mod(s, alphabet, r, n, p) != want:
+                        if shipped.get(p, 0) != want:
                             case.shipped_ok = False
                         if need_example:
                             rejected = formulas.count_des_mod_uncorrected(

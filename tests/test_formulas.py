@@ -18,9 +18,8 @@ from wordstats import (
     rearrangement_distribution,
     statistic_distribution,
 )
-from wordstats import combinat
+from wordstats import combinat, formulas
 from wordstats.combinat import binom, compositions, multinomial, sign, signed_row
-from wordstats.formulas import _levels_blocks
 
 
 class TestEvaluate:
@@ -94,6 +93,20 @@ class TestDistribution:
                     assert list(table) == list(range(n + 1))
                     for s in range(n + 3):
                         assert table.get(s, 0) == hall_remmel_count(rho, tops, bottoms, s)
+
+    def test_every_count_is_its_table_entry(self, monkeypatch):
+        queries = {
+            "levels-threshold": ((3, 2, 4), 1),
+            "levels-blocks": (((2, 1), 3), (1, 0)),
+            "des-le": ((3, 2, 4), 1),
+            "des-gt": ((3, 1, 4), 1),
+            "des-mod": ((2, 3, 2, 4), 1),
+            "hall-remmel": (((2, 1), {2}, {1, 2}), 1),
+        }
+        assert set(queries) == set(CLOSED_FORMS)
+        for family, (params, value) in queries.items():
+            monkeypatch.setitem(formulas.DISTRIBUTIONS, family, lambda *_: {value: -7})
+            assert evaluate(family, (*params, value)) == -7, family
 
     def test_validation_matches_counts(self):
         for family, params in [
@@ -291,27 +304,29 @@ class TestCountLevelsBlocks:
                             targets, 0
                         )
 
-    def test_block_program_equals_composition_sum(self):
-        # the paper's sum over pairs of compositions, kept here as the reference
-        def literal(sizes, n, targets):
-            total = 0
-            for m in range(n + 1):
-                for avec in compositions(m, len(sizes)):
-                    for bvec in compositions(n - m, len(sizes)):
-                        term = sign(n - m - sum(targets)) * multinomial(m, avec)
-                        for size, a, b, tt in zip(sizes, avec, bvec, targets):
-                            term *= size**a * binom(a + b - 1, b) * binom(b, tt)
-                        total += term
-            return total
+    @staticmethod
+    def literal(sizes, n, targets, signed=True):
+        """The paper's sum over pairs of compositions; ``signed=False`` drops its sign."""
+        total = 0
+        for m in range(n + 1):
+            for avec in compositions(m, len(sizes)):
+                for bvec in compositions(n - m, len(sizes)):
+                    term = (sign(n - m - sum(targets)) if signed else 1) * multinomial(m, avec)
+                    for size, a, b, tt in zip(sizes, avec, bvec, targets):
+                        term *= size**a * binom(a + b - 1, b) * binom(b, tt)
+                    total += term
+        return total
 
+    def test_block_program_equals_composition_sum(self):
+        # the paper's sum, kept here as the reference
         for sizes, n_max in [((2,), 6), ((0, 2), 6), ((2, 3, 1), 4), ((1, 1, 1, 1), 3)]:
             for n in range(n_max + 1):
                 for targets in itertools.product(range(n + 1), repeat=len(sizes)):
-                    assert count_levels_blocks(sizes, n, targets) == literal(sizes, n, targets)
+                    assert count_levels_blocks(sizes, n, targets) == self.literal(sizes, n, targets)
 
     def test_unsigned_variant_is_wrong(self):
         # dropping the sign factor breaks already at two letters
-        assert _levels_blocks((1, 0), 2, (0, 0), signed=False) == 2
+        assert self.literal((1, 0), 2, (0, 0), signed=False) == 2
         assert count_levels_blocks((1, 0), 2, (0, 0)) == 0
 
 

@@ -165,14 +165,24 @@ class TestIdentityRows:
                     ), (n, r, s)
 
     def test_cells_beyond_the_row(self):
-        # r or s above n, which a row of s = 0..n does not reach
+        # s above n, which a row of s = 0..n does not reach
         for n in range(7):
-            for r in range(n + 3):
+            for r in range(n + 1):
                 for s in range(n + 3):
                     top = check_top_letter_identity(n, r, s)
                     assert (top.lhs, top.rhs) == (binom(r, s) * binom(n - r, s), self.top_letter(n, r, s))
                     bottom = check_two_bottom_identity(n, r, s)
                     assert (bottom.lhs, bottom.rhs) == (self.two_bottom_lhs(n, r, s), self.two_bottom(n, r, s))
+
+    def test_r_above_n_refused(self):
+        # at r > n the top-letter lhs C(r, s) C(n-r, s) is 1 at s = 0 and its rhs 0
+        for check in (check_top_letter_identity, check_two_bottom_identity):
+            with pytest.raises(InputError, match="r must be at most n, got r=5 > n=3"):
+                check(3, 5, 0)
+        for row in (identities.top_letter_row, identities.two_bottom_row):
+            for n in range(4):
+                with pytest.raises(InputError):
+                    row(n, n + 1)
 
     def test_forced_mismatch_fills_alt_rhs(self, monkeypatch):
         expand = identities.expand_shifted

@@ -210,6 +210,10 @@ class TestCountMatching:
     def test_empty_constraint_counts_everything(self):
         part = BlockPartition.threshold(3, 1)
         assert count_matching(3, 4, part, ConstraintSpec.of()) == 81
+        # both engines run and read their one entry
+        for k, n, part in [(1, 0, BlockPartition.threshold(1, 1)), (4, 3, BlockPartition.mod_residue(4, 3))]:
+            for engine in ("transfer", "oracle"):
+                assert count_matching(k, n, part, ConstraintSpec(), engine=engine) == k**n
 
     def test_even_start_descents(self):
         part = BlockPartition.mod_residue(4, 2)
@@ -237,6 +241,10 @@ class TestCountMatching:
         for engine in ("oracle", "transfer"):
             with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
                 coordinate_distribution(4, 2, part, [(4, "des")], engine=engine)
+        # the same message from the reduced DP, before the shape is checked
+        for n in (2, -1):
+            with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
+                statistic_distribution(4, n, part, [(1, "des"), (4, "lev")])
 
     @pytest.mark.parametrize(
         "k, n, part, message",
@@ -246,7 +254,7 @@ class TestCountMatching:
         ],
     )
     def test_engines_refuse_a_bad_shape_alike(self, k, n, part, message):
-        # also without constraints, where the transfer engine answers k**n unread
+        # also without constraints, where both engines still run and read one entry
         for spec in (ConstraintSpec(), ConstraintSpec.of((1, "des", 0))):
             for engine in ("transfer", "oracle"):
                 with pytest.raises(InputError) as caught:

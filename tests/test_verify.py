@@ -1,8 +1,46 @@
 import itertools
 
+import pytest
+
 from wordstats import formulas, verify
 from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
+
+
+class TestFormulasVsOracle:
+    def test_default_grid_result(self):
+        assert verify.formulas_vs_oracle() == verify.SuiteResult("formulas-vs-oracle", 12387, 0, None)
+
+    def test_injected_fault_skews_levels_threshold(self):
+        result = verify.formulas_vs_oracle(3, 4, corrupt=True)
+        assert result == verify.SuiteResult(
+            "formulas-vs-oracle", 1080, 90, "levels-threshold k=1 t=1 n=0 s=0"
+        )
+
+    @pytest.mark.parametrize(
+        "family, cell, key, name",
+        [
+            ("des-gt", (3, 1, 4), 2, "des-gt k=3 t=1 n=4 s=2"),
+            ("levels-blocks", ((1, 1, 1), 4), (1, 0, 1), "levels-blocks sizes=(1, 1, 1) n=4 targets=(1, 0, 1)"),
+            ("des-mod", (3, 4, 2, 5), 2, "des-mod s=3 alphabet=4 r=2 n=5 p=2"),
+        ],
+    )
+    def test_wrong_table_entry_is_caught_and_named(self, monkeypatch, family, cell, key, name):
+        table = formulas.DISTRIBUTIONS[family]
+        calls = []
+
+        def skewed(*params):
+            calls.append(params)
+            dist = table(*params)
+            if params == cell:
+                dist[key] = dist.get(key, 0) + 1
+            return dist
+
+        monkeypatch.setitem(formulas.DISTRIBUTIONS, family, skewed)
+        result = verify.formulas_vs_oracle(4, 6)
+        assert (result.failures, result.first_failure) == (1, name)
+        # one table per grid cell
+        assert calls.count(cell) == 1
 
 
 class TestHallRemmelSuite:
