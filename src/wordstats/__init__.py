@@ -11,7 +11,6 @@ ships the verification suites that pin them against each other.
 from .words import BlockPartition, DistPolynomial, InputError, stat_key
 from .oracle import (
     BudgetExceededError,
-    ConstraintSpec,
     brute_distribution,
     count_matching,
     rearrangement_distribution,
@@ -51,7 +50,6 @@ __all__ = [
     "BlockPartition",
     "BudgetExceededError",
     "CLOSED_FORMS",
-    "ConstraintSpec",
     "DistPolynomial",
     "IdentityReport",
     "InputError",

@@ -29,7 +29,6 @@ from . import verify
 from .formulas import check_params, distribution, evaluate
 from .oracle import (
     BudgetExceededError,
-    ConstraintSpec,
     coordinate_distribution,
     count_matching,
     rearrangement_distribution,
@@ -217,8 +216,8 @@ def _count(family: Family, args, params: tuple, value) -> int:
         return rearrangement_distribution(*params).get(value, 0)
     k, partition, coords = family.dp_query(*params)
     values = value if family.joint else (value,)
-    spec = ConstraintSpec.of(*[(block, stat, v) for (block, stat), v in zip(coords, values)])
-    return count_matching(k, args.n, partition, spec, engine=args.engine)
+    constraints = [(block, stat, v) for (block, stat), v in zip(coords, values)]
+    return count_matching(k, args.n, partition, constraints, engine=args.engine)
 
 
 def _table(family: Family, args, params: tuple) -> dict:

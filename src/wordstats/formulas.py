@@ -27,9 +27,10 @@ for a fixed alphabet.
 The joint level count over t blocks is a program over blocks keyed by
 each block's level slots b_i; its table expands every (u_i - 1)^(b_i)
 once at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
-``distribution`` returns a whole table of any family from one call, and
-every count is one entry of that table, read after the count's own
-parameter checks.
+``FAMILIES`` declares each family once, as its parameter checks and its
+table builder.  ``distribution`` returns a whole table of any family from
+one call, and every count is one entry of that table, read after the
+count's own parameter checks; the builders check nothing themselves.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def distribution(formula: str, params: Sequence) -> dict:
     Keys are statistic values, or target tuples for ``levels-blocks``;
     values the closed form gives as 0 may be present or absent.
     """
-    return _named(DISTRIBUTIONS, formula)(*params)
+    checks, table = _named(FAMILIES, formula)
+    checks(*params)
+    return table(*params)
 
 
 def check_params(formula: str, params: Sequence) -> None:
@@ -80,21 +83,18 @@ def check_params(formula: str, params: Sequence) -> None:
     checks, so an engine that validates through here refuses exactly the
     queries they refuse, with the same message.
     """
-    _named(CHECKS, formula)(*params)
+    _named(FAMILIES, formula)[0](*params)
 
 
 def _entry(formula: str, params: tuple, value):
     """A count: ``value``'s entry of the family's table, after the count's checks."""
-    check_params(formula, (*params, value))
-    return distribution(formula, params).get(value, 0)
+    checks, table = FAMILIES[formula]
+    checks(*params, value)
+    return table(*params).get(value, 0)
 
 
-# Smallest threshold t each threshold family accepts.
-LOWEST_THRESHOLD = {"levels-threshold": 1, "des-le": 1, "des-gt": 0}
-
-
-def _check_threshold(family: str, k: int, t: int, n: int, s: int = 0) -> None:
-    lowest = LOWEST_THRESHOLD[family]
+def _check_threshold(lowest: int, k: int, t: int, n: int, s: int = 0) -> None:
+    """Checks of a threshold family whose smallest threshold is ``lowest``."""
     if not lowest <= t <= k:
         raise InputError(f"threshold {t} outside {lowest}..{k}")
     _check_alphabet(k)
@@ -175,13 +175,11 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
 
 
 def _levels_threshold(k: int, t: int, n: int):
-    """The factor F of ``count_levels_threshold``, after checking its parameters.
+    """The factor F of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
     [x^(n-m)] ((k-t) + t/(1-x))^m = [x^n] F^m with F = x (k - (k-t)x) / (1-x).
     """
-    _check_threshold("levels-threshold", k, t, n)
-
     def times(series: list[int]) -> list[int]:
         # Times k - (k-t)x, then prefix sums for 1/(1-x).
         return list(accumulate(k * v - (k - t) * w for v, w in zip(series, [0, *series])))
@@ -271,7 +269,6 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     Block i contributes (u_i - 1)^(b_i), expanded once, one axis at a time.
     """
     sizes = tuple(block_sizes)
-    _check_blocks(sizes, n)
     joint = {
         (*slots, b): weight
         for slots, weights in _block_program(sizes, n).items()
@@ -302,13 +299,12 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
 
 
 def _des_le(k: int, t: int, n: int):
-    """The factor F of ``count_des_le``, after checking its parameters.
+    """The factor F of ``count_des_le``.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    _check_threshold("des-le", k, t, n)
     return _descent_factor(t, 1, 0, 1, t - k)
 
 
@@ -322,13 +318,12 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
 
 
 def _des_gt(k: int, t: int, n: int):
-    """The factor F of ``count_des_gt``, after checking its parameters.
+    """The factor F of ``count_des_gt``.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    _check_threshold("des-gt", k, t, n)
     return _descent_factor(k - t, 1, t, 1, 0)
 
 
@@ -355,7 +350,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     return _coefficients(_des_mod(s, alphabet, r, n, corrected=False), n).get(p, 0)
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
+def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool = True):
     """The factor F of ``count_des_mod``, or of the rejected readings if not ``corrected``.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
@@ -368,7 +363,6 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool):
     same F at t = 0, B = r-1; the rejected reading's base s-1 replaces r-1
     in both places.  In every regime B = (r-1-t) mod s.
     """
-    _check_des_mod(s, alphabet, r, n)
     kq, t = divmod(alphabet, s)
     if corrected:
         return _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s)
@@ -390,7 +384,7 @@ def hall_remmel_count(
 
 
 def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple:
-    """(outside, slots, n): all the closed form reads of rho, X and Y, after checking rho.
+    """(outside, slots, n): all the closed form reads of rho, X and Y.
 
     count(s) = prefactor sum_{r<=s} (-1)^(s-r) C(n+1, s-r) inner(r), with
     inner(r) = C(a+r, r) prod_x C(rho_x + r + alpha_x + beta_x, rho_x) over
@@ -400,8 +394,6 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
     alpha_x counts the outside letters above x and beta_x the non-bottom
     letters below x.
     """
-    rho = tuple(rho)
-    _check_class(rho)
     tops = frozenset(top_letters)
     bottoms = frozenset(bottom_letters)
     outside = tuple([0 if x in tops else reps for x, reps in enumerate(rho, start=1)])
@@ -448,23 +440,20 @@ CLOSED_FORMS = {
 }
 
 
-DISTRIBUTIONS = {
-    "levels-threshold": lambda k, t, n: _coefficients(_levels_threshold(k, t, n), n),
-    "levels-blocks": _levels_blocks_table,
-    "des-le": lambda k, t, n: _coefficients(_des_le(k, t, n), n),
-    "des-gt": lambda k, t, n: _coefficients(_des_gt(k, t, n), n),
-    "des-mod": lambda s, alphabet, r, n: _coefficients(
-        _des_mod(s, alphabet, r, n, corrected=True), n
-    ),
-    "hall-remmel": lambda rho, tops, bottoms: hall_remmel_table(
-        *hall_remmel_inputs(rho, tops, bottoms)
-    ),
-}
+def _factor_table(factor: Callable) -> Callable[..., dict[int, int]]:
+    """The table of a family whose counts are the coefficients of its factor F; n comes last."""
+    return lambda *params: _coefficients(factor(*params), params[-1])
 
 
-CHECKS = {
-    **{family: partial(_check_threshold, family) for family in LOWEST_THRESHOLD},
-    "levels-blocks": _check_blocks,
-    "des-mod": _check_des_mod,
-    "hall-remmel": _check_class,
+# Per family: (its parameter checks, its table builder, which runs no checks).
+FAMILIES = {
+    "levels-threshold": (partial(_check_threshold, 1), _factor_table(_levels_threshold)),
+    "levels-blocks": (_check_blocks, _levels_blocks_table),
+    "des-le": (partial(_check_threshold, 1), _factor_table(_des_le)),
+    "des-gt": (partial(_check_threshold, 0), _factor_table(_des_gt)),
+    "des-mod": (_check_des_mod, _factor_table(_des_mod)),
+    "hall-remmel": (
+        _check_class,
+        lambda rho, tops, bottoms: hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms)),
+    ),
 }

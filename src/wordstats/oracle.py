@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Sequence
 
@@ -44,12 +43,20 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
 
 
+def _amount(value: int) -> str:
+    """``value`` in decimal, or by its bit count where Python refuses to print it."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"a {value.bit_length()}-bit number of"
+
+
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured budget."""
 
     def __init__(self, required: int, limit: int):
         super().__init__(
-            f"enumeration needs {required} words, over the budget of {limit} "
+            f"enumeration needs {_amount(required)} words, over the budget of {_amount(limit)} "
             f"(override with an explicit budget or {BUDGET_ENV_VAR})"
         )
         self.required = required
@@ -228,23 +235,6 @@ def statistic_distribution(
     return {_unpack(key, len(indexed), n + 1): count for key, count in packed.items()}
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Exact-value requirements on selected (block, statistic) coordinates."""
-
-    exact: tuple[tuple[int, str, int], ...] = ()
-
-    @classmethod
-    def of(cls, *clauses: tuple[int, str, int]) -> "ConstraintSpec":
-        return cls(tuple(clauses))
-
-    def validate(self, partition: BlockPartition) -> None:
-        for block, stat, value in self.exact:
-            _check_coordinate(partition, block, stat)
-            if value < 0:
-                raise InputError(f"constraint value must be nonnegative, got {value}")
-
-
 def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> None:
     if not 1 <= block <= partition.t:
         raise InputError(
@@ -281,17 +271,20 @@ def count_matching(
     k: int,
     n: int,
     partition: BlockPartition,
-    constraints: ConstraintSpec,
+    constraints: Sequence[tuple[int, str, int]],
     engine: str = "transfer",
     budget: int | None = None,
 ) -> int:
-    """Number of words of [k]^n whose statistics satisfy every constraint.
+    """Number of words of [k]^n whose statistics meet every (block, statistic, value).
 
-    One entry of ``coordinate_distribution``, also without constraints.
+    One entry of ``coordinate_distribution``, which checks the coordinates,
+    also without constraints.
     """
-    constraints.validate(partition)
-    coords = [(block, stat) for block, stat, _ in constraints.exact]
-    target = tuple(value for _, _, value in constraints.exact)
+    coords = [(block, stat) for block, stat, _ in constraints]
+    target = tuple(value for _, _, value in constraints)
+    for value in target:
+        if value < 0:
+            raise InputError(f"constraint value must be nonnegative, got {value}")
     dist = coordinate_distribution(k, n, partition, coords, engine=engine, budget=budget)
     return dist.get(target, 0)
 
@@ -315,8 +308,9 @@ def rearrangement_distribution(
         raise InputError(f"multiplicities must be nonnegative, got {rho}")
     n = sum(rho)
     limit = resolve_budget(budget)
-    if factorial(n) > limit:
-        raise BudgetExceededError(factorial(n), limit)
+    required = factorial(n)
+    if required > limit:
+        raise BudgetExceededError(required, limit)
     return pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
 
 

@@ -12,7 +12,7 @@ No field carries silently: the total degree bounds every exponent, so a
 key sum carries only if its degree field overflows, which puts it at or
 above 2**(FIELD_BITS * (len(names) + 1)), and ``from_keys`` refuses such
 a key with ``InputError``.  Keys are decoded only where exponents are
-shown: ``exponents``, ``sorted_terms`` and ``__str__``.
+shown: ``exponents`` and ``__str__``.
 """
 
 from __future__ import annotations
@@ -136,19 +136,9 @@ class Polynomial:
             return self.names == other.names and self.terms == other.terms
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
-
     def exponents(self) -> dict[tuple[int, ...], int]:
         """Terms keyed by exponent tuples, in the order of ``names``."""
         return {decode(key, len(self.names)): c for key, c in self.terms.items()}
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in canonical order: graded, then lexicographic."""
-        return [(decode(key, len(self.names)), c) for key, c in sorted(self.terms.items())]
 
     def __str__(self) -> str:
         arity = len(self.names)

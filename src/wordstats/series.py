@@ -162,11 +162,6 @@ class TrackingSpec:
         return cls(flags, flags, flags, per_block_q=True)
 
     @classmethod
-    def nothing(cls, t: int) -> "TrackingSpec":
-        flags = (False,) * t
-        return cls(flags, flags, flags, per_block_q=False)
-
-    @classmethod
     def only(cls, t: int, tracked: set[str], per_block_q: bool = False) -> "TrackingSpec":
         """Track just the named markers, e.g. {"x2", "z1"}."""
         groups = {"x": [False] * t, "y": [False] * t, "z": [False] * t}

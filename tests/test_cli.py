@@ -115,6 +115,23 @@ class TestCount:
         assert code == cli.EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [
+            # brute force charges k**n = 2**15000, the rearrangement oracle n! = 2000!
+            (["count", "des-le", "--k", "2", "--t", "1", "--n", "15000", "--s", "0"], 15001),
+            (["table", "hall-remmel", "--rho", "2000", "--x", "1", "--y", "1"], 19053),
+        ],
+    )
+    def test_charge_too_large_to_print_exits_3(self, capsys, monkeypatch, argv, bits):
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        code, out, err = run(capsys, *argv, "--engine", "oracle")
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert err.splitlines() == [
+            f"error: enumeration needs a {bits}-bit number of words, over the budget of "
+            f"{oracle.DEFAULT_ENUMERATION_BUDGET} (override with an explicit budget or {BUDGET_ENV_VAR})"
+        ]
+
     def test_unknown_family_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "des-sideways", "--k", "2"])

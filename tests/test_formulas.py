@@ -20,6 +20,7 @@ from wordstats import (
 )
 from wordstats import combinat, formulas
 from wordstats.combinat import binom, compositions, multinomial, sign, signed_row
+from wordstats.formulas import check_params
 
 
 class TestEvaluate:
@@ -105,7 +106,8 @@ class TestDistribution:
         }
         assert set(queries) == set(CLOSED_FORMS)
         for family, (params, value) in queries.items():
-            monkeypatch.setitem(formulas.DISTRIBUTIONS, family, lambda *_: {value: -7})
+            checks, _ = formulas.FAMILIES[family]
+            monkeypatch.setitem(formulas.FAMILIES, family, (checks, lambda *_: {value: -7}))
             assert evaluate(family, (*params, value)) == -7, family
 
     def test_validation_matches_counts(self):
@@ -119,8 +121,18 @@ class TestDistribution:
             ("levels-blocks", ((1, 1), -1)),
             ("hall-remmel", ((1, -3), {1}, {1})),
         ]:
-            with pytest.raises(InputError):
-                distribution(family, params)
+            # a table, the checks alone and a count refuse alike: one family, one check
+            value = (0,) * len(params[0]) if family == "levels-blocks" else 0
+            messages = set()
+            for refuse in (
+                lambda: distribution(family, params),
+                lambda: check_params(family, params),
+                lambda: evaluate(family, (*params, value)),
+            ):
+                with pytest.raises(InputError) as caught:
+                    refuse()
+                messages.add(str(caught.value))
+            assert len(messages) == 1, (family, params, messages)
 
     def test_unknown_formula(self):
         with pytest.raises(InputError):

@@ -7,7 +7,6 @@ import pytest
 from wordstats import (
     BlockPartition,
     BudgetExceededError,
-    ConstraintSpec,
     InputError,
     brute_distribution,
     count_matching,
@@ -204,25 +203,23 @@ class TestTransferKernel:
 class TestCountMatching:
     def test_single_descent_block_one(self):
         part = BlockPartition.threshold(2, 2)
-        spec = ConstraintSpec.of((1, "des", 1))
-        assert count_matching(2, 2, part, spec) == 1  # only 21
+        assert count_matching(2, 2, part, [(1, "des", 1)]) == 1  # only 21
 
     def test_empty_constraint_counts_everything(self):
         part = BlockPartition.threshold(3, 1)
-        assert count_matching(3, 4, part, ConstraintSpec.of()) == 81
+        assert count_matching(3, 4, part, []) == 81
         # both engines run and read their one entry
         for k, n, part in [(1, 0, BlockPartition.threshold(1, 1)), (4, 3, BlockPartition.mod_residue(4, 3))]:
             for engine in ("transfer", "oracle"):
-                assert count_matching(k, n, part, ConstraintSpec(), engine=engine) == k**n
+                assert count_matching(k, n, part, [], engine=engine) == k**n
 
     def test_even_start_descents(self):
         part = BlockPartition.mod_residue(4, 2)
-        spec = ConstraintSpec.of((2, "des", 1))
-        assert count_matching(4, 2, part, spec) == 4  # 21, 41, 42, 43
+        assert count_matching(4, 2, part, [(2, "des", 1)]) == 4  # 21, 41, 42, 43
 
     def test_engines_agree(self):
         part = BlockPartition.mod_residue(3, 2)
-        spec = ConstraintSpec.of((1, "des", 1), (2, "cnt", 1))
+        spec = [(1, "des", 1), (2, "cnt", 1)]
         for n in range(5):
             assert count_matching(3, n, part, spec, engine="oracle") == count_matching(
                 3, n, part, spec, engine="transfer"
@@ -255,7 +252,7 @@ class TestCountMatching:
     )
     def test_engines_refuse_a_bad_shape_alike(self, k, n, part, message):
         # also without constraints, where both engines still run and read one entry
-        for spec in (ConstraintSpec(), ConstraintSpec.of((1, "des", 0))):
+        for spec in ([], [(1, "des", 0)]):
             for engine in ("transfer", "oracle"):
                 with pytest.raises(InputError) as caught:
                     count_matching(k, n, part, spec, engine=engine)
@@ -264,11 +261,14 @@ class TestCountMatching:
     def test_unknown_block_rejected(self):
         part = BlockPartition.threshold(2, 1)
         with pytest.raises(InputError):
-            count_matching(2, 2, part, ConstraintSpec.of((5, "des", 0)))
+            count_matching(2, 2, part, [(5, "des", 0)])
         with pytest.raises(InputError):
-            count_matching(2, 2, part, ConstraintSpec.of((1, "slope", 0)))
+            count_matching(2, 2, part, [(1, "slope", 0)])
         with pytest.raises(InputError):
-            count_matching(2, 2, part, ConstraintSpec.of((1, "des", 0)), engine="fast")
+            count_matching(2, 2, part, [(1, "des", 0)], engine="fast")
+        for engine in ("transfer", "oracle"):
+            with pytest.raises(InputError, match="constraint value must be nonnegative, got -1"):
+                count_matching(2, 2, part, [(1, "des", -1)], engine=engine)
 
 
 class TestRearrangementDistribution:

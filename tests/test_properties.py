@@ -25,7 +25,6 @@ from wordstats import (
     formulas,
     transfer_distribution,
 )
-from wordstats.formulas import LOWEST_THRESHOLD
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -36,6 +35,9 @@ COUNTS = {
     "des-gt": formulas.count_des_gt,
     "des-mod": formulas.count_des_mod,
 }
+
+# Smallest threshold t each threshold family accepts.
+LOWEST_THRESHOLD = {"levels-threshold": 1, "des-le": 1, "des-gt": 0}
 
 
 def call(*argv):
