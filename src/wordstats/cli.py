@@ -9,10 +9,11 @@ any consumer.  Exit codes are part of the contract:
     2  invalid usage or parameters
     3  enumeration budget exceeded
 
-``FAMILIES`` is the one place a statistic family of ``count`` and
-``table`` is defined: its options, its closed-form parameters, its query
-on the oracle and transfer engines, and the shape of its table.  Every
-engine checks a query with the closed forms' own checks
+``FAMILIES`` holds a statistic family's command line for ``count`` and
+``table``: its options, its closed-form parameters and the shape of its
+table.  Its parameter checks, its closed-form table and its query on the
+oracle and transfer engines are declared once, in ``formulas.FAMILIES``.
+Every engine checks a query with the closed forms' own checks
 (``formulas.check_params``) before it does any work.
 """
 
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from . import verify
+from . import formulas, verify
 from .formulas import check_params, distribution, evaluate
 from .oracle import (
     BudgetExceededError,
@@ -101,40 +102,27 @@ def _dest(flag: str) -> str:
 
 @dataclass(frozen=True)
 class Family:
-    """How ``count`` and ``table`` read, check and answer one statistic family.
+    """How ``count`` and ``table`` read one statistic family's command line.
 
     ``options`` are the (flag, type, help) of the query options, in the
     order the ``parameters`` echo lists them; ``statistic`` is the option
     ``count`` adds.  ``params`` builds the closed-form parameters from the
-    parsed arguments, and ``dp_query`` turns them into (alphabet size,
-    partition, coordinates) for the oracle and transfer engines; a family
-    without one is answered by the rearrangement oracle.  A ``joint``
-    table is keyed by target tuples, one per block; any other table has a
-    row for each statistic value up to ``ceiling(params)``.
+    parsed arguments.  A ``joint`` table is keyed by target tuples, one per
+    block; any other table has a row for each statistic value up to the
+    largest one with a nonzero count.
     """
 
     options: tuple[tuple[str, type | None, str | None], ...]
     statistic: tuple[str, type | None, str | None]
     params: Callable[[argparse.Namespace], tuple]
-    dp_query: Callable[..., tuple] | None
     joint: bool = False
-    ceiling: Callable[[tuple], int] = lambda params: params[-1]
 
 
-def _threshold_family(coordinate: tuple[int, str]) -> Family:
-    """A family read off one coordinate of the threshold partition at t."""
-    return Family(
-        options=(("--k", int, None), ("--t", int, None), ("--n", int, None)),
-        statistic=("--s", int, None),
-        params=lambda args: (args.k, args.t, args.n),
-        dp_query=lambda k, t, n: (k, BlockPartition.threshold(k, t), [coordinate]),
-    )
-
-
-def _levels_blocks_query(sizes: tuple[int, ...], n: int):
-    blocks = [block for block, size in enumerate(sizes, start=1) for _ in range(size)]
-    coords = [(block, "lev") for block in range(1, len(sizes) + 1)]
-    return sum(sizes), BlockPartition.from_blocks(blocks, t=len(sizes)), coords
+_THRESHOLD = Family(
+    options=(("--k", int, None), ("--t", int, None), ("--n", int, None)),
+    statistic=("--s", int, None),
+    params=lambda args: (args.k, args.t, args.n),
+)
 
 
 def _hall_remmel_params(args) -> tuple:
@@ -143,16 +131,15 @@ def _hall_remmel_params(args) -> tuple:
 
 
 FAMILIES = {
-    "levels-threshold": _threshold_family((1, "lev")),
+    "levels-threshold": _THRESHOLD,
     "levels-blocks": Family(
         options=(("--block-sizes", None, None), ("--n", int, None)),
         statistic=("--targets", None, None),
         params=lambda args: (_parse_int_list(args.block_sizes), args.n),
-        dp_query=_levels_blocks_query,
         joint=True,
     ),
-    "des-le": _threshold_family((1, "des")),
-    "des-gt": _threshold_family((2, "des")),
+    "des-le": _THRESHOLD,
+    "des-gt": _THRESHOLD,
     "des-mod": Family(
         options=(
             ("--s", int, "modulus (number of residue classes)"),
@@ -162,9 +149,6 @@ FAMILIES = {
         ),
         statistic=("--p", int, "descent count"),
         params=lambda args: (args.s, args.alphabet, args.r, args.n),
-        dp_query=lambda s, alphabet, r, n: (
-            alphabet, BlockPartition.mod_residue(alphabet, s), [(r, "des")]
-        ),
     ),
     "hall-remmel": Family(
         options=(
@@ -174,8 +158,6 @@ FAMILIES = {
         ),
         statistic=("--s", int, None),
         params=_hall_remmel_params,
-        dp_query=None,
-        ceiling=lambda params: sum(params[0]),
     ),
 }
 
@@ -195,7 +177,7 @@ def _statistic_value(family: Family, args):
 def _checked_params(family: Family, args, value: tuple = ()) -> tuple:
     """A query's closed-form parameters, checked by the closed forms on every engine."""
     params = family.params(args)
-    if family.dp_query is None and args.engine == "transfer":
+    if formulas.FAMILIES[args.family].query is None and args.engine == "transfer":
         raise InputError(f"{args.family} supports the closed-form and oracle engines")
     check_params(args.family, params + value)
     return params
@@ -212,9 +194,10 @@ def _parameters(family: Family, args) -> dict:
 def _count(family: Family, args, params: tuple, value) -> int:
     if args.engine == "closed-form":
         return evaluate(args.family, params + (value,))
-    if family.dp_query is None:
+    query = formulas.FAMILIES[args.family].query
+    if query is None:
         return rearrangement_distribution(*params).get(value, 0)
-    k, partition, coords = family.dp_query(*params)
+    k, partition, coords = query(*params)
     values = value if family.joint else (value,)
     constraints = [(block, stat, v) for (block, stat), v in zip(coords, values)]
     return count_matching(k, args.n, partition, constraints, engine=args.engine)
@@ -224,9 +207,10 @@ def _table(family: Family, args, params: tuple) -> dict:
     """Every row of a table from one engine call."""
     if args.engine == "closed-form":
         return distribution(args.family, params)
-    if family.dp_query is None:
+    query = formulas.FAMILIES[args.family].query
+    if query is None:
         return rearrangement_distribution(*params)
-    k, partition, coords = family.dp_query(*params)
+    k, partition, coords = query(*params)
     dist = coordinate_distribution(k, args.n, partition, coords, engine=args.engine)
     return dist if family.joint else {key[0]: count for key, count in dist.items()}
 
@@ -250,15 +234,10 @@ def _cmd_table(args) -> int:
             for targets, count in sorted(dist.items())
             if count
         ]
-        total = sum(dist.values())
     else:
-        counts = [dist.get(value, 0) for value in range(family.ceiling(params) + 1)]
-        while len(counts) > 1 and counts[-1] == 0:
-            counts.pop()
-        rows = [
-            {"value": value, "count": str(count)} for value, count in enumerate(counts)
-        ]
-        total = sum(counts)
+        top = max((value for value, count in dist.items() if count), default=0)
+        rows = [{"value": value, "count": str(dist.get(value, 0))} for value in range(top + 1)]
+    total = sum(dist.values())
     record = _record(
         "table", _parameters(family, args), args.engine, {"rows": rows, "total": str(total)}
     )

@@ -27,10 +27,12 @@ for a fixed alphabet.
 The joint level count over t blocks is a program over blocks keyed by
 each block's level slots b_i; its table expands every (u_i - 1)^(b_i)
 once at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
-``FAMILIES`` declares each family once, as its parameter checks and its
-table builder.  ``distribution`` returns a whole table of any family from
-one call, and every count is one entry of that table, read after the
-count's own parameter checks; the builders check nothing themselves.
+``FAMILIES`` declares each family once: its parameter checks, its table
+builder, and its word DP query, the (alphabet, partition, coordinates) of
+the statistic it counts, which the CLI's oracle and transfer engines and
+the verification suites read.  ``distribution`` returns a whole table of
+any family from one call, and every count is one entry of that table,
+read after the count's own parameter checks; the builders check nothing.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from functools import partial
 from itertools import accumulate
 from math import comb
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
 from .combinat import binom, expand_shifted, multinomial, signed_row
-from .words import InputError
+from .words import BlockPartition, InputError
 
 
 def _named(table: dict, formula: str):
@@ -70,9 +72,9 @@ def distribution(formula: str, params: Sequence) -> dict:
     Keys are statistic values, or target tuples for ``levels-blocks``;
     values the closed form gives as 0 may be present or absent.
     """
-    checks, table = _named(FAMILIES, formula)
-    checks(*params)
-    return table(*params)
+    family = _named(FAMILIES, formula)
+    family.checks(*params)
+    return family.table(*params)
 
 
 def check_params(formula: str, params: Sequence) -> None:
@@ -83,14 +85,14 @@ def check_params(formula: str, params: Sequence) -> None:
     checks, so an engine that validates through here refuses exactly the
     queries they refuse, with the same message.
     """
-    _named(FAMILIES, formula)[0](*params)
+    _named(FAMILIES, formula).checks(*params)
 
 
 def _entry(formula: str, params: tuple, value):
     """A count: ``value``'s entry of the family's table, after the count's checks."""
-    checks, table = FAMILIES[formula]
-    checks(*params, value)
-    return table(*params).get(value, 0)
+    family = FAMILIES[formula]
+    family.checks(*params, value)
+    return family.table(*params).get(value, 0)
 
 
 def _check_threshold(lowest: int, k: int, t: int, n: int, s: int = 0) -> None:
@@ -217,6 +219,13 @@ def _check_blocks(
         raise InputError(f"length must be nonnegative, got {n}")
 
 
+def _levels_blocks_query(block_sizes: Sequence[int], n: int) -> tuple:
+    """Block i of the partition holds block_sizes[i] letters; every block's levels are read."""
+    blocks = [block for block, size in enumerate(block_sizes, start=1) for _ in range(size)]
+    coords = [(block, "lev") for block in range(1, len(block_sizes) + 1)]
+    return sum(block_sizes), BlockPartition.from_blocks(blocks, t=len(block_sizes)), coords
+
+
 def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], list[int]]:
     """The levels-blocks sum over every (a_i, b_i): (b_1, ..., b_(t-1)) -> weights over b_t.
 
@@ -337,6 +346,11 @@ def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
     return _entry("des-mod", (s, alphabet, r, n), p)
 
 
+def _des_mod_query(s: int, alphabet: int, r: int, n: int) -> tuple:
+    """Descents charged to block r of the residue partition mod s."""
+    return alphabet, BlockPartition.mod_residue(alphabet, s), [(r, "des")]
+
+
 def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> int:
     """Transcription variants of ``count_des_mod`` that cross-validation rejects.
 
@@ -445,15 +459,37 @@ def _factor_table(factor: Callable) -> Callable[..., dict[int, int]]:
     return lambda *params: _coefficients(factor(*params), params[-1])
 
 
-# Per family: (its parameter checks, its table builder, which runs no checks).
+class FamilyForms(NamedTuple):
+    """A family's parameter checks, its table builder (which checks nothing) and its query.
+
+    ``query(*params)`` is the word DP's (alphabet, partition, coordinates)
+    of the statistic the family counts; the partition never depends on the
+    length n.  ``hall-remmel`` has no word DP query.
+    """
+
+    checks: Callable[..., None]
+    table: Callable[..., dict]
+    query: Callable[..., tuple] | None
+
+
+def _threshold_family(lowest: int, factor: Callable, coordinate: tuple[int, str]) -> FamilyForms:
+    """Thresholds from ``lowest``, counts off ``factor``, one coordinate of the partition at t."""
+    return FamilyForms(
+        partial(_check_threshold, lowest),
+        _factor_table(factor),
+        lambda k, t, n: (k, BlockPartition.threshold(k, t), [coordinate]),
+    )
+
+
 FAMILIES = {
-    "levels-threshold": (partial(_check_threshold, 1), _factor_table(_levels_threshold)),
-    "levels-blocks": (_check_blocks, _levels_blocks_table),
-    "des-le": (partial(_check_threshold, 1), _factor_table(_des_le)),
-    "des-gt": (partial(_check_threshold, 0), _factor_table(_des_gt)),
-    "des-mod": (_check_des_mod, _factor_table(_des_mod)),
-    "hall-remmel": (
+    "levels-threshold": _threshold_family(1, _levels_threshold, (1, "lev")),
+    "levels-blocks": FamilyForms(_check_blocks, _levels_blocks_table, _levels_blocks_query),
+    "des-le": _threshold_family(1, _des_le, (1, "des")),
+    "des-gt": _threshold_family(0, _des_gt, (2, "des")),
+    "des-mod": FamilyForms(_check_des_mod, _factor_table(_des_mod), _des_mod_query),
+    "hall-remmel": FamilyForms(
         _check_class,
         lambda rho, tops, bottoms: hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms)),
+        None,
     ),
 }

@@ -31,10 +31,6 @@ class IdentityReport:
     alt_rhs: int | None = None
 
     @property
-    def verdict(self) -> str:
-        return "equal" if self.lhs == self.rhs else "unequal"
-
-    @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 

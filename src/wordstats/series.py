@@ -102,15 +102,6 @@ class PowerSeries:
             out.append(Polynomial.from_keys(self.names, acc))
         return PowerSeries(self.var, self.names, out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return (
-            self.var == other.var
-            and self.names == other.names
-            and self.coeffs == other.coeffs
-        )
-
 
 def _sum_of_products(*pairs: tuple[PowerSeries, PowerSeries]) -> PowerSeries:
     """sum(left * right for left, right in pairs), one dict per output coefficient."""

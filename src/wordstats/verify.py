@@ -32,25 +32,21 @@ from .combinat import compositions
 @dataclass
 class SuiteResult:
     suite: str
-    checked: int
-    failures: int
+    checked: int = 0
+    failures: int = 0
     first_failure: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
 
-
-class _Tally:
-    def __init__(self, suite: str):
-        self.result = SuiteResult(suite, 0, 0)
-
     def record(self, ok: bool, describe) -> None:
-        self.result.checked += 1
+        """Count one check; ``describe()`` names the first one that fails."""
+        self.checked += 1
         if not ok:
-            self.result.failures += 1
-            if self.result.first_failure is None:
-                self.result.first_failure = describe()
+            self.failures += 1
+            if self.first_failure is None:
+                self.first_failure = describe()
 
 
 def _grid_partitions(k: int, moduli=(2, 3)) -> list[BlockPartition]:
@@ -59,24 +55,24 @@ def _grid_partitions(k: int, moduli=(2, 3)) -> list[BlockPartition]:
     return parts
 
 
-def oracle_vs_transfer(k_max: int = 4, n_max: int = 8, budget: int | None = None) -> SuiteResult:
+def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
     """Exhaustive enumeration against the dynamic program, full joint equality."""
-    tally = _Tally("oracle-vs-transfer")
+    result = SuiteResult("oracle-vs-transfer")
     for k in range(1, k_max + 1):
         for partition in _grid_partitions(k):
             for n in range(n_max + 1):
-                brute = brute_distribution(k, n, partition, budget=budget)
+                brute = brute_distribution(k, n, partition)
                 transfer = transfer_distribution(k, n, partition)
-                tally.record(
+                result.record(
                     brute == transfer and brute.total() == k**n,
                     lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
                 )
-    return tally.result
+    return result
 
 
 def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     """Fully tracked word-series coefficients against the transfer oracle."""
-    tally = _Tally("series-vs-oracle")
+    result = SuiteResult("series-vs-oracle")
     for k in range(1, k_max + 1):
         for partition in _grid_partitions(k):
             spec = TrackingSpec.all_tracked(partition.t)
@@ -84,11 +80,25 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
             for n in range(n_max + 1):
                 got = coefficient_distribution(series, spec, partition, n)
                 want = transfer_distribution(k, n, partition)
-                tally.record(
+                result.record(
                     got == want,
                     lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
                 )
-    return tally.result
+    return result
+
+
+def _query(family: str, *params) -> tuple:
+    """``family``'s declared word DP query, for every length: its partition never depends on n."""
+    return formulas.FAMILIES[family].query(*params, 0)
+
+
+def _table_vs_oracle(family: str, query: tuple, params: tuple) -> list[tuple[int, int]]:
+    """(closed form, oracle marginal on ``query``) per statistic value 0..n; n ends ``params``."""
+    alphabet, partition, coords = query
+    n = params[-1]
+    table = formulas.distribution(family, params)
+    marginal = statistic_distribution(alphabet, n, partition, coords)
+    return [(table.get(value, 0), marginal.get((value,), 0)) for value in range(n + 1)]
 
 
 def formulas_vs_oracle(
@@ -100,73 +110,67 @@ def formulas_vs_oracle(
     entry with the oracle's marginal, one check per statistic value.
     """
     skew = 1 if corrupt else 0
-    tally = _Tally("formulas-vs-oracle")
+    result = SuiteResult("formulas-vs-oracle")
 
     for k in range(1, alphabet_max + 1):
         for t in range(0, k + 1):
-            partition = BlockPartition.threshold(k, t)
-            # (family, oracle coordinate, skew); levels-threshold and des-le need t >= 1.
-            cells = [("levels-threshold", (1, "lev"), skew), ("des-le", (1, "des"), 0)] if t else []
-            cells.append(("des-gt", (2, "des"), 0))
-            for n in range(n_max + 1):
-                pairs = [
-                    (family, formulas.distribution(family, (k, t, n)),
-                     statistic_distribution(k, n, partition, [coord]), shift)
-                    for family, coord, shift in cells
-                ]
-                for s in range(n + 1):
-                    for family, table, marginal, shift in pairs:
-                        tally.record(
-                            table.get(s, 0) + shift == marginal.get((s,), 0),
+            # levels-threshold and des-le need t >= 1; only levels-threshold is skewed.
+            for family in (["levels-threshold", "des-le"] if t else []) + ["des-gt"]:
+                query = _query(family, k, t)
+                shift = skew if family == "levels-threshold" else 0
+                for n in range(n_max + 1):
+                    for s, (got, want) in enumerate(_table_vs_oracle(family, query, (k, t, n))):
+                        result.record(
+                            got + shift == want,
                             lambda family=family, k=k, t=t, n=n, s=s: f"{family} k={k} t={t} n={n} s={s}",
                         )
 
+    # Level counts depend on a partition only through its block sizes: run on the grid's own.
     for k in range(1, alphabet_max + 1):
         for partition in _grid_partitions(k):
             sizes = partition.block_sizes()
-            coords = [(i, "lev") for i in range(1, partition.t + 1)]
+            _, _, coords = _query("levels-blocks", sizes)
             for n in range(n_max + 1):
                 joint = statistic_distribution(k, n, partition, coords)
                 table = formulas.distribution("levels-blocks", (sizes, n))
                 for targets in itertools.product(range(n + 1), repeat=partition.t):
                     if sum(targets) > max(n - 1, 0):
                         continue
-                    tally.record(
+                    result.record(
                         table.get(targets, 0) == joint.get(targets, 0),
                         lambda sizes=sizes, n=n, targets=targets: f"levels-blocks sizes={sizes} n={n} targets={targets}",
                     )
 
     for alphabet in range(1, alphabet_max + 1):
         for s in range(2, alphabet_max + 2):
-            partition = BlockPartition.mod_residue(alphabet, s)
-            for n in range(n_max + 1):
-                for r in range(1, s + 1):
-                    marginal = statistic_distribution(alphabet, n, partition, [(r, "des")])
-                    table = formulas.distribution("des-mod", (s, alphabet, r, n))
-                    for p in range(n + 1):
-                        tally.record(
-                            table.get(p, 0) == marginal.get((p,), 0),
+            for r in range(1, s + 1):
+                query = _query("des-mod", s, alphabet, r)
+                for n in range(n_max + 1):
+                    rows = _table_vs_oracle("des-mod", query, (s, alphabet, r, n))
+                    for p, (got, want) in enumerate(rows):
+                        result.record(
+                            got == want,
                             lambda s=s, alphabet=alphabet, r=r, n=n, p=p: f"des-mod s={s} alphabet={alphabet} r={r} n={n} p={p}",
                         )
-    return tally.result
+    return result
 
 
 def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteResult:
     """Both binomial identities on their full grids, plus the direct counts."""
-    tally = _Tally("identities")
+    result = SuiteResult("identities")
     rows = ((identities.top_letter_row, top_n_max), (identities.two_bottom_row, two_bottom_n_max))
     for row, n_max in rows:
         for n in range(n_max + 1):
             for r in range(n + 1):
                 for report in row(n, r):
-                    tally.record(
+                    result.record(
                         report.ok,
                         lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
                     )
     for k in range(1, 7):
         for n in range(9):
             for s in range(n + 1):
-                tally.record(
+                result.record(
                     identities.direct_count_top_letter(k, n, s)
                     == formulas.count_des_gt(k, k - 1, n, s),
                     lambda k=k, n=n, s=s: f"direct-top k={k} n={n} s={s}",
@@ -174,12 +178,12 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
     for k in range(2, 7):
         for n in range(9):
             for s in range(n + 1):
-                tally.record(
+                result.record(
                     identities.direct_count_two_bottom(k, n, s)
                     == formulas.count_des_le(k, 2, n, s),
                     lambda k=k, n=n, s=s: f"direct-two-bottom k={k} n={n} s={s}",
                 )
-    return tally.result
+    return result
 
 
 def hall_remmel_suite(
@@ -198,7 +202,7 @@ def hall_remmel_suite(
     over every rearrangement class of a given weight, reproduces the
     residue-class descent count with modulus 2.
     """
-    tally = _Tally("hall-remmel")
+    result = SuiteResult("hall-remmel")
     for m in range(1, m_max + 1):
         letters = range(1, m + 1)
         subsets = [
@@ -220,7 +224,7 @@ def hall_remmel_suite(
                         inputs = formulas.hall_remmel_inputs(rho, tops, bottoms)
                         if inputs not in closed_by_inputs:
                             closed_by_inputs[inputs] = formulas.hall_remmel_table(*inputs)
-                        tally.record(
+                        result.record(
                             closed_by_inputs[inputs] == oracle_by_pairs[pairs],
                             lambda rho=rho, tops=tops, bottoms=bottoms: f"rearrangement rho={rho} X={sorted(tops)} Y={sorted(bottoms)}",
                         )
@@ -236,11 +240,11 @@ def hall_remmel_suite(
                     summed[p] += table[p]
             residue = formulas.distribution("des-mod", (2, alphabet, 2, n))
             for p in range(n + 1):
-                tally.record(
+                result.record(
                     summed[p] == residue.get(p, 0),
                     lambda alphabet=alphabet, n=n, p=p: f"even-words-sum alphabet={alphabet} n={n} p={p}",
                 )
-    return tally.result
+    return result
 
 
 # Deliberately independent of words.stat_key, so the duality suite shares no code with the engines.
@@ -269,7 +273,7 @@ def duality_suite(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     class ((k - r) mod s) + 1, which reduces to class s + 1 - r when the
     alphabet size is a multiple of s.
     """
-    tally = _Tally("dualities")
+    result = SuiteResult("dualities")
     for k in range(1, k_max + 1):
         threshold_sets = [
             (
@@ -297,7 +301,7 @@ def duality_suite(k_max: int = 4, n_max: int = 6) -> SuiteResult:
             for letters in itertools.product(range(1, k + 1), repeat=n):
                 mirror = tuple(k + 1 - x for x in letters)
                 for low, low_mirror, high, high_mirror in threshold_sets:
-                    tally.record(
+                    result.record(
                         _des_in(letters, low) == _ris_in(mirror, low_mirror)
                         and _des_in(letters, high) == _ris_in(mirror, high_mirror),
                         lambda k=k, letters=letters, low=low: (
@@ -305,13 +309,13 @@ def duality_suite(k_max: int = 4, n_max: int = 6) -> SuiteResult:
                         ),
                     )
                 for s, r, members, image_members in residue_sets:
-                    tally.record(
+                    result.record(
                         _des_in(letters, members) == _ris_in(mirror, image_members),
                         lambda k=k, letters=letters, s=s, r=r: (
                             f"residue duality k={k} word={letters} s={s} r={r}"
                         ),
                     )
-    return tally.result
+    return result
 
 
 def series_weight_suite(k_max: int = 3, n_max: int = 4) -> SuiteResult:
@@ -322,7 +326,7 @@ def series_weight_suite(k_max: int = 3, n_max: int = 4) -> SuiteResult:
     q^n coefficient of the word series, provided the truncation reaches
     k*n.
     """
-    tally = _Tally("series-weight-compatibility")
+    result = SuiteResult("series-weight-compatibility")
     for k in range(1, k_max + 1):
         for partition in [BlockPartition.threshold(k, 1), BlockPartition.mod_residue(k, 2)]:
             t = partition.t
@@ -340,11 +344,11 @@ def series_weight_suite(k_max: int = 3, n_max: int = 4) -> SuiteResult:
                             key = tuple(e for i, e in enumerate(exps) if i != q_pos)
                             collected[key] = collected.get(key, 0) + coeff
                 collected = {key: c for key, c in collected.items() if c}
-                tally.record(
+                result.record(
                     collected == word_series.coefficient(n).exponents(),
                     lambda k=k, n=n, partition=partition: f"weight-compat k={k} n={n} partition={partition.blocks}",
                 )
-    return tally.result
+    return result
 
 
 @dataclass
@@ -369,17 +373,14 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
     the oracle over the whole grid while the rejected variant must break
     on at least one tuple.
     """
-    cases = {
-        "aligned-power-base": ErrataCase("aligned-power-base", True, None),
-        "offset-high-sum-index": ErrataCase("offset-high-sum-index", True, None),
-        "offset-low-sum-index": ErrataCase("offset-low-sum-index", True, None),
-    }
+    names = ("aligned-power-base", "offset-high-sum-index", "offset-low-sum-index")
+    cases = {name: ErrataCase(name, True, None) for name in names}
     for alphabet in range(1, alphabet_max + 1):
         for s in range(2, alphabet_max + 2):
-            partition = BlockPartition.mod_residue(alphabet, s)
+            queries = [_query("des-mod", s, alphabet, r) for r in range(1, s + 1)]
             t = alphabet % s
             for n in range(n_max + 1):
-                for r in range(1, s + 1):
+                for r, query in enumerate(queries, start=1):
                     if t == 0:
                         case = cases["aligned-power-base"]
                         ambiguous = r != s  # the two power bases coincide at r = s
@@ -392,13 +393,9 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
                     need_example = ambiguous and case.rejected_counterexample is None
                     if not (need_example or case.shipped_ok):
                         continue
-                    marginal = statistic_distribution(
-                        alphabet, n, partition, [(r, "des")]
-                    )
-                    shipped = formulas.distribution("des-mod", (s, alphabet, r, n))
-                    for p in range(n + 1):
-                        want = marginal.get((p,), 0)
-                        if shipped.get(p, 0) != want:
+                    rows = _table_vs_oracle("des-mod", query, (s, alphabet, r, n))
+                    for p, (shipped, want) in enumerate(rows):
+                        if shipped != want:
                             case.shipped_ok = False
                         if need_example:
                             rejected = formulas.count_des_mod_uncorrected(

@@ -182,6 +182,22 @@ class TestTable:
         assert rows == {(0, 0): "2", (0, 1): "1", (1, 0): "1"}
         assert record["result"]["total"] == "4"
 
+    @pytest.mark.parametrize(
+        "query, engines, count",
+        [
+            (["hall-remmel", "--rho", "1,1", "--x", "1", "--y", "2"], ("closed-form", "oracle"), "2"),
+            (["des-gt", "--k", "3", "--t", "3", "--n", "3"], ("closed-form", "oracle", "transfer"), "27"),
+        ],
+    )
+    def test_table_stops_at_last_nonzero_row(self, capsys, query, engines, count):
+        # Every word scores 0, so the rows for values 1..n count zero and are left out.
+        for engine in engines:
+            record = run_json(capsys, "table", *query, "--engine", engine)
+            assert record["result"] == {"rows": [{"value": 0, "count": count}], "total": count}, engine
+
+    def test_every_family_has_command_line_and_closed_forms(self):
+        assert set(cli.FAMILIES) == set(formulas.FAMILIES)
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "table", "des-mod", "--s", "2", "--alphabet", "2", "--r", "2",

@@ -106,8 +106,8 @@ class TestDistribution:
         }
         assert set(queries) == set(CLOSED_FORMS)
         for family, (params, value) in queries.items():
-            checks, _ = formulas.FAMILIES[family]
-            monkeypatch.setitem(formulas.FAMILIES, family, (checks, lambda *_: {value: -7}))
+            stub = formulas.FAMILIES[family]._replace(table=lambda *_: {value: -7})
+            monkeypatch.setitem(formulas.FAMILIES, family, stub)
             assert evaluate(family, (*params, value)) == -7, family
 
     def test_validation_matches_counts(self):

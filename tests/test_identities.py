@@ -61,7 +61,6 @@ class TestTopLetterIdentity:
     def test_small_example(self):
         report = check_top_letter_identity(2, 1, 1)
         assert report.lhs == 1 and report.rhs == 1
-        assert report.verdict == "equal"
         assert report.ok
         assert report.alt_rhs is None
 
@@ -119,7 +118,6 @@ class TestIdentityReport:
         from wordstats import IdentityReport
 
         report = IdentityReport("demo", (1,), 2, 3)
-        assert report.verdict == "unequal"
         assert not report.ok
 
 

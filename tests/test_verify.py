@@ -26,7 +26,7 @@ class TestFormulasVsOracle:
         ],
     )
     def test_wrong_table_entry_is_caught_and_named(self, monkeypatch, family, cell, key, name):
-        checks, table = formulas.FAMILIES[family]
+        table = formulas.FAMILIES[family].table
         calls = []
 
         def skewed(*params):
@@ -36,7 +36,7 @@ class TestFormulasVsOracle:
                 dist[key] = dist.get(key, 0) + 1
             return dist
 
-        monkeypatch.setitem(formulas.FAMILIES, family, (checks, skewed))
+        monkeypatch.setitem(formulas.FAMILIES, family, formulas.FAMILIES[family]._replace(table=skewed))
         result = verify.formulas_vs_oracle(4, 6)
         assert (result.failures, result.first_failure) == (1, name)
         # one table per grid cell
@@ -91,7 +91,7 @@ class TestHallRemmelSuite:
         assert calls.count(wrong) == 1
 
     def test_wrong_even_identity_is_caught_and_named(self, monkeypatch):
-        checks, table = formulas.FAMILIES["des-mod"]
+        table = formulas.FAMILIES["des-mod"].table
 
         def skewed(s, alphabet, r, n):
             dist = table(s, alphabet, r, n)
@@ -99,7 +99,7 @@ class TestHallRemmelSuite:
                 dist[2] += 1
             return dist
 
-        monkeypatch.setitem(formulas.FAMILIES, "des-mod", (checks, skewed))
+        monkeypatch.setitem(formulas.FAMILIES, "des-mod", formulas.FAMILIES["des-mod"]._replace(table=skewed))
         result = verify.hall_remmel_suite(m_max=1, weight_max=1, even_n_max=4)
         assert result.failures == 1
         assert result.first_failure == "even-words-sum alphabet=4 n=3 p=2"
