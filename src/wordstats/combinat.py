@@ -4,13 +4,16 @@ The alternating sums downstream rely on one binomial convention: C(n, 0) is
 1 for every integer n (including negative n, which the geometric-series
 expansions produce at boundary parameters), and C(n, k) is 0 whenever k is
 negative, k exceeds a nonnegative n, or n is negative with k positive.
+
+The closed forms and the identity rows expand sum_b w_b (u-1)^b by Horner's
+rule in u-1 (``expand_shifted``), so no binomial row is built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Iterator, Sequence
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 
 def binom(n: int, k: int) -> int:
@@ -28,29 +31,16 @@ def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def signed_row(d: int) -> tuple[int, ...]:
-    """(-1)^j C(d, j) for j = 0..d: (1-u)^d lowest power first, (u-1)^d backwards.
+def expand_shifted(weights: Iterable[int]) -> list[int]:
+    """Coefficients of sum_b w_b (u-1)^b, lowest power first, from w_d, ..., w_1, w_0.
 
-    Only rows up to degree 128 are cached, so the cache holds at most 129.
+    Horner's rule in u-1: the row so far is multiplied by u-1, one pass of
+    differences, and the next weight is added to its constant term.
     """
-    return _cached_row(d) if d <= 128 else _row(d)
-
-
-def _row(d: int) -> tuple[int, ...]:
-    return tuple(sign(j) * math.comb(d, j) for j in range(d + 1))
-
-
-_cached_row = functools.cache(_row)
-
-
-def expand_shifted(weights: dict[int, int]) -> list[int]:
-    """Coefficients of sum_b weights[b] (u-1)^b, lowest power first."""
-    counts = [0] * (max(weights) + 1)
-    for b, weight in weights.items():
-        if weight:
-            # signed_row(b) backwards is (u-1)^b; zip stops after its b+1 entries.
-            counts[: b + 1] = [c + step * weight for c, step in zip(counts, reversed(signed_row(b)))]
-    return counts
+    row: list[int] = []
+    for weight in weights:
+        row = [weight - row[0], *map(sub, row, row[1:]), row[-1]] if row else [weight]
+    return row
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:

@@ -14,8 +14,8 @@ through ``C(n-m, s)`` and the sign ``(-1)^(n-m-s)``:
     count(s) = sum_m (-1)^(n-m-s) C(n-m, s) inner(m)
 
 so the whole distribution is the polynomial ``sum_m inner(m) (u-1)^(n-m)``
-in a marker u, expanded by ``_coefficients`` with the rows of
-``combinat.signed_row``.  ``inner(m)`` is not summed term by term: its
+in a marker u, which ``_coefficients`` expands by Horner's rule in u-1
+(``combinat.expand_shifted``).  ``inner(m)`` is not summed term by term: its
 inner sums are hoisted out of m or convolved into one product, and the
 sum left over m is a binomial expansion, so inner(m) = [x^n] F^m for a
 small factor F that each family derives from the paper's sum.  F is a
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
-from operator import mul
+from operator import sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import binom, expand_shifted, multinomial, signed_row
+from .combinat import binom, expand_shifted, multinomial
 from .words import BlockPartition, InputError
 
 
@@ -162,9 +162,8 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
 
 def _coefficients(factor, n: int) -> dict[int, int]:
     """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
-    # (u-1)^b with b = n-m has weight inner(m).
-    weights = dict(zip(range(n, -1, -1), _diagonal(factor, n)))
-    return dict(enumerate(expand_shifted(weights)))
+    # (u-1)^b with b = n-m has weight inner(m), so m = 0 is the highest b.
+    return dict(enumerate(expand_shifted(islice(_diagonal(factor, n), n + 1))))
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -292,7 +291,9 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
         joint = {
             (*head, level, *tail): count
             for (head, tail), fiber in fibers.items()
-            for level, count in enumerate(expand_shifted(fiber))
+            for level, count in enumerate(
+                expand_shifted(fiber.get(b, 0) for b in range(max(fiber), -1, -1))
+            )
             if count
         }
     return joint
@@ -428,6 +429,7 @@ def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
 
     The counts are prefactor times the coefficients of
     (sum_r inner(r) u^r) (1-u)^(n+1) up to u^n; above u^n they vanish.
+    The product is n+1 passes of differences, each cut at u^n.
     """
     a = sum(outside)
     values = []
@@ -437,11 +439,10 @@ def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
         for reps, base in slots:
             term *= comb(base + r, reps)
         values.append(term)
+    for _ in range(n + 1):
+        values = [values[0], *map(sub, values[1:], values)]
     prefactor = multinomial(a, outside)
-    steps = signed_row(n + 1)
-    return {
-        s: prefactor * sum(map(mul, steps[s::-1], values)) for s in range(n + 1)
-    }
+    return {s: prefactor * value for s, value in enumerate(values)}
 
 
 CLOSED_FORMS = {

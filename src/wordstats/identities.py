@@ -144,7 +144,8 @@ def _row(identity: str, n: int, r: int, values, lhs, weight, alt) -> list[Identi
         raise InputError("identity parameters must be nonnegative")
     if r > n:
         raise InputError(f"identity parameter r must be at most n, got r={r} > n={n}")
-    row = expand_shifted({n - m: weight(m) for m in range(n + 1)})
+    # w(0) weighs the highest power, (u-1)^n.
+    row = expand_shifted(map(weight, range(n + 1)))
     reports = []
     for s in values:
         left, right = lhs(s), row[s] if s <= n else 0

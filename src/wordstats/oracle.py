@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import os
 from math import factorial, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _stat_index, stat_key
@@ -43,7 +44,7 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
 
 
-def _amount(value: int) -> str:
+def _amount(value: int | str) -> str:
     """``value`` in decimal, or by its bit count where Python refuses to print it."""
     try:
         return str(value)
@@ -52,9 +53,9 @@ def _amount(value: int) -> str:
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured budget."""
+    """Enumeration would exceed the configured budget; ``required`` may name the charge."""
 
-    def __init__(self, required: int, limit: int):
+    def __init__(self, required: int | str, limit: int):
         super().__init__(
             f"enumeration needs {_amount(required)} words, over the budget of {_amount(limit)} "
             f"(override with an explicit budget or {BUDGET_ENV_VAR})"
@@ -93,7 +94,8 @@ def brute_distribution(
     """Joint distribution by summing over all k**n words."""
     _validate_shape(k, n, partition)
     limit = resolve_budget(budget)
-    required = k**n
+    # At k = 1 the one word still takes n steps.
+    required = max(k**n, n)
     if required > limit:
         raise BudgetExceededError(required, limit)
     blocks, t = partition.blocks, partition.t
@@ -113,7 +115,7 @@ def brute_distribution(
     tally: dict[int, int] = {} if n else {0: 1}
     get = tally.get
     # Prefixes still to extend: (packed statistics, last letter, letters to append).
-    # A stack, not recursion: at k = 1 the budget admits any length.
+    # A stack, not recursion: at k = 1 the budget admits lengths up to the budget itself.
     stack = [(0, 0, n)] if n else []
     while stack:
         key, last, left = stack.pop()
@@ -308,9 +310,9 @@ def rearrangement_distribution(
         raise InputError(f"multiplicities must be nonnegative, got {rho}")
     n = sum(rho)
     limit = resolve_budget(budget)
-    required = factorial(n)
-    if required > limit:
-        raise BudgetExceededError(required, limit)
+    # 2!, 3!, ... only until one passes the limit; an n! past 10,000 letters is named, not computed.
+    if any(product > limit for product in itertools.accumulate(range(2, n + 1), mul, initial=1)):
+        raise BudgetExceededError(factorial(n) if n <= 10_000 else f"{n}!", limit)
     return pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
 
 

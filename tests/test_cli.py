@@ -114,6 +114,12 @@ class TestCount:
         )
         assert code == cli.EXIT_BUDGET
         assert "budget" in err
+        # a one-letter alphabet has one word, but walking it takes n steps
+        one_letter = ["count", "levels-blocks", "--block-sizes", "1", "--targets", "0", "--engine", "oracle"]
+        assert run(capsys, *one_letter, "--n", "10")[0] == 0
+        code, out, err = run(capsys, *one_letter, "--n", "11")
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert err.startswith("error: enumeration needs 11 words, over the budget of 10 ")
 
     @pytest.mark.parametrize(
         "argv, bits",
@@ -121,14 +127,18 @@ class TestCount:
             # brute force charges k**n = 2**15000, the rearrangement oracle n! = 2000!
             (["count", "des-le", "--k", "2", "--t", "1", "--n", "15000", "--s", "0"], 15001),
             (["table", "hall-remmel", "--rho", "2000", "--x", "1", "--y", "1"], 19053),
+            # an n! too large to work out is named, not computed
+            (["table", "hall-remmel", "--rho", "99999999999999999999", "--x", "1", "--y", "1"],
+             "99999999999999999999!"),
         ],
     )
     def test_charge_too_large_to_print_exits_3(self, capsys, monkeypatch, argv, bits):
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
         code, out, err = run(capsys, *argv, "--engine", "oracle")
+        charge = f"a {bits}-bit number of" if isinstance(bits, int) else bits
         assert (code, out) == (cli.EXIT_BUDGET, "")
         assert err.splitlines() == [
-            f"error: enumeration needs a {bits}-bit number of words, over the budget of "
+            f"error: enumeration needs {charge} words, over the budget of "
             f"{oracle.DEFAULT_ENUMERATION_BUDGET} (override with an explicit budget or {BUDGET_ENV_VAR})"
         ]
 

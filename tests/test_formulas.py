@@ -18,9 +18,10 @@ from wordstats import (
     rearrangement_distribution,
     statistic_distribution,
 )
-from wordstats import combinat, formulas
-from wordstats.combinat import binom, compositions, multinomial, sign, signed_row
+from wordstats import formulas
+from wordstats.combinat import binom, compositions, expand_shifted, multinomial, sign
 from wordstats.formulas import check_params
+from wordstats.oracle import counted_pairs, pair_distribution
 
 
 class TestEvaluate:
@@ -139,11 +140,53 @@ class TestDistribution:
             distribution("des-diagonal", (1, 2, 3))
 
 
-def test_signed_rows_and_their_bounded_cache():
-    # below and above the cached degrees; the cache never holds more than 129 rows
+def test_expand_shifted_single_powers():
+    # (u-1)^d by Horner's rule against its binomial expansion
     for d in range(301):
-        assert signed_row(d) == tuple(sign(j) * binom(d, j) for j in range(d + 1))
-    assert combinat._cached_row.cache_info().currsize <= 129
+        assert expand_shifted([1] + [0] * d) == [sign(d - j) * binom(d, j) for j in range(d + 1)]
+
+
+class TestPastDegree128:
+    """Whole tables against the word and rearrangement DPs at n = 130.
+
+    Every other independent check of the closed forms stops at n <= 7;
+    here each (u-1) row reaches degree 130.
+    """
+
+    N = 130
+
+    @staticmethod
+    def nonzero(table):
+        return {key if isinstance(key, tuple) else (key,): c for key, c in table.items() if c}
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("levels-threshold", (3, 2)),
+            ("des-le", (4, 2)),
+            ("des-gt", (4, 1)),
+            ("des-mod", (3, 6, 2)),  # aligned
+            ("des-mod", (3, 7, 2)),  # offset, r above t
+            ("des-mod", (3, 7, 1)),  # offset, r within t
+            ("levels-blocks", ((3,),)),
+        ],
+    )
+    def test_table_is_the_dp_marginal(self, family, params):
+        n = self.N
+        alphabet, partition, coords = formulas.FAMILIES[family].query(*params, n)
+        marginal = statistic_distribution(alphabet, n, partition, coords)
+        assert self.nonzero(distribution(family, (*params, n))) == self.nonzero(marginal)
+        if family == "des-mod":
+            # the rejected reading of each regime still disagrees at some p
+            assert any(
+                count_des_mod_uncorrected(*params, n, p) != marginal.get((p,), 0)
+                for p in range(n + 1)
+            )
+
+    def test_hall_remmel_is_the_rearrangement_dp(self):
+        rho, tops, bottoms = (65, 65), {2}, {1}
+        want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
+        assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == self.nonzero(want)
 
 
 class TestInnerSumsReference:

@@ -72,6 +72,12 @@ class TestBruteDistribution:
         assert "16" in str(exc.value)
         assert exc.value.limit == 16
         assert exc.value.required == 32
+        # one letter: the one word is charged its n steps
+        one = BlockPartition.threshold(1, 1)
+        assert brute_distribution(1, 16, one, budget=16).total() == 1
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_distribution(1, 17, one, budget=16)
+        assert exc.value.required == 17
 
     def test_budget_env_override(self, monkeypatch):
         part = BlockPartition.threshold(2, 1)
@@ -294,6 +300,11 @@ class TestRearrangementDistribution:
             rearrangement_distribution((20, 20), {1}, {1}, budget=1000)
         # the charge is n!, the cost of walking every arrangement
         assert (caught.value.required, caught.value.limit) == (factorial(40), 1000)
+        # a budget of exactly n! admits the class, one less refuses it
+        assert sum(rearrangement_distribution((5, 5), {2}, {1}, budget=factorial(10)).values()) == 252
+        with pytest.raises(BudgetExceededError) as caught:
+            rearrangement_distribution((5, 5), {2}, {1}, budget=factorial(10) - 1)
+        assert caught.value.required == factorial(10)
 
     def test_over_budget_class_exits_3_on_the_cli(self, capsys, monkeypatch):
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
