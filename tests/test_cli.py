@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import time
 
 import pytest
 
@@ -130,11 +131,16 @@ class TestCount:
             # an n! too large to work out is named, not computed
             (["table", "hall-remmel", "--rho", "99999999999999999999", "--x", "1", "--y", "1"],
              "99999999999999999999!"),
+            # and so is a k**n that could pass 2**16 bits
+            (["count", "des-le", "--k", "4", "--t", "2", "--n", "9999999999", "--s", "0"],
+             "4**9999999999"),
         ],
     )
     def test_charge_too_large_to_print_exits_3(self, capsys, monkeypatch, argv, bits):
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--engine", "oracle")
+        assert time.perf_counter() - start < 0.1
         charge = f"a {bits}-bit number of" if isinstance(bits, int) else bits
         assert (code, out) == (cli.EXIT_BUDGET, "")
         assert err.splitlines() == [

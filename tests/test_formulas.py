@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -147,10 +148,10 @@ def test_expand_shifted_single_powers():
 
 
 class TestPastDegree128:
-    """Whole tables against the word and rearrangement DPs at n = 130.
+    """Whole tables against the word and rearrangement DPs at n from 127 to 150.
 
     Every other independent check of the closed forms stops at n <= 7;
-    here each (u-1) row reaches degree 130.
+    here each (u-1) row reaches degree 127 to 150.
     """
 
     N = 130
@@ -187,6 +188,45 @@ class TestPastDegree128:
         rho, tops, bottoms = (65, 65), {2}, {1}
         want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
         assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == self.nonzero(want)
+
+    def test_every_family_and_regime_around_n_128(self):
+        """Tables at n straddling 128, joints on 2-3 blocks, and classes of weight 12-20."""
+        regimes = [(4, 8, 3), (3, 8, 3), (4, 6, 2)]  # aligned; offset, r above t; r within t
+        queries = [
+            ("levels-threshold", (5, 2)),
+            ("levels-blocks", ((2,),)),
+            ("des-le", (3, 1)),
+            ("des-gt", (5, 3)),
+            *(("des-mod", params) for params in regimes),
+        ]
+        disagrees = set()
+        for n in (127, 128, 129, 150):
+            for family, params in queries:
+                alphabet, partition, coords = formulas.FAMILIES[family].query(*params, n)
+                marginal = statistic_distribution(alphabet, n, partition, coords)
+                table = distribution(family, (*params, n))
+                assert self.nonzero(table) == self.nonzero(marginal), (family, params, n)
+                if family == "des-mod" and params not in disagrees:
+                    if any(count_des_mod_uncorrected(*params, n, p) != table.get(p, 0) for p in range(n + 1)):
+                        disagrees.add(params)
+        # the rejected reading of each regime still disagrees at some such n
+        assert disagrees == set(regimes)
+
+        # two blocks run the dense kernel, three the dict kernel
+        for sizes, n in [((2, 3), 29), ((1, 2), 31), ((2, 1, 2), 15), ((1, 1, 2), 16)]:
+            alphabet, partition, coords = formulas.FAMILIES["levels-blocks"].query(sizes, n)
+            joint = statistic_distribution(alphabet, n, partition, coords)
+            assert self.nonzero(distribution("levels-blocks", (sizes, n))) == self.nonzero(joint), sizes
+
+        rng = random.Random(128)
+        for weight in range(12, 21):
+            m = rng.randint(2, 5)
+            cuts = sorted(rng.randint(0, weight) for _ in range(m - 1))
+            rho = tuple(b - a for a, b in zip([0, *cuts], [*cuts, weight]))
+            tops, bottoms = (set(rng.sample(range(1, m + 1), rng.randint(1, m))) for _ in range(2))
+            want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
+            table = distribution("hall-remmel", (rho, tops, bottoms))
+            assert self.nonzero(table) == self.nonzero(want), (rho, tops, bottoms)
 
 
 class TestInnerSumsReference:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from math import factorial
 
@@ -78,6 +79,18 @@ class TestBruteDistribution:
         with pytest.raises(BudgetExceededError) as exc:
             brute_distribution(1, 17, one, budget=16)
         assert exc.value.required == 17
+
+    def test_power_far_over_budget_is_not_computed(self):
+        part = BlockPartition.threshold(4, 2)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_distribution(4, 9_999_999_999, part)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.required == "4**9999999999"
+        # a power within reach of the limit is still charged in full
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_distribution(4, 13, part)
+        assert exc.value.required == 4**13
 
     def test_budget_env_override(self, monkeypatch):
         part = BlockPartition.threshold(2, 1)
@@ -184,12 +197,40 @@ class TestTransferKernel:
                         block, stat
                     )
 
+    def test_dense_kernel_is_the_dict_kernel(self):
+        rng = random.Random(14)
+        for k in range(1, 6):
+            # threshold(k, k) and the last partition leave block 2 without a letter
+            parts = _partitions(k) + [BlockPartition.from_blocks((1,) * (k - 1) + (3,))]
+            for part in parts:
+                for n in range(9):
+                    # (block, statistic index) pairs; index 3 is cnt
+                    one, two, three = ((rng.randint(1, part.t), rng.randrange(4)) for _ in range(3))
+                    for coords in ([one], [one, two], [three, three]):
+                        want = oracle._transfer_kernel(k, n, part, coords)
+                        assert oracle._dense_kernel(k, n, part, coords) == want, (k, n, part, coords)
+
+    def test_full_vectors_and_wide_joints_keep_the_dict_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reached the dense kernel")
+
+        part = BlockPartition.mod_residue(4, 3)
+        coords = [(1, "lev"), (2, "des"), (3, "cnt")]
+        want = brute_distribution(4, 5, part)
+        monkeypatch.setattr(oracle, "_dense_kernel", refuse)
+        assert transfer_distribution(4, 5, part) == want
+        assert statistic_distribution(4, 5, part, coords) == want.joint(coords)
+        # a duplicate counts as a coordinate of its own
+        assert statistic_distribution(4, 5, part, coords[:1] * 3) == {
+            (v, v, v): c for (v,), c in want.joint(coords[:1]).items()
+        }
+
     def test_brute_force_runs_without_the_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("brute_distribution reached the transfer DP")
 
-        monkeypatch.setattr(oracle, "_transfer_kernel", refuse)
-        monkeypatch.setattr(oracle, "_pair_index", refuse)
+        for name in ("_transfer_kernel", "_dense_kernel", "_letter_keys", "_pair_index"):
+            monkeypatch.setattr(oracle, name, refuse)
         part = BlockPartition.threshold(2, 1)
         assert brute_distribution(2, 3, part).total() == 8
 
