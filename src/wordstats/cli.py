@@ -15,15 +15,23 @@ table.  Its parameter checks, its closed-form table and its query on the
 oracle and transfer engines are declared once, in ``formulas.FAMILIES``.
 Every engine checks a query with the closed forms' own checks
 (``formulas.check_params``) before it does any work.
+
+``main`` parses an argv whose leading words are ``count <family>``,
+``table <family>``, ``series`` or ``verify`` with the one leaf parser
+those words select (``build_parser``'s route table), so only that parser
+scans the rest of argv.  Every other argv, and one that leaves arguments
+the leaf does not take, goes to the whole argparse tree, which prints
+the usage, help and error text.  A record is written by ``_json``, which
+gives the text of ``json.dumps(record, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import formulas, verify
@@ -92,8 +100,59 @@ def _record(command: str, parameters: dict, engine: str, result) -> dict:
     }
 
 
+def _json(value) -> str:
+    """``value`` in the text ``json.dumps(value, indent=2)`` gives it.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
+    raises ``TypeError`` on anything else (``encode_basestring_ascii``
+    refuses a key that is not a str).  ``json.dumps`` encodes in pure
+    Python whenever it indents; this writer does the same job in less time.
+    """
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the pieces of ``value``'s text to ``out``; ``indent`` starts its closing line."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out.extend((separator, encode_basestring_ascii(key), ": "))
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record, indent=2, sort_keys=False))
+    print(_json(record))
 
 
 def _dest(flag: str) -> str:
@@ -348,11 +407,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
 
 
-def _add_count_subparsers(sub, command: str):
+def _add_count_subparsers(sub, command: str, routes: dict) -> None:
     parser = sub.add_parser(command, help=f"{command} one statistic family")
     families = parser.add_subparsers(dest="family", required=True)
     for name, entry in FAMILIES.items():
-        p = families.add_parser(name)
+        p = routes[command, name] = families.add_parser(name)
         for flag, kind, text in entry.options:
             p.add_argument(flag, type=kind, required=True, help=text)
         if command == "count":
@@ -369,16 +428,23 @@ def _add_count_subparsers(sub, command: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree.
+
+    Its ``routes`` map the leading argv words that select a leaf parser,
+    ``(command, family)`` for ``count`` and ``table`` and ``(command,)``
+    for ``series`` and ``verify``, to that leaf parser.
+    """
     parser = argparse.ArgumentParser(
         prog="wordstats",
         description="Count words over [k] by refined descent, rise, and level statistics.",
     )
+    parser.routes = routes = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_count_subparsers(sub, "count")
-    _add_count_subparsers(sub, "table")
+    _add_count_subparsers(sub, "count", routes)
+    _add_count_subparsers(sub, "table", routes)
 
-    p = sub.add_parser("series", help="expand a generating function")
+    p = routes[("series",)] = sub.add_parser("series", help="expand a generating function")
     p.add_argument("--gf", choices=("A", "B"), required=True,
                    help="A: words graded by length; B: compositions graded by weight")
     p.add_argument("--k", type=int, required=True)
@@ -387,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track", default="all", help="'all', 'none', or comma list like x2,z1")
     p.add_argument("--q", choices=("common", "per-block"), default="common")
 
-    p = sub.add_parser("verify", help="run a cross-engine verification suite")
+    p = routes[("verify",)] = sub.add_parser("verify", help="run a cross-engine verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
@@ -411,9 +477,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the leaf parser its leading words route to.
+
+    The leaf gets a namespace that already holds what the words selected.
+    Without a route, or with arguments the leaf leaves over, the whole
+    tree parses ``argv``, so usage, help and error text are its own.
+    """
+    parser = _parser()
+    for key in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = parser.routes.get(key)
+        if leaf is not None:
+            selected = argparse.Namespace(**dict(zip(("command", "family"), key)))
+            args, rest = leaf.parse_known_args(argv[len(key):], selected)
+            if not rest:
+                return args
+            break
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

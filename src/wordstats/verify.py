@@ -167,20 +167,21 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
                         report.ok,
                         lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
                     )
+    # One closed-form table per (k, n) answers every s of the cell.
     for k in range(1, 7):
         for n in range(9):
+            table = formulas.distribution("des-gt", (k, k - 1, n))
             for s in range(n + 1):
                 result.record(
-                    identities.direct_count_top_letter(k, n, s)
-                    == formulas.count_des_gt(k, k - 1, n, s),
+                    identities.direct_count_top_letter(k, n, s) == table.get(s, 0),
                     lambda k=k, n=n, s=s: f"direct-top k={k} n={n} s={s}",
                 )
     for k in range(2, 7):
         for n in range(9):
+            table = formulas.distribution("des-le", (k, 2, n))
             for s in range(n + 1):
                 result.record(
-                    identities.direct_count_two_bottom(k, n, s)
-                    == formulas.count_des_le(k, 2, n, s),
+                    identities.direct_count_two_bottom(k, n, s) == table.get(s, 0),
                     lambda k=k, n=n, s=s: f"direct-two-bottom k={k} n={n} s={s}",
                 )
     return result

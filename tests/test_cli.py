@@ -21,6 +21,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def outcome(capsys, argv):
+    """``main``'s exit code, stdout and stderr, also when argparse exits."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def counting_calls(calls, name, fn):
     """``fn`` that appends ``name`` to ``calls`` each time it is called."""
     def wrapper(*args, **kwargs):
@@ -571,15 +581,6 @@ class TestParserReuse:
         ["table", "des-mod", "--s", "2", "--alphabet", "3", "--r", "1", "--n", "3"],
     ]
 
-    @staticmethod
-    def outcome(capsys, argv):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
         built = []
@@ -589,12 +590,129 @@ class TestParserReuse:
             return cli.build_parser()
 
         monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
-        reused = [self.outcome(capsys, argv) for argv in self.ARGVS * 2]
+        reused = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert len(built) == 1
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = [self.outcome(capsys, argv) for argv in self.ARGVS * 2]
+        fresh = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert reused == fresh
         assert [code for code, _, _ in reused[: len(self.ARGVS)]] == [0, 2, 0, 2, 3, 2, 0, 0, 2, 0]
 
     def test_main_builds_the_parser_once(self):
         assert cli._parser() is cli._parser()
+
+
+def _count_and_table_argvs():
+    """Every family under ``count`` and ``table`` on each engine it accepts."""
+    argvs = []
+    for family, params in TestTable.FAMILY_QUERIES:
+        flag = cli.FAMILIES[family].statistic[0]
+        value = "1,0,1" if cli.FAMILIES[family].joint else "1"
+        for engine in ["closed-form", *TestTable._dp_engines(family)]:
+            argvs.append(["count", family, *params, flag, value, "--engine", engine])
+            argvs.append(["table", family, *params, "--engine", engine])
+            argvs.append(["table", family, *params, "--engine", engine, "--format", "csv"])
+    return argvs
+
+
+# Small bounds for every verify suite; the last run must fail.
+VERIFY_ARGVS = [
+    ["verify", "oracle-vs-transfer", "--k-max", "2", "--n-max", "2"],
+    ["verify", "series-vs-oracle", "--k-max", "2", "--n-max", "2"],
+    ["verify", "identities", "--n-max", "2"],
+    ["verify", "hall-remmel", "--m-max", "2", "--weight-max", "3", "--n-max", "2"],
+    ["verify", "formulas-vs-oracle", "--k-max", "2", "--n-max", "2"],
+    ["verify", "formulas-vs-oracle", "--k-max", "2", "--n-max", "2", "--inject-fault"],
+]
+
+DES_LE = ["table", "des-le", "--k", "3", "--t", "1", "--n", "4"]
+MALFORMED_ARGVS = [
+    ["count", "des-le", "--k", "3", "--n", "4", "--s", "1"],  # --t missing
+    ["table", "des-le", "--k", "x", "--t", "1", "--n", "4"],
+    DES_LE + ["--bogus", "1"],
+    DES_LE + ["extra"],
+    DES_LE + ["--eng", "transfer"],
+    ["table", "des-le", "--k=3", "--t", "1", "--n", "4"],
+    ["table", "des-le", "--k", "3", "--t", "1", "--", "--n", "4"],
+    DES_LE + ["--"],
+    ["table", "--", "des-le", "--k", "3", "--t", "1", "--n", "4"],
+    ["-h"],
+    ["count", "-h"],
+    ["table", "des-le", "-h"],
+    ["series", "-h"],
+    ["verify", "-h"],
+    ["bogus"],
+    ["table", "des-any", "--k", "3"],
+    ["table"],
+    ["table", "des-le"],
+    ["series", "--gf", "C", "--k", "2", "--partition", "threshold:1", "--order", "2"],
+    ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2", "more"],
+    ["verify", "nope"],
+    ["verify", "identities", "--n-max", "1", "extra"],
+    ["verify"],
+    [],
+]
+
+SERIES_ARGVS = [
+    ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "3"],
+    ["series", "--gf", "B", "--k", "3", "--partition", "mod:2", "--track", "x1,z2", "--order", "3",
+     "--q", "per-block"],
+]
+
+
+class TestRouting:
+    def test_routes_name_every_leaf(self):
+        families = {(command, family) for command in ("count", "table") for family in cli.FAMILIES}
+        assert set(cli._parser().routes) == families | {("series",), ("verify",)}
+
+    @pytest.mark.parametrize(
+        "argv", _count_and_table_argvs() + SERIES_ARGVS + VERIFY_ARGVS + MALFORMED_ARGVS
+    )
+    def test_routed_argv_answers_like_the_whole_tree(self, capsys, monkeypatch, argv):
+        routed = outcome(capsys, argv)
+        monkeypatch.setattr(cli._parser(), "routes", {})
+        assert routed == outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "2"],
+        DES_LE + ["--format", "csv"],
+        SERIES_ARGVS[0],
+        VERIFY_ARGVS[2],
+    ])
+    def test_valid_argv_skips_the_whole_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli._parser(), "parse_args", lambda *_: pytest.fail("full tree"))
+        assert outcome(capsys, argv)[0] == 0
+
+
+class TestJsonWriter:
+    RECORD_ARGVS = [
+        ["count", "des-mod", "--s", "2", "--alphabet", "4", "--r", "1", "--n", "5", "--p", "2"],
+        ["table", "hall-remmel", "--rho", "2,1,2", "--x", "2,3", "--y", "all"],
+        ["table", "levels-blocks", "--block-sizes", "2,1", "--n", "3", "--engine", "transfer"],
+        ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--track", "none",
+         "--order", "2"],
+        VERIFY_ARGVS[2],
+        VERIFY_ARGVS[-1],
+    ]
+
+    def test_every_command_prints_the_stdlib_text(self, capsys, monkeypatch):
+        records, emit = [], cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda record: records.append(record) or emit(record))
+        for argv in self.RECORD_ARGVS:
+            _, out, _ = outcome(capsys, argv)
+            assert out == json.dumps(records[-1], indent=2) + "\n"
+        series, verified, failed = records[3]["result"], records[4]["result"], records[5]["result"]
+        assert series["coefficient_variables"] == []
+        assert verified["first_failure"] is None and isinstance(failed["first_failure"], str)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [[], [1, [2, []]], {}], (1, (2, 3)), {"a": ()}, -5, 0, 10**40, -(10**40),
+        True, False, None, "", 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é 漢 😀",
+        {"": "", 'quo"te': [-1, None, True], "nested": {"deeper": {"x": [False]}}},
+    ])
+    def test_value_has_the_stdlib_text(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, [0.0], {1: "a"}, {"a": {None: 1}}, {1, 2}])
+    def test_value_json_cannot_hold_is_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)

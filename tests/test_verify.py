@@ -7,6 +7,22 @@ from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
 
 
+def skew_table(monkeypatch, family, cell, key):
+    """Add 1 to ``key`` in the family's closed-form table at ``cell``; the tables built are logged."""
+    table = formulas.FAMILIES[family].table
+    calls = []
+
+    def skewed(*params):
+        calls.append(params)
+        dist = table(*params)
+        if params == cell:
+            dist[key] = dist.get(key, 0) + 1
+        return dist
+
+    monkeypatch.setitem(formulas.FAMILIES, family, formulas.FAMILIES[family]._replace(table=skewed))
+    return calls
+
+
 class TestFormulasVsOracle:
     def test_default_grid_result(self):
         assert verify.formulas_vs_oracle() == verify.SuiteResult("formulas-vs-oracle", 12387, 0, None)
@@ -26,20 +42,29 @@ class TestFormulasVsOracle:
         ],
     )
     def test_wrong_table_entry_is_caught_and_named(self, monkeypatch, family, cell, key, name):
-        table = formulas.FAMILIES[family].table
-        calls = []
-
-        def skewed(*params):
-            calls.append(params)
-            dist = table(*params)
-            if params == cell:
-                dist[key] = dist.get(key, 0) + 1
-            return dist
-
-        monkeypatch.setitem(formulas.FAMILIES, family, formulas.FAMILIES[family]._replace(table=skewed))
+        calls = skew_table(monkeypatch, family, cell, key)
         result = verify.formulas_vs_oracle(4, 6)
         assert (result.failures, result.first_failure) == (1, name)
         # one table per grid cell
+        assert calls.count(cell) == 1
+
+
+class TestIdentitiesSuite:
+    def test_default_grid_result(self):
+        assert verify.identities_suite() == verify.SuiteResult("identities", 1820, 0, None)
+
+    @pytest.mark.parametrize(
+        "family, cell, key, name",
+        [
+            ("des-gt", (3, 2, 4), 1, "direct-top k=3 n=4 s=1"),
+            ("des-le", (5, 2, 6), 3, "direct-two-bottom k=5 n=6 s=3"),
+        ],
+    )
+    def test_wrong_direct_count_is_caught_and_named(self, monkeypatch, family, cell, key, name):
+        calls = skew_table(monkeypatch, family, cell, key)
+        result = verify.identities_suite()
+        assert (result.checked, result.failures, result.first_failure) == (1820, 1, name)
+        # one table per (k, n)
         assert calls.count(cell) == 1
 
 
