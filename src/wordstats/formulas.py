@@ -142,9 +142,12 @@ def _diagonal(factor: tuple[Callable[[list[int]], list[int]], int], n: int) -> I
         power = times(power[: len(power) - shift])
 
 
-def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int):
-    """The factor F = (1+x)^tau (lead + slope x) - c0 - c1 x, as ``_diagonal`` takes it."""
-    row = [comb(tau, j) for j in range(tau + 1)]
+def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int):
+    """The factor F = (1+x)^tau (lead + slope x) - c0 - c1 x, as ``_diagonal`` takes it.
+
+    ``_diagonal`` reads nothing above x^n, so the binomial row stops at x^min(tau, n).
+    """
+    row = [comb(tau, j) for j in range(min(tau, n) + 1)]
     coefficients = [lead * a + slope * b for a, b in zip(row + [0], [0] + row)]
     coefficients[0] -= c0
     coefficients[1] -= c1
@@ -315,7 +318,7 @@ def _des_le(k: int, t: int, n: int):
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_factor(t, 1, 0, 1, t - k)
+    return _descent_factor(t, 1, 0, 1, t - k, n)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -334,7 +337,7 @@ def _des_gt(k: int, t: int, n: int):
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_factor(k - t, 1, t, 1, 0)
+    return _descent_factor(k - t, 1, t, 1, 0, n)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -380,10 +383,10 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool = True):
     """
     kq, t = divmod(alphabet, s)
     if corrected:
-        return _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s)
+        return _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
     if t == 0:
-        return _descent_factor(kq, s, s - 1, s, s - 1)
-    return _descent_factor(kq + (r <= t), s, r - 1, 0, 0)
+        return _descent_factor(kq, s, s - 1, s, s - 1, n)
+    return _descent_factor(kq + (r <= t), s, r - 1, 0, 0, n)
 
 
 def hall_remmel_count(
@@ -405,9 +408,11 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
     inner(r) = C(a+r, r) prod_x C(rho_x + r + alpha_x + beta_x, rho_x) over
     the top letters x.  ``outside`` holds the multiplicities of the letters
     outside the tops, a in total, whose multinomial is the prefactor;
-    ``slots`` one (rho_x, rho_x + alpha_x + beta_x) per top letter x, where
-    alpha_x counts the outside letters above x and beta_x the non-bottom
-    letters below x.
+    ``slots`` one (rho_x, rho_x + alpha_x + beta_x) per top letter x that
+    rho uses, where alpha_x counts the outside letters above x and beta_x
+    the non-bottom letters below x.  A top letter rho does not use has the
+    factor C(r + alpha_x + beta_x, 0) = 1 and no slot, so letter sets that
+    differ only in such letters share their inputs.
     """
     tops = frozenset(top_letters)
     bottoms = frozenset(bottom_letters)
@@ -416,7 +421,8 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
     above, below = sum(outside), 0
     for x, reps in enumerate(rho, start=1):
         if x in tops:
-            slots.append((reps, reps + above + below))
+            if reps:
+                slots.append((reps, reps + above + below))
         else:
             above -= reps
         if x not in bottoms:
@@ -427,22 +433,36 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
 def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
     """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, from one pass over r.
 
-    The counts are prefactor times the coefficients of
-    (sum_r inner(r) u^r) (1-u)^(n+1) up to u^n; above u^n they vanish.
-    The product is n+1 passes of differences, each cut at u^n.
+    The counts are the coefficients of the weighted row
+    (``hall_remmel_row``) times (1-u)^(n+1) up to u^n; above u^n they
+    vanish.
     """
+    return dict(enumerate(hall_remmel_differences(hall_remmel_row(outside, slots, n))))
+
+
+def hall_remmel_row(outside, slots, n: int) -> list[int]:
+    """prefactor inner(r) for r = 0..n, of one ``hall_remmel_inputs`` tuple."""
     a = sum(outside)
-    values = []
+    prefactor = multinomial(a, outside)
+    row = []
     # Every argument is nonnegative, so math.comb follows the binom convention.
     for r in range(n + 1):
-        term = comb(a + r, r)
+        term = prefactor * comb(a + r, r)
         for reps, base in slots:
             term *= comb(base + r, reps)
-        values.append(term)
-    for _ in range(n + 1):
-        values = [values[0], *map(sub, values[1:], values)]
-    prefactor = multinomial(a, outside)
-    return {s: prefactor * value for s, value in enumerate(values)}
+        row.append(term)
+    return row
+
+
+def hall_remmel_differences(row: list[int]) -> list[int]:
+    """``row`` times (1-u)^len(row), cut at the row's own length.
+
+    The product is len(row) passes of differences.  It is linear in the
+    row, so rows of one length may be summed before it.
+    """
+    for _ in range(len(row)):
+        row = [row[0], *map(sub, row[1:], row)]
+    return row
 
 
 CLOSED_FORMS = {

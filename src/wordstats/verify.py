@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from . import formulas, identities
 from .oracle import (
@@ -40,11 +41,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def record(self, ok: bool, describe) -> None:
-        """Count one check; ``describe()`` names the first one that fails."""
-        self.checked += 1
+    def record(self, ok: bool, describe, count: int = 1) -> None:
+        """Count ``count`` checks of one verdict; ``describe()`` names the first that fails."""
+        self.checked += count
         if not ok:
-            self.failures += 1
+            self.failures += count
             if self.first_failure is None:
                 self.first_failure = describe()
 
@@ -195,13 +196,22 @@ def hall_remmel_suite(
 ) -> SuiteResult:
     """Rearrangement-class closed form against its oracle, all letter sets.
 
-    The oracle's answer depends on (X, Y) only through the set of counted
-    descent pairs, so it runs once per distinct set and class.  The closed
-    form's inputs are derived for every (X, Y), and each distinct input
-    tuple is evaluated once per class.  Also checks that the closed form
-    with the even letters on top and every letter at the bottom, summed
-    over every rearrangement class of a given weight, reproduces the
-    residue-class descent count with modulus 2.
+    A check runs for every class rho and every pair (X, Y) of top and
+    bottom letter sets, X major, each set in order of size, then
+    lexicographically.  Let R be the letters below the largest letter of X
+    that rho uses.  Both the counted descent pairs and the closed form's
+    inputs depend on Y only through its key, Y & R.  Under one X each key
+    is shared by 2^(m - |R|) sets Y, the first of them in check order the
+    key itself, so each X row derives pairs, inputs and verdict for its
+    keys alone and counts each verdict once per set Y sharing the key.
+    The oracle runs once per distinct counted-pair set and class, and the
+    closed form once per distinct input tuple and class.
+
+    It also checks that the closed form with the even letters on top and
+    every letter at the bottom, summed over every rearrangement class of a
+    given weight, reproduces the residue-class descent count with modulus
+    2.  The closed form's table is linear in its weighted row, so the rows
+    of all classes are summed and differenced once per (alphabet, n).
     """
     result = SuiteResult("hall-remmel")
     for m in range(1, m_max + 1):
@@ -211,13 +221,24 @@ def hall_remmel_suite(
             for size in range(m + 1)
             for combo in itertools.combinations(letters, size)
         ]
+        masks = [sum(1 << (x - 1) for x in subset) for subset in subsets]
+        # Per relevant mask: its subsets, the keys of one X row, in check order.
+        keys_within: dict[int, list[frozenset]] = {}
         for weight in range(weight_max + 1):
             for rho in compositions(weight, m):
+                used = sum(1 << (x - 1) for x, reps in enumerate(rho, start=1) if reps)
                 oracle_by_pairs: dict[frozenset, dict[int, int]] = {}
                 # Keyed by the closed form's own inputs, never by counted pairs.
                 closed_by_inputs: dict[tuple, dict[int, int]] = {}
                 for tops in subsets:
-                    for bottoms in subsets:
+                    relevant = used & ((1 << (max(tops, default=1) - 1)) - 1)
+                    sharing = 1 << (m - relevant.bit_count())
+                    keys = keys_within.get(relevant)
+                    if keys is None:
+                        keys = keys_within[relevant] = [
+                            subset for subset, mask in zip(subsets, masks) if not mask & ~relevant
+                        ]
+                    for bottoms in keys:
                         pairs = counted_pairs(rho, tops, bottoms)
                         if pairs not in oracle_by_pairs:
                             dist = pair_distribution(rho, pairs)
@@ -228,17 +249,18 @@ def hall_remmel_suite(
                         result.record(
                             closed_by_inputs[inputs] == oracle_by_pairs[pairs],
                             lambda rho=rho, tops=tops, bottoms=bottoms: f"rearrangement rho={rho} X={sorted(tops)} Y={sorted(bottoms)}",
+                            sharing,
                         )
 
     for alphabet in even_alphabets:
         evens = frozenset(range(2, alphabet + 1, 2))
         everything = frozenset(range(1, alphabet + 1))
         for n in range(even_n_max + 1):
-            summed = [0] * (n + 1)
+            row = [0] * (n + 1)
             for rho in compositions(n, alphabet):
-                table = formulas.distribution("hall-remmel", (rho, evens, everything))
-                for p in range(n + 1):
-                    summed[p] += table[p]
+                weighted = formulas.hall_remmel_row(*formulas.hall_remmel_inputs(rho, evens, everything))
+                row = list(map(add, row, weighted))
+            summed = formulas.hall_remmel_differences(row)
             residue = formulas.distribution("des-mod", (2, alphabet, 2, n))
             for p in range(n + 1):
                 result.record(

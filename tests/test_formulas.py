@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -474,6 +475,12 @@ class TestCountDesGt:
                     marginal = statistic_distribution(k, n, part, [(2, "des")])
                     for s in range(n + 2):
                         assert count_des_gt(k, t, n, s) == marginal.get((s,), 0)
+
+    def test_huge_alphabet_reads_no_binomial_past_n(self):
+        # Only x^0..x^n of (1+x)^k is read, so k = 30,000 at n = 1 builds two binomials.
+        start = time.perf_counter()
+        assert count_des_gt(30_000, 0, 1, 0) == 30_000
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCountDesMod:

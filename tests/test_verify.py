@@ -87,8 +87,40 @@ class TestHallRemmelSuite:
 
         monkeypatch.setattr(formulas, "hall_remmel_inputs", skewed)
         result = verify.hall_remmel_suite(m_max=2, weight_max=3, even_n_max=2)
-        assert result.failures == 1
+        # Y={1} is its key's representative: Y={1, 2} shares the key and the verdict.
+        assert result.failures == 2
         assert result.first_failure == "rearrangement rho=(2, 1) X=[2] Y=[1]"
+
+    def test_letter_sets_of_one_key_share_pairs_and_inputs(self):
+        # The grouping's premise: Y matters only through its used letters below max X.
+        for m in range(1, 5):
+            subsets = [frozenset(c) for size in range(m + 1)
+                       for c in itertools.combinations(range(1, m + 1), size)]
+            for weight in range(6):
+                for rho in compositions(weight, m):
+                    used = {x for x, reps in enumerate(rho, start=1) if reps}
+                    for x in subsets:
+                        seen = {}
+                        for y in subsets:
+                            key = frozenset(b for b in y & used if b < max(x, default=0))
+                            derived = (counted_pairs(rho, x, y), formulas.hall_remmel_inputs(rho, x, y))
+                            assert seen.setdefault(key, derived) == derived, (rho, x, y)
+
+    def test_wrong_weighted_row_is_caught_in_its_even_sum(self, monkeypatch):
+        wrong = formulas.hall_remmel_inputs((1, 2, 0, 0), {2, 4}, {1, 2, 3, 4})
+        weigh = formulas.hall_remmel_row
+
+        def skewed(*inputs):
+            row = weigh(*inputs)
+            if inputs == wrong:
+                row[0] += 1
+            return row
+
+        monkeypatch.setattr(formulas, "hall_remmel_row", skewed)
+        result = verify.hall_remmel_suite(m_max=1, weight_max=1, even_n_max=4)
+        # 1 at u^0 times (1-u)^4 moves every p of alphabet 4, n = 3 and nothing else.
+        assert result.failures == 4
+        assert result.first_failure == "even-words-sum alphabet=4 n=3 p=0"
 
     def test_wrong_evaluation_is_caught_at_every_letter_set_sharing_it(self, monkeypatch):
         rho = (2, 1)
