@@ -23,6 +23,18 @@ scans the rest of argv.  Every other argv, and one that leaves arguments
 the leaf does not take, goes to the whole argparse tree, which prints
 the usage, help and error text.  A record is written by ``_json``, which
 gives the text of ``json.dumps(record, indent=2)``.
+
+Before its leaf parser, a ``count``, ``table`` or ``series`` argv meets
+``_canonical``, which reads the options that leaf declared (the actions
+``add_argument`` returned) without argparse's option matcher.  It takes
+only ``--flag value`` pairs, each flag spelled in full and given once,
+converts each value with its action's ``type``, checks its ``choices``
+and fills in the defaults, giving the namespace argparse gives.  It
+declines an abbreviated or unknown flag (``-h`` included), ``--flag=value``,
+a repeated flag, a value that starts with ``-``, a missing value or
+required option, a value its type refuses and one outside its choices;
+such an argv goes to argparse as before, so argparse alone writes usage
+and error text.  ``verify`` takes a positional suite and stays on argparse.
 """
 
 from __future__ import annotations
@@ -133,7 +145,13 @@ def _write(value, indent: str, out: list[str]) -> None:
         separator = "{" + inner
         for key, item in value.items():
             out.extend((separator, encode_basestring_ascii(key), ": "))
-            _write(item, inner, out)
+            # A str or int item is written in place; a bool is not ``type`` int, so it recurses.
+            if isinstance(item, str):
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write(item, inner, out)
             separator = "," + inner
         out.append(indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -144,7 +162,12 @@ def _write(value, indent: str, out: list[str]) -> None:
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _write(item, inner, out)
+            if isinstance(item, str):
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write(item, inner, out)
             separator = "," + inner
         out.append(indent + "]")
     else:
@@ -412,19 +435,27 @@ def _add_count_subparsers(sub, command: str, routes: dict) -> None:
     families = parser.add_subparsers(dest="family", required=True)
     for name, entry in FAMILIES.items():
         p = routes[command, name] = families.add_parser(name)
-        for flag, kind, text in entry.options:
+        actions = [
             p.add_argument(flag, type=kind, required=True, help=text)
+            for flag, kind, text in entry.options
+        ]
         if command == "count":
             # Targets are a joint family's statistic, so it must give them.
             flag, kind, text = entry.statistic
-            p.add_argument(flag, type=kind, required=entry.joint, help=text)
-        p.add_argument(
+            actions.append(p.add_argument(flag, type=kind, required=entry.joint, help=text))
+        actions.append(p.add_argument(
             "--engine",
             choices=("closed-form", "oracle", "transfer"),
             default="closed-form",
-        )
+        ))
         if command == "table":
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+            actions.append(p.add_argument("--format", choices=("json", "csv"), default="json"))
+        _declare(p, actions)
+
+
+def _declare(parser: argparse.ArgumentParser, actions: list[argparse.Action]) -> None:
+    """Keep the ``actions`` ``parser.add_argument`` returned, by option string, for ``_canonical``."""
+    parser.declared = {flag: action for action in actions for flag in action.option_strings}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Its ``routes`` map the leading argv words that select a leaf parser,
     ``(command, family)`` for ``count`` and ``table`` and ``(command,)``
-    for ``series`` and ``verify``, to that leaf parser.
+    for ``series`` and ``verify``, to that leaf parser.  Each ``count``,
+    ``table`` and ``series`` leaf keeps its ``add_argument`` actions as
+    ``declared`` (see ``_declare``).
     """
     parser = argparse.ArgumentParser(
         prog="wordstats",
@@ -445,13 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_count_subparsers(sub, "table", routes)
 
     p = routes[("series",)] = sub.add_parser("series", help="expand a generating function")
-    p.add_argument("--gf", choices=("A", "B"), required=True,
-                   help="A: words graded by length; B: compositions graded by weight")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--partition", required=True, help="threshold:<t> | mod:<s> | blocks:<b1,...>")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--track", default="all", help="'all', 'none', or comma list like x2,z1")
-    p.add_argument("--q", choices=("common", "per-block"), default="common")
+    _declare(p, [
+        p.add_argument("--gf", choices=("A", "B"), required=True,
+                       help="A: words graded by length; B: compositions graded by weight"),
+        p.add_argument("--k", type=int, required=True),
+        p.add_argument("--partition", required=True,
+                       help="threshold:<t> | mod:<s> | blocks:<b1,...>"),
+        p.add_argument("--order", type=int, required=True),
+        p.add_argument("--track", default="all", help="'all', 'none', or comma list like x2,z1"),
+        p.add_argument("--q", choices=("common", "per-block"), default="common"),
+    ])
 
     p = routes[("verify",)] = sub.add_parser("verify", help="run a cross-engine verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
@@ -477,19 +513,58 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _canonical(
+    leaf: argparse.ArgumentParser, words: list[str], selected: dict
+) -> argparse.Namespace | None:
+    """The namespace ``leaf`` gives ``words`` when they are ``--flag value`` pairs, else None.
+
+    Each flag must be one of ``leaf.declared``'s, in full and given once,
+    and each value must not start with ``-``; the action's ``type`` and
+    ``choices`` must take it, and every required option must be given.
+    Options not given take their declared defaults.
+    """
+    if len(words) % 2:
+        return None
+    flags, values = leaf.declared, {}
+    for flag, raw in zip(words[::2], words[1::2]):
+        action = flags.get(flag)
+        if action is None or action.dest in values or raw[:1] == "-":
+            return None
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in flags.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(**selected, **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``argv`` parsed by the leaf parser its leading words route to.
 
-    The leaf gets a namespace that already holds what the words selected.
-    Without a route, or with arguments the leaf leaves over, the whole
-    tree parses ``argv``, so usage, help and error text are its own.
+    ``_canonical`` reads a ``--flag value`` argv of a leaf that declares
+    its options; any argv it declines goes to the leaf's own parser, which
+    gets a namespace that already holds what the words selected.  Without
+    a route, or with arguments the leaf leaves over, the whole tree parses
+    ``argv``, so usage, help and error text are its own.
     """
     parser = _parser()
     for key in (tuple(argv[:2]), tuple(argv[:1])):
         leaf = parser.routes.get(key)
         if leaf is not None:
-            selected = argparse.Namespace(**dict(zip(("command", "family"), key)))
-            args, rest = leaf.parse_known_args(argv[len(key):], selected)
+            selected = dict(zip(("command", "family"), key))
+            words = argv[len(key):]
+            if hasattr(leaf, "declared"):
+                args = _canonical(leaf, words, selected)
+                if args is not None:
+                    return args
+            args, rest = leaf.parse_known_args(words, argparse.Namespace(**selected))
             if not rest:
                 return args
             break

@@ -12,6 +12,7 @@ rule in u-1 (``expand_shifted``), so no binomial row is built.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -58,14 +59,15 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    """All tuples of ``parts`` nonnegative integers summing to ``total``, first part slowest.
+
+    Stars and bars: the ``parts - 1`` cuts 0 <= c_1 <= ... <= c_{parts-1}
+    <= total split [0, total] into the parts c_1, c_2 - c_1, ..., total -
+    c_{parts-1}, and the cuts come in lexicographic order.
+    """
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import inspect
 import json
@@ -672,15 +673,56 @@ class TestRouting:
         monkeypatch.setattr(cli._parser(), "routes", {})
         assert routed == outcome(capsys, argv)
 
+    @pytest.mark.parametrize("words", [
+        ["--k", "3", "--t", "1", "--n", "4", "--eng", "oracle"],  # abbreviated flag
+        ["--k=3", "--t", "1", "--n", "4"],
+        ["--k", "3", "--t", "1", "--n", "4", "--k", "3"],  # repeated flag
+        ["--k", "3", "--t", "1", "--n", "-4"],  # a value that starts with -
+        ["--k", "3", "--t", "1", "--n", "4", "--engine", "--"],
+        ["--k", "3", "--t", "1", "--n"],  # missing value
+        ["--k", "3", "--n", "4"],  # missing required option
+        ["--k", "x", "--t", "1", "--n", "4"],  # refused by the type
+        ["--k", "3", "--t", "1", "--n", "4", "--format", "xml"],  # outside the choices
+        ["--k", "3", "--t", "1", "--n", "4", "-h"],
+        ["--k", "3", "--t", "1", "--n", "4", "extra"],
+        ["--k", "3", "--t", "1", "--n", "4", "--"],
+    ])
+    def test_reader_declines_what_is_not_canonical(self, words):
+        leaf = cli._parser().routes["table", "des-le"]
+        assert cli._canonical(leaf, words, {"command": "table", "family": "des-le"}) is None
+
+    def test_reader_declines_a_string_value_that_starts_with_a_dash(self):
+        leaf = cli._parser().routes[("series",)]
+        words = ["--gf", "A", "--k", "2", "--partition", "-x", "--order", "2"]
+        assert cli._canonical(leaf, words, {"command": "series"}) is None
+
+    def test_reader_fills_in_the_declared_defaults(self):
+        leaf = cli._parser().routes["table", "des-le"]
+        words = ["--n", "4", "--t", "1", "--k", "3"]
+        read = cli._canonical(leaf, words, {"command": "table", "family": "des-le"})
+        assert vars(read) == {"command": "table", "family": "des-le", "k": 3, "t": 1, "n": 4,
+                              "engine": "closed-form", "format": "json"}
+
     @pytest.mark.parametrize("argv", [
         ["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "2"],
         DES_LE + ["--format", "csv"],
         SERIES_ARGVS[0],
         VERIFY_ARGVS[2],
+        ["count", "levels-blocks", "--targets", "1,0", "--n", "2", "--block-sizes", "1,1"],
+        SERIES_ARGVS[1],
     ])
     def test_valid_argv_skips_the_whole_tree(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli._parser(), "parse_args", lambda *_: pytest.fail("full tree"))
+        """``count``, ``table`` and ``series`` run no argparse parse; ``verify`` its leaf's only."""
+        parsed_by = [("verify",)] if argv[0] == "verify" else []
+        parsers, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
         assert outcome(capsys, argv)[0] == 0
+        assert parsers == [cli._parser().routes[key] for key in parsed_by]
 
 
 class TestJsonWriter:
@@ -716,3 +758,11 @@ class TestJsonWriter:
     def test_value_json_cannot_hold_is_refused(self, value):
         with pytest.raises(TypeError):
             cli._json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"on": True, "off": False, "n": 7, "s": "x"}, [True, False, 7, "x"], {"big": [10**30]},
+])
+def test_direct_items_have_the_stdlib_text(value):
+    """A str or int item in a dict or list is written in place; a bool is not an int there."""
+    assert cli._json(value) == json.dumps(value, indent=2)

@@ -148,6 +148,28 @@ def test_expand_shifted_single_powers():
         assert expand_shifted([1] + [0] * d) == [sign(d - j) * binom(d, j) for j in range(d + 1)]
 
 
+def _recursive_compositions(total, parts):
+    """Head by head, each tail from one level deeper: the reference ``compositions`` walks."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def test_compositions_match_the_recursive_walk():
+    # same tuples in the same order, for no parts, zero total and a negative total too
+    for total in range(-1, 9):
+        for parts in range(6):
+            assert list(compositions(total, parts)) == list(_recursive_compositions(total, parts))
+    assert list(compositions(0, 0)) == [()] and list(compositions(3, 0)) == []
+
+
 class TestPastDegree128:
     """Whole tables against the word and rearrangement DPs at n from 127 to 150.
 

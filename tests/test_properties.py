@@ -5,7 +5,9 @@ and the transfer engine's table; a threshold or modulus outside a
 family's range must be refused by every engine alike, and so must any
 query with one parameter out of range.  The fully tracked word series
 under a random ``blocks:`` partition must read back as the transfer
-engine's distribution.  Examples are derandomized so a run is
+engine's distribution.  The CLI's canonical-argv reader must either
+decline an argv or give argparse's namespace, and ``main`` must answer
+like the whole argparse tree.  Examples are derandomized so a run is
 repeatable.
 """
 
@@ -13,6 +15,7 @@ import contextlib
 import io
 import itertools
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,3 +212,82 @@ def test_series_coefficients_equal_transfer_distribution(query):
     for n in range(order + 1):
         got = coefficient_distribution(series, spec, partition, n)
         assert got == transfer_distribution(partition.k, n, partition)
+
+
+# Values a string-typed option of a routed leaf takes, keyed by its dest.
+STRING_VALUES = {
+    "block_sizes": ["1,1", "2,1", "0,1"],
+    "targets": ["1,0", "0,1,1", ""],
+    "rho": ["1,1", "2,1", "1,0,2"],
+    "x": ["all", "1", "1,2"],
+    "y": ["all", "2", "1,3"],
+    "partition": ["threshold:1", "mod:2", "blocks:1,2"],
+    "track": ["all", "none", "x1,z2"],
+}
+
+READ_LEAVES = sorted(key for key, leaf in cli._parser().routes.items() if hasattr(leaf, "declared"))
+
+
+@st.composite
+def leaf_argvs(draw):
+    """(route key, argv): ``--flag value`` pairs of one routed leaf, maybe with one mutation."""
+    key = draw(st.sampled_from(READ_LEAVES))
+    pairs = []
+    for action in cli._parser().routes[key].declared.values():
+        if not action.required and draw(st.booleans()):
+            continue
+        if action.choices is not None:
+            value = draw(st.sampled_from(action.choices))
+        elif action.type is int:
+            value = str(draw(st.integers(0, 3)))
+        else:
+            value = draw(st.sampled_from(STRING_VALUES[action.dest]))
+        pairs.append([action.option_strings[0], value])
+    pairs = draw(st.permutations(pairs))
+    mutation = draw(st.none() | st.sampled_from(
+        ["abbreviate", "equals", "repeat", "value", "drop", "help", "extra"]
+    ))
+    if pairs and mutation in ("abbreviate", "equals", "repeat", "value", "drop"):
+        i = draw(st.integers(0, len(pairs) - 1))
+        flag, value = pairs[i]
+        if mutation == "abbreviate":
+            pairs[i] = [flag[:draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else flag, value]
+        elif mutation == "equals":
+            pairs[i] = [f"{flag}={value}"]
+        elif mutation == "repeat":
+            pairs.insert(draw(st.integers(0, len(pairs))), [flag, draw(st.sampled_from([value, "2"]))])
+        elif mutation == "value":
+            pairs[i] = [flag, draw(st.sampled_from(["-1", "-x", "x", "1.5", "bogus", "--"]))]
+        else:
+            del pairs[i]
+    words = [word for pair in pairs for word in pair]
+    if mutation in ("help", "extra"):
+        words.insert(draw(st.integers(0, len(words))), "-h" if mutation == "help" else "extra")
+    return key, [*key, *words]
+
+
+def outcome(argv):
+    """``main``'s exit code, stdout and stderr, also when argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@PROPERTY
+@given(leaf_argvs())
+def test_canonical_reader_declines_or_gives_the_argparse_namespace(drawn):
+    key, argv = drawn
+    parser = cli._parser()
+    selected = dict(zip(("command", "family"), key))
+    read = cli._canonical(parser.routes[key], argv[len(key):], selected)
+    if read is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert vars(read) == vars(parser.parse_args(argv))
+    answered = outcome(argv)
+    with mock.patch.object(parser, "routes", {}), \
+            mock.patch.object(cli, "_canonical", side_effect=AssertionError("reader ran")):
+        assert answered == outcome(argv)
