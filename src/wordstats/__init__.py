@@ -12,7 +12,6 @@ from .words import BlockPartition, DistPolynomial, InputError, stat_key
 from .oracle import (
     BudgetExceededError,
     brute_distribution,
-    count_matching,
     rearrangement_distribution,
     statistic_distribution,
     transfer_distribution,
@@ -27,7 +26,6 @@ from .series import (
     solve_block_system,
 )
 from .formulas import (
-    CLOSED_FORMS,
     count_des_gt,
     count_des_le,
     count_des_mod,
@@ -40,8 +38,6 @@ from .formulas import (
 )
 from .identities import (
     IdentityReport,
-    check_top_letter_identity,
-    check_two_bottom_identity,
     direct_count_top_letter,
     direct_count_two_bottom,
 )
@@ -49,7 +45,6 @@ from .identities import (
 __all__ = [
     "BlockPartition",
     "BudgetExceededError",
-    "CLOSED_FORMS",
     "DistPolynomial",
     "IdentityReport",
     "InputError",
@@ -59,8 +54,6 @@ __all__ = [
     "brute_distribution",
     "build_ak_series",
     "build_bk_series",
-    "check_top_letter_identity",
-    "check_two_bottom_identity",
     "coefficient_distribution",
     "count_des_gt",
     "count_des_le",
@@ -68,7 +61,6 @@ __all__ = [
     "count_des_mod_uncorrected",
     "count_levels_blocks",
     "count_levels_threshold",
-    "count_matching",
     "direct_count_top_letter",
     "direct_count_two_bottom",
     "distribution",

@@ -251,17 +251,16 @@ def _statistic_value(family: Family, args):
         return _parse_int_list(value)
     if value is None:
         raise InputError("count needs the statistic value (--s / --p)")
-    if value < 0:
-        raise InputError("statistic value must be nonnegative")
     return value
 
 
 def _checked_params(family: Family, args, value: tuple = ()) -> tuple:
     """A query's closed-form parameters, checked by the closed forms on every engine."""
     params = family.params(args)
+    check_params(args.family, params + value)
+    # Only a query the closed forms accept meets an engine's refusal of the family.
     if formulas.FAMILIES[args.family].query is None and args.engine == "transfer":
         raise InputError(f"{args.family} supports the closed-form and oracle engines")
-    check_params(args.family, params + value)
     return params
 
 

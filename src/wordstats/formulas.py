@@ -113,9 +113,10 @@ def _check_des_mod(s: int, alphabet: int, r: int, n: int, p: int = 0) -> None:
 
 
 def _check_class(rho: Sequence[int], *letters_and_value) -> None:
-    """Checks of ``hall_remmel_count``: any letter sets and statistic value pass."""
+    """Checks of ``hall_remmel_count``: any letter sets pass, a negative value does not."""
     if any(reps < 0 for reps in rho):
         raise InputError(f"multiplicities must be nonnegative, got {tuple(rho)}")
+    _check_length(0, *letters_and_value[2:])
 
 
 def _check_alphabet(k: int) -> None:

@@ -338,7 +338,6 @@ def coordinate_distribution(
     partition: BlockPartition,
     coords: Sequence[tuple[int, str]],
     engine: str = "transfer",
-    budget: int | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Joint distribution of (block, statistic) coordinates from one engine pass.
 
@@ -352,7 +351,7 @@ def coordinate_distribution(
     for block, stat in coords:
         _check_coordinate(partition, block, stat)
     if engine == "oracle":
-        return brute_distribution(k, n, partition, budget=budget).joint(coords)
+        return brute_distribution(k, n, partition).joint(coords)
     raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
 
 
@@ -362,7 +361,6 @@ def count_matching(
     partition: BlockPartition,
     constraints: Sequence[tuple[int, str, int]],
     engine: str = "transfer",
-    budget: int | None = None,
 ) -> int:
     """Number of words of [k]^n whose statistics meet every (block, statistic, value).
 
@@ -374,7 +372,7 @@ def count_matching(
     for value in target:
         if value < 0:
             raise InputError(f"constraint value must be nonnegative, got {value}")
-    dist = coordinate_distribution(k, n, partition, coords, engine=engine, budget=budget)
+    dist = coordinate_distribution(k, n, partition, coords, engine=engine)
     return dist.get(target, 0)
 
 
@@ -447,14 +445,12 @@ def pair_distribution(
     # Per appended letter b: the last letters whose pair with b counts.
     before = [[a for a in range(m) if (a + 1, b + 1) in counted] for b in range(m)]
 
-    ends_at: list[list[int] | None] = [None] * prod(reps + 1 for reps in rho)
-    ends_at[0] = [0] * m
+    # Every multiset at or below rho is reached from one with a letter fewer.
+    ends_at = [[0] * m for _ in range(prod(reps + 1 for reps in rho))]
     # Digits of the integers 0, 1, 2, ... in the mixed radix, most significant first.
     placed = itertools.product(*(range(reps + 1) for reps in reversed(rho)))
     for used, digits in enumerate(placed):
         ends = ends_at[used]
-        if ends is None:
-            continue
         # State 0 holds only the empty word, which has no last letter.
         total = sum(ends) if used else 1
         for b in range(m):
@@ -463,11 +459,8 @@ def pair_distribution(
             shifted = 0
             for a in before[b]:
                 shifted += ends[a]
-            into = ends_at[used + place[b]]
-            if into is None:
-                into = ends_at[used + place[b]] = [0] * m
             # (total - shifted) + (shifted << width): a counted pair moves its words up a field.
-            into[b] += total + shifted * field
+            ends_at[used + place[b]][b] += total + shifted * field
     packed = sum(ends_at[-1])
     out: dict[int, int] = {}
     for hits in range(n):

@@ -50,9 +50,9 @@ class SuiteResult:
                 self.first_failure = describe()
 
 
-def _grid_partitions(k: int, moduli=(2, 3)) -> list[BlockPartition]:
+def _grid_partitions(k: int) -> list[BlockPartition]:
     parts = [BlockPartition.threshold(k, t) for t in range(0, k + 1)]
-    parts.extend(BlockPartition.mod_residue(k, s) for s in moduli)
+    parts.extend(BlockPartition.mod_residue(k, s) for s in (2, 3))
     return parts
 
 
@@ -168,23 +168,21 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
                         report.ok,
                         lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
                     )
-    # One closed-form table per (k, n) answers every s of the cell.
-    for k in range(1, 7):
-        for n in range(9):
-            table = formulas.distribution("des-gt", (k, k - 1, n))
-            for s in range(n + 1):
-                result.record(
-                    identities.direct_count_top_letter(k, n, s) == table.get(s, 0),
-                    lambda k=k, n=n, s=s: f"direct-top k={k} n={n} s={s}",
-                )
-    for k in range(2, 7):
-        for n in range(9):
-            table = formulas.distribution("des-le", (k, 2, n))
-            for s in range(n + 1):
-                result.record(
-                    identities.direct_count_two_bottom(k, n, s) == table.get(s, 0),
-                    lambda k=k, n=n, s=s: f"direct-two-bottom k={k} n={n} s={s}",
-                )
+    # Per direct count: the closed form it equals at each (alphabet, threshold).
+    direct = (
+        ("direct-top", identities.direct_count_top_letter, "des-gt", [(k, k - 1) for k in range(1, 7)]),
+        ("direct-two-bottom", identities.direct_count_two_bottom, "des-le", [(k, 2) for k in range(2, 7)]),
+    )
+    for name, count, family, cells in direct:
+        for k, t in cells:
+            for n in range(9):
+                # One closed-form table per (k, n) answers every s of the cell.
+                table = formulas.distribution(family, (k, t, n))
+                for s in range(n + 1):
+                    result.record(
+                        count(k, n, s) == table.get(s, 0),
+                        lambda name=name, k=k, n=n, s=s: f"{name} k={k} n={n} s={s}",
+                    )
     return result
 
 

@@ -393,14 +393,19 @@ class TestSeries:
         assert first == second
 
     def test_bad_partition_spec(self, capsys):
-        for spec in ("stripes:1", "threshold:abc", "mod:x"):
+        for spec, message in [
+            ("stripes:1", "unknown partition spec 'stripes:1'"),
+            ("threshold:abc", "partition threshold:<int> needs an integer, got 'abc'"),
+            ("mod:x", "partition mod:<int> needs an integer, got 'x'"),
+            ("blocks:1,x", "expected a comma-separated integer list, got '1,x'"),
+        ]:
             code, out, err = run(
                 capsys, "series", "--gf", "A", "--k", "2", "--partition", spec,
                 "--order", "2",
             )
             assert code == cli.EXIT_USAGE, spec
             assert out == ""
-            assert err.startswith("error:"), spec
+            assert err == f"error: {message}\n", spec
 
     def test_negative_order(self, capsys):
         code, _, _ = run(
@@ -519,11 +524,17 @@ class TestParameterRanges:
          "letter 5 outside 1..2"),
         ("hall-remmel", ["--rho", "1,1", "--x=-1,0", "--y", "1"], ["--s", "0"],
          "letter -1 outside 1..2"),
+        ("levels-blocks", ["--block-sizes", "1,x", "--n", "2"], ["--targets", "0,0"],
+         "expected a comma-separated integer list, got '1,x'"),
     ]
     # The fault of these rows lies in the statistic value, which a table does not take.
     VALUE_FAULTS = [
         ("levels-blocks", ["--block-sizes", "2,3", "--n", "5"], ["--targets=-1,0"],
          "block sizes and level targets must be nonnegative"),
+        ("des-gt", ["--k", "3", "--t", "1", "--n", "4"], ["--s", "-2"],
+         "length and statistic value must be nonnegative"),
+        ("hall-remmel", ["--rho", "1,1", "--x", "all", "--y", "all"], ["--s", "-2"],
+         "length and statistic value must be nonnegative"),
     ]
     QUERIES += VALUE_FAULTS
 
@@ -540,6 +551,15 @@ class TestParameterRanges:
                 assert code == cli.EXIT_USAGE, (engine, argv)
                 assert out == ""
                 assert err == f"error: {message}\n", (engine, argv)
+
+    @pytest.mark.parametrize("command, value", [("count", ["--s", "0"]), ("table", [])])
+    def test_transfer_refuses_a_family_it_lacks(self, capsys, command, value):
+        code, out, err = run(
+            capsys, command, "hall-remmel", "--rho", "1,1", "--x", "all", "--y", "all", *value,
+            "--engine", "transfer",
+        )
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: hall-remmel supports the closed-form and oracle engines\n"
 
 
 class TestParametersEcho:

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from wordstats import (
-    CLOSED_FORMS,
     BlockPartition,
     InputError,
     count_des_gt,
@@ -22,7 +21,7 @@ from wordstats import (
 )
 from wordstats import formulas
 from wordstats.combinat import binom, compositions, expand_shifted, multinomial, sign
-from wordstats.formulas import check_params
+from wordstats.formulas import CLOSED_FORMS, check_params
 from wordstats.oracle import counted_pairs, pair_distribution
 
 
@@ -213,7 +212,7 @@ class TestPastDegree128:
         assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == self.nonzero(want)
 
     def test_every_family_and_regime_around_n_128(self):
-        """Tables at n straddling 128, joints on 2-3 blocks, and classes of weight 12-20."""
+        """Tables at n straddling 128, joints on 2-4 blocks, and classes of weight 12-20."""
         regimes = [(4, 8, 3), (3, 8, 3), (4, 6, 2)]  # aligned; offset, r above t; r within t
         queries = [
             ("levels-threshold", (5, 2)),
@@ -235,8 +234,9 @@ class TestPastDegree128:
         # the rejected reading of each regime still disagrees at some such n
         assert disagrees == set(regimes)
 
-        # two blocks run the dense kernel, three the dict kernel
-        for sizes, n in [((2, 3), 29), ((1, 2), 31), ((2, 1, 2), 15), ((1, 1, 2), 16)]:
+        # two blocks run the dense kernel, three and four the dict kernel
+        for sizes, n in [((2, 3), 29), ((1, 2), 31), ((2, 1, 2), 15), ((1, 1, 2), 16),
+                         ((1, 2, 1, 1), 16)]:
             alphabet, partition, coords = formulas.FAMILIES["levels-blocks"].query(sizes, n)
             joint = statistic_distribution(alphabet, n, partition, coords)
             assert self.nonzero(distribution("levels-blocks", (sizes, n))) == self.nonzero(joint), sizes
@@ -651,6 +651,15 @@ class TestHallRemmelCount:
     def test_negative_multiplicity(self):
         with pytest.raises(InputError):
             hall_remmel_count((1, -1), {1}, {1}, 0)
+
+    def test_negative_statistic_value(self):
+        # refused like every other family's negative value, by the count and the checks alike
+        for refuse in (
+            lambda: hall_remmel_count((1, 1), {2}, {1}, -1),
+            lambda: check_params("hall-remmel", ((1, 1), {2}, {1}, -1)),
+        ):
+            with pytest.raises(InputError, match="^length and statistic value must be nonnegative$"):
+                refuse()
 
     def test_against_rearrangement_oracle(self):
         letters = (1, 2, 3)

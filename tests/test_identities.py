@@ -2,8 +2,6 @@ import pytest
 
 from wordstats import (
     InputError,
-    check_top_letter_identity,
-    check_two_bottom_identity,
     count_des_gt,
     count_des_le,
     direct_count_top_letter,
@@ -11,6 +9,7 @@ from wordstats import (
 )
 from wordstats import identities
 from wordstats.combinat import binom, sign
+from wordstats.identities import check_top_letter_identity, check_two_bottom_identity
 
 
 class TestDirectCountTopLetter:

@@ -10,7 +10,6 @@ from wordstats import (
     BudgetExceededError,
     InputError,
     brute_distribution,
-    count_matching,
     rearrangement_distribution,
     stat_key,
     statistic_distribution,
@@ -22,6 +21,7 @@ from wordstats.oracle import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUMERATION_BUDGET,
     coordinate_distribution,
+    count_matching,
     counted_pairs,
     pair_distribution,
     resolve_budget,
