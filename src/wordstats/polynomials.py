@@ -11,8 +11,12 @@ CLI relies on for deterministic output.
 No field carries silently: the total degree bounds every exponent, so a
 key sum carries only if its degree field overflows, which puts it at or
 above 2**(FIELD_BITS * (len(names) + 1)), and ``from_keys`` refuses such
-a key with ``InputError``.  Keys are decoded only where exponents are
-shown: ``exponents`` and ``__str__``.
+a key with ``InputError``.  ``Polynomial``'s operators wrap every result
+through ``from_keys``; the series engine adds term dicts with
+``add_product`` and wraps each coefficient it hands out once, so its
+check runs there (``series`` says why that is enough).  Keys are decoded
+only where exponents are shown: ``exponents`` and ``__str__``, which
+reads each key in two halves and caches each half's text per call.
 """
 
 from __future__ import annotations
@@ -141,22 +145,62 @@ class Polynomial:
         return {decode(key, len(self.names)): c for key, c in self.terms.items()}
 
     def __str__(self) -> str:
+        """Terms in key order (graded, then lexicographic), in one pass.
+
+        A key's exponent fields are read in an upper and a lower half, and each
+        half's text is cached for this call: the terms of one polynomial share
+        most of their halves.  Every factor's text starts with "*", so digits
+        join it directly and a unit coefficient drops the first "*".
+        """
+        terms = self.terms
+        if not terms:
+            return "0"
         arity = len(self.names)
-        fields = [(name, FIELD_BITS * (arity - 1 - i)) for i, name in enumerate(self.names)]
-        pieces: list[str] = []
-        for key, coefficient in sorted(self.terms.items()):
-            magnitude = abs(coefficient)
-            body = [] if magnitude == 1 and key else [str(magnitude)]
-            for name, shift in fields:
-                power = (key >> shift) & _MASK
-                if power:
-                    body.append(name if power == 1 else f"{name}^{power}")
-            text = "*".join(body)
-            if pieces:
-                pieces.append(("+ " if coefficient > 0 else "- ") + text)
+        half = arity // 2
+        split = FIELD_BITS * (arity - half)
+        lower_mask = (1 << split) - 1
+        upper_mask = (1 << (FIELD_BITS * half)) - 1
+        layout = [(FIELD_BITS * (arity - i), "*" + name) for i, name in enumerate(self.names, 1)]
+        upper = [(shift - split, name) for shift, name in layout[:half]]
+        lower = layout[half:]
+        upper_text: dict[int, str] = {}
+        lower_text: dict[int, str] = {}
+        keys = sorted(terms)
+        pieces = []
+        if not keys[0]:
+            constant = terms[0]
+            pieces.append(f"+ {constant}" if constant > 0 else f"- {-constant}")
+            del keys[0]
+        for key in keys:
+            high = (key >> split) & upper_mask
+            head = upper_text.get(high)
+            if head is None:
+                head = upper_text[high] = _factors(upper, high)
+            low = key & lower_mask
+            tail = lower_text.get(low)
+            if tail is None:
+                tail = lower_text[low] = _factors(lower, low)
+            coefficient = terms[key]
+            if coefficient == 1:
+                pieces.append("+ " + (head + tail)[1:])
+            elif coefficient == -1:
+                pieces.append("- " + (head + tail)[1:])
+            elif coefficient > 0:
+                pieces.append(f"+ {coefficient}{head}{tail}")
             else:
-                pieces.append(text if coefficient > 0 else "-" + text)
-        return " ".join(pieces) or "0"
+                pieces.append(f"- {-coefficient}{head}{tail}")
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _factors(layout: list[tuple[int, str]], fields: int) -> str:
+    """``*x^2*y`` for the exponent fields at the (shift, "*name") pairs of ``layout``."""
+    factors = []
+    for shift, name in layout:
+        power = (fields >> shift) & _MASK
+        if power:
+            factors.append(name if power == 1 else f"{name}^{power}")
+    return "".join(factors)

@@ -21,8 +21,19 @@ compositions):
 
 One builder, ``_build_series``, makes both series.  It accumulates each
 sum letter by letter, S_j = S_(j-1) * c_j + a_j * prod(d before j), so each
-product it takes has a two-term factor.  Series products and quotients add
-every coefficient product into one packed-key dict per output coefficient.
+product it takes has a two-term factor.
+
+Every series product, sum and quotient runs on one representation: a list
+of packed-key term dicts (see ``polynomials``), one per coefficient.  The
+builder, ``solve_block_system`` and ``PowerSeries``'s operators all call
+the same three helpers, ``_products``, ``_signed_sum`` and ``_quotient``;
+the factors are written as term dicts straight from the markers' unit keys.
+A coefficient becomes a ``Polynomial`` once, through ``from_keys``, when a
+series is handed out, and that wrap is where a carried key is refused.
+Checking there and not after each step is sound because keys only ever
+add: every key formed from a carried key is itself at or above the bound,
+so a carried key never lands on a valid one and never changes a
+coefficient the wrap accepts.
 """
 
 from __future__ import annotations
@@ -30,8 +41,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .polynomials import Polynomial, add_product
+from .polynomials import FIELD_BITS, Polynomial, add_product
 from .words import BlockPartition, DistPolynomial, InputError
+
+Terms = dict[int, int]
+
+
+def _products(pairs: Iterable[tuple[list[Terms], list[Terms]]], order: int) -> list[Terms]:
+    """sum(left * right for left, right in pairs), truncated at ``order``."""
+    out: list[Terms] = [{} for _ in range(order + 1)]
+    for left, right in pairs:
+        right_terms = [(j, b) for j, b in enumerate(right) if b]
+        for i, a in enumerate(left):
+            if a:
+                for j, b in right_terms:
+                    if i + j > order:
+                        break
+                    add_product(out[i + j], a, b)
+    return [_nonzero(c) for c in out]
+
+
+def _signed_sum(left: list[Terms], right: list[Terms], sign: int = 1) -> list[Terms]:
+    """left + sign * right, coefficient by coefficient."""
+    out = []
+    for a, b in zip(left, right):
+        acc = dict(a)
+        get = acc.get
+        for key, coefficient in b.items():
+            acc[key] = get(key, 0) + sign * coefficient
+        out.append(_nonzero(acc))
+    return out
+
+
+def _quotient(left: list[Terms], right: list[Terms]) -> list[Terms]:
+    """Truncated left / right; ``right``'s constant coefficient is 1."""
+    divisor = [(j, b) for j, b in enumerate(right) if j and b]
+    out: list[Terms] = []
+    for i, a in enumerate(left):
+        acc = dict(a)
+        for j, b in divisor:
+            if j > i:
+                break
+            add_product(acc, b, out[i - j], -1)
+        out.append(_nonzero(acc))
+    return out
+
+
+def _nonzero(terms: Terms) -> Terms:
+    """``terms`` without its cancelled keys."""
+    if 0 in terms.values():
+        return {key: c for key, c in terms.items() if c}
+    return terms
 
 
 @dataclass
@@ -39,7 +99,8 @@ class PowerSeries:
     """Series in one expansion variable, truncated at ``order`` inclusive.
 
     ``coeffs[i]`` is the exact polynomial coefficient of var**i; the list
-    always has length order + 1.
+    always has length order + 1.  The operators run on the coefficients'
+    term dicts and wrap each result coefficient once.
     """
 
     var: str
@@ -60,67 +121,38 @@ class PowerSeries:
         coeffs += [Polynomial.constant(names, 0)] * (order + 1 - len(coeffs))
         return cls(var, names, coeffs)
 
+    @classmethod
+    def _wrap(cls, var: str, names: tuple[str, ...], terms: list[Terms]) -> "PowerSeries":
+        return cls(var, names, [Polynomial.from_keys(names, c) for c in terms])
+
     def coefficient(self, i: int) -> Polynomial:
         if not 0 <= i <= self.order:
             raise InputError(f"order {i} outside truncation 0..{self.order}")
         return self.coeffs[i]
 
-    def _check(self, other: "PowerSeries") -> None:
+    def _terms(self, other: "PowerSeries") -> tuple[list[Terms], list[Terms]]:
+        """Both operands' term dicts, once their variables and orders match."""
         if self.var != other.var or self.names != other.names:
             raise InputError("series mix expansion variables or coefficient variables")
         if self.order != other.order:
             raise InputError(f"series orders differ: {self.order} vs {other.order}")
+        return [c.terms for c in self.coeffs], [c.terms for c in other.coeffs]
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.var, self.names, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._wrap(self.var, self.names, _signed_sum(*self._terms(other)))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.var, self.names, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._wrap(self.var, self.names, _signed_sum(*self._terms(other), -1))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        return _sum_of_products((self, other))
+        return self._wrap(self.var, self.names, _products([self._terms(other)], self.order))
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Truncated quotient; the divisor's constant coefficient must be 1."""
-        self._check(other)
-        if other.coeffs[0] != 1:
+        left, right = self._terms(other)
+        if right[0] != {0: 1}:
             raise InputError("series division requires a divisor with constant term 1")
-        right = [(j, b.terms) for j, b in enumerate(other.coeffs) if j and b.terms]
-        out: list[Polynomial] = []
-        for i, a in enumerate(self.coeffs):
-            acc = dict(a.terms)
-            for j, b in right:
-                if j > i:
-                    break
-                add_product(acc, b, out[i - j].terms, -1)
-            out.append(Polynomial.from_keys(self.names, acc))
-        return PowerSeries(self.var, self.names, out)
-
-
-def _sum_of_products(*pairs: tuple[PowerSeries, PowerSeries]) -> PowerSeries:
-    """sum(left * right for left, right in pairs), one dict per output coefficient."""
-    first = pairs[0][0]
-    order = first.order
-    out: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for left, right in pairs:
-        first._check(left)
-        first._check(right)
-        right_terms = [(j, b.terms) for j, b in enumerate(right.coeffs) if b.terms]
-        for i, a in enumerate(left.coeffs):
-            if a.terms:
-                for j, b in right_terms:
-                    if i + j > order:
-                        break
-                    add_product(out[i + j], a.terms, b)
-    return PowerSeries(
-        first.var, first.names, [Polynomial.from_keys(first.names, c) for c in out]
-    )
+        return self._wrap(self.var, self.names, _quotient(left, right))
 
 
 @dataclass(frozen=True)
@@ -158,7 +190,8 @@ class TrackingSpec:
         groups = {"x": [False] * t, "y": [False] * t, "z": [False] * t}
         for name in tracked:
             kind, index = name[0], name[1:]
-            if kind not in groups or not index.isdigit():
+            # str.isdigit also takes "²" and "٣"; a block index is ASCII decimal.
+            if kind not in groups or not (index.isascii() and index.isdigit()):
                 raise InputError(f"unknown tracked marker {name!r}")
             block = int(index)
             if not 1 <= block <= t:
@@ -183,8 +216,8 @@ class TrackingSpec:
 def _build_series(
     k: int, partition: BlockPartition, spec: TrackingSpec, order: int, var: str,
     degrees: Iterable[int],
-) -> tuple[PowerSeries, list[tuple[PowerSeries, ...]]]:
-    """The series in ``var`` and its per-letter factors (a, b, c, d).
+) -> tuple[tuple[str, ...], list[Terms], list[tuple[list[Terms], ...]]]:
+    """Coefficient variables, the series in ``var`` and its per-letter factors (a, b, c, d).
 
     Letter i enters with var**degrees[i - 1].  The composition variable v
     keeps a common part-count marker q; for words q is ``var`` itself.
@@ -198,32 +231,41 @@ def _build_series(
             f"tracking spec covers {spec.t} blocks, partition has {partition.t}"
         )
     names = spec.poly_names(common_q_var=var == "v")
+    # A tracked marker's key has its own exponent 1 and total degree 1; an untracked
+    # marker is the constant 1, key 0, so a product of markers is a sum of keys.
+    top = FIELD_BITS * len(names)
+    unit = {name: (1 << top) | (1 << (top - FIELD_BITS * i)) for i, name in enumerate(names, 1)}
 
-    def marker(name: str):
-        return Polynomial.variable(names, name) if name in names else 1
+    def poly(*terms: tuple[int, int]) -> Terms:
+        acc: Terms = {}
+        for key, coefficient in terms:
+            acc[key] = acc.get(key, 0) + coefficient
+        return _nonzero(acc)
 
-    def lift(constant, value, degree: int) -> PowerSeries:
-        return PowerSeries.lift(var, names, [constant] + [0] * (degree - 1) + [value], order)
+    def lift(constant: int, value: Terms, degree: int) -> list[Terms]:
+        spine = [poly((0, constant))] + [{}] * (degree - 1) + [value] + [{}] * order
+        return spine[: order + 1]
 
     factors = []
     for letter, degree in enumerate(degrees, start=1):
         m = partition.block_of(letter)
-        xs, ys, zs = (marker(f"{kind}{m}") for kind in "xyz")
-        qs = marker(f"q{m}" if spec.per_block_q else "q")
+        xs, ys, zs = (unit.get(f"{kind}{m}", 0) for kind in "xyz")
+        qs = unit.get(f"q{m}" if spec.per_block_q else "q", 0)
         factors.append((
-            lift(0, qs * (1 - ys), degree),
-            lift(0, qs * ys, degree),
-            lift(1, -(qs * (zs - xs)), degree),
-            lift(1, -(qs * (zs - ys)), degree),
+            lift(0, poly((qs, 1), (qs + ys, -1)), degree),
+            lift(0, {qs + ys: 1}, degree),
+            lift(1, poly((qs + zs, -1), (qs + xs, 1)), degree),
+            lift(1, poly((qs + zs, -1), (qs + ys, 1)), degree),
         ))
     # Running sums S_j = S_(j-1) * c_j + a_j * prod(d before j), and likewise with b.
-    prefix_d = PowerSeries.lift(var, names, [1], order)
-    with_a = with_b = PowerSeries.lift(var, names, [], order)
+    prefix_d = [{0: 1}] + [{}] * order
+    with_a = with_b = [{}] * (order + 1)
     for a, b, c, d in factors:
-        with_a = _sum_of_products((with_a, c), (a, prefix_d))
-        with_b = _sum_of_products((with_b, c), (b, prefix_d))
-        prefix_d = prefix_d * d
-    return (prefix_d + with_a).divide(prefix_d - with_b), factors
+        with_a = _products([(with_a, c), (a, prefix_d)], order)
+        with_b = _products([(with_b, c), (b, prefix_d)], order)
+        prefix_d = _products([(prefix_d, d)], order)
+    full = _quotient(_signed_sum(prefix_d, with_a), _signed_sum(prefix_d, with_b, -1))
+    return names, full, factors
 
 
 def build_ak_series(
@@ -235,7 +277,8 @@ def build_ak_series(
     the length-n words, under the requested specialization.  The constant
     coefficient is always 1 (the empty word).
     """
-    return _build_series(k, partition, spec, order, "q", [1] * k)[0]
+    names, full, _ = _build_series(k, partition, spec, order, "q", [1] * k)
+    return PowerSeries._wrap("q", names, full)
 
 
 def build_bk_series(
@@ -248,7 +291,8 @@ def build_bk_series(
     v**w is a polynomial whose q-power records how many parts a
     composition of weight w uses.
     """
-    return _build_series(k, partition, spec, order, "v", range(1, k + 1))[0]
+    names, full, _ = _build_series(k, partition, spec, order, "v", range(1, k + 1))
+    return PowerSeries._wrap("v", names, full)
 
 
 def solve_block_system(
@@ -268,13 +312,15 @@ def solve_block_system(
     1 + sum_s F(s) = G holds through the truncation order and is enforced by
     the test suite.
     """
-    full, factors = _build_series(k, partition, spec, order, "q", [1] * k)
+    names, full, factors = _build_series(k, partition, spec, order, "q", [1] * k)
     solved: list[PowerSeries] = []
-    running = PowerSeries.lift("q", full.names, [], order)
+    running: list[Terms] = [{}] * (order + 1)
     for a, b, c, d in factors:
-        here = (a + _sum_of_products((b, full), (c - d, running))).divide(d)
-        solved.append(here)
-        running = running + here
+        here = _quotient(
+            _signed_sum(a, _products([(b, full), (_signed_sum(c, d, -1), running)], order)), d
+        )
+        solved.append(PowerSeries._wrap("q", names, here))
+        running = _signed_sum(running, here)
     return solved
 
 

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import inspect
 import json
 import time
@@ -407,6 +408,38 @@ class TestSeries:
             assert out == ""
             assert err == f"error: {message}\n", spec
 
+    @pytest.mark.parametrize("k, partition, marker", [
+        ("2", "threshold:1", "x\u00b2"),  # "²".isdigit() holds, int("²") raises
+        ("3", "blocks:1,2,3", "x\u0663"),  # Arabic-Indic three, int() reads it as 3
+    ])
+    def test_tracked_block_index_is_ascii_decimal(self, capsys, k, partition, marker):
+        code, out, err = run(
+            capsys, "series", "--gf", "A", "--k", k, "--partition", partition,
+            "--track", marker, "--order", "2",
+        )
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: unknown tracked marker {marker!r}\n"
+
+    # sha256 of three whole records: the build and the rendering of every polynomial of
+    # 16, 4 and 0 coefficient variables, byte for byte.
+    PINNED_RECORDS = [
+        (["--gf", "A", "--k", "4", "--partition", "blocks:1,2,3,4", "--track", "all",
+          "--q", "per-block", "--order", "5"],
+         "33418fce86901de6a963777ee67a4eac987068e5e82fff540c8cd8f0d65f11ee"),
+        (["--gf", "B", "--k", "4", "--partition", "mod:2", "--track", "x1,y2,z1",
+          "--q", "common", "--order", "8"],
+         "3738fd747dbae67731ebdb6ef107e3f7ff9ed82486c0d4eb665eab54e32c3ac5"),
+        (["--gf", "A", "--k", "3", "--partition", "threshold:2", "--track", "none",
+          "--order", "8"],
+         "5d7f74eb00dac3d4e2755e7c1797f06341e7c9ac4ed9f71f64fe01a38e61fa60"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", PINNED_RECORDS)
+    def test_record_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "series", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_negative_order(self, capsys):
         code, _, _ = run(
             capsys, "series", "--gf", "A", "--k", "2", "--partition", "threshold:1",
@@ -667,6 +700,10 @@ MALFORMED_ARGVS = [
     ["table", "des-le"],
     ["series", "--gf", "C", "--k", "2", "--partition", "threshold:1", "--order", "2"],
     ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2", "more"],
+    ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--track", "x\u00b2",
+     "--order", "2"],
+    ["series", "--gf", "A", "--k", "3", "--partition", "blocks:1,2,3", "--track", "x\u0663",
+     "--order", "2"],
     ["verify", "nope"],
     ["verify", "identities", "--n-max", "1", "extra"],
     ["verify"],

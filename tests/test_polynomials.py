@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from test_properties import PROPERTY
@@ -179,19 +179,35 @@ def reference_str(names, terms):
     return " ".join(pieces)
 
 
+# The variables of the widest series the CLI prints: x, y, z and q for each of 4 blocks.
+SERIES_NAMES = tuple(f"{kind}{block}" for kind in "xyzq" for block in range(1, 5))
+
+
+def term_maps(names, max_size=6):
+    """Tuple-keyed term maps over ``names``, zeros dropped."""
+    exponents = st.tuples(*[st.integers(0, 4)] * len(names))
+    coefficients = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    return st.dictionaries(exponents, coefficients, max_size=max_size).map(
+        lambda terms: {exponents: c for exponents, c in terms.items() if c}
+    )
+
+
 @st.composite
 def polynomial_pairs(draw):
     """Variable names and two tuple-keyed term maps over them, zeros dropped."""
-    names = ("a", "b", "c", "d")[: draw(st.integers(0, 4))]
-    exponents = st.tuples(*[st.integers(0, 4)] * len(names))
-    terms = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
-    left, right = draw(terms), draw(terms)
-    drop = lambda t: {exponents: c for exponents, c in t.items() if c}
-    return names, drop(left), drop(right)
+    names = SERIES_NAMES[: draw(st.integers(0, len(SERIES_NAMES)))]
+    terms = term_maps(names)
+    return names, draw(terms), draw(terms)
+
+
+def _unit(index, power=1):
+    return tuple(power if i == index else 0 for i in range(len(SERIES_NAMES)))
 
 
 @PROPERTY
 @given(polynomial_pairs())
+@example((SERIES_NAMES, {_unit(0): 2**70, _unit(15, 3): -1, (0,) * 16: 5},
+          {_unit(8): -(2**70), _unit(7): 1}))
 def test_packed_arithmetic_matches_tuple_reference(pair):
     names, left, right = pair
     a, b = Polynomial(names, left), Polynomial(names, right)
@@ -205,3 +221,58 @@ def test_packed_arithmetic_matches_tuple_reference(pair):
     ]:
         assert got.exponents() == want
         assert str(got) == reference_str(names, want)
+
+
+def reference_series_mul(left, right):
+    """Tuple-keyed truncated product: coefficient i sums left[j] * right[i - j]."""
+    out = []
+    for i in range(len(left)):
+        acc = {}
+        for j in range(i + 1):
+            acc = reference_add(acc, reference_mul(left[j], right[i - j]))
+        out.append(acc)
+    return out
+
+
+def reference_series_divide(left, right):
+    """Tuple-keyed truncated quotient by a series with constant coefficient 1."""
+    out = []
+    for i in range(len(left)):
+        acc = left[i]
+        for j in range(1, i + 1):
+            product = reference_mul(right[j], out[i - j])
+            acc = reference_add(acc, {e: -c for e, c in product.items()})
+        out.append(acc)
+    return out
+
+
+@st.composite
+def series_pairs(draw):
+    """Names, then two tuple-keyed series of one order; the second has constant coefficient 1."""
+    names = SERIES_NAMES[: draw(st.integers(0, 4))]
+    order = draw(st.integers(0, 4))
+    terms = term_maps(names, max_size=3)
+    left = [draw(terms) for _ in range(order + 1)]
+    right = [{(0,) * len(names): 1}] + [draw(terms) for _ in range(order)]
+    return names, left, right
+
+
+@PROPERTY
+@given(series_pairs())
+def test_series_arithmetic_matches_tuple_reference(pair):
+    names, left, right = pair
+    order = len(left) - 1
+
+    def lift(coefficients):
+        return PowerSeries.lift("q", names, [Polynomial(names, c) for c in coefficients], order)
+
+    a, b = lift(left), lift(right)
+    negated = [{e: -c for e, c in coefficient.items()} for coefficient in right]
+    for got, want in [
+        (a + b, [reference_add(x, y) for x, y in zip(left, right)]),
+        (a - b, [reference_add(x, y) for x, y in zip(left, negated)]),
+        (a * b, reference_series_mul(left, right)),
+        (b * a, reference_series_mul(left, right)),
+        (a.divide(b), reference_series_divide(left, right)),
+    ]:
+        assert [c.exponents() for c in got.coeffs] == want

@@ -263,6 +263,9 @@ class TestTrackingSpec:
             TrackingSpec.only(2, {"w1"})
         with pytest.raises(InputError):
             TrackingSpec.only(2, {"x3"})
+        for name in ("x\u00b2", "y\u0661", "z+1", "q1"):  # superscript, non-ASCII digit, sign, q
+            with pytest.raises(InputError):
+                TrackingSpec.only(2, {name})
 
     def test_distribution_extraction_needs_full_tracking(self):
         part = BlockPartition.threshold(2, 1)
