@@ -13,28 +13,27 @@ any consumer.  Exit codes are part of the contract:
 ``table``: its options, its closed-form parameters and the shape of its
 table.  Its parameter checks, its closed-form table and its query on the
 oracle and transfer engines are declared once, in ``formulas.FAMILIES``.
-Every engine checks a query with the closed forms' own checks
-(``formulas.check_params``) before it does any work.
+``count`` and ``table`` share one dispatch, ``_table``: it checks the
+query with the closed forms' own checks (``formulas.check_params``), the
+statistic value of a ``count`` included, and then makes the one engine
+call that builds the query's whole table.  ``table`` prints every row of
+it and ``count`` the one row it asks for, or 0 where the table has none.
 
-``main`` parses an argv whose leading words are ``count <family>``,
-``table <family>``, ``series`` or ``verify`` with the one leaf parser
-those words select (``build_parser``'s route table), so only that parser
-scans the rest of argv.  Every other argv, and one that leaves arguments
-the leaf does not take, goes to the whole argparse tree, which prints
-the usage, help and error text.  A record is written by ``_json``, which
-gives the text of ``json.dumps(record, indent=2)``.
-
-Before its leaf parser, a ``count``, ``table`` or ``series`` argv meets
-``_canonical``, which reads the options that leaf declared (the actions
-``add_argument`` returned) without argparse's option matcher.  It takes
-only ``--flag value`` pairs, each flag spelled in full and given once,
-converts each value with its action's ``type``, checks its ``choices``
-and fills in the defaults, giving the namespace argparse gives.  It
-declines an abbreviated or unknown flag (``-h`` included), ``--flag=value``,
-a repeated flag, a value that starts with ``-``, a missing value or
-required option, a value its type refuses and one outside its choices;
-such an argv goes to argparse as before, so argparse alone writes usage
-and error text.  ``verify`` takes a positional suite and stays on argparse.
+``main`` parses an argv in one of two ways.  When its leading words are
+``count <family>``, ``table <family>`` or ``series``, they select a leaf
+parser (``build_parser``'s route table), and ``_canonical`` reads the
+options that leaf declared (the actions ``add_argument`` returned)
+without argparse's option matcher.  It takes only ``--flag value`` pairs,
+each flag spelled in full and given once, converts each value with its
+action's ``type``, checks its ``choices`` and fills in the defaults,
+giving the namespace argparse gives.  It declines an abbreviated or
+unknown flag (``-h`` included), ``--flag=value``, a repeated flag, a
+value that starts with ``-``, a missing value or required option, a
+value its type refuses and one outside its choices.  Every argv it
+declines, every ``verify`` argv and every argv without a route goes to
+the whole argparse tree, which alone writes usage, help and error text.
+A record is written by ``_json``, which gives the text of
+``json.dumps(record, indent=2)``.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import formulas, verify
+# evaluate and count_matching are not called here; bench/tracing.py counts calls at both.
 from .formulas import check_params, distribution, evaluate
 from .oracle import (
     BudgetExceededError,
@@ -244,26 +244,6 @@ FAMILIES = {
 }
 
 
-def _statistic_value(family: Family, args):
-    """The statistic value ``count`` asks for, as the family's closed form takes it."""
-    value = getattr(args, _dest(family.statistic[0]))
-    if family.joint:
-        return _parse_int_list(value)
-    if value is None:
-        raise InputError("count needs the statistic value (--s / --p)")
-    return value
-
-
-def _checked_params(family: Family, args, value: tuple = ()) -> tuple:
-    """A query's closed-form parameters, checked by the closed forms on every engine."""
-    params = family.params(args)
-    check_params(args.family, params + value)
-    # Only a query the closed forms accept meets an engine's refusal of the family.
-    if formulas.FAMILIES[args.family].query is None and args.engine == "transfer":
-        raise InputError(f"{args.family} supports the closed-form and oracle engines")
-    return params
-
-
 def _parameters(family: Family, args) -> dict:
     """The ``parameters`` echo: every option's value, then the family."""
     options = family.options + ((family.statistic,) if args.command == "count" else ())
@@ -272,24 +252,22 @@ def _parameters(family: Family, args) -> dict:
     return echo
 
 
-def _count(family: Family, args, params: tuple, value) -> int:
-    if args.engine == "closed-form":
-        return evaluate(args.family, params + (value,))
-    query = formulas.FAMILIES[args.family].query
-    if query is None:
-        return rearrangement_distribution(*params).get(value, 0)
-    k, partition, coords = query(*params)
-    values = value if family.joint else (value,)
-    constraints = [(block, stat, v) for (block, stat), v in zip(coords, values)]
-    return count_matching(k, args.n, partition, constraints, engine=args.engine)
+def _table(family: Family, args, value: tuple = ()) -> dict:
+    """A query's table from one engine call, after the closed forms' checks.
 
-
-def _table(family: Family, args, params: tuple) -> dict:
-    """Every row of a table from one engine call."""
+    ``value`` holds the statistic value ``count`` asks for, which is checked
+    with the parameters on every engine.  A joint table is keyed by target
+    tuples, any other by statistic value; a value may have no key.
+    """
+    params = family.params(args)
+    check_params(args.family, params + value)
     if args.engine == "closed-form":
         return distribution(args.family, params)
     query = formulas.FAMILIES[args.family].query
     if query is None:
+        # Only a query the closed forms accept meets an engine's refusal of the family.
+        if args.engine == "transfer":
+            raise InputError(f"{args.family} supports the closed-form and oracle engines")
         return rearrangement_distribution(*params)
     k, partition, coords = query(*params)
     dist = coordinate_distribution(k, args.n, partition, coords, engine=args.engine)
@@ -298,17 +276,19 @@ def _table(family: Family, args, params: tuple) -> dict:
 
 def _cmd_count(args) -> int:
     family = FAMILIES[args.family]
-    value = _statistic_value(family, args)
-    params = _checked_params(family, args, (value,))
-    count = _count(family, args, params, value)
+    value = getattr(args, _dest(family.statistic[0]))
+    if family.joint:
+        value = _parse_int_list(value)
+    elif value is None:
+        raise InputError("count needs the statistic value (--s / --p)")
+    count = _table(family, args, (value,)).get(value, 0)
     _emit(_record("count", _parameters(family, args), args.engine, {"count": str(count)}))
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
     family = FAMILIES[args.family]
-    params = _checked_params(family, args)
-    dist = _table(family, args, params)
+    dist = _table(family, args)
     if family.joint:
         rows = [
             {"value": list(targets), "count": str(count)}
@@ -461,10 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree.
 
     Its ``routes`` map the leading argv words that select a leaf parser,
-    ``(command, family)`` for ``count`` and ``table`` and ``(command,)``
-    for ``series`` and ``verify``, to that leaf parser.  Each ``count``,
-    ``table`` and ``series`` leaf keeps its ``add_argument`` actions as
-    ``declared`` (see ``_declare``).
+    ``(command, family)`` for ``count`` and ``table`` and ``("series",)``,
+    to that leaf parser.  Each routed leaf keeps its ``add_argument``
+    actions as ``declared`` (see ``_declare``).
     """
     parser = argparse.ArgumentParser(
         prog="wordstats",
@@ -488,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", choices=("common", "per-block"), default="common"),
     ])
 
-    p = routes[("verify",)] = sub.add_parser("verify", help="run a cross-engine verification suite")
+    p = sub.add_parser("verify", help="run a cross-engine verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES))
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
@@ -545,26 +524,18 @@ def _canonical(
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed by the leaf parser its leading words route to.
+    """``argv`` parsed by the leaf parser its leading words route to, else by the whole tree.
 
-    ``_canonical`` reads a ``--flag value`` argv of a leaf that declares
-    its options; any argv it declines goes to the leaf's own parser, which
-    gets a namespace that already holds what the words selected.  Without
-    a route, or with arguments the leaf leaves over, the whole tree parses
-    ``argv``, so usage, help and error text are its own.
+    ``_canonical`` reads a routed leaf's ``--flag value`` argv.  Every argv
+    it declines, and every argv without a route, goes to the whole tree,
+    so usage, help and error text are argparse's own.
     """
     parser = _parser()
     for key in (tuple(argv[:2]), tuple(argv[:1])):
         leaf = parser.routes.get(key)
         if leaf is not None:
-            selected = dict(zip(("command", "family"), key))
-            words = argv[len(key):]
-            if hasattr(leaf, "declared"):
-                args = _canonical(leaf, words, selected)
-                if args is not None:
-                    return args
-            args, rest = leaf.parse_known_args(words, argparse.Namespace(**selected))
-            if not rest:
+            args = _canonical(leaf, argv[len(key):], dict(zip(("command", "family"), key)))
+            if args is not None:
                 return args
             break
     return parser.parse_args(argv)

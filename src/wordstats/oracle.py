@@ -89,9 +89,13 @@ def resolve_budget(budget: int | None = None) -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw:
         try:
-            return int(raw)
+            budget = int(raw)
         except ValueError:
-            raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+            pass
+        else:
+            if budget >= 0:
+                return budget
+        raise InputError(f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {raw!r}")
     return DEFAULT_ENUMERATION_BUDGET
 
 

@@ -26,7 +26,7 @@ from .oracle import (
     transfer_distribution,
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
-from .words import BlockPartition
+from .words import BlockPartition, InputError
 from .combinat import compositions
 
 
@@ -108,8 +108,14 @@ def formulas_vs_oracle(
     """Every closed form against the reduced transfer oracle, on a dense grid.
 
     Each grid cell's closed-form table is built once and compared entry by
-    entry with the oracle's marginal, one check per statistic value.
+    entry with the oracle's marginal, one check per statistic value.  A
+    ``corrupt`` run needs ``alphabet_max >= 1``: below that no skewed
+    entry is checked, and the run could not fail.
     """
+    if corrupt and alphabet_max < 1:
+        raise InputError(
+            f"an injected fault is checked only with alphabet_max (--k-max) at least 1, got {alphabet_max}"
+        )
     skew = 1 if corrupt else 0
     result = SuiteResult("formulas-vs-oracle")
 

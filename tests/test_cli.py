@@ -272,8 +272,17 @@ class TestTable:
             assert code == 0
             assert csv == closed_csv, engine
 
+    @staticmethod
+    def _count_argv(family, params, value):
+        """``count`` of the query ``params`` at ``value``, a table row's ``value``."""
+        statistic = cli.FAMILIES[family].statistic[0]
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        return ["count", family, *params, statistic, str(value)]
+
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_engine_table_is_one_engine_call(self, capsys, monkeypatch, family, params):
+        """A table, and a count of one of its rows, make the same one engine call."""
         calls = []
         counting = functools.partial(counting_calls, calls)
         for name in ("statistic_distribution", "brute_distribution"):
@@ -282,25 +291,43 @@ class TestTable:
             cli, "rearrangement_distribution",
             counting("rearrangement_distribution", cli.rearrangement_distribution),
         )
+        monkeypatch.setattr(cli, "count_matching", counting("count_matching", cli.count_matching))
         expected = {
             "transfer": "statistic_distribution",
             "oracle": "rearrangement_distribution"
             if family == "hall-remmel" else "brute_distribution",
         }
+        count = self._count_argv(family, params, [1, 0, 1] if family == "levels-blocks" else 1)
         for engine in self._dp_engines(family):
-            calls.clear()
-            run_json(capsys, "table", family, *params, "--engine", engine)
-            assert calls == [expected[engine]], engine
+            for argv in (["table", family, *params], count):
+                calls.clear()
+                run_json(capsys, *argv, "--engine", engine)
+                assert calls == [expected[engine]], (engine, argv[0])
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_closed_form_table_is_one_formula_call(self, capsys, monkeypatch, family, params):
+        """A closed-form table, and a count of one of its rows, make one ``distribution`` call."""
         calls = []
         counting = functools.partial(counting_calls, calls)
         monkeypatch.setattr(cli, "evaluate", counting("evaluate", cli.evaluate))
         monkeypatch.setattr(formulas, "evaluate", counting("evaluate", formulas.evaluate))
         monkeypatch.setattr(cli, "distribution", counting("distribution", cli.distribution))
-        run_json(capsys, "table", family, *params)
-        assert calls == ["distribution"]
+        count = self._count_argv(family, params, [1, 0, 1] if family == "levels-blocks" else 1)
+        for argv in (["table", family, *params], count):
+            calls.clear()
+            run_json(capsys, *argv)
+            assert calls == ["distribution"], argv[0]
+
+    @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
+    def test_count_is_its_table_row(self, capsys, family, params):
+        """On every engine, ``count`` at each row's value prints that row; one past the last, 0."""
+        for engine in ["closed-form", *self._dp_engines(family)]:
+            rows = run_json(capsys, "table", family, *params, "--engine", engine)["result"]["rows"]
+            last = rows[-1]["value"]
+            past = [last[0] + 1, *last[1:]] if isinstance(last, list) else last + 1
+            for value, want in [(row["value"], row["count"]) for row in rows] + [(past, "0")]:
+                argv = self._count_argv(family, params, value) + ["--engine", engine]
+                assert run_json(capsys, *argv)["result"]["count"] == want, (engine, value)
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES[:5])
     def test_negative_length_table_exits_2_on_every_engine(self, capsys, family, params):
@@ -477,6 +504,16 @@ class TestVerify:
         record = json.loads(out)
         assert record["result"]["failures"] > 0
         assert record["result"]["first_failure"]
+
+    def test_injected_fault_without_a_letter_refused(self, capsys):
+        # --k-max 0 checks no skewed entry, so the run that must fail could only pass
+        code, out, err = run(
+            capsys, "verify", "formulas-vs-oracle", "--k-max", "0", "--inject-fault"
+        )
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == (
+            "error: an injected fault is checked only with alphabet_max (--k-max) at least 1, got 0\n"
+        )
 
     @pytest.mark.parametrize("suite", sorted(cli.VERIFY_SUITES))
     @pytest.mark.parametrize("flag", ["--k-max", "--n-max", "--m-max", "--weight-max"])
@@ -720,7 +757,7 @@ SERIES_ARGVS = [
 class TestRouting:
     def test_routes_name_every_leaf(self):
         families = {(command, family) for command in ("count", "table") for family in cli.FAMILIES}
-        assert set(cli._parser().routes) == families | {("series",), ("verify",)}
+        assert set(cli._parser().routes) == families | {("series",)}
 
     @pytest.mark.parametrize(
         "argv", _count_and_table_argvs() + SERIES_ARGVS + VERIFY_ARGVS + MALFORMED_ARGVS
@@ -769,8 +806,7 @@ class TestRouting:
         SERIES_ARGVS[1],
     ])
     def test_valid_argv_skips_the_whole_tree(self, capsys, monkeypatch, argv):
-        """``count``, ``table`` and ``series`` run no argparse parse; ``verify`` its leaf's only."""
-        parsed_by = [("verify",)] if argv[0] == "verify" else []
+        """``count``, ``table`` and ``series`` run no argparse parse; ``verify`` the whole tree's."""
         parsers, parse = [], argparse.ArgumentParser.parse_known_args
 
         def recording(self, *args, **kwargs):
@@ -779,7 +815,11 @@ class TestRouting:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
         assert outcome(capsys, argv)[0] == 0
-        assert parsers == [cli._parser().routes[key] for key in parsed_by]
+        if argv[0] == "verify":
+            # The tree hands the words after ``verify`` to its subparser.
+            assert parsers[0] is cli._parser() and len(parsers) == 2
+        else:
+            assert parsers == []
 
 
 class TestJsonWriter:

@@ -101,6 +101,19 @@ class TestBruteDistribution:
         with pytest.raises(InputError):
             brute_distribution(2, 4, part)
 
+    @pytest.mark.parametrize("raw", ["-1", "-16", "not-a-number", "1.5"])
+    def test_budget_env_must_be_a_nonnegative_integer(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+        with pytest.raises(InputError, match="nonnegative integer"):
+            resolve_budget()
+        code = cli.main(["count", "des-le", "--k", "2", "--t", "1", "--n", "3", "--s", "1",
+                         "--engine", "oracle"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == f"error: {BUDGET_ENV_VAR} must be a nonnegative integer, got {raw!r}\n"
+        monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+        assert resolve_budget() == 0
+
     def test_resolve_budget_default(self):
         assert resolve_budget() == DEFAULT_ENUMERATION_BUDGET
         assert resolve_budget(100) == 100

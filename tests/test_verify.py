@@ -5,6 +5,7 @@ import pytest
 from wordstats import formulas, verify
 from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
+from wordstats.words import InputError
 
 
 def skew_table(monkeypatch, family, cell, key):
@@ -32,6 +33,14 @@ class TestFormulasVsOracle:
         assert result == verify.SuiteResult(
             "formulas-vs-oracle", 1080, 90, "levels-threshold k=1 t=1 n=0 s=0"
         )
+
+    def test_injected_fault_needs_a_letter(self):
+        # alphabet_max 0 checks no skewed entry, so the run could not fail; it is refused
+        for n_max in (0, 4):
+            with pytest.raises(InputError, match="alphabet_max"):
+                verify.formulas_vs_oracle(0, n_max, corrupt=True)
+        assert verify.formulas_vs_oracle(0, 4) == verify.SuiteResult("formulas-vs-oracle")
+        assert verify.formulas_vs_oracle(1, 0, corrupt=True).failures == 1
 
     @pytest.mark.parametrize(
         "family, cell, key, name",
