@@ -269,8 +269,7 @@ def _table(family: Family, args, value: tuple = ()) -> dict:
         if args.engine == "transfer":
             raise InputError(f"{args.family} supports the closed-form and oracle engines")
         return rearrangement_distribution(*params)
-    k, partition, coords = query(*params)
-    dist = coordinate_distribution(k, args.n, partition, coords, engine=args.engine)
+    dist = coordinate_distribution(*query(*params), engine=args.engine)
     return dist if family.joint else {key[0]: count for key, count in dist.items()}
 
 

@@ -28,21 +28,24 @@ The joint level count over t blocks is a program over blocks keyed by
 each block's level slots b_i; its table expands every (u_i - 1)^(b_i)
 once at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
 ``FAMILIES`` declares each family once: its parameter checks, its table
-builder, and its word DP query, the (alphabet, partition, coordinates) of
+builder, its word DP query, the (alphabet, n, partition, coordinates) of
 the statistic it counts, which the CLI's oracle and transfer engines and
-the verification suites read.  ``distribution`` returns a whole table of
-any family from one call, and every count is one entry of that table,
-read after the count's own parameter checks; the builders check nothing.
+the verification suites read, and its verify grid, the cells on which
+``verify.formulas_vs_oracle`` checks it, with the names its reports give
+the parameters and the statistic value.  ``distribution`` returns a whole
+table of any family from one call, and every count is one entry of that
+table, read after the count's own parameter checks; the builders check
+nothing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from math import comb
 from operator import sub
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
 from .combinat import binom, expand_shifted, multinomial
@@ -226,7 +229,7 @@ def _levels_blocks_query(block_sizes: Sequence[int], n: int) -> tuple:
     """Block i of the partition holds block_sizes[i] letters; every block's levels are read."""
     blocks = [block for block, size in enumerate(block_sizes, start=1) for _ in range(size)]
     coords = [(block, "lev") for block in range(1, len(block_sizes) + 1)]
-    return sum(block_sizes), BlockPartition.from_blocks(blocks, t=len(block_sizes)), coords
+    return sum(block_sizes), n, BlockPartition.from_blocks(blocks, t=len(block_sizes)), coords
 
 
 def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], list[int]]:
@@ -353,7 +356,7 @@ def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
 
 def _des_mod_query(s: int, alphabet: int, r: int, n: int) -> tuple:
     """Descents charged to block r of the residue partition mod s."""
-    return alphabet, BlockPartition.mod_residue(alphabet, s), [(r, "des")]
+    return alphabet, n, BlockPartition.mod_residue(alphabet, s), [(r, "des")]
 
 
 def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -481,17 +484,53 @@ def _factor_table(factor: Callable) -> Callable[..., dict[int, int]]:
     return lambda *params: _coefficients(factor(*params), params[-1])
 
 
-class FamilyForms(NamedTuple):
-    """A family's parameter checks, its table builder (which checks nothing) and its query.
+def _grid_partitions(k: int) -> list[BlockPartition]:
+    """The partitions of [k] the verify grids run on: every threshold, then residues mod 2 and 3."""
+    parts = [BlockPartition.threshold(k, t) for t in range(0, k + 1)]
+    parts.extend(BlockPartition.mod_residue(k, s) for s in (2, 3))
+    return parts
 
-    ``query(*params)`` is the word DP's (alphabet, partition, coordinates)
-    of the statistic the family counts; the partition never depends on the
-    length n.  ``hall-remmel`` has no word DP query.
+
+def _lengths(heads: Iterable[tuple], n_max: int) -> Iterator[tuple]:
+    """The cells (*head, n) for n = 0..n_max of each head, with statistic values 0..n."""
+    return (((*head, n), range(n + 1)) for head in heads for n in range(n_max + 1))
+
+
+def _levels_blocks_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
+    """The block sizes of every grid partition; the target tuples summing to at most n - 1."""
+    for k in range(1, alphabet_max + 1):
+        for partition in _grid_partitions(k):
+            for n in range(n_max + 1):
+                targets = product(range(n + 1), repeat=partition.t)
+                yield (partition.block_sizes(), n), [tt for tt in targets if sum(tt) <= max(n - 1, 0)]
+
+
+def _des_mod_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
+    heads = (
+        (s, alphabet, r)
+        for alphabet in range(1, alphabet_max + 1)
+        for s in range(2, alphabet_max + 2)
+        for r in range(1, s + 1)
+    )
+    return _lengths(heads, n_max)
+
+
+class FamilyForms(NamedTuple):
+    """A family's parameter checks, table builder (which checks nothing), query and verify grid.
+
+    ``query(*params)`` is the word DP's (alphabet, n, partition,
+    coordinates) of the statistic the family counts; the partition never
+    depends on the length n.  ``grid(alphabet_max, n_max)`` yields the
+    (params, statistic values) cells ``verify.formulas_vs_oracle`` checks,
+    and ``names`` names each parameter and then the value in its reports.
+    ``hall-remmel`` has no word DP query, and its grid has no cells.
     """
 
     checks: Callable[..., None]
     table: Callable[..., dict]
     query: Callable[..., tuple] | None
+    grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
+    names: tuple[str, ...] = ()
 
 
 def _threshold_family(lowest: int, factor: Callable, coordinate: tuple[int, str]) -> FamilyForms:
@@ -499,16 +538,24 @@ def _threshold_family(lowest: int, factor: Callable, coordinate: tuple[int, str]
     return FamilyForms(
         partial(_check_threshold, lowest),
         _factor_table(factor),
-        lambda k, t, n: (k, BlockPartition.threshold(k, t), [coordinate]),
+        lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
+        lambda alphabet_max, n_max: _lengths(
+            ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
+        ),
+        ("k", "t", "n", "s"),
     )
 
 
 FAMILIES = {
     "levels-threshold": _threshold_family(1, _levels_threshold, (1, "lev")),
-    "levels-blocks": FamilyForms(_check_blocks, _levels_blocks_table, _levels_blocks_query),
+    "levels-blocks": FamilyForms(
+        _check_blocks, _levels_blocks_table, _levels_blocks_query, _levels_blocks_grid, ("sizes", "n", "targets")
+    ),
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
-    "des-mod": FamilyForms(_check_des_mod, _factor_table(_des_mod), _des_mod_query),
+    "des-mod": FamilyForms(
+        _check_des_mod, _factor_table(_des_mod), _des_mod_query, _des_mod_grid, ("s", "alphabet", "r", "n", "p")
+    ),
     "hall-remmel": FamilyForms(
         _check_class,
         lambda rho, tops, bottoms: hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms)),

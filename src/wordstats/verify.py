@@ -6,9 +6,12 @@ oracle, series coefficient vs oracle, direct count vs general formula.
 Results come back as a summary; the first mismatch is recorded verbatim so
 a failing run is immediately actionable.
 
-``formulas_vs_oracle`` accepts ``corrupt=True``, which deliberately skews
-one closed form by +1.  That run must fail; it is the self-test proving
-the harness can actually see a wrong constant.
+``formulas_vs_oracle`` and ``des_mod_errata`` walk the grids that
+``formulas.FAMILIES`` declares, one per family, and a failing check is
+named by the report names declared there.  ``formulas_vs_oracle`` accepts
+``corrupt=True``, which deliberately skews one closed form by +1.  That
+run must fail; it is the self-test proving the harness can actually see a
+wrong constant.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from operator import add
 
 from . import formulas, identities
+from .formulas import _grid_partitions
 from .oracle import (
     brute_distribution,
     counted_pairs,
@@ -48,12 +52,6 @@ class SuiteResult:
             self.failures += count
             if self.first_failure is None:
                 self.first_failure = describe()
-
-
-def _grid_partitions(k: int) -> list[BlockPartition]:
-    parts = [BlockPartition.threshold(k, t) for t in range(0, k + 1)]
-    parts.extend(BlockPartition.mod_residue(k, s) for s in (2, 3))
-    return parts
 
 
 def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
@@ -88,77 +86,34 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     return result
 
 
-def _query(family: str, *params) -> tuple:
-    """``family``'s declared word DP query, for every length: its partition never depends on n."""
-    return formulas.FAMILIES[family].query(*params, 0)
-
-
-def _table_vs_oracle(family: str, query: tuple, params: tuple) -> list[tuple[int, int]]:
-    """(closed form, oracle marginal on ``query``) per statistic value 0..n; n ends ``params``."""
-    alphabet, partition, coords = query
-    n = params[-1]
-    table = formulas.distribution(family, params)
-    marginal = statistic_distribution(alphabet, n, partition, coords)
-    return [(table.get(value, 0), marginal.get((value,), 0)) for value in range(n + 1)]
-
-
 def formulas_vs_oracle(
     alphabet_max: int = 6, n_max: int = 7, corrupt: bool = False
 ) -> SuiteResult:
     """Every closed form against the reduced transfer oracle, on a dense grid.
 
-    Each grid cell's closed-form table is built once and compared entry by
-    entry with the oracle's marginal, one check per statistic value.  A
-    ``corrupt`` run needs ``alphabet_max >= 1``: below that no skewed
-    entry is checked, and the run could not fail.
+    Family by family, each cell of the family's declared grid has its
+    closed-form table built once and compared entry by entry with the
+    oracle's marginal on the family's query, one check per statistic value
+    of the cell.  A ``corrupt`` run needs ``alphabet_max >= 1``: below that
+    no skewed entry is checked, and the run could not fail.
     """
     if corrupt and alphabet_max < 1:
         raise InputError(
             f"an injected fault is checked only with alphabet_max (--k-max) at least 1, got {alphabet_max}"
         )
-    skew = 1 if corrupt else 0
     result = SuiteResult("formulas-vs-oracle")
-
-    for k in range(1, alphabet_max + 1):
-        for t in range(0, k + 1):
-            # levels-threshold and des-le need t >= 1; only levels-threshold is skewed.
-            for family in (["levels-threshold", "des-le"] if t else []) + ["des-gt"]:
-                query = _query(family, k, t)
-                shift = skew if family == "levels-threshold" else 0
-                for n in range(n_max + 1):
-                    for s, (got, want) in enumerate(_table_vs_oracle(family, query, (k, t, n))):
-                        result.record(
-                            got + shift == want,
-                            lambda family=family, k=k, t=t, n=n, s=s: f"{family} k={k} t={t} n={n} s={s}",
-                        )
-
-    # Level counts depend on a partition only through its block sizes: run on the grid's own.
-    for k in range(1, alphabet_max + 1):
-        for partition in _grid_partitions(k):
-            sizes = partition.block_sizes()
-            _, _, coords = _query("levels-blocks", sizes)
-            for n in range(n_max + 1):
-                joint = statistic_distribution(k, n, partition, coords)
-                table = formulas.distribution("levels-blocks", (sizes, n))
-                for targets in itertools.product(range(n + 1), repeat=partition.t):
-                    if sum(targets) > max(n - 1, 0):
-                        continue
-                    result.record(
-                        table.get(targets, 0) == joint.get(targets, 0),
-                        lambda sizes=sizes, n=n, targets=targets: f"levels-blocks sizes={sizes} n={n} targets={targets}",
-                    )
-
-    for alphabet in range(1, alphabet_max + 1):
-        for s in range(2, alphabet_max + 2):
-            for r in range(1, s + 1):
-                query = _query("des-mod", s, alphabet, r)
-                for n in range(n_max + 1):
-                    rows = _table_vs_oracle("des-mod", query, (s, alphabet, r, n))
-                    for p, (got, want) in enumerate(rows):
-                        result.record(
-                            got == want,
-                            lambda s=s, alphabet=alphabet, r=r, n=n, p=p: f"des-mod s={s} alphabet={alphabet} r={r} n={n} p={p}",
-                        )
+    for family, forms in formulas.FAMILIES.items():
+        shift = 1 if corrupt and family == "levels-threshold" else 0
+        for params, values in forms.grid(alphabet_max, n_max):
+            table = formulas.distribution(family, params)
+            marginal = statistic_distribution(*forms.query(*params))
+            for value in values:
+                # The oracle keys every value by a tuple, a joint table by its target tuple.
+                key = value if isinstance(value, tuple) else (value,)
+                result.record(
+                    table.get(value, 0) + shift == marginal.get(key, 0),
+                    lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),
+                )
     return result
 
 
@@ -397,41 +352,38 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
     """Show that exactly one reading of each ambiguous mod-class formula survives.
 
     For each of the three formula regimes the shipped variant must match
-    the oracle over the whole grid while the rejected variant must break
-    on at least one tuple.
+    the oracle over the whole ``des-mod`` grid while the rejected variant
+    must break on at least one tuple.
     """
     names = ("aligned-power-base", "offset-high-sum-index", "offset-low-sum-index")
     cases = {name: ErrataCase(name, True, None) for name in names}
-    for alphabet in range(1, alphabet_max + 1):
-        for s in range(2, alphabet_max + 2):
-            queries = [_query("des-mod", s, alphabet, r) for r in range(1, s + 1)]
-            t = alphabet % s
-            for n in range(n_max + 1):
-                for r, query in enumerate(queries, start=1):
-                    if t == 0:
-                        case = cases["aligned-power-base"]
-                        ambiguous = r != s  # the two power bases coincide at r = s
-                    elif r > t:
-                        case = cases["offset-high-sum-index"]
-                        ambiguous = True
-                    else:
-                        case = cases["offset-low-sum-index"]
-                        ambiguous = True
-                    need_example = ambiguous and case.rejected_counterexample is None
-                    if not (need_example or case.shipped_ok):
-                        continue
-                    rows = _table_vs_oracle("des-mod", query, (s, alphabet, r, n))
-                    for p, (shipped, want) in enumerate(rows):
-                        if shipped != want:
-                            case.shipped_ok = False
-                        if need_example:
-                            rejected = formulas.count_des_mod_uncorrected(
-                                s, alphabet, r, n, p
-                            )
-                            if rejected != want:
-                                case.rejected_counterexample = (s, alphabet, r, n, p)
-                                case.rejected_value = rejected
-                                case.oracle_value = want
-                                need_example = False
+    forms = formulas.FAMILIES["des-mod"]
+    for params, values in forms.grid(alphabet_max, n_max):
+        s, alphabet, r, n = params
+        t = alphabet % s
+        if t == 0:
+            case = cases["aligned-power-base"]
+            ambiguous = r != s  # the two power bases coincide at r = s
+        elif r > t:
+            case = cases["offset-high-sum-index"]
+            ambiguous = True
+        else:
+            case = cases["offset-low-sum-index"]
+            ambiguous = True
+        need_example = ambiguous and case.rejected_counterexample is None
+        if not (need_example or case.shipped_ok):
+            continue
+        table = formulas.distribution("des-mod", params)
+        marginal = statistic_distribution(*forms.query(*params))
+        for p in values:
+            shipped, want = table.get(p, 0), marginal.get((p,), 0)
+            if shipped != want:
+                case.shipped_ok = False
+            if need_example:
+                rejected = formulas.count_des_mod_uncorrected(*params, p)
+                if rejected != want:
+                    case.rejected_counterexample = (*params, p)
+                    case.rejected_value = rejected
+                    case.oracle_value = want
+                    need_example = False
     return list(cases.values())
-

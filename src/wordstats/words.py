@@ -18,6 +18,7 @@ classification, so that the engines stay independent of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 _STAT_INDEX = {"des": 0, "ris": 1, "lev": 2, "cnt": 3}
@@ -57,7 +58,9 @@ class BlockPartition:
                     f"letter {letter} assigned to block {block}, valid range 1..{self.t}"
                 )
 
+    # The named partitions are cached: a grid asks for the same one at every length.
     @classmethod
+    @lru_cache(maxsize=256)
     def threshold(cls, k: int, t: int) -> "BlockPartition":
         """Two blocks: letters 1..t in block 1, letters t+1..k in block 2.
 
@@ -69,6 +72,7 @@ class BlockPartition:
         return cls(k, tuple(1 if j <= t else 2 for j in range(1, k + 1)), 2)
 
     @classmethod
+    @lru_cache(maxsize=256)
     def mod_residue(cls, k: int, s: int) -> "BlockPartition":
         """s blocks by residue: letter j sits in block ((j-1) mod s) + 1.
 

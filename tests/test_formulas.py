@@ -196,8 +196,7 @@ class TestPastDegree128:
     )
     def test_table_is_the_dp_marginal(self, family, params):
         n = self.N
-        alphabet, partition, coords = formulas.FAMILIES[family].query(*params, n)
-        marginal = statistic_distribution(alphabet, n, partition, coords)
+        marginal = statistic_distribution(*formulas.FAMILIES[family].query(*params, n))
         assert self.nonzero(distribution(family, (*params, n))) == self.nonzero(marginal)
         if family == "des-mod":
             # the rejected reading of each regime still disagrees at some p
@@ -224,8 +223,7 @@ class TestPastDegree128:
         disagrees = set()
         for n in (127, 128, 129, 150):
             for family, params in queries:
-                alphabet, partition, coords = formulas.FAMILIES[family].query(*params, n)
-                marginal = statistic_distribution(alphabet, n, partition, coords)
+                marginal = statistic_distribution(*formulas.FAMILIES[family].query(*params, n))
                 table = distribution(family, (*params, n))
                 assert self.nonzero(table) == self.nonzero(marginal), (family, params, n)
                 if family == "des-mod" and params not in disagrees:
@@ -237,8 +235,7 @@ class TestPastDegree128:
         # two blocks run the dense kernel, three and four the dict kernel
         for sizes, n in [((2, 3), 29), ((1, 2), 31), ((2, 1, 2), 15), ((1, 1, 2), 16),
                          ((1, 2, 1, 1), 16)]:
-            alphabet, partition, coords = formulas.FAMILIES["levels-blocks"].query(sizes, n)
-            joint = statistic_distribution(alphabet, n, partition, coords)
+            joint = statistic_distribution(*formulas.FAMILIES["levels-blocks"].query(sizes, n))
             assert self.nonzero(distribution("levels-blocks", (sizes, n))) == self.nonzero(joint), sizes
 
         rng = random.Random(128)
@@ -411,8 +408,9 @@ class TestCountLevelsBlocks:
             count_levels_blocks((1, -1), 3, (0, 0))
 
     def test_against_oracle_joint(self):
-        for k in range(1, 5):
-            for part in [BlockPartition.threshold(k, 1), BlockPartition.mod_residue(k, 2)]:
+        # Residue partitions too: levels depend on a partition only through its block sizes.
+        for k in range(1, 7):
+            for part in [BlockPartition.threshold(k, 1), *(BlockPartition.mod_residue(k, s) for s in (2, 3))]:
                 sizes = part.block_sizes()
                 coords = [(i, "lev") for i in range(1, part.t + 1)]
                 for n in range(5):

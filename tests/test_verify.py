@@ -48,6 +48,8 @@ class TestFormulasVsOracle:
             ("des-gt", (3, 1, 4), 2, "des-gt k=3 t=1 n=4 s=2"),
             ("levels-blocks", ((1, 1, 1), 4), (1, 0, 1), "levels-blocks sizes=(1, 1, 1) n=4 targets=(1, 0, 1)"),
             ("des-mod", (3, 4, 2, 5), 2, "des-mod s=3 alphabet=4 r=2 n=5 p=2"),
+            ("levels-threshold", (3, 2, 5), 1, "levels-threshold k=3 t=2 n=5 s=1"),
+            ("des-le", (4, 2, 6), 3, "des-le k=4 t=2 n=6 s=3"),
         ],
     )
     def test_wrong_table_entry_is_caught_and_named(self, monkeypatch, family, cell, key, name):
@@ -56,6 +58,16 @@ class TestFormulasVsOracle:
         assert (result.failures, result.first_failure) == (1, name)
         # one table per grid cell
         assert calls.count(cell) == 1
+
+
+class TestDesModErrata:
+    def test_default_grid_counterexamples(self):
+        # Each rejected reading's first counterexample (s, alphabet, r, n, p), its value and the oracle's.
+        assert verify.des_mod_errata(6, 7) == [
+            verify.ErrataCase("aligned-power-base", True, (2, 2, 1, 2, 0), 3, 4),
+            verify.ErrataCase("offset-high-sum-index", True, (3, 1, 3, 1, 0), 2, 1),
+            verify.ErrataCase("offset-low-sum-index", True, (2, 1, 1, 1, 0), 2, 1),
+        ]
 
 
 class TestIdentitiesSuite:
