@@ -13,16 +13,22 @@ through ``C(n-m, s)`` and the sign ``(-1)^(n-m-s)``:
 
     count(s) = sum_m (-1)^(n-m-s) C(n-m, s) inner(m)
 
-so the whole distribution is the polynomial ``sum_m inner(m) (u-1)^(n-m)``
-in a marker u, which ``_coefficients`` expands by Horner's rule in u-1
-(``combinat.expand_shifted``).  ``inner(m)`` is not summed term by term: its
+so the table at length n is the polynomial ``sum_m inner(m) v^(n-m)`` in a
+marker u, with v = u-1.  ``inner(m)`` is not summed term by term: its
 inner sums are hoisted out of m or convolved into one product, and the
 sum left over m is a binomial expansion, so inner(m) = [x^n] F^m for a
-small factor F that each family derives from the paper's sum.  F is a
-polynomial of degree at most the alphabet size plus 1, or for
-``levels-threshold`` a series multiplied in O(n), so a table of
-``levels-threshold``, ``des-le``, ``des-gt`` or ``des-mod`` costs O(n^2)
-for a fixed alphabet.
+small factor F with F(0) = 0 that each family derives from the paper's
+sum.  As [x^n] F(x)^m v^n = [x^n] F(vx)^m, the tables of all lengths form
+one rational function, T(x, u) = sum_m (F(vx)/v)^m = 1 / (1 - F(vx)/v).
+So for F = sum_{i>=1} f_i x^i the table at length j is g_j = sum_i f_i
+v^(i-1) g_(j-i), and ``levels-threshold``'s F = x (k - (k-t)x) / (1-x)
+gives the Smirnov-word form (1 - vx) / (1 - (v+k)x + (k-t)v x^2).
+``_packed_table`` runs the recurrence on each g_j held as one integer at
+u = 2^w (Kronecker substitution); its entries are word counts, so fields
+of bits(k^n) + 1 bits never carry.  A table of ``levels-threshold``,
+``des-le``, ``des-gt`` or ``des-mod`` costs n deg F big-integer operations
+on operands of O(n^2 log k) bits, deg F being the recurrence's number of
+terms: at most min(k + 1, n), and 2 for ``levels-threshold``.
 
 The joint level count over t blocks is a program over blocks keyed by
 each block's level slots b_i; its table expands every (u_i - 1)^(b_i)
@@ -41,14 +47,14 @@ nothing.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
-from itertools import accumulate, islice, product
+from functools import lru_cache, partial
+from itertools import accumulate, product
 from math import comb
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import binom, expand_shifted, multinomial
+from .combinat import binom, expand_shifted, multinomial, sign
 from .words import BlockPartition, InputError
 
 
@@ -132,45 +138,67 @@ def _check_length(n: int, s: int = 0) -> None:
         raise InputError("length and statistic value must be nonnegative")
 
 
-def _diagonal(factor: tuple[Callable[[list[int]], list[int]], int], n: int) -> Iterator[int]:
-    """inner(m) = [x^n] F^m for m = 0, 1, ... (at most n+1 of them).
+def _field_bytes(alphabet: int, length: int) -> int:
+    """Bytes per field of a packed table at lengths up to ``length``: one spare bit, rounded up."""
+    return ((alphabet**length).bit_length() + 8) // 8
 
-    ``factor`` is (times, shift) with F = x^shift G, shift 0 or 1, and
-    ``times`` multiplying a series by G, cut at the series' length; G^m
-    is kept only up to x^(n - shift m), the coefficient inner(m) reads.
+
+def _packed_table(n: int, alphabet: int, program: list) -> dict[int, int]:
+    """The table g_n of a family whose tables g_j follow Horner's ``program`` in v.
+
+    g_0 = 1 and g_1 = alphabet; from j = 2 on, a term (i, c) adds c g_(j-i)
+    and None multiplies by v (a shift and a subtract), highest power first.
+    The entries of g_j are word counts in 0..alphabet^j, so fields sized
+    for alphabet^bound hold every g_j with j <= bound.  The bound starts at
+    min(n, 64) and grows by an eighth whenever j passes it, re-spacing the
+    g_j still read.
     """
-    times, shift = factor
-    power = [1] + [0] * n
-    while True:
-        yield power[-1]
-        power = times(power[: len(power) - shift])
+    (i, c), *program = program or [(1, 0)]
+    depth = max([i] + [op[0] for op in program if op])
+    history = ([0] * depth + [1, alphabet][: n + 1])[-depth:]
+    bound = min(n, 64)
+    size = _field_bytes(alphabet, bound)
+    for j in range(2, n + 1):
+        if j > bound:
+            bound = min(n, bound + bound // 8)
+            pad = bytes(_field_bytes(alphabet, bound) - size)
+            for h, g in enumerate(history):
+                data = g.to_bytes(j * size, "little")
+                history[h] = int.from_bytes(pad.join([data[s : s + size] for s in range(0, len(data), size)]), "little")
+            size += len(pad)
+        width = 8 * size
+        acc = c * history[-i]
+        for op in program:
+            if op is None:
+                acc = (acc << width) - acc
+            else:
+                acc += history[-op[0]] if op[1] == 1 else op[1] * history[-op[0]]
+        history.append(acc)
+        del history[0]
+    data = history[-1].to_bytes((n + 1) * size, "little")
+    return {s: int.from_bytes(data[s * size : (s + 1) * size], "little") for s in range(n + 1)}
 
 
-def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int):
-    """The factor F = (1+x)^tau (lead + slope x) - c0 - c1 x, as ``_diagonal`` takes it.
+def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
+    """f_0, ..., f_min(tau+1, n) of F = (1+x)^tau (lead + slope x) - c0 - c1 x.
 
-    ``_diagonal`` reads nothing above x^n, so the binomial row stops at x^min(tau, n).
+    Nothing above x^n is read, so the binomial row stops at x^min(tau, n).
     """
     row = [comb(tau, j) for j in range(min(tau, n) + 1)]
     coefficients = [lead * a + slope * b for a, b in zip(row + [0], [0] + row)]
     coefficients[0] -= c0
     coefficients[1] -= c1
-    shift = 0 if coefficients[0] else 1
-    terms = [(j, c) for j, c in enumerate(coefficients[shift:]) if c]
-
-    def times(series: list[int]) -> list[int]:
-        product = [0] * len(series)
-        for j, c in terms:
-            product[j:] = [p + c * v for p, v in zip(product[j:], series)]
-        return product
-
-    return times, shift
+    return coefficients[: n + 1]
 
 
-def _coefficients(factor, n: int) -> dict[int, int]:
-    """Every coefficient of sum_m [x^n] F^m (u-1)^(n-m), from one pass over m."""
-    # (u-1)^b with b = n-m has weight inner(m), so m = 0 is the highest b.
-    return dict(enumerate(expand_shifted(islice(_diagonal(factor, n), n + 1))))
+def _descent_table(alphabet: int, n: int, factor: list[int]) -> dict[int, int]:
+    """The table at length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
+    program: list = []
+    for i in range(len(factor) - 1, 0, -1):
+        # From the highest nonzero f_i down: add f_i g_(j-i), then multiply by v.
+        if program or factor[i]:
+            program += ([(i, factor[i])] if factor[i] else []) + [None]
+    return _packed_table(n, alphabet, program[:-1])
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -182,17 +210,15 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     return _entry("levels-threshold", (k, t, n), s)
 
 
-def _levels_threshold(k: int, t: int, n: int):
-    """The factor F of ``count_levels_threshold``.
+def _levels_threshold(k: int, t: int, n: int) -> dict[int, int]:
+    """The table of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
-    [x^(n-m)] ((k-t) + t/(1-x))^m = [x^n] F^m with F = x (k - (k-t)x) / (1-x).
+    [x^(n-m)] ((k-t) + t/(1-x))^m = [x^n] F^m with F = x (k - (k-t)x) / (1-x),
+    and T = (1 - vx) / (1 - (v+k)x + (k-t)v x^2): g_j = k g_(j-1) +
+    v (g_(j-1) - (k-t) g_(j-2)) from g_0 = 1 and g_1 = k.
     """
-    def times(series: list[int]) -> list[int]:
-        # Times k - (k-t)x, then prefix sums for 1/(1-x).
-        return list(accumulate(k * v - (k - t) * w for v, w in zip(series, [0, *series])))
-
-    return times, 1
+    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)])
 
 
 def count_levels_blocks(
@@ -227,9 +253,15 @@ def _check_blocks(
 
 def _levels_blocks_query(block_sizes: Sequence[int], n: int) -> tuple:
     """Block i of the partition holds block_sizes[i] letters; every block's levels are read."""
-    blocks = [block for block, size in enumerate(block_sizes, start=1) for _ in range(size)]
     coords = [(block, "lev") for block in range(1, len(block_sizes) + 1)]
-    return sum(block_sizes), n, BlockPartition.from_blocks(blocks, t=len(block_sizes)), coords
+    return sum(block_sizes), n, _contiguous_blocks(tuple(block_sizes)), coords
+
+
+@lru_cache(maxsize=256)
+def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
+    """The partition whose block i holds the next block_sizes[i] letters, built once per sizes."""
+    blocks = [block for block, size in enumerate(block_sizes, start=1) for _ in range(size)]
+    return BlockPartition.from_blocks(blocks, t=len(block_sizes))
 
 
 def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], list[int]]:
@@ -315,14 +347,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-le", (k, t, n), s)
 
 
-def _des_le(k: int, t: int, n: int):
-    """The factor F of ``count_des_le``.
+def _des_le(k: int, t: int, n: int) -> dict[int, int]:
+    """The table of ``count_des_le``, from its factor F.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_factor(t, 1, 0, 1, t - k, n)
+    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n))
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -334,14 +366,14 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-gt", (k, t, n), s)
 
 
-def _des_gt(k: int, t: int, n: int):
-    """The factor F of ``count_des_gt``.
+def _des_gt(k: int, t: int, n: int) -> dict[int, int]:
+    """The table of ``count_des_gt``, from its factor F.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_factor(k - t, 1, t, 1, 0, n)
+    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n))
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -366,14 +398,25 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     in place of (r-1); otherwise it collapses the inner summation index to
     its upper bound instead of summing over it.  Retained only so the
     verification suite can demonstrate these readings disagree with the
-    oracle on explicit tuples.
+    oracle on explicit tuples.  They are not word counts (the offset one
+    has F(0) = s), so they sum over m themselves, F^m cut at x^n.
     """
     _check_des_mod(s, alphabet, r, n, p)
-    return _coefficients(_des_mod(s, alphabet, r, n, corrected=False), n).get(p, 0)
+    kq, t = divmod(alphabet, s)
+    rejected = (kq, s, s - 1, s, s - 1) if t == 0 else (kq + (r <= t), s, r - 1, 0, 0)
+    factor = _descent_factor(*rejected, n)
+    power, total = [1] + [0] * n, 0
+    for m in range(n + 1):
+        total += sign(n - m - p) * comb(n - m, p) * power[n]
+        product = [0] * (n + 1)
+        for i, c in enumerate(factor):
+            product[i:] = [a + c * b for a, b in zip(product[i:], power)]
+        power = product
+    return total
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool = True):
-    """The factor F of ``count_des_mod``, or of the rejected readings if not ``corrected``.
+def _des_mod(s: int, alphabet: int, r: int, n: int) -> dict[int, int]:
+    """The table of ``count_des_mod``, from its factor F.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
     C(m-j,i1) B^i1 C(j,i2) (r-1)^i2 s^(m-i1-i2) C(tau j, n-i1-i2), with
@@ -386,11 +429,7 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, corrected: bool = True):
     in both places.  In every regime B = (r-1-t) mod s.
     """
     kq, t = divmod(alphabet, s)
-    if corrected:
-        return _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
-    if t == 0:
-        return _descent_factor(kq, s, s - 1, s, s - 1, n)
-    return _descent_factor(kq + (r <= t), s, r - 1, 0, 0, n)
+    return _descent_table(alphabet, n, _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n))
 
 
 def hall_remmel_count(
@@ -479,11 +518,6 @@ CLOSED_FORMS = {
 }
 
 
-def _factor_table(factor: Callable) -> Callable[..., dict[int, int]]:
-    """The table of a family whose counts are the coefficients of its factor F; n comes last."""
-    return lambda *params: _coefficients(factor(*params), params[-1])
-
-
 def _grid_partitions(k: int) -> list[BlockPartition]:
     """The partitions of [k] the verify grids run on: every threshold, then residues mod 2 and 3."""
     parts = [BlockPartition.threshold(k, t) for t in range(0, k + 1)]
@@ -533,11 +567,11 @@ class FamilyForms(NamedTuple):
     names: tuple[str, ...] = ()
 
 
-def _threshold_family(lowest: int, factor: Callable, coordinate: tuple[int, str]) -> FamilyForms:
-    """Thresholds from ``lowest``, counts off ``factor``, one coordinate of the partition at t."""
+def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str]) -> FamilyForms:
+    """Thresholds from ``lowest``, tables off ``table``, one coordinate of the partition at t."""
     return FamilyForms(
         partial(_check_threshold, lowest),
-        _factor_table(factor),
+        table,
         lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
         lambda alphabet_max, n_max: _lengths(
             ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
@@ -554,7 +588,7 @@ FAMILIES = {
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
-        _check_des_mod, _factor_table(_des_mod), _des_mod_query, _des_mod_grid, ("s", "alphabet", "r", "n", "p")
+        _check_des_mod, _des_mod, _des_mod_query, _des_mod_grid, ("s", "alphabet", "r", "n", "p")
     ),
     "hall-remmel": FamilyForms(
         _check_class,

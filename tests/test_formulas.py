@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -167,6 +168,109 @@ def test_compositions_match_the_recursive_walk():
         for parts in range(6):
             assert list(compositions(total, parts)) == list(_recursive_compositions(total, parts))
     assert list(compositions(0, 0)) == [()] and list(compositions(3, 0)) == []
+
+
+def _power_loop_levels_threshold(k, t):
+    """Times G, where F = x G and G = (k - (k-t)x) / (1-x): times k - (k-t)x, then prefix sums."""
+    return lambda series: list(
+        itertools.accumulate(k * v - (k - t) * w for v, w in zip(series, [0, *series]))
+    )
+
+
+def _power_loop_descent(tau, lead, slope, c0, c1, n):
+    """Times G, where F = x G = (1+x)^tau (lead + slope x) - c0 - c1 x, read up to x^n."""
+    row = [comb(tau, j) for j in range(min(tau, n) + 1)]
+    coefficients = [lead * a + slope * b for a, b in zip(row + [0], [0] + row)]
+    coefficients[0] -= c0
+    coefficients[1] -= c1
+    assert coefficients[0] == 0
+    terms = [(j, c) for j, c in enumerate(coefficients[1:]) if c]
+
+    def times(series):
+        product = [0] * len(series)
+        for j, c in terms:
+            product[j:] = [p + c * v for p, v in zip(product[j:], series)]
+        return product
+
+    return times
+
+
+def _power_loop_times(family, head, n):
+    """The G of F = x G for a family's parameters without n, each read up to x^n."""
+    if family == "levels-threshold":
+        return _power_loop_levels_threshold(*head)
+    if family == "des-le":
+        k, t = head
+        return _power_loop_descent(t, 1, 0, 1, t - k, n)
+    if family == "des-gt":
+        k, t = head
+        return _power_loop_descent(k - t, 1, t, 1, 0, n)
+    s, alphabet, r = head
+    kq, t = divmod(alphabet, s)
+    return _power_loop_descent(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
+
+
+def _power_loop_tables(family, head, n_max):
+    """The tables at n = 0..n_max as sums of [x^n] F^m (u-1)^(n-m), from one list power loop.
+
+    [x^n] F^m is [x^(n-m)] G^m; ``expand_shifted`` expands the sum over m.
+    The packed recurrence keeps this loop as its reference, as
+    ``compositions`` keeps its recursive walk.
+    """
+    times = _power_loop_times(family, head, n_max)
+    powers = [[1] + [0] * n_max]
+    for _ in range(n_max):
+        powers.append(times(powers[-1]))
+    return [
+        dict(enumerate(expand_shifted(powers[m][n - m] for m in range(n + 1))))
+        for n in range(n_max + 1)
+    ]
+
+
+class TestPackedRecurrence:
+    """The packed tables against the list power loop, across field widths and re-spacings."""
+
+    @staticmethod
+    def heads(family, k):
+        if family == "des-mod":
+            return [(s, k, r) for s in range(2, k + 2) for r in range(1, s + 1)]
+        return [(k, t) for t in range(0 if family == "des-gt" else 1, k + 1)]
+
+    @pytest.mark.parametrize("family", ["levels-threshold", "des-le", "des-gt", "des-mod"])
+    def test_every_table_up_to_k_8_and_n_40(self, family):
+        for k in range(1, 9):
+            for head in self.heads(family, k):
+                want = _power_loop_tables(family, head, 40)
+                for n in range(41):
+                    assert distribution(family, (*head, n)) == want[n], (family, head, n)
+
+    @pytest.mark.parametrize("family", ["levels-threshold", "des-le", "des-gt", "des-mod"])
+    def test_field_width_edges(self, family):
+        # k = 1 never gains a byte and k = 256 gains one per letter; for every other k,
+        # the first n at which a field gains a byte
+        cases = set()
+        for k in (1, 2, 3, 5, 7, 16, 255, 256, 257):
+            first = next(n for n in itertools.count(1) if k == 1 or 256 ** formulas._field_bytes(k, n - 1) <= 2 * k**n)
+            heads = self.heads(family, k)
+            for head in {heads[0], heads[len(heads) // 2], heads[-1]}:
+                cases.update((head, n) for n in {0, 1, first - 1, first, first + 1})
+        for head, n in sorted(cases):
+            assert distribution(family, (*head, n)) == _power_loop_tables(family, head, n)[n], (head, n)
+
+    @pytest.mark.parametrize("family", ["levels-threshold", "des-le", "des-gt", "des-mod"])
+    def test_fields_widen_past_n_64(self, family):
+        # the field bound starts at 64 and grows by an eighth: 72 at j = 65, 81 at j = 73, ...
+        for k in (2, 7):
+            heads = self.heads(family, k)
+            for head in {heads[0], heads[-1]}:
+                want = _power_loop_tables(family, head, 100)
+                for n in (64, 65, 72, 73, 81, 82, 100):
+                    assert distribution(family, (*head, n)) == want[n], (head, n)
+
+    def test_huge_alphabet(self):
+        want = _power_loop_tables("des-gt", (30_000, 1), 30)
+        for n in (0, 1, 29, 30):
+            assert distribution("des-gt", (30_000, 1, n)) == want[n]
 
 
 class TestPastDegree128:
