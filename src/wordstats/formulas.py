@@ -1,10 +1,11 @@
 """Closed-form counts for the refined descent and level statistics.
 
-Every function evaluates an explicit alternating binomial sum in exact
-integer arithmetic and returns the number of words with a prescribed
-statistic value.  Each one is pinned to the dual oracles by the
-verification suite over a dense parameter grid; a couple of transcription
-variants that the suite *rejects* are kept available (see
+Every family starts from the paper's alternating binomial sum for the
+number of words with a prescribed statistic value; all but ``hall-remmel``
+rewrite it as a linear recurrence in the length n that builds the whole
+table in exact integer arithmetic.  Each one is pinned to the dual oracles
+by the verification suite over a dense parameter grid; a couple of
+transcription variants that the suite *rejects* are kept available (see
 ``count_des_mod_uncorrected``) so the suite can demonstrate that exactly
 one reading survives cross-validation.
 
@@ -30,9 +31,19 @@ of bits(k^n) + 1 bits never carry.  A table of ``levels-threshold``,
 on operands of O(n^2 log k) bits, deg F being the recurrence's number of
 terms: at most min(k + 1, n), and 2 for ``levels-threshold``.
 
-The joint level count over t blocks is a program over blocks keyed by
-each block's level slots b_i; its table expands every (u_i - 1)^(b_i)
-once at the end, in O(t n^(t+1)).  ``hall-remmel`` is one sum over r.
+The joint level count over t blocks of c_1, ..., c_t letters is the
+paper's sum over compositions a of m (letters) and b of n-m (level slots)
+of (-1)^(n-m-sum s_i) C(m; a) prod_i c_i^(a_i) C(a_i+b_i-1, b_i) C(b_i, s_i).
+Its table in markers u_i takes sum_s (-1)^(b-s) C(b, s) u^s = (u-1)^b,
+and sum_b C(a+b-1, b) y^b = (1-y)^(-a), so summed over n it is the
+Smirnov-word substitution T(x; u) = 1 / (1 - sum_i c_i x / (1 - (u_i-1) x)).
+Splitting T = 1 + sum_i E_i, E_i = c_i x T / (1 - (u_i-1) x) being the
+words that end in block i, the parts e_i of E_i and g of T at each length
+follow e_i <- (u_i - 1) e_i + c_i g, g = sum_i e_i, from e_i = 0 and g = 1
+at length 0 (``_levels_blocks_table``).  A table costs n steps, each a
+pass over t dicts of big-integer adds on integers of n fields, with one
+entry per tuple of levels of blocks 1..t-1.  ``hall-remmel`` is one sum
+over r.
 ``FAMILIES`` declares each family once: its parameter checks, its table
 builder, its word DP query, the (alphabet, n, partition, coordinates) of
 the statistic it counts, which the CLI's oracle and transfer engines and
@@ -46,15 +57,14 @@ nothing.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate, product
+from itertools import product
 from math import comb
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import binom, expand_shifted, multinomial, sign
+from .combinat import binom, multinomial, sign
 from .words import BlockPartition, InputError
 
 
@@ -264,78 +274,47 @@ def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
     return BlockPartition.from_blocks(blocks, t=len(block_sizes))
 
 
-def _block_program(block_sizes: tuple[int, ...], n: int) -> dict[tuple[int, ...], list[int]]:
-    """The levels-blocks sum over every (a_i, b_i): (b_1, ..., b_(t-1)) -> weights over b_t.
-
-    Block i takes a_i letters and b_i level slots, all blocks together n
-    positions, with weight C(A_i, a_i) size_i^a_i C(a_i+b_i-1, b_i) where
-    A_i = a_1+...+a_i: where its letters sit among the earlier ones, which
-    letters they are, and how its levels spread over them.  The caller
-    applies each block's level factor (u_i - 1)^(b_i).  The state is
-    (letters placed, slots so far); its weights over the next b_i add up
-    as one vector.
-    """
-    # spread[a][b] = C(a+b-1, b): b level slots over a letters; row a sums row a-1.
-    spread = [[1] + [0] * n]
-    for _ in range(n):
-        spread.append(list(accumulate(spread[-1])))
-    states = {(0, ()): 1}
-    for size in block_sizes[:-1]:
-        grown: dict = {}
-        for (placed, slots), value in states.items():
-            room = n - placed - sum(slots)
-            for a in range(room + 1):
-                lead = comb(placed + a, a) * size**a * value
-                if lead:
-                    # Every state reaching (placed + a, slots) has room - a slots left.
-                    weights = grown.get((placed + a, slots)) or [0] * (room - a + 1)
-                    grown[placed + a, slots] = [w + lead * c for w, c in zip(weights, spread[a])]
-        states = {
-            (placed, slots + (b,)): weight
-            for (placed, slots), weights in grown.items()
-            for b, weight in enumerate(weights)
-            if weight
-        }
-    # The last block takes all the room that is left: a = room - b.
-    powers = [block_sizes[-1] ** a for a in range(n + 1)]
-    joint: dict = {}
-    for (placed, slots), value in states.items():
-        room = n - placed - sum(slots)
-        weights = joint.get(slots) or [0] * (n - sum(slots) + 1)
-        weights[: room + 1] = [
-            w + value * comb(placed + room - b, placed) * powers[room - b] * spread[room - b][b]
-            for b, w in enumerate(weights[: room + 1])
-        ]
-        joint[slots] = weights
-    return joint
-
-
 def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
-    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one pass.
+    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one recurrence in n.
 
-    Block i contributes (u_i - 1)^(b_i), expanded once, one axis at a time.
+    e_i <- (u_i - 1) e_i + c_i g from e_i = 0 and g = 1 at length 0: the
+    letter after a word ending in block i repeats its last letter (a
+    level, u_i), or is one of the c_i - 1 other letters of block i or a
+    letter of another block.  A polynomial is a dict from the levels of
+    blocks 1..t-1, digits in radix n (no block has n levels), to one
+    integer holding the last block's levels in fields that never carry:
+    u_i moves a key by n^(i-1) for i < t and the integer by one field for
+    i = t.  An empty block's e_i is 0 and is not stored.
     """
-    sizes = tuple(block_sizes)
-    joint = {
-        (*slots, b): weight
-        for slots, weights in _block_program(sizes, n).items()
-        for b, weight in enumerate(weights)
-        if weight
-    }
-    for axis in range(len(sizes)):
-        # The keys equal off this axis form a fiber, one polynomial in u_axis - 1.
-        fibers: dict = defaultdict(dict)
-        for key, value in joint.items():
-            fibers[key[:axis], key[axis + 1 :]][key[axis]] = value
-        joint = {
-            (*head, level, *tail): count
-            for (head, tail), fiber in fibers.items()
-            for level, count in enumerate(
-                expand_shifted(fiber.get(b, 0) for b in range(max(fiber), -1, -1))
-            )
-            if count
-        }
-    return joint
+    t, radix = len(block_sizes), max(n, 1)
+    size = _field_bytes(sum(block_sizes), n)
+    moves = [(radix**i, 0) for i in range(t - 1)] + [(0, 8 * size)]
+    live = [(c, move) for c, move in zip(block_sizes, moves) if c]
+    ends: list[dict] = [{} for _ in live]
+    total = {0: 1}
+    for _ in range(n):
+        for j, (c, (step, shift)) in enumerate(live):
+            e = {key: c * g for key, g in total.items()}
+            for key, value in ends[j].items():
+                e[key] -= value
+                e[key + step] = e.get(key + step, 0) + (value << shift)
+            ends[j] = e
+        total = dict(ends[0])
+        for e in ends[1:]:
+            for key, value in e.items():
+                total[key] = total.get(key, 0) + value
+    table = {}
+    for key, value in total.items():
+        head = []
+        for _ in range(t - 1):
+            key, level = divmod(key, radix)
+            head.append(level)
+        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
+        for level, at in enumerate(range(0, len(data), size)):
+            count = int.from_bytes(data[at : at + size], "little")
+            if count:
+                table[(*head, level)] = count
+    return table
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:

@@ -315,7 +315,7 @@ class TestPastDegree128:
         assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == self.nonzero(want)
 
     def test_every_family_and_regime_around_n_128(self):
-        """Tables at n straddling 128, joints on 2-4 blocks, and classes of weight 12-20."""
+        """Tables at n straddling 128, joints on 2-6 blocks, and classes of weight 12-20."""
         regimes = [(4, 8, 3), (3, 8, 3), (4, 6, 2)]  # aligned; offset, r above t; r within t
         queries = [
             ("levels-threshold", (5, 2)),
@@ -336,9 +336,9 @@ class TestPastDegree128:
         # the rejected reading of each regime still disagrees at some such n
         assert disagrees == set(regimes)
 
-        # two blocks run the dense kernel, three and four the dict kernel
+        # two blocks run the dense kernel, three to six the dict kernel
         for sizes, n in [((2, 3), 29), ((1, 2), 31), ((2, 1, 2), 15), ((1, 1, 2), 16),
-                         ((1, 2, 1, 1), 16)]:
+                         ((1, 2, 1, 1), 16), ((1,) * 6, 8)]:
             joint = statistic_distribution(*formulas.FAMILIES["levels-blocks"].query(sizes, n))
             assert self.nonzero(distribution("levels-blocks", (sizes, n))) == self.nonzero(joint), sizes
 
@@ -537,12 +537,17 @@ class TestCountLevelsBlocks:
                     total += term
         return total
 
-    def test_block_program_equals_composition_sum(self):
-        # the paper's sum, kept here as the reference
-        for sizes, n_max in [((2,), 6), ((0, 2), 6), ((2, 3, 1), 4), ((1, 1, 1, 1), 3)]:
+    def test_recurrence_equals_composition_sum(self):
+        # The paper's sum, kept here as the reference.  Every n from 0 is run, so the
+        # key radix max(n, 1) is 1 and 2 in each case; empty blocks come first, in the
+        # middle and last; a 255-letter last block widens its fields by a byte at n = 1, 2, 3.
+        cases = [((2,), 6), ((0, 2), 6), ((2, 0), 6), ((1, 0, 2), 4), ((2, 3, 1), 4),
+                 ((1, 1, 1, 1), 3), ((1, 1, 1, 1, 1), 3), ((255,), 3), ((1, 255), 3)]
+        for sizes, n_max in cases:
             for n in range(n_max + 1):
                 for targets in itertools.product(range(n + 1), repeat=len(sizes)):
                     assert count_levels_blocks(sizes, n, targets) == self.literal(sizes, n, targets)
+                assert distribution("levels-blocks", (list(sizes), n)) == distribution("levels-blocks", (sizes, n))
 
     def test_unsigned_variant_is_wrong(self):
         # dropping the sign factor breaks already at two letters
