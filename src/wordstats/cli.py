@@ -32,8 +32,14 @@ value that starts with ``-``, a missing value or required option, a
 value its type refuses and one outside its choices.  Every argv it
 declines, every ``verify`` argv and every argv without a route goes to
 the whole argparse tree, which alone writes usage, help and error text.
-A record is written by ``_json``, which gives the text of
-``json.dumps(record, indent=2)``.
+
+A record is written from its known shape, in the text
+``json.dumps(record, indent=2)`` gives it.  ``_record`` writes the
+five-key frame up to ``result`` from one template, the ``parameters``
+echo (a flat object) included, and each command appends the pieces of its
+``result``: a table row or a series coefficient is one string.  ``_emit``
+joins the pieces once.  ``table`` turns its table into (value, count)
+pairs once, and its JSON and CSV outputs both read them.
 """
 
 from __future__ import annotations
@@ -66,8 +72,11 @@ EXIT_BUDGET = 3
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
+    """Grammar: <i1,...>, or "" for the empty list; an empty piece is refused."""
+    if raw == "":
+        return ()
     try:
-        return tuple(int(piece) for piece in raw.split(",") if piece != "")
+        return tuple(int(piece) for piece in raw.split(","))
     except ValueError:
         raise InputError(f"expected a comma-separated integer list, got {raw!r}")
 
@@ -102,84 +111,59 @@ def _parse_letter_set(raw: str, m: int) -> frozenset:
     return letters
 
 
-def _record(command: str, parameters: dict, engine: str, result) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "engine": engine,
-        "result": result,
-    }
+# Separates the targets of a joint table row's ``value``, a list five levels deep.
+_TARGETS = ",\n          "
 
 
-def _json(value) -> str:
-    """``value`` in the text ``json.dumps(value, indent=2)`` gives it.
-
-    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
-    raises ``TypeError`` on anything else (``encode_basestring_ascii``
-    refuses a key that is not a str).  ``json.dumps`` encodes in pure
-    Python whenever it indents; this writer does the same job in less time.
-    """
-    out: list[str] = []
-    _write(value, "\n", out)
-    return "".join(out)
-
-
-def _write(value, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``value``'s text to ``out``; ``indent`` starts its closing line."""
+def _scalar(value) -> str:
+    """An int, str, bool or None in the text ``json.dumps`` gives it; else ``TypeError``."""
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            out.extend((separator, encode_basestring_ascii(key), ": "))
-            # A str or int item is written in place; a bool is not ``type`` int, so it recurses.
-            if isinstance(item, str):
-                out.append(encode_basestring_ascii(item))
-            elif type(item) is int:
-                out.append(int.__repr__(item))
-            else:
-                _write(item, inner, out)
-            separator = "," + inner
-        out.append(indent + "}")
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {type(value).__name__} is not a JSON scalar")
+
+
+def _flat(value, indent: str = "\n") -> str:
+    """A scalar, or a dict or list of scalars, as ``json.dumps(value, indent=2)`` writes it.
+
+    ``indent`` starts the closing line of a dict or list at that depth.  A
+    nested container, or a dict key that is not a str, raises ``TypeError``.
+    """
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_scalar(item)}" for key, item in value.items()]
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            if isinstance(item, str):
-                out.append(encode_basestring_ascii(item))
-            elif type(item) is int:
-                out.append(int.__repr__(item))
-            else:
-                _write(item, inner, out)
-            separator = "," + inner
-        out.append(indent + "]")
+        brackets, items = "[]", [_scalar(item) for item in value]
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return _scalar(value)
+    inner = indent + "  "
+    body = inner + ("," + inner).join(items) + indent if items else ""
+    return brackets[0] + body + brackets[1]
 
 
-def _emit(record: dict) -> None:
-    print(_json(record))
+def _record(command: str, parameters: dict, engine: str) -> list[str]:
+    """A record's text up to its ``result``, as the first piece of the list ``_emit`` prints.
+
+    The command appends the pieces of its ``result``, an object at depth 1.
+    """
+    echo = _flat(parameters, "\n  ")
+    return [
+        f'{{\n  "schema": "{SCHEMA_VERSION}",\n  "command": "{command}",\n'
+        f'  "parameters": {echo},\n  "engine": "{engine}",\n  "result": '
+    ]
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
+def _emit(pieces: list[str]) -> None:
+    """Print a record's pieces, joined once, and close it."""
+    pieces.append("\n}")
+    print("".join(pieces))
 
 
 @dataclass(frozen=True)
@@ -198,6 +182,12 @@ class Family:
     statistic: tuple[str, type | None, str | None]
     params: Callable[[argparse.Namespace], tuple]
     joint: bool = False
+
+    @functools.cached_property
+    def echo(self) -> dict[str, tuple[str, ...]]:
+        """Per command, the dests of the options the ``parameters`` echo lists, in order."""
+        query = tuple(flag[2:].replace("-", "_") for flag, _, _ in self.options)
+        return {"table": query, "count": query + (self.statistic[0][2:].replace("-", "_"),)}
 
 
 _THRESHOLD = Family(
@@ -246,8 +236,7 @@ FAMILIES = {
 
 def _parameters(family: Family, args) -> dict:
     """The ``parameters`` echo: every option's value, then the family."""
-    options = family.options + ((family.statistic,) if args.command == "count" else ())
-    echo = {_dest(flag): getattr(args, _dest(flag)) for flag, _, _ in options}
+    echo = {dest: getattr(args, dest) for dest in family.echo[args.command]}
     echo["family"] = args.family
     return echo
 
@@ -275,47 +264,61 @@ def _table(family: Family, args, value: tuple = ()) -> dict:
 
 def _cmd_count(args) -> int:
     family = FAMILIES[args.family]
-    value = getattr(args, _dest(family.statistic[0]))
+    value = getattr(args, family.echo["count"][-1])
     if family.joint:
         value = _parse_int_list(value)
     elif value is None:
         raise InputError("count needs the statistic value (--s / --p)")
     count = _table(family, args, (value,)).get(value, 0)
-    _emit(_record("count", _parameters(family, args), args.engine, {"count": str(count)}))
+    out = _record("count", _parameters(family, args), args.engine)
+    out.append(f'{{\n    "count": "{count}"\n  }}')
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
+    """Print the table as JSON or CSV, both read from one list of (value, count) pairs.
+
+    Each JSON row is one string ending in a comma, which the last row
+    drops; a joint row's ``value`` is the list of its targets.  A table has
+    at least one row: value 0, or for a joint table a nonzero count among
+    its alphabet**n >= 1 words.
+    """
     family = FAMILIES[args.family]
     dist = _table(family, args)
     if family.joint:
-        rows = [
-            {"value": list(targets), "count": str(count)}
-            for targets, count in sorted(dist.items())
-            if count
-        ]
+        pairs = sorted((targets, count) for targets, count in dist.items() if count)
     else:
         top = max((value for value, count in dist.items() if count), default=0)
-        rows = [{"value": value, "count": str(dist.get(value, 0))} for value in range(top + 1)]
+        pairs = [(value, dist.get(value, 0)) for value in range(top + 1)]
     total = sum(dist.values())
-    record = _record(
-        "table", _parameters(family, args), args.engine, {"rows": rows, "total": str(total)}
-    )
+    del dist  # the pairs hold every key and count the output needs
     if args.format == "csv":
-        _emit_csv(rows, total)
+        lines = ["value,count"]
+        if family.joint:
+            lines += [f"{' '.join(map(str, targets))},{count}" for targets, count in pairs]
+        else:
+            lines += [f"{value},{count}" for value, count in pairs]
+        lines.append(f"total,{total}")
+        print("\n".join(lines))
+        return EXIT_OK
+    out = _record("table", _parameters(family, args), args.engine)
+    out.append('{\n    "rows": [')
+    if family.joint:
+        out += [
+            f'\n      {{\n        "value": [\n          {_TARGETS.join(map(str, targets))}'
+            f'\n        ],\n        "count": "{count}"\n      }},'
+            for targets, count in pairs
+        ]
     else:
-        _emit(record)
+        out += [
+            f'\n      {{\n        "value": {value},\n        "count": "{count}"\n      }},'
+            for value, count in pairs
+        ]
+    out[-1] = out[-1][:-1]
+    out.append(f'\n    ],\n    "total": "{total}"\n  }}')
+    _emit(out)
     return EXIT_OK
-
-
-def _emit_csv(rows, total) -> None:
-    print("value,count")
-    for row in rows:
-        value = row["value"]
-        if isinstance(value, list):
-            value = " ".join(str(v) for v in value)
-        print(f"{value},{row['count']}")
-    print(f"total,{total}")
 
 
 def _cmd_series(args) -> int:
@@ -334,27 +337,24 @@ def _cmd_series(args) -> int:
         series = build_ak_series(k, partition, spec, args.order)
     else:
         series = build_bk_series(k, partition, spec, args.order)
-    record = _record(
-        "series",
-        {
-            "gf": args.gf,
-            "k": k,
-            "partition": args.partition,
-            "track": args.track,
-            "q": args.q,
-            "order": args.order,
-        },
-        "series",
-        {
-            "variable": series.var,
-            "coefficient_variables": list(series.names),
-            "coefficients": [
-                {"order": i, "polynomial": str(series.coefficient(i))}
-                for i in range(series.order + 1)
-            ],
-        },
+    parameters = {
+        name: getattr(args, name) for name in ("gf", "k", "partition", "track", "q", "order")
+    }
+    out = _record("series", parameters, "series")
+    names = _flat(series.names, "\n    ")
+    out.append(
+        f'{{\n    "variable": {_scalar(series.var)},\n    "coefficient_variables": {names},'
+        '\n    "coefficients": ['
     )
-    _emit(record)
+    # Order 0 upward, so there is at least one coefficient.
+    out += [
+        f'\n      {{\n        "order": {i},\n        "polynomial": '
+        f'{encode_basestring_ascii(str(series.coefficient(i)))}\n      }},'
+        for i in range(series.order + 1)
+    ]
+    out[-1] = out[-1][:-1]
+    out.append("\n    ]\n  }")
+    _emit(out)
     return EXIT_OK
 
 
@@ -394,17 +394,13 @@ def _cmd_verify(args) -> int:
     }
     # Looked up at call time, so a wrapper patched onto ``verify`` runs.
     result = getattr(verify, name)(**kwargs)
-    record = _record(
-        "verify",
-        {"suite": args.suite},
-        "verify",
-        {
-            "checked": result.checked,
-            "failures": result.failures,
-            "first_failure": result.first_failure,
-        },
-    )
-    _emit(record)
+    out = _record("verify", {"suite": args.suite}, "verify")
+    out.append(_flat({
+        "checked": result.checked,
+        "failures": result.failures,
+        "first_failure": result.first_failure,
+    }, "\n  "))
+    _emit(out)
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
 
 

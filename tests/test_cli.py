@@ -632,6 +632,28 @@ class TestParameterRanges:
         assert err == "error: hall-remmel supports the closed-form and oracle engines\n"
 
 
+class TestIntLists:
+    MESSAGE = "error: expected a comma-separated integer list, got {!r}\n"
+
+    @pytest.mark.parametrize("argv, raw", [
+        (["table", "levels-blocks", "--block-sizes", "2,,1", "--n", "3"], "2,,1"),
+        (["count", "levels-blocks", "--block-sizes", "2,1", "--n", "3", "--targets", ",1"], ",1"),
+        (["table", "hall-remmel", "--rho", "1,", "--x", "all", "--y", "all"], "1,"),
+        (["count", "hall-remmel", "--rho", "1,1", "--x", "1,", "--y", "all", "--s", "0"], "1,"),
+        (["table", "hall-remmel", "--rho", "1,1", "--x", "all", "--y", ","], ","),
+        (["series", "--gf", "A", "--k", "3", "--partition", "blocks:1,,2", "--order", "2"],
+         "1,,2"),
+    ])
+    def test_empty_piece_refused(self, capsys, argv, raw):
+        for engine in (["--engine", "oracle"], []) if argv[0] != "series" else ([],):
+            assert outcome(capsys, argv + engine) == (cli.EXIT_USAGE, "", self.MESSAGE.format(raw))
+
+    def test_empty_string_is_the_empty_list(self, capsys):
+        for argv in (["--rho", "", "--x", "", "--y", ""], ["--rho", "1", "--x", "", "--y", "all"]):
+            result = run_json(capsys, "table", "hall-remmel", *argv)["result"]
+            assert result == {"rows": [{"value": 0, "count": "1"}], "total": "1"}
+
+
 class TestParametersEcho:
     # (query keys, count's statistic key) per family, as docs/output_schema.md lists them.
     KEYS = {
@@ -822,6 +844,28 @@ class TestRouting:
             assert parsers == []
 
 
+# Each command's ``result`` keys, in the order docs/output_schema.md lists them.
+RESULT_KEYS = {
+    "count": ["count"],
+    "table": ["rows", "total"],
+    "series": ["variable", "coefficient_variables", "coefficients"],
+    "verify": ["checked", "failures", "first_failure"],
+}
+
+
+def printed_record(capsys, argv):
+    """The record ``argv`` prints, checked to be the stdlib's text with the documented keys."""
+    _, out, _ = outcome(capsys, argv)
+    record = json.loads(out)
+    assert out == json.dumps(record, indent=2) + "\n", argv
+    assert list(record) == ["schema", "command", "parameters", "engine", "result"]
+    result = record["result"]
+    assert list(result) == RESULT_KEYS[record["command"]], argv
+    assert all(list(row) == ["value", "count"] for row in result.get("rows", []))
+    assert all(list(c) == ["order", "polynomial"] for c in result.get("coefficients", []))
+    return record
+
+
 class TestJsonWriter:
     RECORD_ARGVS = [
         ["count", "des-mod", "--s", "2", "--alphabet", "4", "--r", "1", "--n", "5", "--p", "2"],
@@ -831,35 +875,54 @@ class TestJsonWriter:
          "--order", "2"],
         VERIFY_ARGVS[2],
         VERIFY_ARGVS[-1],
-    ]
+    ] + SERIES_ARGVS + VERIFY_ARGVS[:2] + VERIFY_ARGVS[3:-1]
 
-    def test_every_command_prints_the_stdlib_text(self, capsys, monkeypatch):
-        records, emit = [], cli._emit
-        monkeypatch.setattr(cli, "_emit", lambda record: records.append(record) or emit(record))
-        for argv in self.RECORD_ARGVS:
-            _, out, _ = outcome(capsys, argv)
-            assert out == json.dumps(records[-1], indent=2) + "\n"
+    def test_every_command_prints_the_stdlib_text(self, capsys):
+        records = [printed_record(capsys, argv) for argv in self.RECORD_ARGVS]
         series, verified, failed = records[3]["result"], records[4]["result"], records[5]["result"]
         assert series["coefficient_variables"] == []
         assert verified["first_failure"] is None and isinstance(failed["first_failure"], str)
 
+    @pytest.mark.parametrize(
+        "argv", [argv for argv in _count_and_table_argvs() if "csv" not in argv]
+    )
+    def test_every_family_record_prints_the_stdlib_text(self, capsys, argv):
+        printed_record(capsys, argv)
+
+    def test_strings_are_escaped_as_the_stdlib_escapes_them(self, capsys):
+        """A non-ASCII option echo, a failure text, null and an empty list, through real argvs."""
+        argv = ["table", "levels-blocks", "--block-sizes", "\uff12,1", "--n", "3"]
+        record = printed_record(capsys, argv)
+        assert record["parameters"]["block_sizes"] == "\uff12,1"
+        assert '"block_sizes": "\\uff12,1",' in outcome(capsys, argv)[1]
+        record = printed_record(capsys, VERIFY_ARGVS[-1])
+        assert record["result"]["first_failure"] == "levels-threshold k=1 t=1 n=0 s=0"
+        assert printed_record(capsys, VERIFY_ARGVS[0])["result"]["first_failure"] is None
+        _, out, _ = outcome(capsys, self.RECORD_ARGVS[3])
+        assert '"coefficient_variables": [],' in out
+
     @pytest.mark.parametrize("value", [
-        {}, [], (), [[], [1, [2, []]], {}], (1, (2, 3)), {"a": ()}, -5, 0, 10**40, -(10**40),
+        {}, [], (), -5, 0, 10**40, -(10**40),
         True, False, None, "", 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é 漢 😀",
-        {"": "", 'quo"te': [-1, None, True], "nested": {"deeper": {"x": [False]}}},
+        {"": "", 'quo"te': -1, "none": None, "yes": True, "big": 10**30}, (-1, None, True, "x"),
     ])
     def test_value_has_the_stdlib_text(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2)
+        assert cli._flat(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("value", [1.5, [0.0], {1: "a"}, {"a": {None: 1}}, {1, 2}])
+    @pytest.mark.parametrize("value", [
+        1.5, [0.0], {1: "a"}, {"a": {None: 1}}, {1, 2},
+        # Nested containers: no record holds one in its parameters or a flat result.
+        [[], [1, [2, []]], {}], (1, (2, 3)), {"a": ()}, {"big": [10**30]},
+    ])
     def test_value_json_cannot_hold_is_refused(self, value):
+        """A float, a non-str key, a set or a nested container is not a record's flat value."""
         with pytest.raises(TypeError):
-            cli._json(value)
+            cli._flat(value)
 
 
 @pytest.mark.parametrize("value", [
-    {"on": True, "off": False, "n": 7, "s": "x"}, [True, False, 7, "x"], {"big": [10**30]},
+    {"on": True, "off": False, "n": 7, "s": "x"}, [True, False, 7, "x"],
 ])
 def test_direct_items_have_the_stdlib_text(value):
-    """A str or int item in a dict or list is written in place; a bool is not an int there."""
-    assert cli._json(value) == json.dumps(value, indent=2)
+    """A bool item is written as true or false, not as the int it also is."""
+    assert cli._flat(value) == json.dumps(value, indent=2)
