@@ -39,7 +39,10 @@ five-key frame up to ``result`` from one template, the ``parameters``
 echo (a flat object) included, and each command appends the pieces of its
 ``result``: a table row or a series coefficient is one string.  ``_emit``
 joins the pieces once.  ``table`` turns its table into (value, count)
-pairs once, and its JSON and CSV outputs both read them.
+pairs once, and its JSON and CSV outputs both read them.  ``count`` and
+``table`` print a count of any length in full: ``_AllDigits`` lifts
+Python's limit on int-to-decimal digits while they write, and parsing
+keeps it.
 """
 
 from __future__ import annotations
@@ -166,6 +169,25 @@ def _emit(pieces: list[str]) -> None:
     print("".join(pieces))
 
 
+class _AllDigits:
+    """Inside ``with``, an int converts to decimal at any length.
+
+    Python (3.10.7 on) refuses to convert an int of more than
+    ``sys.get_int_max_str_digits()`` digits, 0 meaning no limit; an older
+    one has no limit, which ``int()``'s 0 stands for.  Only the writer
+    lifts the limit: parsing keeps it.
+    """
+
+    def __enter__(self) -> None:
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info) -> None:
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 @dataclass(frozen=True)
 class Family:
     """How ``count`` and ``table`` read one statistic family's command line.
@@ -271,7 +293,8 @@ def _cmd_count(args) -> int:
         raise InputError("count needs the statistic value (--s / --p)")
     count = _table(family, args, (value,)).get(value, 0)
     out = _record("count", _parameters(family, args), args.engine)
-    out.append(f'{{\n    "count": "{count}"\n  }}')
+    with _AllDigits():
+        out.append(f'{{\n    "count": "{count}"\n  }}')
     _emit(out)
     return EXIT_OK
 
@@ -293,30 +316,31 @@ def _cmd_table(args) -> int:
         pairs = [(value, dist.get(value, 0)) for value in range(top + 1)]
     total = sum(dist.values())
     del dist  # the pairs hold every key and count the output needs
-    if args.format == "csv":
-        lines = ["value,count"]
+    with _AllDigits():
+        if args.format == "csv":
+            lines = ["value,count"]
+            if family.joint:
+                lines += [f"{' '.join(map(str, targets))},{count}" for targets, count in pairs]
+            else:
+                lines += [f"{value},{count}" for value, count in pairs]
+            lines.append(f"total,{total}")
+            print("\n".join(lines))
+            return EXIT_OK
+        out = _record("table", _parameters(family, args), args.engine)
+        out.append('{\n    "rows": [')
         if family.joint:
-            lines += [f"{' '.join(map(str, targets))},{count}" for targets, count in pairs]
+            out += [
+                f'\n      {{\n        "value": [\n          {_TARGETS.join(map(str, targets))}'
+                f'\n        ],\n        "count": "{count}"\n      }},'
+                for targets, count in pairs
+            ]
         else:
-            lines += [f"{value},{count}" for value, count in pairs]
-        lines.append(f"total,{total}")
-        print("\n".join(lines))
-        return EXIT_OK
-    out = _record("table", _parameters(family, args), args.engine)
-    out.append('{\n    "rows": [')
-    if family.joint:
-        out += [
-            f'\n      {{\n        "value": [\n          {_TARGETS.join(map(str, targets))}'
-            f'\n        ],\n        "count": "{count}"\n      }},'
-            for targets, count in pairs
-        ]
-    else:
-        out += [
-            f'\n      {{\n        "value": {value},\n        "count": "{count}"\n      }},'
-            for value, count in pairs
-        ]
-    out[-1] = out[-1][:-1]
-    out.append(f'\n    ],\n    "total": "{total}"\n  }}')
+            out += [
+                f'\n      {{\n        "value": {value},\n        "count": "{count}"\n      }},'
+                for value, count in pairs
+            ]
+        out[-1] = out[-1][:-1]
+        out.append(f'\n    ],\n    "total": "{total}"\n  }}')
     _emit(out)
     return EXIT_OK
 

@@ -12,27 +12,25 @@ costs O(1), not O(n).
 The transfer engine runs the transfer-matrix DP over the last letter on
 packed keys: tracked coordinate i is digit i of one integer in radix
 n + 1, and ``_letter_keys`` gives each letter's key increment per
-statistic.  Two kernels run the DP and return the same dict:
+statistic.  One kernel, ``_kernel``, runs the DP.  Its first ``dense``
+digits are bit fields of one integer (Kronecker substitution) and the
+other, sparse, digits key one dict per last letter.  With no sparse digit
+a letter's state is one integer and a step is O(k) big-integer shifts and
+adds; otherwise a step merges k**2 dicts, shifting each count into its
+field.
 
-- ``_dense_kernel`` holds each last letter's distribution as one integer,
-  the count of packed key K in bit field K (Kronecker substitution), so a
-  step is O(k) big-integer shifts and adds.  It serves
-  ``statistic_distribution`` when the query tracks at most two
-  coordinates, a duplicate counting as one more: every count and table
-  except ``levels-blocks`` on three or more blocks.
-- ``_transfer_kernel`` holds one dict of reachable keys per last letter
-  and merges k**2 of them per step.  It serves ``transfer_distribution``,
-  which tracks all 4t coordinates, and joints of three or more.
+- ``statistic_distribution`` makes its first two coordinates dense (its
+  one, for a marginal): every threshold and residue count and table runs
+  the O(k) pass, and a ``levels-blocks`` joint of three or more blocks
+  keys the rest.  On the level joint of blocks (2, 3, 1) that ran 6-7x
+  faster than plain dict counts at n = 30 and 60 (one process, Python
+  3.11, 2 vCPU).
+- ``transfer_distribution`` keeps plain counts (``dense`` 0).  A full
+  vector's digits depend on each other, des + ris + lev = cnt - [last
+  letter in the block], so a dense pair of them leaves most fields
+  empty: one or two dense fields made its calls on the
+  ``oracle-vs-transfer`` grid 1.7x and 2.6x slower.
 
-Dense fields number (n + 1)**c for c coordinates, while the reachable keys
-form a simplex of about n**c / c! of them.  Measured in one process
-(Python 3.11, 2 vCPU), the dense kernel ran 2-19x faster on one coordinate
-(k 3-8, n 12-200) and 5-9x on two (k 5-6, n 8-30); on three level blocks
-at k = 6 still 1.4-3x (n 6-24), but on four at k = 4 it ran at 0.3-0.4x
-(n 8-16) and on six at n = 8 it took 0.29 s against 0.004 s.  The
-crossover thus lies between three and four coordinates; the cut is at
-two, where the (n + 1)**2 fields stay within about twice the n**2 / 2
-reachable keys of two distinct coordinates.
 ``coordinate_distribution`` answers a set of coordinates from one pass
 of either engine; counts and tables both read off it.
 
@@ -161,7 +159,7 @@ def brute_distribution(
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
-# The dict kernel's own pair classification, not stat_key's, so the two oracles stay independent.
+# The kernel's own pair classification, not stat_key's, so the two oracles stay independent.
 def _pair_index(a: int, b: int) -> int:
     """Statistic index of the adjacent pair (a, b): descent, level or rise."""
     if a > b:
@@ -190,94 +188,93 @@ def _letter_keys(
     return [[place.get((block, index), 0) for index in range(4)] for block in partition.blocks]
 
 
-def _transfer_kernel(
-    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]]
+def _kernel(
+    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]], dense: int
 ) -> dict[int, int]:
-    """The transfer-matrix DP over the last letter, one dict of packed keys per letter.
+    """The transfer-matrix DP over the last letter: packed key -> number of words of length n.
 
-    ``delta[a][b]`` is the key increment of appending letter b after letter
-    a: the pair (a, b) charged to the block of a, plus one letter counted in
-    the block of b.  A transition is then a single integer add.  Returns
-    packed key (see ``_letter_keys``) -> number of words of length n.
-    """
-    if n == 0:
-        return {0: 1}
-    keys = _letter_keys(n, partition, coords)
-    letters = range(1, k + 1)
-    start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
-    delta = [
-        [keys[a - 1][_pair_index(a, b)] + start[b - 1] for b in letters]
-        for a in letters
-    ]
+    Appending b after a adds one packed key increment (see ``_letter_keys``):
+    the pair (a, b) charged to the block of a, plus one letter counted in the
+    block of b.  A key's first ``dense`` digits name a bit field of
+    ``width`` bits, which no count up to k**n overflows, and its other
+    digits, the sparse part, key one dict per last letter.  So ``divmod``
+    by (n + 1)**dense splits an increment into a (sparse step, field
+    shift) pair.
 
-    states = [{key: 1} for key in start]
-    for _ in range(n - 1):
-        new_states = []
-        for b in range(k):
-            merged: dict[int, int] = {}
-            get = merged.get
-            for a in range(k):
-                shift = delta[a][b]
-                for key, count in states[a].items():
-                    key += shift
-                    merged[key] = get(key, 0) + count
-            new_states.append(merged)
-        states = new_states
-
-    out: dict[int, int] = {}
-    for table in states:
-        for key, count in table.items():
-            out[key] = out.get(key, 0) + count
-    return out
-
-
-def _dense_kernel(
-    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]]
-) -> dict[int, int]:
-    """The same DP and result as ``_transfer_kernel``, one integer per last letter.
-
-    A state holds the number of words with packed key K in bit field K of
-    ``width`` bits: no count exceeds k**n, so fields never carry, and adding
-    a key increment is a shift.  Appending b after a charges the pair to
-    the block of a, as a rise for every a < b, a level for a = b and a
-    descent for every a > b, so
+    With no sparse digit a letter's state is one integer.  The pair (a, b)
+    is a rise for every a < b, a level for a = b and a descent for every
+    a > b, so
 
         new[b] = (sum_{a<b} old[a] << ris[a] + old[b] << lev[b]
                   + sum_{a>b} old[a] << des[a]) << cnt[b],
 
     which one suffix-sum pass and a running prefix sum give for every b in
-    O(k) big-integer operations.  The fields number (n + 1)**len(coords).
+    O(k) big-integer operations.  Otherwise a step merges k**2 dicts.
     """
     if n == 0:
         return {0: 1}
     size = ((k**n).bit_length() + 8) // 8  # bytes per field: one spare bit, rounded up
     width = 8 * size
+    radix = (n + 1) ** dense
     keys = _letter_keys(n, partition, coords)
-    des, ris, lev, cnt = (
-        [charge[_STAT_INDEX[stat]] * width for charge in keys] for stat in ("des", "ris", "lev", "cnt")
-    )
+    if dense == len(coords):
+        des, ris, lev, cnt = (
+            [charge[_STAT_INDEX[stat]] * width for charge in keys] for stat in ("des", "ris", "lev", "cnt")
+        )
+        states = [1 << shift for shift in cnt]
+        above = [0] * k
+        for _ in range(n - 1):
+            # above[b]: the words ending in a letter a > b, each charged its descent
+            suffix = 0
+            for a in range(k - 1, 0, -1):
+                suffix += states[a] << des[a]
+                above[a - 1] = suffix
+            below = 0  # the words ending in a letter a < b, each charged its rise
+            for b, old in enumerate(states):
+                states[b] = (below + (old << lev[b]) + above[b]) << cnt[b]
+                below += old << ris[b]
+        totals = {0: sum(states)}
+    else:
+        def split(increment: int) -> tuple[int, int]:
+            step, field = divmod(increment, radix)
+            return step, field * width
 
-    states = [1 << shift for shift in cnt]
-    above = [0] * k
-    for _ in range(n - 1):
-        # above[b]: the words ending in a letter a > b, each charged its descent
-        suffix = 0
-        for a in range(k - 1, 0, -1):
-            suffix += states[a] << des[a]
-            above[a - 1] = suffix
-        below = 0  # the words ending in a letter a < b, each charged its rise
-        for b, old in enumerate(states):
-            states[b] = (below + (old << lev[b]) + above[b]) << cnt[b]
-            below += old << ris[b]
+        letters = range(1, k + 1)
+        start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
+        moves = [[split(keys[a - 1][_pair_index(a, b)] + start[b - 1]) for b in letters] for a in letters]
+        states = [{step: 1 << shift} for step, shift in map(split, start)]
+        for _ in range(n - 1):
+            new_states = []
+            for b in range(k):
+                merged: dict[int, int] = {}
+                get = merged.get
+                for a in range(k):
+                    step, shift = moves[a][b]
+                    if shift:
+                        for key, count in states[a].items():
+                            key += step
+                            merged[key] = get(key, 0) + (count << shift)
+                    else:
+                        for key, count in states[a].items():
+                            key += step
+                            merged[key] = get(key, 0) + count
+                new_states.append(merged)
+            states = new_states
+        totals = {}
+        for table in states:
+            for key, count in table.items():
+                totals[key] = totals.get(key, 0) + count
+        if not dense:
+            return totals
 
-    total = sum(states)
-    fields = -(-total.bit_length() // width)
-    data = total.to_bytes(fields * size, "little")
     out: dict[int, int] = {}
-    for key in range(fields):
-        count = int.from_bytes(data[key * size : (key + 1) * size], "little")
-        if count:
-            out[key] = count
+    for sparse, packed in totals.items():
+        fields = -(-packed.bit_length() // width)
+        data = packed.to_bytes(fields * size, "little")
+        for key, at in enumerate(range(0, fields * size, size), sparse * radix):
+            count = int.from_bytes(data[at : at + size], "little")
+            if count:
+                out[key] = count
     return out
 
 
@@ -300,7 +297,7 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
     t = partition.t
     coords = [(block, index) for block in range(1, t + 1) for index in range(4)]
     entries = {}
-    for key, count in _transfer_kernel(k, n, partition, coords).items():
+    for key, count in _kernel(k, n, partition, coords, 0).items():
         values = _unpack(key, 4 * t, n + 1)
         entries[tuple(values[i : i + 4] for i in range(0, 4 * t, 4))] = count
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
@@ -316,15 +313,14 @@ def statistic_distribution(
 
     The transfer DP tracking just the requested coordinates, keeping the
     state space small when a query needs a single marginal out of a large
-    partition: on the dense kernel for at most two coordinates, otherwise
-    on the dict kernel (see the module docstring).
+    partition.  The first two coordinates are the kernel's dense bit
+    fields and any others key its dicts (see the module docstring).
     """
     for block, stat in coords:
         _check_coordinate(partition, block, stat)
     _validate_shape(k, n, partition)
     indexed = [(block, _stat_index(stat)) for block, stat in coords]
-    kernel = _dense_kernel if len(indexed) <= 2 else _transfer_kernel
-    packed = kernel(k, n, partition, indexed)
+    packed = _kernel(k, n, partition, indexed, min(2, len(indexed)))
     return {_unpack(key, len(indexed), n + 1): count for key, count in packed.items()}
 
 

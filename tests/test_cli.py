@@ -3,6 +3,7 @@ import functools
 import hashlib
 import inspect
 import json
+import sys
 import time
 
 import pytest
@@ -39,6 +40,34 @@ def counting_calls(calls, name, fn):
         calls.append(name)
         return fn(*args, **kwargs)
     return wrapper
+
+
+def _family_queries(alphabet_max=4, n=6):
+    """Per family, in ``formulas.FAMILIES`` order, the options of one query.
+
+    The query is the family's verify grid cell at length ``n`` whose
+    closed-form table has the most nonzero rows, then the most words, the
+    first one of those; its values follow the flags of
+    ``cli.FAMILIES[family].options`` in order.  ``hall-remmel``'s grid has
+    no cells, so it keeps a query written by hand.
+    """
+    queries = []
+    for family, forms in formulas.FAMILIES.items():
+        cells = [params for params, _ in forms.grid(alphabet_max, n) if params[-1] == n]
+        if not cells:
+            queries.append((family, ["--rho", "2,1,2", "--x", "2,3", "--y", "all"]))
+            continue
+
+        def richness(params):
+            table = formulas.distribution(family, params)
+            return sum(1 for count in table.values() if count), sum(table.values())
+
+        params = max(cells, key=richness)
+        argv = []
+        for (flag, _, _), value in zip(cli.FAMILIES[family].options, params, strict=True):
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+        queries.append((family, argv))
+    return queries
 
 
 class TestCount:
@@ -160,6 +189,26 @@ class TestCount:
             f"{oracle.DEFAULT_ENUMERATION_BUDGET} (override with an explicit budget or {BUDGET_ENV_VAR})"
         ]
 
+    def test_numbers_past_the_digit_limit_print_in_full(self, capsys):
+        """10**4400 words have no descent from letter 1: 4,401 digits, past Python's 4,300."""
+        limit = sys.get_int_max_str_digits()
+        query = ["des-le", "--k", "10", "--t", "1", "--n", "4400"]
+        words = "1" + "0" * 4400
+        assert run_json(capsys, "count", *query, "--s", "0")["result"]["count"] == words
+        result = run_json(capsys, "table", *query)["result"]
+        assert result == {"rows": [{"value": 0, "count": words}], "total": words}
+        assert run(capsys, "table", *query, "--format", "csv") == (0, f"value,count\n0,{words}\ntotal,{words}\n", "")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_parsing_keeps_the_digit_limit(self, capsys):
+        nines = "9" * 5000
+        code, out, err = outcome(capsys, ["count", "des-le", "--k", "10", "--t", "1", "--n", nines, "--s", "0"])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "argument --n: invalid int value" in err
+        code, out, err = outcome(capsys, ["table", "levels-blocks", "--block-sizes", f"{nines},1", "--n", "2"])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: expected a comma-separated integer list, got '{nines},1'\n"
+
     def test_unknown_family_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "des-sideways", "--k", "2"])
@@ -246,14 +295,7 @@ class TestTable:
         assert closed["result"]["rows"] == oracle["result"]["rows"]
 
     # One query per family; hall-remmel has no transfer engine and runs on the oracle.
-    FAMILY_QUERIES = [
-        ("levels-threshold", ["--k", "3", "--t", "2", "--n", "6"]),
-        ("levels-blocks", ["--block-sizes", "2,1,1", "--n", "6"]),
-        ("des-le", ["--k", "4", "--t", "2", "--n", "6"]),
-        ("des-gt", ["--k", "4", "--t", "1", "--n", "6"]),
-        ("des-mod", ["--s", "3", "--alphabet", "5", "--r", "2", "--n", "6"]),
-        ("hall-remmel", ["--rho", "2,1,2", "--x", "2,3", "--y", "all"]),
-    ]
+    FAMILY_QUERIES = _family_queries()
 
     @staticmethod
     def _dp_engines(family):

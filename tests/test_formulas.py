@@ -336,7 +336,7 @@ class TestPastDegree128:
         # the rejected reading of each regime still disagrees at some such n
         assert disagrees == set(regimes)
 
-        # two blocks run the dense kernel, three to six the dict kernel
+        # two blocks are all dense bit fields in the kernel; three to six key the rest in dicts
         for sizes, n in [((2, 3), 29), ((1, 2), 31), ((2, 1, 2), 15), ((1, 1, 2), 16),
                          ((1, 2, 1, 1), 16), ((1,) * 6, 8)]:
             joint = statistic_distribution(*formulas.FAMILIES["levels-blocks"].query(sizes, n))

@@ -15,7 +15,7 @@ from wordstats import (
     statistic_distribution,
     transfer_distribution,
 )
-from wordstats import cli, oracle
+from wordstats import cli, formulas, oracle
 from wordstats.combinat import compositions
 from wordstats.oracle import (
     BUDGET_ENV_VAR,
@@ -27,6 +27,46 @@ from wordstats.oracle import (
     resolve_budget,
 )
 from wordstats.verify import _grid_partitions
+from wordstats.words import _STAT_INDEX
+
+
+def _transfer_kernel(k, n, partition, coords):
+    """The reference for ``oracle._kernel``: one dict of packed keys per last letter.
+
+    ``delta[a][b]`` is the key increment of appending letter b after letter
+    a: the pair (a, b) charged to the block of a, plus one letter counted in
+    the block of b.  A transition is then a single integer add.  Returns
+    packed key (see ``oracle._letter_keys``) -> number of words of length n.
+    """
+    if n == 0:
+        return {0: 1}
+    keys = oracle._letter_keys(n, partition, coords)
+    letters = range(1, k + 1)
+    start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
+    delta = [
+        [keys[a - 1][oracle._pair_index(a, b)] + start[b - 1] for b in letters]
+        for a in letters
+    ]
+
+    states = [{key: 1} for key in start]
+    for _ in range(n - 1):
+        new_states = []
+        for b in range(k):
+            merged = {}
+            get = merged.get
+            for a in range(k):
+                shift = delta[a][b]
+                for key, count in states[a].items():
+                    key += shift
+                    merged[key] = get(key, 0) + count
+            new_states.append(merged)
+        states = new_states
+
+    out = {}
+    for table in states:
+        for key, count in table.items():
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 def _partitions(k):
@@ -210,7 +250,7 @@ class TestTransferKernel:
                         block, stat
                     )
 
-    def test_dense_kernel_is_the_dict_kernel(self):
+    def test_kernel_is_the_reference_at_every_dense_count(self):
         rng = random.Random(14)
         for k in range(1, 6):
             # threshold(k, k) and the last partition leave block 2 without a letter
@@ -218,31 +258,44 @@ class TestTransferKernel:
             for part in parts:
                 for n in range(9):
                     # (block, statistic index) pairs; index 3 is cnt
-                    one, two, three = ((rng.randint(1, part.t), rng.randrange(4)) for _ in range(3))
-                    for coords in ([one], [one, two], [three, three]):
-                        want = oracle._transfer_kernel(k, n, part, coords)
-                        assert oracle._dense_kernel(k, n, part, coords) == want, (k, n, part, coords)
+                    coords = [(rng.randint(1, part.t), rng.randrange(4)) for _ in range(rng.randint(1, 4))]
+                    # each list also with its first coordinate again, as a duplicate
+                    for coords in (coords, coords + coords[:1]):
+                        want = _transfer_kernel(k, n, part, coords)
+                        for dense in range(len(coords) + 1):
+                            got = oracle._kernel(k, n, part, coords, dense)
+                            assert got == want, (k, n, part, coords, dense)
 
-    def test_full_vectors_and_wide_joints_keep_the_dict_kernel(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("reached the dense kernel")
+    def test_full_vectors_run_without_dense_fields(self, monkeypatch):
+        calls = []
 
+        def recording(k, n, partition, coords, dense):
+            calls.append((len(coords), dense))
+            return kernel(k, n, partition, coords, dense)
+
+        kernel = oracle._kernel
+        monkeypatch.setattr(oracle, "_kernel", recording)
         part = BlockPartition.mod_residue(4, 3)
         coords = [(1, "lev"), (2, "des"), (3, "cnt")]
         want = brute_distribution(4, 5, part)
-        monkeypatch.setattr(oracle, "_dense_kernel", refuse)
         assert transfer_distribution(4, 5, part) == want
-        assert statistic_distribution(4, 5, part, coords) == want.joint(coords)
-        # a duplicate counts as a coordinate of its own
-        assert statistic_distribution(4, 5, part, coords[:1] * 3) == {
-            (v, v, v): c for (v,), c in want.joint(coords[:1]).items()
-        }
+        assert calls == [(12, 0)]
+        # a joint makes its first two coordinates dense, a duplicate counting as one more
+        for joint in (coords[:1], coords, coords[:1] * 3):
+            calls.clear()
+            assert statistic_distribution(4, 5, part, joint) == want.joint(joint)
+            assert calls == [(len(joint), min(2, len(joint)))]
+
+    @pytest.mark.parametrize("sizes, n", [((2, 3, 1), 20), ((1, 2, 1), 12), ((1, 1, 2, 2), 16), ((2, 1, 1, 1), 12)])
+    def test_three_and_four_block_joints_are_the_closed_form(self, sizes, n):
+        want = {key: count for key, count in formulas.distribution("levels-blocks", (sizes, n)).items() if count}
+        assert statistic_distribution(*formulas.FAMILIES["levels-blocks"].query(sizes, n)) == want
 
     def test_brute_force_runs_without_the_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("brute_distribution reached the transfer DP")
 
-        for name in ("_transfer_kernel", "_dense_kernel", "_letter_keys", "_pair_index"):
+        for name in ("_kernel", "_letter_keys", "_pair_index"):
             monkeypatch.setattr(oracle, name, refuse)
         part = BlockPartition.threshold(2, 1)
         assert brute_distribution(2, 3, part).total() == 8
@@ -308,6 +361,7 @@ class TestCountMatching:
         [
             (2, -1, BlockPartition.threshold(2, 1), "word length must be nonnegative, got -1"),
             (3, 2, BlockPartition.threshold(2, 1), "partition covers [2], queried alphabet is [3]"),
+            (0, 2, BlockPartition.threshold(1, 1), "alphabet size must be at least 1, got 0"),
         ],
     )
     def test_engines_refuse_a_bad_shape_alike(self, k, n, part, message):

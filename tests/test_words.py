@@ -92,6 +92,29 @@ class TestBlockPartition:
         with pytest.raises(InputError):
             part.block_of(4)
 
+    @pytest.mark.parametrize(
+        "k, blocks, t, message",
+        [
+            (0, (), 1, "alphabet size must be at least 1, got 0"),
+            (2, (1, 1), 0, "block count must be at least 1, got 0"),
+            (3, (1, 2), 2, "partition covers 2 letters, alphabet has 3"),
+        ],
+    )
+    def test_shape_validates(self, k, blocks, t, message):
+        with pytest.raises(InputError, match=message):
+            BlockPartition(k, blocks, t)
+
+    def test_mod_residue_validates(self):
+        with pytest.raises(InputError, match="modulus must be at least 1, got 0"):
+            BlockPartition.mod_residue(3, 0)
+
+    def test_letters_in_validates(self):
+        part = BlockPartition.threshold(3, 1)
+        assert part.letters_in(2) == (2, 3)
+        for block in (0, 3):
+            with pytest.raises(InputError, match=f"block {block} outside 1..2"):
+                part.letters_in(block)
+
 
 class TestStatVector:
     def test_hand_evaluated_word(self):
