@@ -6,7 +6,7 @@ any consumer.  Exit codes are part of the contract:
 
     0  success / all verifications passed
     1  a verification suite found a mismatch
-    2  invalid usage or parameters
+    2  invalid usage or parameters; or, from ``entrypoint``, stdout closed or full
     3  enumeration budget exceeded
 
 ``FAMILIES`` holds a statistic family's command line for ``count`` and
@@ -43,18 +43,23 @@ pairs once, and its JSON and CSV outputs both read them.  ``count`` and
 ``table`` print a count of any length in full: ``_AllDigits`` lifts
 Python's limit on int-to-decimal digits while they write, and parsing
 keeps it.
+
+A ``count`` or ``table`` process loads no more than ``words``,
+``combinat``, ``oracle``, ``formulas`` and this module: ``series`` loads
+on the first ``series`` command and ``verify`` inside ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-from . import formulas, verify
+from . import formulas
 # evaluate and count_matching are not called here; bench/tracing.py counts calls at both.
 from .formulas import check_params, distribution, evaluate
 from .oracle import (
@@ -63,8 +68,7 @@ from .oracle import (
     count_matching,
     rearrangement_distribution,
 )
-from .series import TrackingSpec, build_ak_series, build_bk_series
-from .words import BlockPartition, InputError
+from .words import BlockPartition, FrozenRecord, InputError
 
 SCHEMA_VERSION = "wordstats-output/1"
 
@@ -188,8 +192,7 @@ class _AllDigits:
             sys.set_int_max_str_digits(self.limit)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(FrozenRecord):
     """How ``count`` and ``table`` read one statistic family's command line.
 
     ``options`` are the (flag, type, help) of the query options, in the
@@ -200,10 +203,17 @@ class Family:
     largest one with a nonzero count.
     """
 
+    _fields = ("options", "statistic", "params", "joint")
     options: tuple[tuple[str, type | None, str | None], ...]
     statistic: tuple[str, type | None, str | None]
     params: Callable[[argparse.Namespace], tuple]
-    joint: bool = False
+    joint: bool
+
+    def __init__(self, options, statistic, params, joint: bool = False) -> None:
+        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "joint", joint)
 
     @functools.cached_property
     def echo(self) -> dict[str, tuple[str, ...]]:
@@ -345,7 +355,24 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+# ``series`` loads on the first ``series`` command.  ``_cmd_series`` reads
+# these names off this module when it runs, so a wrapper bound here runs
+# (bench/tracing.py binds build_ak_series and build_bk_series).
+_SERIES_NAMES = frozenset({"TrackingSpec", "build_ak_series", "build_bk_series"})
+
+
+def __getattr__(name: str):
+    """One of ``_SERIES_NAMES``, imported from ``series`` on first access and then bound here."""
+    if name not in _SERIES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series
+
+    value = globals()[name] = getattr(series, name)
+    return value
+
+
 def _cmd_series(args) -> int:
+    here = sys.modules[__name__]
     k = args.k
     partition = _parse_partition(args.partition, k)
     if args.track == "all":
@@ -356,11 +383,9 @@ def _cmd_series(args) -> int:
         tracked = set()
     else:
         tracked = {piece for piece in args.track.split(",") if piece}
-    spec = TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
-    if args.gf == "A":
-        series = build_ak_series(k, partition, spec, args.order)
-    else:
-        series = build_bk_series(k, partition, spec, args.order)
+    spec = here.TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
+    build = here.build_ak_series if args.gf == "A" else here.build_bk_series
+    series = build(k, partition, spec, args.order)
     parameters = {
         name: getattr(args, name) for name in ("gf", "k", "partition", "track", "q", "order")
     }
@@ -400,6 +425,8 @@ VERIFY_SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     name, bounds = VERIFY_SUITES[args.suite]
     for flag in ("k_max", "n_max", "m_max", "weight_max"):
         bound = getattr(args, flag)
@@ -573,7 +600,26 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` on the process's argv and exit with its code.
+
+    Output that cannot be written, to a closed pipe or a full disk, exits 2
+    with one ``error:`` line on stderr if stderr is still open, not with a
+    traceback.  stdout then points at the null device, so that the
+    interpreter's flush at exit does not fail again.
+    """
+    try:
+        try:
+            code = main()
+        finally:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError, ValueError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

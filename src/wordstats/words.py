@@ -17,7 +17,6 @@ classification, so that the engines stay independent of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -28,8 +27,52 @@ class InputError(ValueError):
     """A documented precondition was violated by the caller."""
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class Record:
+    """Equality and repr over the attributes ``_fields`` names, as ``@dataclass`` writes them.
+
+    Two records are equal when they are of the same class and their fields
+    are; a record is unhashable.  Plain classes keep ``dataclasses``, and
+    the ``inspect`` and ``ast`` it imports, out of a cold CLI process.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A ``Record`` that hashes its fields and refuses assignment and deletion.
+
+    ``__init__`` sets the fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class BlockPartition(FrozenRecord):
     """Assignment of each letter 1..k to one of t blocks (both 1-based).
 
     ``blocks[j-1]`` is the block of letter j.  Blocks may be empty on the
@@ -38,12 +81,15 @@ class BlockPartition:
     of inhabited ones.
     """
 
+    __slots__ = _fields = ("k", "blocks", "t")
     k: int
     blocks: tuple[int, ...]
     t: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+    def __init__(self, k: int, blocks, t: int) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "t", t)
         if self.k < 1:
             raise InputError(f"alphabet size must be at least 1, got {self.k}")
         if self.t < 1:
@@ -134,14 +180,20 @@ def stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass
-class DistPolynomial:
+class DistPolynomial(Record):
     """Exact joint distribution: ``stat_key`` tuple -> number of words attaining it."""
 
+    __slots__ = _fields = ("entries", "k", "n", "partition")
     entries: dict[tuple[tuple[int, int, int, int], ...], int]
     k: int
     n: int
     partition: BlockPartition
+
+    def __init__(self, entries, k: int, n: int, partition: BlockPartition) -> None:
+        self.entries = entries
+        self.k = k
+        self.n = n
+        self.partition = partition
 
     def total(self) -> int:
         return sum(self.entries.values())

@@ -3,8 +3,11 @@ import functools
 import hashlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +423,20 @@ class TestTable:
 
 
 class TestSeries:
+    def test_series_goes_through_the_names_bound_on_cli(self, capsys, monkeypatch):
+        """``series`` calls the builder bound on ``cli`` when it runs, a wrapper patched there too."""
+        calls = []
+        counting = functools.partial(counting_calls, calls)
+        for name in ("build_ak_series", "build_bk_series"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for gf, name in (("A", "build_ak_series"), ("B", "build_bk_series")):
+            calls.clear()
+            run_json(
+                capsys, "series", "--gf", gf, "--k", "2", "--partition", "threshold:1",
+                "--order", "2",
+            )
+            assert calls == [name]
+
     def test_tracked_single_marker(self, capsys):
         record = run_json(
             capsys, "series", "--gf", "A", "--k", "2", "--partition", "threshold:1",
@@ -719,6 +736,18 @@ class TestParametersEcho:
         )
         assert list(count["parameters"]) == query + [statistic, "family"]
 
+    def test_family_is_a_frozen_record_with_a_cached_echo(self):
+        family = cli.FAMILIES["des-mod"]
+        assert family.echo is family.echo
+        assert family.echo["count"] == ("s", "alphabet", "r", "n", "p")
+        twin = cli.Family(family.options, family.statistic, family.params)
+        assert twin == family and hash(twin) == hash(family)
+        assert twin != cli.FAMILIES["levels-threshold"]
+        assert repr(family).startswith("Family(options=(('--s', <class 'int'>, ")
+        assert repr(family).endswith(", joint=False)")
+        with pytest.raises(AttributeError, match="cannot assign to field 'joint'"):
+            family.joint = True
+
 
 class TestParserReuse:
     ARGVS = [
@@ -968,3 +997,105 @@ class TestJsonWriter:
 def test_direct_items_have_the_stdlib_text(value):
     """A bool item is written as true or false, not as the int it also is."""
     assert cli._flat(value) == json.dumps(value, indent=2)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(SRC)] + [path for path in os.environ.get("PYTHONPATH", "").split(os.pathsep) if path]
+)}
+# Runs the console script's entry point on its argv; at exit, writes the loaded modules to stderr.
+ENTRYPOINT = """
+import atexit, sys
+atexit.register(lambda: sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)) + "\\n"))
+from wordstats.cli import entrypoint
+entrypoint()
+"""
+
+PLAIN_ENTRYPOINT = "from wordstats.cli import entrypoint; entrypoint()"
+
+
+def spawn(*argv, code=ENTRYPOINT, env=CHILD_ENV, **kwargs):
+    """A fresh interpreter running ``code`` on ``argv``, stderr captured as text."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, stderr=subprocess.PIPE, text=True,
+        timeout=60, **kwargs,
+    )
+
+
+class TestColdProcess:
+    """What a fresh ``wordstats`` process loads, and how it ends when stdout fails."""
+
+    OFF_PATH = {"wordstats.series", "wordstats.verify", "wordstats.identities",
+                "wordstats.polynomials", "dataclasses"}
+    TABLE = ["table", "des-le", "--k", "3", "--t", "2", "--n", "40", "--format", "csv"]
+
+    @staticmethod
+    def _run(argv, expected):
+        done = spawn(*argv, stdout=subprocess.PIPE)
+        assert done.returncode == expected, done.stderr
+        assert "Traceback" not in done.stderr
+        error, _, modules = done.stderr.rpartition("modules: ")
+        return done.stdout, error, set(modules.split())
+
+    @pytest.mark.parametrize("engine", ["closed-form", "oracle", "transfer"])
+    @pytest.mark.parametrize("command", ["count", "table"])
+    def test_count_and_table_load_only_what_they_run(self, command, engine):
+        argv = [command, "des-le", "--k", "3", "--t", "2", "--n", "5", "--engine", engine]
+        out, _, modules = self._run(argv + (["--s", "2"] if command == "count" else []), 0)
+        assert json.loads(out)["engine"] == engine
+        assert {"wordstats.cli", "wordstats.formulas", "wordstats.oracle"} <= modules
+        assert modules & self.OFF_PATH == set()
+
+    def test_refused_argv_loads_only_the_parser(self):
+        out, error, modules = self._run(["table", "des-le", "--k", "three", "--t", "1", "--n", "4"], 2)
+        assert out == "" and "invalid int value: 'three'" in error
+        assert modules & self.OFF_PATH == set()
+
+    def test_series_loads_series_but_not_verify(self):
+        argv = ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2"]
+        _, _, modules = self._run(argv, 0)
+        assert {"wordstats.series", "wordstats.polynomials"} <= modules
+        assert "wordstats.verify" not in modules
+
+    def test_series_names_resolve_before_any_series_request(self):
+        """A fresh ``cli`` answers the names the tracer wraps, from ``series``, on first access."""
+        done = spawn(code="""
+import sys
+from wordstats import cli
+assert "wordstats.series" not in sys.modules
+names = ("TrackingSpec", "build_ak_series", "build_bk_series")
+values = [getattr(cli, name) for name in names]
+from wordstats import series
+assert values == [getattr(series, name) for name in names]
+try:
+    cli.no_such_name
+except AttributeError:
+    pass
+else:
+    sys.exit("cli.no_such_name resolved")
+""")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_2_without_a_traceback(self, unbuffered):
+        """A broken pipe: the error is one line, whether print or the final flush meets it."""
+        env = {name: value for name, value in CHILD_ENV.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = spawn(*self.TABLE, code=PLAIN_ENTRYPOINT,
+                         env=env, stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == cli.EXIT_USAGE
+        assert done.stderr == "error: cannot write the output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_2_without_a_traceback(self):
+        with open("/dev/full", "w") as full:
+            done = spawn(*self.TABLE, code=PLAIN_ENTRYPOINT,
+                         stdout=full)
+        assert done.returncode == cli.EXIT_USAGE
+        assert done.stderr == "error: cannot write the output: [Errno 28] No space left on device\n"

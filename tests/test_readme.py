@@ -1,7 +1,11 @@
-"""The README's library example runs, and every exported name exists."""
+"""The README's library example runs, and the package's public names resolve."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import wordstats
 
@@ -19,3 +23,44 @@ def test_library_example_runs():
 
 def test_every_export_resolves():
     assert [name for name in wordstats.__all__ if not hasattr(wordstats, name)] == []
+
+
+def test_every_export_is_its_submodules_own():
+    for name in wordstats.__all__:
+        value = getattr(wordstats, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from wordstats import *", namespace)
+    assert set(wordstats.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_export():
+    assert set(wordstats.__all__) <= set(dir(wordstats))
+
+
+def test_unknown_name_is_refused():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        wordstats.no_such_name
+    with pytest.raises(ImportError):
+        from wordstats import no_such_name  # noqa: F401
+
+
+def test_import_loads_no_submodule_until_asked():
+    """A fresh ``import wordstats`` loads no submodule; a name or a submodule loads on access."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import wordstats
+assert [name for name in sys.modules if name.startswith("wordstats.")] == []
+from wordstats import count_des_le, verify
+assert sorted(name for name in sys.modules if name.startswith("wordstats.")) == [
+    "wordstats.combinat", "wordstats.formulas", "wordstats.identities", "wordstats.oracle",
+    "wordstats.polynomials", "wordstats.series", "wordstats.verify", "wordstats.words",
+]
+assert wordstats.series.build_ak_series is wordstats.build_ak_series
+"""], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

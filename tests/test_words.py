@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -114,6 +116,63 @@ class TestBlockPartition:
         for block in (0, 3):
             with pytest.raises(InputError, match=f"block {block} outside 1..2"):
                 part.letters_in(block)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        part = BlockPartition.threshold(3, 2)
+        same = [BlockPartition(3, [1, 1, 2], 2), BlockPartition.from_blocks((1, 1, 2)),
+                BlockPartition(k=3, blocks=(1, 1, 2), t=2)]
+        assert all(other == part and hash(other) == hash(part) for other in same)
+        assert same[0].blocks == (1, 1, 2)
+        assert part != BlockPartition.threshold(3, 1)
+        assert part != BlockPartition.from_blocks((1, 1, 2), t=3)
+        assert part != (3, (1, 1, 2), 2)
+        assert len({part, *same}) == 1
+
+    def test_repr_names_every_field(self):
+        assert repr(BlockPartition.threshold(3, 2)) == "BlockPartition(k=3, blocks=(1, 1, 2), t=2)"
+
+    def test_refuses_assignment_and_deletion(self):
+        part = BlockPartition.threshold(3, 2)
+        for name in ("k", "blocks", "t", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(part, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(part, name)
+        assert (part.k, part.blocks, part.t) == (3, (1, 1, 2), 2)
+
+    def test_named_constructors_are_cached(self):
+        assert BlockPartition.threshold(5, 2) is BlockPartition.threshold(5, 2)
+        assert BlockPartition.mod_residue(5, 2) is BlockPartition.mod_residue(5, 2)
+
+    def test_copies_and_pickles_equal(self):
+        part = BlockPartition.mod_residue(5, 2)
+        for twin in (copy.copy(part), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+            assert twin == part and repr(twin) == repr(part)
+
+
+class TestDistPolynomial:
+    KEY = ((1, 0, 0, 2),)
+
+    def _dist(self, count=1):
+        return DistPolynomial({self.KEY: count}, k=1, n=2, partition=BlockPartition.threshold(1, 1))
+
+    def test_equality_follows_the_fields(self):
+        assert self._dist() == self._dist()
+        assert self._dist() != self._dist(2)
+        assert self._dist() != {self.KEY: 1}
+
+    def test_is_unhashable_and_mutable(self):
+        dist = self._dist()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(dist)
+        dist.entries = {self.KEY: 2}
+        assert dist == self._dist(2)
+
+    def test_repr_names_every_field(self):
+        assert repr(self._dist()) == (
+            "DistPolynomial(entries={((1, 0, 0, 2),): 1}, k=1, n=2, "
+            "partition=BlockPartition(k=1, blocks=(1,), t=2))"
+        )
 
 
 class TestStatVector:
