@@ -602,17 +602,19 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     """Run ``main`` on the process's argv and exit with its code.
 
-    Output that cannot be written, to a closed pipe or a full disk, exits 2
-    with one ``error:`` line on stderr if stderr is still open, not with a
-    traceback.  stdout then points at the null device, so that the
-    interpreter's flush at exit does not fail again.
+    Output that cannot be written, to a closed pipe, a full disk or a stdout
+    closed at start (``sys.stdout`` is None), exits 2 with one ``error:``
+    line on stderr if stderr is still open, not with a traceback.  stdout
+    then points at the null device, so that the interpreter's flush at exit
+    does not fail again.
     """
     try:
+        if sys.stdout is None:  # print would drop the record without an error
+            raise OSError("stdout is closed")
         try:
             code = main()
         finally:
-            if sys.stdout is not None:
-                sys.stdout.flush()
+            sys.stdout.flush()
     except OSError as exc:
         with contextlib.suppress(AttributeError, OSError, ValueError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

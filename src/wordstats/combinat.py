@@ -5,8 +5,9 @@ The alternating sums downstream rely on one binomial convention: C(n, 0) is
 expansions produce at boundary parameters), and C(n, k) is 0 whenever k is
 negative, k exceeds a nonnegative n, or n is negative with k positive.
 
-The identity rows expand sum_b w_b (u-1)^b by Horner's rule in u-1
-(``expand_shifted``), so no binomial row is built.
+The identity rows take their weights w_b off one forward-difference table
+and expand sum_b w_b (u-1)^b by Horner's rule in u-1 (``expand_shifted``),
+so no binomial row is built.
 """
 
 from __future__ import annotations

@@ -31,6 +31,12 @@ field.
   empty: one or two dense fields made its calls on the
   ``oracle-vs-transfer`` grid 1.7x and 2.6x slower.
 
+Both full-vector engines decode a packed key one block row of four
+digits at a time, ``brute_distribution`` by bit masks and
+``transfer_distribution`` by ``divmod`` in radix (n + 1)**4.  Distinct
+rows are few, so each call decodes each of them once and keys that share a
+row share its tuple.
+
 ``coordinate_distribution`` answers a set of coordinates from one pass
 of either engine; counts and tables both read off it.
 
@@ -151,11 +157,21 @@ def brute_distribution(
             left -= 1
             for b, shift in children[last]:
                 stack.append((key + shift, b, left))
+    # A key is t rows of 4 fields; each distinct row is decoded once per call.
     mask = (1 << width) - 1
-    entries = {
-        tuple(tuple(key >> f & mask for f in fields[i : i + 4]) for i in range(0, 4 * t, 4)): count
-        for key, count in tally.items()
-    }
+    row_mask = (1 << 4 * width) - 1
+    shifts = fields[::4]
+    rows: dict[int, tuple[int, ...]] = {}
+    entries = {}
+    for key, count in tally.items():
+        vector = []
+        for shift in shifts:
+            row = key >> shift & row_mask
+            values = rows.get(row)
+            if values is None:
+                values = rows[row] = tuple(row >> f & mask for f in fields[:4])
+            vector.append(values)
+        entries[tuple(vector)] = count
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
@@ -213,7 +229,7 @@ def _kernel(
     """
     if n == 0:
         return {0: 1}
-    size = ((k**n).bit_length() + 8) // 8  # bytes per field: one spare bit, rounded up
+    size = ((k**n).bit_length() + 7) // 8  # bytes per field: the bits of k**n, rounded up
     width = 8 * size
     radix = (n + 1) ** dense
     keys = _letter_keys(n, partition, coords)
@@ -296,10 +312,19 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
     _validate_shape(k, n, partition)
     t = partition.t
     coords = [(block, index) for block in range(1, t + 1) for index in range(4)]
+    # A key is t block rows of 4 digits, block 1 lowest; each distinct row is decoded once per call.
+    base = (n + 1) ** 4
+    rows: dict[int, tuple[int, ...]] = {}
     entries = {}
     for key, count in _kernel(k, n, partition, coords, 0).items():
-        values = _unpack(key, 4 * t, n + 1)
-        entries[tuple(values[i : i + 4] for i in range(0, 4 * t, 4))] = count
+        vector = []
+        for _ in range(t):
+            key, row = divmod(key, base)
+            values = rows.get(row)
+            if values is None:
+                values = rows[row] = _unpack(row, 4, n + 1)
+            vector.append(values)
+        entries[tuple(vector)] = count
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 

@@ -15,8 +15,9 @@ a key with ``InputError``.  ``Polynomial``'s operators wrap every result
 through ``from_keys``; the series engine adds term dicts with
 ``add_product`` and wraps each coefficient it hands out once, so its
 check runs there (``series`` says why that is enough).  Keys are decoded
-only where exponents are shown: ``exponents`` and ``__str__``, which
-reads each key in two halves and caches each half's text per call.
+only where exponents are shown: ``exponents``; ``__str__``, which reads
+each key in two halves and caches each half's text per call; and
+``series.coefficient_distribution``, which caches each group of fields.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .polynomials import FIELD_BITS, Polynomial, add_product
+from .polynomials import FIELD_BITS, Polynomial, add_product, decode
 from .words import BlockPartition, DistPolynomial, InputError
 
 Terms = dict[int, int]
@@ -339,9 +339,21 @@ def coefficient_distribution(
     expected = spec.poly_names(common_q_var=False)
     if series.names != expected:
         raise InputError(f"series variables {series.names} do not match {expected}")
-    # Variables run x1..xt, y1..yt, z1..zt, q1..qt, so block i's row is every t-th exponent.
-    entries = {
-        tuple(exponents[i::t] for i in range(t)): coefficient
-        for exponents, coefficient in series.coefficient(n).exponents().items()
-    }
+    # Variables run x1..xt, y1..yt, z1..zt, q1..qt, so a key's four lowest groups of t
+    # fields are its x, y, z and q exponents; each distinct group is decoded once per call,
+    # and block i's row is the i-th exponent of every group.
+    bits = FIELD_BITS * t
+    mask = (1 << bits) - 1
+    shifts = (3 * bits, 2 * bits, bits, 0)
+    groups: dict[int, tuple[int, ...]] = {}
+    entries = {}
+    for key, coefficient in series.coefficient(n).terms.items():
+        markers = []
+        for shift in shifts:
+            group = key >> shift & mask
+            exponents = groups.get(group)
+            if exponents is None:
+                exponents = groups[group] = decode(group, t)
+            markers.append(exponents)
+        entries[tuple(zip(*markers))] = coefficient
     return DistPolynomial(entries=entries, k=partition.k, n=n, partition=partition)

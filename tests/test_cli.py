@@ -1092,6 +1092,13 @@ else:
         assert done.returncode == cli.EXIT_USAGE
         assert done.stderr == "error: cannot write the output: [Errno 32] Broken pipe\n"
 
+    def test_stdout_closed_at_start_exits_2_without_a_traceback(self):
+        """With fd 1 closed, ``sys.stdout`` is None and print would lose the record silently."""
+        done = spawn("count", "des-le", "--k", "3", "--t", "1", "--n", "4", "--s", "1",
+                     code=PLAIN_ENTRYPOINT, preexec_fn=lambda: os.close(1))
+        assert done.returncode == cli.EXIT_USAGE
+        assert done.stderr == "error: cannot write the output: stdout is closed\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_exits_2_without_a_traceback(self):
         with open("/dev/full", "w") as full:

@@ -177,6 +177,11 @@ class TestTransferDistribution:
         for part in _partitions(3):
             assert transfer_distribution(3, 2, part) == brute_distribution(3, 2, part)
 
+    def test_matches_brute_where_a_block_row_passes_ten_thousand(self):
+        # (n + 1)**4 = 14,641: a key's block rows are digits past 10**4
+        part = BlockPartition.mod_residue(2, 2)
+        assert transfer_distribution(2, 10, part) == brute_distribution(2, 10, part)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_exhaustive(self, k):
         for n in range(6):
@@ -229,6 +234,15 @@ class TestTransferKernel:
                 full = transfer_distribution(k, n, part)
                 assert full.marginal(1, "cnt") == {n: k**n}
                 assert full.marginal(2, "cnt") == {0: k**n}
+
+    @pytest.mark.parametrize("k, n", [(3, 5), (2, 8), (3, 10), (2, 16)])
+    def test_one_field_holds_every_word(self, k, n):
+        # threshold(k, 0) leaves block 1 empty, so every word has 0 of its descents and
+        # one field holds k**n: 243 and 59,049 fill 8 and 16 bits, 256 and 65,536 need 9 and 17.
+        part = BlockPartition.threshold(k, 0)
+        for dense in (0, 1):
+            assert oracle._kernel(k, n, part, [(1, _STAT_INDEX["des"])], dense) == {0: k**n}
+        assert statistic_distribution(k, n, part, [(1, "des")]) == {(0,): k**n}
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_shortest_words(self, n):

@@ -24,6 +24,22 @@ def skew_table(monkeypatch, family, cell, key):
     return calls
 
 
+# The deepest grid each suite gets from the benchmark's verify catalog, with its result.
+CATALOG_DEEPEST = [
+    ("identities_suite", (22, 22), ("identities", 9143)),
+    ("oracle_vs_transfer", (5, 5), ("oracle-vs-transfer", 180)),
+    ("series_vs_oracle", (5, 5), ("series-vs-oracle", 180)),
+    ("formulas_vs_oracle", (6, 4), ("formulas-vs-oracle", 4374)),
+    ("hall_remmel_suite", (4, 2, (2, 4), 8), ("hall-remmel", 4678)),
+    ("hall_remmel_suite", (2, 7, (2, 4), 8), ("hall-remmel", 698)),
+]
+
+
+@pytest.mark.parametrize("name, bounds, want", CATALOG_DEEPEST)
+def test_catalog_deepest_grid_result(name, bounds, want):
+    assert getattr(verify, name)(*bounds) == verify.SuiteResult(*want, 0, None)
+
+
 class TestFormulasVsOracle:
     def test_default_grid_result(self):
         assert verify.formulas_vs_oracle() == verify.SuiteResult("formulas-vs-oracle", 12387, 0, None)
