@@ -1,4 +1,4 @@
-"""Exact combinatorial helpers shared by the formula and identity layers.
+"""Exact combinatorial helpers shared by the formula, oracle and identity layers.
 
 The alternating sums downstream rely on one binomial convention: C(n, 0) is
 1 for every integer n (including negative n, which the geometric-series
@@ -8,6 +8,10 @@ negative, k exceeds a nonnegative n, or n is negative with k positive.
 The identity rows take their weights w_b off one forward-difference table
 and expand sum_b w_b (u-1)^b by Horner's rule in u-1 (``expand_shifted``),
 so no binomial row is built.
+
+The packed engines hold a one-marker polynomial as one integer, count i in
+byte field i (``field_bytes``, ``unpack``, ``respace``).  Only the final
+counts must fit a field: on the way the integer stays exact.
 """
 
 from __future__ import annotations
@@ -72,3 +76,30 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         return
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+
+
+def _digits(key: int, size: int, radix: int) -> tuple[int, ...]:
+    """The lowest ``size`` digits of ``key`` in ``radix``, lowest first."""
+    digits = []
+    for _ in range(size):
+        key, digit = divmod(key, radix)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def field_bytes(bound: int) -> int:
+    """Bytes per packed field that hold every count in 0..bound, with no spare bit."""
+    return (bound.bit_length() + 7) // 8
+
+
+def unpack(packed: int, size: int) -> list[int]:
+    """The counts in a packed integer's fields of ``size`` bytes, lowest first, to its top nonzero field."""
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)]
+
+
+def respace(packed: int, size: int, wider: int) -> int:
+    """The counts in a packed integer's fields of ``size`` bytes, re-packed in fields of ``wider`` bytes."""
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    fields = [data[at : at + size] for at in range(0, len(data), size)]
+    return int.from_bytes(bytes(wider - size).join(fields), "little")

@@ -24,12 +24,12 @@ one rational function, T(x, u) = sum_m (F(vx)/v)^m = 1 / (1 - F(vx)/v).
 So for F = sum_{i>=1} f_i x^i the table at length j is g_j = sum_i f_i
 v^(i-1) g_(j-i), and ``levels-threshold``'s F = x (k - (k-t)x) / (1-x)
 gives the Smirnov-word form (1 - vx) / (1 - (v+k)x + (k-t)v x^2).
-``_packed_table`` runs the recurrence on each g_j held as one integer at
-u = 2^w (Kronecker substitution); its entries are word counts, so fields
-of bits(k^n) + 1 bits never carry.  A table of ``levels-threshold``,
-``des-le``, ``des-gt`` or ``des-mod`` costs n deg F big-integer operations
-on operands of O(n^2 log k) bits, deg F being the recurrence's number of
-terms: at most min(k + 1, n), and 2 for ``levels-threshold``.
+``_packed_table`` runs the recurrence on each g_j packed into one integer
+(``combinat.unpack``), with fields sized for its word counts, at most k^n.
+A table of ``levels-threshold``, ``des-le``, ``des-gt`` or ``des-mod``
+costs n deg F big-integer operations on operands of O(n^2 log k) bits,
+deg F being the recurrence's number of terms: at most min(k + 1, n), and
+2 for ``levels-threshold``.
 
 The joint level count over t blocks of c_1, ..., c_t letters is the
 paper's sum over compositions a of m (letters) and b of n-m (level slots)
@@ -58,13 +58,13 @@ nothing.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import binom, multinomial, sign
+from .combinat import _digits, binom, field_bytes, multinomial, respace, sign, unpack
 from .words import BlockPartition, InputError
 
 
@@ -148,34 +148,27 @@ def _check_length(n: int, s: int = 0) -> None:
         raise InputError("length and statistic value must be nonnegative")
 
 
-def _field_bytes(alphabet: int, length: int) -> int:
-    """Bytes per field of a packed table at lengths up to ``length``: one spare bit, rounded up."""
-    return ((alphabet**length).bit_length() + 8) // 8
-
-
 def _packed_table(n: int, alphabet: int, program: list) -> dict[int, int]:
     """The table g_n of a family whose tables g_j follow Horner's ``program`` in v.
 
     g_0 = 1 and g_1 = alphabet; from j = 2 on, a term (i, c) adds c g_(j-i)
     and None multiplies by v (a shift and a subtract), highest power first.
-    The entries of g_j are word counts in 0..alphabet^j, so fields sized
-    for alphabet^bound hold every g_j with j <= bound.  The bound starts at
-    min(n, 64) and grows by an eighth whenever j passes it, re-spacing the
-    g_j still read.
+    Count bound: the entries of g_j are word counts in 0..alphabet^j, so
+    fields of ``field_bytes(alphabet**bound)`` hold every g_j with j <=
+    bound.  The bound starts at min(n, 64) and grows by an eighth whenever
+    j passes it, re-spacing the g_j still read.
     """
     (i, c), *program = program or [(1, 0)]
     depth = max([i] + [op[0] for op in program if op])
     history = ([0] * depth + [1, alphabet][: n + 1])[-depth:]
     bound = min(n, 64)
-    size = _field_bytes(alphabet, bound)
+    size = field_bytes(alphabet**bound)
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
-            pad = bytes(_field_bytes(alphabet, bound) - size)
-            for h, g in enumerate(history):
-                data = g.to_bytes(j * size, "little")
-                history[h] = int.from_bytes(pad.join([data[s : s + size] for s in range(0, len(data), size)]), "little")
-            size += len(pad)
+            wider = field_bytes(alphabet**bound)
+            history = [respace(g, size, wider) for g in history]
+            size = wider
         width = 8 * size
         acc = c * history[-i]
         for op in program:
@@ -185,8 +178,7 @@ def _packed_table(n: int, alphabet: int, program: list) -> dict[int, int]:
                 acc += history[-op[0]] if op[1] == 1 else op[1] * history[-op[0]]
         history.append(acc)
         del history[0]
-    data = history[-1].to_bytes((n + 1) * size, "little")
-    return {s: int.from_bytes(data[s * size : (s + 1) * size], "little") for s in range(n + 1)}
+    return dict(zip_longest(range(n + 1), unpack(history[-1], size), fillvalue=0))
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -282,12 +274,13 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     level, u_i), or is one of the c_i - 1 other letters of block i or a
     letter of another block.  A polynomial is a dict from the levels of
     blocks 1..t-1, digits in radix n (no block has n levels), to one
-    integer holding the last block's levels in fields that never carry:
-    u_i moves a key by n^(i-1) for i < t and the integer by one field for
-    i = t.  An empty block's e_i is 0 and is not stored.
+    integer holding the last block's levels in fields of ``field_bytes(k**n)``
+    bytes, k = sum(block_sizes), as no count passes k^n: u_i moves a key by
+    n^(i-1) for i < t and the integer by one field for i = t.  An empty
+    block's e_i is 0 and is not stored.
     """
     t, radix = len(block_sizes), max(n, 1)
-    size = _field_bytes(sum(block_sizes), n)
+    size = field_bytes(sum(block_sizes) ** n)
     moves = [(radix**i, 0) for i in range(t - 1)] + [(0, 8 * size)]
     live = [(c, move) for c, move in zip(block_sizes, moves) if c]
     ends: list[dict] = [{} for _ in live]
@@ -305,13 +298,8 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
                 total[key] = total.get(key, 0) + value
     table = {}
     for key, value in total.items():
-        head = []
-        for _ in range(t - 1):
-            key, level = divmod(key, radix)
-            head.append(level)
-        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
-        for level, at in enumerate(range(0, len(data), size)):
-            count = int.from_bytes(data[at : at + size], "little")
+        head = _digits(key, t - 1, radix)
+        for level, count in enumerate(unpack(value, size)):
             if count:
                 table[(*head, level)] = count
     return table

@@ -12,12 +12,10 @@ costs O(1), not O(n).
 The transfer engine runs the transfer-matrix DP over the last letter on
 packed keys: tracked coordinate i is digit i of one integer in radix
 n + 1, and ``_letter_keys`` gives each letter's key increment per
-statistic.  One kernel, ``_kernel``, runs the DP.  Its first ``dense``
-digits are bit fields of one integer (Kronecker substitution) and the
-other, sparse, digits key one dict per last letter.  With no sparse digit
-a letter's state is one integer and a step is O(k) big-integer shifts and
-adds; otherwise a step merges k**2 dicts, shifting each count into its
-field.
+statistic.  One kernel, ``_kernel``, runs the DP, its first ``dense``
+digits as byte fields of one integer (``combinat.unpack``) and its other,
+sparse, digits as the keys of one dict per last letter.  With no sparse
+digit a step is one O(k) pass of big-integer shifts and adds.
 
 - ``statistic_distribution`` makes its first two coordinates dense (its
   one, for a marginal): every threshold and residue count and table runs
@@ -60,6 +58,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Iterable, Sequence
 
+from .combinat import _digits, field_bytes, multinomial, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _stat_index, stat_key
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
@@ -211,11 +210,11 @@ def _kernel(
 
     Appending b after a adds one packed key increment (see ``_letter_keys``):
     the pair (a, b) charged to the block of a, plus one letter counted in the
-    block of b.  A key's first ``dense`` digits name a bit field of
-    ``width`` bits, which no count up to k**n overflows, and its other
-    digits, the sparse part, key one dict per last letter.  So ``divmod``
-    by (n + 1)**dense splits an increment into a (sparse step, field
-    shift) pair.
+    block of b.  A key's first ``dense`` digits name a byte field of
+    ``field_bytes(k**n)`` bytes, as no count of words of length up to n
+    passes k**n, and its other digits, the sparse part, key one dict per
+    last letter.  So ``divmod`` by (n + 1)**dense splits an increment into
+    a (sparse step, field shift) pair.
 
     With no sparse digit a letter's state is one integer.  The pair (a, b)
     is a rise for every a < b, a level for a = b and a descent for every
@@ -225,11 +224,12 @@ def _kernel(
                   + sum_{a>b} old[a] << des[a]) << cnt[b],
 
     which one suffix-sum pass and a running prefix sum give for every b in
-    O(k) big-integer operations.  Otherwise a step merges k**2 dicts.
+    O(k) big-integer operations; shifts by 0, which CPython runs as a copy,
+    are skipped.  Otherwise a step merges k**2 dicts.
     """
     if n == 0:
         return {0: 1}
-    size = ((k**n).bit_length() + 7) // 8  # bytes per field: the bits of k**n, rounded up
+    size = field_bytes(k**n)
     width = 8 * size
     radix = (n + 1) ** dense
     keys = _letter_keys(n, partition, coords)
@@ -243,12 +243,13 @@ def _kernel(
             # above[b]: the words ending in a letter a > b, each charged its descent
             suffix = 0
             for a in range(k - 1, 0, -1):
-                suffix += states[a] << des[a]
+                suffix += states[a] << des[a] if des[a] else states[a]
                 above[a - 1] = suffix
             below = 0  # the words ending in a letter a < b, each charged its rise
             for b, old in enumerate(states):
-                states[b] = (below + (old << lev[b]) + above[b]) << cnt[b]
-                below += old << ris[b]
+                new = below + (old << lev[b] if lev[b] else old) + above[b]
+                states[b] = new << cnt[b] if cnt[b] else new
+                below += old << ris[b] if ris[b] else old
         totals = {0: sum(states)}
     else:
         def split(increment: int) -> tuple[int, int]:
@@ -283,23 +284,8 @@ def _kernel(
         if not dense:
             return totals
 
-    out: dict[int, int] = {}
-    for sparse, packed in totals.items():
-        fields = -(-packed.bit_length() // width)
-        data = packed.to_bytes(fields * size, "little")
-        for key, at in enumerate(range(0, fields * size, size), sparse * radix):
-            count = int.from_bytes(data[at : at + size], "little")
-            if count:
-                out[key] = count
-    return out
-
-
-def _unpack(key: int, size: int, radix: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(size):
-        key, digit = divmod(key, radix)
-        digits.append(digit)
-    return tuple(digits)
+    return {key: count for sparse, packed in totals.items()
+            for key, count in enumerate(unpack(packed, size), sparse * radix) if count}
 
 
 def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
@@ -322,7 +308,7 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
             key, row = divmod(key, base)
             values = rows.get(row)
             if values is None:
-                values = rows[row] = _unpack(row, 4, n + 1)
+                values = rows[row] = _digits(row, 4, n + 1)
             vector.append(values)
         entries[tuple(vector)] = count
     return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
@@ -346,7 +332,7 @@ def statistic_distribution(
     _validate_shape(k, n, partition)
     indexed = [(block, _stat_index(stat)) for block, stat in coords]
     packed = _kernel(k, n, partition, indexed, min(2, len(indexed)))
-    return {_unpack(key, len(indexed), n + 1): count for key, count in packed.items()}
+    return {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
 
 
 def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> None:
@@ -451,9 +437,9 @@ def pair_distribution(
     placed are a mixed-radix integer with digit j in 0..rho[j], and placing
     a letter only raises it, so visiting the integers in increasing order
     visits every state after all of its predecessors.  A state holds the
-    distribution of counted pairs so far as one integer, count i in bit
-    field i of ``width`` bits: no count exceeds the size of the class, so
-    fields never carry, and a counted pair is a shift by one field.
+    distribution of counted pairs so far as one integer, count i in byte
+    field i of ``field_bytes(multinomial(n, rho))`` bytes, as no count
+    exceeds the size of the class; a counted pair is a shift by one field.
     Multiplicities must be nonnegative; no budget is charged.
     """
     rho = tuple(rho)
@@ -462,8 +448,8 @@ def pair_distribution(
         return {0: 1}
     m = len(rho)
     counted = frozenset(pairs)
-    width = factorial(n).bit_length()
-    field = (1 << width) - 1
+    size = field_bytes(multinomial(n, rho))
+    field = (1 << 8 * size) - 1
     place = [1] * m
     for j in range(1, m):
         place[j] = place[j - 1] * (rho[j - 1] + 1)
@@ -484,12 +470,6 @@ def pair_distribution(
             shifted = 0
             for a in before[b]:
                 shifted += ends[a]
-            # (total - shifted) + (shifted << width): a counted pair moves its words up a field.
+            # (total - shifted) + (shifted << 8 * size): a counted pair moves its words up a field.
             ends_at[used + place[b]][b] += total + shifted * field
-    packed = sum(ends_at[-1])
-    out: dict[int, int] = {}
-    for hits in range(n):
-        count = (packed >> (hits * width)) & field
-        if count:
-            out[hits] = count
-    return out
+    return {hits: count for hits, count in enumerate(unpack(sum(ends_at[-1]), size)) if count}

@@ -21,7 +21,7 @@ from wordstats import (
     statistic_distribution,
 )
 from wordstats import formulas
-from wordstats.combinat import binom, compositions, expand_shifted, multinomial, sign
+from wordstats.combinat import binom, compositions, expand_shifted, field_bytes, multinomial, respace, sign, unpack
 from wordstats.formulas import CLOSED_FORMS, check_params
 from wordstats.oracle import counted_pairs, pair_distribution
 
@@ -148,6 +148,23 @@ def test_expand_shifted_single_powers():
         assert expand_shifted([1] + [0] * d) == [sign(d - j) * binom(d, j) for j in range(d + 1)]
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 9])
+def test_packed_fields_at_width_edges(size):
+    # 256**size - 1 fills size bytes and one more needs another byte
+    top = 256**size - 1
+    assert (field_bytes(top), field_bytes(top + 1)) == (size, size + 1)
+
+    def pack(counts, width):
+        return sum(count << 8 * width * i for i, count in enumerate(counts))
+
+    # the last field of [0, 0, 255] and [top, 0, 1] is short: it has fewer bytes than size
+    for counts in ([top], [0, top], [top, 0, 1, top - 1, top], [top, 0, 1], [0, 0, 255]):
+        assert unpack(pack(counts, size), size) == counts
+        for wider in (size, size + 1, 2 * size + 1):
+            assert respace(pack(counts, size), size, wider) == pack(counts, wider), (counts, wider)
+    assert unpack(0, size) == [] and respace(0, size, size + 1) == 0
+
+
 def _recursive_compositions(total, parts):
     """Head by head, each tail from one level deeper: the reference ``compositions`` walks."""
     if parts == 0:
@@ -247,10 +264,13 @@ class TestPackedRecurrence:
     @pytest.mark.parametrize("family", ["levels-threshold", "des-le", "des-gt", "des-mod"])
     def test_field_width_edges(self, family):
         # k = 1 never gains a byte and k = 256 gains one per letter; for every other k,
-        # the first n at which a field gains a byte
+        # the first n at which a field gains a byte: bits(k**n) passes a multiple of 8
         cases = set()
         for k in (1, 2, 3, 5, 7, 16, 255, 256, 257):
-            first = next(n for n in itertools.count(1) if k == 1 or 256 ** formulas._field_bytes(k, n - 1) <= 2 * k**n)
+            first = next(
+                n for n in itertools.count(1)
+                if k == 1 or ((k**n).bit_length() + 7) // 8 > ((k ** (n - 1)).bit_length() + 7) // 8
+            )
             heads = self.heads(family, k)
             for head in {heads[0], heads[len(heads) // 2], heads[-1]}:
                 cases.update((head, n) for n in {0, 1, first - 1, first, first + 1})
@@ -549,6 +569,14 @@ class TestCountLevelsBlocks:
                     assert count_levels_blocks(sizes, n, targets) == self.literal(sizes, n, targets)
                 assert distribution("levels-blocks", (list(sizes), n)) == distribution("levels-blocks", (sizes, n))
 
+    def test_single_block_table_is_the_threshold_table_at_field_edges(self):
+        # Both count every level; k**n crosses byte edges at k = 255 and 256, and n = 65
+        # is past the threshold table's first re-spacing.
+        for k in (1, 2, 3, 255, 256, 30_000):
+            for n in (0, 1, 5, 16, 64, 65):
+                want = {(s,): count for s, count in formulas._levels_threshold(k, k, n).items() if count}
+                assert formulas._levels_blocks_table((k,), n) == want, (k, n)
+
     def test_unsigned_variant_is_wrong(self):
         # dropping the sign factor breaks already at two letters
         assert self.literal((1, 0), 2, (0, 0), signed=False) == 2
@@ -783,6 +811,23 @@ class TestHallRemmelCount:
                         assert hall_remmel_count(rho, tops, bottoms, s) == dist.get(
                             s, 0
                         )
+
+    @pytest.mark.parametrize(
+        "classes, size",
+        [
+            ([(254, 1), (2, 2, 1), (1, 1, 1, 1, 1), (5, 3)], 1),  # 255, 30, 120 and 56 fit one byte
+            ([(255, 1), (1, 1, 1, 1, 1, 1), (3, 3, 2), (2, 2, 2, 1)], 2),  # 256, 720, 560 and 630 do not
+        ],
+    )
+    def test_rearrangement_dp_at_field_edges(self, classes, size):
+        for rho in classes:
+            assert field_bytes(multinomial(sum(rho), rho)) == size
+            m = len(rho)
+            # with no counted pair, the one count is the class size itself
+            for tops, bottoms in [(range(2, m + 1, 2), range(1, m + 1)), (range(1, m + 1),) * 2, ({m}, {1}), ((), ())]:
+                want = formulas.hall_remmel_table(*formulas.hall_remmel_inputs(rho, tops, bottoms))
+                got = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
+                assert got == {s: count for s, count in want.items() if count}, (rho, tops, bottoms)
 
     def test_top_letters_outside_class_are_inert(self):
         # letters beyond the multiplicity vector never occur in a word
