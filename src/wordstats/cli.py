@@ -372,6 +372,8 @@ def __getattr__(name: str):
 
 
 def _cmd_series(args) -> int:
+    from .polynomials import render
+
     here = sys.modules[__name__]
     k = args.k
     partition = _parse_partition(args.partition, k)
@@ -382,7 +384,10 @@ def _cmd_series(args) -> int:
     elif args.track == "none":
         tracked = set()
     else:
-        tracked = {piece for piece in args.track.split(",") if piece}
+        # <m1,...>, each piece nonempty: ``none``, not "", tracks nothing.
+        tracked = set(args.track.split(","))
+        if "" in tracked:
+            raise InputError(f"expected a comma-separated marker list, got {args.track!r}")
     spec = here.TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
     build = here.build_ak_series if args.gf == "A" else here.build_bk_series
     series = build(k, partition, spec, args.order)
@@ -398,8 +403,8 @@ def _cmd_series(args) -> int:
     # Order 0 upward, so there is at least one coefficient.
     out += [
         f'\n      {{\n        "order": {i},\n        "polynomial": '
-        f'{encode_basestring_ascii(str(series.coefficient(i)))}\n      }},'
-        for i in range(series.order + 1)
+        f'{encode_basestring_ascii(text)}\n      }},'
+        for i, text in enumerate(render(series.coeffs))
     ]
     out[-1] = out[-1][:-1]
     out.append("\n    ]\n  }")

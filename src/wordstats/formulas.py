@@ -277,7 +277,8 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     integer holding the last block's levels in fields of ``field_bytes(k**n)``
     bytes, k = sum(block_sizes), as no count passes k^n: u_i moves a key by
     n^(i-1) for i < t and the integer by one field for i = t.  An empty
-    block's e_i is 0 and is not stored.
+    block's e_i is 0 and is not stored.  Shifts by 0, which CPython runs as
+    a copy, are skipped.
     """
     t, radix = len(block_sizes), max(n, 1)
     size = field_bytes(sum(block_sizes) ** n)
@@ -290,7 +291,7 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
             e = {key: c * g for key, g in total.items()}
             for key, value in ends[j].items():
                 e[key] -= value
-                e[key + step] = e.get(key + step, 0) + (value << shift)
+                e[key + step] = e.get(key + step, 0) + (value << shift if shift else value)
             ends[j] = e
         total = dict(ends[0])
         for e in ends[1:]:

@@ -10,17 +10,22 @@ CLI relies on for deterministic output.
 
 No field carries silently: the total degree bounds every exponent, so a
 key sum carries only if its degree field overflows, which puts it at or
-above 2**(FIELD_BITS * (len(names) + 1)), and ``from_keys`` refuses such
-a key with ``InputError``.  ``Polynomial``'s operators wrap every result
-through ``from_keys``; the series engine adds term dicts with
-``add_product`` and wraps each coefficient it hands out once, so its
-check runs there (``series`` says why that is enough).  Keys are decoded
-only where exponents are shown: ``exponents``; ``__str__``, which reads
-each key in two halves and caches each half's text per call; and
+above 2**(FIELD_BITS * (len(names) + 1)); ``adopt`` refuses such a key
+with ``InputError``.  ``Polynomial``'s operators wrap every result
+through ``from_keys``, which copies its terms into ``adopt``; the series
+engine adds term dicts with ``add_product`` and hands a series out
+through one ``adopt`` call, which takes its dicts without a copy and
+checks the largest key of the whole series once (``series`` says why
+that is enough).  Keys are decoded only where exponents are shown:
+``exponents``; ``render``, the one renderer (``__str__`` renders a list
+of one), which reads each key in two halves and caches each half's text
+for the whole list, so the coefficients of a series share it; and
 ``series.coefficient_distribution``, which caches each group of fields.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .words import InputError
 
@@ -73,13 +78,8 @@ class Polynomial:
 
     @classmethod
     def from_keys(cls, names: tuple[str, ...], terms: dict[int, int]) -> "Polynomial":
-        """Wrap packed terms, dropping zeros; a carried key raises ``InputError``."""
-        if terms and max(terms) >> (FIELD_BITS * (len(names) + 1)):
-            raise InputError(f"an exponent of {names} exceeds the {FIELD_BITS}-bit field")
-        poly = object.__new__(cls)
-        poly.names = tuple(names)
-        poly.terms = {key: c for key, c in terms.items() if c}
-        return poly
+        """Wrap a copy of packed terms, dropping zeros; a carried key raises ``InputError``."""
+        return adopt(tuple(names), [{key: c for key, c in terms.items() if c}])[0]
 
     @classmethod
     def constant(cls, names: tuple[str, ...], value: int) -> "Polynomial":
@@ -146,26 +146,62 @@ class Polynomial:
         return {decode(key, len(self.names)): c for key, c in self.terms.items()}
 
     def __str__(self) -> str:
-        """Terms in key order (graded, then lexicographic), in one pass.
+        return render([self])[0]
 
-        A key's exponent fields are read in an upper and a lower half, and each
-        half's text is cached for this call: the terms of one polynomial share
-        most of their halves.  Every factor's text starts with "*", so digits
-        join it directly and a unit coefficient drops the first "*".
-        """
-        terms = self.terms
+    def __repr__(self) -> str:
+        return f"Polynomial({self})"
+
+
+def adopt(names: tuple[str, ...], terms: list[dict[int, int]]) -> list[Polynomial]:
+    """One polynomial over ``names`` per zero-free term dict, each dict taken as is.
+
+    The caller hands the dicts over and keeps no reference to change them
+    through.  One check against the largest key of them all refuses a
+    carried key with ``InputError``.
+    """
+    top = max([max(t) for t in terms if t], default=0)
+    if top >> (FIELD_BITS * (len(names) + 1)):
+        raise InputError(f"an exponent of {names} exceeds the {FIELD_BITS}-bit field")
+    polys = []
+    for t in terms:
+        poly = object.__new__(Polynomial)
+        poly.names = names
+        poly.terms = t
+        polys.append(poly)
+    return polys
+
+
+def render(polys: Sequence[Polynomial]) -> list[str]:
+    """Each polynomial's text, its terms in key order (graded, then lexicographic).
+
+    The polynomials share one ``names`` tuple.  A key's exponent fields are
+    read in an upper and a lower half, and each half's text is cached for
+    the whole call: the terms of one polynomial, and the coefficients of one
+    series, share most of their halves.  Every factor's text starts with
+    "*", so digits join it directly and a unit coefficient drops the first
+    "*".
+    """
+    if not polys:
+        return []
+    names = polys[0].names
+    arity = len(names)
+    half = arity // 2
+    split = FIELD_BITS * (arity - half)
+    lower_mask = (1 << split) - 1
+    upper_mask = (1 << (FIELD_BITS * half)) - 1
+    layout = [(FIELD_BITS * (arity - i), "*" + name) for i, name in enumerate(names, 1)]
+    upper = [(shift - split, name) for shift, name in layout[:half]]
+    lower = layout[half:]
+    upper_text: dict[int, str] = {}
+    lower_text: dict[int, str] = {}
+    texts = []
+    for poly in polys:
+        if poly.names != names:
+            raise InputError(f"mixed variable sets: {names} vs {poly.names}")
+        terms = poly.terms
         if not terms:
-            return "0"
-        arity = len(self.names)
-        half = arity // 2
-        split = FIELD_BITS * (arity - half)
-        lower_mask = (1 << split) - 1
-        upper_mask = (1 << (FIELD_BITS * half)) - 1
-        layout = [(FIELD_BITS * (arity - i), "*" + name) for i, name in enumerate(self.names, 1)]
-        upper = [(shift - split, name) for shift, name in layout[:half]]
-        lower = layout[half:]
-        upper_text: dict[int, str] = {}
-        lower_text: dict[int, str] = {}
+            texts.append("0")
+            continue
         keys = sorted(terms)
         pieces = []
         if not keys[0]:
@@ -191,10 +227,8 @@ class Polynomial:
             else:
                 pieces.append(f"- {-coefficient}{head}{tail}")
         text = " ".join(pieces)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self})"
+        texts.append(text[2:] if text[0] == "+" else "-" + text[2:])
+    return texts
 
 
 def _factors(layout: list[tuple[int, str]], fields: int) -> str:

@@ -28,12 +28,13 @@ of packed-key term dicts (see ``polynomials``), one per coefficient.  The
 builder, ``solve_block_system`` and ``PowerSeries``'s operators all call
 the same three helpers, ``_products``, ``_signed_sum`` and ``_quotient``;
 the factors are written as term dicts straight from the markers' unit keys.
-A coefficient becomes a ``Polynomial`` once, through ``from_keys``, when a
-series is handed out, and that wrap is where a carried key is refused.
-Checking there and not after each step is sound because keys only ever
-add: every key formed from a carried key is itself at or above the bound,
-so a carried key never lands on a valid one and never changes a
-coefficient the wrap accepts.
+When a series is handed out, ``polynomials.adopt`` wraps each coefficient's
+term dict as a ``Polynomial`` without a copy (the helpers return zero-free
+dicts that nothing else holds), and one check per series, against the
+largest key of any coefficient, refuses a carried key.  Checking there and
+not after each step is sound because keys only ever add: every key formed
+from a carried key is itself at or above the bound, so a carried key never
+lands on a valid one and never changes a coefficient the check accepts.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .polynomials import FIELD_BITS, Polynomial, add_product, decode
+from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, decode
 from .words import BlockPartition, DistPolynomial, InputError
 
 Terms = dict[int, int]
@@ -58,7 +59,7 @@ def _products(pairs: Iterable[tuple[list[Terms], list[Terms]]], order: int) -> l
                     if i + j > order:
                         break
                     add_product(out[i + j], a, b)
-    return [_nonzero(c) for c in out]
+    return [_nonzero(c) if c else c for c in out]
 
 
 def _signed_sum(left: list[Terms], right: list[Terms], sign: int = 1) -> list[Terms]:
@@ -100,7 +101,7 @@ class PowerSeries:
 
     ``coeffs[i]`` is the exact polynomial coefficient of var**i; the list
     always has length order + 1.  The operators run on the coefficients'
-    term dicts and wrap each result coefficient once.
+    term dicts and wrap the result's coefficients once.
     """
 
     var: str
@@ -123,7 +124,7 @@ class PowerSeries:
 
     @classmethod
     def _wrap(cls, var: str, names: tuple[str, ...], terms: list[Terms]) -> "PowerSeries":
-        return cls(var, names, [Polynomial.from_keys(names, c) for c in terms])
+        return cls(var, names, adopt(names, terms))
 
     def coefficient(self, i: int) -> Polynomial:
         if not 0 <= i <= self.order:

@@ -506,8 +506,17 @@ class TestSeries:
         assert (code, out) == (cli.EXIT_USAGE, "")
         assert err == f"error: unknown tracked marker {marker!r}\n"
 
-    # sha256 of three whole records: the build and the rendering of every polynomial of
-    # 16, 4 and 0 coefficient variables, byte for byte.
+    @pytest.mark.parametrize("track", ["x1,,y1", ",", "", "x1,"])
+    def test_empty_tracked_marker_refused(self, capsys, track):
+        code, out, err = run(
+            capsys, "series", "--gf", "A", "--k", "2", "--partition", "mod:2",
+            "--track", track, "--order", "1",
+        )
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: expected a comma-separated marker list, got {track!r}\n"
+
+    # sha256 of five whole records: the build and the rendering of every polynomial of
+    # 16, 4, 0, 12 and 6 coefficient variables, byte for byte.
     PINNED_RECORDS = [
         (["--gf", "A", "--k", "4", "--partition", "blocks:1,2,3,4", "--track", "all",
           "--q", "per-block", "--order", "5"],
@@ -518,6 +527,12 @@ class TestSeries:
         (["--gf", "A", "--k", "3", "--partition", "threshold:2", "--track", "none",
           "--order", "8"],
          "5d7f74eb00dac3d4e2755e7c1797f06341e7c9ac4ed9f71f64fe01a38e61fa60"),
+        (["--gf", "A", "--k", "3", "--partition", "mod:3", "--track", "all",
+          "--q", "per-block", "--order", "9"],
+         "5b11c8bacb6bde5deaa5fa2492636d413218712ae4ea1a225238d01e1d84dd48"),
+        (["--gf", "B", "--k", "4", "--partition", "blocks:1,2,3,1", "--track", "x1,y3,z2",
+          "--q", "per-block", "--order", "12"],
+         "d40335f81dd03cff95fabc9227f43250a70a1eafa471d5ba4ab2f79c1ab537da"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED_RECORDS)
@@ -834,6 +849,10 @@ MALFORMED_ARGVS = [
      "--order", "2"],
     ["series", "--gf", "A", "--k", "3", "--partition", "blocks:1,2,3", "--track", "x\u0663",
      "--order", "2"],
+    ["series", "--gf", "A", "--k", "2", "--partition", "mod:2", "--track", "x1,,y1",
+     "--order", "1"],
+    ["series", "--gf", "A", "--k", "2", "--partition", "mod:2", "--track", ",", "--order", "1"],
+    ["series", "--gf", "A", "--k", "2", "--partition", "mod:2", "--track", "", "--order", "1"],
     ["verify", "nope"],
     ["verify", "identities", "--n-max", "1", "extra"],
     ["verify"],

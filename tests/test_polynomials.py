@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from test_properties import PROPERTY
 from wordstats import InputError, Polynomial, PowerSeries
-from wordstats.polynomials import FIELD_BITS
+from wordstats.polynomials import FIELD_BITS, encode, render
 
 NAMES = ("x1", "y1", "q")
 
@@ -106,6 +106,33 @@ class TestPrinting:
         for terms in itertools.permutations([((2, 0, 0), 1), ((0, 0, 1), 4), ((1, 1, 0), -2)]):
             assert str(P(dict(terms))) == "4*q - 2*x1*y1 + x1^2"
 
+    @pytest.mark.parametrize("arity", range(6))
+    def test_render_of_a_list_is_each_alone(self, arity):
+        # Zero, odd and even arities split a key into halves of different widths; the
+        # polynomials share halves, and one of them is zero, in the middle of the list.
+        names = ("x1", "y1", "z1", "q1", "x2")[:arity]
+
+        def unit(*powers):
+            return tuple(powers[:arity]) + (0,) * (arity - len(powers[:arity]))
+
+        polys = [
+            Polynomial(names, {unit(): 7, unit(1): 1, unit(0, 2): -1, unit(1, 2, 1): -7}),
+            Polynomial(names, {unit(1, 2, 1): 1, unit(0, 0, 3, 1): 7, unit(1): -1}),
+            Polynomial(names),
+            Polynomial(names, {unit(): -1, unit(2, 0, 0, 1, 1): -7, unit(1, 2, 1): 7}),
+            Polynomial(names, {unit(): 1}),
+            Polynomial(names, {unit(): -7, unit(0, 2): 1}),
+        ]
+        texts = render(polys)
+        assert texts == [render([poly])[0] for poly in polys]
+        assert texts == [reference_str(names, poly.exponents()) for poly in polys]
+        assert texts[2] == "0"
+        assert render([]) == []
+
+    def test_render_refuses_mixed_variable_sets(self):
+        with pytest.raises(InputError):
+            render([P({(1, 0, 0): 1}), Polynomial(("x1", "y1"), {(1, 0): 1})])
+
 
 class TestNoCarry:
     TOP = (1 << FIELD_BITS) - 1
@@ -134,6 +161,22 @@ class TestNoCarry:
             top * top
         with pytest.raises(InputError):
             PowerSeries.lift("v", NAMES, [1], 2).divide(top)
+
+    def test_series_carry_in_the_last_coefficient_alone_raises(self):
+        # The hand-out checks once per series: a carry in its last coefficient still counts.
+        top = PowerSeries.lift("v", NAMES, [1, 0, P({(self.TOP, 0, 0): 1})], 3)
+        y = PowerSeries.lift("v", NAMES, [1, Polynomial.variable(NAMES, "y1")], 3)
+        assert (top * PowerSeries.lift("v", NAMES, [1], 3)) == top
+        with pytest.raises(InputError):
+            top * y
+        carried = 1 << (FIELD_BITS * (len(NAMES) + 1))
+        with pytest.raises(InputError):
+            PowerSeries._wrap("v", NAMES, [{0: 1}, {}, {carried: 1}])
+
+    def test_series_hand_out_keeps_its_term_dicts(self):
+        terms = [{0: 1}, {}, {encode((1, 0, 0)): -3}]
+        series = PowerSeries._wrap("v", NAMES, terms)
+        assert all(c.terms is t for c, t in zip(series.coeffs, terms))
 
 
 def reference_add(left, right):
@@ -276,3 +319,4 @@ def test_series_arithmetic_matches_tuple_reference(pair):
         (a.divide(b), reference_series_divide(left, right)),
     ]:
         assert [c.exponents() for c in got.coeffs] == want
+        assert render(got.coeffs) == [reference_str(names, c) for c in want]
