@@ -64,3 +64,21 @@ assert sorted(name for name in sys.modules if name.startswith("wordstats.")) == 
 assert wordstats.series.build_ak_series is wordstats.build_ak_series
 """], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_module_loads_only_the_standard_library():
+    """The runtime dependency list is empty: importing every wordstats module loads nothing
+    from outside the standard library, even where numpy or sympy is installed.  A fresh
+    interpreter, so that modules pytest loaded cannot hide a stray import."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", f"""
+import importlib, pkgutil, sys
+before = set(sys.modules)
+sys.path.insert(0, {str(src)!r})
+import wordstats
+for module in pkgutil.walk_packages(wordstats.__path__, "wordstats."):
+    importlib.import_module(module.name)
+loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+print(sorted(loaded - set(sys.stdlib_module_names) - {{"wordstats"}}))
+"""], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
