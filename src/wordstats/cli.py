@@ -64,6 +64,7 @@ from . import formulas
 from .formulas import check_params, distribution, evaluate
 from .oracle import (
     BudgetExceededError,
+    charge_walk,
     coordinate_distribution,
     count_matching,
     rearrangement_distribution,
@@ -284,13 +285,16 @@ def _table(family: Family, args, value: tuple = ()) -> dict:
     check_params(args.family, params + value)
     if args.engine == "closed-form":
         return distribution(args.family, params)
-    query = formulas.FAMILIES[args.family].query
-    if query is None:
+    forms = formulas.FAMILIES[args.family]
+    if forms.query is None:
         # Only a query the closed forms accept meets an engine's refusal of the family.
         if args.engine == "transfer":
             raise InputError(f"{args.family} supports the closed-form and oracle engines")
         return rearrangement_distribution(*params)
-    dist = coordinate_distribution(*query(*params), engine=args.engine)
+    if args.engine == "oracle":
+        # The walk is charged before the query builds a partition, which holds one entry per letter.
+        charge_walk(*forms.words(*params))
+    dist = coordinate_distribution(*forms.query(*params), engine=args.engine)
     return dist if family.joint else {key[0]: count for key, count in dist.items()}
 
 

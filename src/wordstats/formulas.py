@@ -25,7 +25,8 @@ So for F = sum_{i>=1} f_i x^i the table at length j is g_j = sum_i f_i
 v^(i-1) g_(j-i), and ``levels-threshold``'s F = x (k - (k-t)x) / (1-x)
 gives the Smirnov-word form (1 - vx) / (1 - (v+k)x + (k-t)v x^2).
 ``_packed_table`` runs the recurrence on each g_j packed into one integer
-(``combinat.unpack``), with fields sized for its word counts, at most k^n.
+(``combinat.unpack``), with fields sized for its word counts, at most k^n;
+a run to n can hand out every g_j on its way.
 A table of ``levels-threshold``, ``des-le``, ``des-gt`` or ``des-mod``
 costs n deg F big-integer operations on operands of O(n^2 log k) bits,
 deg F being the recurrence's number of terms: at most min(k + 1, n), and
@@ -57,6 +58,7 @@ nothing.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache, partial
 from itertools import product, zip_longest
 from math import comb
@@ -93,7 +95,7 @@ def distribution(formula: str, params: Sequence) -> dict:
     """
     family = _named(FAMILIES, formula)
     family.checks(*params)
-    return family.table(*params)
+    return deque(family.tables(*params), maxlen=1).pop()
 
 
 def check_params(formula: str, params: Sequence) -> None:
@@ -111,7 +113,7 @@ def _entry(formula: str, params: tuple, value):
     """A count: ``value``'s entry of the family's table, after the count's checks."""
     family = FAMILIES[formula]
     family.checks(*params, value)
-    return family.table(*params).get(value, 0)
+    return deque(family.tables(*params), maxlen=1).pop().get(value, 0)
 
 
 def _check_threshold(lowest: int, k: int, t: int, n: int, s: int = 0) -> None:
@@ -148,21 +150,26 @@ def _check_length(n: int, s: int = 0) -> None:
         raise InputError("length and statistic value must be nonnegative")
 
 
-def _packed_table(n: int, alphabet: int, program: list) -> dict[int, int]:
-    """The table g_n of a family whose tables g_j follow Horner's ``program`` in v.
+def _packed_table(n: int, alphabet: int, program: list, first: int | None = None) -> Iterator[dict[int, int]]:
+    """The tables g_first, ..., g_n of a family whose tables g_j follow Horner's ``program`` in v.
 
-    g_0 = 1 and g_1 = alphabet; from j = 2 on, a term (i, c) adds c g_(j-i)
-    and None multiplies by v (a shift and a subtract), highest power first.
-    Count bound: the entries of g_j are word counts in 0..alphabet^j, so
-    fields of ``field_bytes(alphabet**bound)`` hold every g_j with j <=
-    bound.  The bound starts at min(n, 64) and grows by an eighth whenever
-    j passes it, re-spacing the g_j still read.
+    One pass to length n computes every g_j on its way; it decodes those
+    from ``first`` on, by default g_n alone, and hands each out as it
+    reaches it.  g_0 = 1 and g_1 = alphabet; from j = 2 on, a term (i, c)
+    adds c g_(j-i) and None multiplies by v (a shift and a subtract),
+    highest power first.  Count bound: the entries of g_j are word counts
+    in 0..alphabet^j, so fields of ``field_bytes(alphabet**bound)`` hold
+    every g_j with j <= bound.  The bound starts at min(n, 64) and grows by
+    an eighth whenever j passes it, re-spacing the g_j still read.
     """
     (i, c), *program = program or [(1, 0)]
     depth = max([i] + [op[0] for op in program if op])
     history = ([0] * depth + [1, alphabet][: n + 1])[-depth:]
     bound = min(n, 64)
     size = field_bytes(alphabet**bound)
+    first = n if first is None else first
+    for j in range(first, min(n, 1) + 1):
+        yield dict(zip_longest(range(j + 1), unpack([1, alphabet][j], size), fillvalue=0))
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
@@ -178,7 +185,8 @@ def _packed_table(n: int, alphabet: int, program: list) -> dict[int, int]:
                 acc += history[-op[0]] if op[1] == 1 else op[1] * history[-op[0]]
         history.append(acc)
         del history[0]
-    return dict(zip_longest(range(n + 1), unpack(history[-1], size), fillvalue=0))
+        if j >= first:
+            yield dict(zip_longest(range(j + 1), unpack(acc, size), fillvalue=0))
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -193,14 +201,14 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -
     return coefficients[: n + 1]
 
 
-def _descent_table(alphabet: int, n: int, factor: list[int]) -> dict[int, int]:
-    """The table at length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
+def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None) -> Iterator[dict[int, int]]:
+    """The tables to length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
     program: list = []
     for i in range(len(factor) - 1, 0, -1):
         # From the highest nonzero f_i down: add f_i g_(j-i), then multiply by v.
         if program or factor[i]:
             program += ([(i, factor[i])] if factor[i] else []) + [None]
-    return _packed_table(n, alphabet, program[:-1])
+    return _packed_table(n, alphabet, program[:-1], first)
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -212,7 +220,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     return _entry("levels-threshold", (k, t, n), s)
 
 
-def _levels_threshold(k: int, t: int, n: int) -> dict[int, int]:
+def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
     """The table of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
@@ -220,7 +228,7 @@ def _levels_threshold(k: int, t: int, n: int) -> dict[int, int]:
     and T = (1 - vx) / (1 - (v+k)x + (k-t)v x^2): g_j = k g_(j-1) +
     v (g_(j-1) - (k-t) g_(j-2)) from g_0 = 1 and g_1 = k.
     """
-    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)])
+    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first)
 
 
 def count_levels_blocks(
@@ -266,9 +274,13 @@ def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
     return BlockPartition.from_blocks(blocks, t=len(block_sizes))
 
 
-def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, ...], int]:
-    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, from one recurrence in n.
+def _levels_blocks_table(
+    block_sizes: Sequence[int], n: int, first: int | None = None
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, at each length first..n.
 
+    One recurrence in the length decodes the lengths from ``first`` on, by
+    default n alone, as it reaches them:
     e_i <- (u_i - 1) e_i + c_i g from e_i = 0 and g = 1 at length 0: the
     letter after a word ending in block i repeats its last letter (a
     level, u_i), or is one of the c_i - 1 other letters of block i or a
@@ -286,24 +298,27 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int) -> dict[tuple[int, 
     live = [(c, move) for c, move in zip(block_sizes, moves) if c]
     ends: list[dict] = [{} for _ in live]
     total = {0: 1}
-    for _ in range(n):
-        for j, (c, (step, shift)) in enumerate(live):
-            e = {key: c * g for key, g in total.items()}
-            for key, value in ends[j].items():
-                e[key] -= value
-                e[key + step] = e.get(key + step, 0) + (value << shift if shift else value)
-            ends[j] = e
-        total = dict(ends[0])
-        for e in ends[1:]:
-            for key, value in e.items():
-                total[key] = total.get(key, 0) + value
-    table = {}
-    for key, value in total.items():
-        head = _digits(key, t - 1, radix)
-        for level, count in enumerate(unpack(value, size)):
-            if count:
-                table[(*head, level)] = count
-    return table
+    first = n if first is None else first
+    for length in range(n + 1):
+        if length:
+            for j, (c, (step, shift)) in enumerate(live):
+                e = {key: c * g for key, g in total.items()}
+                for key, value in ends[j].items():
+                    e[key] -= value
+                    e[key + step] = e.get(key + step, 0) + (value << shift if shift else value)
+                ends[j] = e
+            total = dict(ends[0])
+            for e in ends[1:]:
+                for key, value in e.items():
+                    total[key] = total.get(key, 0) + value
+        if length >= first:
+            table = {}
+            for key, value in total.items():
+                head = _digits(key, t - 1, radix)
+                for level, count in enumerate(unpack(value, size)):
+                    if count:
+                        table[(*head, level)] = count
+            yield table
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -315,14 +330,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-le", (k, t, n), s)
 
 
-def _des_le(k: int, t: int, n: int) -> dict[int, int]:
+def _des_le(k: int, t: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
     """The table of ``count_des_le``, from its factor F.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n))
+    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -334,14 +349,14 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-gt", (k, t, n), s)
 
 
-def _des_gt(k: int, t: int, n: int) -> dict[int, int]:
+def _des_gt(k: int, t: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
     """The table of ``count_des_gt``, from its factor F.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n))
+    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -383,7 +398,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     return total
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int) -> dict[int, int]:
+def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
     """The table of ``count_des_mod``, from its factor F.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
@@ -397,7 +412,7 @@ def _des_mod(s: int, alphabet: int, r: int, n: int) -> dict[int, int]:
     in both places.  In every regime B = (r-1-t) mod s.
     """
     kq, t = divmod(alphabet, s)
-    return _descent_table(alphabet, n, _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n))
+    return _descent_table(alphabet, n, _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n), first)
 
 
 def hall_remmel_count(
@@ -518,21 +533,27 @@ def _des_mod_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
 
 
 class FamilyForms(NamedTuple):
-    """A family's parameter checks, table builder (which checks nothing), query and verify grid.
+    """A family's parameter checks, table pass (which checks nothing), query and verify grid.
 
-    ``query(*params)`` is the word DP's (alphabet, n, partition,
-    coordinates) of the statistic the family counts; the partition never
-    depends on the length n.  ``grid(alphabet_max, n_max)`` yields the
-    (params, statistic values) cells ``verify.formulas_vs_oracle`` checks,
-    and ``names`` names each parameter and then the value in its reports.
-    ``hall-remmel`` has no word DP query, and its grid has no cells.
+    ``tables(*params)`` yields the family's table; a word family's params
+    end in the length n, and ``tables(*params, first=j)`` yields lengths
+    j..n from one pass.  ``query(*params)`` is the word DP's (alphabet, n,
+    partition, coordinates) of the statistic the family counts; the
+    partition never depends on the length n, and ``words(*params)`` is its
+    (alphabet, n) alone, for a charge made before any partition is built.
+    ``grid(alphabet_max, n_max)`` yields the (params, statistic values)
+    cells ``verify.formulas_vs_oracle`` checks, each head's cells in order
+    of n from 0, and ``names`` names each parameter and then the value in
+    its reports.  ``hall-remmel`` has no word DP query, and its grid has no
+    cells.
     """
 
     checks: Callable[..., None]
-    table: Callable[..., dict]
+    tables: Callable[..., Iterator[dict]]
     query: Callable[..., tuple] | None
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
     names: tuple[str, ...] = ()
+    words: Callable[..., tuple[int, int]] | None = None
 
 
 def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str]) -> FamilyForms:
@@ -545,22 +566,25 @@ def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str])
             ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
         ),
         ("k", "t", "n", "s"),
+        lambda k, t, n: (k, n),
     )
 
 
 FAMILIES = {
     "levels-threshold": _threshold_family(1, _levels_threshold, (1, "lev")),
     "levels-blocks": FamilyForms(
-        _check_blocks, _levels_blocks_table, _levels_blocks_query, _levels_blocks_grid, ("sizes", "n", "targets")
+        _check_blocks, _levels_blocks_table, _levels_blocks_query, _levels_blocks_grid, ("sizes", "n", "targets"),
+        lambda block_sizes, n: (sum(block_sizes), n),
     ),
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
-        _check_des_mod, _des_mod, _des_mod_query, _des_mod_grid, ("s", "alphabet", "r", "n", "p")
+        _check_des_mod, _des_mod, _des_mod_query, _des_mod_grid, ("s", "alphabet", "r", "n", "p"),
+        lambda s, alphabet, r, n: (alphabet, n),
     ),
     "hall-remmel": FamilyForms(
         _check_class,
-        lambda rho, tops, bottoms: hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms)),
+        lambda rho, tops, bottoms: iter([hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms))]),
         None,
     ),
 }

@@ -7,7 +7,13 @@ load-bearing cross-check, so neither is ever expressed in terms of the
 other.  The walk is depth first and merges no words: each prefix carries
 its statistics packed into one integer, and appending a letter adds an
 increment read off ``stat_key`` on one- and two-letter words, so a word
-costs O(1), not O(n).
+costs O(1), not O(n).  It is charged before it starts (``charge_walk``).
+
+Both routes pass every shorter length on the way to n, and hand each out:
+``brute_lengths``, ``transfer_lengths`` and ``statistic_lengths`` yield
+lengths 0..n from one pass, sized for n, so a sweep over n runs each
+engine once.  ``brute_distribution``, ``transfer_distribution`` and
+``statistic_distribution`` read length n of a pass that decodes no other.
 
 The transfer engine runs the transfer-matrix DP over the last letter on
 packed keys: tracked coordinate i is digit i of one integer in radix
@@ -54,9 +60,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from math import factorial, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import _digits, field_bytes, multinomial, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _stat_index, stat_key
@@ -113,20 +120,32 @@ def _validate_shape(k: int, n: int, partition: BlockPartition) -> None:
         )
 
 
-def brute_distribution(
-    k: int, n: int, partition: BlockPartition, budget: int | None = None
-) -> DistPolynomial:
-    """Joint distribution by summing over all k**n words."""
-    _validate_shape(k, n, partition)
+def charge_walk(k: int, n: int, budget: int | None = None) -> None:
+    """Refuse a walk of [k]^n over the budget, before any of it is built.
+
+    The charge is the most of its k**n words, its n steps (one word at k =
+    1) and the k x k table of steps it builds first.
+    """
     limit = resolve_budget(budget)
     # k**n is at least 2**(n * (bits of k - 1)), so a power far past the limit is refused
     # before it is computed, and one that could pass 2**16 bits is named, not computed.
     if n * (k.bit_length() - 1) > limit.bit_length():
         raise BudgetExceededError(k**n if n * k.bit_length() <= 1 << 16 else f"{k}**{n}", limit)
-    # At k = 1 the one word still takes n steps.
-    required = max(k**n, n)
+    required = max(k**n, n, k * k)
     if required > limit:
         raise BudgetExceededError(required, limit)
+
+
+def brute_lengths(
+    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int = 0
+) -> Iterator[DistPolynomial]:
+    """The joint distribution at each length first..n, from one walk of the words of [k]^n.
+
+    The walk tallies every prefix of a length from ``first`` on; it is depth
+    first, so the lengths are handed out, shortest first, once it ends.
+    """
+    _validate_shape(k, n, partition)
+    charge_walk(k, n, budget)
     blocks, t = partition.blocks, partition.t
     # Coordinate (block i, statistic j) is bit field 4(i-1)+j; no value exceeds n.
     width = n.bit_length()
@@ -141,37 +160,48 @@ def brute_distribution(
     step = [start] + [[pack((a, b)) - start[a - 1] for b in letters] for a in letters]
     # Pushed last letter first, so words are tallied in lexicographic order.
     children = [list(enumerate(row, start=1))[::-1] for row in step]
-    tally: dict[int, int] = {} if n else {0: 1}
-    get = tally.get
+    # tallies[j]: the words of length j, tallied from j = first on.
+    tallies: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    last_tally = tallies[n]
+    get = last_tally.get
     # Prefixes still to extend: (packed statistics, last letter, letters to append).
     # A stack, not recursion: at k = 1 the budget admits lengths up to the budget itself.
-    stack = [(0, 0, n)] if n else []
+    stack = [(0, 0, n)]
     while stack:
         key, last, left = stack.pop()
+        if left <= n - first:
+            tally = tallies[n - left]
+            tally[key] = tally.get(key, 0) + 1
         if left == 1:
             for shift in step[last]:
                 word = key + shift
-                tally[word] = get(word, 0) + 1
-        else:
+                last_tally[word] = get(word, 0) + 1
+        elif left:
             left -= 1
             for b, shift in children[last]:
                 stack.append((key + shift, b, left))
-    # A key is t rows of 4 fields; each distinct row is decoded once per call.
+    # A key is t rows of 4 fields; each distinct row is decoded once per walk.
     mask = (1 << width) - 1
     row_mask = (1 << 4 * width) - 1
     shifts = fields[::4]
     rows: dict[int, tuple[int, ...]] = {}
-    entries = {}
-    for key, count in tally.items():
-        vector = []
-        for shift in shifts:
-            row = key >> shift & row_mask
-            values = rows.get(row)
-            if values is None:
-                values = rows[row] = tuple(row >> f & mask for f in fields[:4])
-            vector.append(values)
-        entries[tuple(vector)] = count
-    return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
+    for length in range(first, n + 1):
+        entries = {}
+        for key, count in tallies[length].items():
+            vector = []
+            for shift in shifts:
+                row = key >> shift & row_mask
+                values = rows.get(row)
+                if values is None:
+                    values = rows[row] = tuple(row >> f & mask for f in fields[:4])
+                vector.append(values)
+            entries[tuple(vector)] = count
+        yield DistPolynomial(entries=entries, k=k, n=length, partition=partition)
+
+
+def brute_distribution(k: int, n: int, partition: BlockPartition, budget: int | None = None) -> DistPolynomial:
+    """Joint distribution by summing over all k**n words: the last length of ``brute_lengths``."""
+    return deque(brute_lengths(k, n, partition, budget, n), maxlen=1).pop()
 
 
 # The kernel's own pair classification, not stat_key's, so the two oracles stay independent.
@@ -204,17 +234,19 @@ def _letter_keys(
 
 
 def _kernel(
-    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]], dense: int
-) -> dict[int, int]:
-    """The transfer-matrix DP over the last letter: packed key -> number of words of length n.
+    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]], dense: int, first: int | None = None
+) -> Iterator[dict[int, int]]:
+    """The transfer-matrix DP over the last letter: per length first..n, packed key -> number of words.
 
-    Appending b after a adds one packed key increment (see ``_letter_keys``):
-    the pair (a, b) charged to the block of a, plus one letter counted in the
-    block of b.  A key's first ``dense`` digits name a byte field of
-    ``field_bytes(k**n)`` bytes, as no count of words of length up to n
-    passes k**n, and its other digits, the sparse part, key one dict per
-    last letter.  So ``divmod`` by (n + 1)**dense splits an increment into
-    a (sparse step, field shift) pair.
+    One pass to length n goes through every shorter length; it tallies the
+    lengths from ``first`` on, by default n alone, and hands each out as it
+    reaches it.  Appending b after a adds one packed key increment (see
+    ``_letter_keys``): the pair (a, b) charged to the block of a, plus one
+    letter counted in the block of b.  A key's first ``dense`` digits name
+    a byte field of ``field_bytes(k**n)`` bytes, as no count of words of
+    length up to n passes k**n, and its other digits, the sparse part, key
+    one dict per last letter.  So ``divmod`` by (n + 1)**dense splits an
+    increment into a (sparse step, field shift) pair.
 
     With no sparse digit a letter's state is one integer.  The pair (a, b)
     is a rise for every a < b, a level for a = b and a descent for every
@@ -227,40 +259,52 @@ def _kernel(
     O(k) big-integer operations; shifts by 0, which CPython runs as a copy,
     are skipped.  Otherwise a step merges k**2 dicts.
     """
+    first = n if first is None else first
+    if first <= 0:
+        yield {0: 1}
     if n == 0:
-        return {0: 1}
+        return
     size = field_bytes(k**n)
     width = 8 * size
     radix = (n + 1) ** dense
     keys = _letter_keys(n, partition, coords)
+
+    def tally(totals: dict[int, int]) -> dict[int, int]:  # sparse part -> packed fields, as key -> count
+        return {key: count for sparse, packed in totals.items()
+                for key, count in enumerate(unpack(packed, size), sparse * radix) if count}
+
     if dense == len(coords):
         des, ris, lev, cnt = (
             [charge[_STAT_INDEX[stat]] * width for charge in keys] for stat in ("des", "ris", "lev", "cnt")
         )
         states = [1 << shift for shift in cnt]
         above = [0] * k
-        for _ in range(n - 1):
-            # above[b]: the words ending in a letter a > b, each charged its descent
-            suffix = 0
-            for a in range(k - 1, 0, -1):
-                suffix += states[a] << des[a] if des[a] else states[a]
-                above[a - 1] = suffix
-            below = 0  # the words ending in a letter a < b, each charged its rise
-            for b, old in enumerate(states):
-                new = below + (old << lev[b] if lev[b] else old) + above[b]
-                states[b] = new << cnt[b] if cnt[b] else new
-                below += old << ris[b] if ris[b] else old
-        totals = {0: sum(states)}
-    else:
-        def split(increment: int) -> tuple[int, int]:
-            step, field = divmod(increment, radix)
-            return step, field * width
+        for length in range(1, n + 1):
+            if length > 1:
+                # above[b]: the words ending in a letter a > b, each charged its descent
+                suffix = 0
+                for a in range(k - 1, 0, -1):
+                    suffix += states[a] << des[a] if des[a] else states[a]
+                    above[a - 1] = suffix
+                below = 0  # the words ending in a letter a < b, each charged its rise
+                for b, old in enumerate(states):
+                    new = below + (old << lev[b] if lev[b] else old) + above[b]
+                    states[b] = new << cnt[b] if cnt[b] else new
+                    below += old << ris[b] if ris[b] else old
+            if length >= first:
+                yield tally({0: sum(states)})
+        return
 
-        letters = range(1, k + 1)
-        start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
-        moves = [[split(keys[a - 1][_pair_index(a, b)] + start[b - 1]) for b in letters] for a in letters]
-        states = [{step: 1 << shift} for step, shift in map(split, start)]
-        for _ in range(n - 1):
+    def split(increment: int) -> tuple[int, int]:
+        step, field = divmod(increment, radix)
+        return step, field * width
+
+    letters = range(1, k + 1)
+    start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
+    moves = [[split(keys[a - 1][_pair_index(a, b)] + start[b - 1]) for b in letters] for a in letters]
+    states = [{step: 1 << shift} for step, shift in map(split, start)]
+    for length in range(1, n + 1):
+        if length > 1:
             new_states = []
             for b in range(k):
                 merged: dict[int, int] = {}
@@ -277,19 +321,16 @@ def _kernel(
                             merged[key] = get(key, 0) + count
                 new_states.append(merged)
             states = new_states
-        totals = {}
-        for table in states:
-            for key, count in table.items():
-                totals[key] = totals.get(key, 0) + count
-        if not dense:
-            return totals
-
-    return {key: count for sparse, packed in totals.items()
-            for key, count in enumerate(unpack(packed, size), sparse * radix) if count}
+        if length >= first:
+            totals: dict[int, int] = {}
+            for table in states:
+                for key, count in table.items():
+                    totals[key] = totals.get(key, 0) + count
+            yield tally(totals) if dense else totals
 
 
-def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
-    """Same distribution via the transfer DP over the last letter.
+def transfer_lengths(k: int, n: int, partition: BlockPartition, first: int = 0) -> Iterator[DistPolynomial]:
+    """The full joint distribution at each length first..n, from one pass of the transfer DP.
 
     The kernel tracks all 4t coordinates; appending a letter charges the new
     pair to the block of the old last letter.  Runs in time polynomial in n
@@ -298,29 +339,32 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
     _validate_shape(k, n, partition)
     t = partition.t
     coords = [(block, index) for block in range(1, t + 1) for index in range(4)]
-    # A key is t block rows of 4 digits, block 1 lowest; each distinct row is decoded once per call.
+    # A key is t block rows of 4 digits, block 1 lowest; each distinct row is decoded once per pass.
     base = (n + 1) ** 4
     rows: dict[int, tuple[int, ...]] = {}
-    entries = {}
-    for key, count in _kernel(k, n, partition, coords, 0).items():
-        vector = []
-        for _ in range(t):
-            key, row = divmod(key, base)
-            values = rows.get(row)
-            if values is None:
-                values = rows[row] = _digits(row, 4, n + 1)
-            vector.append(values)
-        entries[tuple(vector)] = count
-    return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
+    for length, packed in enumerate(_kernel(k, n, partition, coords, 0, first), first):
+        entries = {}
+        for key, count in packed.items():
+            vector = []
+            for _ in range(t):
+                key, row = divmod(key, base)
+                values = rows.get(row)
+                if values is None:
+                    values = rows[row] = _digits(row, 4, n + 1)
+                vector.append(values)
+            entries[tuple(vector)] = count
+        yield DistPolynomial(entries=entries, k=k, n=length, partition=partition)
 
 
-def statistic_distribution(
-    k: int,
-    n: int,
-    partition: BlockPartition,
-    coords: Sequence[tuple[int, str]],
-) -> dict[tuple[int, ...], int]:
-    """Joint distribution of selected (block, statistic) coordinates only.
+def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
+    """Same distribution via the transfer DP over the last letter: the last length of ``transfer_lengths``."""
+    return deque(transfer_lengths(k, n, partition, n), maxlen=1).pop()
+
+
+def statistic_lengths(
+    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int = 0
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """Joint distribution of selected (block, statistic) coordinates only, at each length first..n.
 
     The transfer DP tracking just the requested coordinates, keeping the
     state space small when a query needs a single marginal out of a large
@@ -331,8 +375,18 @@ def statistic_distribution(
         _check_coordinate(partition, block, stat)
     _validate_shape(k, n, partition)
     indexed = [(block, _stat_index(stat)) for block, stat in coords]
-    packed = _kernel(k, n, partition, indexed, min(2, len(indexed)))
-    return {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
+    for packed in _kernel(k, n, partition, indexed, min(2, len(indexed)), first):
+        yield {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
+
+
+def statistic_distribution(
+    k: int,
+    n: int,
+    partition: BlockPartition,
+    coords: Sequence[tuple[int, str]],
+) -> dict[tuple[int, ...], int]:
+    """Joint distribution of selected (block, statistic) coordinates: length n of ``statistic_lengths``."""
+    return deque(statistic_lengths(k, n, partition, coords, n), maxlen=1).pop()
 
 
 def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> None:

@@ -22,12 +22,16 @@ from operator import add
 
 from . import formulas, identities
 from .formulas import _grid_partitions
+# The single-length engines are not called here; bench/tracing.py wraps them at verify.
 from .oracle import (
     brute_distribution,
+    brute_lengths,
     counted_pairs,
     pair_distribution,
     statistic_distribution,
+    statistic_lengths,
     transfer_distribution,
+    transfer_lengths,
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
 from .words import BlockPartition, InputError
@@ -59,9 +63,8 @@ def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
     result = SuiteResult("oracle-vs-transfer")
     for k in range(1, k_max + 1):
         for partition in _grid_partitions(k):
-            for n in range(n_max + 1):
-                brute = brute_distribution(k, n, partition)
-                transfer = transfer_distribution(k, n, partition)
+            passes = zip(brute_lengths(k, n_max, partition), transfer_lengths(k, n_max, partition))
+            for n, (brute, transfer) in zip(range(n_max + 1), passes):
                 result.record(
                     brute == transfer and brute.total() == k**n,
                     lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
@@ -76,9 +79,8 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
         for partition in _grid_partitions(k):
             spec = TrackingSpec.all_tracked(partition.t)
             series = build_ak_series(k, partition, spec, n_max)
-            for n in range(n_max + 1):
+            for n, want in zip(range(n_max + 1), transfer_lengths(k, n_max, partition)):
                 got = coefficient_distribution(series, spec, partition, n)
-                want = transfer_distribution(k, n, partition)
                 result.record(
                     got == want,
                     lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
@@ -92,10 +94,12 @@ def formulas_vs_oracle(
     """Every closed form against the reduced transfer oracle, on a dense grid.
 
     Family by family, each cell of the family's declared grid has its
-    closed-form table built once and compared entry by entry with the
-    oracle's marginal on the family's query, one check per statistic value
-    of the cell.  A ``corrupt`` run needs ``alphabet_max >= 1``: below that
-    no skewed entry is checked, and the run could not fail.
+    closed-form table compared entry by entry with the oracle's marginal on
+    the family's query, one check per statistic value of the cell.  A
+    head's cells run n = 0..n_max in order, so one closed-form pass and one
+    oracle pass to n_max per head answer them all.  A ``corrupt`` run needs
+    ``alphabet_max >= 1``: below that no skewed entry is checked, and the
+    run could not fail.
     """
     if corrupt and alphabet_max < 1:
         raise InputError(
@@ -105,8 +109,9 @@ def formulas_vs_oracle(
     for family, forms in formulas.FAMILIES.items():
         shift = 1 if corrupt and family == "levels-threshold" else 0
         for params, values in forms.grid(alphabet_max, n_max):
-            table = formulas.distribution(family, params)
-            marginal = statistic_distribution(*forms.query(*params))
+            if params[-1] == 0:
+                tables, marginals = _passes(forms, (*params[:-1], n_max))
+            table, marginal = next(tables), next(marginals)
             for value in values:
                 # The oracle keys every value by a tuple, a joint table by its target tuple.
                 key = value if isinstance(value, tuple) else (value,)
@@ -115,6 +120,11 @@ def formulas_vs_oracle(
                     lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),
                 )
     return result
+
+
+def _passes(forms: formulas.FamilyForms, params: tuple) -> tuple:
+    """One closed-form pass and one oracle pass over the lengths 0..n of a family's ``params``."""
+    return forms.tables(*params, first=0), statistic_lengths(*forms.query(*params))
 
 
 def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteResult:
@@ -136,9 +146,8 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
     )
     for name, count, family, cells in direct:
         for k, t in cells:
-            for n in range(9):
-                # One closed-form table per (k, n) answers every s of the cell.
-                table = formulas.distribution(family, (k, t, n))
+            # One closed-form pass per (k, t) answers every n and s of the cell.
+            for n, table in enumerate(formulas.FAMILIES[family].tables(k, t, 8, first=0)):
                 for s in range(n + 1):
                     result.record(
                         count(k, n, s) == table.get(s, 0),
@@ -170,7 +179,8 @@ def hall_remmel_suite(
     every letter at the bottom, summed over every rearrangement class of a
     given weight, reproduces the residue-class descent count with modulus
     2.  The closed form's table is linear in its weighted row, so the rows
-    of all classes are summed and differenced once per (alphabet, n).
+    of all classes are summed and differenced once per (alphabet, n), and
+    one residue pass per alphabet gives every n.
     """
     result = SuiteResult("hall-remmel")
     for m in range(1, m_max + 1):
@@ -214,13 +224,14 @@ def hall_remmel_suite(
     for alphabet in even_alphabets:
         evens = frozenset(range(2, alphabet + 1, 2))
         everything = frozenset(range(1, alphabet + 1))
-        for n in range(even_n_max + 1):
+        # A negative bound checks nothing; the pass is then never drawn.
+        residues = formulas.FAMILIES["des-mod"].tables(2, alphabet, 2, max(even_n_max, 0), first=0)
+        for n, residue in zip(range(even_n_max + 1), residues):
             row = [0] * (n + 1)
             for rho in compositions(n, alphabet):
                 weighted = formulas.hall_remmel_row(*formulas.hall_remmel_inputs(rho, evens, everything))
                 row = list(map(add, row, weighted))
             summed = formulas.hall_remmel_differences(row)
-            residue = formulas.distribution("des-mod", (2, alphabet, 2, n))
             for p in range(n + 1):
                 result.record(
                     summed[p] == residue.get(p, 0),
@@ -360,6 +371,10 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
     forms = formulas.FAMILIES["des-mod"]
     for params, values in forms.grid(alphabet_max, n_max):
         s, alphabet, r, n = params
+        if n == 0:
+            tables, marginals = _passes(forms, (s, alphabet, r, n_max))
+        # Read before any skip, so each head's passes stay at the cell's length.
+        table, marginal = next(tables), next(marginals)
         t = alphabet % s
         if t == 0:
             case = cases["aligned-power-base"]
@@ -373,8 +388,6 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
         need_example = ambiguous and case.rejected_counterexample is None
         if not (need_example or case.shipped_ok):
             continue
-        table = formulas.distribution("des-mod", params)
-        marginal = statistic_distribution(*forms.query(*params))
         for p in values:
             shipped, want = table.get(p, 0), marginal.get((p,), 0)
             if shipped != want:

@@ -192,6 +192,27 @@ class TestCount:
             f"{oracle.DEFAULT_ENUMERATION_BUDGET} (override with an explicit budget or {BUDGET_ENV_VAR})"
         ]
 
+    @pytest.mark.parametrize(
+        "argv, charge",
+        [
+            # 10**7 letters: a k x k step table of 10**14 entries, far past the one word of length 0
+            (["table", "des-le", "--k", "10000000", "--t", "1", "--n", "0"], 10**14),
+            (["count", "levels-blocks", "--block-sizes", "3000000,3000000", "--n", "1", "--targets", "0,0"],
+             36 * 10**12),
+            (["count", "des-mod", "--s", "2", "--alphabet", "5000", "--r", "1", "--n", "1", "--p", "0"], 25 * 10**6),
+        ],
+    )
+    def test_step_table_is_charged_before_any_partition_is_built(self, capsys, monkeypatch, argv, charge):
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--engine", "oracle")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert err.splitlines() == [
+            f"error: enumeration needs {charge} words, over the budget of "
+            f"{oracle.DEFAULT_ENUMERATION_BUDGET} (override with an explicit budget or {BUDGET_ENV_VAR})"
+        ]
+
     def test_numbers_past_the_digit_limit_print_in_full(self, capsys):
         """10**4400 words have no descent from letter 1: 4,401 digits, past Python's 4,300."""
         limit = sys.get_int_max_str_digits()

@@ -109,7 +109,7 @@ class TestDistribution:
         }
         assert set(queries) == set(CLOSED_FORMS)
         for family, (params, value) in queries.items():
-            stub = formulas.FAMILIES[family]._replace(table=lambda *_: {value: -7})
+            stub = formulas.FAMILIES[family]._replace(tables=lambda *_: iter([{value: -7}]))
             monkeypatch.setitem(formulas.FAMILIES, family, stub)
             assert evaluate(family, (*params, value)) == -7, family
 
@@ -574,8 +574,8 @@ class TestCountLevelsBlocks:
         # is past the threshold table's first re-spacing.
         for k in (1, 2, 3, 255, 256, 30_000):
             for n in (0, 1, 5, 16, 64, 65):
-                want = {(s,): count for s, count in formulas._levels_threshold(k, k, n).items() if count}
-                assert formulas._levels_blocks_table((k,), n) == want, (k, n)
+                want = {(s,): count for s, count in next(formulas._levels_threshold(k, k, n)).items() if count}
+                assert next(formulas._levels_blocks_table((k,), n)) == want, (k, n)
 
     def test_unsigned_variant_is_wrong(self):
         # dropping the sign factor breaks already at two letters

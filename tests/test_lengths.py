@@ -1,0 +1,128 @@
+"""One pass to length n_max hands out every shorter length on its way.
+
+Each engine loop runs once to n_max and yields the lengths it passes;
+every length read off that pass must equal the single-length call at that
+length, on every head of the verify grids.  A single-length call decodes
+its own length and no other.
+"""
+
+import pytest
+
+from wordstats import formulas, oracle
+from wordstats.formulas import _grid_partitions
+from wordstats.oracle import (
+    brute_distribution,
+    brute_lengths,
+    statistic_distribution,
+    statistic_lengths,
+    transfer_distribution,
+    transfer_lengths,
+)
+from wordstats.words import BlockPartition, _STAT_INDEX
+
+N_MAXES = [0, 1, 3, 7]
+WORD_FAMILIES = [family for family, forms in formulas.FAMILIES.items() if forms.query]
+
+
+def _heads(forms, alphabet_max, n_max):
+    """The heads of a family's grid, one per run of cells n = 0..n_max, in grid order."""
+    return [params[:-1] for params, _ in forms.grid(alphabet_max, n_max) if params[-1] == 0]
+
+
+@pytest.mark.parametrize("n_max", N_MAXES)
+def test_full_dp_and_walk_lengths_are_the_single_length_calls(n_max):
+    for k in range(1, 5):
+        for partition in _grid_partitions(k):
+            passes = {
+                "transfer": (list(transfer_lengths(k, n_max, partition)), transfer_distribution),
+                "brute": (list(brute_lengths(k, n_max, partition)), brute_distribution),
+            }
+            for engine, (lengths, single) in passes.items():
+                assert len(lengths) == n_max + 1
+                for n, dist in enumerate(lengths):
+                    assert dist.n == n
+                    assert dist == single(k, n, partition), (engine, k, n, partition)
+
+
+@pytest.mark.parametrize("n_max", N_MAXES)
+@pytest.mark.parametrize("family", WORD_FAMILIES)
+def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
+    # The threshold and residue queries keep every coordinate dense; a levels-blocks
+    # head of three or more blocks keys its third level in the kernel's dicts.
+    forms = formulas.FAMILIES[family]
+    for head in _heads(forms, 4, n_max):
+        lengths = list(statistic_lengths(*forms.query(*head, n_max)))
+        assert len(lengths) == n_max + 1
+        for n, marginal in enumerate(lengths):
+            assert marginal == statistic_distribution(*forms.query(*head, n)), (family, head, n)
+
+
+@pytest.mark.parametrize("n_max", N_MAXES)
+@pytest.mark.parametrize("family", WORD_FAMILIES)
+def test_closed_form_lengths_are_the_single_length_tables(family, n_max):
+    forms = formulas.FAMILIES[family]
+    for head in _heads(forms, 4, n_max):
+        lengths = list(forms.tables(*head, n_max, first=0))
+        assert len(lengths) == n_max + 1
+        for n, table in enumerate(lengths):
+            assert table == formulas.distribution(family, (*head, n)), (family, head, n)
+
+
+def test_grids_reach_one_letter_and_dict_keyed_joints():
+    # k = 1 heads, and levels-blocks heads of three or more inhabited blocks
+    assert (1, 1) in _heads(formulas.FAMILIES["des-le"], 4, 0)
+    sizes = [head[0] for head in _heads(formulas.FAMILIES["levels-blocks"], 4, 0)]
+    assert any(sum(1 for size in head if size) >= 3 for head in sizes)
+
+
+def test_kernel_from_any_first_length_is_the_tail_of_the_whole_pass():
+    part = BlockPartition.from_blocks((1, 2, 3, 1))
+    coords = [(1, _STAT_INDEX["lev"]), (2, _STAT_INDEX["lev"]), (3, _STAT_INDEX["lev"])]
+    for dense in range(len(coords) + 1):
+        whole = list(oracle._kernel(4, 6, part, coords, dense, 0))
+        assert len(whole) == 7
+        for first in range(8):
+            assert list(oracle._kernel(4, 6, part, coords, dense, first)) == whole[first:]
+        assert list(oracle._kernel(4, 6, part, coords, dense)) == whole[-1:]
+    whole = list(formulas._levels_blocks_table((1, 2, 1), 6, 0))
+    assert [list(formulas._levels_blocks_table((1, 2, 1), 6, first)) for first in range(8)] == [
+        whole[first:] for first in range(8)
+    ]
+    whole = list(formulas._des_gt(4, 1, 6, 0))
+    assert [list(formulas._des_gt(4, 1, 6, first)) for first in range(8)] == [whole[first:] for first in range(8)]
+    walk = list(brute_lengths(3, 5, BlockPartition.threshold(3, 1)))
+    for first in range(7):
+        assert list(brute_lengths(3, 5, BlockPartition.threshold(3, 1), first=first)) == walk[first:]
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_single_length_decodes_no_shorter_length(monkeypatch):
+    # One packed integer per table: a single length unpacks one, a pass one per length.
+    unpacked = _counting(monkeypatch, formulas, "unpack")
+    formulas.distribution("des-le", (4, 2, 7))
+    assert len(unpacked) == 1
+    unpacked.clear()
+    list(formulas.FAMILIES["des-le"].tables(4, 2, 7, first=0))
+    assert len(unpacked) == 8
+    unpacked.clear()
+    formulas.distribution("levels-blocks", ((3,), 7))
+    assert len(unpacked) == 1
+    # The kernel's all-dense state is one integer per length.
+    tallied = _counting(monkeypatch, oracle, "unpack")
+    part = BlockPartition.threshold(4, 2)
+    statistic_distribution(4, 7, part, [(1, "des")])
+    assert len(tallied) == 1
+    tallied.clear()
+    list(statistic_lengths(4, 7, part, [(1, "des")]))
+    assert len(tallied) == 7  # length 0 is the empty word, with nothing to unpack

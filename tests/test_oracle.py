@@ -132,6 +132,25 @@ class TestBruteDistribution:
             brute_distribution(4, 13, part)
         assert exc.value.required == 4**13
 
+    def test_step_table_is_charged_before_it_is_built(self):
+        # The walk first builds a k x k table of steps; at n <= 1 that is the larger charge.
+        part = BlockPartition.threshold(5, 2)
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_distribution(5, 1, part, budget=24)
+        assert exc.value.required == 25
+        assert brute_distribution(5, 1, part, budget=25).total() == 5
+        assert brute_distribution(5, 0, part, budget=25).total() == 1
+        # from n = 2 on the words are the charge, as before
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_distribution(5, 2, part, budget=24)
+        assert exc.value.required == 25
+        # from the alphabet size and length alone, before any partition or table
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            oracle.charge_walk(10_000_000, 0)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.required == 10**14
+
     def test_budget_env_override(self, monkeypatch):
         part = BlockPartition.threshold(2, 1)
         monkeypatch.setenv(BUDGET_ENV_VAR, "8")
@@ -241,7 +260,7 @@ class TestTransferKernel:
         # one field holds k**n: 243 and 59,049 fill 8 and 16 bits, 256 and 65,536 need 9 and 17.
         part = BlockPartition.threshold(k, 0)
         for dense in (0, 1):
-            assert oracle._kernel(k, n, part, [(1, _STAT_INDEX["des"])], dense) == {0: k**n}
+            assert next(oracle._kernel(k, n, part, [(1, _STAT_INDEX["des"])], dense)) == {0: k**n}
         assert statistic_distribution(k, n, part, [(1, "des")]) == {(0,): k**n}
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -277,15 +296,15 @@ class TestTransferKernel:
                     for coords in (coords, coords + coords[:1]):
                         want = _transfer_kernel(k, n, part, coords)
                         for dense in range(len(coords) + 1):
-                            got = oracle._kernel(k, n, part, coords, dense)
+                            got = next(oracle._kernel(k, n, part, coords, dense))
                             assert got == want, (k, n, part, coords, dense)
 
     def test_full_vectors_run_without_dense_fields(self, monkeypatch):
         calls = []
 
-        def recording(k, n, partition, coords, dense):
+        def recording(k, n, partition, coords, dense, first=None):
             calls.append((len(coords), dense))
-            return kernel(k, n, partition, coords, dense)
+            return kernel(k, n, partition, coords, dense, first)
 
         kernel = oracle._kernel
         monkeypatch.setattr(oracle, "_kernel", recording)

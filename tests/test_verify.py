@@ -9,19 +9,23 @@ from wordstats.words import InputError
 
 
 def skew_table(monkeypatch, family, cell, key):
-    """Add 1 to ``key`` in the family's closed-form table at ``cell``; the tables built are logged."""
-    table = formulas.FAMILIES[family].table
-    calls = []
+    """Add 1 to ``key`` in the family's closed-form table at ``cell``; the passes run are logged.
 
-    def skewed(*params):
-        calls.append(params)
-        dist = table(*params)
-        if params == cell:
-            dist[key] = dist.get(key, 0) + 1
-        return dist
+    A pass over lengths first..n is logged by its parameters, which end in n.
+    """
+    tables = formulas.FAMILIES[family].tables
+    passes = []
 
-    monkeypatch.setitem(formulas.FAMILIES, family, formulas.FAMILIES[family]._replace(table=skewed))
-    return calls
+    def skewed(*params, first=None):
+        passes.append(params)
+        lengths = itertools.count(params[-1] if first is None else first)
+        for n, dist in zip(lengths, tables(*params, first=first)):
+            if (*params[:-1], n) == cell:
+                dist[key] = dist.get(key, 0) + 1
+            yield dist
+
+    monkeypatch.setitem(formulas.FAMILIES, family, formulas.FAMILIES[family]._replace(tables=skewed))
+    return passes
 
 
 # The deepest grid each suite gets from the benchmark's verify catalog, with its result.
@@ -69,11 +73,12 @@ class TestFormulasVsOracle:
         ],
     )
     def test_wrong_table_entry_is_caught_and_named(self, monkeypatch, family, cell, key, name):
-        calls = skew_table(monkeypatch, family, cell, key)
+        passes = skew_table(monkeypatch, family, cell, key)
         result = verify.formulas_vs_oracle(4, 6)
         assert (result.failures, result.first_failure) == (1, name)
-        # one table per grid cell
-        assert calls.count(cell) == 1
+        # one pass to n = 6 per head of the grid, in grid order
+        heads = [params[:-1] for params, _ in formulas.FAMILIES[family].grid(4, 6) if params[-1] == 0]
+        assert passes == [(*head, 6) for head in heads]
 
 
 class TestDesModErrata:
@@ -98,11 +103,12 @@ class TestIdentitiesSuite:
         ],
     )
     def test_wrong_direct_count_is_caught_and_named(self, monkeypatch, family, cell, key, name):
-        calls = skew_table(monkeypatch, family, cell, key)
+        passes = skew_table(monkeypatch, family, cell, key)
         result = verify.identities_suite()
         assert (result.checked, result.failures, result.first_failure) == (1820, 1, name)
-        # one table per (k, n)
-        assert calls.count(cell) == 1
+        # one pass to n = 8 per (k, t) of the direct count
+        cells = {"des-gt": [(k, k - 1) for k in range(1, 7)], "des-le": [(k, 2) for k in range(2, 7)]}
+        assert passes == [(k, t, 8) for k, t in cells[family]]
 
 
 class TestHallRemmelSuite:
@@ -185,18 +191,12 @@ class TestHallRemmelSuite:
         assert calls.count(wrong) == 1
 
     def test_wrong_even_identity_is_caught_and_named(self, monkeypatch):
-        table = formulas.FAMILIES["des-mod"].table
-
-        def skewed(s, alphabet, r, n):
-            dist = table(s, alphabet, r, n)
-            if (alphabet, n) == (4, 3):
-                dist[2] += 1
-            return dist
-
-        monkeypatch.setitem(formulas.FAMILIES, "des-mod", formulas.FAMILIES["des-mod"]._replace(table=skewed))
+        passes = skew_table(monkeypatch, "des-mod", (2, 4, 2, 3), 2)
         result = verify.hall_remmel_suite(m_max=1, weight_max=1, even_n_max=4)
         assert result.failures == 1
         assert result.first_failure == "even-words-sum alphabet=4 n=3 p=2"
+        # one residue pass to n = 4 per alphabet
+        assert passes == [(2, 2, 2, 4), (2, 4, 2, 4)]
 
     def test_oracle_runs_once_per_counted_pair_set(self, monkeypatch):
         calls = []

@@ -145,6 +145,9 @@ CHECKS = [
     # An over-budget charge too large to print in decimal still exits 3, not a traceback.
     Check("over-budget count", "exit",
           ("count des-le --k 2 --t 1 --n 15000 --s 0 --engine oracle",), 3),
+    # The walk's k x k table of steps is charged before it, or any partition, is built.
+    Check("over-budget step table", "exit",
+          ("table des-le --k 10000000 --t 1 --n 0 --engine oracle",), 3, timeout=10),
     # The table (186 kB) is larger than a pipe's buffer, so the writer meets the closed pipe
     # however its stdout is buffered.
     Check("broken pipe", "closed-pipe", ("table des-le --k 3 --t 2 --n 1000 --format csv",), 2,
