@@ -61,12 +61,12 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache, partial
 from itertools import product, zip_longest
-from math import comb
+from math import comb, factorial, prod
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import _digits, binom, field_bytes, multinomial, respace, sign, unpack
+from .combinat import _digits, binom, field_bytes, respace, sign, unpack
 from .words import BlockPartition, InputError
 
 
@@ -469,7 +469,7 @@ def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
 def hall_remmel_row(outside, slots, n: int) -> list[int]:
     """prefactor inner(r) for r = 0..n, of one ``hall_remmel_inputs`` tuple."""
     a = sum(outside)
-    prefactor = multinomial(a, outside)
+    prefactor = factorial(a) // prod(map(factorial, outside))
     row = []
     # Every argument is nonnegative, so math.comb follows the binom convention.
     for r in range(n + 1):

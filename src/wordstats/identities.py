@@ -6,14 +6,19 @@ the two bottom letters.  Equating each direct count with the general
 alternating-sum formula, coefficient by coefficient, yields a pure
 binomial identity; both sides are evaluated here numerically and compared.
 
-In both right-hand sides s enters only through C(n-m, s) and a sign, so
-``top_letter_row`` and ``two_bottom_row`` read every s of one (n, r) off
-one s-free row, as the closed forms do.  That row's weights are forward
-differences at 0 of one binomial sequence, so one difference table per
-(n, r) gives them all: n + 1 binomial products and about n^2/2
-subtractions.  Only where a cell's two sides disagree is an alternate
-bound variant evaluated too, term by term, so the report shows which
-reading survives.
+In both right-hand sides s enters only through C(n-m, s) and a sign:
+rhs(s) = sum_m (-1)^(n-m-s) C(n-m, s) w(m), with an s-free weight w(m)
+that is a sum over a.  The factor of s is the coefficient of u^s in
+(u-1)^(n-m), so rhs(s) is the u^s coefficient of sum_m w(m) (u-1)^(n-m),
+and ``top_letter_sides`` and ``two_bottom_sides`` read every s of one
+(n, r) off that one s-free row, as the closed forms do.  The row's
+weights are forward differences at 0 of one binomial sequence, so one
+difference table per (n, r) gives them all: n + 1 binomial products and
+about n^2/2 subtractions.  The left-hand sides come as a list of every s
+too, so a row's two sides are compared as two lists.  Reports are built
+(``top_letter_row``, ``two_bottom_row``) from the same lists; only where
+a cell's two sides disagree is an alternate bound variant evaluated too,
+term by term, so the report shows which reading survives.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def direct_count_top_letter(k: int, n: int, s: int) -> int:
     if n < 0 or s < 0:
         raise InputError("length and statistic value must be nonnegative")
     return sum(
-        (k - 1) ** r * binom(r, s) * binom(n - r, s) for r in range(s, n - s + 1)
+        (k - 1) ** r * comb(r, s) * comb(n - r, s) for r in range(s, n - s + 1)
     )
 
 
@@ -71,9 +76,9 @@ def direct_count_two_bottom(k: int, n: int, s: int) -> int:
         raise InputError("length and statistic value must be nonnegative")
     return sum(
         (k - 2) ** (n - a - b)
-        * binom(n - a - b + s, s)
-        * binom(n - b, a - s)
-        * binom(n - a, b - s)
+        * comb(n - a - b + s, s)
+        * comb(n - b, a - s)
+        * comb(n - a, b - s)
         for a in range(s, n + 1)
         for b in range(s, n - a + 1)
     )
@@ -84,17 +89,24 @@ def check_top_letter_identity(n: int, r: int, s: int) -> IdentityReport:
     return top_letter_row(n, r, (s,))[0]
 
 
-def top_letter_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
-    """``check_top_letter_identity`` at each s of ``values`` (default 0..n), from one row.
+def top_letter_sides(n: int, r: int) -> tuple[list[int], list[int]]:
+    """lhs(s) and rhs(s) of the top-letter identity for s = 0..n, as two lists.
 
     rhs(s) = sum_{r <= a <= m <= n-s} (-1)^(n-a-s) C(m,a) C(a,r) C(a,n-r) C(n-m,s).
     The sum over a is the m-th forward difference of f(a) = C(a,r) C(a,n-r)
     at 0 (f vanishes below r), so one difference table gives every weight.
+    The lhs C(r,s) C(n-r,s) vanishes past s = min(r, n-r).
     """
+    _check(n, r)
+    last = min(r, n - r)
+    lhs = [comb(r, s) * comb(n - r, s) for s in range(last + 1)] + [0] * (n - last)
+    return lhs, expand_shifted(_differences([comb(a, r) * comb(a, n - r) for a in range(n + 1)]))
+
+
+def top_letter_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
+    """``check_top_letter_identity`` at each s of ``values`` (default 0..n), from ``top_letter_sides``."""
     return _row(
-        "top-letter-binomial", n, r, values,
-        lhs=lambda s: binom(r, s) * binom(n - r, s),
-        weights=lambda: _differences([comb(a, r) * comb(a, n - r) for a in range(n + 1)]),
+        "top-letter-binomial", n, r, values, top_letter_sides,
         # widened outer range; zero binomials make the extra terms vanish
         # when the two readings agree
         alt=lambda s: sum(
@@ -114,24 +126,30 @@ def check_two_bottom_identity(n: int, r: int, s: int) -> IdentityReport:
     return two_bottom_row(n, r, (s,))[0]
 
 
-def two_bottom_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
-    """``check_two_bottom_identity`` at each s of ``values`` (default 0..n), from one row.
+def two_bottom_sides(n: int, r: int) -> tuple[list[int], list[int]]:
+    """lhs(s) and rhs(s) of the two-bottom identity for s = 0..n, as two lists.
 
     C(m,a) C(m-a,r) = C(m,r) C(m-r,a), so the rhs weight of m is C(m,r)
     times the (m-r)-th forward difference of g(a) = C(2a, n-r) at 0, and
     one difference table of g gives every weight.  In the lhs the terms
-    past a = n-r-s vanish, so the sum stops there.
+    past a = n-r-s vanish, so the sum stops there, and it is empty past
+    s = (n-r)/2.
     """
-    def weights() -> list[int]:
-        steps = _differences([comb(2 * a, n - r) for a in range(n - r + 1)])
-        return [0] * r + [comb(m, r) * step for m, step in enumerate(steps, start=r)]
+    _check(n, r)
+    last = (n - r) // 2
+    lhs = [
+        comb(r + s, s) * sum(comb(a + r, a - s) * comb(n - a, n - a - r - s) for a in range(s, n - r - s + 1))
+        for s in range(last + 1)
+    ]
+    steps = _differences([comb(2 * a, n - r) for a in range(n - r + 1)])
+    weights = [0] * r + [comb(m, r) * step for m, step in enumerate(steps, start=r)]
+    return lhs + [0] * (n - last), expand_shifted(weights)
 
+
+def two_bottom_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
+    """``check_two_bottom_identity`` at each s of ``values`` (default 0..n), from ``two_bottom_sides``."""
     return _row(
-        "two-bottom-binomial", n, r, values,
-        lhs=lambda s: comb(r + s, s) * sum(
-            comb(a + r, a - s) * comb(n - a, n - a - r - s) for a in range(s, n - r - s + 1)
-        ),
-        weights=weights,
+        "two-bottom-binomial", n, r, values, two_bottom_sides,
         # the a-range widened to a <= m
         alt=lambda s: sum(
             sign(n - a - r - s) * binom(m, a) * binom(m - a, r) * binom(2 * a, n - r)
@@ -151,25 +169,25 @@ def _differences(values: list[int]) -> list[int]:
     return edge
 
 
-def _row(identity: str, n: int, r: int, values, lhs, weights, alt) -> list[IdentityReport]:
-    """One report per s of ``values``; every rhs(s) is a coefficient of one s-free row.
-
-    Both right-hand sides are sum_m (-1)^(n-m-s) C(n-m, s) w(m), with the
-    s-free weight w(m) a sum over a; ``weights()`` gives w(0), ..., w(n)
-    once the parameters are checked.  The factor of s is the coefficient
-    of u^s in (u-1)^(n-m), so rhs(s) is the u^s coefficient of
-    sum_m w(m) (u-1)^(n-m).
-    """
-    values = range(n + 1) if values is None else values
-    if n < 0 or r < 0 or any(s < 0 for s in values):
+def _check(n: int, r: int) -> None:
+    if n < 0 or r < 0:
         raise InputError("identity parameters must be nonnegative")
     if r > n:
         raise InputError(f"identity parameter r must be at most n, got r={r} > n={n}")
-    # w(0) weighs the highest power, (u-1)^n.
-    row = expand_shifted(weights())
+
+
+def _row(identity: str, n: int, r: int, values, sides, alt) -> list[IdentityReport]:
+    """One report per s of ``values``, read off the two lists ``sides(n, r)``.
+
+    Both sides vanish past s = n.  Only where they differ is ``alt(s)``
+    evaluated.
+    """
+    values = range(n + 1) if values is None else values
+    if any(s < 0 for s in values):
+        raise InputError("identity parameters must be nonnegative")
+    lhs, rhs = sides(n, r)
     reports = []
     for s in values:
-        left, right = lhs(s), row[s] if s <= n else 0
-        # the alternate bounds only where the two sides differ
+        left, right = (lhs[s], rhs[s]) if s <= n else (0, 0)
         reports.append(IdentityReport(identity, (n, r, s), left, right, None if left == right else alt(s)))
     return reports

@@ -97,7 +97,8 @@ def formulas_vs_oracle(
     closed-form table compared entry by entry with the oracle's marginal on
     the family's query, one check per statistic value of the cell.  A
     head's cells run n = 0..n_max in order, so one closed-form pass and one
-    oracle pass to n_max per head answer them all.  A ``corrupt`` run needs
+    oracle pass to n_max per distinct head answer them all, however often
+    the grid repeats the head.  A ``corrupt`` run needs
     ``alphabet_max >= 1``: below that no skewed entry is checked, and the
     run could not fail.
     """
@@ -108,10 +109,13 @@ def formulas_vs_oracle(
     result = SuiteResult("formulas-vs-oracle")
     for family, forms in formulas.FAMILIES.items():
         shift = 1 if corrupt and family == "levels-threshold" else 0
+        # Per distinct head: its (table, marginal) at each length, from one pass of each engine.
+        answered: dict[tuple, list] = {}
         for params, values in forms.grid(alphabet_max, n_max):
-            if params[-1] == 0:
-                tables, marginals = _passes(forms, (*params[:-1], n_max))
-            table, marginal = next(tables), next(marginals)
+            head, n = params[:-1], params[-1]
+            if n == 0 and head not in answered:
+                answered[head] = list(zip(*_passes(forms, (*head, n_max))))
+            table, marginal = answered[head][n]
             for value in values:
                 # The oracle keys every value by a tuple, a joint table by its target tuple.
                 key = value if isinstance(value, tuple) else (value,)
@@ -128,12 +132,24 @@ def _passes(forms: formulas.FamilyForms, params: tuple) -> tuple:
 
 
 def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteResult:
-    """Both binomial identities on their full grids, plus the direct counts."""
+    """Both binomial identities on their full grids, plus the direct counts.
+
+    A row (n, r) holds the n + 1 checks s = 0..n.  Its two sides come as
+    two lists, and a row whose lists agree counts its checks at once; only
+    a row that disagrees is reported cell by cell.
+    """
     result = SuiteResult("identities")
-    rows = ((identities.top_letter_row, top_n_max), (identities.two_bottom_row, two_bottom_n_max))
-    for row, n_max in rows:
+    rows = (
+        (identities.top_letter_sides, identities.top_letter_row, top_n_max),
+        (identities.two_bottom_sides, identities.two_bottom_row, two_bottom_n_max),
+    )
+    for sides, row, n_max in rows:
         for n in range(n_max + 1):
             for r in range(n + 1):
+                lhs, rhs = sides(n, r)
+                if lhs == rhs:
+                    result.record(True, None, n + 1)
+                    continue
                 for report in row(n, r):
                     result.record(
                         report.ok,
@@ -166,14 +182,18 @@ def hall_remmel_suite(
 
     A check runs for every class rho and every pair (X, Y) of top and
     bottom letter sets, X major, each set in order of size, then
-    lexicographically.  Let R be the letters below the largest letter of X
-    that rho uses.  Both the counted descent pairs and the closed form's
-    inputs depend on Y only through its key, Y & R.  Under one X each key
-    is shared by 2^(m - |R|) sets Y, the first of them in check order the
-    key itself, so each X row derives pairs, inputs and verdict for its
-    keys alone and counts each verdict once per set Y sharing the key.
-    The oracle runs once per distinct counted-pair set and class, and the
-    closed form once per distinct input tuple and class.
+    lexicographically.  Both the counted descent pairs and the closed
+    form's inputs depend on X only through the letters of X that rho uses,
+    so the X rows run over the sets U of used letters alone, each standing
+    for the 2^(m - |used|) sets X that add unused letters to it, U the
+    first of them in check order.  Let R be the used letters below the
+    largest letter of U.  Pairs and inputs depend on Y only through its
+    key, Y & R.  Under one U each key is shared by 2^(m - |R|) sets Y,
+    the first of them in check order the key itself, so each U row derives
+    pairs, inputs and verdict for its keys alone and counts each verdict
+    once per pair (X, Y) sharing U and the key.  The oracle runs once per
+    distinct counted-pair set and class, and the closed form once per
+    distinct input tuple and class.
 
     It also checks that the closed form with the even letters on top and
     every letter at the bottom, summed over every rearrangement class of a
@@ -183,31 +203,20 @@ def hall_remmel_suite(
     one residue pass per alphabet gives every n.
     """
     result = SuiteResult("hall-remmel")
+    # Per tuple of letters: its sets in check order, the U of a class or the keys of a U row.
+    sets_of: dict[tuple, list[frozenset]] = {}
     for m in range(1, m_max + 1):
-        letters = range(1, m + 1)
-        subsets = [
-            frozenset(combo)
-            for size in range(m + 1)
-            for combo in itertools.combinations(letters, size)
-        ]
-        masks = [sum(1 << (x - 1) for x in subset) for subset in subsets]
-        # Per relevant mask: its subsets, the keys of one X row, in check order.
-        keys_within: dict[int, list[frozenset]] = {}
         for weight in range(weight_max + 1):
             for rho in compositions(weight, m):
-                used = sum(1 << (x - 1) for x, reps in enumerate(rho, start=1) if reps)
+                used = tuple(x for x, reps in enumerate(rho, start=1) if reps)
+                spread = 1 << (m - len(used))
                 oracle_by_pairs: dict[frozenset, dict[int, int]] = {}
                 # Keyed by the closed form's own inputs, never by counted pairs.
                 closed_by_inputs: dict[tuple, dict[int, int]] = {}
-                for tops in subsets:
-                    relevant = used & ((1 << (max(tops, default=1) - 1)) - 1)
-                    sharing = 1 << (m - relevant.bit_count())
-                    keys = keys_within.get(relevant)
-                    if keys is None:
-                        keys = keys_within[relevant] = [
-                            subset for subset, mask in zip(subsets, masks) if not mask & ~relevant
-                        ]
-                    for bottoms in keys:
+                for tops in _sets_of(used, sets_of):
+                    relevant = tuple(x for x in used if x < max(tops, default=0))
+                    sharing = spread << (m - len(relevant))
+                    for bottoms in _sets_of(relevant, sets_of):
                         pairs = counted_pairs(rho, tops, bottoms)
                         if pairs not in oracle_by_pairs:
                             dist = pair_distribution(rho, pairs)
@@ -238,6 +247,16 @@ def hall_remmel_suite(
                     lambda alphabet=alphabet, n=n, p=p: f"even-words-sum alphabet={alphabet} n={n} p={p}",
                 )
     return result
+
+
+def _sets_of(letters: tuple[int, ...], known: dict) -> list[frozenset]:
+    """Every set of ``letters``, by size, then lexicographically; kept in ``known``."""
+    sets = known.get(letters)
+    if sets is None:
+        sets = known[letters] = [
+            frozenset(combo) for size in range(len(letters) + 1) for combo in itertools.combinations(letters, size)
+        ]
+    return sets
 
 
 # Deliberately independent of words.stat_key, so the duality suite shares no code with the engines.

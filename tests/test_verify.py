@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wordstats import formulas, verify
+from wordstats import formulas, identities, verify
 from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
 from wordstats.words import InputError
@@ -76,9 +76,9 @@ class TestFormulasVsOracle:
         passes = skew_table(monkeypatch, family, cell, key)
         result = verify.formulas_vs_oracle(4, 6)
         assert (result.failures, result.first_failure) == (1, name)
-        # one pass to n = 6 per head of the grid, in grid order
+        # one pass to n = 6 per distinct head of the grid, in first-seen order
         heads = [params[:-1] for params, _ in formulas.FAMILIES[family].grid(4, 6) if params[-1] == 0]
-        assert passes == [(*head, 6) for head in heads]
+        assert passes == [(*head, 6) for head in dict.fromkeys(heads)]
 
 
 class TestDesModErrata:
@@ -110,6 +110,28 @@ class TestIdentitiesSuite:
         cells = {"des-gt": [(k, k - 1) for k in range(1, 7)], "des-le": [(k, 2) for k in range(2, 7)]}
         assert passes == [(k, t, 8) for k, t in cells[family]]
 
+    @pytest.mark.parametrize(
+        "check, n, r, s, name",
+        [
+            ("check_top_letter_identity", 6, 3, 1, "top-letter-binomial (6, 3, 1): 9 != 10 (alt 9)"),
+            ("check_two_bottom_identity", 7, 2, 0, "two-bottom-binomial (7, 2, 0): 252 != 253 (alt 252)"),
+        ],
+    )
+    def test_wrong_identity_row_is_caught_and_named(self, monkeypatch, check, n, r, s, name):
+        # The row of (n, r) is the one whose coefficients are its left-hand sides; only it is skewed.
+        wrong = [getattr(identities, check)(n, r, value).lhs for value in range(n + 1)]
+        expand = identities.expand_shifted
+
+        def skewed(weights):
+            row = expand(weights)
+            if row == wrong:
+                row[s] += 1
+            return row
+
+        monkeypatch.setattr(identities, "expand_shifted", skewed)
+        result = verify.identities_suite()
+        assert (result.checked, result.failures, result.first_failure) == (1820, 1, name)
+
 
 class TestHallRemmelSuite:
     def test_small_grid_result(self):
@@ -135,7 +157,8 @@ class TestHallRemmelSuite:
         assert result.first_failure == "rearrangement rho=(2, 1) X=[2] Y=[1]"
 
     def test_letter_sets_of_one_key_share_pairs_and_inputs(self):
-        # The grouping's premise: Y matters only through its used letters below max X.
+        # The grouping's premise: X matters only through its used letters, and Y only
+        # through its used letters below the largest of those.
         for m in range(1, 5):
             subsets = [frozenset(c) for size in range(m + 1)
                        for c in itertools.combinations(range(1, m + 1), size)]
@@ -145,9 +168,11 @@ class TestHallRemmelSuite:
                     for x in subsets:
                         seen = {}
                         for y in subsets:
-                            key = frozenset(b for b in y & used if b < max(x, default=0))
+                            key = frozenset(b for b in y & used if b < max(x & used, default=0))
                             derived = (counted_pairs(rho, x, y), formulas.hall_remmel_inputs(rho, x, y))
                             assert seen.setdefault(key, derived) == derived, (rho, x, y)
+                            assert derived == (counted_pairs(rho, x & used, y),
+                                               formulas.hall_remmel_inputs(rho, x & used, y)), (rho, x, y)
 
     def test_wrong_weighted_row_is_caught_in_its_even_sum(self, monkeypatch):
         wrong = formulas.hall_remmel_inputs((1, 2, 0, 0), {2, 4}, {1, 2, 3, 4})
@@ -189,6 +214,45 @@ class TestHallRemmelSuite:
         assert result.first_failure == f"rearrangement rho=(2, 1) X={sorted(x)} Y={sorted(y)}"
         # once per distinct input tuple and class
         assert calls.count(wrong) == 1
+
+    def test_wrong_evaluation_at_a_used_top_set_is_caught_at_every_top_set_sharing_it(self, monkeypatch):
+        # rho leaves letter 3 unused, so X={2} stands for X={2, 3} too.
+        wrong = formulas.hall_remmel_inputs((2, 1, 0), {2}, {1})
+        subsets = [set(c) for size in range(4) for c in itertools.combinations(range(1, 4), size)]
+        sharing = [(rho, x, y) for rho in compositions(3, 3) for x in subsets for y in subsets
+                   if formulas.hall_remmel_inputs(rho, x, y) == wrong]
+        tops = [sorted(x) for rho, x, _ in sharing if rho == (2, 1, 0)]
+        assert [2] in tops and [2, 3] in tops
+        evaluate = formulas.hall_remmel_table
+
+        def skewed(*inputs):
+            table = evaluate(*inputs)
+            if inputs == wrong:
+                table[0] += 1
+            return table
+
+        monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
+        result = verify.hall_remmel_suite(m_max=3, weight_max=3, even_n_max=0)
+        assert result.failures == len(sharing)
+        # The first pair sharing the skew uses only letters of its class.
+        rho, x, y = sharing[0]
+        assert all(rho[letter - 1] for letter in x | y)
+        assert result.first_failure == f"rearrangement rho={rho} X={sorted(x)} Y={sorted(y)}"
+
+    def test_wrong_oracle_for_a_class_is_caught_at_every_pair_of_letter_sets(self, monkeypatch):
+        dp = verify.pair_distribution
+
+        def skewed(rho, pairs):
+            dist = dp(rho, pairs)
+            if rho == (2, 1, 0):
+                dist[0] = dist.get(0, 0) + 1
+            return dist
+
+        monkeypatch.setattr(verify, "pair_distribution", skewed)
+        result = verify.hall_remmel_suite(m_max=3, weight_max=3, even_n_max=0)
+        # All 4^3 pairs (X, Y), those with the unused letter 3 included; the first is X = Y = {}.
+        assert result.failures == 64
+        assert result.first_failure == "rearrangement rho=(2, 1, 0) X=[] Y=[]"
 
     def test_wrong_even_identity_is_caught_and_named(self, monkeypatch):
         passes = skew_table(monkeypatch, "des-mod", (2, 4, 2, 3), 2)

@@ -160,6 +160,9 @@ CHECKS = [
     # The suites at depths no unit test or benchmark request reaches.
     _suite("verify identities --n-max 30", 21327),
     _suite("verify hall-remmel --m-max 5 --weight-max 6 --n-max 8", 532790),
+    # The grouped counts through the CLI's bound mapping: many unused letters, then heavy classes.
+    _suite("verify hall-remmel --m-max 4 --weight-max 2 --n-max 8", 4678),
+    _suite("verify hall-remmel --m-max 2 --weight-max 7 --n-max 8", 698),
     _suite("verify formulas-vs-oracle --k-max 10 --n-max 10", 78185),
     _suite("verify oracle-vs-transfer --k-max 3 --n-max 10", 165),
     _suite("verify series-vs-oracle --k-max 4 --n-max 7", 176),
