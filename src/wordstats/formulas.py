@@ -44,7 +44,9 @@ follow e_i <- (u_i - 1) e_i + c_i g, g = sum_i e_i, from e_i = 0 and g = 1
 at length 0 (``_levels_blocks_table``).  A table costs n steps, each a
 pass over t dicts of big-integer adds on integers of n fields, with one
 entry per tuple of levels of blocks 1..t-1.  ``hall-remmel`` is one sum
-over r.
+over r, and its rows summed over every class of a weight, with every
+letter at the bottom, come from one pass over the letters
+(``hall_remmel_summed_rows``).
 ``FAMILIES`` declares each family once: its parameter checks, its table
 builder, its word DP query, the (alphabet, n, partition, coordinates) of
 the statistic it counts, which the CLI's oracle and transfer engines and
@@ -60,9 +62,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache, partial
-from itertools import product, zip_longest
+from itertools import product, repeat, zip_longest
 from math import comb, factorial, prod
-from operator import sub
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
@@ -469,15 +471,68 @@ def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
 def hall_remmel_row(outside, slots, n: int) -> list[int]:
     """prefactor inner(r) for r = 0..n, of one ``hall_remmel_inputs`` tuple."""
     a = sum(outside)
-    prefactor = factorial(a) // prod(map(factorial, outside))
+    return hall_remmel_weights(factorial(a) // prod(map(factorial, outside)), a, slots, n)
+
+
+def hall_remmel_weights(scale: int, a: int, slots, n: int) -> list[int]:
+    """scale C(a+r, r) prod C(base + r, reps) over the (reps, base) slots, for r = 0..n.
+
+    Every letter's factor of inner(r) is built here, for one class's row
+    (``hall_remmel_row``) and for the letter pass over all classes
+    (``hall_remmel_summed_rows``) alike.
+    """
     row = []
     # Every argument is nonnegative, so math.comb follows the binom convention.
     for r in range(n + 1):
-        term = prefactor * comb(a + r, r)
+        term = scale * comb(a + r, r)
         for reps, base in slots:
             term *= comb(base + r, reps)
         row.append(term)
     return row
+
+
+def hall_remmel_summed_rows(alphabet: int, top_letters, n_max: int) -> list[list[int]]:
+    """Row n, n = 0..n_max: the weighted rows of every class of weight n summed, Y = all letters.
+
+    Row n is the sum of ``hall_remmel_row(*hall_remmel_inputs(rho,
+    top_letters, range(1, alphabet + 1)))`` over ``compositions(n,
+    alphabet)``, from one pass over the letters from the top down.  With
+    every letter at the bottom, beta_x = 0 and alpha_x is the number of
+    non-top letters placed before x.  A state (N, A), N letters placed and
+    A of them non-top, holds a vector over r = 0..n_max.  A non-top letter
+    placed j times multiplies it by C(A+j, j), building the multinomial
+    prefactor, and moves it to (N+j, A+j); a top letter placed j times
+    multiplies entry r by C(j + r + A, j) and moves it to (N+j, A).  After
+    the last letter, entry r <= n of state (n, A) times C(A+r, r) is added
+    into row n.  The factors come off ``hall_remmel_weights``, one column
+    per (A, j) of the pass.
+    """
+    tops = frozenset(top_letters)
+    columns: dict[tuple, list[int]] = {}
+
+    def column(a: int, slots: tuple) -> list[int]:
+        if (a, slots) not in columns:
+            columns[a, slots] = hall_remmel_weights(1, a, slots, n_max)
+        return columns[a, slots]
+
+    states = {(0, 0): [1] * (n_max + 1)}
+    for x in range(alphabet, 0, -1):
+        reached: dict[tuple[int, int], list[int]] = {}
+        for (placed, outside), vector in states.items():
+            for j in range(n_max - placed + 1):
+                if x in tops:
+                    key = placed + j, outside
+                    moved = list(map(mul, vector, column(0, ((j, j + outside),)))) if j else vector
+                else:
+                    key = placed + j, outside + j
+                    moved = list(map(mul, vector, repeat(comb(outside + j, j)))) if j and outside else vector
+                held = reached.get(key)
+                reached[key] = moved if held is None else list(map(add, held, moved))
+        states = reached
+    rows = [[0] * (n + 1) for n in range(n_max + 1)]
+    for (n, outside), vector in states.items():
+        rows[n] = list(map(add, rows[n], map(mul, vector, column(outside, ()))))
+    return rows
 
 
 def hall_remmel_differences(row: list[int]) -> list[int]:

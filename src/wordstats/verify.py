@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
 
 from . import formulas, identities
 from .formulas import _grid_partitions
@@ -199,8 +198,12 @@ def hall_remmel_suite(
     every letter at the bottom, summed over every rearrangement class of a
     given weight, reproduces the residue-class descent count with modulus
     2.  The closed form's table is linear in its weighted row, so the rows
-    of all classes are summed and differenced once per (alphabet, n), and
-    one residue pass per alphabet gives every n.
+    summed over the classes of each weight are differenced once per
+    (alphabet, n).  One letter pass per alphabet
+    (``formulas.hall_remmel_summed_rows``) gives the summed rows of every
+    n without enumerating a class, building its factors from the same
+    ``formulas.hall_remmel_weights`` as each class's row, and one residue
+    pass per alphabet gives every n.
     """
     result = SuiteResult("hall-remmel")
     # Per tuple of letters: its sets in check order, the U of a class or the keys of a U row.
@@ -231,15 +234,11 @@ def hall_remmel_suite(
                         )
 
     for alphabet in even_alphabets:
-        evens = frozenset(range(2, alphabet + 1, 2))
-        everything = frozenset(range(1, alphabet + 1))
-        # A negative bound checks nothing; the pass is then never drawn.
+        evens = range(2, alphabet + 1, 2)
+        # A negative bound checks nothing: no row, so the residue pass is never drawn.
+        rows = formulas.hall_remmel_summed_rows(alphabet, evens, even_n_max)
         residues = formulas.FAMILIES["des-mod"].tables(2, alphabet, 2, max(even_n_max, 0), first=0)
-        for n, residue in zip(range(even_n_max + 1), residues):
-            row = [0] * (n + 1)
-            for rho in compositions(n, alphabet):
-                weighted = formulas.hall_remmel_row(*formulas.hall_remmel_inputs(rho, evens, everything))
-                row = list(map(add, row, weighted))
+        for n, (row, residue) in enumerate(zip(rows, residues)):
             summed = formulas.hall_remmel_differences(row)
             for p in range(n + 1):
                 result.record(

@@ -884,3 +884,29 @@ class TestHallRemmelEvenWords:
                 residue = distribution("des-mod", (2, alphabet, 2, n))
                 assert summed == [residue.get(p, 0) for p in range(n + 1)]
                 assert summed == [count_des_mod(2, alphabet, 2, n, p) for p in range(n + 1)]
+        # The letter pass sums the same rows without a class, odd alphabets and deeper n included.
+        for alphabet in range(1, 7):
+            rows = formulas.hall_remmel_summed_rows(alphabet, range(2, alphabet + 1, 2), 10)
+            for n, row in enumerate(rows):
+                residue = distribution("des-mod", (2, alphabet, 2, n))
+                assert formulas.hall_remmel_differences(row) == [residue.get(p, 0) for p in range(n + 1)]
+
+    def test_letter_pass_is_the_sum_of_class_rows(self):
+        for alphabet in range(1, 6):
+            letters = range(1, alphabet + 1)
+            subsets = [set(c) for size in range(alphabet + 1) for c in itertools.combinations(letters, size)]
+            # Letters outside the alphabet are inert, as in every class's inputs.
+            for tops in subsets + [{2, 4, alphabet + 1}]:
+                rows = formulas.hall_remmel_summed_rows(alphabet, tops, 8)
+                assert len(rows) == 9
+                for n, row in enumerate(rows):
+                    want = [0] * (n + 1)
+                    for rho in compositions(n, alphabet):
+                        weighted = formulas.hall_remmel_row(*formulas.hall_remmel_inputs(rho, tops, letters))
+                        want = [a + b for a, b in zip(want, weighted)]
+                    assert row == want, (alphabet, tops, n)
+
+    def test_letter_pass_edges(self):
+        # No letter: the empty word alone; a negative bound: no row.
+        assert formulas.hall_remmel_summed_rows(0, (), 3) == [[1], [0, 0], [0, 0, 0], [0, 0, 0, 0]]
+        assert formulas.hall_remmel_summed_rows(3, {2}, -1) == []

@@ -174,21 +174,41 @@ class TestHallRemmelSuite:
                             assert derived == (counted_pairs(rho, x & used, y),
                                                formulas.hall_remmel_inputs(rho, x & used, y)), (rho, x, y)
 
-    def test_wrong_weighted_row_is_caught_in_its_even_sum(self, monkeypatch):
-        wrong = formulas.hall_remmel_inputs((1, 2, 0, 0), {2, 4}, {1, 2, 3, 4})
-        weigh = formulas.hall_remmel_row
+    @pytest.mark.parametrize(
+        "skews, by_class, by_sum",
+        [
+            # A top letter's factor C(base + r, reps).
+            (lambda a, slots: slots == ((1, 2),),
+             (108, 6, "rearrangement rho=(1, 1) X=[1] Y=[]"), (30, 9, "even-words-sum alphabet=4 n=2 p=1")),
+            # The factor C(a + r, r) of the letters outside the tops.
+            (lambda a, slots: (a, slots) == (1, ()),
+             (108, 18, "rearrangement rho=(1,) X=[] Y=[]"), (30, 20, "even-words-sum alphabet=2 n=1 p=1")),
+        ],
+        ids=["top", "outside"],
+    )
+    def test_skewed_factor_fails_class_and_even_sum(self, monkeypatch, skews, by_class, by_sum):
+        # Each class's row and the letter pass take their factors from one helper, so a
+        # factor skewed there is caught by the oracle class checks and by the even sum.
+        weigh = formulas.hall_remmel_weights
 
-        def skewed(*inputs):
-            row = weigh(*inputs)
-            if inputs == wrong:
-                row[0] += 1
+        def skewed(scale, a, slots, n):
+            row = weigh(scale, a, slots, n)
+            if skews(a, slots) and n >= 1:
+                row[1] += 1
             return row
 
-        monkeypatch.setattr(formulas, "hall_remmel_row", skewed)
-        result = verify.hall_remmel_suite(m_max=1, weight_max=1, even_n_max=4)
-        # 1 at u^0 times (1-u)^4 moves every p of alphabet 4, n = 3 and nothing else.
-        assert result.failures == 4
-        assert result.first_failure == "even-words-sum alphabet=4 n=3 p=0"
+        monkeypatch.setattr(formulas, "hall_remmel_weights", skewed)
+        result = verify.hall_remmel_suite(m_max=2, weight_max=2, even_n_max=-1)
+        assert result == verify.SuiteResult("hall-remmel", *by_class)
+        result = verify.hall_remmel_suite(m_max=0, weight_max=0, even_n_max=4)
+        assert result == verify.SuiteResult("hall-remmel", *by_sum)
+
+    def test_even_sum_derives_no_class(self, monkeypatch):
+        calls = []
+        for name in ("hall_remmel_row", "hall_remmel_inputs"):
+            monkeypatch.setattr(formulas, name, lambda *args, name=name: calls.append(name))
+        result = verify.hall_remmel_suite(m_max=0, weight_max=7, even_n_max=8)
+        assert (result.checked, result.failures, calls) == (90, 0, [])
 
     def test_wrong_evaluation_is_caught_at_every_letter_set_sharing_it(self, monkeypatch):
         rho = (2, 1)

@@ -163,6 +163,8 @@ CHECKS = [
     # The grouped counts through the CLI's bound mapping: many unused letters, then heavy classes.
     _suite("verify hall-remmel --m-max 4 --weight-max 2 --n-max 8", 4678),
     _suite("verify hall-remmel --m-max 2 --weight-max 7 --n-max 8", 698),
+    # The even-words sum alone, its letter pass to n = 30.
+    _suite("verify hall-remmel --m-max 0 --weight-max 0 --n-max 30", 992),
     _suite("verify formulas-vs-oracle --k-max 10 --n-max 10", 78185),
     _suite("verify oracle-vs-transfer --k-max 3 --n-max 10", 165),
     _suite("verify series-vs-oracle --k-max 4 --n-max 7", 176),
