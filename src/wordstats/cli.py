@@ -13,11 +13,14 @@ any consumer.  Exit codes are part of the contract:
 ``table``: its options, its closed-form parameters and the shape of its
 table.  Its parameter checks, its closed-form table and its query on the
 oracle and transfer engines are declared once, in ``formulas.FAMILIES``.
-``count`` and ``table`` share one dispatch, ``_table``: it checks the
-query with the closed forms' own checks (``formulas.check_params``), the
-statistic value of a ``count`` included, and then makes the one engine
-call that builds the query's whole table.  ``table`` prints every row of
-it and ``count`` the one row it asks for, or 0 where the table has none.
+``ENGINES`` maps each ``--engine`` name, in the order of its choices, to
+the one function that builds a query's whole table on that engine; the
+function holds the engine's refusal of a family and its charge.  ``count``
+and ``table`` share one dispatch, ``_table``: it checks the query with the
+closed forms' own checks (``formulas.check_params``), the statistic value
+of a ``count`` included, and then makes that one engine call.  ``table``
+prints every row of it and ``count`` the one row it asks for, or 0 where
+the table has none.
 
 ``main`` parses an argv in one of two ways.  When its leading words are
 ``count <family>``, ``table <family>`` or ``series``, they select a leaf
@@ -59,16 +62,10 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-from . import formulas
+from . import formulas, oracle
 # evaluate and count_matching are not called here; bench/tracing.py counts calls at both.
 from .formulas import check_params, distribution, evaluate
-from .oracle import (
-    BudgetExceededError,
-    charge_walk,
-    coordinate_distribution,
-    count_matching,
-    rearrangement_distribution,
-)
+from .oracle import BudgetExceededError, charge_walk, count_matching, rearrangement_distribution
 from .words import BlockPartition, FrozenRecord, InputError
 
 SCHEMA_VERSION = "wordstats-output/1"
@@ -267,6 +264,38 @@ FAMILIES = {
 }
 
 
+def _keyed(family: str, dist: dict) -> dict:
+    """A word engine's table keyed as the closed forms key it: joint by targets, else by value."""
+    return dist if FAMILIES[family].joint else {key[0]: count for key, count in dist.items()}
+
+
+# Each engine builds a query's table in one call.  It looks up the functions it calls when it
+# runs, so a wrapper bound on this module or on ``oracle`` runs.
+def _oracle(family: str, params: tuple) -> dict:
+    forms = formulas.FAMILIES[family]
+    if forms.query is None:
+        return rearrangement_distribution(*params)
+    # The walk is charged before the query builds a partition, which holds one entry per letter.
+    charge_walk(*forms.words(*params))
+    k, n, partition, coords = forms.query(*params)
+    return _keyed(family, oracle.brute_distribution(k, n, partition).joint(coords))
+
+
+def _transfer(family: str, params: tuple) -> dict:
+    query = formulas.FAMILIES[family].query
+    if query is None:
+        raise InputError(f"{family} supports the closed-form and oracle engines")
+    return _keyed(family, oracle.statistic_distribution(*query(*params)))
+
+
+# In the order of ``--engine``'s choices; the first is its default.
+ENGINES = {
+    "closed-form": lambda family, params: distribution(family, params),
+    "oracle": _oracle,
+    "transfer": _transfer,
+}
+
+
 def _parameters(family: Family, args) -> dict:
     """The ``parameters`` echo: every option's value, then the family."""
     echo = {dest: getattr(args, dest) for dest in family.echo[args.command]}
@@ -275,27 +304,16 @@ def _parameters(family: Family, args) -> dict:
 
 
 def _table(family: Family, args, value: tuple = ()) -> dict:
-    """A query's table from one engine call, after the closed forms' checks.
+    """A query's table from one ``ENGINES`` call, after the closed forms' checks.
 
     ``value`` holds the statistic value ``count`` asks for, which is checked
-    with the parameters on every engine.  A joint table is keyed by target
-    tuples, any other by statistic value; a value may have no key.
+    with the parameters on every engine, so only a query the closed forms
+    accept meets an engine's refusal of the family.  A joint table is keyed
+    by target tuples, any other by statistic value; a value may have no key.
     """
     params = family.params(args)
     check_params(args.family, params + value)
-    if args.engine == "closed-form":
-        return distribution(args.family, params)
-    forms = formulas.FAMILIES[args.family]
-    if forms.query is None:
-        # Only a query the closed forms accept meets an engine's refusal of the family.
-        if args.engine == "transfer":
-            raise InputError(f"{args.family} supports the closed-form and oracle engines")
-        return rearrangement_distribution(*params)
-    if args.engine == "oracle":
-        # The walk is charged before the query builds a partition, which holds one entry per letter.
-        charge_walk(*forms.words(*params))
-    dist = coordinate_distribution(*forms.query(*params), engine=args.engine)
-    return dist if family.joint else {key[0]: count for key, count in dist.items()}
+    return ENGINES[args.engine](args.family, params)
 
 
 def _cmd_count(args) -> int:
@@ -477,11 +495,7 @@ def _add_count_subparsers(sub, command: str, routes: dict) -> None:
             # Targets are a joint family's statistic, so it must give them.
             flag, kind, text = entry.statistic
             actions.append(p.add_argument(flag, type=kind, required=entry.joint, help=text))
-        actions.append(p.add_argument(
-            "--engine",
-            choices=("closed-form", "oracle", "transfer"),
-            default="closed-form",
-        ))
+        actions.append(p.add_argument("--engine", choices=tuple(ENGINES), default=next(iter(ENGINES))))
         if command == "table":
             actions.append(p.add_argument("--format", choices=("json", "csv"), default="json"))
         _declare(p, actions)

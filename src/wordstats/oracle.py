@@ -41,8 +41,10 @@ digits at a time, ``brute_distribution`` by bit masks and
 rows are few, so each call decodes each of them once and keys that share a
 row share its tuple.
 
-``coordinate_distribution`` answers a set of coordinates from one pass
-of either engine; counts and tables both read off it.
+A set of coordinates is answered from one pass of either engine:
+``statistic_distribution`` tracks only them, and ``DistPolynomial.joint``
+projects a walk's full vectors onto them.  Counts and tables both read
+off that one answer.
 
 A third oracle, ``rearrangement_distribution``, counts descents whose top
 letter lies in one set and whose bottom letter lies in another over a
@@ -66,7 +68,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .combinat import _digits, field_bytes, multinomial, unpack
-from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _stat_index, stat_key
+from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _check_coordinate, stat_key
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
@@ -371,10 +373,8 @@ def statistic_lengths(
     partition.  The first two coordinates are the kernel's dense bit
     fields and any others key its dicts (see the module docstring).
     """
-    for block, stat in coords:
-        _check_coordinate(partition, block, stat)
+    indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
     _validate_shape(k, n, partition)
-    indexed = [(block, _stat_index(stat)) for block, stat in coords]
     for packed in _kernel(k, n, partition, indexed, min(2, len(indexed)), first):
         yield {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
 
@@ -389,37 +389,6 @@ def statistic_distribution(
     return deque(statistic_lengths(k, n, partition, coords, n), maxlen=1).pop()
 
 
-def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> None:
-    if not 1 <= block <= partition.t:
-        raise InputError(
-            f"constraint names block {block}, partition has 1..{partition.t}"
-        )
-    _stat_index(stat)
-
-
-def coordinate_distribution(
-    k: int,
-    n: int,
-    partition: BlockPartition,
-    coords: Sequence[tuple[int, str]],
-    engine: str = "transfer",
-) -> dict[tuple[int, ...], int]:
-    """Joint distribution of (block, statistic) coordinates from one engine pass.
-
-    ``oracle`` enumerates every word and projects onto ``coords``;
-    ``transfer`` runs the DP tracking only ``coords``, which checks them
-    itself.  A count reads one entry of the result, a table reads all of
-    them.
-    """
-    if engine == "transfer":
-        return statistic_distribution(k, n, partition, coords)
-    for block, stat in coords:
-        _check_coordinate(partition, block, stat)
-    if engine == "oracle":
-        return brute_distribution(k, n, partition).joint(coords)
-    raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
-
-
 def count_matching(
     k: int,
     n: int,
@@ -429,16 +398,20 @@ def count_matching(
 ) -> int:
     """Number of words of [k]^n whose statistics meet every (block, statistic, value).
 
-    One entry of ``coordinate_distribution``, which checks the coordinates,
-    also without constraints.
+    One entry of the ``transfer`` engine's ``statistic_distribution`` or of
+    the ``oracle`` engine's ``brute_distribution(...).joint``, each of which
+    checks the coordinates, also without constraints.
     """
     coords = [(block, stat) for block, stat, _ in constraints]
     target = tuple(value for _, _, value in constraints)
     for value in target:
         if value < 0:
             raise InputError(f"constraint value must be nonnegative, got {value}")
-    dist = coordinate_distribution(k, n, partition, coords, engine=engine)
-    return dist.get(target, 0)
+    if engine == "transfer":
+        return statistic_distribution(k, n, partition, coords).get(target, 0)
+    if engine == "oracle":
+        return brute_distribution(k, n, partition).joint(coords).get(target, 0)
+    raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
 
 
 def rearrangement_distribution(

@@ -203,8 +203,8 @@ class DistPolynomial(Record):
         return {key[0]: count for key, count in self.joint([(block, stat)]).items()}
 
     def joint(self, coords: Sequence[tuple[int, str]]) -> dict[tuple[int, ...], int]:
-        """Joint distribution of selected (block, statistic) coordinates."""
-        indexed = [(block - 1, _stat_index(stat)) for block, stat in coords]
+        """Joint distribution of selected (block, statistic) coordinates, each checked first."""
+        indexed = [(block - 1, _check_coordinate(self.partition, block, stat)) for block, stat in coords]
         out: dict[tuple[int, ...], int] = {}
         for vector, count in self.entries.items():
             key = tuple(vector[row][index] for row, index in indexed)
@@ -217,3 +217,10 @@ def _stat_index(stat: str) -> int:
         return _STAT_INDEX[stat]
     except KeyError:
         raise InputError(f"unknown statistic {stat!r}, expected des/ris/lev/cnt")
+
+
+def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> int:
+    """The index of ``stat``, once ``block`` is one of the partition's 1..t."""
+    if not 1 <= block <= partition.t:
+        raise InputError(f"constraint names block {block}, partition has 1..{partition.t}")
+    return _stat_index(stat)

@@ -114,7 +114,7 @@ class TestCount:
 
     def test_engines_agree(self, capsys):
         counts = set()
-        for engine in ("closed-form", "oracle", "transfer"):
+        for engine in cli.ENGINES:
             record = run_json(
                 capsys, "count", "des-gt", "--k", "3", "--t", "1", "--n", "4",
                 "--s", "2", "--engine", engine,
@@ -318,25 +318,39 @@ class TestTable:
         )
         assert closed["result"]["rows"] == oracle["result"]["rows"]
 
-    # One query per family; hall-remmel has no transfer engine and runs on the oracle.
+    # One query per family of ``cli.FAMILIES``, in its order.
     FAMILY_QUERIES = _family_queries()
 
-    @staticmethod
-    def _dp_engines(family):
-        return ["oracle"] if family == "hall-remmel" else ["transfer", "oracle"]
+    # The (engine, family) pairs of ``cli.ENGINES`` x ``cli.FAMILIES`` an engine refuses, with
+    # its refusal line; every other pair answers the closed form's table.
+    REFUSALS = {("transfer", "hall-remmel"): "error: hall-remmel supports the closed-form and oracle engines\n"}
+
+    @classmethod
+    def _engines(cls, family):
+        """The engines of ``cli.ENGINES`` that answer ``family``, in order."""
+        return [engine for engine in cli.ENGINES if (engine, family) not in cls.REFUSALS]
+
+    def test_queries_and_refusals_walk_every_engine_and_family(self):
+        assert [family for family, _ in self.FAMILY_QUERIES] == list(cli.FAMILIES)
+        assert set(self.REFUSALS) < {(engine, family) for engine in cli.ENGINES for family in cli.FAMILIES}
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_engine_table_equals_closed_form(self, capsys, family, params):
-        closed = run_json(capsys, "table", family, *params)
-        _, closed_csv, _ = run(capsys, "table", family, *params, "--format", "csv")
-        for engine in self._dp_engines(family):
-            record = run_json(capsys, "table", family, *params, "--engine", engine)
-            assert record["result"] == closed["result"], engine
-            code, csv, _ = run(
-                capsys, "table", family, *params, "--engine", engine, "--format", "csv"
-            )
-            assert code == 0
-            assert csv == closed_csv, engine
+        """Each engine prints the closed form's table, in JSON and in CSV, or exits 2 refusing the family."""
+        closed = {
+            fmt: run(capsys, "table", family, *params, "--format", fmt) for fmt in ("json", "csv")
+        }
+        assert [code for code, _, _ in closed.values()] == [0, 0]
+        for engine in cli.ENGINES:
+            for fmt, (_, closed_out, _) in closed.items():
+                got = run(capsys, "table", family, *params, "--engine", engine, "--format", fmt)
+                if (engine, family) in self.REFUSALS:
+                    assert got == (cli.EXIT_USAGE, "", self.REFUSALS[engine, family]), fmt
+                elif fmt == "csv":
+                    assert got == (0, closed_out, ""), engine
+                else:
+                    assert got[0] == 0, engine
+                    assert json.loads(got[1])["result"] == json.loads(closed_out)["result"], engine
 
     @staticmethod
     def _count_argv(family, params, value):
@@ -359,16 +373,16 @@ class TestTable:
         )
         monkeypatch.setattr(cli, "count_matching", counting("count_matching", cli.count_matching))
         expected = {
-            "transfer": "statistic_distribution",
-            "oracle": "rearrangement_distribution"
-            if family == "hall-remmel" else "brute_distribution",
+            "closed-form": [],
+            "transfer": ["statistic_distribution"],
+            "oracle": ["rearrangement_distribution" if family == "hall-remmel" else "brute_distribution"],
         }
         count = self._count_argv(family, params, [1, 0, 1] if family == "levels-blocks" else 1)
-        for engine in self._dp_engines(family):
+        for engine in self._engines(family):
             for argv in (["table", family, *params], count):
                 calls.clear()
                 run_json(capsys, *argv, "--engine", engine)
-                assert calls == [expected[engine]], (engine, argv[0])
+                assert calls == expected[engine], (engine, argv[0])
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_closed_form_table_is_one_formula_call(self, capsys, monkeypatch, family, params):
@@ -387,7 +401,7 @@ class TestTable:
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_count_is_its_table_row(self, capsys, family, params):
         """On every engine, ``count`` at each row's value prints that row; one past the last, 0."""
-        for engine in ["closed-form", *self._dp_engines(family)]:
+        for engine in self._engines(family):
             rows = run_json(capsys, "table", family, *params, "--engine", engine)["result"]["rows"]
             last = rows[-1]["value"]
             past = [last[0] + 1, *last[1:]] if isinstance(last, list) else last + 1
@@ -398,7 +412,7 @@ class TestTable:
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES[:5])
     def test_negative_length_table_exits_2_on_every_engine(self, capsys, family, params):
         query = params[: params.index("--n")] + ["--n", "-1"]
-        for engine in ("closed-form", "transfer", "oracle"):
+        for engine in cli.ENGINES:
             code, out, err = run(capsys, "table", family, *query, "--engine", engine)
             assert code == cli.EXIT_USAGE, engine
             assert out == "", engine
@@ -433,7 +447,7 @@ class TestTable:
         assert vars(args) == before
 
     def test_levels_blocks_count_needs_one_target_per_block(self, capsys):
-        for engine in ("closed-form", "oracle", "transfer"):
+        for engine in cli.ENGINES:
             for targets in ("1", "1,0,0"):
                 code, out, err = run(
                     capsys, "count", "levels-blocks", "--block-sizes", "1,2",
@@ -710,7 +724,7 @@ class TestParameterRanges:
         argvs = [["count", family, *query, *value]]
         if (family, query, value, message) not in self.VALUE_FAULTS:
             argvs.append(["table", family, *query])
-        for engine in ("closed-form", "transfer", "oracle"):
+        for engine in cli.ENGINES:
             for argv in argvs:
                 code, out, err = run(capsys, *argv, "--engine", engine)
                 assert code == cli.EXIT_USAGE, (engine, argv)
@@ -725,6 +739,14 @@ class TestParameterRanges:
         )
         assert (code, out) == (cli.EXIT_USAGE, "")
         assert err == "error: hall-remmel supports the closed-form and oracle engines\n"
+
+    def test_unknown_engine_is_refused_naming_the_engines_in_order(self, capsys):
+        code, out, err = outcome(capsys, ["table", "des-le", "--k", "3", "--t", "1", "--n", "4", "--engine", "fast"])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.splitlines()[-1] == (
+            "wordstats table des-le: error: argument --engine: invalid choice: 'fast' "
+            "(choose from 'closed-form', 'oracle', 'transfer')"
+        )
 
 
 class TestIntLists:
@@ -827,7 +849,7 @@ def _count_and_table_argvs():
     for family, params in TestTable.FAMILY_QUERIES:
         flag = cli.FAMILIES[family].statistic[0]
         value = "1,0,1" if cli.FAMILIES[family].joint else "1"
-        for engine in ["closed-form", *TestTable._dp_engines(family)]:
+        for engine in TestTable._engines(family):
             argvs.append(["count", family, *params, flag, value, "--engine", engine])
             argvs.append(["table", family, *params, "--engine", engine])
             argvs.append(["table", family, *params, "--engine", engine, "--format", "csv"])

@@ -20,7 +20,6 @@ from wordstats.combinat import compositions
 from wordstats.oracle import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUMERATION_BUDGET,
-    coordinate_distribution,
     count_matching,
     counted_pairs,
     pair_distribution,
@@ -371,19 +370,23 @@ class TestCountMatching:
                 3, n, part, spec, engine="transfer"
             )
 
-    def test_coordinate_distribution_engines_agree(self):
+    def test_engines_agree_on_a_three_coordinate_joint(self):
+        # The word answers cli's oracle and transfer engines read, entry by entry.
         part = BlockPartition.mod_residue(4, 3)
         coords = [(3, "des"), (1, "lev"), (2, "cnt")]
         for n in range(5):
-            assert coordinate_distribution(
-                4, n, part, coords, engine="oracle"
-            ) == coordinate_distribution(4, n, part, coords, engine="transfer")
+            joint = brute_distribution(4, n, part).joint(coords)
+            assert joint == statistic_distribution(4, n, part, coords)
+            for target, count in joint.items():
+                spec = [coord + (value,) for coord, value in zip(coords, target)]
+                for engine in ("oracle", "transfer"):
+                    assert count_matching(4, n, part, spec, engine=engine) == count, (n, target)
 
-    def test_coordinate_distribution_names_the_block(self):
+    def test_engines_name_the_block(self):
         part = BlockPartition.mod_residue(4, 3)
         for engine in ("oracle", "transfer"):
             with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
-                coordinate_distribution(4, 2, part, [(4, "des")], engine=engine)
+                count_matching(4, 2, part, [(4, "des", 0)], engine=engine)
         # the same message from the reduced DP, before the shape is checked
         for n in (2, -1):
             with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):

@@ -108,7 +108,7 @@ def range_queries(draw):
 @PROPERTY
 @given(range_queries())
 def test_every_engine_accepts_the_same_thresholds_and_moduli(argv):
-    outcomes = {call(*argv, "--engine", engine) for engine in ("closed-form", "transfer", "oracle")}
+    outcomes = {call(*argv, "--engine", engine) for engine in cli.ENGINES}
     codes = {code for code, _, _ in outcomes}
     assert codes in ({0}, {cli.EXIT_USAGE}), outcomes
     if codes == {0}:

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from wordstats import BlockPartition, DistPolynomial, InputError, stat_key
+from wordstats import BlockPartition, DistPolynomial, InputError, brute_distribution, stat_key
 
 
 def _key(letters, partition):
@@ -173,6 +173,16 @@ class TestDistPolynomial:
             "DistPolynomial(entries={((1, 0, 0, 2),): 1}, k=1, n=2, "
             "partition=BlockPartition(k=1, blocks=(1,), t=2))"
         )
+
+    @pytest.mark.parametrize("block", [0, 3])
+    def test_a_block_outside_the_partition_is_refused(self, block):
+        # Block 0 once read the row of block t, and block t + 1 raised a bare IndexError.
+        dist = brute_distribution(3, 3, BlockPartition.threshold(3, 1))
+        assert dist.marginal(2, "des") == {0: 10, 1: 16, 2: 1}
+        for read in (lambda: dist.joint([(1, "des"), (block, "des")]), lambda: dist.marginal(block, "des")):
+            with pytest.raises(InputError) as caught:
+                read()
+            assert str(caught.value) == f"constraint names block {block}, partition has 1..2"
 
 
 class TestStatVector:
