@@ -201,17 +201,10 @@ class Family(FrozenRecord):
     largest one with a nonzero count.
     """
 
-    _fields = ("options", "statistic", "params", "joint")
     options: tuple[tuple[str, type | None, str | None], ...]
     statistic: tuple[str, type | None, str | None]
     params: Callable[[argparse.Namespace], tuple]
-    joint: bool
-
-    def __init__(self, options, statistic, params, joint: bool = False) -> None:
-        object.__setattr__(self, "options", options)
-        object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "joint", joint)
+    joint: bool = False
 
     @functools.cached_property
     def echo(self) -> dict[str, tuple[str, ...]]:

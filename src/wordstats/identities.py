@@ -15,25 +15,23 @@ and ``top_letter_sides`` and ``two_bottom_sides`` read every s of one
 weights are forward differences at 0 of one binomial sequence, so one
 difference table per (n, r) gives them all: n + 1 binomial products and
 about n^2/2 subtractions.  The left-hand sides come as a list of every s
-too, so a row's two sides are compared as two lists.  Reports are built
-(``top_letter_row``, ``two_bottom_row``) from the same lists; only where
-a cell's two sides disagree is an alternate bound variant evaluated too,
-term by term, so the report shows which reading survives.
+too, so a row's two sides are compared as two lists.  A cell's report
+(``check_top_letter_identity``, ``check_two_bottom_identity``) is read
+off the same lists; only where its two sides disagree is an alternate
+bound reading (``top_letter_alternate``, ``two_bottom_alternate``)
+evaluated too, term by term, so the report shows which reading survives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import sub
-from typing import Sequence
 
 from .combinat import binom, expand_shifted, sign
-from .words import InputError
+from .words import FrozenRecord, InputError
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(FrozenRecord):
     identity: str
     params: tuple[int, ...]
     lhs: int
@@ -86,7 +84,7 @@ def direct_count_two_bottom(k: int, n: int, s: int) -> int:
 
 def check_top_letter_identity(n: int, r: int, s: int) -> IdentityReport:
     """C(r,s) C(n-r,s) against its alternating quadruple-binomial expansion."""
-    return top_letter_row(n, r, (s,))[0]
+    return _report("top-letter-binomial", top_letter_sides, top_letter_alternate, n, r, s)
 
 
 def top_letter_sides(n: int, r: int) -> tuple[list[int], list[int]]:
@@ -103,17 +101,15 @@ def top_letter_sides(n: int, r: int) -> tuple[list[int], list[int]]:
     return lhs, expand_shifted(_differences([comb(a, r) * comb(a, n - r) for a in range(n + 1)]))
 
 
-def top_letter_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
-    """``check_top_letter_identity`` at each s of ``values`` (default 0..n), from ``top_letter_sides``."""
-    return _row(
-        "top-letter-binomial", n, r, values, top_letter_sides,
-        # widened outer range; zero binomials make the extra terms vanish
-        # when the two readings agree
-        alt=lambda s: sum(
-            sign(n - a - s) * binom(m, a) * binom(a, r) * binom(a, n - r) * binom(n - m, s)
-            for m in range(0, n + 1)
-            for a in range(r, m + 1)
-        ),
+def top_letter_alternate(n: int, r: int, s: int) -> int:
+    """The top-letter rhs with its outer range widened to m = 0..n, term by term.
+
+    Zero binomials make the extra terms vanish when the two readings agree.
+    """
+    return sum(
+        sign(n - a - s) * binom(m, a) * binom(a, r) * binom(a, n - r) * binom(n - m, s)
+        for m in range(0, n + 1)
+        for a in range(r, m + 1)
     )
 
 
@@ -123,7 +119,7 @@ def check_two_bottom_identity(n: int, r: int, s: int) -> IdentityReport:
     lhs: sum_a C(r+s, s) C(a+r, a-s) C(n-a, n-a-r-s)
     rhs: sum_{m, a <= m-r} (-1)^(n-a-r-s) C(m,a) C(m-a,r) C(2a, n-r) C(n-m, s)
     """
-    return two_bottom_row(n, r, (s,))[0]
+    return _report("two-bottom-binomial", two_bottom_sides, two_bottom_alternate, n, r, s)
 
 
 def two_bottom_sides(n: int, r: int) -> tuple[list[int], list[int]]:
@@ -146,17 +142,12 @@ def two_bottom_sides(n: int, r: int) -> tuple[list[int], list[int]]:
     return lhs + [0] * (n - last), expand_shifted(weights)
 
 
-def two_bottom_row(n: int, r: int, values: Sequence[int] | None = None) -> list[IdentityReport]:
-    """``check_two_bottom_identity`` at each s of ``values`` (default 0..n), from ``two_bottom_sides``."""
-    return _row(
-        "two-bottom-binomial", n, r, values, two_bottom_sides,
-        # the a-range widened to a <= m
-        alt=lambda s: sum(
-            sign(n - a - r - s) * binom(m, a) * binom(m - a, r) * binom(2 * a, n - r)
-            * binom(n - m, s)
-            for m in range(0, n + 1)
-            for a in range(0, m + 1)
-        ),
+def two_bottom_alternate(n: int, r: int, s: int) -> int:
+    """The two-bottom rhs with its a-range widened to a <= m, term by term."""
+    return sum(
+        sign(n - a - r - s) * binom(m, a) * binom(m - a, r) * binom(2 * a, n - r) * binom(n - m, s)
+        for m in range(0, n + 1)
+        for a in range(0, m + 1)
     )
 
 
@@ -176,18 +167,13 @@ def _check(n: int, r: int) -> None:
         raise InputError(f"identity parameter r must be at most n, got r={r} > n={n}")
 
 
-def _row(identity: str, n: int, r: int, values, sides, alt) -> list[IdentityReport]:
-    """One report per s of ``values``, read off the two lists ``sides(n, r)``.
+def _report(identity: str, sides, alternate, n: int, r: int, s: int) -> IdentityReport:
+    """The cell s of the two lists ``sides(n, r)``; both vanish past s = n.
 
-    Both sides vanish past s = n.  Only where they differ is ``alt(s)``
-    evaluated.
+    Only where the two sides differ is ``alternate(n, r, s)`` evaluated.
     """
-    values = range(n + 1) if values is None else values
-    if any(s < 0 for s in values):
+    if s < 0:
         raise InputError("identity parameters must be nonnegative")
     lhs, rhs = sides(n, r)
-    reports = []
-    for s in values:
-        left, right = (lhs[s], rhs[s]) if s <= n else (0, 0)
-        reports.append(IdentityReport(identity, (n, r, s), left, right, None if left == right else alt(s)))
-    return reports
+    left, right = (lhs[s], rhs[s]) if s <= n else (0, 0)
+    return IdentityReport(identity, (n, r, s), left, right, None if left == right else alternate(n, r, s))

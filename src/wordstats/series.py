@@ -39,11 +39,10 @@ lands on a valid one and never changes a coefficient the check accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, decode
-from .words import BlockPartition, DistPolynomial, InputError
+from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Record
 
 Terms = dict[int, int]
 
@@ -95,8 +94,7 @@ def _nonzero(terms: Terms) -> Terms:
     return terms
 
 
-@dataclass
-class PowerSeries:
+class PowerSeries(Record):
     """Series in one expansion variable, truncated at ``order`` inclusive.
 
     ``coeffs[i]`` is the exact polynomial coefficient of var**i; the list
@@ -156,8 +154,7 @@ class PowerSeries:
         return self._wrap(self.var, self.names, _quotient(left, right))
 
 
-@dataclass(frozen=True)
-class TrackingSpec:
+class TrackingSpec(FrozenRecord):
     """Which statistic markers stay symbolic in a series build.
 
     Untracked markers are specialized to 1.  Letter counts are either
@@ -172,7 +169,8 @@ class TrackingSpec:
     z: tuple[bool, ...]
     per_block_q: bool = False
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not len(self.x) == len(self.y) == len(self.z):
             raise InputError("per-block tracking flags must have equal lengths")
 

@@ -17,7 +17,6 @@ wrong constant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import formulas, identities
 from .formulas import _grid_partitions
@@ -33,12 +32,11 @@ from .oracle import (
     transfer_lengths,
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
-from .words import BlockPartition, InputError
+from .words import BlockPartition, InputError, Record
 from .combinat import compositions
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     suite: str
     checked: int = 0
     failures: int = 0
@@ -134,25 +132,26 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
     """Both binomial identities on their full grids, plus the direct counts.
 
     A row (n, r) holds the n + 1 checks s = 0..n.  Its two sides come as
-    two lists, and a row whose lists agree counts its checks at once; only
-    a row that disagrees is reported cell by cell.
+    two lists, and a row whose lists agree counts its checks at once; a
+    row that disagrees is compared cell by cell, and only the first
+    failing cell has its report built, to name it.
     """
     result = SuiteResult("identities")
     rows = (
-        (identities.top_letter_sides, identities.top_letter_row, top_n_max),
-        (identities.two_bottom_sides, identities.two_bottom_row, two_bottom_n_max),
+        (identities.top_letter_sides, identities.check_top_letter_identity, top_n_max),
+        (identities.two_bottom_sides, identities.check_two_bottom_identity, two_bottom_n_max),
     )
-    for sides, row, n_max in rows:
+    for sides, check, n_max in rows:
         for n in range(n_max + 1):
             for r in range(n + 1):
                 lhs, rhs = sides(n, r)
                 if lhs == rhs:
                     result.record(True, None, n + 1)
                     continue
-                for report in row(n, r):
+                for s, (left, right) in enumerate(zip(lhs, rhs)):
                     result.record(
-                        report.ok,
-                        lambda report=report: f"{report.identity} {report.params}: {report.lhs} != {report.rhs} (alt {report.alt_rhs})",
+                        left == right,
+                        lambda check=check, n=n, r=r, s=s: "{0.identity} {0.params}: {0.lhs} != {0.rhs} (alt {0.alt_rhs})".format(check(n, r, s)),
                     )
     # Per direct count: the closed form it equals at each (alphabet, threshold).
     direct = (
@@ -171,12 +170,7 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
     return result
 
 
-def hall_remmel_suite(
-    m_max: int = 4,
-    weight_max: int = 7,
-    even_alphabets: tuple[int, ...] = (2, 4),
-    even_n_max: int = 6,
-) -> SuiteResult:
+def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) -> SuiteResult:
     """Rearrangement-class closed form against its oracle, all letter sets.
 
     A check runs for every class rho and every pair (X, Y) of top and
@@ -194,12 +188,12 @@ def hall_remmel_suite(
     distinct counted-pair set and class, and the closed form once per
     distinct input tuple and class.
 
-    It also checks that the closed form with the even letters on top and
-    every letter at the bottom, summed over every rearrangement class of a
-    given weight, reproduces the residue-class descent count with modulus
-    2.  The closed form's table is linear in its weighted row, so the rows
-    summed over the classes of each weight are differenced once per
-    (alphabet, n).  One letter pass per alphabet
+    It also checks, on the alphabets of sizes 2 and 4, that the closed form
+    with the even letters on top and every letter at the bottom, summed
+    over every rearrangement class of a given weight, reproduces the
+    residue-class descent count with modulus 2.  The closed form's table
+    is linear in its weighted row, so the rows summed over the classes of
+    each weight are differenced once per (alphabet, n).  One letter pass per alphabet
     (``formulas.hall_remmel_summed_rows``) gives the summed rows of every
     n without enumerating a class, building its factors from the same
     ``formulas.hall_remmel_weights`` as each class's row, and one residue
@@ -233,7 +227,7 @@ def hall_remmel_suite(
                             sharing,
                         )
 
-    for alphabet in even_alphabets:
+    for alphabet in (2, 4):
         evens = range(2, alphabet + 1, 2)
         # A negative bound checks nothing: no row, so the residue pass is never drawn.
         rows = formulas.hall_remmel_summed_rows(alphabet, evens, even_n_max)
@@ -362,8 +356,7 @@ def series_weight_suite(k_max: int = 3, n_max: int = 4) -> SuiteResult:
     return result
 
 
-@dataclass
-class ErrataCase:
+class ErrataCase(Record):
     """One resolved transcription ambiguity in the mod-class formulas."""
 
     name: str

@@ -27,16 +27,51 @@ class InputError(ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class Record:
-    """Equality and repr over the attributes ``_fields`` names, as ``@dataclass`` writes them.
+_setattr = object.__setattr__
 
-    Two records are equal when they are of the same class and their fields
-    are; a record is unhashable.  Plain classes keep ``dataclasses``, and
-    the ``inspect`` and ``ast`` it imports, out of a cold CLI process.
+
+class Record:
+    """A record type: its constructor, equality and repr, written from its fields.
+
+    The fields are the names a subclass annotates, after its bases' ones; a
+    class attribute of that name is the default (in a ``__slots__`` class
+    the name holds the slot, so there is none).  A subclass that adds fields
+    gets an ``__init__`` compiled from them, as ``namedtuple`` compiles its
+    ``__new__``: it costs what a hand-written one does, and Python's own
+    argument binding raises ``TypeError`` for a missing, unknown, repeated
+    or extra field.  An ``__init__`` of the subclass's own reaches it through
+    ``super().__init__``.  Records are equal when their classes and fields
+    are; a record is unhashable.  Every wordstats record type is one of
+    these, so no wordstats module imports the ``inspect`` and ``ast`` that a
+    class decorator from the standard library would bring.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", {}) if name not in cls._fields]
+        if not own:
+            return
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(own)
+        defaults = {name: getattr(cls, name) for name in own if name in vars(cls) and name not in slots}
+        cls._defaults = {**cls._defaults, **defaults}
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in cls._fields)
+        # A frozen record's __setattr__ refuses every field, so its fields are set past it.
+        assign = "self.{0} = {0}" if cls.__setattr__ is _setattr else "_setattr(self, {0!r}, {0})"
+        body = "; ".join(assign.format(name) for name in cls._fields)
+        scope = {"_setattr": _setattr, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}): {body}", scope)
+        cls._init = scope["__init__"]
+        cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._init
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._init(*args, **kwargs)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -52,10 +87,7 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A ``Record`` that hashes its fields and refuses assignment and deletion.
-
-    ``__init__`` sets the fields with ``object.__setattr__``.
-    """
+    """A ``Record`` that hashes its fields and refuses assignment and deletion."""
 
     __slots__ = ()
 
@@ -81,15 +113,13 @@ class BlockPartition(FrozenRecord):
     of inhabited ones.
     """
 
-    __slots__ = _fields = ("k", "blocks", "t")
+    __slots__ = ("k", "blocks", "t")
     k: int
     blocks: tuple[int, ...]
     t: int
 
     def __init__(self, k: int, blocks, t: int) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "t", t)
+        super().__init__(k, tuple(blocks), t)
         if self.k < 1:
             raise InputError(f"alphabet size must be at least 1, got {self.k}")
         if self.t < 1:
@@ -183,17 +213,11 @@ def stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
 class DistPolynomial(Record):
     """Exact joint distribution: ``stat_key`` tuple -> number of words attaining it."""
 
-    __slots__ = _fields = ("entries", "k", "n", "partition")
+    __slots__ = ("entries", "k", "n", "partition")
     entries: dict[tuple[tuple[int, int, int, int], ...], int]
     k: int
     n: int
     partition: BlockPartition
-
-    def __init__(self, entries, k: int, n: int, partition: BlockPartition) -> None:
-        self.entries = entries
-        self.k = k
-        self.n = n
-        self.partition = partition
 
     def total(self) -> int:
         return sum(self.entries.values())

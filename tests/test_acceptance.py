@@ -55,9 +55,7 @@ def test_criterion_5_binomial_identities():
 
 
 def test_criterion_6_rearrangement_cross_check():
-    result = verify.hall_remmel_suite(
-        m_max=4, weight_max=7, even_alphabets=(2, 4), even_n_max=6
-    )
+    result = verify.hall_remmel_suite(m_max=4, weight_max=7, even_n_max=6)
     _report(6, "rearrangement closed form vs oracle", result.ok)
     assert result.ok, result.first_failure
 

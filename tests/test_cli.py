@@ -1118,6 +1118,26 @@ class TestColdProcess:
         _, _, modules = self._run(argv, 0)
         assert {"wordstats.series", "wordstats.polynomials"} <= modules
         assert "wordstats.verify" not in modules
+        assert "dataclasses" not in modules
+
+    def test_verify_loads_no_dataclasses(self):
+        out, _, modules = self._run(["verify", "identities", "--n-max", "3"], 0)
+        assert json.loads(out)["result"]["failures"] == 0
+        assert {"wordstats.verify", "wordstats.identities", "wordstats.series"} <= modules
+        assert {"dataclasses", "inspect", "ast"} & modules == set()
+
+    def test_no_wordstats_module_imports_dataclasses(self):
+        done = spawn(code="""
+import importlib, pkgutil, sys, wordstats
+names = [info.name for info in pkgutil.iter_modules(wordstats.__path__, "wordstats.")]
+for name in names:
+    importlib.import_module(name)
+print(" ".join(names))
+sys.exit("dataclasses" in sys.modules)
+""", stdout=subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        assert set(done.stdout.split()) >= {"wordstats.cli", "wordstats.identities", "wordstats.series",
+                                            "wordstats.verify", "wordstats.words"}
 
     def test_series_names_resolve_before_any_series_request(self):
         """A fresh ``cli`` answers the names the tracer wraps, from ``series``, on first access."""

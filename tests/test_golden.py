@@ -1,6 +1,7 @@
 """tools/golden.py: the first round of every benchmark stream answers as its committed digest says."""
 
 import importlib.util
+import itertools
 import json
 import subprocess
 import sys
@@ -23,14 +24,24 @@ COMMITTED = json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
 def test_the_file_holds_every_stream_at_its_full_length():
     assert list(COMMITTED) == golden.streams()
     for name, digests in COMMITTED.items():
-        workload = name.split("/")[0]
-        assert len(digests) == golden.workloads.rounds_for(workload, golden.SECONDS), name
+        assert len(digests) == golden.full_length(name), name
 
 
 def test_first_round_of_every_stream_matches():
     for name in golden.streams():
-        workload, seed = name.split("/")
-        assert golden.stream_digests(workload, int(seed), 1) == COMMITTED[name][:1], name
+        assert golden.stream_digests(name, 1) == COMMITTED[name][:1], name
+
+
+def test_every_declared_argv_matches():
+    assert golden.stream_digests(golden.ARGV_STREAM) == COMMITTED[golden.ARGV_STREAM]
+
+
+def test_the_argvs_cover_every_family_engine_and_format():
+    tables = {(argv[1], argv[argv.index("--engine") + 1], argv[-1]) for argv in golden.ARGVS if argv[0] == "table"}
+    counts = [argv[1] for argv in golden.ARGVS if argv[0] == "count"]
+    families = list(golden.QUERIES)
+    assert tables == set(itertools.product(families, ("closed-form", "oracle", "transfer"), ("json", "csv")))
+    assert counts == families == list(golden._program().cli.FAMILIES)
 
 
 def test_first_difference_names_the_round():
@@ -42,6 +53,7 @@ def test_first_difference_names_the_round():
 
 def test_a_changed_digest_fails_by_stream_and_round(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(golden.workloads, "rounds_for", lambda workload, seconds: 1)
+    monkeypatch.setattr(golden, "ARGVS", golden.ARGVS[:1])
     monkeypatch.setattr(golden, "DIGESTS", tmp_path / "golden.json")
     assert golden.main(["--write"]) == 0
     written = json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
@@ -55,7 +67,7 @@ def test_a_changed_digest_fails_by_stream_and_round(tmp_path, monkeypatch, capsy
     [failure] = [line for line in lines if line.startswith("FAIL")]
     assert failure.startswith("FAIL tables-transfer/12: 1 rounds ("), failure
     assert failure.endswith(" s): round 0 differs"), failure
-    assert lines[-1] == "7 of 8 streams match golden.json"
+    assert lines[-1] == "8 of 9 streams match golden.json"
 
 
 def test_importing_the_script_loads_only_the_standard_library_and_the_program():

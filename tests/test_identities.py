@@ -150,16 +150,24 @@ class TestIdentityRows:
     def test_rows_equal_per_cell_sums(self):
         for n in range(17):
             for r in range(n + 1):
-                top = identities.top_letter_row(n, r)
-                bottom = identities.two_bottom_row(n, r)
-                assert [report.params for report in top + bottom] == [(n, r, s) for s in range(n + 1)] * 2
                 for s in range(n + 1):
-                    assert (top[s].lhs, top[s].rhs) == (
+                    top = check_top_letter_identity(n, r, s)
+                    bottom = check_two_bottom_identity(n, r, s)
+                    assert (top.params, bottom.params) == ((n, r, s), (n, r, s))
+                    assert (top.lhs, top.rhs) == (
                         binom(r, s) * binom(n - r, s), self.top_letter(n, r, s)
                     ), (n, r, s)
-                    assert (bottom[s].lhs, bottom[s].rhs) == (
+                    assert (bottom.lhs, bottom.rhs) == (
                         self.two_bottom_lhs(n, r, s), self.two_bottom(n, r, s)
                     ), (n, r, s)
+
+    def test_alternate_readings_equal_the_rhs(self):
+        # Each widened range adds only terms with a vanishing binomial.
+        for n in range(9):
+            for r in range(n + 1):
+                for s in range(n + 2):
+                    assert identities.top_letter_alternate(n, r, s) == self.top_letter(n, r, s), (n, r, s)
+                    assert identities.two_bottom_alternate(n, r, s) == self.two_bottom(n, r, s), (n, r, s)
 
     def test_cells_beyond_the_row(self):
         # s above n, which a row of s = 0..n does not reach
@@ -176,16 +184,16 @@ class TestIdentityRows:
         for check in (check_top_letter_identity, check_two_bottom_identity):
             with pytest.raises(InputError, match="r must be at most n, got r=5 > n=3"):
                 check(3, 5, 0)
-        for row in (identities.top_letter_row, identities.two_bottom_row):
             for n in range(4):
                 with pytest.raises(InputError):
-                    row(n, n + 1)
+                    check(n, n + 1, 0)
 
     def test_forced_mismatch_fills_alt_rhs(self, monkeypatch):
         expand = identities.expand_shifted
         monkeypatch.setattr(identities, "expand_shifted", lambda weights: [c + 1 for c in expand(weights)])
         top = check_top_letter_identity(6, 3, 2)
         assert (top.lhs, top.rhs, top.alt_rhs) == (9, 10, 9)
+        assert check_top_letter_identity(6, 3, 7).alt_rhs is None
         bottom = check_two_bottom_identity(4, 1, 1)
         widened = sum(
             sign(4 - a - 1 - 1) * binom(m, a) * binom(m - a, 1) * binom(2 * a, 3) * binom(4 - m, 1)

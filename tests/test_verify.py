@@ -34,8 +34,8 @@ CATALOG_DEEPEST = [
     ("oracle_vs_transfer", (5, 5), ("oracle-vs-transfer", 180)),
     ("series_vs_oracle", (5, 5), ("series-vs-oracle", 180)),
     ("formulas_vs_oracle", (6, 4), ("formulas-vs-oracle", 4374)),
-    ("hall_remmel_suite", (4, 2, (2, 4), 8), ("hall-remmel", 4678)),
-    ("hall_remmel_suite", (2, 7, (2, 4), 8), ("hall-remmel", 698)),
+    ("hall_remmel_suite", (4, 2, 8), ("hall-remmel", 4678)),
+    ("hall_remmel_suite", (2, 7, 8), ("hall-remmel", 698)),
 ]
 
 

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from wordstats import BlockPartition, DistPolynomial, InputError, brute_distribution, stat_key
+from wordstats.words import FrozenRecord, Record
 
 
 def _key(letters, partition):
@@ -53,6 +54,77 @@ class TestWord:
         for letters in itertools.product(range(1, 4), repeat=4):
             des, ris, lev, cnt = _key(letters, one_block)[0]
             assert _key(_complement(letters, 3), one_block)[0] == (ris, des, lev, cnt)
+
+
+class Point(Record):
+    x: int
+    y: int = 0
+    label: str = "p"
+
+
+class Slotted(FrozenRecord):
+    __slots__ = ("a", "b")
+    a: int
+    b: tuple
+
+
+class Labelled(Point):
+    z: int = 9
+
+
+class TestRecord:
+    RECORDS = [
+        pytest.param(Point, ("x",), {"y": 0, "label": "p"}, id="unslotted"),
+        pytest.param(Slotted, ("a", "b"), {}, id="slotted"),
+    ]
+
+    @pytest.mark.parametrize("cls, required, defaults", RECORDS)
+    def test_fields_are_the_annotations_and_defaults_the_class_attributes(self, cls, required, defaults):
+        assert cls._fields == required + tuple(defaults)
+        assert cls._defaults == defaults
+
+    def test_positional_keyword_and_default_fields(self):
+        assert repr(Point(1)) == "Point(x=1, y=0, label='p')"
+        assert Point(1, 2, "q") == Point(y=2, label="q", x=1) == Point(1, label="q", y=2)
+        assert Point(1, 2)._values() == (1, 2, "p")
+        slotted = Slotted(1, b=(2,))
+        assert (slotted.a, slotted.b) == (1, (2,)) and slotted == Slotted(a=1, b=(2,))
+        assert not hasattr(slotted, "__dict__")
+
+    def test_a_subclass_adds_its_fields_after_its_bases(self):
+        assert Labelled._fields == ("x", "y", "label", "z")
+        assert repr(Labelled(1, z=3)) == "Labelled(x=1, y=0, label='p', z=3)"
+        assert Labelled(1) != Point(1)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Point(), r"Point.__init__\(\) missing 1 required positional argument: 'x'"),
+            (lambda: Point(1, w=2), r"Point.__init__\(\) got an unexpected keyword argument 'w'"),
+            (lambda: Point(1, x=2), r"Point.__init__\(\) got multiple values for argument 'x'"),
+            (lambda: Point(1, 2, "q", 4), r"Point.__init__\(\) takes from 2 to 4 positional arguments but 5"),
+            (lambda: Slotted(1), r"Slotted.__init__\(\) missing 1 required positional argument: 'b'"),
+            (lambda: Slotted(1, (2,), c=3), r"Slotted.__init__\(\) got an unexpected keyword argument 'c'"),
+            (lambda: Slotted(1, a=1), r"Slotted.__init__\(\) got multiple values for argument 'a'"),
+            (lambda: Slotted(1, (2,), 3), r"Slotted.__init__\(\) takes 3 positional arguments but 4"),
+            (lambda: BlockPartition(3, (1, 1, 2)), r"BlockPartition.__init__\(\) missing 1 required"),
+            (lambda: DistPolynomial({}, 1, 2, None, 5), r"DistPolynomial.__init__\(\) takes 5 positional"),
+        ],
+    )
+    def test_a_missing_unknown_repeated_or_extra_field_is_a_type_error(self, make, message):
+        with pytest.raises(TypeError, match=message):
+            make()
+
+    def test_frozen_records_hash_and_refuse_assignment(self):
+        slotted = Slotted(1, (2,))
+        assert hash(slotted) == hash((1, (2,))) and pickle.loads(pickle.dumps(slotted)) == slotted
+        with pytest.raises(AttributeError, match="cannot assign to field 'a'"):
+            slotted.a = 2
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Point(1))
+        point = Point(1)
+        point.y = 5
+        assert point == Point(1, 5) and pickle.loads(pickle.dumps(point)) == point
 
 
 class TestBlockPartition:

@@ -10,6 +10,10 @@ for a ``solve-block-system`` request, a direct ``solve_block_system`` call whose
 are printed coefficient by coefficient.  A round's digest covers each of its requests'
 argv, exit code, stdout and stderr (a solve's printed coefficients as its stdout).
 
+The streams never send ``--format csv`` and send ``--engine oracle`` only for
+``hall-remmel``, so one more stream, ``argvs``, replays the fixed list ``ARGVS``, one argv
+per round: a ``table`` per family, engine and format, and a ``count`` per family.
+
 The script prints one line per stream and exits 0 when every round matches the file,
 or 1 naming the first differing round of each stream that differs.  It imports
 ``bench/workloads.py`` and ``bench/checks.py`` without changing them, and uses the
@@ -41,6 +45,24 @@ import checks  # noqa: E402  (bench/checks.py: solve_query)
 import workloads  # noqa: E402
 
 
+# Per family: a small query, and the statistic value a count adds to it.
+QUERIES = {
+    "levels-threshold": ("--k 3 --t 1 --n 4", "--s 1"),
+    "levels-blocks": ("--block-sizes 1,2 --n 4", "--targets 1,1"),
+    "des-le": ("--k 3 --t 2 --n 4", "--s 1"),
+    "des-gt": ("--k 3 --t 1 --n 4", "--s 2"),
+    "des-mod": ("--s 2 --alphabet 4 --r 1 --n 4", "--p 1"),
+    "hall-remmel": ("--rho 2,1,1 --x all --y 1,2", "--s 1"),
+}
+ARGV_STREAM = "argvs"
+ARGVS = [
+    ["table", family, *query.split(), "--engine", engine, "--format", form]
+    for family, (query, _) in QUERIES.items()
+    for engine in ("closed-form", "oracle", "transfer")
+    for form in ("json", "csv")
+] + [["count", family, *query.split(), *value.split()] for family, (query, value) in QUERIES.items()]
+
+
 def _program() -> SimpleNamespace:
     from wordstats import cli, polynomials, series, words
 
@@ -63,17 +85,17 @@ def _pinned_environment():
                 os.environ[name] = value
 
 
-def _reply(request, ws) -> tuple[int, str, str]:
+def _reply(kind: str, argv, ws) -> tuple[int, str, str]:
     """One request's (exit code, stdout, stderr); an escaped exception exits 1 and names itself."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            if request.kind == "solve":
-                for part in ws.series.solve_block_system(*checks.solve_query(request.argv, ws)):
+            if kind == "solve":
+                for part in ws.series.solve_block_system(*checks.solve_query(argv, ws)):
                     print(part.var, part.names, *ws.polynomials.render(part.coeffs), sep="\n")
                 code = 0
             else:
-                code = ws.cli.main(list(request.argv))
+                code = ws.cli.main(list(argv))
         except SystemExit as exc:  # argparse exits 2 on usage errors
             code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
         except Exception as exc:
@@ -82,25 +104,38 @@ def _reply(request, ws) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def stream_digests(workload: str, seed: int, rounds: int | None = None) -> list[str]:
+def _rounds(name: str):
+    """The stream's rounds, each a list of (kind, argv) requests."""
+    if name == ARGV_STREAM:
+        return [[("cli", argv)] for argv in ARGVS]
+    workload, seed = name.split("/")
+    return ([(request.kind, request.argv) for request in batch] for batch in workloads.rounds(workload, int(seed)))
+
+
+def full_length(name: str) -> int:
+    """The number of rounds the full replay of a stream takes."""
+    return len(ARGVS) if name == ARGV_STREAM else workloads.rounds_for(name.split("/")[0], SECONDS)
+
+
+def stream_digests(name: str, rounds: int | None = None) -> list[str]:
     """Per round of the stream, the digest of its replies; ``rounds`` defaults to the full replay."""
     if rounds is None:
-        rounds = workloads.rounds_for(workload, SECONDS)
+        rounds = full_length(name)
     ws = _program()
     digests = []
     with _pinned_environment():
-        for _, batch in zip(range(rounds), workloads.rounds(workload, seed)):
+        for _, batch in zip(range(rounds), _rounds(name)):
             digest = hashlib.sha256()
-            for request in batch:
-                code, out, err = _reply(request, ws)
-                digest.update(json.dumps([request.argv, code, out, err]).encode())
+            for kind, argv in batch:
+                code, out, err = _reply(kind, argv, ws)
+                digest.update(json.dumps([argv, code, out, err]).encode())
             digests.append(digest.hexdigest()[:16])
     return digests
 
 
 def streams() -> list[str]:
-    """The stream names, ``<workload>/<seed>``, in replay order."""
-    return [f"{workload}/{seed}" for workload in workloads.WORKLOADS for seed in SEEDS]
+    """The stream names, ``<workload>/<seed>`` and then ``argvs``, in replay order."""
+    return [f"{workload}/{seed}" for workload in workloads.WORKLOADS for seed in SEEDS] + [ARGV_STREAM]
 
 
 def first_difference(got: list[str], want: list[str]) -> int | None:
@@ -118,15 +153,16 @@ def main(argv=None) -> int:
     want = {} if args.write else json.loads(DIGESTS.read_text(encoding="utf-8"))
     got, failed = {}, 0
     for name in streams():
-        workload, seed = name.split("/")
         start = time.perf_counter()
-        got[name] = stream_digests(workload, int(seed))
+        got[name] = stream_digests(name)
         line = f"{name}: {len(got[name])} rounds ({time.perf_counter() - start:.2f} s)"
         if not args.write:
             index = first_difference(got[name], want.get(name, []))
             if index is not None:
                 failed += 1
                 line = f"FAIL {line}: round {index} differs"
+                if name == ARGV_STREAM and index < len(ARGVS):
+                    line += f" ({' '.join(ARGVS[index])})"
         print(line, flush=True)
     if args.write:
         DIGESTS.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
