@@ -43,9 +43,9 @@ echo (a flat object) included, and each command appends the pieces of its
 ``result``: a table row or a series coefficient is one string.  ``_emit``
 joins the pieces once.  ``table`` turns its table into (value, count)
 pairs once, and its JSON and CSV outputs both read them.  ``count`` and
-``table`` print a count of any length in full: ``_AllDigits`` lifts
-Python's limit on int-to-decimal digits while they write, and parsing
-keeps it.
+``table`` print a count, and ``series`` a coefficient, of any length in
+full: ``_AllDigits`` lifts Python's limit on int-to-decimal digits while
+they write, and parsing keeps it.
 
 A ``count`` or ``table`` process loads no more than ``words``,
 ``combinat``, ``oracle``, ``formulas`` and this module: ``series`` loads
@@ -416,11 +416,12 @@ def _cmd_series(args) -> int:
         '\n    "coefficients": ['
     )
     # Order 0 upward, so there is at least one coefficient.
-    out += [
-        f'\n      {{\n        "order": {i},\n        "polynomial": '
-        f'{encode_basestring_ascii(text)}\n      }},'
-        for i, text in enumerate(render(series.coeffs))
-    ]
+    with _AllDigits():
+        out += [
+            f'\n      {{\n        "order": {i},\n        "polynomial": '
+            f'{encode_basestring_ascii(text)}\n      }},'
+            for i, text in enumerate(render(series.coeffs))
+        ]
     out[-1] = out[-1][:-1]
     out.append("\n    ]\n  }")
     _emit(out)

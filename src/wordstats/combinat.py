@@ -5,9 +5,11 @@ The alternating sums downstream rely on one binomial convention: C(n, 0) is
 expansions produce at boundary parameters), and C(n, k) is 0 whenever k is
 negative, k exceeds a nonnegative n, or n is negative with k positive.
 
-The identity rows take their weights w_b off one forward-difference table
-and expand sum_b w_b (u-1)^b by Horner's rule in u-1 (``expand_shifted``),
-so no binomial row is built.
+The Hall-Remmel closed form and the right-hand sides of both binomial
+identities end in one step, c_j = sum_i (-1)^(j-i) C(L, j-i) f(i) for a
+row of L values f(i): the coefficients of (1-u)^L sum_i f(i) u^i up to
+u^(L-1).  ``differences`` takes it as L passes of differences, so no
+binomial row is built.
 
 The packed engines hold a one-marker polynomial as one integer, count i in
 byte field i (``field_bytes``, ``unpack``, ``respace``).  Only the final
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 def binom(n: int, k: int) -> int:
@@ -37,15 +39,14 @@ def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def expand_shifted(weights: Iterable[int]) -> list[int]:
-    """Coefficients of sum_b w_b (u-1)^b, lowest power first, from w_d, ..., w_1, w_0.
+def differences(row: list[int]) -> list[int]:
+    """``row`` times (1-u)^len(row), cut at the row's own length.
 
-    Horner's rule in u-1: the row so far is multiplied by u-1, one pass of
-    differences, and the next weight is added to its constant term.
+    The product is len(row) passes of differences.  It is linear in the
+    row, so rows of one length may be summed before it.
     """
-    row: list[int] = []
-    for weight in weights:
-        row = [weight - row[0], *map(sub, row, row[1:]), row[-1]] if row else [weight]
+    for _ in range(len(row)):
+        row = [row[0], *map(sub, row[1:], row)]
     return row
 
 

@@ -64,11 +64,11 @@ from collections import deque
 from functools import lru_cache, partial
 from itertools import product, repeat, zip_longest
 from math import comb, factorial, prod
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import _digits, binom, field_bytes, respace, sign, unpack
+from .combinat import _digits, binom, differences, field_bytes, respace, sign, unpack
 from .words import BlockPartition, InputError
 
 
@@ -462,10 +462,10 @@ def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
     """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, from one pass over r.
 
     The counts are the coefficients of the weighted row
-    (``hall_remmel_row``) times (1-u)^(n+1) up to u^n; above u^n they
-    vanish.
+    (``hall_remmel_row``) times (1-u)^(n+1) up to u^n
+    (``combinat.differences``); above u^n they vanish.
     """
-    return dict(enumerate(hall_remmel_differences(hall_remmel_row(outside, slots, n))))
+    return dict(enumerate(differences(hall_remmel_row(outside, slots, n))))
 
 
 def hall_remmel_row(outside, slots, n: int) -> list[int]:
@@ -533,17 +533,6 @@ def hall_remmel_summed_rows(alphabet: int, top_letters, n_max: int) -> list[list
     for (n, outside), vector in states.items():
         rows[n] = list(map(add, rows[n], map(mul, vector, column(outside, ()))))
     return rows
-
-
-def hall_remmel_differences(row: list[int]) -> list[int]:
-    """``row`` times (1-u)^len(row), cut at the row's own length.
-
-    The product is len(row) passes of differences.  It is linear in the
-    row, so rows of one length may be summed before it.
-    """
-    for _ in range(len(row)):
-        row = [row[0], *map(sub, row[1:], row)]
-    return row
 
 
 CLOSED_FORMS = {

@@ -6,15 +6,15 @@ the two bottom letters.  Equating each direct count with the general
 alternating-sum formula, coefficient by coefficient, yields a pure
 binomial identity; both sides are evaluated here numerically and compared.
 
-In both right-hand sides s enters only through C(n-m, s) and a sign:
-rhs(s) = sum_m (-1)^(n-m-s) C(n-m, s) w(m), with an s-free weight w(m)
-that is a sum over a.  The factor of s is the coefficient of u^s in
-(u-1)^(n-m), so rhs(s) is the u^s coefficient of sum_m w(m) (u-1)^(n-m),
-and ``top_letter_sides`` and ``two_bottom_sides`` read every s of one
-(n, r) off that one s-free row, as the closed forms do.  The row's
-weights are forward differences at 0 of one binomial sequence, so one
-difference table per (n, r) gives them all: n + 1 binomial products and
-about n^2/2 subtractions.  The left-hand sides come as a list of every s
+In both right-hand sides s enters only through C(n-m, s) and a sign, and m
+only there and through C(m, a), so the sum over m is Chu-Vandermonde's:
+sum_m C(m, a) C(n-m, s) = C(n+1, a+s+1).  That leaves
+rhs(s) = sum_a (-1)^(n-s-a) C(n+1, n-s-a) f(a) for an s-free f, the
+coefficient of u^(n-s) in (1-u)^(n+1) sum_a f(a) u^a: the step that ends
+the Hall-Remmel closed form (``combinat.differences``), read backwards.
+``top_letter_sides`` and ``two_bottom_sides`` read every s of one (n, r)
+off that one row, as the closed forms do: n + 1 binomial products and
+(n+1)^2 subtractions.  The left-hand sides come as a list of every s
 too, so a row's two sides are compared as two lists.  A cell's report
 (``check_top_letter_identity``, ``check_two_bottom_identity``) is read
 off the same lists; only where its two sides disagree is an alternate
@@ -25,9 +25,8 @@ evaluated too, term by term, so the report shows which reading survives.
 from __future__ import annotations
 
 from math import comb
-from operator import sub
 
-from .combinat import binom, expand_shifted, sign
+from .combinat import binom, differences, sign
 from .words import FrozenRecord, InputError
 
 
@@ -91,14 +90,14 @@ def top_letter_sides(n: int, r: int) -> tuple[list[int], list[int]]:
     """lhs(s) and rhs(s) of the top-letter identity for s = 0..n, as two lists.
 
     rhs(s) = sum_{r <= a <= m <= n-s} (-1)^(n-a-s) C(m,a) C(a,r) C(a,n-r) C(n-m,s).
-    The sum over a is the m-th forward difference of f(a) = C(a,r) C(a,n-r)
-    at 0 (f vanishes below r), so one difference table gives every weight.
-    The lhs C(r,s) C(n-r,s) vanishes past s = min(r, n-r).
+    Summed over m by Chu-Vandermonde it is the u^(n-s) coefficient of
+    (1-u)^(n+1) sum_a f(a) u^a, f(a) = C(a,r) C(a,n-r), which vanishes
+    below r.  The lhs C(r,s) C(n-r,s) vanishes past s = min(r, n-r).
     """
     _check(n, r)
     last = min(r, n - r)
     lhs = [comb(r, s) * comb(n - r, s) for s in range(last + 1)] + [0] * (n - last)
-    return lhs, expand_shifted(_differences([comb(a, r) * comb(a, n - r) for a in range(n + 1)]))
+    return lhs, differences([comb(a, r) * comb(a, n - r) for a in range(n + 1)])[::-1]
 
 
 def top_letter_alternate(n: int, r: int, s: int) -> int:
@@ -125,11 +124,11 @@ def check_two_bottom_identity(n: int, r: int, s: int) -> IdentityReport:
 def two_bottom_sides(n: int, r: int) -> tuple[list[int], list[int]]:
     """lhs(s) and rhs(s) of the two-bottom identity for s = 0..n, as two lists.
 
-    C(m,a) C(m-a,r) = C(m,r) C(m-r,a), so the rhs weight of m is C(m,r)
-    times the (m-r)-th forward difference of g(a) = C(2a, n-r) at 0, and
-    one difference table of g gives every weight.  In the lhs the terms
-    past a = n-r-s vanish, so the sum stops there, and it is empty past
-    s = (n-r)/2.
+    C(m,a) C(m-a,r) = C(m,a+r) C(a+r,r), so with b = a + r the rhs summed
+    over m by Chu-Vandermonde is the u^(n-s) coefficient of
+    (1-u)^(n+1) sum_b f(b) u^b, f(b) = C(b,r) C(2(b-r), n-r), with f = 0
+    below b = r.  In the lhs the terms past a = n-r-s vanish, so the sum
+    stops there, and it is empty past s = (n-r)/2.
     """
     _check(n, r)
     last = (n - r) // 2
@@ -137,9 +136,8 @@ def two_bottom_sides(n: int, r: int) -> tuple[list[int], list[int]]:
         comb(r + s, s) * sum(comb(a + r, a - s) * comb(n - a, n - a - r - s) for a in range(s, n - r - s + 1))
         for s in range(last + 1)
     ]
-    steps = _differences([comb(2 * a, n - r) for a in range(n - r + 1)])
-    weights = [0] * r + [comb(m, r) * step for m, step in enumerate(steps, start=r)]
-    return lhs + [0] * (n - last), expand_shifted(weights)
+    f = [0] * r + [comb(b, r) * comb(2 * (b - r), n - r) for b in range(r, n + 1)]
+    return lhs + [0] * (n - last), differences(f)[::-1]
 
 
 def two_bottom_alternate(n: int, r: int, s: int) -> int:
@@ -149,15 +147,6 @@ def two_bottom_alternate(n: int, r: int, s: int) -> int:
         for m in range(0, n + 1)
         for a in range(0, m + 1)
     )
-
-
-def _differences(values: list[int]) -> list[int]:
-    """Delta^j f(0) for j = 0, 1, ..., from f(0), f(1), ...: the edge of one difference table."""
-    edge = []
-    while values:
-        edge.append(values[0])
-        values = list(map(sub, values[1:], values))
-    return edge
 
 
 def _check(n: int, r: int) -> None:

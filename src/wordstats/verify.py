@@ -33,7 +33,7 @@ from .oracle import (
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
 from .words import BlockPartition, InputError, Record
-from .combinat import compositions
+from .combinat import compositions, differences
 
 
 class SuiteResult(Record):
@@ -193,7 +193,8 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     over every rearrangement class of a given weight, reproduces the
     residue-class descent count with modulus 2.  The closed form's table
     is linear in its weighted row, so the rows summed over the classes of
-    each weight are differenced once per (alphabet, n).  One letter pass per alphabet
+    each weight are differenced once per (alphabet, n), by the same
+    ``combinat.differences`` as each class's table.  One letter pass per alphabet
     (``formulas.hall_remmel_summed_rows``) gives the summed rows of every
     n without enumerating a class, building its factors from the same
     ``formulas.hall_remmel_weights`` as each class's row, and one residue
@@ -233,7 +234,7 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
         rows = formulas.hall_remmel_summed_rows(alphabet, evens, even_n_max)
         residues = formulas.FAMILIES["des-mod"].tables(2, alphabet, 2, max(even_n_max, 0), first=0)
         for n, (row, residue) in enumerate(zip(rows, residues)):
-            summed = formulas.hall_remmel_differences(row)
+            summed = differences(row)
             for p in range(n + 1):
                 result.record(
                     summed[p] == residue.get(p, 0),

@@ -224,6 +224,19 @@ class TestCount:
         assert run(capsys, "table", *query, "--format", "csv") == (0, f"value,count\n0,{words}\ntotal,{words}\n", "")
         assert sys.get_int_max_str_digits() == limit
 
+    def test_series_coefficients_past_the_digit_limit_print_in_full(self, capsys):
+        """With no marker tracked, [x^i] A is 10**i at k = 10: order 640 has 641 digits, past a limit of 640."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            argv = ["series", "--gf", "A", "--k", "10", "--partition", "threshold:1", "--track", "none", "--order", "640"]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["result"]["coefficients"][-1] == {"order": 640, "polynomial": "1" + "0" * 640}
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_parsing_keeps_the_digit_limit(self, capsys):
         nines = "9" * 5000
         code, out, err = outcome(capsys, ["count", "des-le", "--k", "10", "--t", "1", "--n", nines, "--s", "0"])

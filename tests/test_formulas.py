@@ -21,7 +21,7 @@ from wordstats import (
     statistic_distribution,
 )
 from wordstats import formulas
-from wordstats.combinat import binom, compositions, expand_shifted, field_bytes, multinomial, respace, sign, unpack
+from wordstats.combinat import binom, compositions, differences, field_bytes, multinomial, respace, sign, unpack
 from wordstats.formulas import CLOSED_FORMS, check_params
 from wordstats.oracle import counted_pairs, pair_distribution
 
@@ -142,10 +142,20 @@ class TestDistribution:
             distribution("des-diagonal", (1, 2, 3))
 
 
-def test_expand_shifted_single_powers():
-    # (u-1)^d by Horner's rule against its binomial expansion
+def test_differences_single_powers():
+    # (1-u)^(d+1) cut at u^d against its binomial expansion
     for d in range(301):
-        assert expand_shifted([1] + [0] * d) == [sign(d - j) * binom(d, j) for j in range(d + 1)]
+        assert differences([1] + [0] * d) == [sign(j) * binom(d + 1, j) for j in range(d + 1)]
+
+
+def test_differences_is_the_alternating_sum():
+    # c_s = sum_i (-1)^(s-i) C(L, s-i) f(i), term by term, on random rows of length L
+    rng = random.Random(36)
+    for _ in range(300):
+        size = rng.randint(0, 40)
+        row = [rng.randint(-(2**70), 2**70) for _ in range(size)]
+        want = [sum(sign(s - i) * binom(size, s - i) * row[i] for i in range(s + 1)) for s in range(size)]
+        assert differences(row) == want
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 8, 9])
@@ -230,7 +240,7 @@ def _power_loop_times(family, head, n):
 def _power_loop_tables(family, head, n_max):
     """The tables at n = 0..n_max as sums of [x^n] F^m (u-1)^(n-m), from one list power loop.
 
-    [x^n] F^m is [x^(n-m)] G^m; ``expand_shifted`` expands the sum over m.
+    [x^n] F^m is [x^(n-m)] G^m, and the sum over m is taken term by term.
     The packed recurrence keeps this loop as its reference, as
     ``compositions`` keeps its recursive walk.
     """
@@ -239,7 +249,10 @@ def _power_loop_tables(family, head, n_max):
     for _ in range(n_max):
         powers.append(times(powers[-1]))
     return [
-        dict(enumerate(expand_shifted(powers[m][n - m] for m in range(n + 1))))
+        {
+            s: sum(sign(n - m - s) * binom(n - m, s) * powers[m][n - m] for m in range(n - s + 1))
+            for s in range(n + 1)
+        }
         for n in range(n_max + 1)
     ]
 
@@ -889,7 +902,7 @@ class TestHallRemmelEvenWords:
             rows = formulas.hall_remmel_summed_rows(alphabet, range(2, alphabet + 1, 2), 10)
             for n, row in enumerate(rows):
                 residue = distribution("des-mod", (2, alphabet, 2, n))
-                assert formulas.hall_remmel_differences(row) == [residue.get(p, 0) for p in range(n + 1)]
+                assert differences(row) == [residue.get(p, 0) for p in range(n + 1)]
 
     def test_letter_pass_is_the_sum_of_class_rows(self):
         for alphabet in range(1, 6):

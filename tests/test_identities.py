@@ -189,8 +189,8 @@ class TestIdentityRows:
                     check(n, n + 1, 0)
 
     def test_forced_mismatch_fills_alt_rhs(self, monkeypatch):
-        expand = identities.expand_shifted
-        monkeypatch.setattr(identities, "expand_shifted", lambda weights: [c + 1 for c in expand(weights)])
+        differences = identities.differences
+        monkeypatch.setattr(identities, "differences", lambda row: [c + 1 for c in differences(row)])
         top = check_top_letter_identity(6, 3, 2)
         assert (top.lhs, top.rhs, top.alt_rhs) == (9, 10, 9)
         assert check_top_letter_identity(6, 3, 7).alt_rhs is None

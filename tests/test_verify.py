@@ -120,15 +120,16 @@ class TestIdentitiesSuite:
     def test_wrong_identity_row_is_caught_and_named(self, monkeypatch, check, n, r, s, name):
         # The row of (n, r) is the one whose coefficients are its left-hand sides; only it is skewed.
         wrong = [getattr(identities, check)(n, r, value).lhs for value in range(n + 1)]
-        expand = identities.expand_shifted
+        differences = identities.differences
 
-        def skewed(weights):
-            row = expand(weights)
-            if row == wrong:
-                row[s] += 1
+        # The helper's row is the right-hand sides read backwards, so s sits at index n - s.
+        def skewed(values):
+            row = differences(values)
+            if row[::-1] == wrong:
+                row[n - s] += 1
             return row
 
-        monkeypatch.setattr(identities, "expand_shifted", skewed)
+        monkeypatch.setattr(identities, "differences", skewed)
         result = verify.identities_suite()
         assert (result.checked, result.failures, result.first_failure) == (1820, 1, name)
 

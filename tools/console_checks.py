@@ -136,6 +136,10 @@ CHECKS = [
     # 10**4400 has more digits than Python converts by default; the writer prints it whole.
     Check("count of 10**4400 in full", "result", ("count des-le --k 10 --t 1 --n 4400 --s 0",),
           0, {"count": "1" + "0" * 4400}),
+    # With no marker tracked, [x^i] A is 10**i at k = 10; order 4300 has 4,301 digits.
+    Check("series coefficients of 10**4300 in full", "result",
+          ("series --gf A --k 10 --partition threshold:1 --track none --order 4300",), 0,
+          {"coefficients": [{"order": i, "polynomial": "1" + "0" * i} for i in range(4301)]}),
     Check("hall-remmel refusal", "exit", ("count hall-remmel --rho 1,1 --x 5 --y 1 --s 0",), 2),
     # An empty piece of a --track list is refused, not dropped.
     Check("empty --track piece refusal", "exit",
