@@ -11,12 +11,13 @@ CLI relies on for deterministic output.
 No field carries silently: the total degree bounds every exponent, so a
 key sum carries only if its degree field overflows, which puts it at or
 above 2**(FIELD_BITS * (len(names) + 1)); ``adopt`` refuses such a key
-with ``InputError``.  ``Polynomial``'s operators wrap every result
-through ``from_keys``, which copies its terms into ``adopt``; the series
-engine adds term dicts with ``add_product`` and hands a series out
-through one ``adopt`` call, which takes its dicts without a copy and
-checks the largest key of the whole series once (``series`` says why
-that is enough).  Keys are decoded only where exponents are shown:
+with ``InputError``.  ``Polynomial``'s one arithmetic operator, ``*`` by
+an int or by a polynomial over the same names, wraps its result through
+``from_keys``, which copies its terms into ``adopt``.  The series engine
+does its own arithmetic on term dicts with ``add_product`` and hands a
+series out through one ``adopt`` call, which takes its dicts without a
+copy and checks the largest key of the whole series once (``series``
+says why that is enough).  Keys are decoded only where exponents are shown:
 ``exponents``; ``render``, the one renderer (``__str__`` renders a list
 of one), which reads each key in two halves and caches each half's text
 for the whole list, so the coefficients of a series share it; and
@@ -85,49 +86,13 @@ class Polynomial:
     def constant(cls, names: tuple[str, ...], value: int) -> "Polynomial":
         return cls.from_keys(names, {0: value})
 
-    @classmethod
-    def variable(cls, names: tuple[str, ...], name: str) -> "Polynomial":
-        if name not in names:
-            raise InputError(f"variable {name!r} not among {names}")
-        return cls(names, {tuple(int(other == name) for other in names): 1})
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.names != self.names:
-                raise InputError(
-                    f"mixed variable sets: {self.names} vs {other.names}"
-                )
-            return other
-        if isinstance(other, int):
-            return Polynomial.constant(self.names, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for key, coefficient in other.terms.items():
-            merged[key] = merged.get(key, 0) + coefficient
-        return Polynomial.from_keys(self.names, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Polynomial.from_keys(self.names, {key: c * other for key, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Polynomial):
             return NotImplemented
+        if other.names != self.names:
+            raise InputError(f"mixed variable sets: {self.names} vs {other.names}")
         product: dict[int, int] = {}
         add_product(product, self.terms, other.terms)
         return Polynomial.from_keys(self.names, product)

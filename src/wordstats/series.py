@@ -25,9 +25,10 @@ product it takes has a two-term factor.
 
 Every series product, sum and quotient runs on one representation: a list
 of packed-key term dicts (see ``polynomials``), one per coefficient.  The
-builder, ``solve_block_system`` and ``PowerSeries``'s operators all call
-the same three helpers, ``_products``, ``_signed_sum`` and ``_quotient``;
-the factors are written as term dicts straight from the markers' unit keys.
+builder and ``solve_block_system`` call the same three helpers,
+``_products``, ``_signed_sum`` and ``_quotient``, and ``PowerSeries``'s
+``+`` and ``divide`` call the last two; the factors are written as term
+dicts straight from the markers' unit keys.
 When a series is handed out, ``polynomials.adopt`` wraps each coefficient's
 term dict as a ``Polynomial`` without a copy (the helpers return zero-free
 dicts that nothing else holds), and one check per series, against the
@@ -98,8 +99,9 @@ class PowerSeries(Record):
     """Series in one expansion variable, truncated at ``order`` inclusive.
 
     ``coeffs[i]`` is the exact polynomial coefficient of var**i; the list
-    always has length order + 1.  The operators run on the coefficients'
-    term dicts and wrap the result's coefficients once.
+    always has length order + 1.  ``+`` and ``divide``, its only arithmetic,
+    run on the coefficients' term dicts and wrap the result's coefficients
+    once.
     """
 
     var: str
@@ -139,12 +141,6 @@ class PowerSeries(Record):
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         return self._wrap(self.var, self.names, _signed_sum(*self._terms(other)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self._wrap(self.var, self.names, _signed_sum(*self._terms(other), -1))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        return self._wrap(self.var, self.names, _products([self._terms(other)], self.order))
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Truncated quotient; the divisor's constant coefficient must be 1."""

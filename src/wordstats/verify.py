@@ -72,6 +72,8 @@ def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
 def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     """Fully tracked word-series coefficients against the transfer oracle."""
     result = SuiteResult("series-vs-oracle")
+    if n_max < 0:  # a negative bound checks nothing, as in every suite; no series is built
+        return result
     for k in range(1, k_max + 1):
         for partition in _grid_partitions(k):
             spec = TrackingSpec.all_tracked(partition.t)
@@ -333,6 +335,8 @@ def series_weight_suite(k_max: int = 3, n_max: int = 4) -> SuiteResult:
     k*n.
     """
     result = SuiteResult("series-weight-compatibility")
+    if n_max < 0:  # a negative bound checks nothing, as in every suite; no series is built
+        return result
     for k in range(1, k_max + 1):
         for partition in [BlockPartition.threshold(k, 1), BlockPartition.mod_residue(k, 2)]:
             t = partition.t

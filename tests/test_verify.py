@@ -5,7 +5,7 @@ import pytest
 from wordstats import formulas, identities, verify
 from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
-from wordstats.words import InputError
+from wordstats.words import DistPolynomial, InputError
 
 
 def skew_table(monkeypatch, family, cell, key):
@@ -42,6 +42,51 @@ CATALOG_DEEPEST = [
 @pytest.mark.parametrize("name, bounds, want", CATALOG_DEEPEST)
 def test_catalog_deepest_grid_result(name, bounds, want):
     assert getattr(verify, name)(*bounds) == verify.SuiteResult(*want, 0, None)
+
+
+# Each length-bounded suite with a negative length bound, and the suite's name.
+NEGATIVE_BOUND = [
+    ("oracle_vs_transfer", (2, -1), "oracle-vs-transfer"),
+    ("series_vs_oracle", (2, -1), "series-vs-oracle"),
+    ("formulas_vs_oracle", (2, -1), "formulas-vs-oracle"),
+    ("duality_suite", (2, -1), "dualities"),
+    ("series_weight_suite", (2, -1), "series-weight-compatibility"),
+    ("hall_remmel_suite", (2, -1, -1), "hall-remmel"),
+]
+
+
+@pytest.mark.parametrize("name, bounds, suite", NEGATIVE_BOUND)
+def test_negative_bound_checks_nothing(name, bounds, suite):
+    assert getattr(verify, name)(*bounds) == verify.SuiteResult(suite)
+
+
+# The (k, partition blocks, n) whose joint distribution is skewed; the grid has this partition once.
+SKEWED_JOINT = (3, (1, 1, 2), 3)
+
+
+def skew_joint(dist):
+    """``dist``, with one more word at its least statistic vector if it is the skewed cell."""
+    if (dist.k, dist.partition.blocks, dist.n) != SKEWED_JOINT:
+        return dist
+    entries = dict(dist.entries)
+    least = min(entries)
+    entries[least] += 1
+    return DistPolynomial(entries=entries, k=dist.k, n=dist.n, partition=dist.partition)
+
+
+@pytest.mark.parametrize(
+    "suite, engine, per_length",
+    [("oracle_vs_transfer", "brute_lengths", True), ("series_vs_oracle", "coefficient_distribution", False)],
+)
+def test_wrong_joint_entry_is_caught_and_named(monkeypatch, suite, engine, per_length):
+    # Only the suite's left-hand engine is skewed, at one cell of its 15 partitions times 5 lengths.
+    original = getattr(verify, engine)
+    if per_length:
+        monkeypatch.setattr(verify, engine, lambda *args: map(skew_joint, original(*args)))
+    else:
+        monkeypatch.setattr(verify, engine, lambda *args: skew_joint(original(*args)))
+    result = getattr(verify, suite)(3, 4)
+    assert (result.checked, result.failures, result.first_failure) == (75, 1, "k=3 n=3 partition=(1, 1, 2)")
 
 
 class TestFormulasVsOracle:
