@@ -170,6 +170,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
     bound = min(n, 64)
     size = field_bytes(alphabet**bound)
     first = n if first is None else first
+    _check_length(first)
     for j in range(first, min(n, 1) + 1):
         yield dict(zip_longest(range(j + 1), unpack([1, alphabet][j], size), fillvalue=0))
     for j in range(2, n + 1):
@@ -301,6 +302,7 @@ def _levels_blocks_table(
     ends: list[dict] = [{} for _ in live]
     total = {0: 1}
     first = n if first is None else first
+    _check_length(first)
     for length in range(n + 1):
         if length:
             for j, (c, (step, shift)) in enumerate(live):

@@ -111,11 +111,11 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_ENUMERATION_BUDGET
 
 
-def _validate_shape(k: int, n: int, partition: BlockPartition) -> None:
+def _validate_shape(k: int, n: int, partition: BlockPartition, first: int = 0) -> None:
     if k < 1:
         raise InputError(f"alphabet size must be at least 1, got {k}")
-    if n < 0:
-        raise InputError(f"word length must be nonnegative, got {n}")
+    if min(n, first) < 0:
+        raise InputError(f"word length must be nonnegative, got {min(n, first)}")
     if partition.k != k:
         raise InputError(
             f"partition covers [{partition.k}], queried alphabet is [{k}]"
@@ -146,7 +146,7 @@ def brute_lengths(
     The walk tallies every prefix of a length from ``first`` on; it is depth
     first, so the lengths are handed out, shortest first, once it ends.
     """
-    _validate_shape(k, n, partition)
+    _validate_shape(k, n, partition, first)
     charge_walk(k, n, budget)
     blocks, t = partition.blocks, partition.t
     # Coordinate (block i, statistic j) is bit field 4(i-1)+j; no value exceeds n.
@@ -338,7 +338,7 @@ def transfer_lengths(k: int, n: int, partition: BlockPartition, first: int = 0) 
     pair to the block of the old last letter.  Runs in time polynomial in n
     for fixed k, independent of the enumeration budget.
     """
-    _validate_shape(k, n, partition)
+    _validate_shape(k, n, partition, first)
     t = partition.t
     coords = [(block, index) for block in range(1, t + 1) for index in range(4)]
     # A key is t block rows of 4 digits, block 1 lowest; each distinct row is decoded once per pass.
@@ -374,7 +374,7 @@ def statistic_lengths(
     fields and any others key its dicts (see the module docstring).
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
-    _validate_shape(k, n, partition)
+    _validate_shape(k, n, partition, first)
     for packed in _kernel(k, n, partition, indexed, min(2, len(indexed)), first):
         yield {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
 

@@ -6,17 +6,18 @@ oracle, series coefficient vs oracle, direct count vs general formula.
 Results come back as a summary; the first mismatch is recorded verbatim so
 a failing run is immediately actionable.
 
-``formulas_vs_oracle`` and ``des_mod_errata`` walk the grids that
-``formulas.FAMILIES`` declares, one per family, and a failing check is
-named by the report names declared there.  ``formulas_vs_oracle`` accepts
-``corrupt=True``, which deliberately skews one closed form by +1.  That
-run must fail; it is the self-test proving the harness can actually see a
-wrong constant.
+The pairwise checks read two engines through ``_walk``, one pass of each
+per distinct grid head: ``oracle_vs_transfer`` and ``series_vs_oracle``
+over each k's grid partitions, ``formulas_vs_oracle`` and ``des_mod_errata``
+over each family's grid in ``formulas.FAMILIES``, which names a failing
+check, and the even-words sums of ``hall_remmel_suite``.  ``corrupt=True``
+skews one closed form in ``formulas_vs_oracle`` by +1; that self-test must fail.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from . import formulas, identities
 from .formulas import _grid_partitions
@@ -55,36 +56,60 @@ class SuiteResult(Record):
                 self.first_failure = describe()
 
 
+def _walk(cells, n_max: int, passes):
+    """Each ``(params, values)`` cell of a grid, then two engines' answers at its length n.
+
+    Params are a head, then n; each run of a head's cells goes n = 0..n_max.
+    ``passes(*head, n_max)`` gives both engines' passes to n_max, called
+    once per distinct head however many runs the grid gives it.
+    """
+    cells = list(cells)
+    runs = Counter(params[:-1] for params, _ in cells if params[-1] == 0)
+    copies: dict[tuple, list] = {}
+    for params, values in cells:
+        head = params[:-1]
+        if params[-1] == 0:
+            if head not in copies:
+                # One copy per run of the head's cells; tee drops an answer once every copy has read it.
+                copies[head] = list(itertools.tee(zip(*passes(*head, n_max)), runs[head]))
+            answers = copies[head].pop()
+        yield params, values, *next(answers)
+
+
+def _joint_sweep(suite: str, k_max: int, n_max: int, lengths) -> SuiteResult:
+    """The joint distributions of a pass ``lengths(k, n, partition)`` against ``transfer_lengths``'s, all k**n words."""
+    result = SuiteResult(suite)
+    cells = (((k, p, n), None) for k in range(1, k_max + 1) for p in _grid_partitions(k) for n in range(n_max + 1))
+    passes = lambda k, partition, n: (lengths(k, n, partition), transfer_lengths(k, n, partition))
+    for (k, partition, n), _, got, want in _walk(cells, n_max, passes):
+        result.record(
+            got == want and got.total() == k**n,
+            lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
+        )
+    return result
+
+
 def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
     """Exhaustive enumeration against the dynamic program, full joint equality."""
-    result = SuiteResult("oracle-vs-transfer")
-    for k in range(1, k_max + 1):
-        for partition in _grid_partitions(k):
-            passes = zip(brute_lengths(k, n_max, partition), transfer_lengths(k, n_max, partition))
-            for n, (brute, transfer) in zip(range(n_max + 1), passes):
-                result.record(
-                    brute == transfer and brute.total() == k**n,
-                    lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
-                )
-    return result
+    return _joint_sweep("oracle-vs-transfer", k_max, n_max, brute_lengths)
 
 
 def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     """Fully tracked word-series coefficients against the transfer oracle."""
-    result = SuiteResult("series-vs-oracle")
-    if n_max < 0:  # a negative bound checks nothing, as in every suite; no series is built
-        return result
-    for k in range(1, k_max + 1):
-        for partition in _grid_partitions(k):
-            spec = TrackingSpec.all_tracked(partition.t)
-            series = build_ak_series(k, partition, spec, n_max)
-            for n, want in zip(range(n_max + 1), transfer_lengths(k, n_max, partition)):
-                got = coefficient_distribution(series, spec, partition, n)
-                result.record(
-                    got == want,
-                    lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
-                )
-    return result
+    return _joint_sweep("series-vs-oracle", k_max, n_max, _series_lengths)
+
+
+def _series_lengths(k: int, n: int, partition: BlockPartition):
+    """The fully tracked word series of ``partition``, built once to order n, read at each length 0..n."""
+    spec = TrackingSpec.all_tracked(partition.t)
+    series = build_ak_series(k, partition, spec, n)
+    return (coefficient_distribution(series, spec, partition, length) for length in range(n + 1))
+
+
+def _family_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
+    """``_walk`` over a family's grid: its closed-form tables against the oracle's marginals."""
+    passes = lambda *params: (forms.tables(*params, first=0), statistic_lengths(*forms.query(*params)))
+    return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
 
 
 def formulas_vs_oracle(
@@ -94,10 +119,8 @@ def formulas_vs_oracle(
 
     Family by family, each cell of the family's declared grid has its
     closed-form table compared entry by entry with the oracle's marginal on
-    the family's query, one check per statistic value of the cell.  A
-    head's cells run n = 0..n_max in order, so one closed-form pass and one
-    oracle pass to n_max per distinct head answer them all, however often
-    the grid repeats the head.  A ``corrupt`` run needs
+    the family's query, one check per statistic value of the cell, read
+    from one pass of each to n_max per distinct head.  A ``corrupt`` run needs
     ``alphabet_max >= 1``: below that no skewed entry is checked, and the
     run could not fail.
     """
@@ -108,13 +131,7 @@ def formulas_vs_oracle(
     result = SuiteResult("formulas-vs-oracle")
     for family, forms in formulas.FAMILIES.items():
         shift = 1 if corrupt and family == "levels-threshold" else 0
-        # Per distinct head: its (table, marginal) at each length, from one pass of each engine.
-        answered: dict[tuple, list] = {}
-        for params, values in forms.grid(alphabet_max, n_max):
-            head, n = params[:-1], params[-1]
-            if n == 0 and head not in answered:
-                answered[head] = list(zip(*_passes(forms, (*head, n_max))))
-            table, marginal = answered[head][n]
+        for params, values, table, marginal in _family_walk(forms, alphabet_max, n_max):
             for value in values:
                 # The oracle keys every value by a tuple, a joint table by its target tuple.
                 key = value if isinstance(value, tuple) else (value,)
@@ -123,11 +140,6 @@ def formulas_vs_oracle(
                     lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),
                 )
     return result
-
-
-def _passes(forms: formulas.FamilyForms, params: tuple) -> tuple:
-    """One closed-form pass and one oracle pass over the lengths 0..n of a family's ``params``."""
-    return forms.tables(*params, first=0), statistic_lengths(*forms.query(*params))
 
 
 def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteResult:
@@ -230,18 +242,17 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
                             sharing,
                         )
 
-    for alphabet in (2, 4):
-        evens = range(2, alphabet + 1, 2)
-        # A negative bound checks nothing: no row, so the residue pass is never drawn.
-        rows = formulas.hall_remmel_summed_rows(alphabet, evens, even_n_max)
-        residues = formulas.FAMILIES["des-mod"].tables(2, alphabet, 2, max(even_n_max, 0), first=0)
-        for n, (row, residue) in enumerate(zip(rows, residues)):
-            summed = differences(row)
-            for p in range(n + 1):
-                result.record(
-                    summed[p] == residue.get(p, 0),
-                    lambda alphabet=alphabet, n=n, p=p: f"even-words-sum alphabet={alphabet} n={n} p={p}",
-                )
+    passes = lambda alphabet, n: (
+        formulas.hall_remmel_summed_rows(alphabet, range(2, alphabet + 1, 2), n),
+        formulas.FAMILIES["des-mod"].tables(2, alphabet, 2, n, first=0),
+    )
+    for (alphabet, n), values, row, residue in _walk(formulas._lengths([(2,), (4,)], even_n_max), even_n_max, passes):
+        summed = differences(row)
+        for p in values:
+            result.record(
+                summed[p] == residue.get(p, 0),
+                lambda alphabet=alphabet, n=n, p=p: f"even-words-sum alphabet={alphabet} n={n} p={p}",
+            )
     return result
 
 
@@ -384,24 +395,11 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
     """
     names = ("aligned-power-base", "offset-high-sum-index", "offset-low-sum-index")
     cases = {name: ErrataCase(name, True, None) for name in names}
-    forms = formulas.FAMILIES["des-mod"]
-    for params, values in forms.grid(alphabet_max, n_max):
-        s, alphabet, r, n = params
-        if n == 0:
-            tables, marginals = _passes(forms, (s, alphabet, r, n_max))
-        # Read before any skip, so each head's passes stay at the cell's length.
-        table, marginal = next(tables), next(marginals)
+    for (s, alphabet, r, n), values, table, marginal in _family_walk(formulas.FAMILIES["des-mod"], alphabet_max, n_max):
         t = alphabet % s
-        if t == 0:
-            case = cases["aligned-power-base"]
-            ambiguous = r != s  # the two power bases coincide at r = s
-        elif r > t:
-            case = cases["offset-high-sum-index"]
-            ambiguous = True
-        else:
-            case = cases["offset-low-sum-index"]
-            ambiguous = True
-        need_example = ambiguous and case.rejected_counterexample is None
+        case = cases["aligned-power-base" if t == 0 else "offset-high-sum-index" if r > t else "offset-low-sum-index"]
+        # Every cell is ambiguous but an aligned one at r = s, where the two power bases coincide.
+        need_example = (t != 0 or r != s) and case.rejected_counterexample is None
         if not (need_example or case.shipped_ok):
             continue
         for p in values:
@@ -409,9 +407,9 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
             if shipped != want:
                 case.shipped_ok = False
             if need_example:
-                rejected = formulas.count_des_mod_uncorrected(*params, p)
+                rejected = formulas.count_des_mod_uncorrected(s, alphabet, r, n, p)
                 if rejected != want:
-                    case.rejected_counterexample = (*params, p)
+                    case.rejected_counterexample = (s, alphabet, r, n, p)
                     case.rejected_value = rejected
                     case.oracle_value = want
                     need_example = False

@@ -18,7 +18,7 @@ from wordstats.oracle import (
     transfer_distribution,
     transfer_lengths,
 )
-from wordstats.words import BlockPartition, _STAT_INDEX
+from wordstats.words import BlockPartition, InputError, _STAT_INDEX
 
 N_MAXES = [0, 1, 3, 7]
 WORD_FAMILIES = [family for family, forms in formulas.FAMILIES.items() if forms.query]
@@ -93,6 +93,26 @@ def test_kernel_from_any_first_length_is_the_tail_of_the_whole_pass():
     walk = list(brute_lengths(3, 5, BlockPartition.threshold(3, 1)))
     for first in range(7):
         assert list(brute_lengths(3, 5, BlockPartition.threshold(3, 1), first=first)) == walk[first:]
+
+
+# Every length pass to length 2 over the alphabet [2], by the first length it hands out.
+HALVES = BlockPartition.threshold(2, 1)
+FAMILY_HEADS = {"levels-threshold": (2, 1), "levels-blocks": ((1, 1),), "des-le": (2, 1), "des-gt": (2, 1),
+                "des-mod": (2, 2, 1)}
+LENGTH_PASSES = {
+    "brute": lambda first: brute_lengths(2, 2, HALVES, first=first),
+    "transfer": lambda first: transfer_lengths(2, 2, HALVES, first=first),
+    "statistic": lambda first: statistic_lengths(2, 2, HALVES, [(1, "des")], first=first),
+    **{family: lambda first, family=family: formulas.FAMILIES[family].tables(*FAMILY_HEADS[family], 2, first=first)
+       for family in WORD_FAMILIES},
+}
+
+
+@pytest.mark.parametrize("engine", LENGTH_PASSES)
+def test_a_negative_first_length_is_refused(engine):
+    with pytest.raises(InputError, match="nonnegative"):
+        next(LENGTH_PASSES[engine](-1))
+    assert len(list(LENGTH_PASSES[engine](0))) == 3
 
 
 def _counting(monkeypatch, module, name):

@@ -74,19 +74,52 @@ def skew_joint(dist):
     return DistPolynomial(entries=entries, k=dist.k, n=dist.n, partition=dist.partition)
 
 
-@pytest.mark.parametrize(
-    "suite, engine, per_length",
-    [("oracle_vs_transfer", "brute_lengths", True), ("series_vs_oracle", "coefficient_distribution", False)],
-)
-def test_wrong_joint_entry_is_caught_and_named(monkeypatch, suite, engine, per_length):
+# Each joint suite, with its left-hand engine pass; the right-hand one is ``transfer_lengths``.
+JOINT_SUITES = [("oracle_vs_transfer", "brute_lengths"), ("series_vs_oracle", "_series_lengths")]
+
+
+@pytest.mark.parametrize("suite, engine", JOINT_SUITES)
+def test_wrong_joint_entry_is_caught_and_named(monkeypatch, suite, engine):
     # Only the suite's left-hand engine is skewed, at one cell of its 15 partitions times 5 lengths.
     original = getattr(verify, engine)
-    if per_length:
-        monkeypatch.setattr(verify, engine, lambda *args: map(skew_joint, original(*args)))
-    else:
-        monkeypatch.setattr(verify, engine, lambda *args: skew_joint(original(*args)))
+    monkeypatch.setattr(verify, engine, lambda *args: map(skew_joint, original(*args)))
     result = getattr(verify, suite)(3, 4)
     assert (result.checked, result.failures, result.first_failure) == (75, 1, "k=3 n=3 partition=(1, 1, 2)")
+
+
+@pytest.mark.parametrize("suite, engine", JOINT_SUITES)
+def test_joint_entry_skewed_alike_in_both_engines_fails_the_word_total(monkeypatch, suite, engine):
+    # Both engines agree at the skewed cell, but it then holds k**n + 1 words.
+    for name in (engine, "transfer_lengths"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, original=original: map(skew_joint, original(*args)))
+    result = getattr(verify, suite)(3, 4)
+    assert (result.checked, result.failures, result.first_failure) == (75, 1, "k=3 n=3 partition=(1, 1, 2)")
+
+
+def log_passes(monkeypatch, *names):
+    """Log each call of the engine passes ``verify.<name>`` by its name and arguments."""
+    passes = []
+    for name in names:
+        original = getattr(verify, name)
+
+        def logged(*args, name=name, original=original, **kwargs):
+            passes.append((name, *args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, logged)
+    return passes
+
+
+@pytest.mark.parametrize("suite, engine", JOINT_SUITES)
+def test_joint_suite_runs_one_pass_per_distinct_partition(monkeypatch, suite, engine):
+    passes = log_passes(monkeypatch, engine, "transfer_lengths")
+    result = getattr(verify, suite)(2, 3)
+    # Nine grid partitions, of which k = 1 repeats one and k = 2 another; every one is checked.
+    heads = [(k, partition) for k in (1, 2) for partition in formulas._grid_partitions(k)]
+    distinct = list(dict.fromkeys(heads))
+    assert (len(heads), len(distinct), result.checked, result.failures) == (9, 7, 36, 0)
+    assert passes == [(name, k, 3, partition) for k, partition in distinct for name in (engine, "transfer_lengths")]
 
 
 class TestFormulasVsOracle:
@@ -127,6 +160,16 @@ class TestFormulasVsOracle:
 
 
 class TestDesModErrata:
+    def test_one_pass_of_each_engine_per_head(self, monkeypatch):
+        tables = skew_table(monkeypatch, "des-mod", None, None)  # logs the closed-form passes, skews nothing
+        marginals = log_passes(monkeypatch, "statistic_lengths")
+        verify.des_mod_errata(6, 7)
+        forms = formulas.FAMILIES["des-mod"]
+        heads = [params[:-1] for params, _ in forms.grid(6, 7) if params[-1] == 0]
+        assert len(heads) == len(set(heads))
+        assert tables == [(*head, 7) for head in heads]
+        assert marginals == [("statistic_lengths", *forms.query(*head, 7)) for head in heads]
+
     def test_default_grid_counterexamples(self):
         # Each rejected reading's first counterexample (s, alphabet, r, n, p), its value and the oracle's.
         assert verify.des_mod_errata(6, 7) == [
