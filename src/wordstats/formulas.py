@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
 from .combinat import _digits, binom, differences, field_bytes, respace, sign, unpack
-from .words import BlockPartition, InputError
+from .words import BlockPartition, InputError, _check_alphabet, _check_length, _check_multiplicities
 
 
 def _named(table: dict, formula: str):
@@ -137,19 +137,8 @@ def _check_des_mod(s: int, alphabet: int, r: int, n: int, p: int = 0) -> None:
 
 def _check_class(rho: Sequence[int], *letters_and_value) -> None:
     """Checks of ``hall_remmel_count``: any letter sets pass, a negative value does not."""
-    if any(reps < 0 for reps in rho):
-        raise InputError(f"multiplicities must be nonnegative, got {tuple(rho)}")
+    _check_multiplicities(rho)
     _check_length(0, *letters_and_value[2:])
-
-
-def _check_alphabet(k: int) -> None:
-    if k < 1:
-        raise InputError(f"alphabet size must be at least 1, got {k}")
-
-
-def _check_length(n: int, s: int = 0) -> None:
-    if n < 0 or s < 0:
-        raise InputError("length and statistic value must be nonnegative")
 
 
 def _packed_table(n: int, alphabet: int, program: list, first: int | None = None) -> Iterator[dict[int, int]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import comb
 
 from .combinat import binom, differences, sign
-from .words import FrozenRecord, InputError
+from .words import FrozenRecord, InputError, _check_alphabet, _check_length
 
 
 class IdentityReport(FrozenRecord):
@@ -50,10 +50,8 @@ def direct_count_top_letter(k: int, n: int, s: int) -> int:
 
         sum_{r=s}^{n-s} (k-1)^r C(r, s) C(n-r, s)
     """
-    if k < 1:
-        raise InputError(f"alphabet size must be at least 1, got {k}")
-    if n < 0 or s < 0:
-        raise InputError("length and statistic value must be nonnegative")
+    _check_alphabet(k)
+    _check_length(n, s)
     return sum(
         (k - 1) ** r * comb(r, s) * comb(n - r, s) for r in range(s, n - s + 1)
     )
@@ -69,8 +67,7 @@ def direct_count_two_bottom(k: int, n: int, s: int) -> int:
     """
     if k < 2:
         raise InputError(f"need at least two letters, got alphabet size {k}")
-    if n < 0 or s < 0:
-        raise InputError("length and statistic value must be nonnegative")
+    _check_length(n, s)
     return sum(
         (k - 2) ** (n - a - b)
         * comb(n - a - b + s, s)

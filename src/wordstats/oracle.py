@@ -69,6 +69,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import _digits, field_bytes, multinomial, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _check_coordinate, stat_key
+from .words import _check_multiplicities, _check_partition
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
@@ -99,7 +100,7 @@ def resolve_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw:
+    if raw is not None:
         try:
             budget = int(raw)
         except ValueError:
@@ -112,14 +113,9 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 def _validate_shape(k: int, n: int, partition: BlockPartition, first: int = 0) -> None:
-    if k < 1:
-        raise InputError(f"alphabet size must be at least 1, got {k}")
+    _check_partition(k, partition)
     if min(n, first) < 0:
         raise InputError(f"word length must be nonnegative, got {min(n, first)}")
-    if partition.k != k:
-        raise InputError(
-            f"partition covers [{partition.k}], queried alphabet is [{k}]"
-        )
 
 
 def charge_walk(k: int, n: int, budget: int | None = None) -> None:
@@ -394,24 +390,18 @@ def count_matching(
     n: int,
     partition: BlockPartition,
     constraints: Sequence[tuple[int, str, int]],
-    engine: str = "transfer",
 ) -> int:
     """Number of words of [k]^n whose statistics meet every (block, statistic, value).
 
-    One entry of the ``transfer`` engine's ``statistic_distribution`` or of
-    the ``oracle`` engine's ``brute_distribution(...).joint``, each of which
-    checks the coordinates, also without constraints.
+    One entry of the transfer engine's ``statistic_distribution``, which checks the
+    coordinates, also without constraints.  Nothing in the library calls it.
     """
     coords = [(block, stat) for block, stat, _ in constraints]
     target = tuple(value for _, _, value in constraints)
     for value in target:
         if value < 0:
             raise InputError(f"constraint value must be nonnegative, got {value}")
-    if engine == "transfer":
-        return statistic_distribution(k, n, partition, coords).get(target, 0)
-    if engine == "oracle":
-        return brute_distribution(k, n, partition).joint(coords).get(target, 0)
-    raise InputError(f"unknown engine {engine!r}, expected oracle or transfer")
+    return statistic_distribution(k, n, partition, coords).get(target, 0)
 
 
 def rearrangement_distribution(
@@ -429,8 +419,7 @@ def rearrangement_distribution(
     arrangement of the n letters, although the dynamic program never does.
     """
     rho = tuple(rho)
-    if any(r < 0 for r in rho):
-        raise InputError(f"multiplicities must be nonnegative, got {rho}")
+    _check_multiplicities(rho)
     n = sum(rho)
     limit = resolve_budget(budget)
     # 2!, 3!, ... only until one passes the limit; an n! past 10,000 letters is named, not computed.

@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, decode
-from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Record
+from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Record, _check_partition
 
 Terms = dict[int, int]
 
@@ -219,8 +219,7 @@ def _build_series(
     """
     if order < 0:
         raise InputError(f"truncation order must be nonnegative, got {order}")
-    if k != partition.k:
-        raise InputError(f"partition covers [{partition.k}], requested alphabet [{k}]")
+    _check_partition(k, partition)
     if spec.t != partition.t:
         raise InputError(
             f"tracking spec covers {spec.t} blocks, partition has {partition.t}"

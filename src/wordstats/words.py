@@ -13,6 +13,9 @@ row per block.  Every distribution (``DistPolynomial.entries``) is keyed
 by such tuples.  The brute-force oracle computes them with ``stat_key``;
 the transfer DP and the series engine build them from their own pair
 classification, so that the engines stay independent of each other.
+
+The refusals every engine shares are written here once, each with one text:
+``_check_alphabet``, ``_check_length``, ``_check_multiplicities``, ``_check_partition``.
 """
 
 from __future__ import annotations
@@ -120,8 +123,7 @@ class BlockPartition(FrozenRecord):
 
     def __init__(self, k: int, blocks, t: int) -> None:
         super().__init__(k, tuple(blocks), t)
-        if self.k < 1:
-            raise InputError(f"alphabet size must be at least 1, got {self.k}")
+        _check_alphabet(self.k)
         if self.t < 1:
             raise InputError(f"block count must be at least 1, got {self.t}")
         if len(self.blocks) != self.k:
@@ -248,3 +250,25 @@ def _check_coordinate(partition: BlockPartition, block: int, stat: str) -> int:
     if not 1 <= block <= partition.t:
         raise InputError(f"constraint names block {block}, partition has 1..{partition.t}")
     return _stat_index(stat)
+
+
+def _check_alphabet(k: int) -> None:
+    if k < 1:
+        raise InputError(f"alphabet size must be at least 1, got {k}")
+
+
+def _check_length(n: int, s: int = 0) -> None:
+    if n < 0 or s < 0:
+        raise InputError("length and statistic value must be nonnegative")
+
+
+def _check_multiplicities(rho: Sequence[int]) -> None:
+    if any(reps < 0 for reps in rho):
+        raise InputError(f"multiplicities must be nonnegative, got {tuple(rho)}")
+
+
+def _check_partition(k: int, partition: BlockPartition) -> None:
+    """Refuse a partition of any alphabet but [k], and first a k below 1, which none has."""
+    if partition.k != k:
+        _check_alphabet(k)
+        raise InputError(f"partition covers [{partition.k}], queried alphabet is [{k}]")

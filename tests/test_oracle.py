@@ -159,7 +159,7 @@ class TestBruteDistribution:
         with pytest.raises(InputError):
             brute_distribution(2, 4, part)
 
-    @pytest.mark.parametrize("raw", ["-1", "-16", "not-a-number", "1.5"])
+    @pytest.mark.parametrize("raw", ["-1", "-16", "not-a-number", "1.5", ""])
     def test_budget_env_must_be_a_nonnegative_integer(self, capsys, monkeypatch, raw):
         monkeypatch.setenv(BUDGET_ENV_VAR, raw)
         with pytest.raises(InputError, match="nonnegative integer"):
@@ -355,8 +355,8 @@ class TestCountMatching:
         assert count_matching(3, 4, part, []) == 81
         # both engines run and read their one entry
         for k, n, part in [(1, 0, BlockPartition.threshold(1, 1)), (4, 3, BlockPartition.mod_residue(4, 3))]:
-            for engine in ("transfer", "oracle"):
-                assert count_matching(k, n, part, [], engine=engine) == k**n
+            assert statistic_distribution(k, n, part, []) == {(): k**n}
+            assert brute_distribution(k, n, part).joint([]) == {(): k**n}
 
     def test_even_start_descents(self):
         part = BlockPartition.mod_residue(4, 2)
@@ -364,11 +364,9 @@ class TestCountMatching:
 
     def test_engines_agree(self):
         part = BlockPartition.mod_residue(3, 2)
-        spec = [(1, "des", 1), (2, "cnt", 1)]
+        coords = [(1, "des"), (2, "cnt")]
         for n in range(5):
-            assert count_matching(3, n, part, spec, engine="oracle") == count_matching(
-                3, n, part, spec, engine="transfer"
-            )
+            assert brute_distribution(3, n, part).joint(coords) == statistic_distribution(3, n, part, coords)
 
     def test_engines_agree_on_a_three_coordinate_joint(self):
         # The word answers cli's oracle and transfer engines read, entry by entry.
@@ -379,14 +377,12 @@ class TestCountMatching:
             assert joint == statistic_distribution(4, n, part, coords)
             for target, count in joint.items():
                 spec = [coord + (value,) for coord, value in zip(coords, target)]
-                for engine in ("oracle", "transfer"):
-                    assert count_matching(4, n, part, spec, engine=engine) == count, (n, target)
+                assert count_matching(4, n, part, spec) == count, (n, target)
 
     def test_engines_name_the_block(self):
         part = BlockPartition.mod_residue(4, 3)
-        for engine in ("oracle", "transfer"):
-            with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
-                count_matching(4, 2, part, [(4, "des", 0)], engine=engine)
+        with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
+            brute_distribution(4, 2, part).joint([(4, "des")])
         # the same message from the reduced DP, before the shape is checked
         for n in (2, -1):
             with pytest.raises(InputError, match="constraint names block 4, partition has 1..3"):
@@ -401,12 +397,15 @@ class TestCountMatching:
         ],
     )
     def test_engines_refuse_a_bad_shape_alike(self, k, n, part, message):
-        # also without constraints, where both engines still run and read one entry
-        for spec in ([], [(1, "des", 0)]):
-            for engine in ("transfer", "oracle"):
+        # also without coordinates, where both engines still run and read one entry
+        for coords in ([], [(1, "des")]):
+            for answer in (
+                lambda: statistic_distribution(k, n, part, coords),
+                lambda: brute_distribution(k, n, part).joint(coords),
+            ):
                 with pytest.raises(InputError) as caught:
-                    count_matching(k, n, part, spec, engine=engine)
-                assert str(caught.value) == message, (spec, engine)
+                    answer()
+                assert str(caught.value) == message, coords
 
     def test_unknown_block_rejected(self):
         part = BlockPartition.threshold(2, 1)
@@ -414,11 +413,8 @@ class TestCountMatching:
             count_matching(2, 2, part, [(5, "des", 0)])
         with pytest.raises(InputError):
             count_matching(2, 2, part, [(1, "slope", 0)])
-        with pytest.raises(InputError):
-            count_matching(2, 2, part, [(1, "des", 0)], engine="fast")
-        for engine in ("transfer", "oracle"):
-            with pytest.raises(InputError, match="constraint value must be nonnegative, got -1"):
-                count_matching(2, 2, part, [(1, "des", -1)], engine=engine)
+        with pytest.raises(InputError, match="constraint value must be nonnegative, got -1"):
+            count_matching(2, 2, part, [(1, "des", -1)])
 
 
 class TestRearrangementDistribution:

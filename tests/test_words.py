@@ -5,6 +5,8 @@ import pickle
 import pytest
 
 from wordstats import BlockPartition, DistPolynomial, InputError, brute_distribution, stat_key
+from wordstats import formulas, identities, oracle
+from wordstats.series import TrackingSpec, build_ak_series
 from wordstats.words import FrozenRecord, Record
 
 
@@ -220,6 +222,41 @@ class TestBlockPartition:
         part = BlockPartition.mod_residue(5, 2)
         for twin in (copy.copy(part), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
             assert twin == part and repr(twin) == repr(part)
+
+
+# Each query fails one shared check and no other; every engine that makes the check refuses it alike.
+ONE_LETTER, TWO_LETTERS = BlockPartition.threshold(1, 1), BlockPartition.threshold(2, 1)
+ALPHABET = "alphabet size must be at least 1, got 0"
+LENGTH = "length and statistic value must be nonnegative"
+MULTIPLICITIES = "multiplicities must be nonnegative, got (1, -1)"
+PARTITION = "partition covers [2], queried alphabet is [3]"
+SHARED_REFUSALS = {
+    "alphabet-formulas": (ALPHABET, lambda: formulas.distribution("des-gt", (0, 0, 3))),
+    "alphabet-statistic_distribution": (ALPHABET, lambda: oracle.statistic_distribution(0, 2, ONE_LETTER, [])),
+    "alphabet-brute_distribution": (ALPHABET, lambda: oracle.brute_distribution(0, 2, ONE_LETTER)),
+    "alphabet-BlockPartition": (ALPHABET, lambda: BlockPartition(0, (), 1)),
+    "alphabet-direct_count_top_letter": (ALPHABET, lambda: identities.direct_count_top_letter(0, 2, 0)),
+    "length-formulas": (LENGTH, lambda: formulas.distribution("des-le", (2, 1, -1))),
+    "length-hall_remmel_count": (LENGTH, lambda: formulas.hall_remmel_count((1, 1), {2}, {1}, -1)),
+    "length-direct_count_top_letter": (LENGTH, lambda: identities.direct_count_top_letter(2, -1, 0)),
+    "length-direct_count_two_bottom": (LENGTH, lambda: identities.direct_count_two_bottom(2, 2, -1)),
+    "multiplicities-hall_remmel_count": (MULTIPLICITIES, lambda: formulas.hall_remmel_count((1, -1), {2}, {1}, 0)),
+    "multiplicities-rearrangement_distribution": (
+        MULTIPLICITIES, lambda: oracle.rearrangement_distribution((1, -1), {2}, {1}),
+    ),
+    "partition-transfer_lengths": (PARTITION, lambda: list(oracle.transfer_lengths(3, 2, TWO_LETTERS))),
+    "partition-brute_lengths": (PARTITION, lambda: list(oracle.brute_lengths(3, 2, TWO_LETTERS))),
+    "partition-build_ak_series": (
+        PARTITION, lambda: build_ak_series(3, TWO_LETTERS, TrackingSpec((True,) * 2, (True,) * 2, (True,) * 2), 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("message, query", SHARED_REFUSALS.values(), ids=SHARED_REFUSALS)
+def test_each_shared_refusal_has_one_text_at_every_entry_point(message, query):
+    with pytest.raises(InputError) as caught:
+        query()
+    assert str(caught.value) == message
 
 
 class TestDistPolynomial:

@@ -19,7 +19,8 @@ or 1 naming the first differing round of each stream that differs.  It imports
 ``bench/workloads.py`` and ``bench/checks.py`` without changing them, and uses the
 standard library only.  Replies are taken without ``WORDSTATS_ENUM_BUDGET`` and with
 ``COLUMNS=80``, so argparse's text does not depend on the terminal; argparse's messages
-also depend on the Python version (the digests were taken on Python 3.11).
+also depend on the Python version: the digests hold on Python 3.10 to 3.12, which CI
+checks, and Python 3.13 rewrites argparse's messages.
 """
 
 from __future__ import annotations
