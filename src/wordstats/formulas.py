@@ -249,8 +249,7 @@ def _check_blocks(
         )
     if any(size < 0 for size in block_sizes) or any(tt < 0 for tt in targets):
         raise InputError("block sizes and level targets must be nonnegative")
-    if n < 0:
-        raise InputError(f"length must be nonnegative, got {n}")
+    _check_length(n)
 
 
 def _levels_blocks_query(block_sizes: Sequence[int], n: int) -> tuple:

@@ -69,7 +69,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .combinat import _digits, field_bytes, multinomial, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _check_coordinate, stat_key
-from .words import _check_multiplicities, _check_partition
+from .words import _check_length, _check_multiplicities, _check_partition
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
@@ -114,8 +114,7 @@ def resolve_budget(budget: int | None = None) -> int:
 
 def _validate_shape(k: int, n: int, partition: BlockPartition, first: int = 0) -> None:
     _check_partition(k, partition)
-    if min(n, first) < 0:
-        raise InputError(f"word length must be nonnegative, got {min(n, first)}")
+    _check_length(n, first)
 
 
 def charge_walk(k: int, n: int, budget: int | None = None) -> None:

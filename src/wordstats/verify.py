@@ -12,6 +12,7 @@ over each k's grid partitions, ``formulas_vs_oracle`` and ``des_mod_errata``
 over each family's grid in ``formulas.FAMILIES``, which names a failing
 check, and the even-words sums of ``hall_remmel_suite``.  ``corrupt=True``
 skews one closed form in ``formulas_vs_oracle`` by +1; that self-test must fail.
+``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .oracle import (
     transfer_lengths,
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
-from .words import BlockPartition, InputError, Record
+from .words import BlockPartition, InputError, Record, stat_key
 from .combinat import compositions, differences
 
 
@@ -266,23 +267,6 @@ def _sets_of(letters: tuple[int, ...], known: dict) -> list[frozenset]:
     return sets
 
 
-# Deliberately independent of words.stat_key, so the duality suite shares no code with the engines.
-def _des_in(letters: tuple[int, ...], members: frozenset) -> int:
-    return sum(
-        1
-        for i in range(len(letters) - 1)
-        if letters[i] > letters[i + 1] and letters[i] in members
-    )
-
-
-def _ris_in(letters: tuple[int, ...], members: frozenset) -> int:
-    return sum(
-        1
-        for i in range(len(letters) - 1)
-        if letters[i] < letters[i + 1] and letters[i] in members
-    )
-
-
 def duality_suite(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     """Complement dualities, checked word by word, exhaustively.
 
@@ -290,49 +274,29 @@ def duality_suite(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     top t letters of the complement (and the mirror statement for the top
     block); descents starting in residue class r map to rises starting in
     class ((k - r) mod s) + 1, which reduces to class s + 1 - r when the
-    alphabet size is a multiple of s.
+    alphabet size is a multiple of s.  Both sides are read from
+    ``stat_key`` with one block per letter, once per word and once per
+    complement, and summed over each side's letters.
     """
     result = SuiteResult("dualities")
     for k in range(1, k_max + 1):
-        threshold_sets = [
-            (
-                frozenset(range(1, t + 1)),
-                frozenset(range(k + 1 - t, k + 1)),
-                frozenset(range(t + 1, k + 1)),
-                frozenset(range(1, k - t + 1)),
-            )
-            for t in range(k + 1)
-        ]
-        residue_sets = []
-        for s in (2, 3):
-            partition = BlockPartition.mod_residue(k, s)
-            for r in range(1, s + 1):
-                image = (k - r) % s + 1
-                residue_sets.append(
-                    (
-                        s,
-                        r,
-                        frozenset(partition.letters_in(r)),
-                        frozenset(partition.letters_in(image)),
-                    )
-                )
+        alphabet = range(1, k + 1)
+        # Each side's letters as a slice of the per-letter rows: the word's descents, the complement's rises.
+        thresholds = [(t, (slice(t), slice(k - t, k)), (slice(t, k), slice(k - t))) for t in range(k + 1)]
+        residues = [(s, r, (slice(r - 1, k, s), slice((k - r) % s, k, s))) for s in (2, 3) for r in range(1, s + 1)]
         for n in range(n_max + 1):
-            for letters in itertools.product(range(1, k + 1), repeat=n):
-                mirror = tuple(k + 1 - x for x in letters)
-                for low, low_mirror, high, high_mirror in threshold_sets:
+            for letters in itertools.product(alphabet, repeat=n):
+                des = [row[0] for row in stat_key(letters, alphabet, k)]
+                ris = [row[1] for row in stat_key([k + 1 - x for x in letters], alphabet, k)]
+                for t, (low, low_image), (high, high_image) in thresholds:
                     result.record(
-                        _des_in(letters, low) == _ris_in(mirror, low_mirror)
-                        and _des_in(letters, high) == _ris_in(mirror, high_mirror),
-                        lambda k=k, letters=letters, low=low: (
-                            f"threshold duality k={k} word={letters} bottom={sorted(low)}"
-                        ),
+                        sum(des[low]) == sum(ris[low_image]) and sum(des[high]) == sum(ris[high_image]),
+                        lambda k=k, letters=letters, t=t: f"threshold duality k={k} word={letters} bottom={list(range(1, t + 1))}",
                     )
-                for s, r, members, image_members in residue_sets:
+                for s, r, (members, image) in residues:
                     result.record(
-                        _des_in(letters, members) == _ris_in(mirror, image_members),
-                        lambda k=k, letters=letters, s=s, r=r: (
-                            f"residue duality k={k} word={letters} s={s} r={r}"
-                        ),
+                        sum(des[members]) == sum(ris[image]),
+                        lambda k=k, letters=letters, s=s, r=r: f"residue duality k={k} word={letters} s={s} r={r}",
                     )
     return result
 

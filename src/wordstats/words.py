@@ -10,9 +10,11 @@ classified pairs.
 ``stat_key`` is the one definition and the one representation of a
 word's statistics: a tuple with one (descents, rises, levels, letters)
 row per block.  Every distribution (``DistPolynomial.entries``) is keyed
-by such tuples.  The brute-force oracle computes them with ``stat_key``;
-the transfer DP and the series engine build them from their own pair
-classification, so that the engines stay independent of each other.
+by such tuples.  The brute-force oracle computes them with ``stat_key``,
+and ``verify.duality_suite`` reads its complement dualities from it, so a
+wrong rule there fails that suite too; the transfer DP and the series
+engine build them from their own pair classification, so that the engines
+stay independent of each other.
 
 The refusals every engine shares are written here once, each with one text:
 ``_check_alphabet``, ``_check_length``, ``_check_multiplicities``, ``_check_partition``.

@@ -712,6 +712,8 @@ class TestParameterRanges:
          "residue class 4 outside 1..3"),
         ("levels-blocks", ["--block-sizes=-1,3", "--n", "3"], ["--targets", "0,0"],
          "block sizes and level targets must be nonnegative"),
+        ("levels-blocks", ["--block-sizes", "1,2", "--n", "-1"], ["--targets", "0,0"],
+         "length and statistic value must be nonnegative"),
         ("hall-remmel", ["--rho", "1,1", "--x", "5", "--y", "1"], ["--s", "0"],
          "letter 5 outside 1..2"),
         ("hall-remmel", ["--rho", "1,1", "--x=-1,0", "--y", "1"], ["--s", "0"],

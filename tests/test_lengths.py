@@ -110,7 +110,7 @@ LENGTH_PASSES = {
 
 @pytest.mark.parametrize("engine", LENGTH_PASSES)
 def test_a_negative_first_length_is_refused(engine):
-    with pytest.raises(InputError, match="nonnegative"):
+    with pytest.raises(InputError, match="^length and statistic value must be nonnegative$"):
         next(LENGTH_PASSES[engine](-1))
     assert len(list(LENGTH_PASSES[engine](0))) == 3
 

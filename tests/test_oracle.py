@@ -391,7 +391,7 @@ class TestCountMatching:
     @pytest.mark.parametrize(
         "k, n, part, message",
         [
-            (2, -1, BlockPartition.threshold(2, 1), "word length must be nonnegative, got -1"),
+            (2, -1, BlockPartition.threshold(2, 1), "length and statistic value must be nonnegative"),
             (3, 2, BlockPartition.threshold(2, 1), "partition covers [2], queried alphabet is [3]"),
             (0, 2, BlockPartition.threshold(1, 1), "alphabet size must be at least 1, got 0"),
         ],

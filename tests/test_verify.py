@@ -60,6 +60,26 @@ def test_negative_bound_checks_nothing(name, bounds, suite):
     assert getattr(verify, name)(*bounds) == verify.SuiteResult(suite)
 
 
+def test_duality_suite_catches_a_wrong_stat_key(monkeypatch):
+    # The word (2, 1) gets one extra descent in the block of its first letter; only descents of words are read.
+    original = verify.stat_key
+
+    def skewed(letters, blocks, t):
+        key = original(letters, blocks, t)
+        if tuple(letters) != (2, 1):
+            return key
+        rows = [list(row) for row in key]
+        rows[blocks[letters[0] - 1] - 1][0] += 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(verify, "stat_key", skewed)
+    result = verify.duality_suite(3, 2)
+    # k = 2 and k = 3 each fail every threshold and both residue checks of the word.
+    assert (result.checked, result.failures, result.first_failure) == (
+        194, 11, "threshold duality k=2 word=(2, 1) bottom=[]"
+    )
+
+
 # The (k, partition blocks, n) whose joint distribution is skewed; the grid has this partition once.
 SKEWED_JOINT = (3, (1, 1, 2), 3)
 

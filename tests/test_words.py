@@ -240,6 +240,22 @@ SHARED_REFUSALS = {
     "length-hall_remmel_count": (LENGTH, lambda: formulas.hall_remmel_count((1, 1), {2}, {1}, -1)),
     "length-direct_count_top_letter": (LENGTH, lambda: identities.direct_count_top_letter(2, -1, 0)),
     "length-direct_count_two_bottom": (LENGTH, lambda: identities.direct_count_two_bottom(2, 2, -1)),
+    "length-distribution-levels-blocks": (LENGTH, lambda: formulas.distribution("levels-blocks", ((1, 2), -1))),
+    "length-tables-levels-blocks-first": (
+        LENGTH, lambda: next(formulas.FAMILIES["levels-blocks"].tables((1, 2), 2, first=-1)),
+    ),
+    "length-tables-des-le-first": (LENGTH, lambda: next(formulas.FAMILIES["des-le"].tables(2, 1, 2, first=-1))),
+    "length-statistic_distribution": (LENGTH, lambda: oracle.statistic_distribution(2, -1, TWO_LETTERS, [(1, "des")])),
+    "length-brute_distribution": (LENGTH, lambda: oracle.brute_distribution(2, -1, TWO_LETTERS)),
+    "length-transfer_distribution": (LENGTH, lambda: oracle.transfer_distribution(2, -1, TWO_LETTERS)),
+    "length-brute_lengths-n": (LENGTH, lambda: next(oracle.brute_lengths(2, -1, TWO_LETTERS))),
+    "length-brute_lengths-first": (LENGTH, lambda: next(oracle.brute_lengths(2, 2, TWO_LETTERS, first=-1))),
+    "length-transfer_lengths-n": (LENGTH, lambda: next(oracle.transfer_lengths(2, -1, TWO_LETTERS))),
+    "length-transfer_lengths-first": (LENGTH, lambda: next(oracle.transfer_lengths(2, 2, TWO_LETTERS, first=-1))),
+    "length-statistic_lengths-n": (LENGTH, lambda: next(oracle.statistic_lengths(2, -1, TWO_LETTERS, [(1, "des")]))),
+    "length-statistic_lengths-first": (
+        LENGTH, lambda: next(oracle.statistic_lengths(2, 2, TWO_LETTERS, [(1, "des")], first=-1)),
+    ),
     "multiplicities-hall_remmel_count": (MULTIPLICITIES, lambda: formulas.hall_remmel_count((1, -1), {2}, {1}, 0)),
     "multiplicities-rearrangement_distribution": (
         MULTIPLICITIES, lambda: oracle.rearrangement_distribution((1, -1), {2}, {1}),
