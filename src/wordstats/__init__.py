@@ -9,11 +9,14 @@ ships the verification suites that pin them against each other.
 
 Importing the package loads none of its modules.  A public name, or a
 submodule such as ``wordstats.series``, is imported on first access
-(``__getattr__``, PEP 562), from ``_EXPORTS``.  So a ``wordstats count`` or
-``table`` process loads ``words``, ``combinat``, ``oracle``, ``formulas``
-and ``cli`` only: ``series``, ``polynomials``, ``identities`` and
-``verify`` load when a ``series`` or ``verify`` command, or a caller,
-first asks for them.
+(``__getattr__``, PEP 562), from ``_EXPORTS``.  So a closed-form
+``wordstats count`` or ``table`` and a usage error load ``words``,
+``combinat``, ``formulas`` and ``cli`` only, and a ``series`` command adds
+``series`` and ``polynomials``.  ``oracle`` loads on ``--engine oracle``,
+``--engine transfer`` and a ``verify`` command, which also loads
+``verify`` and ``identities``; any module loads when a caller first asks
+for it.  Where no bytecode cache is written, a cold process compiles
+every module it loads, so loading fewer shortens its start.
 """
 
 from importlib import import_module
@@ -22,9 +25,9 @@ from importlib import import_module
 _EXPORTS = {
     "BlockPartition": "words",
     "DistPolynomial": "words",
+    "BudgetExceededError": "words",
     "InputError": "words",
     "stat_key": "words",
-    "BudgetExceededError": "oracle",
     "brute_distribution": "oracle",
     "rearrangement_distribution": "oracle",
     "statistic_distribution": "oracle",

@@ -47,9 +47,12 @@ pairs once, and its JSON and CSV outputs both read them.  ``count`` and
 full: ``_AllDigits`` lifts Python's limit on int-to-decimal digits while
 they write, and parsing keeps it.
 
-A ``count`` or ``table`` process loads no more than ``words``,
-``combinat``, ``oracle``, ``formulas`` and this module: ``series`` loads
-on the first ``series`` command and ``verify`` inside ``verify``.
+A closed-form ``count`` or ``table``, a ``series`` command and a usage
+error load no ``oracle``: ``--engine oracle``, ``--engine transfer`` and
+``verify`` load it when they run, through the names of ``_LAZY``.
+``series`` loads on the first ``series`` command and ``verify`` inside
+``verify``.  Where no bytecode cache is written, a cold process compiles
+every module it loads, so each module it skips shortens its start.
 """
 
 from __future__ import annotations
@@ -59,14 +62,19 @@ import contextlib
 import functools
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-from . import formulas, oracle
-# evaluate and count_matching are not called here; bench/tracing.py counts calls at both.
+# The json package would load its decoder too; json.encoder guards this import the same way.
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
+# evaluate is not called here; bench/tracing.py counts calls at it.  Importing from
+# ``formulas`` first loads it by name, so ``python -X importtime`` lists it.
 from .formulas import check_params, distribution, evaluate
-from .oracle import BudgetExceededError, charge_walk, count_matching, rearrangement_distribution
-from .words import BlockPartition, FrozenRecord, InputError
+from . import formulas
+from .words import BlockPartition, BudgetExceededError, FrozenRecord, InputError
 
 SCHEMA_VERSION = "wordstats-output/1"
 
@@ -262,23 +270,53 @@ def _keyed(family: str, dist: dict) -> dict:
     return dist if FAMILIES[family].joint else {key[0]: count for key, count in dist.items()}
 
 
-# Each engine builds a query's table in one call.  It looks up the functions it calls when it
-# runs, so a wrapper bound on this module or on ``oracle`` runs.
+# Names loaded from a sibling module on first access (``__getattr__``) and then bound here: what
+# only ``--engine oracle`` and ``--engine transfer`` run, and the ``series`` builders.  A module's
+# own name maps to it.  count_matching is not called here; bench/tracing.py counts calls at it.
+_LAZY = {
+    "oracle": "oracle",
+    "charge_walk": "oracle",
+    "count_matching": "oracle",
+    "rearrangement_distribution": "oracle",
+    "TrackingSpec": "series",
+    "build_ak_series": "series",
+    "build_bk_series": "series",
+}
+
+
+def __getattr__(name: str):
+    """One of ``_LAZY``, imported on first access and then bound here."""
+    source = _LAZY.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__package__}.{source}"
+    __import__(path)  # unlike importlib.import_module, shows in python -X importtime
+    module = sys.modules[path]
+    value = globals()[name] = module if name == source else getattr(module, name)
+    return value
+
+
+# This module, whose ``_LAZY`` names the commands read off it when they run: a bare name would
+# raise NameError before its first access, and a wrapper bound here or on ``oracle`` runs.
+_HERE = sys.modules[__name__]
+
+
+# Each engine builds a query's table in one call.
 def _oracle(family: str, params: tuple) -> dict:
     forms = formulas.FAMILIES[family]
     if forms.query is None:
-        return rearrangement_distribution(*params)
+        return _HERE.rearrangement_distribution(*params)
     # The walk is charged before the query builds a partition, which holds one entry per letter.
-    charge_walk(*forms.words(*params))
+    _HERE.charge_walk(*forms.words(*params))
     k, n, partition, coords = forms.query(*params)
-    return _keyed(family, oracle.brute_distribution(k, n, partition).joint(coords))
+    return _keyed(family, _HERE.oracle.brute_distribution(k, n, partition).joint(coords))
 
 
 def _transfer(family: str, params: tuple) -> dict:
     query = formulas.FAMILIES[family].query
     if query is None:
         raise InputError(f"{family} supports the closed-form and oracle engines")
-    return _keyed(family, oracle.statistic_distribution(*query(*params)))
+    return _keyed(family, _HERE.oracle.statistic_distribution(*query(*params)))
 
 
 # In the order of ``--engine``'s choices; the first is its default.
@@ -370,26 +408,9 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-# ``series`` loads on the first ``series`` command.  ``_cmd_series`` reads
-# these names off this module when it runs, so a wrapper bound here runs
-# (bench/tracing.py binds build_ak_series and build_bk_series).
-_SERIES_NAMES = frozenset({"TrackingSpec", "build_ak_series", "build_bk_series"})
-
-
-def __getattr__(name: str):
-    """One of ``_SERIES_NAMES``, imported from ``series`` on first access and then bound here."""
-    if name not in _SERIES_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import series
-
-    value = globals()[name] = getattr(series, name)
-    return value
-
-
 def _cmd_series(args) -> int:
     from .polynomials import render
 
-    here = sys.modules[__name__]
     k = args.k
     partition = _parse_partition(args.partition, k)
     if args.track == "all":
@@ -403,8 +424,8 @@ def _cmd_series(args) -> int:
         tracked = set(args.track.split(","))
         if "" in tracked:
             raise InputError(f"expected a comma-separated marker list, got {args.track!r}")
-    spec = here.TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
-    build = here.build_ak_series if args.gf == "A" else here.build_bk_series
+    spec = _HERE.TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
+    build = _HERE.build_ak_series if args.gf == "A" else _HERE.build_bk_series
     series = build(k, partition, spec, args.order)
     parameters = {
         name: getattr(args, name) for name in ("gf", "k", "partition", "track", "q", "order")

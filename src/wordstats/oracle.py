@@ -70,29 +70,10 @@ from typing import Iterable, Iterator, Sequence
 from .combinat import _digits, field_bytes, multinomial, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _check_coordinate, stat_key
 from .words import _check_length, _check_multiplicities, _check_partition
+# The budget refusal is defined beside InputError, so a caller can catch it without this module.
+from .words import BUDGET_ENV_VAR, BudgetExceededError, _amount
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
-BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
-
-
-def _amount(value: int | str) -> str:
-    """``value`` in decimal, or by its bit count where Python refuses to print it."""
-    try:
-        return str(value)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        return f"a {value.bit_length()}-bit number of"
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured budget; ``required`` may name the charge."""
-
-    def __init__(self, required: int | str, limit: int):
-        super().__init__(
-            f"enumeration needs {_amount(required)} words, over the budget of {_amount(limit)} "
-            f"(override with an explicit budget or {BUDGET_ENV_VAR})"
-        )
-        self.required = required
-        self.limit = limit
 
 
 def resolve_budget(budget: int | None = None) -> int:

@@ -18,6 +18,8 @@ stay independent of each other.
 
 The refusals every engine shares are written here once, each with one text:
 ``_check_alphabet``, ``_check_length``, ``_check_multiplicities``, ``_check_partition``.
+The budget refusal, ``BudgetExceededError``, is defined here too, beside
+``InputError``, so that the CLI catches it without loading ``oracle``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,29 @@ _STAT_INDEX = {"des": 0, "ris": 1, "lev": 2, "cnt": 3}
 
 class InputError(ValueError):
     """A documented precondition was violated by the caller."""
+
+
+BUDGET_ENV_VAR = "WORDSTATS_ENUM_BUDGET"
+
+
+def _amount(value: int | str) -> str:
+    """``value`` in decimal, or by its bit count where Python refuses to print it."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"a {value.bit_length()}-bit number of"
+
+
+class BudgetExceededError(RuntimeError):
+    """Enumeration would exceed the configured budget; ``required`` may name the charge."""
+
+    def __init__(self, required: int | str, limit: int):
+        super().__init__(
+            f"enumeration needs {_amount(required)} words, over the budget of {_amount(limit)} "
+            f"(override with an explicit budget or {BUDGET_ENV_VAR})"
+        )
+        self.required = required
+        self.limit = limit
 
 
 _setattr = object.__setattr__

@@ -1103,7 +1103,7 @@ class TestColdProcess:
     """What a fresh ``wordstats`` process loads, and how it ends when stdout fails."""
 
     OFF_PATH = {"wordstats.series", "wordstats.verify", "wordstats.identities",
-                "wordstats.polynomials", "dataclasses"}
+                "wordstats.polynomials", "dataclasses", "json.decoder"}
     TABLE = ["table", "des-le", "--k", "3", "--t", "2", "--n", "40", "--format", "csv"]
 
     @staticmethod
@@ -1120,20 +1120,25 @@ class TestColdProcess:
         argv = [command, "des-le", "--k", "3", "--t", "2", "--n", "5", "--engine", engine]
         out, _, modules = self._run(argv + (["--s", "2"] if command == "count" else []), 0)
         assert json.loads(out)["engine"] == engine
-        assert {"wordstats.cli", "wordstats.formulas", "wordstats.oracle"} <= modules
+        assert {"wordstats.cli", "wordstats.formulas"} <= modules
         assert modules & self.OFF_PATH == set()
+        # Only the oracle and transfer engines run oracle code.
+        assert ("wordstats.oracle" in modules) == (engine != "closed-form")
 
     def test_refused_argv_loads_only_the_parser(self):
         out, error, modules = self._run(["table", "des-le", "--k", "three", "--t", "1", "--n", "4"], 2)
         assert out == "" and "invalid int value: 'three'" in error
-        assert modules & self.OFF_PATH == set()
+        assert modules & (self.OFF_PATH | {"wordstats.oracle"}) == set()
 
     def test_series_loads_series_but_not_verify(self):
         argv = ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2"]
         _, _, modules = self._run(argv, 0)
         assert {"wordstats.series", "wordstats.polynomials"} <= modules
-        assert "wordstats.verify" not in modules
-        assert "dataclasses" not in modules
+        assert {"wordstats.verify", "wordstats.oracle", "dataclasses", "json.decoder"} & modules == set()
+
+    def test_records_escape_strings_as_json_does(self):
+        """``cli`` takes json's own string escaper, without the json package's decoder."""
+        assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
     def test_verify_loads_no_dataclasses(self):
         out, _, modules = self._run(["verify", "identities", "--n-max", "3"], 0)
@@ -1155,23 +1160,48 @@ sys.exit("dataclasses" in sys.modules)
                                             "wordstats.verify", "wordstats.words"}
 
     def test_series_names_resolve_before_any_series_request(self):
-        """A fresh ``cli`` answers the names the tracer wraps, from ``series``, on first access."""
+        """A fresh ``cli`` answers the names the tracer wraps, each module's on first access.
+
+        A wrapper bound on ``cli.rearrangement_distribution`` is what an oracle
+        ``hall-remmel`` count calls, and its budget refusal still exits 3.
+        """
+        env = {name: value for name, value in CHILD_ENV.items() if name != BUDGET_ENV_VAR}
         done = spawn(code="""
 import sys
 from wordstats import cli
-assert "wordstats.series" not in sys.modules
-names = ("TrackingSpec", "build_ak_series", "build_bk_series")
-values = [getattr(cli, name) for name in names]
-from wordstats import series
-assert values == [getattr(series, name) for name in names]
+assert cli.evaluate.__module__ == "wordstats.formulas"
+names = {
+    "series": ("TrackingSpec", "build_ak_series", "build_bk_series"),
+    "oracle": ("charge_walk", "count_matching", "rearrangement_distribution"),
+}
+values = {}
+for source, taken in names.items():
+    assert f"wordstats.{source}" not in sys.modules, source
+    values[source] = [getattr(cli, name) for name in taken]
+from wordstats import oracle, series
+assert cli.oracle is oracle
+for module in (oracle, series):
+    source = module.__name__.rpartition(".")[2]
+    assert values[source] == [getattr(module, name) for name in names[source]], source
 try:
     cli.no_such_name
 except AttributeError:
     pass
 else:
     sys.exit("cli.no_such_name resolved")
-""")
+calls, real = [], cli.rearrangement_distribution
+cli.rearrangement_distribution = lambda *params: calls.append(params) or real(*params)
+code = cli.main(["count", "hall-remmel", "--rho", "3,3,3,2", "--x", "all", "--y", "all",
+                 "--s", "0", "--engine", "oracle"])
+assert code == cli.EXIT_BUDGET, code
+assert calls == [((3, 3, 3, 2), {1, 2, 3, 4}, {1, 2, 3, 4})], calls
+""", env=env, stdout=subprocess.PIPE)
         assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: enumeration needs 39916800 words, over the budget of 16777216 "
+            f"(override with an explicit budget or {BUDGET_ENV_VAR})\n"
+        )
 
     @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_2_without_a_traceback(self, unbuffered):

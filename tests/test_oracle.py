@@ -15,7 +15,7 @@ from wordstats import (
     statistic_distribution,
     transfer_distribution,
 )
-from wordstats import cli, formulas, oracle
+from wordstats import cli, formulas, oracle, words
 from wordstats.combinat import compositions
 from wordstats.oracle import (
     BUDGET_ENV_VAR,
@@ -104,6 +104,11 @@ class TestBruteDistribution:
             for n in range(5):
                 for part in _partitions(k):
                     assert brute_distribution(k, n, part).total() == k**n
+
+    def test_budget_error_is_one_class(self):
+        """The budget refusal is defined in ``words``; the package and ``oracle`` export it."""
+        assert BudgetExceededError is oracle.BudgetExceededError is words.BudgetExceededError
+        assert oracle.BUDGET_ENV_VAR is words.BUDGET_ENV_VAR and oracle._amount is words._amount
 
     def test_budget_error_names_limit(self):
         part = BlockPartition.threshold(2, 1)
