@@ -9,7 +9,9 @@ ships the verification suites that pin them against each other.
 
 Importing the package loads none of its modules.  A public name, or a
 submodule such as ``wordstats.series``, is imported on first access
-(``__getattr__``, PEP 562), from ``_EXPORTS``.  So a closed-form
+(``__getattr__``, PEP 562), from ``_EXPORTS``, through ``_submodule``,
+which ``cli`` loads its lazy names with too, so that ``python -X
+importtime`` lists every module loaded this way.  So a closed-form
 ``wordstats count`` or ``table`` and a usage error load ``words``,
 ``combinat``, ``formulas`` and ``cli`` only, and a ``series`` command adds
 ``series`` and ``polynomials``.  ``oracle`` loads on ``--engine oracle``,
@@ -19,7 +21,7 @@ for it.  Where no bytecode cache is written, a cold process compiles
 every module it loads, so loading fewer shortens its start.
 """
 
-from importlib import import_module
+import sys
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
@@ -62,12 +64,22 @@ __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
 
 
+def _submodule(name: str):
+    """The submodule ``name``, imported on first use.
+
+    Unlike ``importlib.import_module``, ``__import__`` shows in ``python -X importtime``.
+    """
+    path = f"{__name__}.{name}"
+    __import__(path)
+    return sys.modules[path]
+
+
 def __getattr__(name: str):
     """A public name or a submodule, imported on first access and then bound here."""
     if name in _EXPORTS:
-        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+        value = getattr(_submodule(_EXPORTS[name]), name)
     elif name in _SUBMODULES:
-        value = import_module(f".{name}", __name__)
+        value = _submodule(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -9,10 +9,13 @@ any consumer.  Exit codes are part of the contract:
     2  invalid usage or parameters; or, from ``entrypoint``, stdout closed or full
     3  enumeration budget exceeded
 
-``FAMILIES`` holds a statistic family's command line for ``count`` and
-``table``: its options, its closed-form parameters and the shape of its
-table.  Its parameter checks, its closed-form table and its query on the
-oracle and transfer engines are declared once, in ``formulas.FAMILIES``.
+``count`` and ``table`` have one leaf per family of ``formulas.FAMILIES``,
+which declares each family once.  Its ``names`` are the leaf's options and
+the keys of the ``parameters`` echo, in order, each spelled ``--name``
+with ``-`` for ``_``; ``table`` leaves out the last, the statistic value.
+An option is an int unless the family reads it as text (``_TEXT``, with
+the function that builds the closed-form parameters); ``_HELP`` holds the
+help texts.  Its ``joint`` says that its table is keyed by target tuples.
 ``ENGINES`` maps each ``--engine`` name, in the order of its choices, to
 the one function that builds a query's whole table on that engine; the
 function holds the engine's refusal of a family and its charge.  ``count``
@@ -35,6 +38,9 @@ value that starts with ``-``, a missing value or required option, a
 value its type refuses and one outside its choices.  Every argv it
 declines, every ``verify`` argv and every argv without a route goes to
 the whole argparse tree, which alone writes usage, help and error text.
+The ``count``, ``table`` and ``series`` parsers spell out their usage,
+which Python 3.13 would wrap otherwise, so that text reads the same on
+every Python the package supports.
 
 A record is written from its known shape, in the text
 ``json.dumps(record, indent=2)`` gives it.  ``_record`` writes the
@@ -62,7 +68,6 @@ import contextlib
 import functools
 import os
 import sys
-from typing import Callable
 
 # The json package would load its decoder too; json.encoder guards this import the same way.
 try:
@@ -73,8 +78,8 @@ except ImportError:
 # evaluate is not called here; bench/tracing.py counts calls at it.  Importing from
 # ``formulas`` first loads it by name, so ``python -X importtime`` lists it.
 from .formulas import check_params, distribution, evaluate
-from . import formulas
-from .words import BlockPartition, BudgetExceededError, FrozenRecord, InputError
+from . import _submodule, formulas
+from .words import BlockPartition, BudgetExceededError, InputError
 
 SCHEMA_VERSION = "wordstats-output/1"
 
@@ -198,76 +203,37 @@ class _AllDigits:
             sys.set_int_max_str_digits(self.limit)
 
 
-class Family(FrozenRecord):
-    """How ``count`` and ``table`` read one statistic family's command line.
-
-    ``options`` are the (flag, type, help) of the query options, in the
-    order the ``parameters`` echo lists them; ``statistic`` is the option
-    ``count`` adds.  ``params`` builds the closed-form parameters from the
-    parsed arguments.  A ``joint`` table is keyed by target tuples, one per
-    block; any other table has a row for each statistic value up to the
-    largest one with a nonzero count.
-    """
-
-    options: tuple[tuple[str, type | None, str | None], ...]
-    statistic: tuple[str, type | None, str | None]
-    params: Callable[[argparse.Namespace], tuple]
-    joint: bool = False
-
-    @functools.cached_property
-    def echo(self) -> dict[str, tuple[str, ...]]:
-        """Per command, the dests of the options the ``parameters`` echo lists, in order."""
-        query = tuple(flag[2:].replace("-", "_") for flag, _, _ in self.options)
-        return {"table": query, "count": query + (self.statistic[0][2:].replace("-", "_"),)}
+# What a command line adds to ``formulas.FAMILIES``, whose ``names`` are a family's options:
+# help texts by option, and the options a family reads as text, with the function that builds its
+# closed-form parameters from its parameter options' values.  Every other option is an int.
+_HELP = {
+    "des-mod": {
+        "s": "modulus (number of residue classes)",
+        "r": "residue class of the first letter",
+        "p": "descent count",
+    },
+    "hall-remmel": {
+        "rho": "comma-separated multiplicities",
+        "x": "top letter set, comma list or 'all'",
+        "y": "bottom letter set, comma list or 'all'",
+    },
+}
 
 
-_THRESHOLD = Family(
-    options=(("--k", int, None), ("--t", int, None), ("--n", int, None)),
-    statistic=("--s", int, None),
-    params=lambda args: (args.k, args.t, args.n),
-)
+def _hall_remmel_params(rho: str, x: str, y: str) -> tuple:
+    sizes = _parse_int_list(rho)
+    return sizes, _parse_letter_set(x, len(sizes)), _parse_letter_set(y, len(sizes))
 
 
-def _hall_remmel_params(args) -> tuple:
-    rho = _parse_int_list(args.rho)
-    return rho, _parse_letter_set(args.x, len(rho)), _parse_letter_set(args.y, len(rho))
-
-
-FAMILIES = {
-    "levels-threshold": _THRESHOLD,
-    "levels-blocks": Family(
-        options=(("--block-sizes", None, None), ("--n", int, None)),
-        statistic=("--targets", None, None),
-        params=lambda args: (_parse_int_list(args.block_sizes), args.n),
-        joint=True,
-    ),
-    "des-le": _THRESHOLD,
-    "des-gt": _THRESHOLD,
-    "des-mod": Family(
-        options=(
-            ("--s", int, "modulus (number of residue classes)"),
-            ("--alphabet", int, None),
-            ("--r", int, "residue class of the first letter"),
-            ("--n", int, None),
-        ),
-        statistic=("--p", int, "descent count"),
-        params=lambda args: (args.s, args.alphabet, args.r, args.n),
-    ),
-    "hall-remmel": Family(
-        options=(
-            ("--rho", None, "comma-separated multiplicities"),
-            ("--x", None, "top letter set, comma list or 'all'"),
-            ("--y", None, "bottom letter set, comma list or 'all'"),
-        ),
-        statistic=("--s", int, None),
-        params=_hall_remmel_params,
-    ),
+_TEXT = {
+    "levels-blocks": ({"block_sizes", "targets"}, lambda block_sizes, n: (_parse_int_list(block_sizes), n)),
+    "hall-remmel": ({"rho", "x", "y"}, _hall_remmel_params),
 }
 
 
 def _keyed(family: str, dist: dict) -> dict:
     """A word engine's table keyed as the closed forms key it: joint by targets, else by value."""
-    return dist if FAMILIES[family].joint else {key[0]: count for key, count in dist.items()}
+    return dist if formulas.FAMILIES[family].joint else {key[0]: count for key, count in dist.items()}
 
 
 # Names loaded from a sibling module on first access (``__getattr__``) and then bound here: what
@@ -289,9 +255,7 @@ def __getattr__(name: str):
     source = _LAZY.get(name)
     if source is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    path = f"{__package__}.{source}"
-    __import__(path)  # unlike importlib.import_module, shows in python -X importtime
-    module = sys.modules[path]
+    module = _submodule(source)
     value = globals()[name] = module if name == source else getattr(module, name)
     return value
 
@@ -327,14 +291,14 @@ ENGINES = {
 }
 
 
-def _parameters(family: Family, args) -> dict:
-    """The ``parameters`` echo: every option's value, then the family."""
-    echo = {dest: getattr(args, dest) for dest in family.echo[args.command]}
+def _parameters(args, names: tuple[str, ...]) -> dict:
+    """The ``parameters`` echo: the value of each option in ``names``, then the family."""
+    echo = {name: getattr(args, name) for name in names}
     echo["family"] = args.family
     return echo
 
 
-def _table(family: Family, args, value: tuple = ()) -> dict:
+def _table(args, value: tuple = ()) -> dict:
     """A query's table from one ``ENGINES`` call, after the closed forms' checks.
 
     ``value`` holds the statistic value ``count`` asks for, which is checked
@@ -342,20 +306,22 @@ def _table(family: Family, args, value: tuple = ()) -> dict:
     accept meets an engine's refusal of the family.  A joint table is keyed
     by target tuples, any other by statistic value; a value may have no key.
     """
-    params = family.params(args)
+    params = tuple(getattr(args, name) for name in formulas.FAMILIES[args.family].names[:-1])
+    if args.family in _TEXT:
+        params = _TEXT[args.family][1](*params)
     check_params(args.family, params + value)
     return ENGINES[args.engine](args.family, params)
 
 
 def _cmd_count(args) -> int:
-    family = FAMILIES[args.family]
-    value = getattr(args, family.echo["count"][-1])
+    family = formulas.FAMILIES[args.family]
+    value = getattr(args, family.names[-1])
     if family.joint:
         value = _parse_int_list(value)
     elif value is None:
         raise InputError("count needs the statistic value (--s / --p)")
-    count = _table(family, args, (value,)).get(value, 0)
-    out = _record("count", _parameters(family, args), args.engine)
+    count = _table(args, (value,)).get(value, 0)
+    out = _record("count", _parameters(args, family.names), args.engine)
     with _AllDigits():
         out.append(f'{{\n    "count": "{count}"\n  }}')
     _emit(out)
@@ -370,8 +336,8 @@ def _cmd_table(args) -> int:
     at least one row: value 0, or for a joint table a nonzero count among
     its alphabet**n >= 1 words.
     """
-    family = FAMILIES[args.family]
-    dist = _table(family, args)
+    family = formulas.FAMILIES[args.family]
+    dist = _table(args)
     if family.joint:
         pairs = sorted((targets, count) for targets, count in dist.items() if count)
     else:
@@ -389,7 +355,7 @@ def _cmd_table(args) -> int:
             lines.append(f"total,{total}")
             print("\n".join(lines))
             return EXIT_OK
-        out = _record("table", _parameters(family, args), args.engine)
+        out = _record("table", _parameters(args, family.names[:-1]), args.engine)
         out.append('{\n    "rows": [')
         if family.joint:
             out += [
@@ -498,18 +464,24 @@ def _cmd_verify(args) -> int:
 
 
 def _add_count_subparsers(sub, command: str, routes: dict) -> None:
-    parser = sub.add_parser(command, help=f"{command} one statistic family")
-    families = parser.add_subparsers(dest="family", required=True)
-    for name, entry in FAMILIES.items():
+    # The usage as Python up to 3.12 wraps it at 80 columns; its leaves' prog must not derive from it.
+    indent = " " * len(f"usage: wordstats {command} ")
+    usage = f"%(prog)s [-h]\n{indent}{{{','.join(formulas.FAMILIES)}}}\n{indent}..."
+    parser = sub.add_parser(command, help=f"{command} one statistic family", usage=usage)
+    families = parser.add_subparsers(dest="family", required=True, prog=f"wordstats {command}")
+    for name, forms in formulas.FAMILIES.items():
         p = routes[command, name] = families.add_parser(name)
+        text = _TEXT[name][0] if name in _TEXT else ()
         actions = [
-            p.add_argument(flag, type=kind, required=True, help=text)
-            for flag, kind, text in entry.options
+            p.add_argument(
+                "--" + option.replace("_", "-"),
+                type=None if option in text else int,
+                # A count's statistic value may be left out, save a joint family's targets.
+                required=option != forms.names[-1] or forms.joint,
+                help=_HELP.get(name, {}).get(option),
+            )
+            for option in (forms.names if command == "count" else forms.names[:-1])
         ]
-        if command == "count":
-            # Targets are a joint family's statistic, so it must give them.
-            flag, kind, text = entry.statistic
-            actions.append(p.add_argument(flag, type=kind, required=entry.joint, help=text))
         actions.append(p.add_argument("--engine", choices=tuple(ENGINES), default=next(iter(ENGINES))))
         if command == "table":
             actions.append(p.add_argument("--format", choices=("json", "csv"), default="json"))
@@ -539,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_count_subparsers(sub, "count", routes)
     _add_count_subparsers(sub, "table", routes)
 
-    p = routes[("series",)] = sub.add_parser("series", help="expand a generating function")
+    p = routes[("series",)] = sub.add_parser("series", help="expand a generating function", usage=(
+        "%(prog)s [-h] --gf {A,B} --k K --partition PARTITION --order\n"
+        "                        ORDER [--track TRACK] [--q {common,per-block}]"))
     _declare(p, [
         p.add_argument("--gf", choices=("A", "B"), required=True,
                        help="A: words graded by length; B: compositions graded by weight"),

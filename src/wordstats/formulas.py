@@ -50,9 +50,10 @@ letter at the bottom, come from one pass over the letters
 ``FAMILIES`` declares each family once: its parameter checks, its table
 builder, its word DP query, the (alphabet, n, partition, coordinates) of
 the statistic it counts, which the CLI's oracle and transfer engines and
-the verification suites read, and its verify grid, the cells on which
-``verify.formulas_vs_oracle`` checks it, with the names its reports give
-the parameters and the statistic value.  ``distribution`` returns a whole
+the verification suites read, its verify grid, the cells on which
+``verify.formulas_vs_oracle`` checks it, the names of its parameters and
+its statistic value, which the CLI's options and the suite's reports give
+them, and whether its table is keyed by target tuples.  ``distribution`` returns a whole
 table of any family from one call, and every count is one entry of that
 table, read after the count's own parameter checks; the builders check
 nothing.
@@ -577,17 +578,20 @@ class FamilyForms(NamedTuple):
     (alphabet, n) alone, for a charge made before any partition is built.
     ``grid(alphabet_max, n_max)`` yields the (params, statistic values)
     cells ``verify.formulas_vs_oracle`` checks, each head's cells in order
-    of n from 0, and ``names`` names each parameter and then the value in
-    its reports.  ``hall-remmel`` has no word DP query, and its grid has no
-    cells.
+    of n from 0.  ``names`` names each parameter, in order, and then the
+    statistic value: the CLI's options and the suite's reports read them.
+    A ``joint`` table is keyed by target tuples, one target per block; any
+    other by statistic value.  ``hall-remmel`` has no word DP query, and
+    its grid has no cells.
     """
 
     checks: Callable[..., None]
     tables: Callable[..., Iterator[dict]]
     query: Callable[..., tuple] | None
+    names: tuple[str, ...]
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
-    names: tuple[str, ...] = ()
     words: Callable[..., tuple[int, int]] | None = None
+    joint: bool = False
 
 
 def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str]) -> FamilyForms:
@@ -596,10 +600,10 @@ def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str])
         partial(_check_threshold, lowest),
         table,
         lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
+        ("k", "t", "n", "s"),
         lambda alphabet_max, n_max: _lengths(
             ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
         ),
-        ("k", "t", "n", "s"),
         lambda k, t, n: (k, n),
     )
 
@@ -607,18 +611,19 @@ def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str])
 FAMILIES = {
     "levels-threshold": _threshold_family(1, _levels_threshold, (1, "lev")),
     "levels-blocks": FamilyForms(
-        _check_blocks, _levels_blocks_table, _levels_blocks_query, _levels_blocks_grid, ("sizes", "n", "targets"),
-        lambda block_sizes, n: (sum(block_sizes), n),
+        _check_blocks, _levels_blocks_table, _levels_blocks_query, ("block_sizes", "n", "targets"),
+        _levels_blocks_grid, lambda block_sizes, n: (sum(block_sizes), n), joint=True,
     ),
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
-        _check_des_mod, _des_mod, _des_mod_query, _des_mod_grid, ("s", "alphabet", "r", "n", "p"),
+        _check_des_mod, _des_mod, _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
         lambda s, alphabet, r, n: (alphabet, n),
     ),
     "hall-remmel": FamilyForms(
         _check_class,
         lambda rho, tops, bottoms: iter([hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms))]),
         None,
+        ("rho", "x", "y", "s"),
     ),
 }

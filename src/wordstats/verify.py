@@ -135,7 +135,7 @@ def formulas_vs_oracle(
         for params, values, table, marginal in _family_walk(forms, alphabet_max, n_max):
             for value in values:
                 # The oracle keys every value by a tuple, a joint table by its target tuple.
-                key = value if isinstance(value, tuple) else (value,)
+                key = value if forms.joint else (value,)
                 result.record(
                     table.get(value, 0) + shift == marginal.get(key, 0),
                     lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),

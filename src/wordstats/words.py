@@ -210,11 +210,6 @@ class BlockPartition(FrozenRecord):
             sizes[block - 1] += 1
         return tuple(sizes)
 
-    def letters_in(self, block: int) -> tuple[int, ...]:
-        if not 1 <= block <= self.t:
-            raise InputError(f"block {block} outside 1..{self.t}")
-        return tuple(j for j in range(1, self.k + 1) if self.blocks[j - 1] == block)
-
 
 def stat_key(letters, blocks, t: int) -> tuple[tuple[int, int, int, int], ...]:
     """Per-block (descents, rises, levels, letters) totals of one word.

@@ -45,14 +45,19 @@ def counting_calls(calls, name, fn):
     return wrapper
 
 
+def flag(name):
+    """The command-line option of a parameter named in ``formulas.FAMILIES``."""
+    return "--" + name.replace("_", "-")
+
+
 def _family_queries(alphabet_max=4, n=6):
     """Per family, in ``formulas.FAMILIES`` order, the options of one query.
 
     The query is the family's verify grid cell at length ``n`` whose
     closed-form table has the most nonzero rows, then the most words, the
-    first one of those; its values follow the flags of
-    ``cli.FAMILIES[family].options`` in order.  ``hall-remmel``'s grid has
-    no cells, so it keeps a query written by hand.
+    first one of those; its values follow the family's parameter ``names``
+    in order.  ``hall-remmel``'s grid has no cells, so it keeps a query
+    written by hand.
     """
     queries = []
     for family, forms in formulas.FAMILIES.items():
@@ -67,8 +72,8 @@ def _family_queries(alphabet_max=4, n=6):
 
         params = max(cells, key=richness)
         argv = []
-        for (flag, _, _), value in zip(cli.FAMILIES[family].options, params, strict=True):
-            argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+        for name, value in zip(forms.names[:-1], params, strict=True):
+            argv += [flag(name), ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
         queries.append((family, argv))
     return queries
 
@@ -309,8 +314,11 @@ class TestTable:
             record = run_json(capsys, "table", *query, "--engine", engine)
             assert record["result"] == {"rows": [{"value": 0, "count": count}], "total": count}, engine
 
-    def test_every_family_has_command_line_and_closed_forms(self):
-        assert set(cli.FAMILIES) == set(formulas.FAMILIES)
+    def test_command_line_extras_name_declared_options(self):
+        """A help text or a text option ``cli`` adds names an option of ``formulas.FAMILIES``."""
+        for extras in (cli._HELP, {family: text for family, (text, _) in cli._TEXT.items()}):
+            for family, options in extras.items():
+                assert set(options) <= set(formulas.FAMILIES[family].names), family
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -331,10 +339,10 @@ class TestTable:
         )
         assert closed["result"]["rows"] == oracle["result"]["rows"]
 
-    # One query per family of ``cli.FAMILIES``, in its order.
+    # One query per family of ``formulas.FAMILIES``, in its order.
     FAMILY_QUERIES = _family_queries()
 
-    # The (engine, family) pairs of ``cli.ENGINES`` x ``cli.FAMILIES`` an engine refuses, with
+    # The (engine, family) pairs of ``cli.ENGINES`` x ``formulas.FAMILIES`` an engine refuses, with
     # its refusal line; every other pair answers the closed form's table.
     REFUSALS = {("transfer", "hall-remmel"): "error: hall-remmel supports the closed-form and oracle engines\n"}
 
@@ -344,8 +352,8 @@ class TestTable:
         return [engine for engine in cli.ENGINES if (engine, family) not in cls.REFUSALS]
 
     def test_queries_and_refusals_walk_every_engine_and_family(self):
-        assert [family for family, _ in self.FAMILY_QUERIES] == list(cli.FAMILIES)
-        assert set(self.REFUSALS) < {(engine, family) for engine in cli.ENGINES for family in cli.FAMILIES}
+        assert [family for family, _ in self.FAMILY_QUERIES] == list(formulas.FAMILIES)
+        assert set(self.REFUSALS) < {(engine, family) for engine in cli.ENGINES for family in formulas.FAMILIES}
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_engine_table_equals_closed_form(self, capsys, family, params):
@@ -368,7 +376,7 @@ class TestTable:
     @staticmethod
     def _count_argv(family, params, value):
         """``count`` of the query ``params`` at ``value``, a table row's ``value``."""
-        statistic = cli.FAMILIES[family].statistic[0]
+        statistic = flag(formulas.FAMILIES[family].names[-1])
         if isinstance(value, list):
             value = ",".join(map(str, value))
         return ["count", family, *params, statistic, str(value)]
@@ -809,18 +817,6 @@ class TestParametersEcho:
         )
         assert list(count["parameters"]) == query + [statistic, "family"]
 
-    def test_family_is_a_frozen_record_with_a_cached_echo(self):
-        family = cli.FAMILIES["des-mod"]
-        assert family.echo is family.echo
-        assert family.echo["count"] == ("s", "alphabet", "r", "n", "p")
-        twin = cli.Family(family.options, family.statistic, family.params)
-        assert twin == family and hash(twin) == hash(family)
-        assert twin != cli.FAMILIES["levels-threshold"]
-        assert repr(family).startswith("Family(options=(('--s', <class 'int'>, ")
-        assert repr(family).endswith(", joint=False)")
-        with pytest.raises(AttributeError, match="cannot assign to field 'joint'"):
-            family.joint = True
-
 
 class TestParserReuse:
     ARGVS = [
@@ -862,10 +858,10 @@ def _count_and_table_argvs():
     """Every family under ``count`` and ``table`` on each engine it accepts."""
     argvs = []
     for family, params in TestTable.FAMILY_QUERIES:
-        flag = cli.FAMILIES[family].statistic[0]
-        value = "1,0,1" if cli.FAMILIES[family].joint else "1"
+        statistic = flag(formulas.FAMILIES[family].names[-1])
+        value = "1,0,1" if formulas.FAMILIES[family].joint else "1"
         for engine in TestTable._engines(family):
-            argvs.append(["count", family, *params, flag, value, "--engine", engine])
+            argvs.append(["count", family, *params, statistic, value, "--engine", engine])
             argvs.append(["table", family, *params, "--engine", engine])
             argvs.append(["table", family, *params, "--engine", engine, "--format", "csv"])
     return argvs
@@ -926,8 +922,68 @@ SERIES_ARGVS = [
 
 class TestRouting:
     def test_routes_name_every_leaf(self):
-        families = {(command, family) for command in ("count", "table") for family in cli.FAMILIES}
+        families = {(command, family) for command in ("count", "table") for family in formulas.FAMILIES}
         assert set(cli._parser().routes) == families | {("series",)}
+
+    def test_leaf_options_are_the_family_names(self):
+        """A ``count`` leaf declares every name, a ``table`` leaf all but the statistic value's."""
+        routes = cli._parser().routes
+        for family, forms in formulas.FAMILIES.items():
+            for command, names, extra in (("count", forms.names, []), ("table", forms.names[:-1], ["--format"])):
+                declared = list(routes[command, family].declared)
+                assert declared == [*map(flag, names), "--engine", *extra], (command, family)
+
+    def test_a_family_declared_only_in_formulas_gets_both_leaves(self, capsys, monkeypatch):
+        """A new entry of ``formulas.FAMILIES`` is counted and tabled with no ``cli`` edit."""
+        monkeypatch.setitem(formulas.FAMILIES, "des-copy", formulas.FAMILIES["des-le"])
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+        query = ["--k", "3", "--t", "1", "--n", "4"]
+        for command, extra in (("table", []), ("count", ["--s", "2"])):
+            copied = run_json(capsys, command, "des-copy", *query, *extra)
+            original = run_json(capsys, command, "des-le", *query, *extra)
+            assert copied["parameters"] == {**original["parameters"], "family": "des-copy"}
+            assert copied["result"] == original["result"]
+        code, out, _ = outcome(capsys, ["table", "des-copy", "-h"])
+        assert code == 0 and out.startswith("usage: wordstats table des-copy [-h] --k K --t T --n N\n")
+
+    # Usage errors of the parsers whose usage ``cli`` spells out, on every Python.
+    USAGE_ERRORS = {
+        ("count", "des-any", "--k", "3"): (
+            "usage: wordstats count [-h]\n"
+            "                       {levels-threshold,levels-blocks,des-le,des-gt,des-mod,hall-remmel}\n"
+            "                       ...\n"
+            "wordstats count: error: argument family: invalid choice: 'des-any' (choose from "
+            "'levels-threshold', 'levels-blocks', 'des-le', 'des-gt', 'des-mod', 'hall-remmel')\n"
+        ),
+        ("table", "des-any", "--k", "3"): (
+            "usage: wordstats table [-h]\n"
+            "                       {levels-threshold,levels-blocks,des-le,des-gt,des-mod,hall-remmel}\n"
+            "                       ...\n"
+            "wordstats table: error: argument family: invalid choice: 'des-any' (choose from "
+            "'levels-threshold', 'levels-blocks', 'des-le', 'des-gt', 'des-mod', 'hall-remmel')\n"
+        ),
+        ("series", "--gf", "A", "--k", "2", "--partition", "threshold:1"): (
+            "usage: wordstats series [-h] --gf {A,B} --k K --partition PARTITION --order\n"
+            "                        ORDER [--track TRACK] [--q {common,per-block}]\n"
+            "wordstats series: error: the following arguments are required: --order\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+    def test_usage_error_text_is_pinned(self, capsys, argv):
+        assert outcome(capsys, argv) == (cli.EXIT_USAGE, "", self.USAGE_ERRORS[argv])
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="Python 3.13 wraps usage differently")
+    def test_spelled_out_usage_is_the_one_argparse_writes(self, monkeypatch):
+        """``count``, ``table`` and ``series`` spell out the usage argparse up to 3.12 writes at 80 columns."""
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser()
+        subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        for command in ("count", "table", "series"):
+            leaf = subparsers.choices[command]
+            spelled = leaf.format_usage()
+            leaf.usage = None
+            assert spelled == leaf.format_usage(), command
 
     @pytest.mark.parametrize(
         "argv", _count_and_table_argvs() + SERIES_ARGVS + VERIFY_ARGVS + MALFORMED_ARGVS
@@ -1135,6 +1191,20 @@ class TestColdProcess:
         _, _, modules = self._run(argv, 0)
         assert {"wordstats.series", "wordstats.polynomials"} <= modules
         assert {"wordstats.verify", "wordstats.oracle", "dataclasses", "json.decoder"} & modules == set()
+
+    def test_importtime_lists_every_module_loaded_on_access(self):
+        """A module loaded through a package or ``cli`` ``__getattr__`` shows in ``-X importtime``."""
+        cases = [
+            (["-c", "import wordstats.verify"], {"wordstats.formulas", "wordstats.identities"}),
+            (["-m", "wordstats.cli", "verify", "identities", "--n-max", "2"],
+             {"wordstats.verify", "wordstats.identities", "wordstats.oracle"}),
+        ]
+        for argv, expected in cases:
+            done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=CHILD_ENV,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            listed = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+            assert expected <= listed, argv
 
     def test_records_escape_strings_as_json_does(self):
         """``cli`` takes json's own string escaper, without the json package's decoder."""

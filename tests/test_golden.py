@@ -41,7 +41,7 @@ def test_the_argvs_cover_every_family_engine_and_format():
     counts = [argv[1] for argv in golden.ARGVS if argv[0] == "count"]
     families = list(golden.QUERIES)
     assert tables == set(itertools.product(families, ("closed-form", "oracle", "transfer"), ("json", "csv")))
-    assert counts == families == list(golden._program().cli.FAMILIES)
+    assert counts == families == list(golden._program().cli.formulas.FAMILIES)
 
 
 def test_first_difference_names_the_round():

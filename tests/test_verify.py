@@ -164,7 +164,7 @@ class TestFormulasVsOracle:
         "family, cell, key, name",
         [
             ("des-gt", (3, 1, 4), 2, "des-gt k=3 t=1 n=4 s=2"),
-            ("levels-blocks", ((1, 1, 1), 4), (1, 0, 1), "levels-blocks sizes=(1, 1, 1) n=4 targets=(1, 0, 1)"),
+            ("levels-blocks", ((1, 1, 1), 4), (1, 0, 1), "levels-blocks block_sizes=(1, 1, 1) n=4 targets=(1, 0, 1)"),
             ("des-mod", (3, 4, 2, 5), 2, "des-mod s=3 alphabet=4 r=2 n=5 p=2"),
             ("levels-threshold", (3, 2, 5), 1, "levels-threshold k=3 t=2 n=5 s=1"),
             ("des-le", (4, 2, 6), 3, "des-le k=4 t=2 n=6 s=3"),

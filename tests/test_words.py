@@ -135,7 +135,6 @@ class TestBlockPartition:
         assert part.blocks == (1, 1, 2, 2)
         assert part.t == 2
         assert part.block_sizes() == (2, 2)
-        assert part.letters_in(1) == (1, 2)
 
     def test_threshold_edges_allow_empty_blocks(self):
         assert BlockPartition.threshold(3, 0).block_sizes() == (0, 3)
@@ -146,8 +145,6 @@ class TestBlockPartition:
     def test_mod_residue(self):
         part = BlockPartition.mod_residue(7, 3)
         assert part.blocks == (1, 2, 3, 1, 2, 3, 1)
-        # multiples of the modulus sit in the last block
-        assert part.letters_in(3) == (3, 6)
 
     def test_mod_residue_small_alphabet(self):
         part = BlockPartition.mod_residue(2, 3)
@@ -183,13 +180,6 @@ class TestBlockPartition:
     def test_mod_residue_validates(self):
         with pytest.raises(InputError, match="modulus must be at least 1, got 0"):
             BlockPartition.mod_residue(3, 0)
-
-    def test_letters_in_validates(self):
-        part = BlockPartition.threshold(3, 1)
-        assert part.letters_in(2) == (2, 3)
-        for block in (0, 3):
-            with pytest.raises(InputError, match=f"block {block} outside 1..2"):
-                part.letters_in(block)
 
     def test_equality_and_hash_follow_the_fields(self):
         part = BlockPartition.threshold(3, 2)

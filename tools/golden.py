@@ -18,9 +18,8 @@ The script prints one line per stream and exits 0 when every round matches the f
 or 1 naming the first differing round of each stream that differs.  It imports
 ``bench/workloads.py`` and ``bench/checks.py`` without changing them, and uses the
 standard library only.  Replies are taken without ``WORDSTATS_ENUM_BUDGET`` and with
-``COLUMNS=80``, so argparse's text does not depend on the terminal; argparse's messages
-also depend on the Python version: the digests hold on Python 3.10 to 3.12, which CI
-checks, and Python 3.13 rewrites argparse's messages.
+``COLUMNS=80``, so argparse's text does not depend on the terminal.  The digests hold on
+Python 3.10 to 3.13, which CI checks.
 """
 
 from __future__ import annotations
