@@ -16,12 +16,13 @@ engine once.  ``brute_distribution``, ``transfer_distribution`` and
 ``statistic_distribution`` read length n of a pass that decodes no other.
 
 The transfer engine runs the transfer-matrix DP over the last letter on
-packed keys: tracked coordinate i is digit i of one integer in radix
-n + 1, and ``_letter_keys`` gives each letter's key increment per
-statistic.  One kernel, ``_kernel``, runs the DP, its first ``dense``
-digits as byte fields of one integer (``combinat.unpack``) and its other,
-sparse, digits as the keys of one dict per last letter.  With no sparse
-digit a step is one O(k) pass of big-integer shifts and adds.
+packed keys.  One kernel, ``_kernel``, runs it on the key rows its caller
+gives: per block, the key increment of each statistic.
+``statistic_lengths`` packs tracked coordinate i as digit i of one
+integer in radix n + 1 (``_letter_keys``), and the kernel runs its first
+``dense`` digits as byte fields of one integer (``combinat.unpack``) and
+its other, sparse, digits as the keys of one dict per last letter.  With
+no sparse digit a step is one O(k) pass of big-integer shifts and adds.
 
 - ``statistic_distribution`` makes its first two coordinates dense (its
   one, for a marginal): every threshold and residue count and table runs
@@ -35,11 +36,15 @@ digit a step is one O(k) pass of big-integer shifts and adds.
   empty: one or two dense fields made its calls on the
   ``oracle-vs-transfer`` grid 1.7x and 2.6x slower.
 
-Both full-vector engines decode a packed key one block row of four
-digits at a time, ``brute_distribution`` by bit masks and
-``transfer_distribution`` by ``divmod`` in radix (n + 1)**4.  Distinct
-rows are few, so each call decodes each of them once and keys that share a
-row share its tuple.
+The walk and the full-joint DP tally in one layout, ``compact_keys``:
+coordinate (block i, statistic j) is bit field 4(i - 1) + j of
+``n.bit_length()`` bits.  Only the layout is shared; the walk reads its
+steps off ``stat_key`` and the DP off ``_pair_index``.  ``brute_tallies``
+and ``transfer_tallies`` hand those tallies out undecoded, and
+``verify``'s joint suites compare them as they are.  ``brute_lengths``
+and ``transfer_lengths`` decode them with one row reader, ``_decoded``,
+one block row of four fields at a time.  Distinct rows are few, so each
+pass decodes each of them once and keys that share a row share its tuple.
 
 A set of coordinates is answered from one pass of either engine:
 ``statistic_distribution`` tracks only them, and ``DistPolynomial.joint``
@@ -114,23 +119,33 @@ def charge_walk(k: int, n: int, budget: int | None = None) -> None:
         raise BudgetExceededError(required, limit)
 
 
-def brute_lengths(
-    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int = 0
-) -> Iterator[DistPolynomial]:
-    """The joint distribution at each length first..n, from one walk of the words of [k]^n.
+def compact_keys(n: int, t: int) -> list[list[int]]:
+    """The layout both full-joint engines tally in: per block, the key increment of each statistic index.
 
-    The walk tallies every prefix of a length from ``first`` on; it is depth
-    first, so the lengths are handed out, shortest first, once it ends.
+    Coordinate (block i, statistic index j) is bit field 4(i - 1) + j of
+    ``n.bit_length()`` bits; no coordinate of a word of length up to n
+    exceeds n, so no field carries.
+    """
+    width = n.bit_length()
+    return [[1 << width * (4 * block + index) for index in range(4)] for block in range(t)]
+
+
+def brute_tallies(
+    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int = 0
+) -> list[dict[int, int]]:
+    """Per length first..n, ``compact_keys`` key -> number of words, from one walk of the words of [k]^n.
+
+    The walk tallies every prefix of a length from ``first`` on; it is
+    depth first, so every length is complete only once it ends.
     """
     _validate_shape(k, n, partition, first)
     charge_walk(k, n, budget)
     blocks, t = partition.blocks, partition.t
-    # Coordinate (block i, statistic j) is bit field 4(i-1)+j; no value exceeds n.
-    width = n.bit_length()
-    fields = [width * f for f in range(4 * t)]
+    keys = compact_keys(n, t)
 
     def pack(letters) -> int:
-        return sum(v << f for v, f in zip(itertools.chain(*stat_key(letters, blocks, t)), fields))
+        rows = zip(keys, stat_key(letters, blocks, t))
+        return sum(v * place for row, values in rows for place, v in zip(row, values))
 
     letters = range(1, k + 1)
     start = [pack((b,)) for b in letters]
@@ -158,23 +173,45 @@ def brute_lengths(
             left -= 1
             for b, shift in children[last]:
                 stack.append((key + shift, b, left))
-    # A key is t rows of 4 fields; each distinct row is decoded once per walk.
+    return tallies[first:]
+
+
+def _decoded(
+    k: int, n: int, partition: BlockPartition, tallies: Iterable[dict[int, int]], first: int
+) -> Iterator[DistPolynomial]:
+    """Each length first..n's tally of ``compact_keys`` keys, as the distribution of its statistic vectors.
+
+    A key is t rows of 4 fields, block 1 lowest; each distinct row is
+    decoded once per pass, and keys that share a row share its tuple.
+    """
+    width = n.bit_length()
     mask = (1 << width) - 1
     row_mask = (1 << 4 * width) - 1
-    shifts = fields[::4]
+    fields = [width * index for index in range(4)]
+    shifts = [4 * width * block for block in range(partition.t)]
     rows: dict[int, tuple[int, ...]] = {}
-    for length in range(first, n + 1):
+    for length, tally in enumerate(tallies, first):
         entries = {}
-        for key, count in tallies[length].items():
+        for key, count in tally.items():
             vector = []
             for shift in shifts:
                 row = key >> shift & row_mask
                 values = rows.get(row)
                 if values is None:
-                    values = rows[row] = tuple(row >> f & mask for f in fields[:4])
+                    values = rows[row] = tuple(row >> f & mask for f in fields)
                 vector.append(values)
             entries[tuple(vector)] = count
         yield DistPolynomial(entries=entries, k=k, n=length, partition=partition)
+
+
+def brute_lengths(
+    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int = 0
+) -> Iterator[DistPolynomial]:
+    """The joint distribution at each length first..n, from one walk of the words of [k]^n.
+
+    The lengths are handed out, shortest first, once the walk ends.
+    """
+    yield from _decoded(k, n, partition, brute_tallies(k, n, partition, budget, first), first)
 
 
 def brute_distribution(k: int, n: int, partition: BlockPartition, budget: int | None = None) -> DistPolynomial:
@@ -195,40 +232,42 @@ def _pair_index(a: int, b: int) -> int:
 def _letter_keys(
     n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]]
 ) -> list[list[int]]:
-    """Per letter, the packed-key increment of each statistic index charged to its block.
+    """Per block, the packed-key increment of each statistic index charged to it.
 
     ``coords`` lists (block, statistic index) pairs.  Coordinate i is digit
     i of a packed key in radix n + 1, which no coordinate of a length-n word
     exceeds, so digits never carry; a coordinate listed twice adds both
-    digits.  Row a - 1 is what a pair whose first letter is a adds, by the
-    pair's statistic index, and at ``_STAT_INDEX["cnt"]`` what letter a
-    itself adds.
+    digits.
     """
     radix = n + 1
     place: dict[tuple[int, int], int] = {}
     for position, coord in enumerate(coords):
         place[coord] = place.get(coord, 0) + radix**position
-    return [[place.get((block, index), 0) for index in range(4)] for block in partition.blocks]
+    return [[place.get((block, index), 0) for index in range(4)] for block in range(1, partition.t + 1)]
 
 
 def _kernel(
-    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]], dense: int, first: int | None = None
+    k: int, n: int, partition: BlockPartition, keys: Sequence[Sequence[int]], dense: int, first: int | None = None
 ) -> Iterator[dict[int, int]]:
     """The transfer-matrix DP over the last letter: per length first..n, packed key -> number of words.
 
     One pass to length n goes through every shorter length; it tallies the
     lengths from ``first`` on, by default n alone, and hands each out as it
-    reaches it.  Appending b after a adds one packed key increment (see
-    ``_letter_keys``): the pair (a, b) charged to the block of a, plus one
-    letter counted in the block of b.  A key's first ``dense`` digits name
-    a byte field of ``field_bytes(k**n)`` bytes, as no count of words of
-    length up to n passes k**n, and its other digits, the sparse part, key
-    one dict per last letter.  So ``divmod`` by (n + 1)**dense splits an
-    increment into a (sparse step, field shift) pair.
+    reaches it.  ``keys[i - 1][j]`` is the key increment of statistic index
+    j charged to block i, any layout that does not carry: ``_letter_keys``,
+    ``compact_keys`` or a series' own.  Appending b after a adds the pair
+    (a, b)'s increment in the block of a, plus the letter count's in the
+    block of b.  With ``dense`` 0 a key is a plain dict key and nothing
+    depends on the layout.  Otherwise a key's first ``dense`` digits, in
+    radix n + 1 as ``_letter_keys`` packs them, name a byte field of
+    ``field_bytes(k**n)`` bytes, as no count of words of length up to n
+    passes k**n, and its other digits, the sparse part, key one dict per
+    last letter.  So ``divmod`` by (n + 1)**dense splits an increment into
+    a (sparse step, field shift) pair.
 
-    With no sparse digit a letter's state is one integer.  The pair (a, b)
-    is a rise for every a < b, a level for a = b and a descent for every
-    a > b, so
+    With no increment past the dense digits a letter's state is one
+    integer.  The pair (a, b) is a rise for every a < b, a level for a = b
+    and a descent for every a > b, so
 
         new[b] = (sum_{a<b} old[a] << ris[a] + old[b] << lev[b]
                   + sum_{a>b} old[a] << des[a]) << cnt[b],
@@ -245,13 +284,13 @@ def _kernel(
     size = field_bytes(k**n)
     width = 8 * size
     radix = (n + 1) ** dense
-    keys = _letter_keys(n, partition, coords)
+    keys = [keys[block - 1] for block in partition.blocks]  # per letter, its block's row
 
     def tally(totals: dict[int, int]) -> dict[int, int]:  # sparse part -> packed fields, as key -> count
         return {key: count for sparse, packed in totals.items()
                 for key, count in enumerate(unpack(packed, size), sparse * radix) if count}
 
-    if dense == len(coords):
+    if all(key < radix for charge in keys for key in charge):
         des, ris, lev, cnt = (
             [charge[_STAT_INDEX[stat]] * width for charge in keys] for stat in ("des", "ris", "lev", "cnt")
         )
@@ -307,31 +346,27 @@ def _kernel(
             yield tally(totals) if dense else totals
 
 
+def transfer_tallies(
+    k: int, n: int, partition: BlockPartition, keys: Sequence[Sequence[int]], first: int = 0
+) -> Iterator[dict[int, int]]:
+    """Per length first..n, packed key -> number of words, from one pass of the full-joint transfer DP.
+
+    The kernel tracks all 4t coordinates in the layout ``keys`` (see
+    ``_kernel``); appending a letter charges the new pair to the block of
+    the old last letter.  Runs in time polynomial in n for fixed k,
+    independent of the enumeration budget.
+    """
+    _validate_shape(k, n, partition, first)
+    yield from _kernel(k, n, partition, keys, 0, first)
+
+
 def transfer_lengths(k: int, n: int, partition: BlockPartition, first: int = 0) -> Iterator[DistPolynomial]:
     """The full joint distribution at each length first..n, from one pass of the transfer DP.
 
-    The kernel tracks all 4t coordinates; appending a letter charges the new
-    pair to the block of the old last letter.  Runs in time polynomial in n
-    for fixed k, independent of the enumeration budget.
+    The DP tallies in ``compact_keys``'s layout, as the walk does.
     """
-    _validate_shape(k, n, partition, first)
-    t = partition.t
-    coords = [(block, index) for block in range(1, t + 1) for index in range(4)]
-    # A key is t block rows of 4 digits, block 1 lowest; each distinct row is decoded once per pass.
-    base = (n + 1) ** 4
-    rows: dict[int, tuple[int, ...]] = {}
-    for length, packed in enumerate(_kernel(k, n, partition, coords, 0, first), first):
-        entries = {}
-        for key, count in packed.items():
-            vector = []
-            for _ in range(t):
-                key, row = divmod(key, base)
-                values = rows.get(row)
-                if values is None:
-                    values = rows[row] = _digits(row, 4, n + 1)
-                vector.append(values)
-            entries[tuple(vector)] = count
-        yield DistPolynomial(entries=entries, k=k, n=length, partition=partition)
+    tallies = transfer_tallies(k, n, partition, compact_keys(n, partition.t), first)
+    yield from _decoded(k, n, partition, tallies, first)
 
 
 def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
@@ -351,7 +386,8 @@ def statistic_lengths(
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
     _validate_shape(k, n, partition, first)
-    for packed in _kernel(k, n, partition, indexed, min(2, len(indexed)), first):
+    keys = _letter_keys(n, partition, indexed)
+    for packed in _kernel(k, n, partition, keys, min(2, len(indexed)), first):
         yield {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
 
 

@@ -8,7 +8,9 @@ a failing run is immediately actionable.
 
 The pairwise checks read two engines through ``_walk``, one pass of each
 per distinct grid head: ``oracle_vs_transfer`` and ``series_vs_oracle``
-over each k's grid partitions, ``formulas_vs_oracle`` and ``des_mod_errata``
+over each k's grid partitions, which compare the engines' packed tallies
+of the full joint as int-keyed dicts and decode no key (see
+``_joint_sweep``), ``formulas_vs_oracle`` and ``des_mod_errata``
 over each family's grid in ``formulas.FAMILIES``, which names a failing
 check, and the even-words sums of ``hall_remmel_suite``.  ``corrupt=True``
 skews one closed form in ``formulas_vs_oracle`` by +1; that self-test must fail.
@@ -19,21 +21,24 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache
 
 from . import formulas, identities
 from .formulas import _grid_partitions
 # The single-length engines are not called here; bench/tracing.py wraps them at verify.
 from .oracle import (
     brute_distribution,
-    brute_lengths,
+    brute_tallies,
+    compact_keys,
     counted_pairs,
     pair_distribution,
     statistic_distribution,
     statistic_lengths,
     transfer_distribution,
-    transfer_lengths,
+    transfer_tallies,
 )
-from .series import TrackingSpec, build_ak_series, build_bk_series, coefficient_distribution
+from .polynomials import encode
+from .series import TrackingSpec, build_ak_series, build_bk_series
 from .words import BlockPartition, InputError, Record, stat_key
 from .combinat import compositions, differences
 
@@ -61,8 +66,10 @@ def _walk(cells, n_max: int, passes):
     """Each ``(params, values)`` cell of a grid, then two engines' answers at its length n.
 
     Params are a head, then n; each run of a head's cells goes n = 0..n_max.
-    ``passes(*head, n_max)`` gives both engines' passes to n_max, called
-    once per distinct head however many runs the grid gives it.
+    ``passes(*head, n_max)`` gives both engines' passes to n_max, each an
+    iterable of the answers at lengths 0..n_max, called once per distinct
+    head however many runs the grid gives it, and before any answer of the
+    head is read.
     """
     cells = list(cells)
     runs = Counter(params[:-1] for params, _ in cells if params[-1] == 0)
@@ -77,34 +84,69 @@ def _walk(cells, n_max: int, passes):
         yield params, values, *next(answers)
 
 
-def _joint_sweep(suite: str, k_max: int, n_max: int, lengths) -> SuiteResult:
-    """The joint distributions of a pass ``lengths(k, n, partition)`` against ``transfer_lengths``'s, all k**n words."""
+def _joint_sweep(suite: str, k_max: int, n_max: int, passes) -> SuiteResult:
+    """Two engines' tallies of the full joint, ``passes(k, partition, n)``, over each k's grid partitions.
+
+    Both passes tally the words of each length 0..n in one packed layout,
+    key -> number of words, so a cell checks ``got == want`` on the two
+    int-keyed dicts and that they hold all k**n words; no key is decoded.
+    """
     result = SuiteResult(suite)
     cells = (((k, p, n), None) for k in range(1, k_max + 1) for p in _grid_partitions(k) for n in range(n_max + 1))
-    passes = lambda k, partition, n: (lengths(k, n, partition), transfer_lengths(k, n, partition))
     for (k, partition, n), _, got, want in _walk(cells, n_max, passes):
         result.record(
-            got == want and got.total() == k**n,
+            got == want and sum(want.values()) == k**n,
             lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
         )
     return result
 
 
 def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
-    """Exhaustive enumeration against the dynamic program, full joint equality."""
-    return _joint_sweep("oracle-vs-transfer", k_max, n_max, brute_lengths)
+    """Exhaustive enumeration against the dynamic program, full joint equality.
+
+    The walk and the DP both tally in the compact layout, ``compact_keys``.
+    """
+    passes = lambda k, partition, n: (
+        brute_tallies(k, n, partition),
+        transfer_tallies(k, n, partition, compact_keys(n, partition.t)),
+    )
+    return _joint_sweep("oracle-vs-transfer", k_max, n_max, passes)
 
 
 def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
-    """Fully tracked word-series coefficients against the transfer oracle."""
-    return _joint_sweep("series-vs-oracle", k_max, n_max, _series_lengths)
+    """Fully tracked word-series coefficients against the transfer oracle.
+
+    The DP tallies in the series' own key layout (``_series_keys``), so each
+    coefficient's terms are compared as they are.  The series is built
+    before the DP pass starts, so its refusal of a carried key comes first.
+    Every key of a length-n word has degree 2n - 1 in that layout, n
+    letters and n - 1 pairs, so the DP's keys carry only where the series'
+    own check (``polynomials.adopt``) refuses.
+    """
+
+    def passes(k: int, partition: BlockPartition, n: int):
+        spec = TrackingSpec.all_tracked(partition.t)
+        series = build_ak_series(k, partition, spec, n)
+        return [c.terms for c in series.coeffs], transfer_tallies(k, n, partition, _series_keys(spec))
+
+    return _joint_sweep("series-vs-oracle", k_max, n_max, passes)
 
 
-def _series_lengths(k: int, n: int, partition: BlockPartition):
-    """The fully tracked word series of ``partition``, built once to order n, read at each length 0..n."""
-    spec = TrackingSpec.all_tracked(partition.t)
-    series = build_ak_series(k, partition, spec, n)
-    return (coefficient_distribution(series, spec, partition, length) for length in range(n + 1))
+@cache
+def _series_keys(spec: TrackingSpec) -> tuple[tuple[int, ...], ...]:
+    """Per block, the series key of each statistic index: its marker's unit exponent vector, encoded.
+
+    The markers come in ``spec.poly_names``' order, x, y, z, then q, which
+    mark descents, rises, levels and letters: statistic indices 0 to 3.
+    Kept per spec, as every head of a grid with t blocks asks again.
+    """
+    names = spec.poly_names(common_q_var=False)
+    kinds = list(dict.fromkeys(name[0] for name in names))
+    keys = [[0] * len(kinds) for _ in range(spec.t)]
+    zeros = (0,) * len(names)
+    for place, name in enumerate(names):
+        keys[int(name[1:]) - 1][kinds.index(name[0])] = encode(zeros[:place] + (1,) + zeros[place + 1:])
+    return tuple(map(tuple, keys))
 
 
 def _family_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):

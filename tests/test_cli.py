@@ -675,6 +675,29 @@ class TestVerify:
         run_json(capsys, "verify", "identities", "--n-max", "0")
         assert calls == [{}, {"top_n_max": 0, "two_bottom_n_max": 0}]
 
+    def test_series_carry_refused_before_any_dp_pass(self, capsys, monkeypatch):
+        # The first head's series, to order 40,000, has degree 79,999: the series refuses it first.
+        calls = []
+        tallies = verify.transfer_tallies
+        monkeypatch.setattr(verify, "transfer_tallies", lambda *args: calls.append(args) or tallies(*args))
+        code, out, err = run(capsys, "verify", "series-vs-oracle", "--k-max", "2", "--n-max", "40000")
+        assert (code, out, calls) == (cli.EXIT_USAGE, "", [])
+        assert err == "error: an exponent of ('x1', 'x2', 'y1', 'y2', 'z1', 'z2', 'q1', 'q2') exceeds the 16-bit field\n"
+
+    def test_walk_over_budget_refused_before_its_dp_pass(self, capsys, monkeypatch):
+        # k = 1 runs whole; the first walk of k = 2, over 2**30 words, is refused before its DP pass.
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        calls = []
+        tallies = verify.transfer_tallies
+        monkeypatch.setattr(verify, "transfer_tallies", lambda *args: calls.append(args[0]) or tallies(*args))
+        code, out, err = run(capsys, "verify", "oracle-vs-transfer", "--k-max", "30", "--n-max", "30")
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert err == (
+            "error: enumeration needs 1073741824 words, over the budget of 16777216 "
+            f"(override with an explicit budget or {BUDGET_ENV_VAR})\n"
+        )
+        assert calls == [1] * len(set(formulas._grid_partitions(1)))
+
     @pytest.mark.parametrize(
         "suite, bound, message",
         [

@@ -78,12 +78,13 @@ def test_grids_reach_one_letter_and_dict_keyed_joints():
 def test_kernel_from_any_first_length_is_the_tail_of_the_whole_pass():
     part = BlockPartition.from_blocks((1, 2, 3, 1))
     coords = [(1, _STAT_INDEX["lev"]), (2, _STAT_INDEX["lev"]), (3, _STAT_INDEX["lev"])]
+    keys = oracle._letter_keys(6, part, coords)
     for dense in range(len(coords) + 1):
-        whole = list(oracle._kernel(4, 6, part, coords, dense, 0))
+        whole = list(oracle._kernel(4, 6, part, keys, dense, 0))
         assert len(whole) == 7
         for first in range(8):
-            assert list(oracle._kernel(4, 6, part, coords, dense, first)) == whole[first:]
-        assert list(oracle._kernel(4, 6, part, coords, dense)) == whole[-1:]
+            assert list(oracle._kernel(4, 6, part, keys, dense, first)) == whole[first:]
+        assert list(oracle._kernel(4, 6, part, keys, dense)) == whole[-1:]
     whole = list(formulas._levels_blocks_table((1, 2, 1), 6, 0))
     assert [list(formulas._levels_blocks_table((1, 2, 1), 6, first)) for first in range(8)] == [
         whole[first:] for first in range(8)
@@ -146,3 +147,26 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     tallied.clear()
     list(statistic_lengths(4, 7, part, [(1, "des")]))
     assert len(tallied) == 7  # length 0 is the empty word, with nothing to unpack
+
+
+def test_compact_tallies_decode_to_the_length_passes():
+    # The layout: coordinate (block i, statistic j) is bit field 4(i - 1) + j of n.bit_length() bits.
+    for k in range(1, 4):
+        for partition in _grid_partitions(k):
+            fields = [(i, j) for i in range(partition.t) for j in range(4)]
+            for n in range(7):
+                width = n.bit_length()
+
+                def decoded(tally):
+                    entries = {}
+                    for key, count in tally.items():
+                        values = {(i, j): key >> width * (4 * i + j) & (1 << width) - 1 for i, j in fields}
+                        assert sum(v << width * (4 * i + j) for (i, j), v in values.items()) == key
+                        entries[tuple(tuple(values[i, j] for j in range(4)) for i in range(partition.t))] = count
+                    return entries
+
+                keys = oracle.compact_keys(n, partition.t)
+                walk = [decoded(tally) for tally in oracle.brute_tallies(k, n, partition)]
+                dp = [decoded(tally) for tally in oracle.transfer_tallies(k, n, partition, keys)]
+                assert walk == [dist.entries for dist in brute_lengths(k, n, partition)], (k, partition, n)
+                assert dp == [dist.entries for dist in transfer_lengths(k, n, partition)], (k, partition, n)

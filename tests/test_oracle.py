@@ -39,7 +39,7 @@ def _transfer_kernel(k, n, partition, coords):
     """
     if n == 0:
         return {0: 1}
-    keys = oracle._letter_keys(n, partition, coords)
+    keys = [oracle._letter_keys(n, partition, coords)[block - 1] for block in partition.blocks]
     letters = range(1, k + 1)
     start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
     delta = [
@@ -264,7 +264,8 @@ class TestTransferKernel:
         # one field holds k**n: 243 and 59,049 fill 8 and 16 bits, 256 and 65,536 need 9 and 17.
         part = BlockPartition.threshold(k, 0)
         for dense in (0, 1):
-            assert next(oracle._kernel(k, n, part, [(1, _STAT_INDEX["des"])], dense)) == {0: k**n}
+            keys = oracle._letter_keys(n, part, [(1, _STAT_INDEX["des"])])
+            assert next(oracle._kernel(k, n, part, keys, dense)) == {0: k**n}
         assert statistic_distribution(k, n, part, [(1, "des")]) == {(0,): k**n}
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -300,15 +301,15 @@ class TestTransferKernel:
                     for coords in (coords, coords + coords[:1]):
                         want = _transfer_kernel(k, n, part, coords)
                         for dense in range(len(coords) + 1):
-                            got = next(oracle._kernel(k, n, part, coords, dense))
+                            got = next(oracle._kernel(k, n, part, oracle._letter_keys(n, part, coords), dense))
                             assert got == want, (k, n, part, coords, dense)
 
     def test_full_vectors_run_without_dense_fields(self, monkeypatch):
         calls = []
 
-        def recording(k, n, partition, coords, dense, first=None):
-            calls.append((len(coords), dense))
-            return kernel(k, n, partition, coords, dense, first)
+        def recording(k, n, partition, keys, dense, first=None):
+            calls.append((keys == oracle.compact_keys(n, partition.t), dense))
+            return kernel(k, n, partition, keys, dense, first)
 
         kernel = oracle._kernel
         monkeypatch.setattr(oracle, "_kernel", recording)
@@ -316,12 +317,13 @@ class TestTransferKernel:
         coords = [(1, "lev"), (2, "des"), (3, "cnt")]
         want = brute_distribution(4, 5, part)
         assert transfer_distribution(4, 5, part) == want
-        assert calls == [(12, 0)]
+        # the full vector in the walk's compact layout; a joint in radix n + 1
+        assert calls == [(True, 0)]
         # a joint makes its first two coordinates dense, a duplicate counting as one more
         for joint in (coords[:1], coords, coords[:1] * 3):
             calls.clear()
             assert statistic_distribution(4, 5, part, joint) == want.joint(joint)
-            assert calls == [(len(joint), min(2, len(joint)))]
+            assert calls == [(False, min(2, len(joint)))]
 
     @pytest.mark.parametrize("sizes, n", [((2, 3, 1), 20), ((1, 2, 1), 12), ((1, 1, 2, 2), 16), ((2, 1, 1, 1), 12)])
     def test_three_and_four_block_joints_are_the_closed_form(self, sizes, n):

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from wordstats import formulas, identities, verify
+from wordstats import formulas, identities, oracle, verify
 from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
-from wordstats.words import DistPolynomial, InputError
+from wordstats.polynomials import adopt, decode
+from wordstats.series import TrackingSpec
+from wordstats.words import _STAT_INDEX, BlockPartition, InputError
 
 
 def skew_table(monkeypatch, family, cell, key):
@@ -80,39 +82,46 @@ def test_duality_suite_catches_a_wrong_stat_key(monkeypatch):
     )
 
 
-# The (k, partition blocks, n) whose joint distribution is skewed; the grid has this partition once.
+# The (k, partition blocks, n) whose joint tally is skewed; the grid has this partition once.
 SKEWED_JOINT = (3, (1, 1, 2), 3)
 
 
-def skew_joint(dist):
-    """``dist``, with one more word at its least statistic vector if it is the skewed cell."""
-    if (dist.k, dist.partition.blocks, dist.n) != SKEWED_JOINT:
-        return dist
-    entries = dict(dist.entries)
-    least = min(entries)
-    entries[least] += 1
-    return DistPolynomial(entries=entries, k=dist.k, n=dist.n, partition=dist.partition)
+def skew_joint(k, partition, tallies):
+    """``tallies``, of lengths 0, 1, ..., with one more word at the least packed key of the skewed cell."""
+    for n, tally in enumerate(tallies):
+        if (k, partition.blocks, n) == SKEWED_JOINT:
+            tally[min(tally)] += 1
+    return tallies
 
 
-# Each joint suite, with its left-hand engine pass; the right-hand one is ``transfer_lengths``.
-JOINT_SUITES = [("oracle_vs_transfer", "brute_lengths"), ("series_vs_oracle", "_series_lengths")]
+def skewed(name, original):
+    """The packed pass ``verify.<name>``, ``original``, skewed at ``SKEWED_JOINT``."""
+    if name == "build_ak_series":
+        def series(k, partition, spec, order):
+            built = original(k, partition, spec, order)
+            skew_joint(k, partition, [c.terms for c in built.coeffs])
+            return built
+        return series
+    return lambda k, n, partition, *keys: skew_joint(k, partition, list(original(k, n, partition, *keys)))
+
+
+# Each joint suite, with its left-hand packed pass; the right-hand one is ``transfer_tallies``.
+JOINT_SUITES = [("oracle_vs_transfer", "brute_tallies"), ("series_vs_oracle", "build_ak_series")]
 
 
 @pytest.mark.parametrize("suite, engine", JOINT_SUITES)
-def test_wrong_joint_entry_is_caught_and_named(monkeypatch, suite, engine):
+def test_wrong_joint_tally_is_caught_and_named(monkeypatch, suite, engine):
     # Only the suite's left-hand engine is skewed, at one cell of its 15 partitions times 5 lengths.
-    original = getattr(verify, engine)
-    monkeypatch.setattr(verify, engine, lambda *args: map(skew_joint, original(*args)))
+    monkeypatch.setattr(verify, engine, skewed(engine, getattr(verify, engine)))
     result = getattr(verify, suite)(3, 4)
     assert (result.checked, result.failures, result.first_failure) == (75, 1, "k=3 n=3 partition=(1, 1, 2)")
 
 
 @pytest.mark.parametrize("suite, engine", JOINT_SUITES)
-def test_joint_entry_skewed_alike_in_both_engines_fails_the_word_total(monkeypatch, suite, engine):
+def test_joint_tally_skewed_alike_in_both_engines_fails_the_word_total(monkeypatch, suite, engine):
     # Both engines agree at the skewed cell, but it then holds k**n + 1 words.
-    for name in (engine, "transfer_lengths"):
-        original = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args, original=original: map(skew_joint, original(*args)))
+    for name in (engine, "transfer_tallies"):
+        monkeypatch.setattr(verify, name, skewed(name, getattr(verify, name)))
     result = getattr(verify, suite)(3, 4)
     assert (result.checked, result.failures, result.first_failure) == (75, 1, "k=3 n=3 partition=(1, 1, 2)")
 
@@ -131,15 +140,62 @@ def log_passes(monkeypatch, *names):
     return passes
 
 
+# Each joint suite's two passes to length n for one head, as ``log_passes`` logs them.
+JOINT_PASSES = {
+    "oracle_vs_transfer": lambda k, partition, n: [
+        ("brute_tallies", k, n, partition),
+        ("transfer_tallies", k, n, partition, oracle.compact_keys(n, partition.t)),
+    ],
+    "series_vs_oracle": lambda k, partition, n: [
+        ("build_ak_series", k, partition, TrackingSpec.all_tracked(partition.t), n),
+        ("transfer_tallies", k, n, partition, verify._series_keys(TrackingSpec.all_tracked(partition.t))),
+    ],
+}
+
+
 @pytest.mark.parametrize("suite, engine", JOINT_SUITES)
-def test_joint_suite_runs_one_pass_per_distinct_partition(monkeypatch, suite, engine):
-    passes = log_passes(monkeypatch, engine, "transfer_lengths")
+def test_joint_suite_runs_one_packed_pass_per_distinct_partition(monkeypatch, suite, engine):
+    passes = log_passes(monkeypatch, engine, "transfer_tallies")
     result = getattr(verify, suite)(2, 3)
     # Nine grid partitions, of which k = 1 repeats one and k = 2 another; every one is checked.
     heads = [(k, partition) for k in (1, 2) for partition in formulas._grid_partitions(k)]
     distinct = list(dict.fromkeys(heads))
     assert (len(heads), len(distinct), result.checked, result.failures) == (9, 7, 36, 0)
-    assert passes == [(name, k, 3, partition) for k, partition in distinct for name in (engine, "transfer_lengths")]
+    assert passes == [call for k, partition in distinct for call in JOINT_PASSES[suite](k, partition, 3)]
+
+
+@pytest.mark.parametrize("suite", ["oracle_vs_transfer", "series_vs_oracle"])
+def test_dp_charging_a_descent_as_a_rise_fails_both_joint_suites(monkeypatch, suite):
+    # Only the DP's own pair rule is skewed; the walk reads stat_key and the series its factors.
+    pair_index = oracle._pair_index
+    monkeypatch.setattr(oracle, "_pair_index", lambda a, b: _STAT_INDEX["ris"] if a > b else pair_index(a, b))
+    result = getattr(verify, suite)(3, 4)
+    assert (result.checked, result.failures, result.first_failure) == (75, 33, "k=2 n=2 partition=(2, 2)")
+
+
+def test_series_layout_with_x_and_y_swapped_fails_and_names_the_cell(monkeypatch):
+    # Swapped, 12 charges a descent to the block of 1 and 21 a rise to the block of 2: a change only when those differ.
+    keys = verify._series_keys
+    monkeypatch.setattr(verify, "_series_keys", lambda spec: [[y, x, *rest] for x, y, *rest in keys(spec)])
+    result = verify.series_vs_oracle(3, 4)
+    assert (result.checked, result.failures, result.first_failure) == (75, 18, "k=2 n=2 partition=(1, 2)")
+
+
+def test_series_layout_is_carry_free_exactly_where_adopt_accepts():
+    # Every word of length n >= 1 has degree 2n - 1 in the series layout, n letters and n - 1
+    # pairs, and each exponent at most that; so a key carries exactly when its degree field does.
+    spec = TrackingSpec.all_tracked(1)
+    names = spec.poly_names(common_q_var=False)
+    keys = verify._series_keys(spec)
+    [(_, _, lev, cnt)] = keys
+    one_block = BlockPartition.threshold(1, 1)
+    n = 32768  # degree 65,535, the largest a 16-bit field holds
+    key = (n - 1) * lev + n * cnt  # the word 1^n, all levels
+    assert next(oracle.transfer_tallies(1, n, one_block, keys, n)) == {key: 1}
+    assert decode(key, len(names) + 1) == (2 * n - 1, 0, 0, n - 1, n)
+    assert adopt(names, [{key: 1}])[0].exponents() == {(0, 0, n - 1, n): 1}
+    with pytest.raises(InputError, match="exceeds the 16-bit field"):
+        adopt(names, [{key + lev + cnt: 1}])  # length n + 1
 
 
 class TestFormulasVsOracle:

@@ -172,6 +172,9 @@ CHECKS = [
     _suite("verify formulas-vs-oracle --k-max 10 --n-max 10", 78185),
     _suite("verify oracle-vs-transfer --k-max 3 --n-max 10", 165),
     _suite("verify series-vs-oracle --k-max 4 --n-max 7", 176),
+    # The largest joint grids a benchmark verify stream sends, through the CLI.
+    _suite("verify series-vs-oracle --k-max 5 --n-max 5", 180),
+    _suite("verify oracle-vs-transfer --k-max 5 --n-max 5", 180),
     _record("count des-le --k 3 --t 1 --n 4 --s 1"),
     _record("table levels-blocks --block-sizes 2,3,1 --n 5"),
     _record("series --gf A --k 2 --partition threshold:1 --track x2 --order 2"),
