@@ -18,7 +18,8 @@ the function that builds the closed-form parameters); ``_HELP`` holds the
 help texts.  Its ``joint`` says that its table is keyed by target tuples.
 ``ENGINES`` maps each ``--engine`` name, in the order of its choices, to
 the one function that builds a query's whole table on that engine; the
-function holds the engine's refusal of a family and its charge.  ``count``
+function holds the engine's refusal of a family and its charge, and a
+word engine's function keys its answer by ``FamilyForms.keyed``.  ``count``
 and ``table`` share one dispatch, ``_table``: it checks the query with the
 closed forms' own checks (``formulas.check_params``), the statistic value
 of a ``count`` included, and then makes that one engine call.  ``table``
@@ -231,11 +232,6 @@ _TEXT = {
 }
 
 
-def _keyed(family: str, dist: dict) -> dict:
-    """A word engine's table keyed as the closed forms key it: joint by targets, else by value."""
-    return dist if formulas.FAMILIES[family].joint else {key[0]: count for key, count in dist.items()}
-
-
 # Names loaded from a sibling module on first access (``__getattr__``) and then bound here: what
 # only ``--engine oracle`` and ``--engine transfer`` run, and the ``series`` builders.  A module's
 # own name maps to it.  count_matching is not called here; bench/tracing.py counts calls at it.
@@ -273,14 +269,14 @@ def _oracle(family: str, params: tuple) -> dict:
     # The walk is charged before the query builds a partition, which holds one entry per letter.
     _HERE.charge_walk(*forms.words(*params))
     k, n, partition, coords = forms.query(*params)
-    return _keyed(family, _HERE.oracle.brute_distribution(k, n, partition).joint(coords))
+    return forms.keyed(_HERE.oracle.brute_distribution(k, n, partition).joint(coords))
 
 
 def _transfer(family: str, params: tuple) -> dict:
-    query = formulas.FAMILIES[family].query
-    if query is None:
+    forms = formulas.FAMILIES[family]
+    if forms.query is None:
         raise InputError(f"{family} supports the closed-form and oracle engines")
-    return _keyed(family, _HERE.oracle.statistic_distribution(*query(*params)))
+    return forms.keyed(_HERE.oracle.statistic_distribution(*forms.query(*params)))
 
 
 # In the order of ``--engine``'s choices; the first is its default.
@@ -298,10 +294,10 @@ def _parameters(args, names: tuple[str, ...]) -> dict:
     return echo
 
 
-def _table(args, value: tuple = ()) -> dict:
+def _table(args, *value) -> dict:
     """A query's table from one ``ENGINES`` call, after the closed forms' checks.
 
-    ``value`` holds the statistic value ``count`` asks for, which is checked
+    ``value`` is the statistic value ``count`` asks for, if any, which is checked
     with the parameters on every engine, so only a query the closed forms
     accept meets an engine's refusal of the family.  A joint table is keyed
     by target tuples, any other by statistic value; a value may have no key.
@@ -309,7 +305,7 @@ def _table(args, value: tuple = ()) -> dict:
     params = tuple(getattr(args, name) for name in formulas.FAMILIES[args.family].names[:-1])
     if args.family in _TEXT:
         params = _TEXT[args.family][1](*params)
-    check_params(args.family, params + value)
+    check_params(args.family, (*params, *value))
     return ENGINES[args.engine](args.family, params)
 
 
@@ -320,7 +316,7 @@ def _cmd_count(args) -> int:
         value = _parse_int_list(value)
     elif value is None:
         raise InputError("count needs the statistic value (--s / --p)")
-    count = _table(args, (value,)).get(value, 0)
+    count = _table(args, value).get(value, 0)
     out = _record("count", _parameters(args, family.names), args.engine)
     with _AllDigits():
         out.append(f'{{\n    "count": "{count}"\n  }}')

@@ -53,10 +53,12 @@ the statistic it counts, which the CLI's oracle and transfer engines and
 the verification suites read, its verify grid, the cells on which
 ``verify.formulas_vs_oracle`` checks it, the names of its parameters and
 its statistic value, which the CLI's options and the suite's reports give
-them, and whether its table is keyed by target tuples.  ``distribution`` returns a whole
-table of any family from one call, and every count is one entry of that
-table, read after the count's own parameter checks; the builders check
-nothing.
+them, and whether its table is keyed by target tuples.  A word engine
+keys its answer by tuples, and ``FamilyForms.keyed`` keys it as the
+table, the one rule the CLI and the suites read.  ``distribution``
+returns a whole table of any family from one call, and every count is
+one entry of that table, read after the count's own parameter checks;
+the builders check nothing.
 """
 
 from __future__ import annotations
@@ -572,7 +574,8 @@ class FamilyForms(NamedTuple):
 
     ``tables(*params)`` yields the family's table; a word family's params
     end in the length n, and ``tables(*params, first=j)`` yields lengths
-    j..n from one pass.  ``query(*params)`` is the word DP's (alphabet, n,
+    j..n from one pass; ``first=None``, the default, is n alone, as in
+    every length pass.  ``query(*params)`` is the word DP's (alphabet, n,
     partition, coordinates) of the statistic the family counts; the
     partition never depends on the length n, and ``words(*params)`` is its
     (alphabet, n) alone, for a charge made before any partition is built.
@@ -581,8 +584,8 @@ class FamilyForms(NamedTuple):
     of n from 0.  ``names`` names each parameter, in order, and then the
     statistic value: the CLI's options and the suite's reports read them.
     A ``joint`` table is keyed by target tuples, one target per block; any
-    other by statistic value.  ``hall-remmel`` has no word DP query, and
-    its grid has no cells.
+    other by statistic value, as ``keyed`` keys a word engine's answer.
+    ``hall-remmel`` has no word DP query, and its grid has no cells.
     """
 
     checks: Callable[..., None]
@@ -592,6 +595,10 @@ class FamilyForms(NamedTuple):
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
+
+    def keyed(self, dist: dict[tuple[int, ...], int]) -> dict:
+        """A word engine's answer to ``query``, keyed by tuples, keyed as the family's table."""
+        return dist if self.joint else {key: count for (key,), count in dist.items()}
 
 
 def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str]) -> FamilyForms:

@@ -9,11 +9,11 @@ its statistics packed into one integer, and appending a letter adds an
 increment read off ``stat_key`` on one- and two-letter words, so a word
 costs O(1), not O(n).  It is charged before it starts (``charge_walk``).
 
-Both routes pass every shorter length on the way to n, and hand each out:
-``brute_lengths``, ``transfer_lengths`` and ``statistic_lengths`` yield
-lengths 0..n from one pass, sized for n, so a sweep over n runs each
-engine once.  ``brute_distribution``, ``transfer_distribution`` and
-``statistic_distribution`` read length n of a pass that decodes no other.
+Both routes pass every shorter length on the way to n.  Every length
+pass, ``brute_tallies``, ``transfer_tallies``, ``statistic_lengths`` and
+``_kernel``, hands out length n alone by default (``first=None``) and
+lengths j..n, sized for n, with ``first=j``, so a sweep over n runs each
+engine once.  The ``*_distribution`` calls read a pass without ``first``.
 
 The transfer engine runs the transfer-matrix DP over the last letter on
 packed keys.  One kernel, ``_kernel``, runs it on the key rows its caller
@@ -41,10 +41,11 @@ coordinate (block i, statistic j) is bit field 4(i - 1) + j of
 ``n.bit_length()`` bits.  Only the layout is shared; the walk reads its
 steps off ``stat_key`` and the DP off ``_pair_index``.  ``brute_tallies``
 and ``transfer_tallies`` hand those tallies out undecoded, and
-``verify``'s joint suites compare them as they are.  ``brute_lengths``
-and ``transfer_lengths`` decode them with one row reader, ``_decoded``,
-one block row of four fields at a time.  Distinct rows are few, so each
-pass decodes each of them once and keys that share a row share its tuple.
+``verify``'s joint suites compare them as they are.
+``brute_distribution`` and ``transfer_distribution`` decode their one
+tally with ``_decoded``, one block row of four fields at a time; distinct
+rows are few, so each is decoded once and keys that share a row share
+its tuple.
 
 A set of coordinates is answered from one pass of either engine:
 ``statistic_distribution`` tracks only them, and ``DistPolynomial.joint``
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
 from math import factorial, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -98,9 +98,12 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_ENUMERATION_BUDGET
 
 
-def _validate_shape(k: int, n: int, partition: BlockPartition, first: int = 0) -> None:
+def _validate_shape(k: int, n: int, partition: BlockPartition, first: int | None) -> int:
+    """The first length a pass hands out, n for ``first=None``, once the shape is checked."""
     _check_partition(k, partition)
+    first = n if first is None else first
     _check_length(n, first)
+    return first
 
 
 def charge_walk(k: int, n: int, budget: int | None = None) -> None:
@@ -131,14 +134,15 @@ def compact_keys(n: int, t: int) -> list[list[int]]:
 
 
 def brute_tallies(
-    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int = 0
+    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int | None = None
 ) -> list[dict[int, int]]:
     """Per length first..n, ``compact_keys`` key -> number of words, from one walk of the words of [k]^n.
 
-    The walk tallies every prefix of a length from ``first`` on; it is
-    depth first, so every length is complete only once it ends.
+    The walk tallies every prefix of a length from ``first`` on, by
+    default n alone; it is depth first, so every length is complete only
+    once it ends.
     """
-    _validate_shape(k, n, partition, first)
+    first = _validate_shape(k, n, partition, first)
     charge_walk(k, n, budget)
     blocks, t = partition.blocks, partition.t
     keys = compact_keys(n, t)
@@ -176,13 +180,11 @@ def brute_tallies(
     return tallies[first:]
 
 
-def _decoded(
-    k: int, n: int, partition: BlockPartition, tallies: Iterable[dict[int, int]], first: int
-) -> Iterator[DistPolynomial]:
-    """Each length first..n's tally of ``compact_keys`` keys, as the distribution of its statistic vectors.
+def _decoded(k: int, n: int, partition: BlockPartition, tally: dict[int, int]) -> DistPolynomial:
+    """A tally of the words of length n in ``compact_keys`` keys, as the distribution of their statistic vectors.
 
     A key is t rows of 4 fields, block 1 lowest; each distinct row is
-    decoded once per pass, and keys that share a row share its tuple.
+    decoded once, and keys that share a row share its tuple.
     """
     width = n.bit_length()
     mask = (1 << width) - 1
@@ -190,33 +192,23 @@ def _decoded(
     fields = [width * index for index in range(4)]
     shifts = [4 * width * block for block in range(partition.t)]
     rows: dict[int, tuple[int, ...]] = {}
-    for length, tally in enumerate(tallies, first):
-        entries = {}
-        for key, count in tally.items():
-            vector = []
-            for shift in shifts:
-                row = key >> shift & row_mask
-                values = rows.get(row)
-                if values is None:
-                    values = rows[row] = tuple(row >> f & mask for f in fields)
-                vector.append(values)
-            entries[tuple(vector)] = count
-        yield DistPolynomial(entries=entries, k=k, n=length, partition=partition)
-
-
-def brute_lengths(
-    k: int, n: int, partition: BlockPartition, budget: int | None = None, first: int = 0
-) -> Iterator[DistPolynomial]:
-    """The joint distribution at each length first..n, from one walk of the words of [k]^n.
-
-    The lengths are handed out, shortest first, once the walk ends.
-    """
-    yield from _decoded(k, n, partition, brute_tallies(k, n, partition, budget, first), first)
+    entries = {}
+    for key, count in tally.items():
+        vector = []
+        for shift in shifts:
+            row = key >> shift & row_mask
+            values = rows.get(row)
+            if values is None:
+                values = rows[row] = tuple(row >> f & mask for f in fields)
+            vector.append(values)
+        entries[tuple(vector)] = count
+    return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
 
 
 def brute_distribution(k: int, n: int, partition: BlockPartition, budget: int | None = None) -> DistPolynomial:
-    """Joint distribution by summing over all k**n words: the last length of ``brute_lengths``."""
-    return deque(brute_lengths(k, n, partition, budget, n), maxlen=1).pop()
+    """Joint distribution by summing over all k**n words: the one tally of ``brute_tallies``, decoded."""
+    [tally] = brute_tallies(k, n, partition, budget)
+    return _decoded(k, n, partition, tally)
 
 
 # The kernel's own pair classification, not stat_key's, so the two oracles stay independent.
@@ -347,37 +339,30 @@ def _kernel(
 
 
 def transfer_tallies(
-    k: int, n: int, partition: BlockPartition, keys: Sequence[Sequence[int]], first: int = 0
+    k: int, n: int, partition: BlockPartition, keys: Sequence[Sequence[int]], first: int | None = None
 ) -> Iterator[dict[int, int]]:
-    """Per length first..n, packed key -> number of words, from one pass of the full-joint transfer DP.
+    """Per length first..n, by default n alone, packed key -> number of words, from one full-joint DP pass.
 
     The kernel tracks all 4t coordinates in the layout ``keys`` (see
     ``_kernel``); appending a letter charges the new pair to the block of
     the old last letter.  Runs in time polynomial in n for fixed k,
     independent of the enumeration budget.
     """
-    _validate_shape(k, n, partition, first)
-    yield from _kernel(k, n, partition, keys, 0, first)
-
-
-def transfer_lengths(k: int, n: int, partition: BlockPartition, first: int = 0) -> Iterator[DistPolynomial]:
-    """The full joint distribution at each length first..n, from one pass of the transfer DP.
-
-    The DP tallies in ``compact_keys``'s layout, as the walk does.
-    """
-    tallies = transfer_tallies(k, n, partition, compact_keys(n, partition.t), first)
-    yield from _decoded(k, n, partition, tallies, first)
+    yield from _kernel(k, n, partition, keys, 0, _validate_shape(k, n, partition, first))
 
 
 def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
-    """Same distribution via the transfer DP over the last letter: the last length of ``transfer_lengths``."""
-    return deque(transfer_lengths(k, n, partition, n), maxlen=1).pop()
+    """Same distribution via the transfer DP over the last letter: the one tally of ``transfer_tallies``, decoded.
+
+    The DP tallies in ``compact_keys``'s layout, as the walk does.
+    """
+    return _decoded(k, n, partition, next(transfer_tallies(k, n, partition, compact_keys(n, partition.t))))
 
 
 def statistic_lengths(
-    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int = 0
+    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int | None = None
 ) -> Iterator[dict[tuple[int, ...], int]]:
-    """Joint distribution of selected (block, statistic) coordinates only, at each length first..n.
+    """Joint distribution of selected (block, statistic) coordinates only, at each length first..n, by default n alone.
 
     The transfer DP tracking just the requested coordinates, keeping the
     state space small when a query needs a single marginal out of a large
@@ -385,7 +370,7 @@ def statistic_lengths(
     fields and any others key its dicts (see the module docstring).
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
-    _validate_shape(k, n, partition, first)
+    first = _validate_shape(k, n, partition, first)
     keys = _letter_keys(n, partition, indexed)
     for packed in _kernel(k, n, partition, keys, min(2, len(indexed)), first):
         yield {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
@@ -397,8 +382,8 @@ def statistic_distribution(
     partition: BlockPartition,
     coords: Sequence[tuple[int, str]],
 ) -> dict[tuple[int, ...], int]:
-    """Joint distribution of selected (block, statistic) coordinates: length n of ``statistic_lengths``."""
-    return deque(statistic_lengths(k, n, partition, coords, n), maxlen=1).pop()
+    """Joint distribution of selected (block, statistic) coordinates: the one length of ``statistic_lengths``."""
+    return next(statistic_lengths(k, n, partition, coords))
 
 
 def count_matching(

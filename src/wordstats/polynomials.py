@@ -11,9 +11,9 @@ CLI relies on for deterministic output.
 No field carries silently: the total degree bounds every exponent, so a
 key sum carries only if its degree field overflows, which puts it at or
 above 2**(FIELD_BITS * (len(names) + 1)); ``adopt`` refuses such a key
-with ``InputError``.  ``Polynomial``'s one arithmetic operator, ``*`` by
-an int or by a polynomial over the same names, wraps its result through
-``from_keys``, which copies its terms into ``adopt``.  The series engine
+with ``InputError`` (``check_degree``).  ``Polynomial``'s one arithmetic
+operator, ``*`` by an int or by a polynomial over the same names, wraps
+its result through ``from_keys``, which copies its terms into ``adopt``.  The series engine
 does its own arithmetic on term dicts with ``add_product`` and hands a
 series out through one ``adopt`` call, which takes its dicts without a
 copy and checks the largest key of the whole series once (``series``
@@ -117,6 +117,12 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def check_degree(names: tuple[str, ...], degree: int) -> None:
+    """Refuse a key over ``names`` whose total ``degree`` passes its field."""
+    if degree > _MASK:
+        raise InputError(f"an exponent of {names} exceeds the {FIELD_BITS}-bit field")
+
+
 def adopt(names: tuple[str, ...], terms: list[dict[int, int]]) -> list[Polynomial]:
     """One polynomial over ``names`` per zero-free term dict, each dict taken as is.
 
@@ -124,9 +130,7 @@ def adopt(names: tuple[str, ...], terms: list[dict[int, int]]) -> list[Polynomia
     through.  One check against the largest key of them all refuses a
     carried key with ``InputError``.
     """
-    top = max([max(t) for t in terms if t], default=0)
-    if top >> (FIELD_BITS * (len(names) + 1)):
-        raise InputError(f"an exponent of {names} exceeds the {FIELD_BITS}-bit field")
+    check_degree(names, max([max(t) for t in terms if t], default=0) >> FIELD_BITS * len(names))
     polys = []
     for t in terms:
         poly = object.__new__(Polynomial)

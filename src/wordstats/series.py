@@ -36,13 +36,17 @@ largest key of any coefficient, refuses a carried key.  Checking there and
 not after each step is sound because keys only ever add: every key formed
 from a carried key is itself at or above the bound, so a carried key never
 lands on a valid one and never changes a coefficient the check accepts.
+With every x, y and z marker tracked, the top degree is known from the
+order, so a build past the field is refused before it starts, with the
+same ``InputError`` (``polynomials.check_degree``).  ``statistic_keys``
+is the series' key layout per statistic, for the DP to tally in.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, decode
+from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, check_degree, decode
 from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Record, _check_partition
 
 Terms = dict[int, int]
@@ -208,6 +212,18 @@ class TrackingSpec(FrozenRecord):
         return tuple(names)
 
 
+def _marker_keys(spec: TrackingSpec, names: tuple[str, ...]) -> list[list[int]]:
+    """Per block, the keys over ``names`` of its x, y, z and q markers: statistic index order.
+
+    A tracked marker's key has its own exponent 1 and total degree 1; an untracked marker
+    is the constant 1, key 0, so a product of markers is a sum of keys.
+    """
+    top = FIELD_BITS * len(names)
+    unit = {name: (1 << top) | (1 << (top - FIELD_BITS * i)) for i, name in enumerate(names, 1)}
+    q = "q{}" if spec.per_block_q else "q"
+    return [[unit.get(name.format(m), 0) for name in ("x{}", "y{}", "z{}", q)] for m in range(1, spec.t + 1)]
+
+
 def _build_series(
     k: int, partition: BlockPartition, spec: TrackingSpec, order: int, var: str,
     degrees: Iterable[int],
@@ -225,10 +241,11 @@ def _build_series(
             f"tracking spec covers {spec.t} blocks, partition has {partition.t}"
         )
     names = spec.poly_names(common_q_var=var == "v")
-    # A tracked marker's key has its own exponent 1 and total degree 1; an untracked
-    # marker is the constant 1, key 0, so a product of markers is a sum of keys.
-    top = FIELD_BITS * len(names)
-    unit = {name: (1 << top) | (1 << (top - FIELD_BITS * i)) for i, name in enumerate(names, 1)}
+    if all(spec.x + spec.y + spec.z):
+        # Each of a word's N - 1 pairs is marked, and each of its N letters when q is a coefficient
+        # variable; a composition of weight N has at most N parts, and 1 + ... + 1 has N.
+        check_degree(names, order - 1 + order * (var == "v" or spec.per_block_q))
+    markers = _marker_keys(spec, names)
 
     def poly(*terms: tuple[int, int]) -> Terms:
         acc: Terms = {}
@@ -242,9 +259,7 @@ def _build_series(
 
     factors = []
     for letter, degree in enumerate(degrees, start=1):
-        m = partition.block_of(letter)
-        xs, ys, zs = (unit.get(f"{kind}{m}", 0) for kind in "xyz")
-        qs = unit.get(f"q{m}" if spec.per_block_q else "q", 0)
+        xs, ys, zs, qs = markers[partition.block_of(letter) - 1]
         factors.append((
             lift(0, poly((qs, 1), (qs + ys, -1)), degree),
             lift(0, {qs + ys: 1}, degree),
@@ -316,6 +331,11 @@ def solve_block_system(
         solved.append(PowerSeries._wrap("q", names, here))
         running = _signed_sum(running, here)
     return solved
+
+
+def statistic_keys(spec: TrackingSpec) -> list[list[int]]:
+    """Per block, each statistic's word-series key: a word's key is their sum over its letters and pairs."""
+    return _marker_keys(spec, spec.poly_names(common_q_var=False))
 
 
 def coefficient_distribution(

@@ -12,8 +12,11 @@ over each k's grid partitions, which compare the engines' packed tallies
 of the full joint as int-keyed dicts and decode no key (see
 ``_joint_sweep``), ``formulas_vs_oracle`` and ``des_mod_errata``
 over each family's grid in ``formulas.FAMILIES``, which names a failing
-check, and the even-words sums of ``hall_remmel_suite``.  ``corrupt=True``
-skews one closed form in ``formulas_vs_oracle`` by +1; that self-test must fail.
+check, and the even-words sums of ``hall_remmel_suite``.  Each pass is
+asked for every length by keyword, ``first=0``, and the family suites
+key the oracle's marginals as the tables (``FamilyForms.keyed``).
+``corrupt=True`` skews one closed form in ``formulas_vs_oracle`` by +1;
+that self-test must fail.
 ``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
 """
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache
 
 from . import formulas, identities
 from .formulas import _grid_partitions
@@ -37,8 +39,7 @@ from .oracle import (
     transfer_distribution,
     transfer_tallies,
 )
-from .polynomials import encode
-from .series import TrackingSpec, build_ak_series, build_bk_series
+from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
 from .combinat import compositions, differences
 
@@ -107,8 +108,8 @@ def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
     The walk and the DP both tally in the compact layout, ``compact_keys``.
     """
     passes = lambda k, partition, n: (
-        brute_tallies(k, n, partition),
-        transfer_tallies(k, n, partition, compact_keys(n, partition.t)),
+        brute_tallies(k, n, partition, first=0),
+        transfer_tallies(k, n, partition, compact_keys(n, partition.t), first=0),
     )
     return _joint_sweep("oracle-vs-transfer", k_max, n_max, passes)
 
@@ -116,7 +117,7 @@ def oracle_vs_transfer(k_max: int = 4, n_max: int = 8) -> SuiteResult:
 def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     """Fully tracked word-series coefficients against the transfer oracle.
 
-    The DP tallies in the series' own key layout (``_series_keys``), so each
+    The DP tallies in the series' own key layout (``series.statistic_keys``), so each
     coefficient's terms are compared as they are.  The series is built
     before the DP pass starts, so its refusal of a carried key comes first.
     Every key of a length-n word has degree 2n - 1 in that layout, n
@@ -127,31 +128,16 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     def passes(k: int, partition: BlockPartition, n: int):
         spec = TrackingSpec.all_tracked(partition.t)
         series = build_ak_series(k, partition, spec, n)
-        return [c.terms for c in series.coeffs], transfer_tallies(k, n, partition, _series_keys(spec))
+        return [c.terms for c in series.coeffs], transfer_tallies(k, n, partition, statistic_keys(spec), first=0)
 
     return _joint_sweep("series-vs-oracle", k_max, n_max, passes)
 
 
-@cache
-def _series_keys(spec: TrackingSpec) -> tuple[tuple[int, ...], ...]:
-    """Per block, the series key of each statistic index: its marker's unit exponent vector, encoded.
-
-    The markers come in ``spec.poly_names``' order, x, y, z, then q, which
-    mark descents, rises, levels and letters: statistic indices 0 to 3.
-    Kept per spec, as every head of a grid with t blocks asks again.
-    """
-    names = spec.poly_names(common_q_var=False)
-    kinds = list(dict.fromkeys(name[0] for name in names))
-    keys = [[0] * len(kinds) for _ in range(spec.t)]
-    zeros = (0,) * len(names)
-    for place, name in enumerate(names):
-        keys[int(name[1:]) - 1][kinds.index(name[0])] = encode(zeros[:place] + (1,) + zeros[place + 1:])
-    return tuple(map(tuple, keys))
-
-
 def _family_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
-    """``_walk`` over a family's grid: its closed-form tables against the oracle's marginals."""
-    passes = lambda *params: (forms.tables(*params, first=0), statistic_lengths(*forms.query(*params)))
+    """``_walk`` over a family's grid: its closed-form tables against the oracle's marginals, keyed alike."""
+    passes = lambda *params: (
+        forms.tables(*params, first=0), map(forms.keyed, statistic_lengths(*forms.query(*params), first=0))
+    )
     return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
 
 
@@ -176,10 +162,8 @@ def formulas_vs_oracle(
         shift = 1 if corrupt and family == "levels-threshold" else 0
         for params, values, table, marginal in _family_walk(forms, alphabet_max, n_max):
             for value in values:
-                # The oracle keys every value by a tuple, a joint table by its target tuple.
-                key = value if forms.joint else (value,)
                 result.record(
-                    table.get(value, 0) + shift == marginal.get(key, 0),
+                    table.get(value, 0) + shift == marginal.get(value, 0),
                     lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),
                 )
     return result
@@ -409,7 +393,7 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
         if not (need_example or case.shipped_ok):
             continue
         for p in values:
-            shipped, want = table.get(p, 0), marginal.get((p,), 0)
+            shipped, want = table.get(p, 0), marginal.get(p, 0)
             if shipped != want:
                 case.shipped_ok = False
             if need_example:

@@ -479,6 +479,18 @@ class TestTable:
 
 
 class TestSeries:
+    def test_all_tracked_order_past_the_field_is_refused_before_the_build(self, capsys, monkeypatch):
+        # Order 40,000 with every marker and per-block letter counts tracked has degree 79,999.
+        from wordstats import series
+
+        monkeypatch.setattr(series, "_products", lambda *args: pytest.fail("the series build started"))
+        code, out, err = run(
+            capsys, "series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--track", "all",
+            "--q", "per-block", "--order", "40000",
+        )
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: an exponent of ('x1', 'x2', 'y1', 'y2', 'z1', 'z2', 'q1', 'q2') exceeds the 16-bit field\n"
+
     def test_series_goes_through_the_names_bound_on_cli(self, capsys, monkeypatch):
         """``series`` calls the builder bound on ``cli`` when it runs, a wrapper patched there too."""
         calls = []
@@ -679,7 +691,8 @@ class TestVerify:
         # The first head's series, to order 40,000, has degree 79,999: the series refuses it first.
         calls = []
         tallies = verify.transfer_tallies
-        monkeypatch.setattr(verify, "transfer_tallies", lambda *args: calls.append(args) or tallies(*args))
+        logged = lambda *args, **first: calls.append(args) or tallies(*args, **first)
+        monkeypatch.setattr(verify, "transfer_tallies", logged)
         code, out, err = run(capsys, "verify", "series-vs-oracle", "--k-max", "2", "--n-max", "40000")
         assert (code, out, calls) == (cli.EXIT_USAGE, "", [])
         assert err == "error: an exponent of ('x1', 'x2', 'y1', 'y2', 'z1', 'z2', 'q1', 'q2') exceeds the 16-bit field\n"
@@ -689,7 +702,8 @@ class TestVerify:
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
         calls = []
         tallies = verify.transfer_tallies
-        monkeypatch.setattr(verify, "transfer_tallies", lambda *args: calls.append(args[0]) or tallies(*args))
+        logged = lambda *args, **first: calls.append(args[0]) or tallies(*args, **first)
+        monkeypatch.setattr(verify, "transfer_tallies", logged)
         code, out, err = run(capsys, "verify", "oracle-vs-transfer", "--k-max", "30", "--n-max", "30")
         assert (code, out) == (cli.EXIT_BUDGET, "")
         assert err == (

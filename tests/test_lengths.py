@@ -12,11 +12,12 @@ from wordstats import formulas, oracle
 from wordstats.formulas import _grid_partitions
 from wordstats.oracle import (
     brute_distribution,
-    brute_lengths,
+    brute_tallies,
+    compact_keys,
     statistic_distribution,
     statistic_lengths,
     transfer_distribution,
-    transfer_lengths,
+    transfer_tallies,
 )
 from wordstats.words import BlockPartition, InputError, _STAT_INDEX
 
@@ -29,19 +30,34 @@ def _heads(forms, alphabet_max, n_max):
     return [params[:-1] for params, _ in forms.grid(alphabet_max, n_max) if params[-1] == 0]
 
 
+def _decoded(tally, n_max, t):
+    """A tally in ``compact_keys(n_max, t)``'s layout, keyed by per-block (des, ris, lev, cnt) tuples.
+
+    Coordinate (block i, statistic j) is bit field 4(i - 1) + j of n_max.bit_length() bits.
+    """
+    width = n_max.bit_length()
+    fields = [(i, j) for i in range(t) for j in range(4)]
+    entries = {}
+    for key, count in tally.items():
+        values = {(i, j): key >> width * (4 * i + j) & (1 << width) - 1 for i, j in fields}
+        assert sum(v << width * (4 * i + j) for (i, j), v in values.items()) == key
+        entries[tuple(tuple(values[i, j] for j in range(4)) for i in range(t))] = count
+    return entries
+
+
 @pytest.mark.parametrize("n_max", N_MAXES)
 def test_full_dp_and_walk_lengths_are_the_single_length_calls(n_max):
     for k in range(1, 5):
         for partition in _grid_partitions(k):
+            keys = compact_keys(n_max, partition.t)
             passes = {
-                "transfer": (list(transfer_lengths(k, n_max, partition)), transfer_distribution),
-                "brute": (list(brute_lengths(k, n_max, partition)), brute_distribution),
+                "transfer": (list(transfer_tallies(k, n_max, partition, keys, first=0)), transfer_distribution),
+                "brute": (brute_tallies(k, n_max, partition, first=0), brute_distribution),
             }
             for engine, (lengths, single) in passes.items():
                 assert len(lengths) == n_max + 1
-                for n, dist in enumerate(lengths):
-                    assert dist.n == n
-                    assert dist == single(k, n, partition), (engine, k, n, partition)
+                for n, tally in enumerate(lengths):
+                    assert _decoded(tally, n_max, partition.t) == single(k, n, partition).entries, (engine, k, n)
 
 
 @pytest.mark.parametrize("n_max", N_MAXES)
@@ -51,7 +67,7 @@ def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
     # head of three or more blocks keys its third level in the kernel's dicts.
     forms = formulas.FAMILIES[family]
     for head in _heads(forms, 4, n_max):
-        lengths = list(statistic_lengths(*forms.query(*head, n_max)))
+        lengths = list(statistic_lengths(*forms.query(*head, n_max), first=0))
         assert len(lengths) == n_max + 1
         for n, marginal in enumerate(lengths):
             assert marginal == statistic_distribution(*forms.query(*head, n)), (family, head, n)
@@ -91,9 +107,9 @@ def test_kernel_from_any_first_length_is_the_tail_of_the_whole_pass():
     ]
     whole = list(formulas._des_gt(4, 1, 6, 0))
     assert [list(formulas._des_gt(4, 1, 6, first)) for first in range(8)] == [whole[first:] for first in range(8)]
-    walk = list(brute_lengths(3, 5, BlockPartition.threshold(3, 1)))
+    walk = brute_tallies(3, 5, BlockPartition.threshold(3, 1), first=0)
     for first in range(7):
-        assert list(brute_lengths(3, 5, BlockPartition.threshold(3, 1), first=first)) == walk[first:]
+        assert brute_tallies(3, 5, BlockPartition.threshold(3, 1), first=first) == walk[first:]
 
 
 # Every length pass to length 2 over the alphabet [2], by the first length it hands out.
@@ -101,10 +117,10 @@ HALVES = BlockPartition.threshold(2, 1)
 FAMILY_HEADS = {"levels-threshold": (2, 1), "levels-blocks": ((1, 1),), "des-le": (2, 1), "des-gt": (2, 1),
                 "des-mod": (2, 2, 1)}
 LENGTH_PASSES = {
-    "brute": lambda first: brute_lengths(2, 2, HALVES, first=first),
-    "transfer": lambda first: transfer_lengths(2, 2, HALVES, first=first),
-    "statistic": lambda first: statistic_lengths(2, 2, HALVES, [(1, "des")], first=first),
-    **{family: lambda first, family=family: formulas.FAMILIES[family].tables(*FAMILY_HEADS[family], 2, first=first)
+    "brute": lambda **first: iter(brute_tallies(2, 2, HALVES, **first)),
+    "transfer": lambda **first: transfer_tallies(2, 2, HALVES, compact_keys(2, 2), **first),
+    "statistic": lambda **first: statistic_lengths(2, 2, HALVES, [(1, "des")], **first),
+    **{family: lambda family=family, **first: formulas.FAMILIES[family].tables(*FAMILY_HEADS[family], 2, **first)
        for family in WORD_FAMILIES},
 }
 
@@ -112,8 +128,15 @@ LENGTH_PASSES = {
 @pytest.mark.parametrize("engine", LENGTH_PASSES)
 def test_a_negative_first_length_is_refused(engine):
     with pytest.raises(InputError, match="^length and statistic value must be nonnegative$"):
-        next(LENGTH_PASSES[engine](-1))
-    assert len(list(LENGTH_PASSES[engine](0))) == 3
+        next(LENGTH_PASSES[engine](first=-1))
+    assert len(list(LENGTH_PASSES[engine](first=0))) == 3
+
+
+@pytest.mark.parametrize("engine", LENGTH_PASSES)
+def test_a_pass_without_first_yields_length_n_alone(engine):
+    whole = list(LENGTH_PASSES[engine](first=0))
+    assert list(LENGTH_PASSES[engine]()) == whole[-1:]
+    assert list(LENGTH_PASSES[engine](first=None)) == whole[-1:]
 
 
 def _counting(monkeypatch, module, name):
@@ -145,28 +168,17 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     statistic_distribution(4, 7, part, [(1, "des")])
     assert len(tallied) == 1
     tallied.clear()
-    list(statistic_lengths(4, 7, part, [(1, "des")]))
+    list(statistic_lengths(4, 7, part, [(1, "des")], first=0))
     assert len(tallied) == 7  # length 0 is the empty word, with nothing to unpack
 
 
-def test_compact_tallies_decode_to_the_length_passes():
-    # The layout: coordinate (block i, statistic j) is bit field 4(i - 1) + j of n.bit_length() bits.
+def test_compact_tallies_decode_to_the_single_length_calls():
+    # Each pass to n in the layout of n, every length decoded with that one layout.
     for k in range(1, 4):
         for partition in _grid_partitions(k):
-            fields = [(i, j) for i in range(partition.t) for j in range(4)]
             for n in range(7):
-                width = n.bit_length()
-
-                def decoded(tally):
-                    entries = {}
-                    for key, count in tally.items():
-                        values = {(i, j): key >> width * (4 * i + j) & (1 << width) - 1 for i, j in fields}
-                        assert sum(v << width * (4 * i + j) for (i, j), v in values.items()) == key
-                        entries[tuple(tuple(values[i, j] for j in range(4)) for i in range(partition.t))] = count
-                    return entries
-
                 keys = oracle.compact_keys(n, partition.t)
-                walk = [decoded(tally) for tally in oracle.brute_tallies(k, n, partition)]
-                dp = [decoded(tally) for tally in oracle.transfer_tallies(k, n, partition, keys)]
-                assert walk == [dist.entries for dist in brute_lengths(k, n, partition)], (k, partition, n)
-                assert dp == [dist.entries for dist in transfer_lengths(k, n, partition)], (k, partition, n)
+                walk = [_decoded(tally, n, partition.t) for tally in brute_tallies(k, n, partition, first=0)]
+                dp = [_decoded(tally, n, partition.t) for tally in transfer_tallies(k, n, partition, keys, first=0)]
+                assert walk == [brute_distribution(k, m, partition).entries for m in range(n + 1)], (k, partition, n)
+                assert dp == [transfer_distribution(k, m, partition).entries for m in range(n + 1)], (k, partition, n)

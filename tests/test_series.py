@@ -1,5 +1,10 @@
+import itertools
+from collections import Counter
+
 import pytest
 
+from wordstats import series as series_module
+from wordstats.formulas import _grid_partitions
 from wordstats import (
     BlockPartition,
     InputError,
@@ -214,6 +219,21 @@ class TestBlockSystem:
             assert all(c == 0 for c in residual.coeffs)
             running = running + refined[letter - 1]
 
+    def test_first_letter_series_count_the_words_starting_with_each_letter(self):
+        # F(s) at q^n holds the words (s, w) of length n, each by its statistic vector.
+        checked = 0
+        for k, order in ((1, 5), (2, 5), (3, 5), (4, 4)):
+            for part in _grid_partitions(k):
+                spec = TrackingSpec.all_tracked(part.t)
+                for s, refined in enumerate(solve_block_system(k, part, spec, order), start=1):
+                    assert refined.coefficient(0) == 0
+                    for n in range(1, order + 1):
+                        words = itertools.product(range(1, k + 1), repeat=n - 1)
+                        want = Counter(stat_key((s, *w), part.blocks, part.t) for w in words)
+                        assert coefficient_distribution(refined, spec, part, n).entries == want, (k, part, s, n)
+                        checked += 1
+        assert checked == 272
+
     def test_letter_count_specialization(self):
         for k in (1, 2, 3, 4):
             part = BlockPartition.threshold(k, 1)
@@ -257,6 +277,43 @@ class TestNoCarryInvariant:
                     for i, coefficient in enumerate(series.coeffs):
                         for exponents in coefficient.exponents():
                             assert max(exponents, default=0) <= i, (build.__name__, part, i)
+
+
+class Started(Exception):
+    """Raised in place of the first series product: the build got past its up-front checks."""
+
+
+def _started(*args):
+    raise Started
+
+
+# With every x, y and z tracked, the top degree at order N, and the largest order whose degree fits 16 bits.
+TOP_DEGREE = [
+    (build_ak_series, False, 65536),  # N - 1: q is the expansion variable
+    (build_ak_series, True, 32768),  # 2N - 1: N pairs minus one, N letters
+    (build_bk_series, False, 32768),  # 2N - 1 at N parts, the composition 1 + ... + 1
+    (build_bk_series, True, 32768),
+]
+
+
+class TestDegreeRefusal:
+    @pytest.mark.parametrize("build, per_block_q, largest", TOP_DEGREE)
+    def test_all_tracked_build_is_refused_from_its_order_alone(self, monkeypatch, build, per_block_q, largest):
+        monkeypatch.setattr(series_module, "_products", _started)
+        part = BlockPartition.from_blocks((1,))
+        spec = _tracking("all", 1, per_block_q)
+        with pytest.raises(Started):
+            build(1, part, spec, largest)
+        names = spec.poly_names(common_q_var=build is build_bk_series)
+        with pytest.raises(InputError) as caught:
+            build(1, part, spec, largest + 1)
+        assert str(caught.value) == f"an exponent of {names} exceeds the 16-bit field"
+
+    @pytest.mark.parametrize("tracked", [{"x1", "z1"}, set()])
+    def test_partly_tracked_build_is_checked_only_once_built(self, monkeypatch, tracked):
+        monkeypatch.setattr(series_module, "_products", _started)
+        with pytest.raises(Started):
+            build_ak_series(1, BlockPartition.from_blocks((1,)), TrackingSpec.only(1, tracked, True), 10**6)
 
 
 class TestTrackingSpec:

@@ -6,7 +6,7 @@ from wordstats import formulas, identities, oracle, verify
 from wordstats.combinat import compositions
 from wordstats.oracle import counted_pairs
 from wordstats.polynomials import adopt, decode
-from wordstats.series import TrackingSpec
+from wordstats.series import TrackingSpec, statistic_keys
 from wordstats.words import _STAT_INDEX, BlockPartition, InputError
 
 
@@ -102,7 +102,9 @@ def skewed(name, original):
             skew_joint(k, partition, [c.terms for c in built.coeffs])
             return built
         return series
-    return lambda k, n, partition, *keys: skew_joint(k, partition, list(original(k, n, partition, *keys)))
+    return lambda k, n, partition, *keys, first: skew_joint(
+        k, partition, list(original(k, n, partition, *keys, first=first))
+    )
 
 
 # Each joint suite, with its left-hand packed pass; the right-hand one is ``transfer_tallies``.
@@ -148,7 +150,7 @@ JOINT_PASSES = {
     ],
     "series_vs_oracle": lambda k, partition, n: [
         ("build_ak_series", k, partition, TrackingSpec.all_tracked(partition.t), n),
-        ("transfer_tallies", k, n, partition, verify._series_keys(TrackingSpec.all_tracked(partition.t))),
+        ("transfer_tallies", k, n, partition, statistic_keys(TrackingSpec.all_tracked(partition.t))),
     ],
 }
 
@@ -175,8 +177,7 @@ def test_dp_charging_a_descent_as_a_rise_fails_both_joint_suites(monkeypatch, su
 
 def test_series_layout_with_x_and_y_swapped_fails_and_names_the_cell(monkeypatch):
     # Swapped, 12 charges a descent to the block of 1 and 21 a rise to the block of 2: a change only when those differ.
-    keys = verify._series_keys
-    monkeypatch.setattr(verify, "_series_keys", lambda spec: [[y, x, *rest] for x, y, *rest in keys(spec)])
+    monkeypatch.setattr(verify, "statistic_keys", lambda spec: [[y, x, *rest] for x, y, *rest in statistic_keys(spec)])
     result = verify.series_vs_oracle(3, 4)
     assert (result.checked, result.failures, result.first_failure) == (75, 18, "k=2 n=2 partition=(1, 2)")
 
@@ -186,7 +187,7 @@ def test_series_layout_is_carry_free_exactly_where_adopt_accepts():
     # pairs, and each exponent at most that; so a key carries exactly when its degree field does.
     spec = TrackingSpec.all_tracked(1)
     names = spec.poly_names(common_q_var=False)
-    keys = verify._series_keys(spec)
+    keys = statistic_keys(spec)
     [(_, _, lev, cnt)] = keys
     one_block = BlockPartition.threshold(1, 1)
     n = 32768  # degree 65,535, the largest a 16-bit field holds

@@ -216,6 +216,7 @@ class TestBlockPartition:
 
 # Each query fails one shared check and no other; every engine that makes the check refuses it alike.
 ONE_LETTER, TWO_LETTERS = BlockPartition.threshold(1, 1), BlockPartition.threshold(2, 1)
+COMPACT = oracle.compact_keys(2, 2)  # the full-joint DP's layout for two blocks
 ALPHABET = "alphabet size must be at least 1, got 0"
 LENGTH = "length and statistic value must be nonnegative"
 MULTIPLICITIES = "multiplicities must be nonnegative, got (1, -1)"
@@ -238,10 +239,12 @@ SHARED_REFUSALS = {
     "length-statistic_distribution": (LENGTH, lambda: oracle.statistic_distribution(2, -1, TWO_LETTERS, [(1, "des")])),
     "length-brute_distribution": (LENGTH, lambda: oracle.brute_distribution(2, -1, TWO_LETTERS)),
     "length-transfer_distribution": (LENGTH, lambda: oracle.transfer_distribution(2, -1, TWO_LETTERS)),
-    "length-brute_lengths-n": (LENGTH, lambda: next(oracle.brute_lengths(2, -1, TWO_LETTERS))),
-    "length-brute_lengths-first": (LENGTH, lambda: next(oracle.brute_lengths(2, 2, TWO_LETTERS, first=-1))),
-    "length-transfer_lengths-n": (LENGTH, lambda: next(oracle.transfer_lengths(2, -1, TWO_LETTERS))),
-    "length-transfer_lengths-first": (LENGTH, lambda: next(oracle.transfer_lengths(2, 2, TWO_LETTERS, first=-1))),
+    "length-brute_tallies-n": (LENGTH, lambda: oracle.brute_tallies(2, -1, TWO_LETTERS)),
+    "length-brute_tallies-first": (LENGTH, lambda: oracle.brute_tallies(2, 2, TWO_LETTERS, first=-1)),
+    "length-transfer_tallies-n": (LENGTH, lambda: next(oracle.transfer_tallies(2, -1, TWO_LETTERS, COMPACT))),
+    "length-transfer_tallies-first": (
+        LENGTH, lambda: next(oracle.transfer_tallies(2, 2, TWO_LETTERS, COMPACT, first=-1)),
+    ),
     "length-statistic_lengths-n": (LENGTH, lambda: next(oracle.statistic_lengths(2, -1, TWO_LETTERS, [(1, "des")]))),
     "length-statistic_lengths-first": (
         LENGTH, lambda: next(oracle.statistic_lengths(2, 2, TWO_LETTERS, [(1, "des")], first=-1)),
@@ -250,8 +253,8 @@ SHARED_REFUSALS = {
     "multiplicities-rearrangement_distribution": (
         MULTIPLICITIES, lambda: oracle.rearrangement_distribution((1, -1), {2}, {1}),
     ),
-    "partition-transfer_lengths": (PARTITION, lambda: list(oracle.transfer_lengths(3, 2, TWO_LETTERS))),
-    "partition-brute_lengths": (PARTITION, lambda: list(oracle.brute_lengths(3, 2, TWO_LETTERS))),
+    "partition-transfer_tallies": (PARTITION, lambda: list(oracle.transfer_tallies(3, 2, TWO_LETTERS, COMPACT))),
+    "partition-brute_tallies": (PARTITION, lambda: oracle.brute_tallies(3, 2, TWO_LETTERS)),
     "partition-build_ak_series": (
         PARTITION, lambda: build_ak_series(3, TWO_LETTERS, TrackingSpec((True,) * 2, (True,) * 2, (True,) * 2), 2),
     ),
