@@ -26,7 +26,11 @@ v^(i-1) g_(j-i), and ``levels-threshold``'s F = x (k - (k-t)x) / (1-x)
 gives the Smirnov-word form (1 - vx) / (1 - (v+k)x + (k-t)v x^2).
 ``_packed_table`` runs the recurrence on each g_j packed into one integer
 (``combinat.unpack``), with fields sized for its word counts, at most k^n;
-a run to n can hand out every g_j on its way.
+a run to n can hand out every g_j on its way.  The family's ``tables``
+decode that pass, and its ``packed`` pass hands each g_j out undecoded,
+with its field width: the layout of the transfer DP's one-coordinate
+tally (``oracle.statistic_tallies``), so ``verify.formulas_vs_oracle``
+compares the two as they are.
 A table of ``levels-threshold``, ``des-le``, ``des-gt`` or ``des-mod``
 costs n deg F big-integer operations on operands of O(n^2 log k) bits,
 deg F being the recurrence's number of terms: at most min(k + 1, n), and
@@ -144,17 +148,21 @@ def _check_class(rho: Sequence[int], *letters_and_value) -> None:
     _check_length(0, *letters_and_value[2:])
 
 
-def _packed_table(n: int, alphabet: int, program: list, first: int | None = None) -> Iterator[dict[int, int]]:
+def _packed_table(
+    n: int, alphabet: int, program: list, first: int | None = None, packed: bool = False
+) -> Iterator[dict[int, int]] | Iterator[tuple[int, int]]:
     """The tables g_first, ..., g_n of a family whose tables g_j follow Horner's ``program`` in v.
 
-    One pass to length n computes every g_j on its way; it decodes those
-    from ``first`` on, by default g_n alone, and hands each out as it
-    reaches it.  g_0 = 1 and g_1 = alphabet; from j = 2 on, a term (i, c)
-    adds c g_(j-i) and None multiplies by v (a shift and a subtract),
-    highest power first.  Count bound: the entries of g_j are word counts
-    in 0..alphabet^j, so fields of ``field_bytes(alphabet**bound)`` hold
-    every g_j with j <= bound.  The bound starts at min(n, 64) and grows by
-    an eighth whenever j passes it, re-spacing the g_j still read.
+    One pass to length n computes every g_j on its way; it hands out those
+    from ``first`` on, by default g_n alone, as it reaches them: decoded,
+    or with ``packed`` as (field bytes, g_j), count s in field s.  g_0 = 1
+    and g_1 = alphabet; from j = 2 on, a term (i, c) adds c g_(j-i) and
+    None multiplies by v (a shift and a subtract), highest power first.
+    Count bound: the entries of g_j are word counts in 0..alphabet^j, so
+    fields of ``field_bytes(alphabet**bound)`` hold every g_j with j <=
+    bound.  The bound starts at min(n, 64) and grows by an eighth whenever
+    j passes it, re-spacing the g_j still read; so up to n = 64 every g_j
+    has fields of ``field_bytes(alphabet**n)`` bytes.
     """
     (i, c), *program = program or [(1, 0)]
     depth = max([i] + [op[0] for op in program if op])
@@ -164,7 +172,8 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
     first = n if first is None else first
     _check_length(first)
     for j in range(first, min(n, 1) + 1):
-        yield dict(zip_longest(range(j + 1), unpack([1, alphabet][j], size), fillvalue=0))
+        g = [1, alphabet][j]
+        yield (size, g) if packed else dict(zip_longest(range(j + 1), unpack(g, size), fillvalue=0))
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
@@ -181,7 +190,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
         history.append(acc)
         del history[0]
         if j >= first:
-            yield dict(zip_longest(range(j + 1), unpack(acc, size), fillvalue=0))
+            yield (size, acc) if packed else dict(zip_longest(range(j + 1), unpack(acc, size), fillvalue=0))
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -196,14 +205,14 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -
     return coefficients[: n + 1]
 
 
-def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None) -> Iterator[dict[int, int]]:
+def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None, packed: bool) -> Iterator:
     """The tables to length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
     program: list = []
     for i in range(len(factor) - 1, 0, -1):
         # From the highest nonzero f_i down: add f_i g_(j-i), then multiply by v.
         if program or factor[i]:
             program += ([(i, factor[i])] if factor[i] else []) + [None]
-    return _packed_table(n, alphabet, program[:-1], first)
+    return _packed_table(n, alphabet, program[:-1], first, packed)
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -215,7 +224,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     return _entry("levels-threshold", (k, t, n), s)
 
 
-def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
+def _levels_threshold(k: int, t: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
     """The table of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
@@ -223,7 +232,7 @@ def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Itera
     and T = (1 - vx) / (1 - (v+k)x + (k-t)v x^2): g_j = k g_(j-1) +
     v (g_(j-1) - (k-t) g_(j-2)) from g_0 = 1 and g_1 = k.
     """
-    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first)
+    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first, packed)
 
 
 def count_levels_blocks(
@@ -325,14 +334,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-le", (k, t, n), s)
 
 
-def _des_le(k: int, t: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
+def _des_le(k: int, t: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
     """The table of ``count_des_le``, from its factor F.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first)
+    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first, packed)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -344,14 +353,14 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-gt", (k, t, n), s)
 
 
-def _des_gt(k: int, t: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
+def _des_gt(k: int, t: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
     """The table of ``count_des_gt``, from its factor F.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first)
+    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first, packed)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -393,7 +402,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     return total
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) -> Iterator[dict[int, int]]:
+def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
     """The table of ``count_des_mod``, from its factor F.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
@@ -407,7 +416,8 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) ->
     in both places.  In every regime B = (r-1-t) mod s.
     """
     kq, t = divmod(alphabet, s)
-    return _descent_table(alphabet, n, _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n), first)
+    factor = _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
+    return _descent_table(alphabet, n, factor, first, packed)
 
 
 def hall_remmel_count(
@@ -427,17 +437,19 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
 
     count(s) = prefactor sum_{r<=s} (-1)^(s-r) C(n+1, s-r) inner(r), with
     inner(r) = C(a+r, r) prod_x C(rho_x + r + alpha_x + beta_x, rho_x) over
-    the top letters x.  ``outside`` holds the multiplicities of the letters
-    outside the tops, a in total, whose multinomial is the prefactor;
-    ``slots`` one (rho_x, rho_x + alpha_x + beta_x) per top letter x that
-    rho uses, where alpha_x counts the outside letters above x and beta_x
-    the non-bottom letters below x.  A top letter rho does not use has the
-    factor C(r + alpha_x + beta_x, 0) = 1 and no slot, so letter sets that
-    differ only in such letters share their inputs.
+    the top letters x.  ``outside`` holds the nonzero multiplicities of the
+    letters outside the tops, in increasing order, a in total, whose
+    multinomial is the prefactor: only their sum and multinomial are read.
+    ``slots`` holds one (rho_x, rho_x + alpha_x + beta_x) per top letter x
+    that rho uses, where alpha_x counts the outside letters above x and
+    beta_x the non-bottom letters below x.  A top letter rho does not use
+    has the factor C(r + alpha_x + beta_x, 0) = 1 and no slot, so letter
+    sets that differ only in such letters share their inputs, and so do
+    classes that differ only in letters of multiplicity 0.
     """
     tops = frozenset(top_letters)
     bottoms = frozenset(bottom_letters)
-    outside = tuple([0 if x in tops else reps for x, reps in enumerate(rho, start=1)])
+    outside = tuple(sorted(reps for x, reps in enumerate(rho, start=1) if reps and x not in tops))
     slots = []
     above, below = sum(outside), 0
     for x, reps in enumerate(rho, start=1):
@@ -585,7 +597,10 @@ class FamilyForms(NamedTuple):
     statistic value: the CLI's options and the suite's reports read them.
     A ``joint`` table is keyed by target tuples, one target per block; any
     other by statistic value, as ``keyed`` keys a word engine's answer.
-    ``hall-remmel`` has no word DP query, and its grid has no cells.
+    ``packed(*params, first=j)``, for the families on ``_packed_table``,
+    is the pass that ``tables`` decodes: per length, (field bytes, g_n),
+    count s in field s.  ``hall-remmel`` has no word DP query, and its grid
+    has no cells.
     """
 
     checks: Callable[..., None]
@@ -595,6 +610,7 @@ class FamilyForms(NamedTuple):
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
+    packed: Callable[..., Iterator[tuple[int, int]]] | None = None
 
     def keyed(self, dist: dict[tuple[int, ...], int]) -> dict:
         """A word engine's answer to ``query``, keyed by tuples, keyed as the family's table."""
@@ -612,6 +628,7 @@ def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str])
             ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
         ),
         lambda k, t, n: (k, n),
+        packed=partial(table, packed=True),
     )
 
 
@@ -625,7 +642,7 @@ FAMILIES = {
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
         _check_des_mod, _des_mod, _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
-        lambda s, alphabet, r, n: (alphabet, n),
+        lambda s, alphabet, r, n: (alphabet, n), packed=partial(_des_mod, packed=True),
     ),
     "hall-remmel": FamilyForms(
         _check_class,

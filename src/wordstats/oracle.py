@@ -10,26 +10,30 @@ increment read off ``stat_key`` on one- and two-letter words, so a word
 costs O(1), not O(n).  It is charged before it starts (``charge_walk``).
 
 Both routes pass every shorter length on the way to n.  Every length
-pass, ``brute_tallies``, ``transfer_tallies``, ``statistic_lengths`` and
-``_kernel``, hands out length n alone by default (``first=None``) and
+pass, ``brute_tallies``, ``transfer_tallies``, ``statistic_tallies``,
+``statistic_lengths`` and ``_kernel``, hands out length n alone by
+default (``first=None``) and
 lengths j..n, sized for n, with ``first=j``, so a sweep over n runs each
 engine once.  The ``*_distribution`` calls read a pass without ``first``.
 
 The transfer engine runs the transfer-matrix DP over the last letter on
 packed keys.  One kernel, ``_kernel``, runs it on the key rows its caller
 gives: per block, the key increment of each statistic.
-``statistic_lengths`` packs tracked coordinate i as digit i of one
+``statistic_tallies`` packs tracked coordinate i as digit i of one
 integer in radix n + 1 (``_letter_keys``), and the kernel runs its first
 ``dense`` digits as byte fields of one integer (``combinat.unpack``) and
 its other, sparse, digits as the keys of one dict per last letter.  With
 no sparse digit a step is one O(k) pass of big-integer shifts and adds.
 
-- ``statistic_distribution`` makes its first two coordinates dense (its
-  one, for a marginal): every threshold and residue count and table runs
-  the O(k) pass, and a ``levels-blocks`` joint of three or more blocks
-  keys the rest.  On the level joint of blocks (2, 3, 1) that ran 6-7x
-  faster than plain dict counts at n = 30 and 60 (one process, Python
-  3.11, 2 vCPU).
+- ``statistic_tallies`` makes its first two coordinates dense (its one,
+  for a marginal) and hands out the kernel's tallies undecoded, sparse
+  part -> packed fields; ``statistic_lengths`` decodes them
+  (``decode_tally``), and ``statistic_distribution`` reads its one
+  length.  Every threshold and residue count and table runs the O(k)
+  pass, and a ``levels-blocks`` joint of three or more blocks keys the
+  rest.  On the level joint of blocks (2, 3, 1) that ran 6-7x faster
+  than plain dict counts at n = 30 and 60 (one process, Python 3.11,
+  2 vCPU).
 - ``transfer_distribution`` keeps plain counts (``dense`` 0).  A full
   vector's digits depend on each other, des + ris + lev = cnt - [last
   letter in the block], so a dense pair of them leaves most fields
@@ -241,7 +245,7 @@ def _letter_keys(
 def _kernel(
     k: int, n: int, partition: BlockPartition, keys: Sequence[Sequence[int]], dense: int, first: int | None = None
 ) -> Iterator[dict[int, int]]:
-    """The transfer-matrix DP over the last letter: per length first..n, packed key -> number of words.
+    """The transfer-matrix DP over the last letter: per length first..n, its tally of the words, undecoded.
 
     One pass to length n goes through every shorter length; it tallies the
     lengths from ``first`` on, by default n alone, and hands each out as it
@@ -249,13 +253,15 @@ def _kernel(
     j charged to block i, any layout that does not carry: ``_letter_keys``,
     ``compact_keys`` or a series' own.  Appending b after a adds the pair
     (a, b)'s increment in the block of a, plus the letter count's in the
-    block of b.  With ``dense`` 0 a key is a plain dict key and nothing
-    depends on the layout.  Otherwise a key's first ``dense`` digits, in
-    radix n + 1 as ``_letter_keys`` packs them, name a byte field of
-    ``field_bytes(k**n)`` bytes, as no count of words of length up to n
-    passes k**n, and its other digits, the sparse part, key one dict per
-    last letter.  So ``divmod`` by (n + 1)**dense splits an increment into
-    a (sparse step, field shift) pair.
+    block of b.  With ``dense`` 0 a key is a plain dict key, nothing
+    depends on the layout, and a tally maps key -> number of words.
+    Otherwise a key's first ``dense`` digits, in radix n + 1 as
+    ``_letter_keys`` packs them, name a byte field of ``field_bytes(k**n)``
+    bytes, as no count of words of length up to n passes k**n, and its
+    other digits, the sparse part, key one dict per last letter; a tally
+    maps sparse part -> packed fields, which ``statistic_lengths`` decodes.
+    So ``divmod`` by (n + 1)**dense splits an increment into a (sparse
+    step, field shift) pair.
 
     With no increment past the dense digits a letter's state is one
     integer.  The pair (a, b) is a rise for every a < b, a level for a = b
@@ -273,14 +279,9 @@ def _kernel(
         yield {0: 1}
     if n == 0:
         return
-    size = field_bytes(k**n)
-    width = 8 * size
+    width = 8 * field_bytes(k**n)
     radix = (n + 1) ** dense
     keys = [keys[block - 1] for block in partition.blocks]  # per letter, its block's row
-
-    def tally(totals: dict[int, int]) -> dict[int, int]:  # sparse part -> packed fields, as key -> count
-        return {key: count for sparse, packed in totals.items()
-                for key, count in enumerate(unpack(packed, size), sparse * radix) if count}
 
     if all(key < radix for charge in keys for key in charge):
         des, ris, lev, cnt = (
@@ -301,7 +302,7 @@ def _kernel(
                     states[b] = new << cnt[b] if cnt[b] else new
                     below += old << ris[b] if ris[b] else old
             if length >= first:
-                yield tally({0: sum(states)})
+                yield {0: sum(states)}
         return
 
     def split(increment: int) -> tuple[int, int]:
@@ -335,7 +336,7 @@ def _kernel(
             for table in states:
                 for key, count in table.items():
                     totals[key] = totals.get(key, 0) + count
-            yield tally(totals) if dense else totals
+            yield totals
 
 
 def transfer_tallies(
@@ -359,21 +360,46 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
     return _decoded(k, n, partition, next(transfer_tallies(k, n, partition, compact_keys(n, partition.t))))
 
 
+def statistic_tallies(
+    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int | None = None
+) -> Iterator[dict[int, int]]:
+    """The kernel's tallies of selected (block, statistic) coordinates, undecoded, per length first..n, by default n alone.
+
+    The transfer DP tracking just the requested coordinates, keeping the
+    state space small when a query needs a single marginal out of a large
+    partition.  The first two coordinates, in radix n + 1, are the
+    kernel's dense fields and any others its sparse part (see ``_kernel``):
+    a tally maps sparse part -> packed fields of ``field_bytes(k**n)``
+    bytes.  With one coordinate the sparse part is 0 and field s holds the
+    words with value s, the layout of the closed forms' packed pass.  The
+    coordinates and shape are checked at the call.
+    """
+    indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
+    first = _validate_shape(k, n, partition, first)
+    return _kernel(k, n, partition, _letter_keys(n, partition, indexed), min(2, len(indexed)), first)
+
+
+def decode_tally(tally: dict[int, int], size: int, radix: int, arity: int) -> dict[tuple[int, ...], int]:
+    """A ``statistic_tallies`` tally over ``arity`` coordinates, keyed by their value tuples.
+
+    ``size`` is its field bytes and ``radix`` its pass's n + 1.
+    """
+    base = radix ** min(2, arity)
+    return {_digits(key, arity, radix): count for sparse, packed in tally.items()
+            for key, count in enumerate(unpack(packed, size), sparse * base) if count}
+
+
 def statistic_lengths(
     k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int | None = None
 ) -> Iterator[dict[tuple[int, ...], int]]:
     """Joint distribution of selected (block, statistic) coordinates only, at each length first..n, by default n alone.
 
-    The transfer DP tracking just the requested coordinates, keeping the
-    state space small when a query needs a single marginal out of a large
-    partition.  The first two coordinates are the kernel's dense bit
-    fields and any others key its dicts (see the module docstring).
+    Each tally of ``statistic_tallies``, decoded (``decode_tally``).
     """
-    indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
-    first = _validate_shape(k, n, partition, first)
-    keys = _letter_keys(n, partition, indexed)
-    for packed in _kernel(k, n, partition, keys, min(2, len(indexed)), first):
-        yield {_digits(key, len(indexed), n + 1): count for key, count in packed.items()}
+    tallies = statistic_tallies(k, n, partition, coords, first)
+    size = field_bytes(k**n)
+    for tally in tallies:
+        yield decode_tally(tally, size, n + 1, len(coords))
 
 
 def statistic_distribution(

@@ -21,7 +21,7 @@ says why that is enough).  Keys are decoded only where exponents are shown:
 ``exponents``; ``render``, the one renderer (``__str__`` renders a list
 of one), which reads each key in two halves and caches each half's text
 for the whole list, so the coefficients of a series share it; and
-``series.coefficient_distribution``, which caches each group of fields.
+``series.coefficient_distribution``, which places each field by its marker key.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, check_degree, decode
+from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, check_degree
 from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Record, _check_partition
 
 Terms = dict[int, int]
@@ -353,21 +353,12 @@ def coefficient_distribution(
     expected = spec.poly_names(common_q_var=False)
     if series.names != expected:
         raise InputError(f"series variables {series.names} do not match {expected}")
-    # Variables run x1..xt, y1..yt, z1..zt, q1..qt, so a key's four lowest groups of t
-    # fields are its x, y, z and q exponents; each distinct group is decoded once per call,
-    # and block i's row is the i-th exponent of every group.
-    bits = FIELD_BITS * t
-    mask = (1 << bits) - 1
-    shifts = (3 * bits, 2 * bits, bits, 0)
-    groups: dict[int, tuple[int, ...]] = {}
-    entries = {}
-    for key, coefficient in series.coefficient(n).terms.items():
-        markers = []
-        for shift in shifts:
-            group = key >> shift & mask
-            exponents = groups.get(group)
-            if exponents is None:
-                exponents = groups[group] = decode(group, t)
-            markers.append(exponents)
-        entries[tuple(zip(*markers))] = coefficient
+    # A marker's key has two set bits, its own exponent's field and the total degree's above
+    # it, so the lowest one places the field of each block's statistic.
+    fields = [[(marker & -marker).bit_length() - 1 for marker in row] for row in statistic_keys(spec)]
+    mask = (1 << FIELD_BITS) - 1
+    entries = {
+        tuple(tuple(key >> field & mask for field in row) for row in fields): coefficient
+        for key, coefficient in series.coefficient(n).terms.items()
+    }
     return DistPolynomial(entries=entries, k=partition.k, n=n, partition=partition)

@@ -15,6 +15,14 @@ over each family's grid in ``formulas.FAMILIES``, which names a failing
 check, and the even-words sums of ``hall_remmel_suite``.  Each pass is
 asked for every length by keyword, ``first=0``, and the family suites
 key the oracle's marginals as the tables (``FamilyForms.keyed``).
+``formulas_vs_oracle`` reads the families that have a ``packed`` pass
+undecoded on both sides (``_packed_walk``) and decodes a cell only when
+its two packed answers differ or differ in field width, to name the
+failing value; ``levels-blocks``, whose two engines pack different
+blocks, and every ``corrupt`` run are decoded throughout.
+``hall_remmel_suite`` asks each engine each distinct question once per
+call: the DP by its own question, the class without its zeros and the
+counted pairs renamed by rank, and the closed form by its own inputs.
 ``corrupt=True`` skews one closed form in ``formulas_vs_oracle`` by +1;
 that self-test must fail.
 ``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
@@ -33,15 +41,17 @@ from .oracle import (
     brute_tallies,
     compact_keys,
     counted_pairs,
+    decode_tally,
     pair_distribution,
     statistic_distribution,
     statistic_lengths,
+    statistic_tallies,
     transfer_distribution,
     transfer_tallies,
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
-from .combinat import compositions, differences
+from .combinat import compositions, differences, field_bytes, unpack
 
 
 class SuiteResult(Record):
@@ -141,6 +151,22 @@ def _family_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
     return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
 
 
+def _packed_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
+    """``_walk`` over a family's grid, each answer undecoded, with the field bytes it is packed in.
+
+    The closed form's ``packed`` pass gives (field bytes, g_n); the oracle's
+    ``statistic_tallies`` gives (field bytes, tally), its fields being
+    ``field_bytes(alphabet**n_max)`` bytes for the whole pass.
+    """
+
+    def passes(*params):
+        query = forms.query(*params)
+        tallies = statistic_tallies(*query, first=0)
+        return forms.packed(*params, first=0), zip(itertools.repeat(field_bytes(query[0] ** query[1])), tallies)
+
+    return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
+
+
 def formulas_vs_oracle(
     alphabet_max: int = 6, n_max: int = 7, corrupt: bool = False
 ) -> SuiteResult:
@@ -149,9 +175,15 @@ def formulas_vs_oracle(
     Family by family, each cell of the family's declared grid has its
     closed-form table compared entry by entry with the oracle's marginal on
     the family's query, one check per statistic value of the cell, read
-    from one pass of each to n_max per distinct head.  A ``corrupt`` run needs
-    ``alphabet_max >= 1``: below that no skewed entry is checked, and the
-    run could not fail.
+    from one pass of each to n_max per distinct head.  A family with a
+    ``packed`` pass is read undecoded: its (field bytes, g_n) against the
+    DP's tally, ``statistic_tallies``, whose fields are
+    ``field_bytes(alphabet**n_max)`` bytes, and a cell whose two integers
+    are equal in the same field width counts its checks at once, as a cell
+    whose decoded entries all agree would.  Any other cell is decoded and
+    compared value by value, and so is every cell of ``levels-blocks`` and
+    of a ``corrupt`` run.  A ``corrupt`` run needs ``alphabet_max >= 1``:
+    below that no skewed entry is checked, and the run could not fail.
     """
     if corrupt and alphabet_max < 1:
         raise InputError(
@@ -160,7 +192,16 @@ def formulas_vs_oracle(
     result = SuiteResult("formulas-vs-oracle")
     for family, forms in formulas.FAMILIES.items():
         shift = 1 if corrupt and family == "levels-threshold" else 0
-        for params, values, table, marginal in _family_walk(forms, alphabet_max, n_max):
+        packed = forms.packed is not None and not corrupt
+        walk = _packed_walk if packed else _family_walk
+        for params, values, table, marginal in walk(forms, alphabet_max, n_max):
+            if packed:
+                (size, g), (width, tally) = table, marginal
+                if size == width and tally == {0: g}:
+                    result.record(True, None, len(values))
+                    continue
+                table = dict(enumerate(unpack(g, size)))
+                marginal = forms.keyed(decode_tally(tally, width, n_max + 1, 1))
             for value in values:
                 result.record(
                     table.get(value, 0) + shift == marginal.get(value, 0),
@@ -225,9 +266,14 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     key, Y & R.  Under one U each key is shared by 2^(m - |R|) sets Y,
     the first of them in check order the key itself, so each U row derives
     pairs, inputs and verdict for its keys alone and counts each verdict
-    once per pair (X, Y) sharing U and the key.  The oracle runs once per
-    distinct counted-pair set and class, and the closed form once per
-    distinct input tuple and class.
+    once per pair (X, Y) sharing U and the key.  Both answers are kept for
+    the whole call, each keyed by its own engine's question.  A class with
+    zeros, such as (2, 0, 1), asks the DP what (2, 1) asks with its pairs
+    renamed, so the oracle runs once per distinct question: the class's
+    nonzero multiplicities in letter order and the counted pairs, each
+    letter renamed by its rank among the used letters.  The closed form
+    runs once per distinct ``hall_remmel_inputs`` tuple, which leaves out
+    the zeros of a class.
 
     It also checks, on the alphabets of sizes 2 and 4, that the closed form
     with the even letters on top and every letter at the bottom, summed
@@ -244,27 +290,31 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     result = SuiteResult("hall-remmel")
     # Per tuple of letters: its sets in check order, the U of a class or the keys of a U row.
     sets_of: dict[tuple, list[frozenset]] = {}
+    # Both answers for the whole call: the oracle's by its own question, the closed form's by its own inputs.
+    oracle_by_question: dict[tuple, dict[int, int]] = {}
+    closed_by_inputs: dict[tuple, dict[int, int]] = {}
     for m in range(1, m_max + 1):
         for weight in range(weight_max + 1):
             for rho in compositions(weight, m):
                 used = tuple(x for x, reps in enumerate(rho, start=1) if reps)
                 spread = 1 << (m - len(used))
-                oracle_by_pairs: dict[frozenset, dict[int, int]] = {}
-                # Keyed by the closed form's own inputs, never by counted pairs.
-                closed_by_inputs: dict[tuple, dict[int, int]] = {}
+                # The class the DP is asked about: rho without its zeros, each used letter renamed by its rank.
+                nonzero = tuple(rho[x - 1] for x in used)
+                rank = {x: i for i, x in enumerate(used, start=1)}
                 for tops in _sets_of(used, sets_of):
                     relevant = tuple(x for x in used if x < max(tops, default=0))
                     sharing = spread << (m - len(relevant))
                     for bottoms in _sets_of(relevant, sets_of):
                         pairs = counted_pairs(rho, tops, bottoms)
-                        if pairs not in oracle_by_pairs:
-                            dist = pair_distribution(rho, pairs)
-                            oracle_by_pairs[pairs] = {s: dist.get(s, 0) for s in range(weight + 1)}
+                        question = nonzero, frozenset((rank[a], rank[b]) for a, b in pairs)
+                        if question not in oracle_by_question:
+                            dist = pair_distribution(*question)
+                            oracle_by_question[question] = {s: dist.get(s, 0) for s in range(weight + 1)}
                         inputs = formulas.hall_remmel_inputs(rho, tops, bottoms)
                         if inputs not in closed_by_inputs:
                             closed_by_inputs[inputs] = formulas.hall_remmel_table(*inputs)
                         result.record(
-                            closed_by_inputs[inputs] == oracle_by_pairs[pairs],
+                            closed_by_inputs[inputs] == oracle_by_question[question],
                             lambda rho=rho, tops=tops, bottoms=bottoms: f"rearrangement rho={rho} X={sorted(tops)} Y={sorted(bottoms)}",
                             sharing,
                         )

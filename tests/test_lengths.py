@@ -9,6 +9,7 @@ its own length and no other.
 import pytest
 
 from wordstats import formulas, oracle
+from wordstats.combinat import _digits, field_bytes, unpack
 from wordstats.formulas import _grid_partitions
 from wordstats.oracle import (
     brute_distribution,
@@ -16,6 +17,7 @@ from wordstats.oracle import (
     compact_keys,
     statistic_distribution,
     statistic_lengths,
+    statistic_tallies,
     transfer_distribution,
     transfer_tallies,
 )
@@ -84,6 +86,28 @@ def test_closed_form_lengths_are_the_single_length_tables(family, n_max):
             assert table == formulas.distribution(family, (*head, n)), (family, head, n)
 
 
+@pytest.mark.parametrize("family", WORD_FAMILIES)
+def test_kernel_tallies_decode_to_the_marginals_and_match_the_packed_tables(family):
+    # A tally maps sparse part -> fields of field_bytes(k**n) bytes; field f of sparse part p
+    # is the key p (n + 1)**dense + f, dense = min(2, coordinates), read as digits in radix n + 1.
+    forms = formulas.FAMILIES[family]
+    for n_max in range(7):
+        for head in _heads(forms, 4, n_max):
+            k, n, partition, coords = query = forms.query(*head, n_max)
+            size, radix = field_bytes(k**n), n + 1
+            tallies = list(statistic_tallies(*query, first=0))
+            decoded = [
+                {_digits(sparse * radix ** min(2, len(coords)) + field, len(coords), radix): count
+                 for sparse, packed in tally.items() for field, count in enumerate(unpack(packed, size)) if count}
+                for tally in tallies
+            ]
+            assert decoded == list(statistic_lengths(*query, first=0)), (family, head, n_max)
+            if forms.packed:
+                # One coordinate: sparse part 0, field s the count of value s, as the closed form packs it.
+                assert list(forms.packed(*head, n_max, first=0)) == [(size, tally[0]) for tally in tallies]
+                assert all(list(tally) == [0] for tally in tallies)
+
+
 def test_grids_reach_one_letter_and_dict_keyed_joints():
     # k = 1 heads, and levels-blocks heads of three or more inhabited blocks
     assert (1, 1) in _heads(formulas.FAMILIES["des-le"], 4, 0)
@@ -120,6 +144,7 @@ LENGTH_PASSES = {
     "brute": lambda **first: iter(brute_tallies(2, 2, HALVES, **first)),
     "transfer": lambda **first: transfer_tallies(2, 2, HALVES, compact_keys(2, 2), **first),
     "statistic": lambda **first: statistic_lengths(2, 2, HALVES, [(1, "des")], **first),
+    "statistic-tallies": lambda **first: statistic_tallies(2, 2, HALVES, [(1, "des")], **first),
     **{family: lambda family=family, **first: formulas.FAMILIES[family].tables(*FAMILY_HEADS[family], 2, **first)
        for family in WORD_FAMILIES},
 }
@@ -169,7 +194,7 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     assert len(tallied) == 1
     tallied.clear()
     list(statistic_lengths(4, 7, part, [(1, "des")], first=0))
-    assert len(tallied) == 7  # length 0 is the empty word, with nothing to unpack
+    assert len(tallied) == 8  # lengths 0..7, the empty word's tally too
 
 
 def test_compact_tallies_decode_to_the_single_length_calls():

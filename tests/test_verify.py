@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from wordstats import formulas, identities, oracle, verify
-from wordstats.combinat import compositions
-from wordstats.oracle import counted_pairs
+from wordstats.combinat import compositions, respace, unpack
+from wordstats.oracle import counted_pairs, statistic_distribution
 from wordstats.polynomials import adopt, decode
 from wordstats.series import TrackingSpec, statistic_keys
 from wordstats.words import _STAT_INDEX, BlockPartition, InputError
@@ -13,20 +13,34 @@ from wordstats.words import _STAT_INDEX, BlockPartition, InputError
 def skew_table(monkeypatch, family, cell, key):
     """Add 1 to ``key`` in the family's closed-form table at ``cell``; the passes run are logged.
 
-    A pass over lengths first..n is logged by its parameters, which end in n.
+    Both the decoded pass, ``tables``, and a packed one, ``packed``, are
+    skewed: a packed answer (field bytes, g) gains 1 in field ``key``.  A
+    pass over lengths first..n is logged by its parameters, which end in n.
     """
-    tables = formulas.FAMILIES[family].tables
+    forms = formulas.FAMILIES[family]
     passes = []
 
-    def skewed(*params, first=None):
-        passes.append(params)
-        lengths = itertools.count(params[-1] if first is None else first)
-        for n, dist in zip(lengths, tables(*params, first=first)):
-            if (*params[:-1], n) == cell:
-                dist[key] = dist.get(key, 0) + 1
-            yield dist
+    def skewing(run, add):
+        def skewed(*params, first=None):
+            passes.append(params)
+            lengths = itertools.count(params[-1] if first is None else first)
+            for n, answer in zip(lengths, run(*params, first=first)):
+                yield add(answer) if (*params[:-1], n) == cell else answer
 
-    monkeypatch.setitem(formulas.FAMILIES, family, formulas.FAMILIES[family]._replace(tables=skewed))
+        return skewed
+
+    def add_to_table(dist):
+        dist[key] = dist.get(key, 0) + 1
+        return dist
+
+    def add_to_field(answer):
+        size, packed = answer
+        return size, packed + (1 << 8 * size * key)
+
+    replaced = {"tables": skewing(forms.tables, add_to_table)}
+    if forms.packed:
+        replaced["packed"] = skewing(forms.packed, add_to_field)
+    monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(**replaced))
     return passes
 
 
@@ -236,6 +250,36 @@ class TestFormulasVsOracle:
         assert passes == [(*head, 6) for head in dict.fromkeys(heads)]
 
 
+    @pytest.mark.parametrize("respaced", [False, True], ids=["same-integer", "same-counts"])
+    def test_a_packed_answer_in_another_field_width_is_compared_value_by_value(self, monkeypatch, respaced):
+        # At des-le (4, 2, 6) both passes pack in 2-byte fields.  Handed out in 3-byte fields,
+        # the same integer is another table and fails value by value; the same counts,
+        # re-spaced, are the right table and pass value by value.
+        checked = verify.formulas_vs_oracle(4, 6).checked
+        forms = formulas.FAMILIES["des-le"]
+        cell = (4, 2, 6)
+        [(size, g)] = forms.packed(*cell)
+        answer = respace(g, size, size + 1) if respaced else g
+
+        def wider(*params, first=None):
+            lengths = itertools.count(params[-1] if first is None else first)
+            for n, packed in zip(lengths, forms.packed(*params, first=first)):
+                yield (size + 1, answer) if (*params[:-1], n) == cell else packed
+
+        monkeypatch.setitem(formulas.FAMILIES, "des-le", forms._replace(packed=wider))
+        decoded = []
+        monkeypatch.setattr(verify, "unpack", lambda *args: decoded.append(args) or unpack(*args))
+        result = verify.formulas_vs_oracle(4, 6)
+        marginal = forms.keyed(statistic_distribution(*forms.query(*cell)))
+        table = dict(enumerate(unpack(answer, size + 1)))
+        wrong = [s for s in range(7) if table.get(s, 0) != marginal.get(s, 0)]
+        assert bool(wrong) != respaced
+        assert (result.checked, result.failures) == (checked, len(wrong))
+        assert result.first_failure == (f"des-le k=4 t=2 n=6 s={wrong[0]}" if wrong else None)
+        # that cell alone is decoded
+        assert decoded == [(answer, size + 1)]
+
+
 class TestDesModErrata:
     def test_one_pass_of_each_engine_per_head(self, monkeypatch):
         tables = skew_table(monkeypatch, "des-mod", None, None)  # logs the closed-form passes, skews nothing
@@ -377,11 +421,13 @@ class TestHallRemmelSuite:
         assert (result.checked, result.failures, calls) == (90, 0, [])
 
     def test_wrong_evaluation_is_caught_at_every_letter_set_sharing_it(self, monkeypatch):
-        rho = (2, 1)
-        wrong = formulas.hall_remmel_inputs(rho, {2}, {1})
-        subsets = [set(), {1}, {2}, {1, 2}]
-        sharing = [(x, y) for x in subsets for y in subsets
-                   if formulas.hall_remmel_inputs(rho, x, y) == wrong]
+        wrong = formulas.hall_remmel_inputs((2, 1), {2}, {1})
+        # Every class of the grid, m <= 2 and weight 3, with every pair of letter sets.
+        sharing = []
+        for m in (1, 2):
+            subsets = [set(c) for size in range(m + 1) for c in itertools.combinations(range(1, m + 1), size)]
+            sharing += [(rho, x, y) for rho in compositions(3, m) for x in subsets for y in subsets
+                        if formulas.hall_remmel_inputs(rho, x, y) == wrong]
         assert len(sharing) > 1
         evaluate = formulas.hall_remmel_table
         calls = []
@@ -396,19 +442,25 @@ class TestHallRemmelSuite:
         monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
         result = verify.hall_remmel_suite(m_max=2, weight_max=3, even_n_max=2)
         assert result.failures == len(sharing)
-        x, y = sharing[0]
-        assert result.first_failure == f"rearrangement rho=(2, 1) X={sorted(x)} Y={sorted(y)}"
-        # once per distinct input tuple and class
+        rho, x, y = sharing[0]
+        assert result.first_failure == f"rearrangement rho={rho} X={sorted(x)} Y={sorted(y)}"
+        # once per distinct input tuple per call
         assert calls.count(wrong) == 1
+        assert len(calls) == len(set(calls))
 
     def test_wrong_evaluation_at_a_used_top_set_is_caught_at_every_top_set_sharing_it(self, monkeypatch):
-        # rho leaves letter 3 unused, so X={2} stands for X={2, 3} too.
+        # rho leaves letter 3 unused, so X={2} stands for X={2, 3} too.  The closed form's
+        # answers are shared for the whole call, so every class of the grid with these
+        # inputs fails, those with a zero too, (2, 1) with X={2} first.
         wrong = formulas.hall_remmel_inputs((2, 1, 0), {2}, {1})
-        subsets = [set(c) for size in range(4) for c in itertools.combinations(range(1, 4), size)]
-        sharing = [(rho, x, y) for rho in compositions(3, 3) for x in subsets for y in subsets
-                   if formulas.hall_remmel_inputs(rho, x, y) == wrong]
+        sharing = []
+        for m in range(1, 4):
+            subsets = [set(c) for size in range(m + 1) for c in itertools.combinations(range(1, m + 1), size)]
+            sharing += [(rho, x, y) for rho in compositions(3, m) for x in subsets for y in subsets
+                        if formulas.hall_remmel_inputs(rho, x, y) == wrong]
         tops = [sorted(x) for rho, x, _ in sharing if rho == (2, 1, 0)]
         assert [2] in tops and [2, 3] in tops
+        assert {rho for rho, _, _ in sharing} == {(2, 1), (2, 1, 0), (2, 0, 1), (0, 2, 1)}
         evaluate = formulas.hall_remmel_table
 
         def skewed(*inputs):
@@ -430,15 +482,17 @@ class TestHallRemmelSuite:
 
         def skewed(rho, pairs):
             dist = dp(rho, pairs)
-            if rho == (2, 1, 0):
+            if rho == (2, 1):
                 dist[0] = dist.get(0, 0) + 1
             return dist
 
         monkeypatch.setattr(verify, "pair_distribution", skewed)
         result = verify.hall_remmel_suite(m_max=3, weight_max=3, even_n_max=0)
-        # All 4^3 pairs (X, Y), those with the unused letter 3 included; the first is X = Y = {}.
-        assert result.failures == 64
-        assert result.first_failure == "rearrangement rho=(2, 1, 0) X=[] Y=[]"
+        # Every class that asks the DP about (2, 1): itself and the classes with one zero,
+        # (2, 1, 0), (2, 0, 1) and (0, 2, 1); all 4^2 and 4^3 of their pairs (X, Y), those with
+        # the unused letter included.  The first is (2, 1) with X = Y = {}.
+        assert result.failures == 4**2 + 3 * 4**3
+        assert result.first_failure == "rearrangement rho=(2, 1) X=[] Y=[]"
 
     def test_wrong_even_identity_is_caught_and_named(self, monkeypatch):
         passes = skew_table(monkeypatch, "des-mod", (2, 4, 2, 3), 2)
@@ -448,7 +502,7 @@ class TestHallRemmelSuite:
         # one residue pass to n = 4 per alphabet
         assert passes == [(2, 2, 2, 4), (2, 4, 2, 4)]
 
-    def test_oracle_runs_once_per_counted_pair_set(self, monkeypatch):
+    def test_oracle_runs_once_per_distinct_question_per_call(self, monkeypatch):
         calls = []
         dp = verify.pair_distribution
 
@@ -458,12 +512,17 @@ class TestHallRemmelSuite:
 
         monkeypatch.setattr(verify, "pair_distribution", counting)
         verify.hall_remmel_suite(m_max=3, weight_max=4, even_n_max=0)
-        expected = []
+        # A question: the class's nonzero multiplicities and its counted pairs, letters renamed by rank.
+        expected = set()
         for m in range(1, 4):
             subsets = [set(c) for size in range(m + 1)
                        for c in itertools.combinations(range(1, m + 1), size)]
             for weight in range(5):
                 for rho in compositions(weight, m):
-                    expected.append({counted_pairs(rho, x, y) for x in subsets for y in subsets})
-        assert len(calls) == sum(len(sets) for sets in expected)
+                    used = [x for x, reps in enumerate(rho, start=1) if reps]
+                    rank = {x: i for i, x in enumerate(used, start=1)}
+                    expected |= {(tuple(rho[x - 1] for x in used),
+                                  frozenset((rank[a], rank[b]) for a, b in counted_pairs(rho, x, y)))
+                                 for x in subsets for y in subsets}
         assert len(calls) == len(set(calls))
+        assert set(calls) == expected

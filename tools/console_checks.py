@@ -161,6 +161,9 @@ CHECKS = [
           ("series --gf A --k 2 --partition threshold:1 --track x2 --order 2",), 0,
           {"coefficients": [{"order": 0, "polynomial": "1"}, {"order": 1, "polynomial": "2"},
                             {"order": 2, "polynomial": "3 + x2"}]}),
+    # The pinned counts of the two largest suites at their defaults, through the CLI.
+    _suite("verify hall-remmel", 92824),
+    _suite("verify formulas-vs-oracle", 12387),
     # The suites at depths no unit test or benchmark request reaches.
     _suite("verify identities --n-max 30", 21327),
     _suite("verify hall-remmel --m-max 5 --weight-max 6 --n-max 8", 532790),
