@@ -26,22 +26,20 @@ of a ``count`` included, and then makes that one engine call.  ``table``
 prints every row of it and ``count`` the one row it asks for, or 0 where
 the table has none.
 
-``main`` parses an argv in one of two ways.  When its leading words are
-``count <family>``, ``table <family>`` or ``series``, they select a leaf
-parser (``build_parser``'s route table), and ``_canonical`` reads the
-options that leaf declared (the actions ``add_argument`` returned)
-without argparse's option matcher.  It takes only ``--flag value`` pairs,
-each flag spelled in full and given once, converts each value with its
-action's ``type``, checks its ``choices`` and fills in the defaults,
-giving the namespace argparse gives.  It declines an abbreviated or
-unknown flag (``-h`` included), ``--flag=value``, a repeated flag, a
-value that starts with ``-``, a missing value or required option, a
-value its type refuses and one outside its choices.  Every argv it
-declines, every ``verify`` argv and every argv without a route goes to
-the whole argparse tree, which alone writes usage, help and error text.
-The ``count``, ``table`` and ``series`` parsers spell out their usage,
-which Python 3.13 would wrap otherwise, so that text reads the same on
-every Python the package supports.
+``main`` reads an argv from one route table, ``build_parser``'s.  Its
+leading words, ``count <family>``, ``table <family>``, ``series`` or
+``verify <suite>``, select a leaf: ``Option`` records of what
+``add_argument`` declares.  ``_canonical`` reads the rest from them
+without argparse, each flag in full and once, with its value if it takes
+one, converted by the record's ``type`` and checked against its
+``choices``; it fills in the defaults, giving argparse's namespace.  It
+declines ``-h``, an abbreviated, unknown or repeated flag,
+``--flag=value``, a value that starts with ``-``, and any argv argparse
+would refuse.  Only such an argv, or one without a route, loads argparse:
+``_tree`` builds the whole tree from the same records, once, and it
+alone writes usage, help and error text.  The ``count``, ``table`` and
+``series`` parsers spell out their usage, which Python 3.13 would wrap
+otherwise, so it reads the same on every Python the package supports.
 
 A record is written from its known shape, in the text
 ``json.dumps(record, indent=2)`` gives it.  ``_record`` writes the
@@ -64,11 +62,11 @@ every module it loads, so each module it skips shortens its start.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 # The json package would load its decoder too; json.encoder guards this import the same way.
 try:
@@ -80,7 +78,7 @@ except ImportError:
 # ``formulas`` first loads it by name, so ``python -X importtime`` lists it.
 from .formulas import check_params, distribution, evaluate
 from . import _submodule, formulas
-from .words import BlockPartition, BudgetExceededError, InputError
+from .words import BlockPartition, BudgetExceededError, FrozenRecord, InputError
 
 SCHEMA_VERSION = "wordstats-output/1"
 
@@ -411,6 +409,27 @@ def _cmd_series(args) -> int:
     return EXIT_OK
 
 
+class Option(FrozenRecord):
+    """One argument of a leaf, a ``--flag`` or a positional's name, as ``add_argument`` declares it."""
+
+    flag: str
+    dest: str
+    type: object = None
+    choices: tuple | None = None
+    required: bool = False
+    default: object = None
+    takes_value: bool = True
+    help: str | None = None
+
+
+# The options of every verify leaf: the suites' bounds (see ``VERIFY_SUITES``) and the self-test.
+_BOUNDS = (
+    *(Option("--" + bound.replace("_", "-"), bound, int) for bound in ("k_max", "n_max", "m_max", "weight_max")),
+    Option("--inject-fault", "inject_fault", takes_value=False,
+           help="deliberately corrupt one closed form; the run must then fail (harness self-test)"),
+)
+
+
 # Per verify suite: its function in ``verify`` and the keyword(s) each
 # CLI bound sets; a bound that is not given keeps the function's default.
 VERIFY_SUITES = {
@@ -432,167 +451,147 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     name, bounds = VERIFY_SUITES[args.suite]
-    for flag in ("k_max", "n_max", "m_max", "weight_max"):
-        bound = getattr(args, flag)
-        if bound is not None and bound < 0:
-            raise InputError(f"--{flag.replace('_', '-')} must be nonnegative, got {bound}")
-    for flag in ("k_max", "n_max", "m_max", "weight_max", "inject_fault"):
-        if getattr(args, flag) is not None and flag not in bounds:
-            takers = [suite for suite, (_, taken) in VERIFY_SUITES.items() if flag in taken]
+    for option in _BOUNDS:
+        bound = getattr(args, option.dest)
+        if option.takes_value and bound is not None and bound < 0:
+            raise InputError(f"{option.flag} must be nonnegative, got {bound}")
+    for option in _BOUNDS:
+        if getattr(args, option.dest) is not None and option.dest not in bounds:
+            takers = [suite for suite, (_, taken) in VERIFY_SUITES.items() if option.dest in taken]
             plural = "s" if len(takers) > 1 else ""
-            raise InputError(f"--{flag.replace('_', '-')} applies to the {', '.join(takers)} suite{plural}")
-    kwargs = {
-        keyword: getattr(args, flag)
-        for flag, keywords in bounds.items()
-        if getattr(args, flag) is not None
-        for keyword in keywords
-    }
+            raise InputError(f"{option.flag} applies to the {', '.join(takers)} suite{plural}")
+    kwargs = {keyword: getattr(args, dest) for dest, keywords in bounds.items()
+              if getattr(args, dest) is not None for keyword in keywords}
     # Looked up at call time, so a wrapper patched onto ``verify`` runs.
     result = getattr(verify, name)(**kwargs)
     out = _record("verify", {"suite": args.suite}, "verify")
-    out.append(_flat({
-        "checked": result.checked,
-        "failures": result.failures,
-        "first_failure": result.first_failure,
-    }, "\n  "))
+    result_fields = {"checked": result.checked, "failures": result.failures, "first_failure": result.first_failure}
+    out.append(_flat(result_fields, "\n  "))
     _emit(out)
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
-
-
-def _add_count_subparsers(sub, command: str, routes: dict) -> None:
-    # The usage as Python up to 3.12 wraps it at 80 columns; its leaves' prog must not derive from it.
-    indent = " " * len(f"usage: wordstats {command} ")
-    usage = f"%(prog)s [-h]\n{indent}{{{','.join(formulas.FAMILIES)}}}\n{indent}..."
-    parser = sub.add_parser(command, help=f"{command} one statistic family", usage=usage)
-    families = parser.add_subparsers(dest="family", required=True, prog=f"wordstats {command}")
-    for name, forms in formulas.FAMILIES.items():
-        p = routes[command, name] = families.add_parser(name)
-        text = _TEXT[name][0] if name in _TEXT else ()
-        actions = [
-            p.add_argument(
-                "--" + option.replace("_", "-"),
-                type=None if option in text else int,
-                # A count's statistic value may be left out, save a joint family's targets.
-                required=option != forms.names[-1] or forms.joint,
-                help=_HELP.get(name, {}).get(option),
-            )
-            for option in (forms.names if command == "count" else forms.names[:-1])
-        ]
-        actions.append(p.add_argument("--engine", choices=tuple(ENGINES), default=next(iter(ENGINES))))
-        if command == "table":
-            actions.append(p.add_argument("--format", choices=("json", "csv"), default="json"))
-        _declare(p, actions)
-
-
-def _declare(parser: argparse.ArgumentParser, actions: list[argparse.Action]) -> None:
-    """Keep the ``actions`` ``parser.add_argument`` returned, by option string, for ``_canonical``."""
-    parser.declared = {flag: action for action in actions for flag in action.option_strings}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole argparse tree.
-
-    Its ``routes`` map the leading argv words that select a leaf parser,
-    ``(command, family)`` for ``count`` and ``table`` and ``("series",)``,
-    to that leaf parser.  Each routed leaf keeps its ``add_argument``
-    actions as ``declared`` (see ``_declare``).
-    """
-    parser = argparse.ArgumentParser(
-        prog="wordstats",
-        description="Count words over [k] by refined descent, rise, and level statistics.",
-    )
-    parser.routes = routes = {}
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_count_subparsers(sub, "count", routes)
-    _add_count_subparsers(sub, "table", routes)
-
-    p = routes[("series",)] = sub.add_parser("series", help="expand a generating function", usage=(
-        "%(prog)s [-h] --gf {A,B} --k K --partition PARTITION --order\n"
-        "                        ORDER [--track TRACK] [--q {common,per-block}]"))
-    _declare(p, [
-        p.add_argument("--gf", choices=("A", "B"), required=True,
-                       help="A: words graded by length; B: compositions graded by weight"),
-        p.add_argument("--k", type=int, required=True),
-        p.add_argument("--partition", required=True,
-                       help="threshold:<t> | mod:<s> | blocks:<b1,...>"),
-        p.add_argument("--order", type=int, required=True),
-        p.add_argument("--track", default="all", help="'all', 'none', or comma list like x2,z1"),
-        p.add_argument("--q", choices=("common", "per-block"), default="common"),
-    ])
-
-    p = sub.add_parser("verify", help="run a cross-engine verification suite")
-    p.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--weight-max", dest="weight_max", type=int, default=None)
-    p.add_argument(
-        "--inject-fault",
-        action="store_true",
-        default=None,
-        help="deliberately corrupt one closed form; the run must then fail (harness self-test)",
-    )
-    return parser
 
 
 _COMMANDS = {"count": _cmd_count, "table": _cmd_table, "series": _cmd_series, "verify": _cmd_verify}
 
 
+def build_parser() -> dict[tuple[str, ...], tuple[Option, ...]]:
+    """The route table: the leading argv words that select a leaf, and the leaf's arguments.
+
+    Its keys are ``(command, family)`` for ``count`` and ``table``, ``("series",)`` and
+    ``("verify", suite)``; a leaf's positional, its family or suite, is its key's second word.
+    """
+    routes = {}
+    family = Option("family", "family", choices=tuple(formulas.FAMILIES))
+    engine = Option("--engine", "engine", choices=tuple(ENGINES), default=next(iter(ENGINES)))
+    table = Option("--format", "format", choices=("json", "csv"), default="json")
+    for name, forms in formulas.FAMILIES.items():
+        text = _TEXT[name][0] if name in _TEXT else ()
+        options = [
+            # A count's statistic value, the last name, may be left out, save a joint family's targets.
+            Option("--" + option.replace("_", "-"), option, None if option in text else int,
+                   required=option != forms.names[-1] or forms.joint, help=_HELP.get(name, {}).get(option))
+            for option in forms.names
+        ]
+        routes["count", name] = (family, *options, engine)
+        routes["table", name] = (family, *options[:-1], engine, table)
+    routes["series",] = (
+        Option("--gf", "gf", choices=("A", "B"), required=True,
+               help="A: words graded by length; B: compositions graded by weight"),
+        Option("--k", "k", int, required=True),
+        Option("--partition", "partition", required=True, help="threshold:<t> | mod:<s> | blocks:<b1,...>"),
+        Option("--order", "order", int, required=True),
+        Option("--track", "track", default="all", help="'all', 'none', or comma list like x2,z1"),
+        Option("--q", "q", choices=("common", "per-block"), default="common"),
+    )
+    suite = Option("suite", "suite", choices=tuple(sorted(VERIFY_SUITES)))
+    for name in VERIFY_SUITES:
+        routes["verify", name] = (suite, *_BOUNDS)
+    return routes
+
+
+_routes = functools.cache(build_parser)  # the one route table ``main`` reads with
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one argparse tree ``main`` parses with; parsing leaves it unchanged."""
-    return build_parser()
+def _tree():
+    """The whole argparse tree, from ``_routes()``'s records: only an argv ``_canonical`` declines loads it."""
+    import argparse
+
+    def leaf(parser, options) -> None:
+        for option in options:
+            kwargs = {"type": option.type, "choices": option.choices} if option.takes_value else {"action": "store_true"}
+            if option.flag[0] == "-":
+                kwargs.update(dest=option.dest, required=option.required)
+            parser.add_argument(option.flag, default=option.default, help=option.help, **kwargs)
+
+    routes = _routes()
+    parser = argparse.ArgumentParser(
+        prog="wordstats", description="Count words over [k] by refined descent, rise, and level statistics.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in ("count", "table"):
+        # The usage as Python up to 3.12 wraps it at 80 columns; its leaves' prog must not derive from it.
+        indent = " " * len(f"usage: wordstats {command} ")
+        usage = f"%(prog)s [-h]\n{indent}{{{','.join(formulas.FAMILIES)}}}\n{indent}..."
+        p = sub.add_parser(command, help=f"{command} one statistic family", usage=usage)
+        families = p.add_subparsers(dest="family", required=True, prog=f"wordstats {command}")
+        for name in formulas.FAMILIES:
+            # A leaf's family, its positional, is the choice of ``families`` that selects it.
+            leaf(families.add_parser(name), routes[command, name][1:])
+    leaf(sub.add_parser("series", help="expand a generating function", usage=(
+        "%(prog)s [-h] --gf {A,B} --k K --partition PARTITION --order\n"
+        "                        ORDER [--track TRACK] [--q {common,per-block}]")), routes["series",])
+    # Every suite's leaf declares the same arguments.
+    leaf(sub.add_parser("verify", help="run a cross-engine verification suite"), routes["verify", min(VERIFY_SUITES)])
+    return parser
 
 
-def _canonical(
-    leaf: argparse.ArgumentParser, words: list[str], selected: dict
-) -> argparse.Namespace | None:
-    """The namespace ``leaf`` gives ``words`` when they are ``--flag value`` pairs, else None.
+def _canonical(leaf: tuple[Option, ...], key: tuple[str, ...], words: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives ``[*key, *words]`` if ``words`` give ``leaf``'s options plainly, else None.
 
-    Each flag must be one of ``leaf.declared``'s, in full and given once,
-    and each value must not start with ``-``; the action's ``type`` and
-    ``choices`` must take it, and every required option must be given.
-    Options not given take their declared defaults.
+    The words of ``key`` after the command fill the leaf's positionals.  Each
+    of ``words`` is a flag of the leaf, in full and once, then its value if it
+    takes one: a value that does not start with ``-`` and that the option's
+    ``type`` and ``choices`` take.  Every required option is given.
     """
-    if len(words) % 2:
-        return None
-    flags, values = leaf.declared, {}
-    for flag, raw in zip(words[::2], words[1::2]):
-        action = flags.get(flag)
-        if action is None or action.dest in values or raw[:1] == "-":
+    flags = {option.flag: option for option in leaf if option.flag[0] == "-"}
+    positionals = [option.dest for option in leaf if option.flag[0] != "-"]
+    values = {"command": key[0], **dict(zip(positionals, key[1:]))}
+    words = iter(words)
+    for word in words:
+        option = flags.get(word)
+        if option is None or option.dest in values:
             return None
-        try:
-            value = raw if action.type is None else action.type(raw)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    for action in flags.values():
-        if action.dest not in values:
-            if action.required:
+        value = True
+        if option.takes_value:
+            raw = next(words, "-")  # a missing value declines as one that starts with -
+            if raw[:1] == "-":
                 return None
-            values[action.dest] = action.default
-    return argparse.Namespace(**selected, **values)
+            try:
+                value = raw if option.type is None else option.type(raw)
+            except ValueError:
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+    for option in flags.values():
+        if option.dest not in values:
+            if option.required:
+                return None
+            values[option.dest] = option.default
+    return SimpleNamespace(**values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed by the leaf parser its leading words route to, else by the whole tree.
-
-    ``_canonical`` reads a routed leaf's ``--flag value`` argv.  Every argv
-    it declines, and every argv without a route, goes to the whole tree,
-    so usage, help and error text are argparse's own.
-    """
-    parser = _parser()
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read from the leaf its leading words route to, else parsed by ``_tree()``."""
+    routes = _routes()
     for key in (tuple(argv[:2]), tuple(argv[:1])):
-        leaf = parser.routes.get(key)
+        leaf = routes.get(key)
         if leaf is not None:
-            args = _canonical(leaf, argv[len(key):], dict(zip(("command", "family"), key)))
+            args = _canonical(leaf, key, argv[len(key):])
             if args is not None:
                 return args
             break
-    return parser.parse_args(argv)
+    return _tree().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -459,7 +459,7 @@ class TestTable:
         assert err == "error: residue class 4 outside 1..3\n"
 
     def test_levels_blocks_table_leaves_arguments_alone(self, capsys):
-        args = cli.build_parser().parse_args(
+        args = cli._tree().parse_args(
             ["table", "levels-blocks", "--block-sizes", "1,2", "--n", "4"]
         )
         before = vars(args).copy()
@@ -873,22 +873,24 @@ class TestParserReuse:
 
     def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
-        built = []
+        built, build = [], cli._tree.__wrapped__
 
         def counting_build():
             built.append(1)
-            return cli.build_parser()
+            return build()
 
-        monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
+        monkeypatch.setattr(cli, "_tree", functools.cache(counting_build))
         reused = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert len(built) == 1
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        monkeypatch.setattr(cli, "_tree", build)
+        monkeypatch.setattr(cli, "_routes", cli.build_parser)
         fresh = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert reused == fresh
         assert [code for code, _, _ in reused[: len(self.ARGVS)]] == [0, 2, 0, 2, 3, 2, 0, 0, 2, 0]
 
     def test_main_builds_the_parser_once(self):
-        assert cli._parser() is cli._parser()
+        assert cli._routes() is cli._routes()
+        assert cli._tree() is cli._tree()
 
 
 def _count_and_table_argvs():
@@ -960,20 +962,22 @@ SERIES_ARGVS = [
 class TestRouting:
     def test_routes_name_every_leaf(self):
         families = {(command, family) for command in ("count", "table") for family in formulas.FAMILIES}
-        assert set(cli._parser().routes) == families | {("series",)}
+        suites = {("verify", suite) for suite in cli.VERIFY_SUITES}
+        assert set(cli.build_parser()) == families | {("series",)} | suites
 
     def test_leaf_options_are_the_family_names(self):
         """A ``count`` leaf declares every name, a ``table`` leaf all but the statistic value's."""
-        routes = cli._parser().routes
+        routes = cli.build_parser()
         for family, forms in formulas.FAMILIES.items():
             for command, names, extra in (("count", forms.names, []), ("table", forms.names[:-1], ["--format"])):
-                declared = list(routes[command, family].declared)
-                assert declared == [*map(flag, names), "--engine", *extra], (command, family)
+                declared = [option.flag for option in routes[command, family]]
+                assert declared == ["family", *map(flag, names), "--engine", *extra], (command, family)
 
     def test_a_family_declared_only_in_formulas_gets_both_leaves(self, capsys, monkeypatch):
         """A new entry of ``formulas.FAMILIES`` is counted and tabled with no ``cli`` edit."""
         monkeypatch.setitem(formulas.FAMILIES, "des-copy", formulas.FAMILIES["des-le"])
-        monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+        monkeypatch.setattr(cli, "_routes", functools.cache(cli.build_parser))
+        monkeypatch.setattr(cli, "_tree", functools.cache(cli._tree.__wrapped__))
         query = ["--k", "3", "--t", "1", "--n", "4"]
         for command, extra in (("table", []), ("count", ["--s", "2"])):
             copied = run_json(capsys, command, "des-copy", *query, *extra)
@@ -1014,7 +1018,7 @@ class TestRouting:
     def test_spelled_out_usage_is_the_one_argparse_writes(self, monkeypatch):
         """``count``, ``table`` and ``series`` spell out the usage argparse up to 3.12 writes at 80 columns."""
         monkeypatch.setenv("COLUMNS", "80")
-        parser = cli.build_parser()
+        parser = cli._tree.__wrapped__()  # a tree of its own: the test changes its usage
         subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
         for command in ("count", "table", "series"):
             leaf = subparsers.choices[command]
@@ -1027,7 +1031,7 @@ class TestRouting:
     )
     def test_routed_argv_answers_like_the_whole_tree(self, capsys, monkeypatch, argv):
         routed = outcome(capsys, argv)
-        monkeypatch.setattr(cli._parser(), "routes", {})
+        monkeypatch.setattr(cli, "_routes", dict)
         assert routed == outcome(capsys, argv)
 
     @pytest.mark.parametrize("words", [
@@ -1045,20 +1049,36 @@ class TestRouting:
         ["--k", "3", "--t", "1", "--n", "4", "--"],
     ])
     def test_reader_declines_what_is_not_canonical(self, words):
-        leaf = cli._parser().routes["table", "des-le"]
-        assert cli._canonical(leaf, words, {"command": "table", "family": "des-le"}) is None
+        key = ("table", "des-le")
+        assert cli._canonical(cli.build_parser()[key], key, words) is None
 
     def test_reader_declines_a_string_value_that_starts_with_a_dash(self):
-        leaf = cli._parser().routes[("series",)]
         words = ["--gf", "A", "--k", "2", "--partition", "-x", "--order", "2"]
-        assert cli._canonical(leaf, words, {"command": "series"}) is None
+        assert cli._canonical(cli.build_parser()["series",], ("series",), words) is None
+
+    @pytest.mark.parametrize("words", [
+        ["--n-max", "2", "--inject-fault", "--inject-fault"],  # repeated flag that takes no value
+        ["--n-max", "2", "--inject-fault=1"],
+        ["--n-max", "2", "--inject-fault", "1"],
+        ["--n-max=2"],
+        ["--n-m", "2"],
+        ["--n-max", "2", "identities"],  # the positional given again
+        ["--n-max", "2", "suite"],  # the positional's name is no flag
+        ["--n-max", "-1"],
+    ])
+    def test_reader_declines_what_is_not_canonical_for_verify(self, words):
+        key = ("verify", "identities")
+        assert cli._canonical(cli.build_parser()[key], key, words) is None
 
     def test_reader_fills_in_the_declared_defaults(self):
-        leaf = cli._parser().routes["table", "des-le"]
-        words = ["--n", "4", "--t", "1", "--k", "3"]
-        read = cli._canonical(leaf, words, {"command": "table", "family": "des-le"})
+        key = ("table", "des-le")
+        read = cli._canonical(cli.build_parser()[key], key, ["--n", "4", "--t", "1", "--k", "3"])
         assert vars(read) == {"command": "table", "family": "des-le", "k": 3, "t": 1, "n": 4,
                               "engine": "closed-form", "format": "json"}
+        key = ("verify", "formulas-vs-oracle")
+        read = cli._canonical(cli.build_parser()[key], key, ["--inject-fault", "--k-max", "2"])
+        assert vars(read) == {"command": "verify", "suite": "formulas-vs-oracle", "k_max": 2, "n_max": None,
+                              "m_max": None, "weight_max": None, "inject_fault": True}
 
     @pytest.mark.parametrize("argv", [
         ["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "2"],
@@ -1067,9 +1087,10 @@ class TestRouting:
         VERIFY_ARGVS[2],
         ["count", "levels-blocks", "--targets", "1,0", "--n", "2", "--block-sizes", "1,1"],
         SERIES_ARGVS[1],
+        VERIFY_ARGVS[3],
     ])
     def test_valid_argv_skips_the_whole_tree(self, capsys, monkeypatch, argv):
-        """``count``, ``table`` and ``series`` run no argparse parse; ``verify`` the whole tree's."""
+        """``count``, ``table``, ``series`` and ``verify`` run no argparse parse."""
         parsers, parse = [], argparse.ArgumentParser.parse_known_args
 
         def recording(self, *args, **kwargs):
@@ -1078,11 +1099,7 @@ class TestRouting:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
         assert outcome(capsys, argv)[0] == 0
-        if argv[0] == "verify":
-            # The tree hands the words after ``verify`` to its subparser.
-            assert parsers[0] is cli._parser() and len(parsers) == 2
-        else:
-            assert parsers == []
+        assert parsers == []
 
 
 # Each command's ``result`` keys, in the order docs/output_schema.md lists them.
@@ -1222,6 +1239,51 @@ class TestColdProcess:
         out, error, modules = self._run(["table", "des-le", "--k", "three", "--t", "1", "--n", "4"], 2)
         assert out == "" and "invalid int value: 'three'" in error
         assert modules & (self.OFF_PATH | {"wordstats.oracle"}) == set()
+
+    HELP = (
+        "usage: wordstats [-h] {count,table,series,verify} ...\n\n"
+        "Count words over [k] by refined descent, rise, and level statistics.\n\n"
+        "positional arguments:\n"
+        "  {count,table,series,verify}\n"
+        "    count               count one statistic family\n"
+        "    table               table one statistic family\n"
+        "    series              expand a generating function\n"
+        "    verify              run a cross-engine verification suite\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    )
+
+    def test_a_valid_argv_loads_no_argparse(self):
+        """A valid ``count``, ``table``, ``series`` and ``verify`` argv is read without argparse.
+
+        Then ``-h``, ``--flag=value`` and the pinned usage errors load it and
+        answer as before, in the same process.
+        """
+        valid = [["count", *DES_LE[1:], "--s", "1"], DES_LE, SERIES_ARGVS[0], VERIFY_ARGVS[2]]
+        declined = [["-h"], ["table", "des-le", "--k=3", *DES_LE[4:]], *map(list, TestRouting.USAGE_ERRORS)]
+        done = spawn(json.dumps(valid), json.dumps(declined), code="""
+import contextlib, io, json, sys
+from wordstats import cli
+
+def outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+valid = [outcome(argv) for argv in json.loads(sys.argv[1])]
+loaded = "argparse" in sys.modules
+print(json.dumps([valid, loaded, [outcome(argv) for argv in json.loads(sys.argv[2])]]))
+""", env={**CHILD_ENV, "COLUMNS": "80"}, stdout=subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        valid, loaded, (help_, equals, *errors) = json.loads(done.stdout)
+        assert [code for code, _, _ in valid] == [0] * 4 and not loaded
+        assert help_ == [0, self.HELP, ""]
+        assert equals == [0, valid[1][1], ""]
+        assert errors == [[cli.EXIT_USAGE, "", text] for text in TestRouting.USAGE_ERRORS.values()]
 
     def test_series_loads_series_but_not_verify(self):
         argv = ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2"]

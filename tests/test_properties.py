@@ -225,37 +225,49 @@ STRING_VALUES = {
     "track": ["all", "none", "x1,z2"],
 }
 
-READ_LEAVES = sorted(key for key, leaf in cli._parser().routes.items() if hasattr(leaf, "declared"))
+READ_LEAVES = sorted(cli.build_parser())
 
 
 @st.composite
 def leaf_argvs(draw):
-    """(route key, argv): ``--flag value`` pairs of one routed leaf, maybe with one mutation."""
+    """(route key, argv): the options of one routed leaf given plainly, maybe with one mutation.
+
+    A flag that takes no value is drawn absent, present, repeated or as
+    ``--flag=1``.  A verify leaf always gives the bounds its suite takes, so
+    that no suite runs at its default grid unless a mutation drops one.
+    """
     key = draw(st.sampled_from(READ_LEAVES))
+    taken = cli.VERIFY_SUITES[key[1]][1] if key[0] == "verify" else {}
     pairs = []
-    for action in cli._parser().routes[key].declared.values():
-        if not action.required and draw(st.booleans()):
+    for option in cli.build_parser()[key]:
+        if option.flag[0] != "-":  # a positional is the route's own word
             continue
-        if action.choices is not None:
-            value = draw(st.sampled_from(action.choices))
-        elif action.type is int:
+        if not option.takes_value:
+            pairs += draw(st.sampled_from([[], [[option.flag]], [[option.flag]] * 2, [[option.flag + "=1"]]]))
+            continue
+        if not option.required and option.dest not in taken and draw(st.booleans()):
+            continue
+        if option.choices is not None:
+            value = draw(st.sampled_from(option.choices))
+        elif option.type is int:
             value = str(draw(st.integers(0, 3)))
         else:
-            value = draw(st.sampled_from(STRING_VALUES[action.dest]))
-        pairs.append([action.option_strings[0], value])
+            value = draw(st.sampled_from(STRING_VALUES[option.dest]))
+        pairs.append([option.flag, value])
     pairs = draw(st.permutations(pairs))
     mutation = draw(st.none() | st.sampled_from(
         ["abbreviate", "equals", "repeat", "value", "drop", "help", "extra"]
     ))
     if pairs and mutation in ("abbreviate", "equals", "repeat", "value", "drop"):
         i = draw(st.integers(0, len(pairs) - 1))
-        flag, value = pairs[i]
+        flag, *value = pairs[i]
         if mutation == "abbreviate":
-            pairs[i] = [flag[:draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else flag, value]
+            pairs[i] = [flag[:draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else flag, *value]
         elif mutation == "equals":
-            pairs[i] = [f"{flag}={value}"]
+            pairs[i] = [f"{flag}={value[0] if value else 1}"]
         elif mutation == "repeat":
-            pairs.insert(draw(st.integers(0, len(pairs))), [flag, draw(st.sampled_from([value, "2"]))])
+            again = [flag, draw(st.sampled_from([value[0], "2"]))] if value else [flag]
+            pairs.insert(draw(st.integers(0, len(pairs))), again)
         elif mutation == "value":
             pairs[i] = [flag, draw(st.sampled_from(["-1", "-x", "x", "1.5", "bogus", "--"]))]
         else:
@@ -281,13 +293,11 @@ def outcome(argv):
 @given(leaf_argvs())
 def test_canonical_reader_declines_or_gives_the_argparse_namespace(drawn):
     key, argv = drawn
-    parser = cli._parser()
-    selected = dict(zip(("command", "family"), key))
-    read = cli._canonical(parser.routes[key], argv[len(key):], selected)
+    read = cli._canonical(cli.build_parser()[key], key, argv[len(key):])
     if read is not None:
         with contextlib.redirect_stderr(io.StringIO()):
-            assert vars(read) == vars(parser.parse_args(argv))
+            assert vars(read) == vars(cli._tree().parse_args(argv))
     answered = outcome(argv)
-    with mock.patch.object(parser, "routes", {}), \
+    with mock.patch.object(cli, "_routes", dict), \
             mock.patch.object(cli, "_canonical", side_effect=AssertionError("reader ran")):
         assert answered == outcome(argv)

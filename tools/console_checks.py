@@ -196,6 +196,10 @@ CHECKS = [
     Check("an abbreviated flag reads as the flag", "same",
           ("table des-mod --s 3 --alphabet 8 --r 2 --n 12 --engine closed-form",
            "table des-mod --s 3 --alphabet 8 --r 2 --n 12 --eng closed-form")),
+    Check("verify --flag=value reads as --flag value", "same",
+          ("verify identities --n-max 3", "verify identities --n-max=3")),
+    Check("verify's abbreviated flag reads as the flag", "same",
+          ("verify identities --n-max 3", "verify identities --n-m 3")),
 ]
 
 
