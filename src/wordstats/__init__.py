@@ -12,9 +12,9 @@ submodule such as ``wordstats.series``, is imported on first access
 (``__getattr__``, PEP 562), from ``_EXPORTS``, through ``_submodule``,
 which ``cli`` loads its lazy names with too, so that ``python -X
 importtime`` lists every module loaded this way.  So a closed-form
-``wordstats count`` or ``table`` and a usage error load ``words``,
-``combinat``, ``formulas`` and ``cli`` only, and a ``series`` command adds
-``series`` and ``polynomials``.  ``oracle`` loads on ``--engine oracle``,
+``wordstats count`` or ``table`` loads ``words``, ``combinat``,
+``formulas`` and ``cli`` only, a usage error or ``-h`` adds ``usage``,
+and a ``series`` command adds ``series`` and ``polynomials``.  ``oracle`` loads on ``--engine oracle``,
 ``--engine transfer`` and a ``verify`` command, which also loads
 ``verify`` and ``identities``; any module loads when a caller first asks
 for it.  Where no bytecode cache is written, a cold process compiles
@@ -56,7 +56,7 @@ _EXPORTS = {
 }
 
 _SUBMODULES = frozenset(
-    {"cli", "combinat", "formulas", "identities", "oracle", "polynomials", "series", "verify", "words"}
+    {"cli", "combinat", "formulas", "identities", "oracle", "polynomials", "series", "usage", "verify", "words"}
 )
 
 __all__ = sorted(_EXPORTS)

@@ -26,20 +26,20 @@ of a ``count`` included, and then makes that one engine call.  ``table``
 prints every row of it and ``count`` the one row it asks for, or 0 where
 the table has none.
 
-``main`` reads an argv from one route table, ``build_parser``'s.  Its
+``main`` reads an argv over one route table, ``build_parser``'s.  Its
 leading words, ``count <family>``, ``table <family>``, ``series`` or
-``verify <suite>``, select a leaf: ``Option`` records of what
-``add_argument`` declares.  ``_canonical`` reads the rest from them
-without argparse, each flag in full and once, with its value if it takes
-one, converted by the record's ``type`` and checked against its
-``choices``; it fills in the defaults, giving argparse's namespace.  It
-declines ``-h``, an abbreviated, unknown or repeated flag,
-``--flag=value``, a value that starts with ``-``, and any argv argparse
-would refuse.  Only such an argv, or one without a route, loads argparse:
-``_tree`` builds the whole tree from the same records, once, and it
-alone writes usage, help and error text.  The ``count``, ``table`` and
-``series`` parsers spell out their usage, which Python 3.13 would wrap
-otherwise, so it reads the same on every Python the package supports.
+``verify <suite>``, select a leaf: ``Option`` records of one argument
+each.  ``_root`` builds a parser per command and per ``count`` or
+``table`` family over it once, each a ``_Reader``, and they read every
+argv as the standard library's ``ArgumentParser`` reads it from parsers
+that declare the same arguments: a flag in full or abbreviated,
+``--flag=value``, a flag given again, the last one winning, a negative
+number as a value, and ``--``.  One reading differs: ``--flag=--`` gives
+the value ``--``, where ``ArgumentParser`` gives an empty list.  ``-h``
+and a usage error are answered from the same parsers; ``usage``, loaded
+only to write them, writes the text Python 3.11's ``ArgumentParser``
+writes in 80 columns, on every Python and in any terminal.  No module of
+the package imports the standard library's parser.
 
 A record is written from its known shape, in the text
 ``json.dumps(record, indent=2)`` gives it.  ``_record`` writes the
@@ -65,6 +65,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import re
 import sys
 from types import SimpleNamespace
 
@@ -511,93 +512,236 @@ def build_parser() -> dict[tuple[str, ...], tuple[Option, ...]]:
 
 _routes = functools.cache(build_parser)  # the one route table ``main`` reads with
 
+# The top parser's description, and each command's line in its help.
+_DESCRIPTION = "Count words over [k] by refined descent, rise, and level statistics."
+_SUMMARIES = {
+    "count": "count one statistic family",
+    "table": "table one statistic family",
+    "series": "expand a generating function",
+    "verify": "run a cross-engine verification suite",
+}
+# Every parser's first option; ``--help`` is its long flag.
+_ASK_HELP = Option("-h", "help", takes_value=False, help="show this help message and exit")
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # a word that matches no flag reads as a value if it matches this
+_SEPARATOR = object()  # how the first ``--`` of a parser's words reads
+
+
+def _value_span(found: list, at: int) -> int:
+    """The index after a positional's value read from ``at``, with a ``--`` just before or after it; ``at`` if none."""
+    end = at + (found[at] is _SEPARATOR)
+    if end == len(found) or found[end] is not None:
+        return at
+    end += 1
+    return end + (end < len(found) and found[end] is _SEPARATOR)
+
+
+class _Answer(Exception):
+    """What ``main`` writes instead of running a command: ``reader``'s help, or a usage error's ``message``."""
+
+    def __init__(self, reader: _Reader, message: str | None = None):
+        super().__init__(message)
+        self.reader, self.message = reader, message
+
+
+def _name(option: Option) -> str:
+    """An argument's name in an error message: its flags, or a positional's name."""
+    return "-h/--help" if option is _ASK_HELP else option.flag
+
+
+class _Reader:
+    """One parser of the tree ``main`` reads an argv with, which reads it as an ``ArgumentParser`` would.
+
+    ``arguments`` are ``Option`` records, after ``-h``, in the order they
+    are declared; a positional's ``flag`` is its name.  With ``children``,
+    the one positional names the child that reads the words after it;
+    without, each positional is read in place.  ``summary`` is the
+    parser's line in its parent's help, which ``usage`` writes.
+    """
+
+    def __init__(self, prog: str, arguments: tuple[Option, ...], children: dict | None = None,
+                 summary: str | None = None, description: str | None = None):
+        self.prog, self.children, self.summary, self.description = prog, children, summary, description
+        self.arguments = (_ASK_HELP, *arguments)
+        # How a word that is exactly a flag reads, by flag; and the positionals, required dests and defaults.
+        self.flags = {"-h": (_ASK_HELP, "-h", None), "--help": (_ASK_HELP, "--help", None)}
+        self.positionals, self.required, self.defaults = [], {}, {}
+        for option in arguments:
+            if option.flag[0] == "-":
+                self.flags[option.flag] = option, option.flag, None
+            else:
+                self.positionals.append(option)
+            if option.required or option.flag[0] != "-":
+                self.required[option.dest] = _name(option)
+            self.defaults[option.dest] = option.default
+        # Every long flag a word before its "=" may abbreviate, in the order declared.
+        self.prefixes = {}
+        for flag in self.flags:
+            for end in range(2, len(flag) + 1 if flag[1] == "-" else 0):
+                self.prefixes.setdefault(flag[:end], []).append(flag)
+
+    def _option(self, word: str) -> tuple | None:
+        """(option, flag, value given with it or None) if ``word``, not a flag but starting with ``-``, reads as an option.
+
+        The option is None for a word that looks like an option this parser
+        does not declare.  ``--flag=value`` gives its value, and so does
+        ``-hvalue``; a long flag may be abbreviated to any prefix that no
+        other flag shares.  A word that matches no flag reads as a value,
+        and this returns None, if it is ``-`` alone, looks like a negative
+        number or holds a space.
+        """
+        if len(word) == 1:
+            return None
+        head, equals, value = word.partition("=")
+        if equals and head in self.flags:
+            return self.flags[head][0], head, value
+        if word[1] == "-":
+            matches, value = self.prefixes.get(head, ()), value if equals else None
+        else:
+            matches, value = [word[:2]] if word[:2] in self.flags else (), word[2:]
+        if len(matches) > 1:
+            raise _Answer(self, f"ambiguous option: {word} could match {', '.join(matches)}")
+        if matches:
+            return self.flags[matches[0]][0], matches[0], value
+        if re.match(_NEGATIVE, word) or " " in word:
+            return None
+        return None, word, None
+
+    def read(self, words: list[str], values: dict, extras: list[str]) -> None:
+        """Read ``words`` into ``values`` by dest, defaults included, and add the words no parser reads to ``extras``.
+
+        Every word is first read as an option, a value, or the first ``--``,
+        after which every word is a value; a parser with children reads no
+        word after its first value.  Then, in order, an option takes its
+        value, the next word, which must read as a value; a positional takes
+        a value, with a ``--`` just before or after it dropped, or names the
+        child that reads every word after it; and any other value is an
+        extra.  An error or ``-h`` raises ``_Answer`` at the first word that has it.
+        """
+        if self.children is not None and words and words[0] in self.children:  # as the loops below would read it
+            values[self.positionals[0].dest] = words[0]
+            return self.children[words[0]].read(words[1:], values, extras)
+        found, flags = [], self.flags
+        for at, word in enumerate(words):
+            if word in flags:
+                found.append(flags[word])
+            elif word == "--":
+                found += [_SEPARATOR, *[None] * (len(words) - at - 1)]
+                break
+            else:
+                found.append(None if word[:1] != "-" else self._option(word))
+                if found[at] is None and self.children is not None:
+                    break
+        given, positionals, at, stop = {}, self.positionals, 0, len(found)
+        while at < stop:
+            hit = found[at]
+            if hit is not None and hit is not _SEPARATOR:
+                option, flag, value = hit
+                at += 1
+                if option is None:
+                    extras.append(words[at - 1])
+                elif value is not None or not option.takes_value:
+                    self._take(option, self._given(option, flag, value), given)
+                elif at == stop or found[at] is not None:
+                    raise _Answer(self, f"argument {_name(option)}: expected one argument")
+                else:
+                    self._take(option, words[at], given)
+                    at += 1
+                continue
+            if self.children is not None and (hit is None or at + 1 < stop):
+                self._take(positionals[0], words[at], values)  # refused unless it names a child
+                return self.children[words[at]].read(words[at + 1:], values, extras)
+            end = _value_span(found, at) if positionals else at
+            if end == at:
+                extras.append(words[at])
+                at += 1
+                continue
+            raw = words[at:end]
+            if len(raw) == 2:
+                raw.remove("--")
+            self._take(positionals[0], raw[0], given)
+            positionals, at = positionals[1:], end
+        if not self.required.keys() <= given.keys():
+            missing = [name for dest, name in self.required.items() if dest not in given]
+            raise _Answer(self, f"the following arguments are required: {', '.join(missing)}")
+        values.update(self.defaults)
+        values.update(given)
+
+    def _given(self, option: Option, flag: str, value: str | None) -> str | None:
+        """The value read with ``flag`` in its word, refused if ``option`` takes none.
+
+        The one short flag, ``-h``, takes none but runs into itself: ``-hh`` reads as ``-h -h``.
+        """
+        rest = value.lstrip("h") or None if flag == "-h" and value else value
+        if rest is not None and not option.takes_value:
+            raise _Answer(self, f"argument {_name(option)}: ignored explicit argument {rest!r}")
+        return value if option.takes_value else None
+
+    def _take(self, option: Option, raw: str | None, given: dict) -> None:
+        """Set ``option``'s dest in ``given`` from its raw value, converted and checked; ``-h`` raises ``_Answer``."""
+        if not option.takes_value:
+            if option is _ASK_HELP:
+                raise _Answer(self)
+            given[option.dest] = True
+            return
+        value = raw
+        if option.type is not None:
+            try:
+                value = option.type(raw)
+            except (TypeError, ValueError):
+                raise _Answer(self, f"argument {_name(option)}: invalid {option.type.__name__} value: {raw!r}") from None
+        if option.choices is not None and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            raise _Answer(self, f"argument {_name(option)}: invalid choice: {value!r} (choose from {choices})")
+        given[option.dest] = value
+
 
 @functools.cache
-def _tree():
-    """The whole argparse tree, from ``_routes()``'s records: only an argv ``_canonical`` declines loads it."""
-    import argparse
+def _root() -> _Reader:
+    """The parser tree over ``_routes()``, built once: the top parser, whose children are the commands'.
 
-    def leaf(parser, options) -> None:
-        for option in options:
-            kwargs = {"type": option.type, "choices": option.choices} if option.takes_value else {"action": "store_true"}
-            if option.flag[0] == "-":
-                kwargs.update(dest=option.dest, required=option.required)
-            parser.add_argument(option.flag, default=option.default, help=option.help, **kwargs)
-
-    routes = _routes()
-    parser = argparse.ArgumentParser(
-        prog="wordstats", description="Count words over [k] by refined descent, rise, and level statistics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("count", "table"):
-        # The usage as Python up to 3.12 wraps it at 80 columns; its leaves' prog must not derive from it.
-        indent = " " * len(f"usage: wordstats {command} ")
-        usage = f"%(prog)s [-h]\n{indent}{{{','.join(formulas.FAMILIES)}}}\n{indent}..."
-        p = sub.add_parser(command, help=f"{command} one statistic family", usage=usage)
-        families = p.add_subparsers(dest="family", required=True, prog=f"wordstats {command}")
-        for name in formulas.FAMILIES:
-            # A leaf's family, its positional, is the choice of ``families`` that selects it.
-            leaf(families.add_parser(name), routes[command, name][1:])
-    leaf(sub.add_parser("series", help="expand a generating function", usage=(
-        "%(prog)s [-h] --gf {A,B} --k K --partition PARTITION --order\n"
-        "                        ORDER [--track TRACK] [--q {common,per-block}]")), routes["series",])
-    # Every suite's leaf declares the same arguments.
-    leaf(sub.add_parser("verify", help="run a cross-engine verification suite"), routes["verify", min(VERIFY_SUITES)])
-    return parser
-
-
-def _canonical(leaf: tuple[Option, ...], key: tuple[str, ...], words: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse gives ``[*key, *words]`` if ``words`` give ``leaf``'s options plainly, else None.
-
-    The words of ``key`` after the command fill the leaf's positionals.  Each
-    of ``words`` is a flag of the leaf, in full and once, then its value if it
-    takes one: a value that does not start with ``-`` and that the option's
-    ``type`` and ``choices`` take.  Every required option is given.
+    A command whose leaves all declare the same arguments, ``series`` and
+    ``verify``, has one parser, which reads a suite in place; ``count`` and
+    ``table`` have a parser per family, which the family's name selects.
     """
-    flags = {option.flag: option for option in leaf if option.flag[0] == "-"}
-    positionals = [option.dest for option in leaf if option.flag[0] != "-"]
-    values = {"command": key[0], **dict(zip(positionals, key[1:]))}
-    words = iter(words)
-    for word in words:
-        option = flags.get(word)
-        if option is None or option.dest in values:
-            return None
-        value = True
-        if option.takes_value:
-            raw = next(words, "-")  # a missing value declines as one that starts with -
-            if raw[:1] == "-":
-                return None
-            try:
-                value = raw if option.type is None else option.type(raw)
-            except ValueError:
-                return None
-            if option.choices is not None and value not in option.choices:
-                return None
-        values[option.dest] = value
-    for option in flags.values():
-        if option.dest not in values:
-            if option.required:
-                return None
-            values[option.dest] = option.default
-    return SimpleNamespace(**values)
+    commands = {}
+    for key, arguments in _routes().items():
+        commands.setdefault(key[0], {})[key[1:]] = arguments
+    readers = {}
+    for command, leaves in commands.items():
+        prog, summary, first = f"wordstats {command}", _SUMMARIES[command], next(iter(leaves.values()))
+        if len(set(leaves.values())) == 1:
+            readers[command] = _Reader(prog, first, summary=summary)
+        else:
+            children = {key[0]: _Reader(f"{prog} {key[0]}", arguments[1:]) for key, arguments in leaves.items()}
+            readers[command] = _Reader(prog, first[:1], children, summary)
+    command = Option("command", "command", choices=tuple(readers))
+    return _Reader("wordstats", (command,), readers, description=_DESCRIPTION)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
-    """``argv`` read from the leaf its leading words route to, else parsed by ``_tree()``."""
-    routes = _routes()
-    for key in (tuple(argv[:2]), tuple(argv[:1])):
-        leaf = routes.get(key)
-        if leaf is not None:
-            args = _canonical(leaf, key, argv[len(key):])
-            if args is not None:
-                return args
-            break
-    return _tree().parse_args(argv)
+    """``argv``'s namespace: each dest, ``command`` and its family or suite included, to its value.
+
+    A usage error, including words no parser reads, and ``-h`` raise ``_Answer``.
+    """
+    values, extras = {}, []
+    _root().read(argv, values, extras)
+    if extras:
+        raise _Answer(_root(), f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command](args)
+    except _Answer as answer:
+        from . import usage  # the text no valid argv writes
+
+        if answer.message is None:
+            print(usage.help(answer.reader), end="")
+            return EXIT_OK
+        print(f"{usage.line(answer.reader)}{answer.reader.prog}: error: {answer.message}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

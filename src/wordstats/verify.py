@@ -51,7 +51,7 @@ from .oracle import (
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
-from .combinat import compositions, differences, field_bytes, unpack
+from .combinat import compositions, differences, field_bytes, respace, unpack
 
 
 class SuiteResult(Record):
@@ -178,11 +178,12 @@ def formulas_vs_oracle(
     from one pass of each to n_max per distinct head.  A family with a
     ``packed`` pass is read undecoded: its (field bytes, g_n) against the
     DP's tally, ``statistic_tallies``, whose fields are
-    ``field_bytes(alphabet**n_max)`` bytes, and a cell whose two integers
-    are equal in the same field width counts its checks at once, as a cell
-    whose decoded entries all agree would.  Any other cell is decoded and
-    compared value by value, and so is every cell of ``levels-blocks`` and
-    of a ``corrupt`` run.  A ``corrupt`` run needs ``alphabet_max >= 1``:
+    ``field_bytes(alphabet**n_max)`` bytes.  Where the widths differ, past
+    n_max = 64, the narrower integer is re-laid in the wider fields
+    (``respace``), and a cell whose two integers are then equal counts its
+    checks at once, as a cell whose decoded entries all agree would.  Any
+    other cell is decoded and compared value by value, and so is every
+    cell of ``levels-blocks`` and of a ``corrupt`` run.  A ``corrupt`` run needs ``alphabet_max >= 1``:
     below that no skewed entry is checked, and the run could not fail.
     """
     if corrupt and alphabet_max < 1:
@@ -197,7 +198,12 @@ def formulas_vs_oracle(
         for params, values, table, marginal in walk(forms, alphabet_max, n_max):
             if packed:
                 (size, g), (width, tally) = table, marginal
-                if size == width and tally == {0: g}:
+                if size < width:  # the narrower answer is re-laid in the wider one's fields
+                    size, g = width, respace(g, size, width)
+                lone = tally.get(0) if len(tally) == 1 else None
+                if lone is not None and width < size:
+                    lone = respace(lone, width, size)
+                if lone == g:
                     result.record(True, None, len(values))
                     continue
                 table = dict(enumerate(unpack(g, size)))

@@ -1,4 +1,3 @@
-import argparse
 import functools
 import hashlib
 import inspect
@@ -14,6 +13,8 @@ import pytest
 from wordstats import cli, formulas, oracle, verify
 from wordstats.oracle import BUDGET_ENV_VAR
 
+from test_properties import OLD_ARGPARSE, argparse_reads, reads
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -28,11 +29,8 @@ def run_json(capsys, *argv):
 
 
 def outcome(capsys, argv):
-    """``main``'s exit code, stdout and stderr, also when argparse exits."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """``main``'s exit code, stdout and stderr."""
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -252,9 +250,7 @@ class TestCount:
         assert err == f"error: expected a comma-separated integer list, got '{nines},1'\n"
 
     def test_unknown_family_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["count", "des-sideways", "--k", "2"])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert cli.main(["count", "des-sideways", "--k", "2"]) == cli.EXIT_USAGE
 
 
 class TestTable:
@@ -459,9 +455,7 @@ class TestTable:
         assert err == "error: residue class 4 outside 1..3\n"
 
     def test_levels_blocks_table_leaves_arguments_alone(self, capsys):
-        args = cli._tree().parse_args(
-            ["table", "levels-blocks", "--block-sizes", "1,2", "--n", "4"]
-        )
+        args = cli._parse(["table", "levels-blocks", "--block-sizes", "1,2", "--n", "4"])
         before = vars(args).copy()
         assert cli._cmd_table(args) == cli.EXIT_OK
         capsys.readouterr()
@@ -858,7 +852,7 @@ class TestParametersEcho:
 class TestParserReuse:
     ARGVS = [
         ["count", "des-le", "--k", "3", "--t", "2", "--n", "4", "--s", "1"],
-        ["table", "des-le", "--k", "3", "--t", "x", "--n", "4"],  # argparse usage error
+        ["table", "des-le", "--k", "3", "--t", "x", "--n", "4"],  # usage error
         ["table", "levels-blocks", "--block-sizes", "2,1", "--n", "3", "--format", "csv"],
         ["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "-1"],  # InputError
         ["count", "des-le", "--k", "2", "--t", "1", "--n", "5", "--s", "1",
@@ -873,16 +867,16 @@ class TestParserReuse:
 
     def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
-        built, build = [], cli._tree.__wrapped__
+        built, build = [], cli._root.__wrapped__
 
         def counting_build():
             built.append(1)
             return build()
 
-        monkeypatch.setattr(cli, "_tree", functools.cache(counting_build))
+        monkeypatch.setattr(cli, "_root", functools.cache(counting_build))
         reused = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert len(built) == 1
-        monkeypatch.setattr(cli, "_tree", build)
+        monkeypatch.setattr(cli, "_root", build)
         monkeypatch.setattr(cli, "_routes", cli.build_parser)
         fresh = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert reused == fresh
@@ -890,7 +884,7 @@ class TestParserReuse:
 
     def test_main_builds_the_parser_once(self):
         assert cli._routes() is cli._routes()
-        assert cli._tree() is cli._tree()
+        assert cli._root() is cli._root()
 
 
 def _count_and_table_argvs():
@@ -977,7 +971,7 @@ class TestRouting:
         """A new entry of ``formulas.FAMILIES`` is counted and tabled with no ``cli`` edit."""
         monkeypatch.setitem(formulas.FAMILIES, "des-copy", formulas.FAMILIES["des-le"])
         monkeypatch.setattr(cli, "_routes", functools.cache(cli.build_parser))
-        monkeypatch.setattr(cli, "_tree", functools.cache(cli._tree.__wrapped__))
+        monkeypatch.setattr(cli, "_root", functools.cache(cli._root.__wrapped__))
         query = ["--k", "3", "--t", "1", "--n", "4"]
         for command, extra in (("table", []), ("count", ["--s", "2"])):
             copied = run_json(capsys, command, "des-copy", *query, *extra)
@@ -1014,92 +1008,97 @@ class TestRouting:
     def test_usage_error_text_is_pinned(self, capsys, argv):
         assert outcome(capsys, argv) == (cli.EXIT_USAGE, "", self.USAGE_ERRORS[argv])
 
-    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="Python 3.13 wraps usage differently")
-    def test_spelled_out_usage_is_the_one_argparse_writes(self, monkeypatch):
-        """``count``, ``table`` and ``series`` spell out the usage argparse up to 3.12 writes at 80 columns."""
-        monkeypatch.setenv("COLUMNS", "80")
-        parser = cli._tree.__wrapped__()  # a tree of its own: the test changes its usage
-        subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-        for command in ("count", "table", "series"):
-            leaf = subparsers.choices[command]
-            spelled = leaf.format_usage()
-            leaf.usage = None
-            assert spelled == leaf.format_usage(), command
-
+    @OLD_ARGPARSE
     @pytest.mark.parametrize(
         "argv", _count_and_table_argvs() + SERIES_ARGVS + VERIFY_ARGVS + MALFORMED_ARGVS
     )
-    def test_routed_argv_answers_like_the_whole_tree(self, capsys, monkeypatch, argv):
-        routed = outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_routes", dict)
-        assert routed == outcome(capsys, argv)
+    def test_fixed_argv_reads_like_argparse(self, argv):
+        assert reads(argv) == argparse_reads(argv)
 
-    @pytest.mark.parametrize("words", [
-        ["--k", "3", "--t", "1", "--n", "4", "--eng", "oracle"],  # abbreviated flag
-        ["--k=3", "--t", "1", "--n", "4"],
-        ["--k", "3", "--t", "1", "--n", "4", "--k", "3"],  # repeated flag
-        ["--k", "3", "--t", "1", "--n", "-4"],  # a value that starts with -
-        ["--k", "3", "--t", "1", "--n", "4", "--engine", "--"],
-        ["--k", "3", "--t", "1", "--n"],  # missing value
-        ["--k", "3", "--n", "4"],  # missing required option
-        ["--k", "x", "--t", "1", "--n", "4"],  # refused by the type
-        ["--k", "3", "--t", "1", "--n", "4", "--format", "xml"],  # outside the choices
-        ["--k", "3", "--t", "1", "--n", "4", "-h"],
-        ["--k", "3", "--t", "1", "--n", "4", "extra"],
-        ["--k", "3", "--t", "1", "--n", "4", "--"],
+    @OLD_ARGPARSE
+    @pytest.mark.parametrize("argv", [[*DES_LE, *words] for words in (
+        ["--eng", "oracle"],  # abbreviated flag
+        ["--k", "3"],  # repeated flag
+        ["--engine", "--"],
+        ["--format", "xml"],  # outside the choices
+        ["-h"],
+        ["extra"],
+        ["--"],
+        ["--=1"],  # ambiguous
+        ["-hh"],
+        ["-hx"],
+        ["--help=1"],
+    )] + [
+        ["table", "des-le", "--k=3", "--t", "1", "--n", "4"],
+        ["table", "des-le", "--k", "3", "--t", "1", "--n", "-4"],  # a negative number is a value
+        ["table", "des-le", "--k", "3", "--t", "1", "--n"],  # missing value
+        ["table", "des-le", "--k", "3", "--n", "4"],  # missing required option
+        ["table", "des-le", "--k", "x", "--t", "1", "--n", "4"],  # refused by the type
+        ["series", "--gf", "A", "--k", "2", "--partition", "-x", "--order", "2"],
+        *(["verify", "identities", *words] for words in (
+            ["--n-max", "2", "--inject-fault", "--inject-fault"],  # repeated flag that takes no value
+            ["--n-max", "2", "--inject-fault=1"],
+            ["--n-max", "2", "--inject-fault", "1"],
+            ["--n-max=2"],
+            ["--n-m", "2"],
+            ["--n-max", "2", "identities"],  # the positional given again
+            ["--n-max", "2", "suite"],  # the positional's name is no flag
+            ["--n-max", "-1"],
+            ["--", "--n-max", "2"],
+        )),
+        ["verify", "--n-max", "2", "identities"],  # the suite after the options
+        ["verify", "--", "identities"],
+        ["verify", "--inject-fault"],
+        ["--", "count"],
+        ["-x", "count"],
+        ["table", "--"],
     ])
-    def test_reader_declines_what_is_not_canonical(self, words):
-        key = ("table", "des-le")
-        assert cli._canonical(cli.build_parser()[key], key, words) is None
-
-    def test_reader_declines_a_string_value_that_starts_with_a_dash(self):
-        words = ["--gf", "A", "--k", "2", "--partition", "-x", "--order", "2"]
-        assert cli._canonical(cli.build_parser()["series",], ("series",), words) is None
-
-    @pytest.mark.parametrize("words", [
-        ["--n-max", "2", "--inject-fault", "--inject-fault"],  # repeated flag that takes no value
-        ["--n-max", "2", "--inject-fault=1"],
-        ["--n-max", "2", "--inject-fault", "1"],
-        ["--n-max=2"],
-        ["--n-m", "2"],
-        ["--n-max", "2", "identities"],  # the positional given again
-        ["--n-max", "2", "suite"],  # the positional's name is no flag
-        ["--n-max", "-1"],
-    ])
-    def test_reader_declines_what_is_not_canonical_for_verify(self, words):
-        key = ("verify", "identities")
-        assert cli._canonical(cli.build_parser()[key], key, words) is None
+    def test_unusual_argv_reads_like_argparse(self, argv):
+        assert reads(argv) == argparse_reads(argv)
 
     def test_reader_fills_in_the_declared_defaults(self):
-        key = ("table", "des-le")
-        read = cli._canonical(cli.build_parser()[key], key, ["--n", "4", "--t", "1", "--k", "3"])
+        read = cli._parse(["table", "des-le", "--n", "4", "--t", "1", "--k", "3"])
         assert vars(read) == {"command": "table", "family": "des-le", "k": 3, "t": 1, "n": 4,
                               "engine": "closed-form", "format": "json"}
-        key = ("verify", "formulas-vs-oracle")
-        read = cli._canonical(cli.build_parser()[key], key, ["--inject-fault", "--k-max", "2"])
+        read = cli._parse(["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2"])
         assert vars(read) == {"command": "verify", "suite": "formulas-vs-oracle", "k_max": 2, "n_max": None,
                               "m_max": None, "weight_max": None, "inject_fault": True}
 
-    @pytest.mark.parametrize("argv", [
-        ["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "2"],
-        DES_LE + ["--format", "csv"],
-        SERIES_ARGVS[0],
-        VERIFY_ARGVS[2],
-        ["count", "levels-blocks", "--targets", "1,0", "--n", "2", "--block-sizes", "1,1"],
-        SERIES_ARGVS[1],
-        VERIFY_ARGVS[3],
+    def test_the_last_of_a_repeated_flag_wins(self):
+        read = cli._parse(["table", "des-le", "--k", "3", "--t", "1", "--n", "4", "--k", "5", "--eng", "oracle"])
+        assert (read.k, read.engine) == (5, "oracle")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["count", "des-gt", "--k", "3", "--t", "1", "--n", "4", "--s", "-4"],
+         "error: length and statistic value must be nonnegative\n"),
+        (["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "-5"],
+         "error: truncation order must be nonnegative, got -5\n"),
+        (["table", "des-le", "--k", "3", "--t", "1", "--n", "-1"],
+         "error: length and statistic value must be nonnegative\n"),
     ])
-    def test_valid_argv_skips_the_whole_tree(self, capsys, monkeypatch, argv):
-        """``count``, ``table``, ``series`` and ``verify`` run no argparse parse."""
-        parsers, parse = [], argparse.ArgumentParser.parse_known_args
+    def test_a_negative_value_reaches_the_engines_refusal(self, capsys, argv, error):
+        assert outcome(capsys, argv) == (cli.EXIT_USAGE, "", error)
 
-        def recording(self, *args, **kwargs):
-            parsers.append(self)
-            return parse(self, *args, **kwargs)
+    def test_a_dash_word_is_no_value(self, capsys):
+        argv = ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2", "--track", "-x"]
+        code, out, err = outcome(capsys, argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.endswith("wordstats series: error: argument --track: expected one argument\n")
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
-        assert outcome(capsys, argv)[0] == 0
-        assert parsers == []
+    @pytest.mark.parametrize("argv, error", [
+        ([*DES_LE, "--engine=--"], "argument --engine: invalid choice: '--' (choose from "
+                                   "'closed-form', 'oracle', 'transfer')"),
+        (["table", "des-le", "--k=--", "--t", "1", "--n", "4"], "argument --k: invalid int value: '--'"),
+    ])
+    def test_dashes_after_equals_are_the_value(self, capsys, argv, error):
+        # argparse read them as an empty list, which the engines met with a traceback
+        code, out, err = outcome(capsys, argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.endswith(f"wordstats table des-le: error: {error}\n")
+
+    def test_a_flag_given_its_value_with_equals_is_the_flag_abbreviated(self):
+        plain = cli._parse(["table", "des-mod", "--s", "3", "--alphabet", "8", "--r", "2", "--n", "12"])
+        assert cli._parse(["table", "des-mod", "--s=3", "--al", "8", "--r=2", "--n", "12"]) == plain
 
 
 # Each command's ``result`` keys, in the order docs/output_schema.md lists them.
@@ -1253,37 +1252,37 @@ class TestColdProcess:
         "  -h, --help            show this help message and exit\n"
     )
 
-    def test_a_valid_argv_loads_no_argparse(self):
-        """A valid ``count``, ``table``, ``series`` and ``verify`` argv is read without argparse.
+    def test_no_argv_loads_argparse(self):
+        """A valid ``count``, ``table``, ``series`` and ``verify`` argv, ``-h``, ``--flag=value`` and usage errors.
 
-        Then ``-h``, ``--flag=value`` and the pinned usage errors load it and
-        answer as before, in the same process.
+        Each is answered without argparse, in one process, in a 40-column
+        terminal; only ``-h`` and the usage errors load ``wordstats.usage``,
+        which writes their text.
         """
-        valid = [["count", *DES_LE[1:], "--s", "1"], DES_LE, SERIES_ARGVS[0], VERIFY_ARGVS[2]]
-        declined = [["-h"], ["table", "des-le", "--k=3", *DES_LE[4:]], *map(list, TestRouting.USAGE_ERRORS)]
-        done = spawn(json.dumps(valid), json.dumps(declined), code="""
+        valid = [["count", *DES_LE[1:], "--s", "1"], DES_LE, SERIES_ARGVS[0], VERIFY_ARGVS[2],
+                 ["table", "des-le", "--k=3", *DES_LE[4:]]]
+        answered = [["-h"], *map(list, TestRouting.USAGE_ERRORS)]
+        done = spawn(json.dumps(valid), json.dumps(answered), code="""
 import contextlib, io, json, sys
 from wordstats import cli
 
 def outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 valid = [outcome(argv) for argv in json.loads(sys.argv[1])]
-loaded = "argparse" in sys.modules
-print(json.dumps([valid, loaded, [outcome(argv) for argv in json.loads(sys.argv[2])]]))
-""", env={**CHILD_ENV, "COLUMNS": "80"}, stdout=subprocess.PIPE)
+written = "wordstats.usage" in sys.modules
+answered = [outcome(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([valid, written, answered, "argparse" in sys.modules, "wordstats.usage" in sys.modules]))
+""", env={**CHILD_ENV, "COLUMNS": "40"}, stdout=subprocess.PIPE)  # the text does not follow the terminal
         assert done.returncode == 0, done.stderr
-        valid, loaded, (help_, equals, *errors) = json.loads(done.stdout)
-        assert [code for code, _, _ in valid] == [0] * 4 and not loaded
+        valid, written, (help_, *errors), loaded, text_loaded = json.loads(done.stdout)
+        assert [code for code, _, _ in valid] == [0] * 5 and valid[4] == valid[1]
         assert help_ == [0, self.HELP, ""]
-        assert equals == [0, valid[1][1], ""]
         assert errors == [[cli.EXIT_USAGE, "", text] for text in TestRouting.USAGE_ERRORS.values()]
+        assert (written, text_loaded, loaded) == (False, True, False)
 
     def test_series_loads_series_but_not_verify(self):
         argv = ["series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--order", "2"]

@@ -251,10 +251,10 @@ class TestFormulasVsOracle:
 
 
     @pytest.mark.parametrize("respaced", [False, True], ids=["same-integer", "same-counts"])
-    def test_a_packed_answer_in_another_field_width_is_compared_value_by_value(self, monkeypatch, respaced):
+    def test_a_packed_answer_in_another_field_width_is_compared_in_the_wider_one(self, monkeypatch, respaced):
         # At des-le (4, 2, 6) both passes pack in 2-byte fields.  Handed out in 3-byte fields,
         # the same integer is another table and fails value by value; the same counts,
-        # re-spaced, are the right table and pass value by value.
+        # re-spaced, are the right table and pass packed, the DP's answer re-laid in 3-byte fields.
         checked = verify.formulas_vs_oracle(4, 6).checked
         forms = formulas.FAMILIES["des-le"]
         cell = (4, 2, 6)
@@ -276,8 +276,22 @@ class TestFormulasVsOracle:
         assert bool(wrong) != respaced
         assert (result.checked, result.failures) == (checked, len(wrong))
         assert result.first_failure == (f"des-le k=4 t=2 n=6 s={wrong[0]}" if wrong else None)
-        # that cell alone is decoded
-        assert decoded == [(answer, size + 1)]
+        # only a cell that differs is decoded
+        assert decoded == ([] if respaced else [(answer, size + 1)])
+
+    def test_past_n_max_64_no_cell_is_decoded(self, monkeypatch):
+        # At alphabet 3 the closed form's pass to n = 66 packs lengths up to 64 in 13-byte fields,
+        # sized for 3**64, and the DP's in 14-byte ones: the narrower answer is re-laid, not decoded.
+        forms = formulas.FAMILIES["des-le"]
+        sizes = [size for size, _ in forms.packed(3, 1, 66, first=0)]
+        assert (sizes[64], sizes[65], verify.field_bytes(3**66)) == (13, 14, 14)
+        monkeypatch.setattr(formulas, "FAMILIES", {"des-le": forms})
+        decoded = []
+        for name in ("unpack", "decode_tally"):
+            original = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *args, name=name, original=original: decoded.append(name) or original(*args))
+        result = verify.formulas_vs_oracle(3, 66)
+        assert (result.checked, result.failures, decoded) == (13668, 0, [])
 
 
 class TestDesModErrata:

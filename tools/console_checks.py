@@ -189,7 +189,7 @@ CHECKS = [
     _record("table levels-blocks --block-sizes ２,1 --n 3"),
     # The run with an injected fault exits 1 and still prints its record.
     _record("verify formulas-vs-oracle --k-max 3 --n-max 4 --inject-fault", 1),
-    # Options read as canonical --flag value pairs or by argparse print alike.
+    # An option given as --flag=value or abbreviated reads as --flag value.
     Check("--flag=value reads as --flag value", "same",
           ("table des-mod --s 3 --alphabet 8 --r 2 --n 12 --engine closed-form",
            "table des-mod --s 3 --alphabet 8 --r 2 --n 12 --engine=closed-form")),

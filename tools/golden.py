@@ -17,9 +17,9 @@ per round: a ``table`` per family, engine and format, and a ``count`` per family
 The script prints one line per stream and exits 0 when every round matches the file,
 or 1 naming the first differing round of each stream that differs.  It imports
 ``bench/workloads.py`` and ``bench/checks.py`` without changing them, and uses the
-standard library only.  Replies are taken without ``WORDSTATS_ENUM_BUDGET`` and with
-``COLUMNS=80``, so argparse's text does not depend on the terminal.  The digests hold on
-Python 3.10 to 3.13, which CI checks.
+standard library only.  Replies are taken without ``WORDSTATS_ENUM_BUDGET``.  No terminal
+width is pinned: the CLI writes its help and usage errors itself, the same in any terminal.
+The digests hold on Python 3.10 to 3.13, which CI checks.
 """
 
 from __future__ import annotations
@@ -71,22 +71,20 @@ def _program() -> SimpleNamespace:
 
 @contextlib.contextmanager
 def _pinned_environment():
-    """The default enumeration budget and an 80-column terminal, restored on exit."""
-    saved = {name: os.environ.get(name) for name in ("WORDSTATS_ENUM_BUDGET", "COLUMNS")}
-    os.environ.pop("WORDSTATS_ENUM_BUDGET", None)
-    os.environ["COLUMNS"] = "80"
+    """The default enumeration budget, restored on exit."""
+    saved = os.environ.pop("WORDSTATS_ENUM_BUDGET", None)
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is not None:
+            os.environ["WORDSTATS_ENUM_BUDGET"] = saved
 
 
 def _reply(kind: str, argv, ws) -> tuple[int, str, str]:
-    """One request's (exit code, stdout, stderr); an escaped exception exits 1 and names itself."""
+    """One request's (exit code, stdout, stderr); an escaped exception exits 1 and names itself.
+
+    ``main`` returns every exit code, a usage error's 2 included.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -96,8 +94,6 @@ def _reply(kind: str, argv, ws) -> tuple[int, str, str]:
                 code = 0
             else:
                 code = ws.cli.main(list(argv))
-        except SystemExit as exc:  # argparse exits 2 on usage errors
-            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
         except Exception as exc:
             code = 1
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
