@@ -14,6 +14,16 @@ binomial row is built.
 The packed engines hold a one-marker polynomial as one integer, count i in
 byte field i (``field_bytes``, ``unpack``, ``respace``).  Only the final
 counts must fit a field: on the way the integer stays exact.
+
+Every word engine, the transfer DP (``oracle.statistic_tallies``) and
+each closed form's packed pass, hands out a table of a coordinates as
+one *tally*.  A value tuple is d_1 + d_2 R + d_3 R^2 + ... in radix R =
+n + 1, n the pass's length, which no coordinate exceeds.  Its first
+min(2, a) digits, the dense part, name a byte field of one integer, and
+the others, the sparse part, key a dict: digit 1 is a shift by one
+field, digit 2 by R fields, and digit i >= 3 a step of R^(i-3) in the
+key.  A tally maps sparse part -> packed fields, no entry zero; with one
+coordinate it is {0: g}, count s in field s.  ``decode_tally`` reads it.
 """
 
 from __future__ import annotations
@@ -88,6 +98,18 @@ def _digits(key: int, size: int, radix: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def decode_tally(tally: dict[int, int], size: int, radix: int, arity: int) -> dict[tuple[int, ...], int]:
+    """A tally over ``arity`` coordinates, in fields of ``size`` bytes and digits in ``radix``, keyed by value tuples."""
+    dense = min(2, arity)
+    table = {}
+    for sparse, packed in tally.items():
+        rest = _digits(sparse, arity - dense, radix)
+        for field, count in enumerate(unpack(packed, size)):
+            if count:  # field = d_1 + d_2 radix, over the dense digits there are
+                table[((field % radix, field // radix) if dense == 2 else (field,) if dense else ()) + rest] = count
+    return table
+
+
 def field_bytes(bound: int) -> int:
     """Bytes per packed field that hold every count in 0..bound, with no spare bit."""
     return (bound.bit_length() + 7) // 8
@@ -95,8 +117,8 @@ def field_bytes(bound: int) -> int:
 
 def unpack(packed: int, size: int) -> list[int]:
     """The counts in a packed integer's fields of ``size`` bytes, lowest first, to its top nonzero field."""
-    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    return [int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)]
+    data, read = packed.to_bytes((packed.bit_length() + 7) // 8, "little"), int.from_bytes
+    return [read(data[at : at + size], "little") for at in range(0, len(data), size)]
 
 
 def respace(packed: int, size: int, wider: int) -> int:

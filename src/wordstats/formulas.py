@@ -24,13 +24,9 @@ one rational function, T(x, u) = sum_m (F(vx)/v)^m = 1 / (1 - F(vx)/v).
 So for F = sum_{i>=1} f_i x^i the table at length j is g_j = sum_i f_i
 v^(i-1) g_(j-i), and ``levels-threshold``'s F = x (k - (k-t)x) / (1-x)
 gives the Smirnov-word form (1 - vx) / (1 - (v+k)x + (k-t)v x^2).
-``_packed_table`` runs the recurrence on each g_j packed into one integer
-(``combinat.unpack``), with fields sized for its word counts, at most k^n;
-a run to n can hand out every g_j on its way.  The family's ``tables``
-decode that pass, and its ``packed`` pass hands each g_j out undecoded,
-with its field width: the layout of the transfer DP's one-coordinate
-tally (``oracle.statistic_tallies``), so ``verify.formulas_vs_oracle``
-compares the two as they are.
+``_packed_table`` runs the recurrence on each g_j packed into one integer,
+with fields sized for its word counts, at most k^n; a run to n can hand
+out every g_j on its way.
 A table of ``levels-threshold``, ``des-le``, ``des-gt`` or ``des-mod``
 costs n deg F big-integer operations on operands of O(n^2 log k) bits,
 deg F being the recurrence's number of terms: at most min(k + 1, n), and
@@ -46,10 +42,12 @@ Splitting T = 1 + sum_i E_i, E_i = c_i x T / (1 - (u_i-1) x) being the
 words that end in block i, the parts e_i of E_i and g of T at each length
 follow e_i <- (u_i - 1) e_i + c_i g, g = sum_i e_i, from e_i = 0 and g = 1
 at length 0 (``_levels_blocks_table``).  A table costs n steps, each a
-pass over t dicts of big-integer adds on integers of n fields, with one
-entry per tuple of levels of blocks 1..t-1.  ``hall-remmel`` is one sum
-over r, and its rows summed over every class of a weight, with every
-letter at the bottom, come from one pass over the letters
+pass over t dicts of big-integer adds on integers of up to (n + 1)^2
+fields, with one entry per tuple of levels of blocks 3..t.  Each word
+family's ``packed`` pass hands out tallies, as ``oracle.statistic_tallies``
+does (see ``combinat``), and its ``tables`` decode them.  ``hall-remmel``
+is one sum over r, and its rows summed over every class of a weight, with
+every letter at the bottom, come from one pass over the letters
 (``hall_remmel_summed_rows``).
 ``FAMILIES`` declares each family once: its parameter checks, its table
 builder, its word DP query, the (alphabet, n, partition, coordinates) of
@@ -69,13 +67,13 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache, partial
-from itertools import product, repeat, zip_longest
+from itertools import repeat, zip_longest
 from math import comb, factorial, prod
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import _digits, binom, differences, field_bytes, respace, sign, unpack
+from .combinat import binom, compositions, decode_tally, differences, field_bytes, respace, sign, unpack
 from .words import BlockPartition, InputError, _check_alphabet, _check_length, _check_multiplicities
 
 
@@ -148,14 +146,12 @@ def _check_class(rho: Sequence[int], *letters_and_value) -> None:
     _check_length(0, *letters_and_value[2:])
 
 
-def _packed_table(
-    n: int, alphabet: int, program: list, first: int | None = None, packed: bool = False
-) -> Iterator[dict[int, int]] | Iterator[tuple[int, int]]:
+def _packed_table(n: int, alphabet: int, program: list, first: int | None = None) -> Iterator[tuple[int, dict]]:
     """The tables g_first, ..., g_n of a family whose tables g_j follow Horner's ``program`` in v.
 
     One pass to length n computes every g_j on its way; it hands out those
-    from ``first`` on, by default g_n alone, as it reaches them: decoded,
-    or with ``packed`` as (field bytes, g_j), count s in field s.  g_0 = 1
+    from ``first`` on, by default g_n alone, as it reaches them, each as
+    (field bytes, {0: g_j}), count s in field s.  g_0 = 1
     and g_1 = alphabet; from j = 2 on, a term (i, c) adds c g_(j-i) and
     None multiplies by v (a shift and a subtract), highest power first.
     Count bound: the entries of g_j are word counts in 0..alphabet^j, so
@@ -172,8 +168,7 @@ def _packed_table(
     first = n if first is None else first
     _check_length(first)
     for j in range(first, min(n, 1) + 1):
-        g = [1, alphabet][j]
-        yield (size, g) if packed else dict(zip_longest(range(j + 1), unpack(g, size), fillvalue=0))
+        yield size, {0: [1, alphabet][j]}
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
@@ -190,7 +185,7 @@ def _packed_table(
         history.append(acc)
         del history[0]
         if j >= first:
-            yield (size, acc) if packed else dict(zip_longest(range(j + 1), unpack(acc, size), fillvalue=0))
+            yield size, {0: acc}
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -205,14 +200,14 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -
     return coefficients[: n + 1]
 
 
-def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None, packed: bool) -> Iterator:
+def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None) -> Iterator:
     """The tables to length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
     program: list = []
     for i in range(len(factor) - 1, 0, -1):
         # From the highest nonzero f_i down: add f_i g_(j-i), then multiply by v.
         if program or factor[i]:
             program += ([(i, factor[i])] if factor[i] else []) + [None]
-    return _packed_table(n, alphabet, program[:-1], first, packed)
+    return _packed_table(n, alphabet, program[:-1], first)
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -224,7 +219,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     return _entry("levels-threshold", (k, t, n), s)
 
 
-def _levels_threshold(k: int, t: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
+def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
@@ -232,7 +227,7 @@ def _levels_threshold(k: int, t: int, n: int, first: int | None = None, packed: 
     and T = (1 - vx) / (1 - (v+k)x + (k-t)v x^2): g_j = k g_(j-1) +
     v (g_(j-1) - (k-t) g_(j-2)) from g_0 = 1 and g_1 = k.
     """
-    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first, packed)
+    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first)
 
 
 def count_levels_blocks(
@@ -277,27 +272,24 @@ def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
     return BlockPartition.from_blocks(blocks, t=len(block_sizes))
 
 
-def _levels_blocks_table(
-    block_sizes: Sequence[int], n: int, first: int | None = None
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple, at each length first..n.
+def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator[tuple[int, dict]]:
+    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, tally).
 
-    One recurrence in the length decodes the lengths from ``first`` on, by
-    default n alone, as it reaches them:
+    One recurrence in the length hands out the lengths from ``first`` on,
+    by default n alone, as it reaches them:
     e_i <- (u_i - 1) e_i + c_i g from e_i = 0 and g = 1 at length 0: the
     letter after a word ending in block i repeats its last letter (a
     level, u_i), or is one of the c_i - 1 other letters of block i or a
-    letter of another block.  A polynomial is a dict from the levels of
-    blocks 1..t-1, digits in radix n (no block has n levels), to one
-    integer holding the last block's levels in fields of ``field_bytes(k**n)``
-    bytes, k = sum(block_sizes), as no count passes k^n: u_i moves a key by
-    n^(i-1) for i < t and the integer by one field for i = t.  An empty
-    block's e_i is 0 and is not stored.  Shifts by 0, which CPython runs as
-    a copy, are skipped.
+    letter of another block.  A polynomial is a tally of the t levels
+    (see ``combinat``) in fields of ``field_bytes(k**n)`` bytes, k =
+    sum(block_sizes), as no count passes k^n: u_1 and u_2 shift the
+    integer by 1 and n + 1 fields, u_i for i >= 3 moves the key by
+    (n + 1)^(i-3).  An empty block's e_i is 0 and is not stored.  Shifts
+    by 0, which CPython runs as a copy, are skipped.
     """
-    t, radix = len(block_sizes), max(n, 1)
+    t, radix = len(block_sizes), n + 1
     size = field_bytes(sum(block_sizes) ** n)
-    moves = [(radix**i, 0) for i in range(t - 1)] + [(0, 8 * size)]
+    moves = [(0, 8 * size), (0, 8 * size * radix)][:t] + [(radix**i, 0) for i in range(t - 2)]
     live = [(c, move) for c, move in zip(block_sizes, moves) if c]
     ends: list[dict] = [{} for _ in live]
     total = {0: 1}
@@ -310,19 +302,14 @@ def _levels_blocks_table(
                 for key, value in ends[j].items():
                     e[key] -= value
                     e[key + step] = e.get(key + step, 0) + (value << shift if shift else value)
-                ends[j] = e
+                # A step leaves its old key at c g - e, which may be 0; no other entry can be.
+                ends[j] = {key: value for key, value in e.items() if value} if step else e
             total = dict(ends[0])
             for e in ends[1:]:
                 for key, value in e.items():
                     total[key] = total.get(key, 0) + value
         if length >= first:
-            table = {}
-            for key, value in total.items():
-                head = _digits(key, t - 1, radix)
-                for level, count in enumerate(unpack(value, size)):
-                    if count:
-                        table[(*head, level)] = count
-            yield table
+            yield size, total
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -334,14 +321,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-le", (k, t, n), s)
 
 
-def _des_le(k: int, t: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
+def _des_le(k: int, t: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_des_le``, from its factor F.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first, packed)
+    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -353,14 +340,14 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-gt", (k, t, n), s)
 
 
-def _des_gt(k: int, t: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
+def _des_gt(k: int, t: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_des_gt``, from its factor F.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first, packed)
+    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -402,7 +389,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     return total
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None, packed: bool = False) -> Iterator:
+def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_des_mod``, from its factor F.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
@@ -417,7 +404,7 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None, pa
     """
     kq, t = divmod(alphabet, s)
     factor = _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
-    return _descent_table(alphabet, n, factor, first, packed)
+    return _descent_table(alphabet, n, factor, first)
 
 
 def hall_remmel_count(
@@ -563,12 +550,15 @@ def _lengths(heads: Iterable[tuple], n_max: int) -> Iterator[tuple]:
 
 
 def _levels_blocks_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
-    """The block sizes of every grid partition; the target tuples summing to at most n - 1."""
+    """The block sizes of every grid partition; the target tuples summing to at most n - 1, in lexicographic order."""
+    targets: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # per (t, bound), built once
     for k in range(1, alphabet_max + 1):
         for partition in _grid_partitions(k):
             for n in range(n_max + 1):
-                targets = product(range(n + 1), repeat=partition.t)
-                yield (partition.block_sizes(), n), [tt for tt in targets if sum(tt) <= max(n - 1, 0)]
+                shape = partition.t, max(n - 1, 0)
+                if shape not in targets:  # compositions into t + 1 parts, the last part the slack
+                    targets[shape] = [parts[:-1] for parts in compositions(shape[1], shape[0] + 1)]
+                yield (partition.block_sizes(), n), targets[shape]
 
 
 def _des_mod_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
@@ -597,10 +587,9 @@ class FamilyForms(NamedTuple):
     statistic value: the CLI's options and the suite's reports read them.
     A ``joint`` table is keyed by target tuples, one target per block; any
     other by statistic value, as ``keyed`` keys a word engine's answer.
-    ``packed(*params, first=j)``, for the families on ``_packed_table``,
-    is the pass that ``tables`` decodes: per length, (field bytes, g_n),
-    count s in field s.  ``hall-remmel`` has no word DP query, and its grid
-    has no cells.
+    ``packed(*params, first=j)`` is the pass ``tables`` decodes: per length,
+    (field bytes, tally) over the query's coordinates (see ``combinat``).
+    ``hall-remmel`` has no query, no packed pass and no grid cells.
     """
 
     checks: Callable[..., None]
@@ -610,39 +599,58 @@ class FamilyForms(NamedTuple):
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
-    packed: Callable[..., Iterator[tuple[int, int]]] | None = None
+    packed: Callable[..., Iterator[tuple[int, dict[int, int]]]] | None = None
 
     def keyed(self, dist: dict[tuple[int, ...], int]) -> dict:
         """A word engine's answer to ``query``, keyed by tuples, keyed as the family's table."""
         return dist if self.joint else {key: count for (key,), count in dist.items()}
 
 
-def _threshold_family(lowest: int, table: Callable, coordinate: tuple[int, str]) -> FamilyForms:
-    """Thresholds from ``lowest``, tables off ``table``, one coordinate of the partition at t."""
+def _fields(packed: Callable) -> Callable[..., Iterator[dict[int, int]]]:
+    """The tables of a one-coordinate ``packed`` pass: at length j, field s of its one integer counts value s <= j."""
+
+    def tables(*params, first=None):
+        j = params[-1] if first is None else first
+        for size, tally in packed(*params, first=first):
+            yield dict(zip_longest(range(j + 1), unpack(tally[0], size), fillvalue=0))
+            j += 1
+
+    return tables
+
+
+def _levels_blocks_tables(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator[dict]:
+    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple: each tally of the pass, decoded."""
+    for size, tally in _levels_blocks_table(block_sizes, n, first):
+        yield decode_tally(tally, size, n + 1, len(block_sizes))
+
+
+def _threshold_family(lowest: int, packed: Callable, coordinate: tuple[int, str]) -> FamilyForms:
+    """Thresholds from ``lowest``, tables off the ``packed`` pass, one coordinate of the partition at t."""
     return FamilyForms(
         partial(_check_threshold, lowest),
-        table,
+        _fields(packed),
         lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
         ("k", "t", "n", "s"),
         lambda alphabet_max, n_max: _lengths(
             ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
         ),
         lambda k, t, n: (k, n),
-        packed=partial(table, packed=True),
+        packed=packed,
     )
 
 
 FAMILIES = {
     "levels-threshold": _threshold_family(1, _levels_threshold, (1, "lev")),
     "levels-blocks": FamilyForms(
-        _check_blocks, _levels_blocks_table, _levels_blocks_query, ("block_sizes", "n", "targets"),
+        _check_blocks, _levels_blocks_tables, _levels_blocks_query, ("block_sizes", "n", "targets"),
         _levels_blocks_grid, lambda block_sizes, n: (sum(block_sizes), n), joint=True,
+        packed=_levels_blocks_table,
     ),
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
-        _check_des_mod, _des_mod, _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
-        lambda s, alphabet, r, n: (alphabet, n), packed=partial(_des_mod, packed=True),
+        _check_des_mod, _fields(_des_mod), _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
+        lambda s, alphabet, r, n: (alphabet, n), packed=_des_mod,
     ),
     "hall-remmel": FamilyForms(
         _check_class,

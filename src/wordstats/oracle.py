@@ -21,19 +21,17 @@ packed keys.  One kernel, ``_kernel``, runs it on the key rows its caller
 gives: per block, the key increment of each statistic.
 ``statistic_tallies`` packs tracked coordinate i as digit i of one
 integer in radix n + 1 (``_letter_keys``), and the kernel runs its first
-``dense`` digits as byte fields of one integer (``combinat.unpack``) and
-its other, sparse, digits as the keys of one dict per last letter.  With
-no sparse digit a step is one O(k) pass of big-integer shifts and adds.
+``dense`` digits as byte fields of one integer and its other, sparse,
+digits as the keys of one dict per last letter.  With no sparse digit a
+step is one O(k) pass of big-integer shifts and adds.
 
-- ``statistic_tallies`` makes its first two coordinates dense (its one,
-  for a marginal) and hands out the kernel's tallies undecoded, sparse
-  part -> packed fields; ``statistic_lengths`` decodes them
-  (``decode_tally``), and ``statistic_distribution`` reads its one
-  length.  Every threshold and residue count and table runs the O(k)
-  pass, and a ``levels-blocks`` joint of three or more blocks keys the
-  rest.  On the level joint of blocks (2, 3, 1) that ran 6-7x faster
-  than plain dict counts at n = 30 and 60 (one process, Python 3.11,
-  2 vCPU).
+- ``statistic_tallies`` hands out the kernel's tallies undecoded, in the
+  layout the ``combinat`` docstring sets out, two coordinates dense;
+  ``statistic_lengths`` decodes them (``combinat.decode_tally``).  Every
+  threshold and residue count and table runs the O(k) pass, and a
+  ``levels-blocks`` joint of three or more blocks keys the rest.  On the
+  level joint of blocks (2, 3, 1) that ran 6-7x faster than plain dict
+  counts at n = 30 and 60 (one process, Python 3.11, 2 vCPU).
 - ``transfer_distribution`` keeps plain counts (``dense`` 0).  A full
   vector's digits depend on each other, des + ris + lev = cnt - [last
   letter in the block], so a dense pair of them leaves most fields
@@ -76,7 +74,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import _digits, field_bytes, multinomial, unpack
+from .combinat import decode_tally, field_bytes, multinomial, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _check_coordinate, stat_key
 from .words import _check_length, _check_multiplicities, _check_partition
 # The budget refusal is defined beside InputError, so a caller can catch it without this module.
@@ -255,13 +253,10 @@ def _kernel(
     (a, b)'s increment in the block of a, plus the letter count's in the
     block of b.  With ``dense`` 0 a key is a plain dict key, nothing
     depends on the layout, and a tally maps key -> number of words.
-    Otherwise a key's first ``dense`` digits, in radix n + 1 as
-    ``_letter_keys`` packs them, name a byte field of ``field_bytes(k**n)``
-    bytes, as no count of words of length up to n passes k**n, and its
-    other digits, the sparse part, key one dict per last letter; a tally
-    maps sparse part -> packed fields, which ``statistic_lengths`` decodes.
-    So ``divmod`` by (n + 1)**dense splits an increment into a (sparse
-    step, field shift) pair.
+    Otherwise a tally is laid out as the ``combinat`` docstring says, its
+    first ``dense`` digits in fields of ``field_bytes(k**n)`` bytes, as no
+    count passes k**n; ``divmod`` by (n + 1)**dense splits an increment
+    into a (sparse step, field shift) pair.
 
     With no increment past the dense digits a letter's state is one
     integer.  The pair (a, b) is a rise for every a < b, a level for a = b
@@ -367,26 +362,13 @@ def statistic_tallies(
 
     The transfer DP tracking just the requested coordinates, keeping the
     state space small when a query needs a single marginal out of a large
-    partition.  The first two coordinates, in radix n + 1, are the
-    kernel's dense fields and any others its sparse part (see ``_kernel``):
-    a tally maps sparse part -> packed fields of ``field_bytes(k**n)``
-    bytes.  With one coordinate the sparse part is 0 and field s holds the
-    words with value s, the layout of the closed forms' packed pass.  The
+    partition: tallies (see ``combinat``) in fields of ``field_bytes(k**n)``
+    bytes, as the closed forms' packed passes hand them out.  The
     coordinates and shape are checked at the call.
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
     first = _validate_shape(k, n, partition, first)
     return _kernel(k, n, partition, _letter_keys(n, partition, indexed), min(2, len(indexed)), first)
-
-
-def decode_tally(tally: dict[int, int], size: int, radix: int, arity: int) -> dict[tuple[int, ...], int]:
-    """A ``statistic_tallies`` tally over ``arity`` coordinates, keyed by their value tuples.
-
-    ``size`` is its field bytes and ``radix`` its pass's n + 1.
-    """
-    base = radix ** min(2, arity)
-    return {_digits(key, arity, radix): count for sparse, packed in tally.items()
-            for key, count in enumerate(unpack(packed, size), sparse * base) if count}
 
 
 def statistic_lengths(

@@ -13,18 +13,17 @@ of the full joint as int-keyed dicts and decode no key (see
 ``_joint_sweep``), ``formulas_vs_oracle`` and ``des_mod_errata``
 over each family's grid in ``formulas.FAMILIES``, which names a failing
 check, and the even-words sums of ``hall_remmel_suite``.  Each pass is
-asked for every length by keyword, ``first=0``, and the family suites
-key the oracle's marginals as the tables (``FamilyForms.keyed``).
-``formulas_vs_oracle`` reads the families that have a ``packed`` pass
-undecoded on both sides (``_packed_walk``) and decodes a cell only when
-its two packed answers differ or differ in field width, to name the
-failing value; ``levels-blocks``, whose two engines pack different
-blocks, and every ``corrupt`` run are decoded throughout.
+asked for every length by keyword, ``first=0``.  The family suites read
+the closed form's ``packed`` pass and the DP's ``statistic_tallies``,
+one tally layout (see ``combinat``), through ``_packed_walk``; ``_agree``
+compares two tallies as they are, and a cell is decoded, keyed as the
+family's table (``FamilyForms.keyed``), only to name a failing value or
+to look for a rejected reading's counterexample.
 ``hall_remmel_suite`` asks each engine each distinct question once per
 call: the DP by its own question, the class without its zeros and the
 counted pairs renamed by rank, and the closed form by its own inputs.
-``corrupt=True`` skews one closed form in ``formulas_vs_oracle`` by +1;
-that self-test must fail.
+``corrupt=True`` skews ``formulas_vs_oracle``'s closed-form
+``levels-threshold`` answers by +1; that self-test must fail.
 ``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
 """
 
@@ -41,17 +40,15 @@ from .oracle import (
     brute_tallies,
     compact_keys,
     counted_pairs,
-    decode_tally,
     pair_distribution,
     statistic_distribution,
-    statistic_lengths,
     statistic_tallies,
     transfer_distribution,
     transfer_tallies,
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
-from .combinat import compositions, differences, field_bytes, respace, unpack
+from .combinat import compositions, decode_tally, differences, field_bytes, respace
 
 
 class SuiteResult(Record):
@@ -143,21 +140,8 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
     return _joint_sweep("series-vs-oracle", k_max, n_max, passes)
 
 
-def _family_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
-    """``_walk`` over a family's grid: its closed-form tables against the oracle's marginals, keyed alike."""
-    passes = lambda *params: (
-        forms.tables(*params, first=0), map(forms.keyed, statistic_lengths(*forms.query(*params), first=0))
-    )
-    return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
-
-
 def _packed_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
-    """``_walk`` over a family's grid, each answer undecoded, with the field bytes it is packed in.
-
-    The closed form's ``packed`` pass gives (field bytes, g_n); the oracle's
-    ``statistic_tallies`` gives (field bytes, tally), its fields being
-    ``field_bytes(alphabet**n_max)`` bytes for the whole pass.
-    """
+    """``_walk`` over a family's grid: the closed form's ``packed`` pass and the DP's tallies, as (field bytes, tally)."""
 
     def passes(*params):
         query = forms.query(*params)
@@ -167,50 +151,51 @@ def _packed_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
     return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
 
 
+def _agree(answer: tuple[int, dict], other: tuple[int, dict]) -> bool:
+    """Whether two (field bytes, tally) answers hold the same counts: the narrower re-laid in the wider fields."""
+    (size, tally), (wider, wide) = sorted((answer, other), key=lambda pair: pair[0])
+    if size < wider:
+        tally = {key: respace(packed, size, wider) for key, packed in tally.items()}
+    return tally == wide
+
+
+def _decoded(forms: formulas.FamilyForms, params: tuple, answer: tuple[int, dict], n_max: int) -> dict:
+    """A cell's (field bytes, tally) answer, in a pass to n_max, keyed as the family's table."""
+    size, tally = answer
+    return forms.keyed(decode_tally(tally, size, n_max + 1, len(forms.query(*params)[3])))
+
+
 def formulas_vs_oracle(
     alphabet_max: int = 6, n_max: int = 7, corrupt: bool = False
 ) -> SuiteResult:
     """Every closed form against the reduced transfer oracle, on a dense grid.
 
-    Family by family, each cell of the family's declared grid has its
-    closed-form table compared entry by entry with the oracle's marginal on
-    the family's query, one check per statistic value of the cell, read
-    from one pass of each to n_max per distinct head.  A family with a
-    ``packed`` pass is read undecoded: its (field bytes, g_n) against the
-    DP's tally, ``statistic_tallies``, whose fields are
-    ``field_bytes(alphabet**n_max)`` bytes.  Where the widths differ, past
-    n_max = 64, the narrower integer is re-laid in the wider fields
-    (``respace``), and a cell whose two integers are then equal counts its
-    checks at once, as a cell whose decoded entries all agree would.  Any
-    other cell is decoded and compared value by value, and so is every
-    cell of ``levels-blocks`` and of a ``corrupt`` run.  A ``corrupt`` run needs ``alphabet_max >= 1``:
-    below that no skewed entry is checked, and the run could not fail.
+    Each cell of a family's declared grid holds one check per statistic
+    value, read from one pass of each engine to n_max per distinct head.
+    A cell whose two tallies agree (``_agree``) counts its checks at once;
+    any other is decoded and compared value by value.  A ``corrupt`` run
+    adds 1 to every field 0..n of the closed form's ``levels-threshold``
+    answers.  It needs ``alphabet_max >= 1``: below that no skewed entry
+    is checked, and the run could not fail.
     """
     if corrupt and alphabet_max < 1:
         raise InputError(
             f"an injected fault is checked only with alphabet_max (--k-max) at least 1, got {alphabet_max}"
         )
     result = SuiteResult("formulas-vs-oracle")
-    for family, forms in formulas.FAMILIES.items():
-        shift = 1 if corrupt and family == "levels-threshold" else 0
-        packed = forms.packed is not None and not corrupt
-        walk = _packed_walk if packed else _family_walk
-        for params, values, table, marginal in walk(forms, alphabet_max, n_max):
-            if packed:
-                (size, g), (width, tally) = table, marginal
-                if size < width:  # the narrower answer is re-laid in the wider one's fields
-                    size, g = width, respace(g, size, width)
-                lone = tally.get(0) if len(tally) == 1 else None
-                if lone is not None and width < size:
-                    lone = respace(lone, width, size)
-                if lone == g:
-                    result.record(True, None, len(values))
-                    continue
-                table = dict(enumerate(unpack(g, size)))
-                marginal = forms.keyed(decode_tally(tally, width, n_max + 1, 1))
+    for family, forms in formulas.FAMILIES.items():  # hall-remmel's grid has no cells
+        skewed = corrupt and family == "levels-threshold"
+        for params, values, table, marginal in _packed_walk(forms, alphabet_max, n_max):
+            if skewed:
+                size, tally = table
+                table = size, {0: tally.get(0, 0) + sum(1 << 8 * size * value for value in values)}
+            if _agree(table, marginal):
+                result.record(True, None, len(values))
+                continue
+            got, want = (_decoded(forms, params, answer, n_max) for answer in (table, marginal))
             for value in values:
                 result.record(
-                    table.get(value, 0) + shift == marginal.get(value, 0),
+                    got.get(value, 0) == want.get(value, 0),
                     lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),
                 )
     return result
@@ -265,13 +250,13 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     bottom letter sets, X major, each set in order of size, then
     lexicographically.  Both the counted descent pairs and the closed
     form's inputs depend on X only through the letters of X that rho uses,
-    so the X rows run over the sets U of used letters alone, each standing
+    so the X rows run over the sets U of used letters only, each standing
     for the 2^(m - |used|) sets X that add unused letters to it, U the
     first of them in check order.  Let R be the used letters below the
     largest letter of U.  Pairs and inputs depend on Y only through its
     key, Y & R.  Under one U each key is shared by 2^(m - |R|) sets Y,
     the first of them in check order the key itself, so each U row derives
-    pairs, inputs and verdict for its keys alone and counts each verdict
+    pairs, inputs and verdict for its keys only and counts each verdict
     once per pair (X, Y) sharing U and the key.  Both answers are kept for
     the whole call, each keyed by its own engine's question.  A class with
     zeros, such as (2, 0, 1), asks the DP what (2, 1) asks with its pairs
@@ -441,22 +426,22 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
     """
     names = ("aligned-power-base", "offset-high-sum-index", "offset-low-sum-index")
     cases = {name: ErrataCase(name, True, None) for name in names}
-    for (s, alphabet, r, n), values, table, marginal in _family_walk(formulas.FAMILIES["des-mod"], alphabet_max, n_max):
+    forms = formulas.FAMILIES["des-mod"]
+    for params, values, table, marginal in _packed_walk(forms, alphabet_max, n_max):
+        s, alphabet, r, n = params
         t = alphabet % s
         case = cases["aligned-power-base" if t == 0 else "offset-high-sum-index" if r > t else "offset-low-sum-index"]
         # Every cell is ambiguous but an aligned one at r = s, where the two power bases coincide.
         need_example = (t != 0 or r != s) and case.rejected_counterexample is None
-        if not (need_example or case.shipped_ok):
+        case.shipped_ok = case.shipped_ok and _agree(table, marginal)
+        if not need_example:
             continue
+        marginal = _decoded(forms, params, marginal, n_max)
         for p in values:
-            shipped, want = table.get(p, 0), marginal.get(p, 0)
-            if shipped != want:
-                case.shipped_ok = False
-            if need_example:
-                rejected = formulas.count_des_mod_uncorrected(s, alphabet, r, n, p)
-                if rejected != want:
-                    case.rejected_counterexample = (s, alphabet, r, n, p)
-                    case.rejected_value = rejected
-                    case.oracle_value = want
-                    need_example = False
+            want, rejected = marginal.get(p, 0), formulas.count_des_mod_uncorrected(s, alphabet, r, n, p)
+            if rejected != want:
+                case.rejected_counterexample = (s, alphabet, r, n, p)
+                case.rejected_value = rejected
+                case.oracle_value = want
+                break
     return list(cases.values())

@@ -1223,11 +1223,20 @@ class TestColdProcess:
         error, _, modules = done.stderr.rpartition("modules: ")
         return done.stdout, error, set(modules.split())
 
+    # A family's query and a count's statistic value: a one-coordinate family, the residues, the joint one.
+    QUERIES = {
+        "des-le": (["--k", "3", "--t", "2", "--n", "5"], ["--s", "2"]),
+        "des-mod": (["--s", "2", "--alphabet", "3", "--r", "1", "--n", "5"], ["--p", "1"]),
+        "levels-blocks": (["--block-sizes", "1,2,1", "--n", "5"], ["--targets", "1,0,1"]),
+    }
+
+    @pytest.mark.parametrize("family", QUERIES)
     @pytest.mark.parametrize("engine", ["closed-form", "oracle", "transfer"])
     @pytest.mark.parametrize("command", ["count", "table"])
-    def test_count_and_table_load_only_what_they_run(self, command, engine):
-        argv = [command, "des-le", "--k", "3", "--t", "2", "--n", "5", "--engine", engine]
-        out, _, modules = self._run(argv + (["--s", "2"] if command == "count" else []), 0)
+    def test_count_and_table_load_only_what_they_run(self, command, engine, family):
+        query, value = self.QUERIES[family]
+        argv = [command, family, *query, "--engine", engine]
+        out, _, modules = self._run(argv + (value if command == "count" else []), 0)
         assert json.loads(out)["engine"] == engine
         assert {"wordstats.cli", "wordstats.formulas"} <= modules
         assert modules & self.OFF_PATH == set()

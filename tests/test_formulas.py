@@ -583,12 +583,14 @@ class TestCountLevelsBlocks:
                 assert distribution("levels-blocks", (list(sizes), n)) == distribution("levels-blocks", (sizes, n))
 
     def test_single_block_table_is_the_threshold_table_at_field_edges(self):
-        # Both count every level; k**n crosses byte edges at k = 255 and 256, and n = 65
-        # is past the threshold table's first re-spacing.
+        # Both count every level, and both pack the levels in fields sized for k**n at length n;
+        # k**n crosses byte edges at k = 255 and 256, and n = 65 is past the threshold table's
+        # first re-spacing.
         for k in (1, 2, 3, 255, 256, 30_000):
             for n in (0, 1, 5, 16, 64, 65):
-                want = {(s,): count for s, count in next(formulas._levels_threshold(k, k, n)).items() if count}
-                assert next(formulas._levels_blocks_table((k,), n)) == want, (k, n)
+                assert next(formulas._levels_blocks_table((k,), n)) == next(formulas._levels_threshold(k, k, n)), (k, n)
+                want = {(s,): count for s, count in formulas.distribution("levels-threshold", (k, k, n)).items() if count}
+                assert formulas.distribution("levels-blocks", ((k,), n)) == want, (k, n)
 
     def test_unsigned_variant_is_wrong(self):
         # dropping the sign factor breaks already at two letters

@@ -8,7 +8,7 @@ its own length and no other.
 
 import pytest
 
-from wordstats import formulas, oracle
+from wordstats import combinat, formulas, oracle
 from wordstats.combinat import _digits, field_bytes, unpack
 from wordstats.formulas import _grid_partitions
 from wordstats.oracle import (
@@ -102,10 +102,23 @@ def test_kernel_tallies_decode_to_the_marginals_and_match_the_packed_tables(fami
                 for tally in tallies
             ]
             assert decoded == list(statistic_lengths(*query, first=0)), (family, head, n_max)
-            if forms.packed:
-                # One coordinate: sparse part 0, field s the count of value s, as the closed form packs it.
-                assert list(forms.packed(*head, n_max, first=0)) == [(size, tally[0]) for tally in tallies]
+            # The closed form's packed pass is the same tallies, in the same fields.
+            assert list(forms.packed(*head, n_max, first=0)) == [(size, tally) for tally in tallies]
+            if len(coords) == 1:  # sparse part 0, field s the count of value s
                 assert all(list(tally) == [0] for tally in tallies)
+
+
+def test_levels_blocks_engines_pack_alike_on_every_grid_partition():
+    # The closed form's pass and the DP's, both to n, as (field bytes, tally) length by length:
+    # levels of blocks 1 and 2 in the fields, of blocks 3.. in the keys, digits in radix n + 1.
+    forms = formulas.FAMILIES["levels-blocks"]
+    for k in range(1, 7):
+        for partition in _grid_partitions(k):
+            for n in range(8):
+                params = partition.block_sizes(), n
+                size = field_bytes(k**n)
+                want = [(size, tally) for tally in statistic_tallies(*forms.query(*params), first=0)]
+                assert list(forms.packed(*params, first=0)) == want, (k, partition.blocks, n)
 
 
 def test_grids_reach_one_letter_and_dict_keyed_joints():
@@ -184,11 +197,14 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     unpacked.clear()
     list(formulas.FAMILIES["des-le"].tables(4, 2, 7, first=0))
     assert len(unpacked) == 8
-    unpacked.clear()
+    # A levels-blocks table decodes one tally per length.
+    decoded = _counting(monkeypatch, formulas, "decode_tally")
     formulas.distribution("levels-blocks", ((3,), 7))
-    assert len(unpacked) == 1
-    # The kernel's all-dense state is one integer per length.
-    tallied = _counting(monkeypatch, oracle, "unpack")
+    assert len(decoded) == 1
+    list(formulas.FAMILIES["levels-blocks"].tables((1, 2, 1), 7, first=0))
+    assert len(decoded) == 9
+    # The kernel's all-dense state is one integer per length, which ``combinat.decode_tally`` unpacks.
+    tallied = _counting(monkeypatch, combinat, "unpack")
     part = BlockPartition.threshold(4, 2)
     statistic_distribution(4, 7, part, [(1, "des")])
     assert len(tallied) == 1

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from wordstats import formulas, identities, oracle, verify
-from wordstats.combinat import compositions, respace, unpack
+from wordstats.combinat import compositions, decode_tally, respace, unpack
 from wordstats.oracle import counted_pairs, statistic_distribution
 from wordstats.polynomials import adopt, decode
 from wordstats.series import TrackingSpec, statistic_keys
@@ -13,9 +13,11 @@ from wordstats.words import _STAT_INDEX, BlockPartition, InputError
 def skew_table(monkeypatch, family, cell, key):
     """Add 1 to ``key`` in the family's closed-form table at ``cell``; the passes run are logged.
 
-    Both the decoded pass, ``tables``, and a packed one, ``packed``, are
-    skewed: a packed answer (field bytes, g) gains 1 in field ``key``.  A
-    pass over lengths first..n is logged by its parameters, which end in n.
+    Both the decoded pass, ``tables``, and the packed one, ``packed``, are
+    skewed: a packed answer (field bytes, tally) of a pass to n gains 1 at
+    the value tuple ``key``, digits in radix n + 1, the first two in the
+    fields and the rest in the key.  A pass over lengths first..n is logged
+    by its parameters, which end in n.
     """
     forms = formulas.FAMILIES[family]
     passes = []
@@ -25,21 +27,22 @@ def skew_table(monkeypatch, family, cell, key):
             passes.append(params)
             lengths = itertools.count(params[-1] if first is None else first)
             for n, answer in zip(lengths, run(*params, first=first)):
-                yield add(answer) if (*params[:-1], n) == cell else answer
+                yield add(answer, params[-1] + 1) if (*params[:-1], n) == cell else answer
 
         return skewed
 
-    def add_to_table(dist):
+    def add_to_table(dist, radix):
         dist[key] = dist.get(key, 0) + 1
         return dist
 
-    def add_to_field(answer):
-        size, packed = answer
-        return size, packed + (1 << 8 * size * key)
+    def add_to_field(answer, radix):
+        size, tally = answer
+        digits = key if isinstance(key, tuple) else (key,)
+        index = sum(digit * radix**i for i, digit in enumerate(digits))
+        sparse, field = divmod(index, radix ** min(2, len(digits)))
+        return size, {**tally, sparse: tally.get(sparse, 0) + (1 << 8 * size * field)}
 
-    replaced = {"tables": skewing(forms.tables, add_to_table)}
-    if forms.packed:
-        replaced["packed"] = skewing(forms.packed, add_to_field)
+    replaced = {"tables": skewing(forms.tables, add_to_table), "packed": skewing(forms.packed, add_to_field)}
     monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(**replaced))
     return passes
 
@@ -223,6 +226,28 @@ class TestFormulasVsOracle:
             "formulas-vs-oracle", 1080, 90, "levels-threshold k=1 t=1 n=0 s=0"
         )
 
+    def test_agreeing_cells_are_never_decoded(self, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))
+        assert verify.formulas_vs_oracle() == verify.SuiteResult("formulas-vs-oracle", 12387, 0, None)
+        assert decoded == []
+        # Every levels-threshold cell differs once skewed, and each of its two tallies is decoded; no other is.
+        result = verify.formulas_vs_oracle(3, 4, corrupt=True)
+        assert (result.checked, result.failures, result.first_failure) == (1080, 90, "levels-threshold k=1 t=1 n=0 s=0")
+        cells = list(formulas.FAMILIES["levels-threshold"].grid(3, 4))
+        assert len(decoded) == 2 * len(cells) == 60
+        assert all(args[2:] == (5, 1) for args in decoded)
+
+    def test_levels_blocks_grid_is_the_product_filtered(self):
+        # Per cell, every tuple of product(range(n + 1), repeat=t) summing to at most max(n - 1, 0), in order.
+        for alphabet_max in range(5):
+            for n_max in range(7):
+                want = [((partition.block_sizes(), n),
+                         [tt for tt in itertools.product(range(n + 1), repeat=partition.t) if sum(tt) <= max(n - 1, 0)])
+                        for k in range(1, alphabet_max + 1) for partition in formulas._grid_partitions(k)
+                        for n in range(n_max + 1)]
+                assert list(formulas._levels_blocks_grid(alphabet_max, n_max)) == want, (alphabet_max, n_max)
+
     def test_injected_fault_needs_a_letter(self):
         # alphabet_max 0 checks no skewed entry, so the run could not fail; it is refused
         for n_max in (0, 4):
@@ -258,17 +283,18 @@ class TestFormulasVsOracle:
         checked = verify.formulas_vs_oracle(4, 6).checked
         forms = formulas.FAMILIES["des-le"]
         cell = (4, 2, 6)
-        [(size, g)] = forms.packed(*cell)
+        [(size, tally)] = forms.packed(*cell)
+        g = tally[0]
         answer = respace(g, size, size + 1) if respaced else g
 
         def wider(*params, first=None):
             lengths = itertools.count(params[-1] if first is None else first)
             for n, packed in zip(lengths, forms.packed(*params, first=first)):
-                yield (size + 1, answer) if (*params[:-1], n) == cell else packed
+                yield (size + 1, {0: answer}) if (*params[:-1], n) == cell else packed
 
         monkeypatch.setitem(formulas.FAMILIES, "des-le", forms._replace(packed=wider))
         decoded = []
-        monkeypatch.setattr(verify, "unpack", lambda *args: decoded.append(args) or unpack(*args))
+        monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))
         result = verify.formulas_vs_oracle(4, 6)
         marginal = forms.keyed(statistic_distribution(*forms.query(*cell)))
         table = dict(enumerate(unpack(answer, size + 1)))
@@ -276,8 +302,8 @@ class TestFormulasVsOracle:
         assert bool(wrong) != respaced
         assert (result.checked, result.failures) == (checked, len(wrong))
         assert result.first_failure == (f"des-le k=4 t=2 n=6 s={wrong[0]}" if wrong else None)
-        # only a cell that differs is decoded
-        assert decoded == ([] if respaced else [(answer, size + 1)])
+        # only a cell that differs is decoded, both its answers
+        assert decoded == ([] if respaced else [({0: answer}, size + 1, 7, 1), ({0: g}, size, 7, 1)])
 
     def test_past_n_max_64_no_cell_is_decoded(self, monkeypatch):
         # At alphabet 3 the closed form's pass to n = 66 packs lengths up to 64 in 13-byte fields,
@@ -287,9 +313,7 @@ class TestFormulasVsOracle:
         assert (sizes[64], sizes[65], verify.field_bytes(3**66)) == (13, 14, 14)
         monkeypatch.setattr(formulas, "FAMILIES", {"des-le": forms})
         decoded = []
-        for name in ("unpack", "decode_tally"):
-            original = getattr(verify, name)
-            monkeypatch.setattr(verify, name, lambda *args, name=name, original=original: decoded.append(name) or original(*args))
+        monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))
         result = verify.formulas_vs_oracle(3, 66)
         assert (result.checked, result.failures, decoded) == (13668, 0, [])
 
@@ -297,13 +321,13 @@ class TestFormulasVsOracle:
 class TestDesModErrata:
     def test_one_pass_of_each_engine_per_head(self, monkeypatch):
         tables = skew_table(monkeypatch, "des-mod", None, None)  # logs the closed-form passes, skews nothing
-        marginals = log_passes(monkeypatch, "statistic_lengths")
+        marginals = log_passes(monkeypatch, "statistic_tallies")
         verify.des_mod_errata(6, 7)
         forms = formulas.FAMILIES["des-mod"]
         heads = [params[:-1] for params, _ in forms.grid(6, 7) if params[-1] == 0]
         assert len(heads) == len(set(heads))
         assert tables == [(*head, 7) for head in heads]
-        assert marginals == [("statistic_lengths", *forms.query(*head, 7)) for head in heads]
+        assert marginals == [("statistic_tallies", *forms.query(*head, 7)) for head in heads]
 
     def test_default_grid_counterexamples(self):
         # Each rejected reading's first counterexample (s, alphabet, r, n, p), its value and the oracle's.
