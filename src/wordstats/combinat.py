@@ -1,4 +1,4 @@
-"""Exact combinatorial helpers shared by the formula, oracle and identity layers.
+"""Exact combinatorial helpers, and the two packings every engine counts in.
 
 The alternating sums downstream rely on one binomial convention: C(n, 0) is
 1 for every integer n (including negative n, which the geometric-series
@@ -11,26 +11,46 @@ row of L values f(i): the coefficients of (1-u)^L sum_i f(i) u^i up to
 u^(L-1).  ``differences`` takes it as L passes of differences, so no
 binomial row is built.
 
-The packed engines hold a one-marker polynomial as one integer, count i in
-byte field i (``field_bytes``, ``unpack``, ``respace``).  Only the final
-counts must fit a field: on the way the integer stays exact.
+Two packings carry every engine's counts; only this module encodes and
+decodes them, and each engine keeps its own counting rule.
 
-Every word engine, the transfer DP (``oracle.statistic_tallies``) and
-each closed form's packed pass, hands out a table of a coordinates as
-one *tally*.  A value tuple is d_1 + d_2 R + d_3 R^2 + ... in radix R =
-n + 1, n the pass's length, which no coordinate exceeds.  Its first
-min(2, a) digits, the dense part, name a byte field of one integer, and
-the others, the sparse part, key a dict: digit 1 is a shift by one
-field, digit 2 by R fields, and digit i >= 3 a step of R^(i-3) in the
-key.  A tally maps sparse part -> packed fields, no entry zero; with one
-coordinate it is {0: g}, count s in field s.  ``decode_tally`` reads it.
+*Keys* key a dict of counts by a vector of a slots: slot i is bit field
+a - 1 - i of ``width`` bits, and an optional degree field, field a, holds
+the slots' sum.  A slot's unit key (``key_units``) is 1 in its field and
+in the degree field, so a key is the sum of units times values
+(``encode_key``) and int order is degree, then slot by slot.  No field
+carries while the values, and their sum with a degree field, fit
+``width`` bits; past that the degree field carries (``key_degree``).
+``decode_keys`` places each slot by its unit's lowest set bit.  The walk
+and the full-joint DP (``oracle.compact_keys``) use fields of
+``n.bit_length()`` bits, n the largest length, and no degree field.
+Series coefficients (``polynomials``, ``series.statistic_keys``) use
+16-bit fields under a degree field, for their printed order and to
+refuse a carried key.
+
+*Tallies* hold a table of a coordinates, none past the pass's length n,
+as a value tuple d_1 + d_2 R + d_3 R^2 + ... in radix R = n + 1.  Its
+first min(2, a) digits, the dense part, name a byte field of one integer
+(``field_bytes``, ``unpack``, ``respace``), and the other, sparse, digits
+key a dict: a tally maps sparse part -> packed fields, no entry zero,
+and with one coordinate it is {0: g}, count s in field s.  Digit 1 is a
+shift by one field, digit 2 by R fields, and digit i >= 3 a step of
+R^(i-3) in the key: ``tally_units`` gives each coordinate's (sparse
+step, field shift), and ``decode_tally`` reads a tally back.  Only the
+final counts must fit a field.  The transfer DP (``oracle.statistic_tallies``) and each closed
+form's packed pass hand out tallies.  The DP sizes its fields for
+alphabet**n.  The closed forms (``formulas._packed_table``) size them for
+alphabet**min(n, 64) and widen them by an eighth whenever the length
+passes that bound: sizing for alphabet**n from the first step was
+1.2-1.7x slower from n = 300 on (des-gt (6, 2, 600) 81 -> 103 ms), as
+every early step then works on fields wider than its counts.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from operator import sub
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 
@@ -89,6 +109,49 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
+def key_units(width: int, arity: int, degree: bool = False) -> list[int]:
+    """The unit key of each of ``arity`` slots in fields of ``width`` bits, slot 0 highest, with ``degree`` a degree field on top."""
+    top = width * arity
+    return [degree << top | 1 << top - width * slot for slot in range(1, arity + 1)]
+
+
+def encode_key(values: Sequence[int], width: int, degree: bool = False) -> int:
+    """The key of ``values``, one per slot: the sum of the slots' unit keys times their values."""
+    return sum(map(mul, values, key_units(width, len(values), degree)))
+
+
+def key_degree(key: int, width: int, arity: int) -> int:
+    """The degree field of a key over ``arity`` slots of ``width`` bits, with whatever carried out of it."""
+    return key >> width * arity
+
+
+def decode_keys(tally: dict[int, int], rows: Sequence[Sequence[int]], width: int) -> dict[tuple[tuple[int, ...], ...], int]:
+    """A dict keyed by keys in fields of ``width`` bits, keyed instead by one tuple of slot values per row of ``rows``.
+
+    A row lists unit keys (``key_units``); each distinct reading of a row is decoded once.
+    """
+    mask = (1 << width) - 1
+    places = [[(unit & -unit).bit_length() - 1 for unit in row] for row in rows]
+    layout = [(sum(mask << shift for shift in row), row, {}) for row in places]
+    entries = {}
+    for key, count in tally.items():
+        vector = []
+        for fields, shifts, seen in layout:
+            row = key & fields
+            values = seen.get(row)
+            if values is None:
+                values = seen[row] = tuple([row >> shift & mask for shift in shifts])
+            vector.append(values)
+        entries[tuple(vector)] = count
+    return entries
+
+
+def tally_units(arity: int, size: int, radix: int) -> list[tuple[int, int]]:
+    """Each of ``arity`` coordinates' (sparse step, field shift) in a tally in fields of ``size`` bytes, digits in ``radix``."""
+    width = 8 * size
+    return [(0, width), (0, width * radix)][:arity] + [(radix**i, 0) for i in range(arity - 2)]
+
+
 def _digits(key: int, size: int, radix: int) -> tuple[int, ...]:
     """The lowest ``size`` digits of ``key`` in ``radix``, lowest first."""
     digits = []
@@ -98,12 +161,13 @@ def _digits(key: int, size: int, radix: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def decode_tally(tally: dict[int, int], size: int, radix: int, arity: int) -> dict[tuple[int, ...], int]:
-    """A tally over ``arity`` coordinates, in fields of ``size`` bytes and digits in ``radix``, keyed by value tuples."""
+def decode_tally(answer: tuple[int, dict[int, int]], radix: int, arity: int) -> dict[tuple[int, ...], int]:
+    """A (field bytes, tally) answer over ``arity`` coordinates, digits in ``radix``, keyed by value tuples."""
+    size, tally = answer
     dense = min(2, arity)
     table = {}
     for sparse, packed in tally.items():
-        rest = _digits(sparse, arity - dense, radix)
+        rest = _digits(sparse, arity - 2, radix) if arity > 2 else ()
         for field, count in enumerate(unpack(packed, size)):
             if count:  # field = d_1 + d_2 radix, over the dense digits there are
                 table[((field % radix, field // radix) if dense == 2 else (field,) if dense else ()) + rest] = count

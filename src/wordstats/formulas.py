@@ -42,13 +42,11 @@ Splitting T = 1 + sum_i E_i, E_i = c_i x T / (1 - (u_i-1) x) being the
 words that end in block i, the parts e_i of E_i and g of T at each length
 follow e_i <- (u_i - 1) e_i + c_i g, g = sum_i e_i, from e_i = 0 and g = 1
 at length 0 (``_levels_blocks_table``).  A table costs n steps, each a
-pass over t dicts of big-integer adds on integers of up to (n + 1)^2
-fields, with one entry per tuple of levels of blocks 3..t.  Each word
-family's ``packed`` pass hands out tallies, as ``oracle.statistic_tallies``
-does (see ``combinat``), and its ``tables`` decode them.  ``hall-remmel``
-is one sum over r, and its rows summed over every class of a weight, with
-every letter at the bottom, come from one pass over the letters
-(``hall_remmel_summed_rows``).
+pass over t dicts of big-integer adds.  Each word family's ``packed``
+pass hands out tallies (see ``combinat``), and its ``tables`` decode
+them.  ``hall-remmel`` is one sum over r, and its rows summed over every
+class of a weight, with every letter at the bottom, come from one pass
+over the letters (``hall_remmel_summed_rows``).
 ``FAMILIES`` declares each family once: its parameter checks, its table
 builder, its word DP query, the (alphabet, n, partition, coordinates) of
 the statistic it counts, which the CLI's oracle and transfer engines and
@@ -73,7 +71,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # binom is not called here; bench/tracing.py counts calls at formulas.binom.
-from .combinat import binom, compositions, decode_tally, differences, field_bytes, respace, sign, unpack
+from .combinat import binom, compositions, decode_tally, differences, field_bytes, respace, sign, tally_units, unpack
 from .words import BlockPartition, InputError, _check_alphabet, _check_length, _check_multiplicities
 
 
@@ -146,19 +144,19 @@ def _check_class(rho: Sequence[int], *letters_and_value) -> None:
     _check_length(0, *letters_and_value[2:])
 
 
-def _packed_table(n: int, alphabet: int, program: list, first: int | None = None) -> Iterator[tuple[int, dict]]:
+def _packed_table(n: int, alphabet: int, program: list, first: int | None = None, read: Callable | None = None) -> Iterator:
     """The tables g_first, ..., g_n of a family whose tables g_j follow Horner's ``program`` in v.
 
     One pass to length n computes every g_j on its way; it hands out those
     from ``first`` on, by default g_n alone, as it reaches them, each as
-    (field bytes, {0: g_j}), count s in field s.  g_0 = 1
-    and g_1 = alphabet; from j = 2 on, a term (i, c) adds c g_(j-i) and
-    None multiplies by v (a shift and a subtract), highest power first.
-    Count bound: the entries of g_j are word counts in 0..alphabet^j, so
-    fields of ``field_bytes(alphabet**bound)`` hold every g_j with j <=
-    bound.  The bound starts at min(n, 64) and grows by an eighth whenever
-    j passes it, re-spacing the g_j still read; so up to n = 64 every g_j
-    has fields of ``field_bytes(alphabet**n)`` bytes.
+    a one-coordinate tally (field bytes, {0: g_j}), or as ``read(field
+    bytes, g_j, j)``, which the tables use.  g_0 = 1 and g_1 = alphabet;
+    from j = 2 on, a term (i, c) adds c g_(j-i) and None multiplies by v
+    (a shift and a subtract), highest power first.  The
+    entries of g_j are word counts in 0..alphabet^j, so fields of
+    ``field_bytes(alphabet**bound)`` bytes hold every g_j with j <= bound;
+    the bound starts at min(n, 64) and grows by an eighth whenever j
+    passes it, re-spacing the g_j still read (``combinat`` says why).
     """
     (i, c), *program = program or [(1, 0)]
     depth = max([i] + [op[0] for op in program if op])
@@ -168,7 +166,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
     first = n if first is None else first
     _check_length(first)
     for j in range(first, min(n, 1) + 1):
-        yield size, {0: [1, alphabet][j]}
+        yield (size, {0: [1, alphabet][j]}) if read is None else read(size, [1, alphabet][j], j)
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
@@ -185,7 +183,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
         history.append(acc)
         del history[0]
         if j >= first:
-            yield size, {0: acc}
+            yield (size, {0: acc}) if read is None else read(size, acc, j)
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -200,14 +198,14 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -
     return coefficients[: n + 1]
 
 
-def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None) -> Iterator:
+def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None, read: Callable | None) -> Iterator:
     """The tables to length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
     program: list = []
     for i in range(len(factor) - 1, 0, -1):
         # From the highest nonzero f_i down: add f_i g_(j-i), then multiply by v.
         if program or factor[i]:
             program += ([(i, factor[i])] if factor[i] else []) + [None]
-    return _packed_table(n, alphabet, program[:-1], first)
+    return _packed_table(n, alphabet, program[:-1], first, read)
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -219,7 +217,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     return _entry("levels-threshold", (k, t, n), s)
 
 
-def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Iterator:
+def _levels_threshold(k: int, t: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
     """The table of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
@@ -227,7 +225,7 @@ def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Itera
     and T = (1 - vx) / (1 - (v+k)x + (k-t)v x^2): g_j = k g_(j-1) +
     v (g_(j-1) - (k-t) g_(j-2)) from g_0 = 1 and g_1 = k.
     """
-    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first)
+    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first, read)
 
 
 def count_levels_blocks(
@@ -272,24 +270,22 @@ def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
     return BlockPartition.from_blocks(blocks, t=len(block_sizes))
 
 
-def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator[tuple[int, dict]]:
-    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, tally).
+def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
+    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, tally) or ``read((field bytes, tally), n + 1, t)``.
 
     One recurrence in the length hands out the lengths from ``first`` on,
     by default n alone, as it reaches them:
     e_i <- (u_i - 1) e_i + c_i g from e_i = 0 and g = 1 at length 0: the
     letter after a word ending in block i repeats its last letter (a
     level, u_i), or is one of the c_i - 1 other letters of block i or a
-    letter of another block.  A polynomial is a tally of the t levels
-    (see ``combinat``) in fields of ``field_bytes(k**n)`` bytes, k =
-    sum(block_sizes), as no count passes k^n: u_1 and u_2 shift the
-    integer by 1 and n + 1 fields, u_i for i >= 3 moves the key by
-    (n + 1)^(i-3).  An empty block's e_i is 0 and is not stored.  Shifts
-    by 0, which CPython runs as a copy, are skipped.
+    letter of another block.  A polynomial is a tally of the t levels in
+    fields of ``field_bytes(k**n)`` bytes, k = sum(block_sizes), and u_i
+    moves it by level i's (sparse step, field shift).  An empty block's
+    e_i is 0 and is not stored.  Shifts by 0, which CPython runs as a
+    copy, are skipped.
     """
-    t, radix = len(block_sizes), n + 1
     size = field_bytes(sum(block_sizes) ** n)
-    moves = [(0, 8 * size), (0, 8 * size * radix)][:t] + [(radix**i, 0) for i in range(t - 2)]
+    moves = tally_units(len(block_sizes), size, n + 1)
     live = [(c, move) for c, move in zip(block_sizes, moves) if c]
     ends: list[dict] = [{} for _ in live]
     total = {0: 1}
@@ -309,7 +305,7 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None =
                 for key, value in e.items():
                     total[key] = total.get(key, 0) + value
         if length >= first:
-            yield size, total
+            yield (size, total) if read is None else read((size, total), n + 1, len(block_sizes))
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -321,14 +317,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-le", (k, t, n), s)
 
 
-def _des_le(k: int, t: int, n: int, first: int | None = None) -> Iterator:
+def _des_le(k: int, t: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
     """The table of ``count_des_le``, from its factor F.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first)
+    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first, read)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -340,14 +336,14 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-gt", (k, t, n), s)
 
 
-def _des_gt(k: int, t: int, n: int, first: int | None = None) -> Iterator:
+def _des_gt(k: int, t: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
     """The table of ``count_des_gt``, from its factor F.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first)
+    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first, read)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -389,7 +385,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     return total
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) -> Iterator:
+def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
     """The table of ``count_des_mod``, from its factor F.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
@@ -404,7 +400,7 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) ->
     """
     kq, t = divmod(alphabet, s)
     factor = _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
-    return _descent_table(alphabet, n, factor, first)
+    return _descent_table(alphabet, n, factor, first, read)
 
 
 def hall_remmel_count(
@@ -606,29 +602,21 @@ class FamilyForms(NamedTuple):
         return dist if self.joint else {key: count for (key,), count in dist.items()}
 
 
-def _fields(packed: Callable) -> Callable[..., Iterator[dict[int, int]]]:
-    """The tables of a one-coordinate ``packed`` pass: at length j, field s of its one integer counts value s <= j."""
-
-    def tables(*params, first=None):
-        j = params[-1] if first is None else first
-        for size, tally in packed(*params, first=first):
-            yield dict(zip_longest(range(j + 1), unpack(tally[0], size), fillvalue=0))
-            j += 1
-
-    return tables
+def _fields(size: int, g: int, j: int) -> dict[int, int]:
+    """The table of a one-coordinate tally's integer g at length j: field s counts value s <= j."""
+    return dict(zip_longest(range(j + 1), unpack(g, size), fillvalue=0))
 
 
 def _levels_blocks_tables(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator[dict]:
     """Every nonzero ``count_levels_blocks`` value, keyed by target tuple: each tally of the pass, decoded."""
-    for size, tally in _levels_blocks_table(block_sizes, n, first):
-        yield decode_tally(tally, size, n + 1, len(block_sizes))
+    return _levels_blocks_table(block_sizes, n, first, decode_tally)
 
 
 def _threshold_family(lowest: int, packed: Callable, coordinate: tuple[int, str]) -> FamilyForms:
     """Thresholds from ``lowest``, tables off the ``packed`` pass, one coordinate of the partition at t."""
     return FamilyForms(
         partial(_check_threshold, lowest),
-        _fields(packed),
+        partial(packed, read=_fields),
         lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
         ("k", "t", "n", "s"),
         lambda alphabet_max, n_max: _lengths(
@@ -649,7 +637,7 @@ FAMILIES = {
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
-        _check_des_mod, _fields(_des_mod), _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
+        _check_des_mod, partial(_des_mod, read=_fields), _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
         lambda s, alphabet, r, n: (alphabet, n), packed=_des_mod,
     ),
     "hall-remmel": FamilyForms(

@@ -16,38 +16,28 @@ default (``first=None``) and
 lengths j..n, sized for n, with ``first=j``, so a sweep over n runs each
 engine once.  The ``*_distribution`` calls read a pass without ``first``.
 
-The transfer engine runs the transfer-matrix DP over the last letter on
-packed keys.  One kernel, ``_kernel``, runs it on the key rows its caller
-gives: per block, the key increment of each statistic.
-``statistic_tallies`` packs tracked coordinate i as digit i of one
-integer in radix n + 1 (``_letter_keys``), and the kernel runs its first
-``dense`` digits as byte fields of one integer and its other, sparse,
-digits as the keys of one dict per last letter.  With no sparse digit a
-step is one O(k) pass of big-integer shifts and adds.
+The transfer engine runs the transfer-matrix DP over the last letter.
+One kernel, ``_kernel``, runs it on the charges its caller gives: per
+block, each statistic's (sparse step, field shift) in a packing of
+``combinat``.
 
-- ``statistic_tallies`` hands out the kernel's tallies undecoded, in the
-  layout the ``combinat`` docstring sets out, two coordinates dense;
-  ``statistic_lengths`` decodes them (``combinat.decode_tally``).  Every
-  threshold and residue count and table runs the O(k) pass, and a
-  ``levels-blocks`` joint of three or more blocks keys the rest.  On the
-  level joint of blocks (2, 3, 1) that ran 6-7x faster than plain dict
-  counts at n = 30 and 60 (one process, Python 3.11, 2 vCPU).
-- ``transfer_distribution`` keeps plain counts (``dense`` 0).  A full
-  vector's digits depend on each other, des + ris + lev = cnt - [last
-  letter in the block], so a dense pair of them leaves most fields
-  empty: one or two dense fields made its calls on the
-  ``oracle-vs-transfer`` grid 1.7x and 2.6x slower.
+- ``statistic_tallies`` charges the tracked coordinates as tallies place
+  them (``_letter_keys``), so with no sparse coordinate a step is one
+  O(k) pass of big-integer shifts and adds: every threshold and residue
+  count and table runs it, and a ``levels-blocks`` joint of three or
+  more blocks keys the rest.  On the level joint of blocks (2, 3, 1)
+  that ran 6-7x faster than plain dict counts at n = 30 and 60 (one
+  process, Python 3.11, 2 vCPU).  ``statistic_lengths`` decodes them.
+- ``transfer_distribution`` keeps plain counts, keyed as the walk's
+  (``compact_keys``).  A full vector's coordinates depend on each other,
+  des + ris + lev = cnt - [last letter in the block], so a dense pair of
+  them leaves most fields empty: one or two dense fields made its calls
+  on the ``oracle-vs-transfer`` grid 1.7x and 2.6x slower.
 
-The walk and the full-joint DP tally in one layout, ``compact_keys``:
-coordinate (block i, statistic j) is bit field 4(i - 1) + j of
-``n.bit_length()`` bits.  Only the layout is shared; the walk reads its
-steps off ``stat_key`` and the DP off ``_pair_index``.  ``brute_tallies``
-and ``transfer_tallies`` hand those tallies out undecoded, and
-``verify``'s joint suites compare them as they are.
-``brute_distribution`` and ``transfer_distribution`` decode their one
-tally with ``_decoded``, one block row of four fields at a time; distinct
-rows are few, so each is decoded once and keys that share a row share
-its tuple.
+Only the key layout is shared: the walk reads its steps off ``stat_key``
+and the DP off ``_pair_index``.  ``brute_tallies`` and
+``transfer_tallies`` hand their tallies out undecoded, and ``verify``'s
+joint suites compare them as they are.
 
 A set of coordinates is answered from one pass of either engine:
 ``statistic_distribution`` tracks only them, and ``DistPolynomial.joint``
@@ -71,10 +61,10 @@ from __future__ import annotations
 import itertools
 import os
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import decode_tally, field_bytes, multinomial, unpack
+from .combinat import decode_keys, decode_tally, encode_key, field_bytes, key_units, multinomial, tally_units, unpack
 from .words import _STAT_INDEX, BlockPartition, DistPolynomial, InputError, _check_coordinate, stat_key
 from .words import _check_length, _check_multiplicities, _check_partition
 # The budget refusal is defined beside InputError, so a caller can catch it without this module.
@@ -125,14 +115,13 @@ def charge_walk(k: int, n: int, budget: int | None = None) -> None:
 
 
 def compact_keys(n: int, t: int) -> list[list[int]]:
-    """The layout both full-joint engines tally in: per block, the key increment of each statistic index.
+    """The key layout both full-joint engines tally in: per block, the unit key of each statistic index.
 
-    Coordinate (block i, statistic index j) is bit field 4(i - 1) + j of
-    ``n.bit_length()`` bits; no coordinate of a word of length up to n
-    exceeds n, so no field carries.
+    Coordinate (block i, statistic index j) is slot 4(i - 1) + j in fields
+    of ``n.bit_length()`` bits, as no coordinate of a word of length up to n exceeds n.
     """
-    width = n.bit_length()
-    return [[1 << width * (4 * block + index) for index in range(4)] for block in range(t)]
+    units = key_units(n.bit_length(), 4 * t)
+    return [units[4 * block : 4 * block + 4] for block in range(t)]
 
 
 def brute_tallies(
@@ -146,12 +135,10 @@ def brute_tallies(
     """
     first = _validate_shape(k, n, partition, first)
     charge_walk(k, n, budget)
-    blocks, t = partition.blocks, partition.t
-    keys = compact_keys(n, t)
+    blocks, t, width = partition.blocks, partition.t, n.bit_length()
 
-    def pack(letters) -> int:
-        rows = zip(keys, stat_key(letters, blocks, t))
-        return sum(v * place for row, values in rows for place, v in zip(row, values))
+    def pack(letters) -> int:  # slot 4(i - 1) + j of ``compact_keys``: block-major, as stat_key's rows
+        return encode_key([v for row in stat_key(letters, blocks, t) for v in row], width)
 
     letters = range(1, k + 1)
     start = [pack((b,)) for b in letters]
@@ -183,28 +170,8 @@ def brute_tallies(
 
 
 def _decoded(k: int, n: int, partition: BlockPartition, tally: dict[int, int]) -> DistPolynomial:
-    """A tally of the words of length n in ``compact_keys`` keys, as the distribution of their statistic vectors.
-
-    A key is t rows of 4 fields, block 1 lowest; each distinct row is
-    decoded once, and keys that share a row share its tuple.
-    """
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    row_mask = (1 << 4 * width) - 1
-    fields = [width * index for index in range(4)]
-    shifts = [4 * width * block for block in range(partition.t)]
-    rows: dict[int, tuple[int, ...]] = {}
-    entries = {}
-    for key, count in tally.items():
-        vector = []
-        for shift in shifts:
-            row = key >> shift & row_mask
-            values = rows.get(row)
-            if values is None:
-                values = rows[row] = tuple(row >> f & mask for f in fields)
-            vector.append(values)
-        entries[tuple(vector)] = count
-    return DistPolynomial(entries=entries, k=k, n=n, partition=partition)
+    """A tally of the words of length n in ``compact_keys`` keys, as the distribution of their statistic vectors."""
+    return DistPolynomial(decode_keys(tally, compact_keys(n, partition.t), n.bit_length()), k, n, partition)
 
 
 def brute_distribution(k: int, n: int, partition: BlockPartition, budget: int | None = None) -> DistPolynomial:
@@ -224,43 +191,37 @@ def _pair_index(a: int, b: int) -> int:
 
 
 def _letter_keys(
-    n: int, partition: BlockPartition, coords: Sequence[tuple[int, int]]
-) -> list[list[int]]:
-    """Per block, the packed-key increment of each statistic index charged to it.
+    partition: BlockPartition, coords: Sequence[tuple[int, int]], units: Sequence[tuple[int, int]]
+) -> list[list[tuple[int, int]]]:
+    """Per block, the (sparse step, field shift) of each statistic index charged to it.
 
-    ``coords`` lists (block, statistic index) pairs.  Coordinate i is digit
-    i of a packed key in radix n + 1, which no coordinate of a length-n word
-    exceeds, so digits never carry; a coordinate listed twice adds both
-    digits.
+    ``units[i]`` is that of the (block, statistic index) pair ``coords[i]``,
+    as ``combinat.tally_units`` gives them; a pair listed twice adds both.
     """
-    radix = n + 1
-    place: dict[tuple[int, int], int] = {}
-    for position, coord in enumerate(coords):
-        place[coord] = place.get(coord, 0) + radix**position
-    return [[place.get((block, index), 0) for index in range(4)] for block in range(1, partition.t + 1)]
+    place: dict[tuple[int, int], tuple[int, int]] = {}
+    for coord, (step, shift) in zip(coords, units):
+        held = place.get(coord, (0, 0))
+        place[coord] = held[0] + step, held[1] + shift
+    return [[place.get((block, index), (0, 0)) for index in range(4)] for block in range(1, partition.t + 1)]
 
 
 def _kernel(
-    k: int, n: int, partition: BlockPartition, keys: Sequence[Sequence[int]], dense: int, first: int | None = None
+    k: int, n: int, partition: BlockPartition, charges: Sequence[Sequence[tuple[int, int]]], first: int | None = None
 ) -> Iterator[dict[int, int]]:
     """The transfer-matrix DP over the last letter: per length first..n, its tally of the words, undecoded.
 
     One pass to length n goes through every shorter length; it tallies the
     lengths from ``first`` on, by default n alone, and hands each out as it
-    reaches it.  ``keys[i - 1][j]`` is the key increment of statistic index
-    j charged to block i, any layout that does not carry: ``_letter_keys``,
-    ``compact_keys`` or a series' own.  Appending b after a adds the pair
-    (a, b)'s increment in the block of a, plus the letter count's in the
-    block of b.  With ``dense`` 0 a key is a plain dict key, nothing
-    depends on the layout, and a tally maps key -> number of words.
-    Otherwise a tally is laid out as the ``combinat`` docstring says, its
-    first ``dense`` digits in fields of ``field_bytes(k**n)`` bytes, as no
-    count passes k**n; ``divmod`` by (n + 1)**dense splits an increment
-    into a (sparse step, field shift) pair.
+    reaches it.  ``charges[i - 1][j]`` is the (sparse step, field shift)
+    of statistic index j charged to block i: a tally's (``_letter_keys``),
+    or a key layout's with no shift (``transfer_tallies``).  Appending b
+    after a adds the pair (a, b)'s charge in the block of a, plus the
+    letter count's in the block of b.  A state maps sparse part -> packed
+    fields, so in a key layout it maps key -> number of words.
 
-    With no increment past the dense digits a letter's state is one
-    integer.  The pair (a, b) is a rise for every a < b, a level for a = b
-    and a descent for every a > b, so
+    With no sparse step a letter's state is one integer.  The pair (a, b)
+    is a rise for every a < b, a level for a = b and a descent for every
+    a > b, so
 
         new[b] = (sum_{a<b} old[a] << ris[a] + old[b] << lev[b]
                   + sum_{a>b} old[a] << des[a]) << cnt[b],
@@ -274,13 +235,11 @@ def _kernel(
         yield {0: 1}
     if n == 0:
         return
-    width = 8 * field_bytes(k**n)
-    radix = (n + 1) ** dense
-    keys = [keys[block - 1] for block in partition.blocks]  # per letter, its block's row
+    charges = [charges[block - 1] for block in partition.blocks]  # per letter, its block's row
 
-    if all(key < radix for charge in keys for key in charge):
+    if not any(step for charge in charges for step, _ in charge):
         des, ris, lev, cnt = (
-            [charge[_STAT_INDEX[stat]] * width for charge in keys] for stat in ("des", "ris", "lev", "cnt")
+            [charge[_STAT_INDEX[stat]][1] for charge in charges] for stat in ("des", "ris", "lev", "cnt")
         )
         states = [1 << shift for shift in cnt]
         above = [0] * k
@@ -300,14 +259,10 @@ def _kernel(
                 yield {0: sum(states)}
         return
 
-    def split(increment: int) -> tuple[int, int]:
-        step, field = divmod(increment, radix)
-        return step, field * width
-
     letters = range(1, k + 1)
-    start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
-    moves = [[split(keys[a - 1][_pair_index(a, b)] + start[b - 1]) for b in letters] for a in letters]
-    states = [{step: 1 << shift} for step, shift in map(split, start)]
+    start = [charge[_STAT_INDEX["cnt"]] for charge in charges]
+    moves = [[tuple(map(add, charges[a - 1][_pair_index(a, b)], start[b - 1])) for b in letters] for a in letters]
+    states = [{step: 1 << shift} for step, shift in start]
     for length in range(1, n + 1):
         if length > 1:
             new_states = []
@@ -339,19 +294,17 @@ def transfer_tallies(
 ) -> Iterator[dict[int, int]]:
     """Per length first..n, by default n alone, packed key -> number of words, from one full-joint DP pass.
 
-    The kernel tracks all 4t coordinates in the layout ``keys`` (see
-    ``_kernel``); appending a letter charges the new pair to the block of
-    the old last letter.  Runs in time polynomial in n for fixed k,
-    independent of the enumeration budget.
+    The kernel tracks all 4t coordinates in the key layout ``keys``, per
+    block the unit key of each statistic index; appending a letter charges
+    the new pair to the block of the old last letter.  Runs in time
+    polynomial in n for fixed k, independent of the enumeration budget.
     """
-    yield from _kernel(k, n, partition, keys, 0, _validate_shape(k, n, partition, first))
+    charges = [[(key, 0) for key in row] for row in keys]
+    yield from _kernel(k, n, partition, charges, _validate_shape(k, n, partition, first))
 
 
 def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPolynomial:
-    """Same distribution via the transfer DP over the last letter: the one tally of ``transfer_tallies``, decoded.
-
-    The DP tallies in ``compact_keys``'s layout, as the walk does.
-    """
+    """Same distribution via the transfer DP over the last letter: the one tally of ``transfer_tallies``, decoded."""
     return _decoded(k, n, partition, next(transfer_tallies(k, n, partition, compact_keys(n, partition.t))))
 
 
@@ -368,7 +321,8 @@ def statistic_tallies(
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
     first = _validate_shape(k, n, partition, first)
-    return _kernel(k, n, partition, _letter_keys(n, partition, indexed), min(2, len(indexed)), first)
+    units = tally_units(len(indexed), field_bytes(k**n), n + 1)
+    return _kernel(k, n, partition, _letter_keys(partition, indexed, units), first)
 
 
 def statistic_lengths(
@@ -381,7 +335,7 @@ def statistic_lengths(
     tallies = statistic_tallies(k, n, partition, coords, first)
     size = field_bytes(k**n)
     for tally in tallies:
-        yield decode_tally(tally, size, n + 1, len(coords))
+        yield decode_tally((size, tally), n + 1, len(coords))
 
 
 def statistic_distribution(

@@ -1,33 +1,33 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
 Every polynomial in a computation shares one ordered tuple of variable
-names.  A term is keyed by one packed integer (Kronecker substitution):
-``FIELD_BITS``-bit fields, big-endian, the total degree on top and then
-each variable's exponent in name order.  A monomial product is one
-integer add, and sorting the keys as ints gives the canonical printed
-order (total degree, then exponent tuples lexicographically), which the
-CLI relies on for deterministic output.
+names.  A term is keyed by one packed integer (Kronecker substitution)
+in a key layout of ``combinat``: a ``FIELD_BITS``-bit slot per variable
+in name order under a degree field.  A monomial product is one integer
+add, and sorting the keys as ints gives the canonical printed order
+(total degree, then exponent tuples lexicographically), which the CLI
+relies on for deterministic output.
 
-No field carries silently: the total degree bounds every exponent, so a
-key sum carries only if its degree field overflows, which puts it at or
-above 2**(FIELD_BITS * (len(names) + 1)); ``adopt`` refuses such a key
-with ``InputError`` (``check_degree``).  ``Polynomial``'s one arithmetic
-operator, ``*`` by an int or by a polynomial over the same names, wraps
-its result through ``from_keys``, which copies its terms into ``adopt``.  The series engine
+No field carries silently: a key sum carries only if its degree field
+overflows, and ``adopt`` refuses such a key with ``InputError``
+(``check_degree``).  ``Polynomial``'s one arithmetic operator, ``*`` by
+an int or by a polynomial over the same names, wraps its result through
+``from_keys``, which copies its terms into ``adopt``.  The series engine
 does its own arithmetic on term dicts with ``add_product`` and hands a
 series out through one ``adopt`` call, which takes its dicts without a
 copy and checks the largest key of the whole series once (``series``
-says why that is enough).  Keys are decoded only where exponents are shown:
-``exponents``; ``render``, the one renderer (``__str__`` renders a list
-of one), which reads each key in two halves and caches each half's text
-for the whole list, so the coefficients of a series share it; and
-``series.coefficient_distribution``, which places each field by its marker key.
+says why that is enough).  Keys are decoded only where exponents are
+shown: ``exponents`` and ``series.coefficient_distribution`` decode
+through ``combinat``, and ``render``, the one renderer (``__str__``
+renders a list of one), reads each key in two halves and caches each
+half's text for the whole list, so the coefficients of a series share it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .combinat import decode_keys, encode_key, key_degree, key_units
 from .words import InputError
 
 FIELD_BITS = 16
@@ -35,16 +35,10 @@ _MASK = (1 << FIELD_BITS) - 1
 
 
 def encode(exponents: tuple[int, ...]) -> int:
-    key = sum(exponents)
-    if key > _MASK or min(exponents, default=0) < 0:
+    """The key of ``exponents``, once their total fits the degree field and none is negative."""
+    if sum(exponents) > _MASK or min(exponents, default=0) < 0:
         raise InputError(f"exponents {tuple(exponents)} outside 0..{_MASK} in total")
-    for e in exponents:
-        key = (key << FIELD_BITS) | e
-    return key
-
-
-def decode(key: int, arity: int) -> tuple[int, ...]:
-    return tuple([(key >> (FIELD_BITS * i)) & _MASK for i in range(arity - 1, -1, -1)])
+    return encode_key(exponents, FIELD_BITS, degree=True)
 
 
 def add_product(acc: dict[int, int], left: dict[int, int], right: dict[int, int], sign: int = 1) -> None:
@@ -108,7 +102,8 @@ class Polynomial:
 
     def exponents(self) -> dict[tuple[int, ...], int]:
         """Terms keyed by exponent tuples, in the order of ``names``."""
-        return {decode(key, len(self.names)): c for key, c in self.terms.items()}
+        units = key_units(FIELD_BITS, len(self.names), degree=True)
+        return {exponents: c for (exponents,), c in decode_keys(self.terms, [units], FIELD_BITS).items()}
 
     def __str__(self) -> str:
         return render([self])[0]
@@ -130,7 +125,7 @@ def adopt(names: tuple[str, ...], terms: list[dict[int, int]]) -> list[Polynomia
     through.  One check against the largest key of them all refuses a
     carried key with ``InputError``.
     """
-    check_degree(names, max([max(t) for t in terms if t], default=0) >> FIELD_BITS * len(names))
+    check_degree(names, key_degree(max([max(t) for t in terms if t], default=0), FIELD_BITS, len(names)))
     polys = []
     for t in terms:
         poly = object.__new__(Polynomial)

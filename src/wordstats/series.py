@@ -38,14 +38,16 @@ from a carried key is itself at or above the bound, so a carried key never
 lands on a valid one and never changes a coefficient the check accepts.
 With every x, y and z marker tracked, the top degree is known from the
 order, so a build past the field is refused before it starts, with the
-same ``InputError`` (``polynomials.check_degree``).  ``statistic_keys``
-is the series' key layout per statistic, for the DP to tally in.
+same ``InputError`` (``polynomials.check_degree``).  ``statistic_keys``,
+the series' key layout, is what the DP tallies in and what
+``coefficient_distribution`` decodes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from .combinat import decode_keys, key_units
 from .polynomials import FIELD_BITS, Polynomial, add_product, adopt, check_degree
 from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Record, _check_partition
 
@@ -215,11 +217,10 @@ class TrackingSpec(FrozenRecord):
 def _marker_keys(spec: TrackingSpec, names: tuple[str, ...]) -> list[list[int]]:
     """Per block, the keys over ``names`` of its x, y, z and q markers: statistic index order.
 
-    A tracked marker's key has its own exponent 1 and total degree 1; an untracked marker
-    is the constant 1, key 0, so a product of markers is a sum of keys.
+    A tracked marker's key is its name's unit key (``combinat.key_units``); an untracked
+    marker is the constant 1, key 0, so a product of markers is a sum of keys.
     """
-    top = FIELD_BITS * len(names)
-    unit = {name: (1 << top) | (1 << (top - FIELD_BITS * i)) for i, name in enumerate(names, 1)}
+    unit = dict(zip(names, key_units(FIELD_BITS, len(names), degree=True)))
     q = "q{}" if spec.per_block_q else "q"
     return [[unit.get(name.format(m), 0) for name in ("x{}", "y{}", "z{}", q)] for m in range(1, spec.t + 1)]
 
@@ -353,12 +354,5 @@ def coefficient_distribution(
     expected = spec.poly_names(common_q_var=False)
     if series.names != expected:
         raise InputError(f"series variables {series.names} do not match {expected}")
-    # A marker's key has two set bits, its own exponent's field and the total degree's above
-    # it, so the lowest one places the field of each block's statistic.
-    fields = [[(marker & -marker).bit_length() - 1 for marker in row] for row in statistic_keys(spec)]
-    mask = (1 << FIELD_BITS) - 1
-    entries = {
-        tuple(tuple(key >> field & mask for field in row) for row in fields): coefficient
-        for key, coefficient in series.coefficient(n).terms.items()
-    }
+    entries = decode_keys(series.coefficient(n).terms, statistic_keys(spec), FIELD_BITS)
     return DistPolynomial(entries=entries, k=partition.k, n=n, partition=partition)

@@ -48,7 +48,7 @@ from .oracle import (
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
-from .combinat import compositions, decode_tally, differences, field_bytes, respace
+from .combinat import compositions, decode_tally, differences, field_bytes, respace, tally_units
 
 
 class SuiteResult(Record):
@@ -161,8 +161,7 @@ def _agree(answer: tuple[int, dict], other: tuple[int, dict]) -> bool:
 
 def _decoded(forms: formulas.FamilyForms, params: tuple, answer: tuple[int, dict], n_max: int) -> dict:
     """A cell's (field bytes, tally) answer, in a pass to n_max, keyed as the family's table."""
-    size, tally = answer
-    return forms.keyed(decode_tally(tally, size, n_max + 1, len(forms.query(*params)[3])))
+    return forms.keyed(decode_tally(answer, n_max + 1, len(forms.query(*params)[3])))
 
 
 def formulas_vs_oracle(
@@ -188,7 +187,8 @@ def formulas_vs_oracle(
         for params, values, table, marginal in _packed_walk(forms, alphabet_max, n_max):
             if skewed:
                 size, tally = table
-                table = size, {0: tally.get(0, 0) + sum(1 << 8 * size * value for value in values)}
+                [(_, shift)] = tally_units(1, size, n_max + 1)
+                table = size, {0: tally.get(0, 0) + sum(1 << shift * value for value in values)}
             if _agree(table, marginal):
                 result.record(True, None, len(values))
                 continue

@@ -35,14 +35,15 @@ def _heads(forms, alphabet_max, n_max):
 def _decoded(tally, n_max, t):
     """A tally in ``compact_keys(n_max, t)``'s layout, keyed by per-block (des, ris, lev, cnt) tuples.
 
-    Coordinate (block i, statistic j) is bit field 4(i - 1) + j of n_max.bit_length() bits.
+    Coordinate (block i, statistic j) is slot 4(i - 1) + j of 4t, slot 0 highest: bit field
+    4t - 4i + 3 - j of n_max.bit_length() bits.
     """
     width = n_max.bit_length()
-    fields = [(i, j) for i in range(t) for j in range(4)]
+    fields = {(i, j): 4 * t - 1 - 4 * i - j for i in range(t) for j in range(4)}
     entries = {}
     for key, count in tally.items():
-        values = {(i, j): key >> width * (4 * i + j) & (1 << width) - 1 for i, j in fields}
-        assert sum(v << width * (4 * i + j) for (i, j), v in values.items()) == key
+        values = {(i, j): key >> width * field & (1 << width) - 1 for (i, j), field in fields.items()}
+        assert sum(v << width * fields[i, j] for (i, j), v in values.items()) == key
         entries[tuple(tuple(values[i, j] for j in range(4)) for i in range(t))] = count
     return entries
 
@@ -131,13 +132,16 @@ def test_grids_reach_one_letter_and_dict_keyed_joints():
 def test_kernel_from_any_first_length_is_the_tail_of_the_whole_pass():
     part = BlockPartition.from_blocks((1, 2, 3, 1))
     coords = [(1, _STAT_INDEX["lev"]), (2, _STAT_INDEX["lev"]), (3, _STAT_INDEX["lev"])]
-    keys = oracle._letter_keys(6, part, coords)
+    # Digits in radix 7, the first ``dense`` of them in fields, the rest in the key; 2 is the tally's layout.
+    width, radix = 8 * field_bytes(4**6), 7
     for dense in range(len(coords) + 1):
-        whole = list(oracle._kernel(4, 6, part, keys, dense, 0))
+        units = [(0, width * radix**i) for i in range(dense)] + [(radix**i, 0) for i in range(len(coords) - dense)]
+        keys = oracle._letter_keys(part, coords, units)
+        whole = list(oracle._kernel(4, 6, part, keys, 0))
         assert len(whole) == 7
         for first in range(8):
-            assert list(oracle._kernel(4, 6, part, keys, dense, first)) == whole[first:]
-        assert list(oracle._kernel(4, 6, part, keys, dense)) == whole[-1:]
+            assert list(oracle._kernel(4, 6, part, keys, first)) == whole[first:]
+        assert list(oracle._kernel(4, 6, part, keys)) == whole[-1:]
     whole = list(formulas._levels_blocks_table((1, 2, 1), 6, 0))
     assert [list(formulas._levels_blocks_table((1, 2, 1), 6, first)) for first in range(8)] == [
         whole[first:] for first in range(8)

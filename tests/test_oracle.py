@@ -16,7 +16,7 @@ from wordstats import (
     transfer_distribution,
 )
 from wordstats import cli, formulas, oracle, words
-from wordstats.combinat import compositions, field_bytes, unpack
+from wordstats.combinat import compositions, field_bytes, tally_units, unpack
 from wordstats.oracle import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUMERATION_BUDGET,
@@ -29,17 +29,32 @@ from wordstats.verify import _grid_partitions
 from wordstats.words import _STAT_INDEX
 
 
+def _charges(k, n, partition, coords, dense):
+    """``oracle._letter_keys`` with coordinate i as digit i in radix n + 1, the first ``dense`` digits in fields.
+
+    Fields are of ``field_bytes(k**n)`` bytes; a digit past them steps the
+    key by a power of n + 1.  ``dense`` 2 is the tally's layout
+    (``combinat.tally_units``) from two coordinates on, and ``dense`` 0 a
+    plain key in radix n + 1.
+    """
+    width, radix = 8 * field_bytes(k**n), n + 1
+    units = [(0, width * radix**i) for i in range(dense)] + [(radix**i, 0) for i in range(len(coords) - dense)]
+    return oracle._letter_keys(partition, coords, units)
+
+
 def _transfer_kernel(k, n, partition, coords):
     """The reference for ``oracle._kernel``: one dict of packed keys per last letter.
 
     ``delta[a][b]`` is the key increment of appending letter b after letter
     a: the pair (a, b) charged to the block of a, plus one letter counted in
     the block of b.  A transition is then a single integer add.  Returns
-    packed key (see ``oracle._letter_keys``) -> number of words of length n.
+    packed key, coordinate i as digit i in radix n + 1, -> number of words
+    of length n.
     """
     if n == 0:
         return {0: 1}
-    keys = [oracle._letter_keys(n, partition, coords)[block - 1] for block in partition.blocks]
+    rows = _charges(k, n, partition, coords, 0)
+    keys = [[step for step, _ in rows[block - 1]] for block in partition.blocks]
     letters = range(1, k + 1)
     start = [charge[_STAT_INDEX["cnt"]] for charge in keys]
     delta = [
@@ -278,8 +293,8 @@ class TestTransferKernel:
         # one field holds k**n: 243 and 59,049 fill 8 and 16 bits, 256 and 65,536 need 9 and 17.
         part = BlockPartition.threshold(k, 0)
         for dense in (0, 1):
-            keys = oracle._letter_keys(n, part, [(1, _STAT_INDEX["des"])])
-            assert next(oracle._kernel(k, n, part, keys, dense)) == {0: k**n}
+            keys = _charges(k, n, part, [(1, _STAT_INDEX["des"])], dense)
+            assert next(oracle._kernel(k, n, part, keys)) == {0: k**n}
         assert statistic_distribution(k, n, part, [(1, "des")]) == {(0,): k**n}
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -315,15 +330,18 @@ class TestTransferKernel:
                     for coords in (coords, coords + coords[:1]):
                         want = _transfer_kernel(k, n, part, coords)
                         for dense in range(len(coords) + 1):
-                            tally = next(oracle._kernel(k, n, part, oracle._letter_keys(n, part, coords), dense))
+                            tally = next(oracle._kernel(k, n, part, _charges(k, n, part, coords, dense)))
                             assert _tally_keys(tally, k, n, dense) == want, (k, n, part, coords, dense)
+                        # the tally codec's units are the layout with min(2, coordinates) dense
+                        units = tally_units(len(coords), field_bytes(k**n), n + 1)
+                        assert oracle._letter_keys(part, coords, units) == _charges(k, n, part, coords, min(2, len(coords)))
 
     def test_full_vectors_run_without_dense_fields(self, monkeypatch):
         calls = []
 
-        def recording(k, n, partition, keys, dense, first=None):
-            calls.append((keys == oracle.compact_keys(n, partition.t), dense))
-            return kernel(k, n, partition, keys, dense, first)
+        def recording(k, n, partition, charges, first=None):
+            calls.append(charges)
+            return kernel(k, n, partition, charges, first)
 
         kernel = oracle._kernel
         monkeypatch.setattr(oracle, "_kernel", recording)
@@ -331,13 +349,13 @@ class TestTransferKernel:
         coords = [(1, "lev"), (2, "des"), (3, "cnt")]
         want = brute_distribution(4, 5, part)
         assert transfer_distribution(4, 5, part) == want
-        # the full vector in the walk's compact layout; a joint in radix n + 1
-        assert calls == [(True, 0)]
-        # a joint makes its first two coordinates dense, a duplicate counting as one more
+        # the full vector in the walk's compact layout, no field shifted; a joint in the tally's
+        assert calls == [[[(key, 0) for key in row] for row in oracle.compact_keys(5, part.t)]]
         for joint in (coords[:1], coords, coords[:1] * 3):
             calls.clear()
             assert statistic_distribution(4, 5, part, joint) == want.joint(joint)
-            assert calls == [(False, min(2, len(joint)))]
+            indexed = [(block, _STAT_INDEX[stat]) for block, stat in joint]
+            assert calls == [oracle._letter_keys(part, indexed, tally_units(len(joint), field_bytes(4**5), 6))]
 
     @pytest.mark.parametrize("sizes, n", [((2, 3, 1), 20), ((1, 2, 1), 12), ((1, 1, 2, 2), 16), ((2, 1, 1, 1), 12)])
     def test_three_and_four_block_joints_are_the_closed_form(self, sizes, n):

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from wordstats import formulas, identities, oracle, verify
-from wordstats.combinat import compositions, decode_tally, respace, unpack
+from wordstats.combinat import compositions, decode_keys, decode_tally, key_units, respace, unpack
 from wordstats.oracle import counted_pairs, statistic_distribution
-from wordstats.polynomials import adopt, decode
+from wordstats.polynomials import FIELD_BITS, adopt
 from wordstats.series import TrackingSpec, statistic_keys
 from wordstats.words import _STAT_INDEX, BlockPartition, InputError
 
@@ -210,7 +210,8 @@ def test_series_layout_is_carry_free_exactly_where_adopt_accepts():
     n = 32768  # degree 65,535, the largest a 16-bit field holds
     key = (n - 1) * lev + n * cnt  # the word 1^n, all levels
     assert next(oracle.transfer_tallies(1, n, one_block, keys, n)) == {key: 1}
-    assert decode(key, len(names) + 1) == (2 * n - 1, 0, 0, n - 1, n)
+    # One slot more than the names reads the degree field as slot 0.
+    assert decode_keys({key: 1}, [key_units(FIELD_BITS, len(names) + 1)], FIELD_BITS) == {((2 * n - 1, 0, 0, n - 1, n),): 1}
     assert adopt(names, [{key: 1}])[0].exponents() == {(0, 0, n - 1, n): 1}
     with pytest.raises(InputError, match="exceeds the 16-bit field"):
         adopt(names, [{key + lev + cnt: 1}])  # length n + 1
@@ -236,7 +237,7 @@ class TestFormulasVsOracle:
         assert (result.checked, result.failures, result.first_failure) == (1080, 90, "levels-threshold k=1 t=1 n=0 s=0")
         cells = list(formulas.FAMILIES["levels-threshold"].grid(3, 4))
         assert len(decoded) == 2 * len(cells) == 60
-        assert all(args[2:] == (5, 1) for args in decoded)
+        assert all(args[1:] == (5, 1) for args in decoded)
 
     def test_levels_blocks_grid_is_the_product_filtered(self):
         # Per cell, every tuple of product(range(n + 1), repeat=t) summing to at most max(n - 1, 0), in order.
@@ -303,7 +304,7 @@ class TestFormulasVsOracle:
         assert (result.checked, result.failures) == (checked, len(wrong))
         assert result.first_failure == (f"des-le k=4 t=2 n=6 s={wrong[0]}" if wrong else None)
         # only a cell that differs is decoded, both its answers
-        assert decoded == ([] if respaced else [({0: answer}, size + 1, 7, 1), ({0: g}, size, 7, 1)])
+        assert decoded == ([] if respaced else [((size + 1, {0: answer}), 7, 1), ((size, {0: g}), 7, 1)])
 
     def test_past_n_max_64_no_cell_is_decoded(self, monkeypatch):
         # At alphabet 3 the closed form's pass to n = 66 packs lengths up to 64 in 13-byte fields,
