@@ -77,7 +77,7 @@ except ImportError:
 
 # evaluate is not called here; bench/tracing.py counts calls at it.  Importing from
 # ``formulas`` first loads it by name, so ``python -X importtime`` lists it.
-from .formulas import check_params, distribution, evaluate
+from .formulas import check_params, evaluate
 from . import _submodule, formulas
 from .words import BlockPartition, BudgetExceededError, FrozenRecord, InputError
 
@@ -278,9 +278,10 @@ def _transfer(family: str, params: tuple) -> dict:
     return forms.keyed(_HERE.oracle.statistic_distribution(*forms.query(*params)))
 
 
-# In the order of ``--engine``'s choices; the first is its default.
+# In the order of ``--engine``'s choices; the first is its default.  ``_table`` has checked the
+# query, so the closed forms' table is read without checking it again.
 ENGINES = {
-    "closed-form": lambda family, params: distribution(family, params),
+    "closed-form": lambda family, params: formulas.FAMILIES[family].table(*params),
     "oracle": _oracle,
     "transfer": _transfer,
 }

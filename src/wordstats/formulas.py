@@ -100,7 +100,7 @@ def distribution(formula: str, params: Sequence) -> dict:
     """
     family = _named(FAMILIES, formula)
     family.checks(*params)
-    return deque(family.tables(*params), maxlen=1).pop()
+    return family.table(*params)
 
 
 def check_params(formula: str, params: Sequence) -> None:
@@ -118,7 +118,7 @@ def _entry(formula: str, params: tuple, value):
     """A count: ``value``'s entry of the family's table, after the count's checks."""
     family = FAMILIES[formula]
     family.checks(*params, value)
-    return deque(family.tables(*params), maxlen=1).pop().get(value, 0)
+    return family.table(*params).get(value, 0)
 
 
 def _check_threshold(lowest: int, k: int, t: int, n: int, s: int = 0) -> None:
@@ -596,6 +596,10 @@ class FamilyForms(NamedTuple):
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
     packed: Callable[..., Iterator[tuple[int, dict[int, int]]]] | None = None
+
+    def table(self, *params) -> dict:
+        """The table at the length ``params`` end in, the last one ``tables`` hands out; ``params`` are not checked."""
+        return deque(self.tables(*params), maxlen=1).pop()
 
     def keyed(self, dist: dict[tuple[int, ...], int]) -> dict:
         """A word engine's answer to ``query``, keyed by tuples, keyed as the family's table."""

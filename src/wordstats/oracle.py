@@ -10,9 +10,8 @@ increment read off ``stat_key`` on one- and two-letter words, so a word
 costs O(1), not O(n).  It is charged before it starts (``charge_walk``).
 
 Both routes pass every shorter length on the way to n.  Every length
-pass, ``brute_tallies``, ``transfer_tallies``, ``statistic_tallies``,
-``statistic_lengths`` and ``_kernel``, hands out length n alone by
-default (``first=None``) and
+pass, ``brute_tallies``, ``transfer_tallies``, ``statistic_tallies`` and
+``_kernel``, hands out length n alone by default (``first=None``) and
 lengths j..n, sized for n, with ``first=j``, so a sweep over n runs each
 engine once.  The ``*_distribution`` calls read a pass without ``first``.
 
@@ -27,7 +26,9 @@ block, each statistic's (sparse step, field shift) in a packing of
   count and table runs it, and a ``levels-blocks`` joint of three or
   more blocks keys the rest.  On the level joint of blocks (2, 3, 1)
   that ran 6-7x faster than plain dict counts at n = 30 and 60 (one
-  process, Python 3.11, 2 vCPU).  ``statistic_lengths`` decodes them.
+  process, Python 3.11, 2 vCPU).  It hands each tally out with its field
+  size, as the closed forms' packed passes do, and
+  ``statistic_distribution`` decodes its one tally.
 - ``transfer_distribution`` keeps plain counts, keyed as the walk's
   (``compact_keys``).  A full vector's coordinates depend on each other,
   des + ris + lev = cnt - [last letter in the block], so a dense pair of
@@ -310,32 +311,20 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
 
 def statistic_tallies(
     k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int | None = None
-) -> Iterator[dict[int, int]]:
-    """The kernel's tallies of selected (block, statistic) coordinates, undecoded, per length first..n, by default n alone.
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """The kernel's (field bytes, tally) of selected (block, statistic) coordinates, per length first..n, by default n alone.
 
     The transfer DP tracking just the requested coordinates, keeping the
     state space small when a query needs a single marginal out of a large
     partition: tallies (see ``combinat``) in fields of ``field_bytes(k**n)``
-    bytes, as the closed forms' packed passes hand them out.  The
-    coordinates and shape are checked at the call.
+    bytes, handed out with that size, as the closed forms' packed passes
+    hand theirs out.  The coordinates and shape are checked at the call.
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
     first = _validate_shape(k, n, partition, first)
-    units = tally_units(len(indexed), field_bytes(k**n), n + 1)
-    return _kernel(k, n, partition, _letter_keys(partition, indexed, units), first)
-
-
-def statistic_lengths(
-    k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int | None = None
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """Joint distribution of selected (block, statistic) coordinates only, at each length first..n, by default n alone.
-
-    Each tally of ``statistic_tallies``, decoded (``decode_tally``).
-    """
-    tallies = statistic_tallies(k, n, partition, coords, first)
     size = field_bytes(k**n)
-    for tally in tallies:
-        yield decode_tally((size, tally), n + 1, len(coords))
+    units = tally_units(len(indexed), size, n + 1)
+    return zip(itertools.repeat(size), _kernel(k, n, partition, _letter_keys(partition, indexed, units), first))
 
 
 def statistic_distribution(
@@ -344,8 +333,8 @@ def statistic_distribution(
     partition: BlockPartition,
     coords: Sequence[tuple[int, str]],
 ) -> dict[tuple[int, ...], int]:
-    """Joint distribution of selected (block, statistic) coordinates: the one length of ``statistic_lengths``."""
-    return next(statistic_lengths(k, n, partition, coords))
+    """Joint distribution of selected (block, statistic) coordinates: the one tally of ``statistic_tallies``, decoded."""
+    return decode_tally(next(statistic_tallies(k, n, partition, coords)), n + 1, len(coords))
 
 
 def count_matching(

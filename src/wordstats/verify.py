@@ -48,7 +48,7 @@ from .oracle import (
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
-from .combinat import compositions, decode_tally, differences, field_bytes, respace, tally_units
+from .combinat import compositions, decode_tally, differences, respace, tally_units
 
 
 class SuiteResult(Record):
@@ -141,13 +141,8 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
 
 
 def _packed_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
-    """``_walk`` over a family's grid: the closed form's ``packed`` pass and the DP's tallies, as (field bytes, tally)."""
-
-    def passes(*params):
-        query = forms.query(*params)
-        tallies = statistic_tallies(*query, first=0)
-        return forms.packed(*params, first=0), zip(itertools.repeat(field_bytes(query[0] ** query[1])), tallies)
-
+    """``_walk`` over a family's grid: the closed form's ``packed`` pass and the DP's, each per length a (field bytes, tally)."""
+    passes = lambda *params: (forms.packed(*params, first=0), statistic_tallies(*forms.query(*params), first=0))
     return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
 
 

@@ -403,17 +403,30 @@ class TestTable:
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_closed_form_table_is_one_formula_call(self, capsys, monkeypatch, family, params):
-        """A closed-form table, and a count of one of its rows, make one ``distribution`` call."""
+        """A closed-form table, and a count of one of its rows, read the family's table once, checked once."""
         calls = []
         counting = functools.partial(counting_calls, calls)
         monkeypatch.setattr(cli, "evaluate", counting("evaluate", cli.evaluate))
         monkeypatch.setattr(formulas, "evaluate", counting("evaluate", formulas.evaluate))
-        monkeypatch.setattr(cli, "distribution", counting("distribution", cli.distribution))
+        monkeypatch.setattr(formulas, "distribution", counting("distribution", formulas.distribution))
+        monkeypatch.setattr(formulas.FamilyForms, "table", counting("table", formulas.FamilyForms.table))
+        forms = formulas.FAMILIES[family]
+        monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(checks=counting("checks", forms.checks)))
         count = self._count_argv(family, params, [1, 0, 1] if family == "levels-blocks" else 1)
         for argv in (["table", family, *params], count):
             calls.clear()
             run_json(capsys, *argv)
-            assert calls == ["distribution"], argv[0]
+            assert calls == ["checks", "table"], argv[0]
+
+    def test_a_closed_form_count_checks_its_parameters_once(self, capsys, monkeypatch):
+        forms = formulas.FAMILIES["levels-blocks"]
+        checked = []
+        monkeypatch.setitem(
+            formulas.FAMILIES, "levels-blocks", forms._replace(checks=lambda *params: checked.append(params))
+        )
+        record = run_json(capsys, "count", "levels-blocks", "--block-sizes", "1,2", "--n", "4", "--targets", "1,1")
+        assert checked == [((1, 2), 4, (1, 1))]
+        assert record["result"] == {"count": "4"}
 
     @pytest.mark.parametrize("family, params", FAMILY_QUERIES)
     def test_count_is_its_table_row(self, capsys, family, params):

@@ -148,6 +148,13 @@ def test_differences_single_powers():
         assert differences([1] + [0] * d) == [sign(j) * binom(d + 1, j) for j in range(d + 1)]
 
 
+def test_multinomial_is_zero_off_its_domain():
+    assert multinomial(4, (1, 2, 1)) == 12
+    assert multinomial(3, (1, 1)) == 0  # the parts sum to 2, not 3
+    assert multinomial(2, (3, -1)) == 0  # the parts sum to 2, but one is negative
+    assert multinomial(-1, ()) == 0
+
+
 def test_differences_is_the_alternating_sum():
     # c_s = sum_i (-1)^(s-i) C(L, s-i) f(i), term by term, on random rows of length L
     rng = random.Random(36)

@@ -83,6 +83,12 @@ class TestTopLetterIdentity:
         with pytest.raises(InputError):
             check_top_letter_identity(-1, 0, 0)
 
+    @pytest.mark.parametrize("check", [check_top_letter_identity, check_two_bottom_identity])
+    def test_negative_statistic_value_rejected(self, check):
+        with pytest.raises(InputError) as caught:
+            check(3, 1, -1)
+        assert str(caught.value) == "identity parameters must be nonnegative"
+
     def test_full_small_grid(self):
         for n in range(8):
             for r in range(n + 1):

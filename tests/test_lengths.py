@@ -9,14 +9,13 @@ its own length and no other.
 import pytest
 
 from wordstats import combinat, formulas, oracle
-from wordstats.combinat import _digits, field_bytes, unpack
+from wordstats.combinat import _digits, decode_tally, field_bytes, unpack
 from wordstats.formulas import _grid_partitions
 from wordstats.oracle import (
     brute_distribution,
     brute_tallies,
     compact_keys,
     statistic_distribution,
-    statistic_lengths,
     statistic_tallies,
     transfer_distribution,
     transfer_tallies,
@@ -70,7 +69,8 @@ def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
     # head of three or more blocks keys its third level in the kernel's dicts.
     forms = formulas.FAMILIES[family]
     for head in _heads(forms, 4, n_max):
-        lengths = list(statistic_lengths(*forms.query(*head, n_max), first=0))
+        query = forms.query(*head, n_max)
+        lengths = [decode_tally(answer, n_max + 1, len(query[3])) for answer in statistic_tallies(*query, first=0)]
         assert len(lengths) == n_max + 1
         for n, marginal in enumerate(lengths):
             assert marginal == statistic_distribution(*forms.query(*head, n)), (family, head, n)
@@ -96,17 +96,18 @@ def test_kernel_tallies_decode_to_the_marginals_and_match_the_packed_tables(fami
         for head in _heads(forms, 4, n_max):
             k, n, partition, coords = query = forms.query(*head, n_max)
             size, radix = field_bytes(k**n), n + 1
-            tallies = list(statistic_tallies(*query, first=0))
+            answers = list(statistic_tallies(*query, first=0))
+            assert [answer_size for answer_size, _ in answers] == [size] * (n_max + 1)
             decoded = [
                 {_digits(sparse * radix ** min(2, len(coords)) + field, len(coords), radix): count
                  for sparse, packed in tally.items() for field, count in enumerate(unpack(packed, size)) if count}
-                for tally in tallies
+                for _, tally in answers
             ]
-            assert decoded == list(statistic_lengths(*query, first=0)), (family, head, n_max)
+            assert decoded == [decode_tally(answer, radix, len(coords)) for answer in answers], (family, head, n_max)
             # The closed form's packed pass is the same tallies, in the same fields.
-            assert list(forms.packed(*head, n_max, first=0)) == [(size, tally) for tally in tallies]
+            assert list(forms.packed(*head, n_max, first=0)) == answers
             if len(coords) == 1:  # sparse part 0, field s the count of value s
-                assert all(list(tally) == [0] for tally in tallies)
+                assert all(list(tally) == [0] for _, tally in answers)
 
 
 def test_levels_blocks_engines_pack_alike_on_every_grid_partition():
@@ -117,8 +118,7 @@ def test_levels_blocks_engines_pack_alike_on_every_grid_partition():
         for partition in _grid_partitions(k):
             for n in range(8):
                 params = partition.block_sizes(), n
-                size = field_bytes(k**n)
-                want = [(size, tally) for tally in statistic_tallies(*forms.query(*params), first=0)]
+                want = list(statistic_tallies(*forms.query(*params), first=0))
                 assert list(forms.packed(*params, first=0)) == want, (k, partition.blocks, n)
 
 
@@ -160,7 +160,6 @@ FAMILY_HEADS = {"levels-threshold": (2, 1), "levels-blocks": ((1, 1),), "des-le"
 LENGTH_PASSES = {
     "brute": lambda **first: iter(brute_tallies(2, 2, HALVES, **first)),
     "transfer": lambda **first: transfer_tallies(2, 2, HALVES, compact_keys(2, 2), **first),
-    "statistic": lambda **first: statistic_lengths(2, 2, HALVES, [(1, "des")], **first),
     "statistic-tallies": lambda **first: statistic_tallies(2, 2, HALVES, [(1, "des")], **first),
     **{family: lambda family=family, **first: formulas.FAMILIES[family].tables(*FAMILY_HEADS[family], 2, **first)
        for family in WORD_FAMILIES},
@@ -213,7 +212,7 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     statistic_distribution(4, 7, part, [(1, "des")])
     assert len(tallied) == 1
     tallied.clear()
-    list(statistic_lengths(4, 7, part, [(1, "des")], first=0))
+    [decode_tally(answer, 8, 1) for answer in statistic_tallies(4, 7, part, [(1, "des")], first=0)]
     assert len(tallied) == 8  # lengths 0..7, the empty word's tally too
 
 

@@ -81,6 +81,12 @@ class TestArithmetic:
         assert Polynomial(NAMES) == 0
         assert not P({(0, 0, 1): 1}) == 1
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        x = P({(1, 0, 0): 1})
+        assert x.__eq__("x1") is NotImplemented
+        assert (x == "x1") is False
+        assert (x != "x1") is True
+
     def test_constant_term(self):
         poly = P({(0, 0, 0): 3, (0, 0, 1): 1})
         assert poly.exponents().get((0, 0, 0)) == 3
@@ -97,6 +103,10 @@ class TestPrinting:
     def test_signs_and_powers(self):
         poly = P({(2, 0, 1): 2, (0, 0, 1): -3, (0, 0, 0): -1})
         assert str(poly) == "-1 - 3*q + 2*x1^2*q"
+
+    def test_repr_wraps_the_text(self):
+        assert repr(P({(2, 0, 1): 2, (0, 0, 0): -1})) == "Polynomial(-1 + 2*x1^2*q)"
+        assert repr(Polynomial(NAMES)) == "Polynomial(0)"
 
     def test_leading_negative(self):
         x = P({(1, 0, 0): 1})

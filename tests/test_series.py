@@ -339,3 +339,24 @@ class TestTrackingSpec:
         series = build_ak_series(2, part, spec, 2)
         with pytest.raises(InputError):
             coefficient_distribution(series, spec, part, 2)
+
+    def test_distribution_extraction_needs_the_series_variables(self):
+        # The fully tracked spec, but a series built with another one.
+        part = BlockPartition.threshold(2, 1)
+        series = build_ak_series(2, part, TrackingSpec.only(2, {"x2"}), 2)
+        with pytest.raises(InputError) as caught:
+            coefficient_distribution(series, TrackingSpec.all_tracked(2), part, 2)
+        assert str(caught.value) == (
+            "series variables ('x2',) do not match ('x1', 'x2', 'y1', 'y2', 'z1', 'z2', 'q1', 'q2')"
+        )
+
+    def test_flag_tuples_of_unequal_length_are_refused(self):
+        with pytest.raises(InputError) as caught:
+            TrackingSpec((True,), (True, False), (True,))
+        assert str(caught.value) == "per-block tracking flags must have equal lengths"
+
+    @pytest.mark.parametrize("build", [build_ak_series, build_bk_series])
+    def test_spec_must_cover_the_partitions_blocks(self, build):
+        with pytest.raises(InputError) as caught:
+            build(2, BlockPartition.threshold(2, 1), TrackingSpec.all_tracked(3), 2)
+        assert str(caught.value) == "tracking spec covers 3 blocks, partition has 2"

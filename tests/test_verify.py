@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from wordstats import formulas, identities, oracle, verify
-from wordstats.combinat import compositions, decode_keys, decode_tally, key_units, respace, unpack
+from wordstats.combinat import compositions, decode_keys, decode_tally, field_bytes, key_units, respace, unpack
 from wordstats.oracle import counted_pairs, statistic_distribution
 from wordstats.polynomials import FIELD_BITS, adopt
 from wordstats.series import TrackingSpec, statistic_keys
@@ -311,7 +311,7 @@ class TestFormulasVsOracle:
         # sized for 3**64, and the DP's in 14-byte ones: the narrower answer is re-laid, not decoded.
         forms = formulas.FAMILIES["des-le"]
         sizes = [size for size, _ in forms.packed(3, 1, 66, first=0)]
-        assert (sizes[64], sizes[65], verify.field_bytes(3**66)) == (13, 14, 14)
+        assert (sizes[64], sizes[65], field_bytes(3**66)) == (13, 14, 14)
         monkeypatch.setattr(formulas, "FAMILIES", {"des-le": forms})
         decoded = []
         monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))

@@ -245,9 +245,9 @@ SHARED_REFUSALS = {
     "length-transfer_tallies-first": (
         LENGTH, lambda: next(oracle.transfer_tallies(2, 2, TWO_LETTERS, COMPACT, first=-1)),
     ),
-    "length-statistic_lengths-n": (LENGTH, lambda: next(oracle.statistic_lengths(2, -1, TWO_LETTERS, [(1, "des")]))),
-    "length-statistic_lengths-first": (
-        LENGTH, lambda: next(oracle.statistic_lengths(2, 2, TWO_LETTERS, [(1, "des")], first=-1)),
+    "length-statistic_tallies-n": (LENGTH, lambda: next(oracle.statistic_tallies(2, -1, TWO_LETTERS, [(1, "des")]))),
+    "length-statistic_tallies-first": (
+        LENGTH, lambda: next(oracle.statistic_tallies(2, 2, TWO_LETTERS, [(1, "des")], first=-1)),
     ),
     "multiplicities-hall_remmel_count": (MULTIPLICITIES, lambda: formulas.hall_remmel_count((1, -1), {2}, {1}, 0)),
     "multiplicities-rearrangement_distribution": (

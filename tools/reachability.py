@@ -1,0 +1,309 @@
+"""Every function in ``src/wordstats`` runs under the benchmark's own requests, or a ledger row says why not.
+
+    python3 tools/reachability.py
+
+Under ``sys.setprofile`` the script runs a declared list of calls and collects every
+function under ``src/wordstats`` that ran:
+
+- ``tools/golden.py``'s replay of each benchmark stream, ``ROUNDS`` rounds at each of its
+  seeds, and its whole ``argvs`` stream;
+- one ``verify <suite> --n-max 2`` per ``cli.VERIFY_SUITES`` entry, the self-test
+  ``verify formulas-vs-oracle --inject-fault --k-max 2 --n-max 2``, and ``-h``;
+- README's library example.
+
+It compares them with every ``def`` it finds by parsing the sources, keyed by module and
+qualified name (``oracle.count_matching``, ``series.PowerSeries.divide``), and with
+``LEDGER``, which gives each function that does not run exactly one reason (``REASONS``)
+and its evidence.  It exits 1, naming the function, when a function neither runs nor has
+a row, when a row's function ran after all, when a row names no function, or when a row's
+reason or evidence does not hold: a ``bench/`` or ``src/`` line that does not exist, or a
+test that ``tests/`` does not define.  Otherwise it prints one summary line and exits 0.
+
+A function is matched to the code object that ran by its file, its first line (a
+decorated function's code starts at its first decorator) and its name, the same on
+Python 3.10 to 3.13.  The modules are imported before the profile starts, so code that
+runs only at import is not counted as run.  The CLI builds its parser tree and route
+table once per process, so the scan runs in a fresh interpreter and refuses to run in
+one that has already imported ``wordstats``.  It uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import functools
+import importlib
+import importlib.util
+import io
+import pkgutil
+import re
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "wordstats"
+README = ROOT / "README.md"
+ROUNDS = 3  # per stream; at 2 the streams send no abbreviated flag, and cli._Reader._option would not run
+
+
+def _load_golden():
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # puts src and bench on sys.path
+    return module
+
+
+golden = _load_golden()
+
+REASONS = {
+    "bench-pinned": "kept because bench/ names it or calls it (ROADMAP items 9, 13 and 32); cites the bench/ line",
+    "export": "public, and no benchmark request calls it; cites a test that reaches it",
+    "failure-path": "runs only when a check fails; cites a test that makes the check fail",
+    "not-on-cli": "behind a suite the CLI does not list (ROADMAP item 5); cites a test that runs it",
+    "import-time": "runs only while its module is imported; cites the src/ line that runs it",
+    "subprocess": "runs only as the console script's process; cites a test that spawns it",
+}
+
+# What each reason's evidence cites: a bench/ or src/ line, ``path:line``, or a test, ``path::name``.
+_CITES = {
+    "bench-pinned": r"bench/[\w/]+\.py:\d+",
+    "import-time": r"src/wordstats/\w+\.py:\d+",
+}
+_TEST = r"tests/\w+\.py::\w+(::\w+)?"
+
+# Each function that no declared call runs: its reason and its evidence.
+LEDGER: dict[str, tuple[str, str]] = {
+    # Items 9 and 13: the tracer counts calls at cli.count_matching and cli.evaluate.
+    "oracle.count_matching": ("bench-pinned", "bench/tracing.py:277"),
+    "formulas.evaluate": ("bench-pinned", "bench/tracing.py:277"),
+    # The tracer's brute-force word counter reads a distribution's total.
+    "words.DistPolynomial.total": ("bench-pinned", "bench/tracing.py:196"),
+    # Item 32: the series arithmetic only the tracer and the solve check call; from_keys and
+    # constant are called by __mul__ and lift only, and _terms by __add__ and divide only.
+    "polynomials.Polynomial.__mul__": ("bench-pinned", "bench/tracing.py:266"),
+    "polynomials.Polynomial.from_keys": ("bench-pinned", "bench/tracing.py:266"),
+    "polynomials.Polynomial.constant": ("bench-pinned", "bench/checks.py:156"),
+    "series.PowerSeries.lift": ("bench-pinned", "bench/checks.py:156"),
+    "series.PowerSeries.__add__": ("bench-pinned", "bench/checks.py:158"),
+    "series.PowerSeries._terms": ("bench-pinned", "bench/checks.py:158"),
+    "series.PowerSeries.divide": ("bench-pinned", "bench/tracing.py:264"),
+    # The library's own names, which the CLI reaches through the tables and the series engine.
+    "__init__.__dir__": ("export", "tests/test_readme.py::test_dir_lists_every_export"),
+    "formulas.distribution": ("export", "tests/test_formulas.py::TestDistribution::test_threshold_tables_equal_counts"),
+    "formulas.count_levels_threshold": (
+        "export", "tests/test_formulas.py::TestCountLevelsThreshold::test_constant_word",
+    ),
+    "formulas.count_levels_blocks": (
+        "export", "tests/test_formulas.py::TestCountLevelsBlocks::test_two_singleton_blocks",
+    ),
+    "formulas.count_des_le": ("export", "tests/test_formulas.py::TestCountDesLe::test_examples"),
+    "formulas.count_des_gt": ("export", "tests/test_formulas.py::TestCountDesGt::test_examples"),
+    "formulas.hall_remmel_count": ("export", "tests/test_formulas.py::TestHallRemmelCount::test_examples"),
+    "identities.IdentityReport.ok": ("export", "tests/test_identities.py::TestIdentityReport::test_unequal_verdict"),
+    "polynomials.encode": (
+        "export", "tests/test_polynomials.py::TestNoCarry::test_constructor_refuses_exponents_outside_the_field",
+    ),
+    "polynomials.Polynomial.__init__": ("export", "tests/test_polynomials.py::TestConstruction::test_arity_checked"),
+    "polynomials.Polynomial.__eq__": ("export", "tests/test_polynomials.py::TestArithmetic::test_equality_with_int"),
+    "polynomials.Polynomial.exponents": (
+        "export", "tests/test_polynomials.py::TestConstruction::test_zero_coefficients_dropped",
+    ),
+    "polynomials.Polynomial.__str__": ("export", "tests/test_polynomials.py::TestPrinting::test_signs_and_powers"),
+    "polynomials.Polynomial.__repr__": ("export", "tests/test_polynomials.py::TestPrinting::test_repr_wraps_the_text"),
+    "words.Record.__repr__": ("export", "tests/test_words.py::TestRecord::test_positional_keyword_and_default_fields"),
+    "words.FrozenRecord.__reduce__": ("export", "tests/test_words.py::TestBlockPartition::test_copies_and_pickles_equal"),
+    # Runs once a closed form's table passes length 64, which no benchmark request asks for.
+    "combinat.respace": ("export", "tests/test_formulas.py::TestPackedRecurrence::test_fields_widen_past_n_64"),
+    # The identities suite builds a report only for a row whose two sides differ.
+    "identities.check_top_letter_identity": (
+        "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
+    ),
+    "identities.check_two_bottom_identity": (
+        "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
+    ),
+    "identities._report": (
+        "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
+    ),
+    "identities.top_letter_alternate": (
+        "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
+    ),
+    "identities.two_bottom_alternate": (
+        "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
+    ),
+    # The alternates' binomial, which takes negative arguments.
+    "combinat.binom": (
+        "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
+    ),
+    "words.FrozenRecord.__setattr__": (
+        "failure-path", "tests/test_words.py::TestBlockPartition::test_refuses_assignment_and_deletion",
+    ),
+    "words.FrozenRecord.__delattr__": (
+        "failure-path", "tests/test_words.py::TestBlockPartition::test_refuses_assignment_and_deletion",
+    ),
+    "verify.duality_suite": ("not-on-cli", "tests/test_acceptance.py::test_criterion_7_complement_dualities"),
+    "verify.series_weight_suite": ("not-on-cli", "tests/test_acceptance.py::test_criterion_8_weight_compatibility"),
+    "verify.des_mod_errata": ("not-on-cli", "tests/test_verify.py::TestDesModErrata::test_default_grid_counterexamples"),
+    "verify.ErrataCase.resolved": ("not-on-cli", "tests/test_acceptance.py::test_criterion_4_formula_variant_resolution"),
+    "formulas.count_des_mod_uncorrected": (
+        "not-on-cli", "tests/test_verify.py::TestDesModErrata::test_default_grid_counterexamples",
+    ),
+    # The rejected readings' sign; the identities' alternates call it too.
+    "combinat.sign": ("not-on-cli", "tests/test_verify.py::TestDesModErrata::test_default_grid_counterexamples"),
+    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:638"),
+    "words.Record.__init_subclass__": ("import-time", "src/wordstats/words.py:119"),
+    "cli.entrypoint": ("subprocess", "tests/test_cli.py::TestColdProcess::test_closed_stdout_exits_2_without_a_traceback"),
+}
+
+
+def definitions() -> dict[str, tuple[str, int, str]]:
+    """Per ``def`` under ``src/wordstats``, by ``module.qualname``: its code object's (file, first line, name)."""
+    found: dict[str, tuple[str, int, str]] = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if name in found:
+                    raise ValueError(f"two functions are named {name}; the ledger could not tell them apart")
+                first = min([child.lineno] + [decorator.lineno for decorator in child.decorator_list])
+                found[name] = (str(path), first, child.name)
+                visit(child, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SOURCES.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, path.stem + ".")
+    return found
+
+
+def _quiet(argv: list[str]):
+    from wordstats import cli
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+
+    return call
+
+
+def _readme_example() -> None:
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+
+
+def declared_calls() -> list:
+    """The calls the scan runs, in order."""
+    from wordstats.cli import VERIFY_SUITES
+
+    argvs = [["verify", suite, "--n-max", "2"] for suite in VERIFY_SUITES]
+    argvs += [["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2", "--n-max", "2"], ["-h"]]
+    streams = [name for name in golden.streams() if name != golden.ARGV_STREAM]
+    return [
+        *(lambda name=name: golden.stream_digests(name, ROUNDS) for name in streams),
+        lambda: golden.stream_digests(golden.ARGV_STREAM),
+        *map(_quiet, argvs),
+        _readme_example,
+    ]
+
+
+def reached() -> set[tuple[str, int, str]]:
+    """The (file, first line, name) of every function under ``src/wordstats`` that a declared call ran."""
+    if any(name == "wordstats" or name.startswith("wordstats.") for name in sys.modules):
+        raise SystemExit("error: run the scan in a fresh interpreter: wordstats is already imported")
+    import wordstats
+
+    for module in pkgutil.iter_modules(wordstats.__path__, "wordstats."):
+        importlib.import_module(module.name)
+    calls = declared_calls()
+    codes = set()
+    add = codes.add
+
+    def profile(frame, event, arg):
+        if event == "call":
+            add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.setprofile(None)
+    src = str(SOURCES)
+    return {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes if code.co_filename.startswith(src)}
+
+
+@functools.cache
+def _test_names(path: Path) -> set[str]:
+    """``name`` and ``Class::name`` of every function a test file defines at its top or in a top-level class."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}::{item.name}" for item in node.body if isinstance(item, ast.FunctionDef))
+    return names
+
+
+def _evidence_problem(reason: str, evidence: str) -> str | None:
+    """Why a row's evidence does not hold, or None."""
+    if reason not in REASONS:
+        return f"its reason {reason!r} is none of {', '.join(REASONS)}"
+    pattern = _CITES.get(reason, _TEST)
+    if not re.fullmatch(pattern, evidence):
+        return f"its evidence {evidence!r} does not cite {'a line' if reason in _CITES else 'a test'} as {pattern}"
+    if reason in _CITES:
+        path, line = evidence.rsplit(":", 1)
+        lines = (ROOT / path).read_text(encoding="utf-8").splitlines() if (ROOT / path).is_file() else []
+        if not 1 <= int(line) <= len(lines) or not lines[int(line) - 1].strip():
+            return f"{evidence} is no line of code"
+        return None
+    path, _, test = evidence.partition("::")
+    if not (ROOT / path).is_file() or test not in _test_names(ROOT / path):
+        return f"{evidence} is no test"
+    return None
+
+
+def audit(defined: dict[str, tuple], ran: set[tuple], ledger: dict[str, tuple[str, str]]) -> list[str]:
+    """One line per problem, each naming its function; none when every function runs or has one sound row."""
+    problems = []
+    for name, key in defined.items():
+        if key not in ran and name not in ledger:
+            problems.append(f"{name}: did not run and has no ledger row")
+        elif key in ran and name in ledger:
+            problems.append(f"{name}: ran, so its ledger row ({ledger[name][0]}) is stale")
+    for name, (reason, evidence) in ledger.items():
+        if name not in defined:
+            problems.append(f"{name}: the ledger row names no function in src/wordstats")
+        else:
+            problem = _evidence_problem(reason, evidence)
+            if problem:
+                problems.append(f"{name}: {problem}")
+    return problems
+
+
+def main() -> int:
+    start = time.perf_counter()
+    ran = reached()
+    seconds = time.perf_counter() - start
+    defined = definitions()
+    problems = audit(defined, ran, LEDGER)
+    for problem in problems:
+        print(f"FAIL {problem}")
+    if problems:
+        print(f"{len(problems)} problems; add a row to LEDGER in {Path(__file__).name} only with its reason and evidence")
+        return 1
+    rows = [reason for reason, _ in LEDGER.values()]
+    counts = ", ".join(f"{reason} {rows.count(reason)}" for reason in REASONS)
+    print(
+        f"{len(defined)} functions in src/wordstats: {len(defined) - len(LEDGER)} ran under the declared calls "
+        f"({seconds:.2f} s), and {len(LEDGER)} have a ledger row: {counts}"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
