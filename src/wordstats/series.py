@@ -20,15 +20,18 @@ compositions):
     denominator = prod(d) - sum_j b_j * prod(d before j) * prod(c after j)
 
 One builder, ``_build_series``, makes both series.  It accumulates each
-sum letter by letter, S_j = S_(j-1) * c_j + a_j * prod(d before j), so each
-product it takes has a two-term factor.
+sum letter by letter, S_j = S_(j-1) * c_j + a_j * prod(d before j).  A
+factor is 0 or 1 plus a polynomial times var**g, so a letter's step adds
+that polynomial times shifted coefficients into the running sums, in place
+and from the top coefficient down (``_step``), and ``solve_block_system``
+divides by a d_s in one pass: no general series product is taken.
 
-Every series product, sum and quotient runs on one representation: a list
-of packed-key term dicts (see ``polynomials``), one per coefficient.  The
-builder and ``solve_block_system`` call the same three helpers,
-``_products``, ``_signed_sum`` and ``_quotient``, and ``PowerSeries``'s
-``+`` and ``divide`` call the last two; the factors are written as term
-dicts straight from the markers' unit keys.
+Every series sum and quotient runs on one representation: a list of
+packed-key term dicts (see ``polynomials``), one per coefficient.  The
+builder and ``solve_block_system`` share ``_signed_sum``, the builder's
+last step is ``_quotient``, and ``PowerSeries``'s ``+`` and ``divide`` call
+those two; the factors are written as term dicts straight from the
+markers' unit keys.
 When a series is handed out, ``polynomials.adopt`` wraps each coefficient's
 term dict as a ``Polynomial`` without a copy (the helpers return zero-free
 dicts that nothing else holds), and one check per series, against the
@@ -54,18 +57,22 @@ from .words import BlockPartition, DistPolynomial, FrozenRecord, InputError, Rec
 Terms = dict[int, int]
 
 
-def _products(pairs: Iterable[tuple[list[Terms], list[Terms]]], order: int) -> list[Terms]:
-    """sum(left * right for left, right in pairs), truncated at ``order``."""
-    out: list[Terms] = [{} for _ in range(order + 1)]
-    for left, right in pairs:
-        right_terms = [(j, b) for j, b in enumerate(right) if b]
-        for i, a in enumerate(left):
-            if a:
-                for j, b in right_terms:
-                    if i + j > order:
-                        break
-                    add_product(out[i + j], a, b)
-    return [_nonzero(c) if c else c for c in out]
+def _step(target: list[Terms], source: list[Terms], poly: Terms, degree: int) -> None:
+    """target += poly * var**degree * source, truncated, from the top coefficient down: ``source`` may be ``target``."""
+    if poly:
+        for i in range(len(target) - 1, degree - 1, -1):
+            right = source[i - degree]
+            if right:
+                acc = target[i]
+                if not acc:
+                    # An empty coefficient may be shared: write into a dict of its own.
+                    acc = target[i] = {}
+                add_product(acc, poly, right)
+
+
+def _difference(plus: int, minus: int) -> Terms:
+    """The term dict of the monomial keyed ``plus`` minus the one keyed ``minus``."""
+    return {plus: 1, minus: -1} if plus != minus else {}
 
 
 def _signed_sum(left: list[Terms], right: list[Terms], sign: int = 1) -> list[Terms]:
@@ -228,8 +235,11 @@ def _marker_keys(spec: TrackingSpec, names: tuple[str, ...]) -> list[list[int]]:
 def _build_series(
     k: int, partition: BlockPartition, spec: TrackingSpec, order: int, var: str,
     degrees: Iterable[int],
-) -> tuple[tuple[str, ...], list[Terms], list[tuple[list[Terms], ...]]]:
-    """Coefficient variables, the series in ``var`` and its per-letter factors (a, b, c, d).
+) -> tuple[tuple[str, ...], list[Terms], list[tuple[Terms, Terms, Terms, Terms, int]]]:
+    """Coefficient variables, the series in ``var`` and its per-letter factors.
+
+    A letter's factors are (a_g, b_g, c_g, d_g, g): a = a_g * var**g,
+    b = b_g * var**g, c = 1 + c_g * var**g and d = 1 + d_g * var**g.
 
     Letter i enters with var**degrees[i - 1].  The composition variable v
     keeps a common part-count marker q; for words q is ``var`` itself.
@@ -247,33 +257,22 @@ def _build_series(
         # variable; a composition of weight N has at most N parts, and 1 + ... + 1 has N.
         check_degree(names, order - 1 + order * (var == "v" or spec.per_block_q))
     markers = _marker_keys(spec, names)
-
-    def poly(*terms: tuple[int, int]) -> Terms:
-        acc: Terms = {}
-        for key, coefficient in terms:
-            acc[key] = acc.get(key, 0) + coefficient
-        return _nonzero(acc)
-
-    def lift(constant: int, value: Terms, degree: int) -> list[Terms]:
-        spine = [poly((0, constant))] + [{}] * (degree - 1) + [value] + [{}] * order
-        return spine[: order + 1]
-
     factors = []
     for letter, degree in enumerate(degrees, start=1):
         xs, ys, zs, qs = markers[partition.block_of(letter) - 1]
-        factors.append((
-            lift(0, poly((qs, 1), (qs + ys, -1)), degree),
-            lift(0, {qs + ys: 1}, degree),
-            lift(1, poly((qs + zs, -1), (qs + xs, 1)), degree),
-            lift(1, poly((qs + zs, -1), (qs + ys, 1)), degree),
-        ))
+        # a_g = Q (1 - y), b_g = Q y, c_g = Q (x - z) and d_g = Q (y - z).
+        a, c, d = _difference(qs, qs + ys), _difference(qs + xs, qs + zs), _difference(qs + ys, qs + zs)
+        factors.append((a, {qs + ys: 1}, c, d, degree))
     # Running sums S_j = S_(j-1) * c_j + a_j * prod(d before j), and likewise with b.
     prefix_d = [{0: 1}] + [{}] * order
-    with_a = with_b = [{}] * (order + 1)
-    for a, b, c, d in factors:
-        with_a = _products([(with_a, c), (a, prefix_d)], order)
-        with_b = _products([(with_b, c), (b, prefix_d)], order)
-        prefix_d = _products([(prefix_d, d)], order)
+    with_a = [{}] * (order + 1)
+    with_b = [{}] * (order + 1)
+    for a, b, c, d, degree in factors:
+        _step(with_a, with_a, c, degree)
+        _step(with_a, prefix_d, a, degree)
+        _step(with_b, with_b, c, degree)
+        _step(with_b, prefix_d, b, degree)
+        _step(prefix_d, prefix_d, d, degree)
     full = _quotient(_signed_sum(prefix_d, with_a), _signed_sum(prefix_d, with_b, -1))
     return names, full, factors
 
@@ -318,17 +317,32 @@ def solve_block_system(
 
     with gamma_s = nu_s * G + lambda_s, and lambda, nu, alpha the cleared
     per-letter ratios a_s / d_s, b_s / d_s and (d_s - c_s) / d_s of the
-    builder's factors, so F(s) is one quotient by d_s.  The identity
-    1 + sum_s F(s) = G holds through the truncation order and is enforced by
-    the test suite.
+    builder's factors.  Cleared of d_s = 1 + d q, the recurrence reads
+
+        F(s)_i = (a + b * G)_i + (c - d) * R_(i-1) - d * F(s)_(i-1)
+
+    with R = F(1) + ... + F(s-1), so each F(s) is one pass over its
+    coefficients.  Letters of one block share their factors, so a + b * G
+    and c - d are built once per block.  The identity 1 + sum_s F(s) = G
+    holds through the truncation order and is enforced by the test suite.
     """
     names, full, factors = _build_series(k, partition, spec, order, "q", [1] * k)
     solved: list[PowerSeries] = []
     running: list[Terms] = [{}] * (order + 1)
-    for a, b, c, d in factors:
-        here = _quotient(
-            _signed_sum(a, _products([(b, full), (_signed_sum(c, d, -1), running)], order)), d
-        )
+    blocks: dict[int, tuple[list[Terms], Terms]] = {}
+    for letter, (a, b, c, d, _) in enumerate(factors, start=1):
+        block = partition.block_of(letter)
+        if block not in blocks:
+            gamma = [{}, dict(a)][: order + 1] + [{}] * (order - 1)
+            _step(gamma, full, b, 1)
+            blocks[block] = gamma, _signed_sum([c], [d], -1)[0]
+        gamma, alpha = blocks[block]
+        here = [{}]
+        for i in range(1, order + 1):
+            acc = dict(gamma[i])
+            add_product(acc, alpha, running[i - 1])
+            add_product(acc, d, here[i - 1], -1)
+            here.append(_nonzero(acc))
         solved.append(PowerSeries._wrap("q", names, here))
         running = _signed_sum(running, here)
     return solved

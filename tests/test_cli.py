@@ -490,7 +490,7 @@ class TestSeries:
         # Order 40,000 with every marker and per-block letter counts tracked has degree 79,999.
         from wordstats import series
 
-        monkeypatch.setattr(series, "_products", lambda *args: pytest.fail("the series build started"))
+        monkeypatch.setattr(series, "_step", lambda *args: pytest.fail("the series build started"))
         code, out, err = run(
             capsys, "series", "--gf", "A", "--k", "2", "--partition", "threshold:1", "--track", "all",
             "--q", "per-block", "--order", "40000",

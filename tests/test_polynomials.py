@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from test_properties import PROPERTY
 from wordstats import InputError, Polynomial, PowerSeries
-from wordstats.polynomials import FIELD_BITS, adopt, encode, render
-from wordstats.series import _products, _signed_sum
+from wordstats.polynomials import FIELD_BITS, add_product, adopt, encode, render
+from wordstats.series import _signed_sum
 
 NAMES = ("x1", "y1", "q")
 
@@ -22,8 +22,13 @@ def packed_sum(a, b, sign=1):
 
 
 def series_product(a, b):
-    """a * b through the series engine's product helper, handed out as the engine hands out a series."""
-    return PowerSeries._wrap(a.var, a.names, _products([a._terms(b)], a.order))
+    """a * b truncated at their order, summed through ``add_product``, handed out as the engine hands out a series."""
+    left, right = a._terms(b)
+    out = [{} for _ in left]
+    for i, x in enumerate(left):
+        for j, y in enumerate(right[: len(left) - i]):
+            add_product(out[i + j], x, y)
+    return PowerSeries._wrap(a.var, a.names, [{key: c for key, c in t.items() if c} for t in out])
 
 
 def series_difference(a, b):

@@ -20,7 +20,9 @@ from wordstats import (
 )
 from wordstats.words import stat_key
 
-from test_polynomials import series_difference, series_product
+from test_polynomials import (
+    reference_add, reference_series_divide, reference_series_mul, series_difference, series_product,
+)
 
 NAMES = ("u",)
 
@@ -279,8 +281,99 @@ class TestNoCarryInvariant:
                             assert max(exponents, default=0) <= i, (build.__name__, part, i)
 
 
+def _minus(left, right):
+    """Tuple-keyed left - right, zeros dropped."""
+    return reference_add(left, {e: -c for e, c in right.items()})
+
+
+def _reference_factors(k, part, spec, order, var):
+    """Per letter, the tuple-keyed series [a, b, c, d] of the module docstring, to ``order``."""
+    names = spec.poly_names(common_q_var=var == "v")
+    q = "q{}" if spec.per_block_q else "q"
+    one = {monomial(names): 1}
+    factors = []
+    for letter in range(1, k + 1):
+        m = part.block_of(letter)
+        tracked = [f"{kind}{m}" for kind, flags in zip("xyz", (spec.x, spec.y, spec.z)) if flags[m - 1]]
+        g = letter if var == "v" else 1
+
+        def term(*markers):
+            return {monomial(names, q.format(m), *(x for x in markers if x in tracked)): 1}
+
+        def lifted(constant, value):
+            series = [constant] + [{}] * order
+            if g <= order:
+                series[g] = value
+            return series
+
+        factors.append([
+            lifted({}, _minus(term(), term(f"y{m}"))),  # a = Q (1 - y)
+            lifted({}, term(f"y{m}")),  # b = Q y
+            lifted(one, _minus(term(f"x{m}"), term(f"z{m}"))),  # c = 1 - Q (z - x)
+            lifted(one, _minus(term(f"y{m}"), term(f"z{m}"))),  # d = 1 - Q (z - y)
+        ])
+    return factors
+
+
+def _reference_series(k, part, spec, order, var):
+    """numerator / denominator of the module docstring, each sum taken term by term."""
+    factors = _reference_factors(k, part, spec, order, var)
+    one = [{monomial(spec.poly_names(common_q_var=var == "v")): 1}] + [{}] * order
+
+    def product(series):
+        out = one
+        for s in series:
+            out = reference_series_mul(out, s)
+        return out
+
+    numerator = denominator = product(d for *_, d in factors)
+    for j, (a, b, _, _) in enumerate(factors):
+        rest = reference_series_mul(product(d for *_, d in factors[:j]), product(c for _, _, c, _ in factors[j + 1 :]))
+        numerator = [reference_add(x, y) for x, y in zip(numerator, reference_series_mul(a, rest))]
+        denominator = [_minus(x, y) for x, y in zip(denominator, reference_series_mul(b, rest))]
+    return reference_series_divide(numerator, denominator)
+
+
+def _reference_block_system(k, part, spec, order):
+    """F(s) = nu_s * G + lambda_s - alpha_s * (F(1) + ... + F(s-1)), each ratio divided out."""
+    full = _reference_series(k, part, spec, order, "q")
+    refined, running = [], [{}] * (order + 1)
+    for a, b, c, d in _reference_factors(k, part, spec, order, "q"):
+        lam, nu = reference_series_divide(a, d), reference_series_divide(b, d)
+        alpha = reference_series_divide([_minus(x, y) for x, y in zip(d, c)], d)
+        gamma = [reference_add(x, y) for x, y in zip(reference_series_mul(nu, full), lam)]
+        here = [_minus(x, y) for x, y in zip(gamma, reference_series_mul(alpha, running))]
+        refined.append(here)
+        running = [reference_add(x, y) for x, y in zip(running, here)]
+    return refined
+
+
+# Every grid partition to k = 3, and one explicit partition at k = 4 with a block of its own.
+EQUIVALENCE_PARTITIONS = [
+    (k, part) for k in (1, 2, 3) for part in _grid_partitions(k)
+] + [(4, BlockPartition.from_blocks((2, 1, 3, 1)))]
+
+
+@pytest.mark.parametrize("k, part", EQUIVALENCE_PARTITIONS)
+@pytest.mark.parametrize("mode", sorted(LADDER_TOP))
+@pytest.mark.parametrize("per_block_q", [False, True])
+def test_builds_and_solve_match_the_docstring_formula(k, part, mode, per_block_q):
+    # One reference at order 6; a series truncated at a lower order is its prefix.
+    spec, top = _tracking(mode, part.t, per_block_q), 6
+    want = {
+        build_ak_series: _reference_series(k, part, spec, top, "q"),
+        build_bk_series: _reference_series(k, part, spec, top, "v"),
+    }
+    solved = _reference_block_system(k, part, spec, top)
+    for order in range(top + 1):
+        for build, series in want.items():
+            assert [c.exponents() for c in build(k, part, spec, order).coeffs] == series[: order + 1], (build, order)
+        got = [[c.exponents() for c in f.coeffs] for f in solve_block_system(k, part, spec, order)]
+        assert got == [f[: order + 1] for f in solved], order
+
+
 class Started(Exception):
-    """Raised in place of the first series product: the build got past its up-front checks."""
+    """Raised in place of the first letter step: the build got past its up-front checks."""
 
 
 def _started(*args):
@@ -299,7 +392,7 @@ TOP_DEGREE = [
 class TestDegreeRefusal:
     @pytest.mark.parametrize("build, per_block_q, largest", TOP_DEGREE)
     def test_all_tracked_build_is_refused_from_its_order_alone(self, monkeypatch, build, per_block_q, largest):
-        monkeypatch.setattr(series_module, "_products", _started)
+        monkeypatch.setattr(series_module, "_step", _started)
         part = BlockPartition.from_blocks((1,))
         spec = _tracking("all", 1, per_block_q)
         with pytest.raises(Started):
@@ -311,7 +404,7 @@ class TestDegreeRefusal:
 
     @pytest.mark.parametrize("tracked", [{"x1", "z1"}, set()])
     def test_partly_tracked_build_is_checked_only_once_built(self, monkeypatch, tracked):
-        monkeypatch.setattr(series_module, "_products", _started)
+        monkeypatch.setattr(series_module, "_step", _started)
         with pytest.raises(Started):
             build_ak_series(1, BlockPartition.from_blocks((1,)), TrackingSpec.only(1, tracked, True), 10**6)
 

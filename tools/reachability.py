@@ -7,7 +7,8 @@ function under ``src/wordstats`` that ran:
 
 - ``tools/golden.py``'s replay of each benchmark stream, ``ROUNDS`` rounds at each of its
   seeds, and its whole ``argvs`` stream;
-- one ``verify <suite> --n-max 2`` per ``cli.VERIFY_SUITES`` entry, the self-test
+- one ``verify <suite> --n-max 2`` per ``cli.VERIFY_SUITES`` entry (``hall-remmel`` also
+  with ``--m-max 2 --weight-max 2``), the self-test
   ``verify formulas-vs-oracle --inject-fault --k-max 2 --n-max 2``, and ``-h``;
 - README's library example.
 
@@ -199,7 +200,9 @@ def declared_calls() -> list:
     """The calls the scan runs, in order."""
     from wordstats.cli import VERIFY_SUITES
 
-    argvs = [["verify", suite, "--n-max", "2"] for suite in VERIFY_SUITES]
+    # hall-remmel's --n-max bounds only its even-words check; its class grid has bounds of its own.
+    grid = {"hall-remmel": ["--m-max", "2", "--weight-max", "2"]}
+    argvs = [["verify", suite, "--n-max", "2", *grid.get(suite, [])] for suite in VERIFY_SUITES]
     argvs += [["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2", "--n-max", "2"], ["-h"]]
     streams = [name for name in golden.streams() if name != golden.ARGV_STREAM]
     return [
