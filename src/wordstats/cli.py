@@ -26,6 +26,10 @@ of a ``count`` included, and then makes that one engine call.  ``table``
 prints every row of it and ``count`` the one row it asks for, or 0 where
 the table has none.
 
+``VERIFY_SUITES`` declares every suite of ``verify`` once, by its
+function's name, with the keywords each bound sets; only its ``listed``
+rows are ``verify`` choices, and an unlisted suite runs as a library call.
+
 ``main`` reads an argv over one route table, ``build_parser``'s.  Its
 leading words, ``count <family>``, ``table <family>``, ``series`` or
 ``verify <suite>``, select a leaf: ``Option`` records of one argument
@@ -432,34 +436,41 @@ _BOUNDS = (
 )
 
 
-# Per verify suite: its function in ``verify`` and the keyword(s) each
-# CLI bound sets; a bound that is not given keeps the function's default.
+# Every verify suite: its function in ``verify``, by name, the keyword(s) each CLI bound sets, and
+# whether the CLI lists it; a bound that is not given keeps the function's default.  An unlisted
+# suite is no ``verify`` choice and runs only as a library call with the same keywords.
 VERIFY_SUITES = {
-    "oracle-vs-transfer": ("oracle_vs_transfer", {"k_max": ("k_max",), "n_max": ("n_max",)}),
-    "series-vs-oracle": ("series_vs_oracle", {"k_max": ("k_max",), "n_max": ("n_max",)}),
+    "oracle-vs-transfer": ("oracle_vs_transfer", {"k_max": ("k_max",), "n_max": ("n_max",)}, True),
+    "series-vs-oracle": ("series_vs_oracle", {"k_max": ("k_max",), "n_max": ("n_max",)}, True),
     "formulas-vs-oracle": (
         "formulas_vs_oracle",
         {"k_max": ("alphabet_max",), "n_max": ("n_max",), "inject_fault": ("corrupt",)},
+        True,
     ),
-    "identities": ("identities_suite", {"n_max": ("top_n_max", "two_bottom_n_max")}),
+    "identities": ("identities_suite", {"n_max": ("top_n_max", "two_bottom_n_max")}, True),
     "hall-remmel": (
         "hall_remmel_suite",
         {"m_max": ("m_max",), "weight_max": ("weight_max",), "n_max": ("even_n_max",)},
+        True,
     ),
+    "dualities": ("duality_suite", {"k_max": ("k_max",), "n_max": ("n_max",)}, False),
+    "series-weight-compatibility": ("series_weight_suite", {"k_max": ("k_max",), "n_max": ("n_max",)}, False),
 }
+# The listed suites, in table order: the only rows the parser and the bound errors read.
+_LISTED = tuple(suite for suite, (_, _, listed) in VERIFY_SUITES.items() if listed)
 
 
 def _cmd_verify(args) -> int:
     from . import verify
 
-    name, bounds = VERIFY_SUITES[args.suite]
+    name, bounds, _ = VERIFY_SUITES[args.suite]
     for option in _BOUNDS:
         bound = getattr(args, option.dest)
         if option.takes_value and bound is not None and bound < 0:
             raise InputError(f"{option.flag} must be nonnegative, got {bound}")
     for option in _BOUNDS:
         if getattr(args, option.dest) is not None and option.dest not in bounds:
-            takers = [suite for suite, (_, taken) in VERIFY_SUITES.items() if option.dest in taken]
+            takers = [suite for suite in _LISTED if option.dest in VERIFY_SUITES[suite][1]]
             plural = "s" if len(takers) > 1 else ""
             raise InputError(f"{option.flag} applies to the {', '.join(takers)} suite{plural}")
     kwargs = {keyword: getattr(args, dest) for dest, keywords in bounds.items()
@@ -505,8 +516,8 @@ def build_parser() -> dict[tuple[str, ...], tuple[Option, ...]]:
         Option("--track", "track", default="all", help="'all', 'none', or comma list like x2,z1"),
         Option("--q", "q", choices=("common", "per-block"), default="common"),
     )
-    suite = Option("suite", "suite", choices=tuple(sorted(VERIFY_SUITES)))
-    for name in VERIFY_SUITES:
+    suite = Option("suite", "suite", choices=tuple(sorted(_LISTED)))
+    for name in _LISTED:
         routes["verify", name] = (suite, *_BOUNDS)
     return routes
 

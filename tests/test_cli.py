@@ -664,7 +664,7 @@ class TestVerify:
             "error: an injected fault is checked only with alphabet_max (--k-max) at least 1, got 0\n"
         )
 
-    @pytest.mark.parametrize("suite", sorted(cli.VERIFY_SUITES))
+    @pytest.mark.parametrize("suite", sorted(cli._LISTED))
     @pytest.mark.parametrize("flag", ["--k-max", "--n-max", "--m-max", "--weight-max"])
     def test_negative_bound_refused(self, capsys, suite, flag):
         # on every suite, also one that ignores the bound; --n-max 3 keeps a missed refusal short
@@ -678,9 +678,36 @@ class TestVerify:
         assert code == cli.EXIT_USAGE
 
     def test_suite_table_matches_the_suites(self):
-        for suite, (name, bounds) in cli.VERIFY_SUITES.items():
+        # Listed or not, each row's keywords are its function's.
+        for suite, (name, bounds, _) in cli.VERIFY_SUITES.items():
             keywords = inspect.signature(getattr(verify, name)).parameters
             assert {kw for kws in bounds.values() for kw in kws} <= set(keywords), suite
+
+    def test_every_suite_has_one_row(self):
+        # A public function of verify that returns a suite's result is a suite, which the table declares.
+        suites = sorted(
+            name for name, value in vars(verify).items()
+            if inspect.isfunction(value) and value.__module__ == verify.__name__ and not name.startswith("_")
+            and inspect.signature(value).return_annotation in (verify.SuiteResult, "SuiteResult")
+        )
+        assert sorted(name for name, _, _ in cli.VERIFY_SUITES.values()) == suites
+        assert cli._LISTED == (
+            "oracle-vs-transfer", "series-vs-oracle", "formulas-vs-oracle", "identities", "hall-remmel",
+        )
+
+    @pytest.mark.parametrize("suite", ["dualities", "series-weight-compatibility"])
+    def test_unlisted_suite_refused_as_an_invalid_choice(self, capsys, monkeypatch, suite):
+        name = cli.VERIFY_SUITES[suite][0]
+        monkeypatch.setattr(verify, name, lambda **kwargs: pytest.fail("the suite ran"))
+        code, out, err = run(capsys, "verify", suite)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == (
+            "usage: wordstats verify [-h] [--k-max K_MAX] [--n-max N_MAX] [--m-max M_MAX]\n"
+            "                        [--weight-max WEIGHT_MAX] [--inject-fault]\n"
+            "                        {formulas-vs-oracle,hall-remmel,identities,oracle-vs-transfer,series-vs-oracle}\n"
+            f"wordstats verify: error: argument suite: invalid choice: '{suite}' (choose from 'formulas-vs-oracle', "
+            "'hall-remmel', 'identities', 'oracle-vs-transfer', 'series-vs-oracle')\n"
+        )
 
     def test_only_given_bounds_reach_the_suite(self, capsys, monkeypatch):
         calls = []
@@ -734,7 +761,7 @@ class TestVerify:
         ],
     )
     def test_bound_the_suite_does_not_take_refused(self, capsys, monkeypatch, suite, bound, message):
-        name, _ = cli.VERIFY_SUITES[suite]
+        name = cli.VERIFY_SUITES[suite][0]
         monkeypatch.setattr(verify, name, lambda **kwargs: pytest.fail("the suite ran"))
         code, out, err = run(capsys, "verify", suite, "--n-max", "2", *bound)
         assert code == cli.EXIT_USAGE
@@ -969,7 +996,7 @@ SERIES_ARGVS = [
 class TestRouting:
     def test_routes_name_every_leaf(self):
         families = {(command, family) for command in ("count", "table") for family in formulas.FAMILIES}
-        suites = {("verify", suite) for suite in cli.VERIFY_SUITES}
+        suites = {("verify", suite) for suite in cli._LISTED}
         assert set(cli.build_parser()) == families | {("series",)} | suites
 
     def test_leaf_options_are_the_family_names(self):

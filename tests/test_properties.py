@@ -257,7 +257,7 @@ def argparse_tree() -> argparse.ArgumentParser:
         for name in formulas.FAMILIES:
             leaf(families.add_parser(name), routes[command, name][1:])
     leaf(sub.add_parser("series", help=cli._SUMMARIES["series"]), routes["series",])
-    leaf(sub.add_parser("verify", help=cli._SUMMARIES["verify"]), routes["verify", min(cli.VERIFY_SUITES)])
+    leaf(sub.add_parser("verify", help=cli._SUMMARIES["verify"]), routes["verify", min(cli._LISTED)])
     return parser
 
 

@@ -76,7 +76,7 @@ def test_a_row_that_names_no_function_fails(scan):
     "row, problem",
     [
         (("unused", "tests/test_formulas.py::TestCountDesLe::test_examples"),
-         "its reason 'unused' is none of bench-pinned, export, failure-path, not-on-cli, import-time, subprocess"),
+         "its reason 'unused' is none of bench-pinned, export, failure-path, import-time, subprocess"),
         (("bench-pinned", "tests/test_formulas.py::TestCountDesLe::test_examples"),
          "its evidence 'tests/test_formulas.py::TestCountDesLe::test_examples' does not cite a line "
          r"as bench/[\w/]+\.py:\d+"),

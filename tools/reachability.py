@@ -7,9 +7,12 @@ function under ``src/wordstats`` that ran:
 
 - ``tools/golden.py``'s replay of each benchmark stream, ``ROUNDS`` rounds at each of its
   seeds, and its whole ``argvs`` stream;
-- one ``verify <suite> --n-max 2`` per ``cli.VERIFY_SUITES`` entry (``hall-remmel`` also
-  with ``--m-max 2 --weight-max 2``), the self-test
-  ``verify formulas-vs-oracle --inject-fault --k-max 2 --n-max 2``, and ``-h``;
+- one call per row of the CLI's suite table, ``cli.VERIFY_SUITES``, with every bound the
+  row takes set to 2: ``verify <suite>`` for a listed suite, and a library call with the
+  same keywords for an unlisted one;
+- ``verify.des_mod_errata(2, 2)``, with each case's ``resolved`` read: it returns cases,
+  not a suite's result, so it has no row in the table;
+- the self-test ``verify formulas-vs-oracle --inject-fault --k-max 2 --n-max 2``, and ``-h``;
 - README's library example.
 
 It compares them with every ``def`` it finds by parsing the sources, keyed by module and
@@ -61,7 +64,6 @@ REASONS = {
     "bench-pinned": "kept because bench/ names it or calls it (ROADMAP items 9, 13 and 32); cites the bench/ line",
     "export": "public, and no benchmark request calls it; cites a test that reaches it",
     "failure-path": "runs only when a check fails; cites a test that makes the check fail",
-    "not-on-cli": "behind a suite the CLI does not list (ROADMAP item 5); cites a test that runs it",
     "import-time": "runs only while its module is imported; cites the src/ line that runs it",
     "subprocess": "runs only as the console script's process; cites a test that spawns it",
 }
@@ -107,9 +109,6 @@ LEDGER: dict[str, tuple[str, str]] = {
     ),
     "polynomials.Polynomial.__init__": ("export", "tests/test_polynomials.py::TestConstruction::test_arity_checked"),
     "polynomials.Polynomial.__eq__": ("export", "tests/test_polynomials.py::TestArithmetic::test_equality_with_int"),
-    "polynomials.Polynomial.exponents": (
-        "export", "tests/test_polynomials.py::TestConstruction::test_zero_coefficients_dropped",
-    ),
     "polynomials.Polynomial.__str__": ("export", "tests/test_polynomials.py::TestPrinting::test_signs_and_powers"),
     "polynomials.Polynomial.__repr__": ("export", "tests/test_polynomials.py::TestPrinting::test_repr_wraps_the_text"),
     "words.Record.__repr__": ("export", "tests/test_words.py::TestRecord::test_positional_keyword_and_default_fields"),
@@ -142,15 +141,6 @@ LEDGER: dict[str, tuple[str, str]] = {
     "words.FrozenRecord.__delattr__": (
         "failure-path", "tests/test_words.py::TestBlockPartition::test_refuses_assignment_and_deletion",
     ),
-    "verify.duality_suite": ("not-on-cli", "tests/test_acceptance.py::test_criterion_7_complement_dualities"),
-    "verify.series_weight_suite": ("not-on-cli", "tests/test_acceptance.py::test_criterion_8_weight_compatibility"),
-    "verify.des_mod_errata": ("not-on-cli", "tests/test_verify.py::TestDesModErrata::test_default_grid_counterexamples"),
-    "verify.ErrataCase.resolved": ("not-on-cli", "tests/test_acceptance.py::test_criterion_4_formula_variant_resolution"),
-    "formulas.count_des_mod_uncorrected": (
-        "not-on-cli", "tests/test_verify.py::TestDesModErrata::test_default_grid_counterexamples",
-    ),
-    # The rejected readings' sign; the identities' alternates call it too.
-    "combinat.sign": ("not-on-cli", "tests/test_verify.py::TestDesModErrata::test_default_grid_counterexamples"),
     "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:638"),
     "words.Record.__init_subclass__": ("import-time", "src/wordstats/words.py:119"),
     "cli.entrypoint": ("subprocess", "tests/test_cli.py::TestColdProcess::test_closed_stdout_exits_2_without_a_traceback"),
@@ -196,18 +186,37 @@ def _readme_example() -> None:
     exec(compile(code, str(README), "exec"), {})
 
 
+def _suite_calls() -> list:
+    """A call per row of ``cli.VERIFY_SUITES``, with every bound the row takes set to 2.
+
+    A listed suite runs as ``verify <suite>``, an unlisted one as a library call with the same keywords.
+    """
+    from wordstats import cli, verify
+
+    flags = {option.dest: option.flag for option in cli._BOUNDS if option.takes_value}
+    calls = []
+    for suite, (name, bounds, listed) in cli.VERIFY_SUITES.items():
+        taken = [dest for dest in bounds if dest in flags]
+        if listed:
+            calls.append(_quiet(["verify", suite, *(word for dest in taken for word in (flags[dest], "2"))]))
+        else:
+            kwargs = {keyword: 2 for dest in taken for keyword in bounds[dest]}
+            calls.append(lambda name=name, kwargs=kwargs: getattr(verify, name)(**kwargs))
+    return calls
+
+
 def declared_calls() -> list:
     """The calls the scan runs, in order."""
-    from wordstats.cli import VERIFY_SUITES
+    from wordstats import verify
 
-    # hall-remmel's --n-max bounds only its even-words check; its class grid has bounds of its own.
-    grid = {"hall-remmel": ["--m-max", "2", "--weight-max", "2"]}
-    argvs = [["verify", suite, "--n-max", "2", *grid.get(suite, [])] for suite in VERIFY_SUITES]
-    argvs += [["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2", "--n-max", "2"], ["-h"]]
+    argvs = [["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2", "--n-max", "2"], ["-h"]]
     streams = [name for name in golden.streams() if name != golden.ARGV_STREAM]
     return [
         *(lambda name=name: golden.stream_digests(name, ROUNDS) for name in streams),
         lambda: golden.stream_digests(golden.ARGV_STREAM),
+        *_suite_calls(),
+        # The errata return cases, not a suite's result, so they have no suite row.
+        lambda: [case.resolved for case in verify.des_mod_errata(2, 2)],
         *map(_quiet, argvs),
         _readme_example,
     ]
