@@ -19,9 +19,11 @@ one tally layout (see ``combinat``), through ``_packed_walk``; ``_agree``
 compares two tallies as they are, and a cell is decoded, keyed as the
 family's table (``FamilyForms.keyed``), only to name a failing value or
 to look for a rejected reading's counterexample.
-``hall_remmel_suite`` asks each engine each distinct question once per
-call: the DP by its own question, the class without its zeros and the
-counted pairs renamed by rank, and the closed form by its own inputs.
+``hall_remmel_suite`` derives each class shape, the class's nonzero
+multiplicities in letter order, once per call, so classes that differ only
+by unused letters share one derivation and one verdict; it asks each engine
+each distinct question once per call: the DP by the shape and its counted
+pairs, and the closed form by its own inputs.
 ``corrupt=True`` skews ``formulas_vs_oracle``'s closed-form
 ``levels-threshold`` answers by +1; that self-test must fail.
 ``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
@@ -243,23 +245,26 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
 
     A check runs for every class rho and every pair (X, Y) of top and
     bottom letter sets, X major, each set in order of size, then
-    lexicographically.  Both the counted descent pairs and the closed
-    form's inputs depend on X only through the letters of X that rho uses,
-    so the X rows run over the sets U of used letters only, each standing
-    for the 2^(m - |used|) sets X that add unused letters to it, U the
-    first of them in check order.  Let R be the used letters below the
-    largest letter of U.  Pairs and inputs depend on Y only through its
-    key, Y & R.  Under one U each key is shared by 2^(m - |R|) sets Y,
-    the first of them in check order the key itself, so each U row derives
-    pairs, inputs and verdict for its keys only and counts each verdict
-    once per pair (X, Y) sharing U and the key.  Both answers are kept for
-    the whole call, each keyed by its own engine's question.  A class with
-    zeros, such as (2, 0, 1), asks the DP what (2, 1) asks with its pairs
-    renamed, so the oracle runs once per distinct question: the class's
-    nonzero multiplicities in letter order and the counted pairs, each
-    letter renamed by its rank among the used letters.  The closed form
-    runs once per distinct ``hall_remmel_inputs`` tuple, which leaves out
-    the zeros of a class.
+    lexicographically.  A letter of multiplicity 0 enters neither the
+    counted descent pairs nor the closed form's inputs, so, each used
+    letter renamed by its rank, rho with (X, Y) asks what its shape asks
+    with the used letters of X and Y: the shape is rho's nonzero
+    multiplicities in letter order, and (2, 1), (2, 1, 0), (2, 0, 1) and
+    (0, 2, 1) share one.  Each shape's rows are derived once per call, as
+    the class of len(shape) letters.  The X rows run over the sets U of its
+    letters.  Let R be the letters below the largest letter of U; pairs and
+    inputs depend on Y only through its key, Y & R, so each U row derives
+    pairs, inputs and verdict for its keys only.  A class of m letters
+    counts the verdict of a row once per pair (X, Y) that shares U and the
+    key, X adding any of the m - |used| unused letters to U and Y any of
+    the m - |R| letters outside R to the key, the first of them in check
+    order U and the key themselves, letters mapped back through the used
+    ones.  So a class whose shape passes records all its checks at once,
+    and only a failing shape's rows are walked, in check order, to name
+    the class's first failing pair.  Both answers are kept for the whole
+    call, each keyed by its own engine's question: the oracle runs once per
+    distinct shape and counted pairs, and the closed form once per distinct
+    ``hall_remmel_inputs`` tuple, which shapes may share.
 
     It also checks, on the alphabets of sizes 2 and 4, that the closed form
     with the even letters on top and every letter at the bottom, summed
@@ -274,36 +279,45 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     pass per alphabet gives every n.
     """
     result = SuiteResult("hall-remmel")
-    # Per tuple of letters: its sets in check order, the U of a class or the keys of a U row.
+    # Per tuple of letters: its sets in check order, the U of a shape or the keys of a U row.
     sets_of: dict[tuple, list[frozenset]] = {}
     # Both answers for the whole call: the oracle's by its own question, the closed form's by its own inputs.
     oracle_by_question: dict[tuple, dict[int, int]] = {}
     closed_by_inputs: dict[tuple, dict[int, int]] = {}
+    # Per shape: the checks its passing rows count at m = len(shape), and its failing (U, key, checks) rows.
+    summaries: dict[tuple, tuple[int, list]] = {}
     for m in range(1, m_max + 1):
         for weight in range(weight_max + 1):
             for rho in compositions(weight, m):
                 used = tuple(x for x, reps in enumerate(rho, start=1) if reps)
-                spread = 1 << (m - len(used))
-                # The class the DP is asked about: rho without its zeros, each used letter renamed by its rank.
-                nonzero = tuple(rho[x - 1] for x in used)
-                rank = {x: i for i, x in enumerate(used, start=1)}
-                for tops in _sets_of(used, sets_of):
-                    relevant = tuple(x for x in used if x < max(tops, default=0))
-                    sharing = spread << (m - len(relevant))
-                    for bottoms in _sets_of(relevant, sets_of):
-                        pairs = counted_pairs(rho, tops, bottoms)
-                        question = nonzero, frozenset((rank[a], rank[b]) for a, b in pairs)
-                        if question not in oracle_by_question:
-                            dist = pair_distribution(*question)
-                            oracle_by_question[question] = {s: dist.get(s, 0) for s in range(weight + 1)}
-                        inputs = formulas.hall_remmel_inputs(rho, tops, bottoms)
-                        if inputs not in closed_by_inputs:
-                            closed_by_inputs[inputs] = formulas.hall_remmel_table(*inputs)
-                        result.record(
-                            closed_by_inputs[inputs] == oracle_by_question[question],
-                            lambda rho=rho, tops=tops, bottoms=bottoms: f"rearrangement rho={rho} X={sorted(tops)} Y={sorted(bottoms)}",
-                            sharing,
-                        )
+                shape = tuple(rho[x - 1] for x in used)
+                if shape not in summaries:
+                    letters = tuple(range(1, len(shape) + 1))
+                    passed, failing = 0, []
+                    for tops in _sets_of(letters, sets_of):
+                        relevant = letters[: max(tops, default=1) - 1]
+                        for bottoms in _sets_of(relevant, sets_of):
+                            question = shape, counted_pairs(shape, tops, bottoms)
+                            if question not in oracle_by_question:
+                                dist = pair_distribution(*question)
+                                oracle_by_question[question] = {s: dist.get(s, 0) for s in range(weight + 1)}
+                            inputs = formulas.hall_remmel_inputs(shape, tops, bottoms)
+                            if inputs not in closed_by_inputs:
+                                closed_by_inputs[inputs] = formulas.hall_remmel_table(*inputs)
+                            checks = 1 << (len(letters) - len(relevant))
+                            if closed_by_inputs[inputs] == oracle_by_question[question]:
+                                passed += checks
+                            else:
+                                failing.append((tops, bottoms, checks))
+                    summaries[shape] = passed, failing
+                passed, failing = summaries[shape]
+                # Each unused letter doubles the sets X, and the sets Y, that a row stands for.
+                spread = 2 * (m - len(used))
+                result.record(True, None, passed << spread)
+                for tops, bottoms, checks in failing:
+                    # The row's letters back through used, as the class's sets.
+                    x, y = (sorted(used[a - 1] for a in ranks) for ranks in (tops, bottoms))
+                    result.record(False, lambda rho=rho, x=x, y=y: f"rearrangement rho={rho} X={x} Y={y}", checks << spread)
 
     passes = lambda alphabet, n: (
         formulas.hall_remmel_summed_rows(alphabet, range(2, alphabet + 1, 2), n),

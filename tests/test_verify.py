@@ -423,6 +423,63 @@ class TestHallRemmelSuite:
                             assert derived == (counted_pairs(rho, x & used, y),
                                                formulas.hall_remmel_inputs(rho, x & used, y)), (rho, x, y)
 
+    def test_classes_of_one_shape_share_pairs_and_inputs(self):
+        # The shape rule's premise: a letter of multiplicity 0 enters neither the pairs nor
+        # the inputs, so rho with (X, Y) asks what its nonzero multiplicities ask with the
+        # used letters of X and Y, each used letter renamed by its rank.
+        for m in range(1, 5):
+            subsets = [frozenset(c) for size in range(m + 1)
+                       for c in itertools.combinations(range(1, m + 1), size)]
+            for weight in range(6):
+                for rho in compositions(weight, m):
+                    used = [x for x, reps in enumerate(rho, start=1) if reps]
+                    rank = {x: i for i, x in enumerate(used, start=1)}
+                    shape = tuple(rho[x - 1] for x in used)
+                    for x in subsets:
+                        for y in subsets:
+                            tops, bottoms = ({rank[a] for a in letters if a in rank} for letters in (x, y))
+                            renamed = frozenset((rank[a], rank[b]) for a, b in counted_pairs(rho, x, y))
+                            assert renamed == counted_pairs(shape, tops, bottoms), (rho, x, y)
+                            assert (formulas.hall_remmel_inputs(rho, x, y)
+                                    == formulas.hall_remmel_inputs(shape, tops, bottoms)), (rho, x, y)
+
+    def test_inputs_are_derived_once_per_shape_row_per_call(self, monkeypatch):
+        calls = []
+        derive = formulas.hall_remmel_inputs
+
+        def counting(rho, tops, bottoms):
+            calls.append((tuple(rho), frozenset(tops), frozenset(bottoms)))
+            return derive(rho, tops, bottoms)
+
+        monkeypatch.setattr(formulas, "hall_remmel_inputs", counting)
+        # A row: a shape, one set U of its letters and one key, a set of its letters below max(U).
+        shapes = {tuple(reps for reps in rho if reps)
+                  for m in range(1, 4) for weight in range(5) for rho in compositions(weight, m)}
+        sets = lambda below: [frozenset(c) for size in range(below) for c in itertools.combinations(range(1, below), size)]
+        rows = {(shape, tops, key) for shape in shapes for tops in sets(len(shape) + 1)
+                for key in sets(max(tops, default=1))}
+        for _ in range(2):
+            calls.clear()
+            assert verify.hall_remmel_suite(m_max=3, weight_max=4, even_n_max=0).ok
+            assert all(all(rho) for rho, _, _ in calls)
+            assert len(calls) == len(set(calls))
+            assert set(calls) == rows
+
+    def test_no_answer_outlives_a_call(self, monkeypatch):
+        assert verify.hall_remmel_suite(m_max=3, weight_max=4, even_n_max=-1).ok
+        evaluate = formulas.hall_remmel_table
+
+        def skewed(*inputs):
+            table = evaluate(*inputs)
+            table[0] += 1
+            return table
+
+        monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
+        result = verify.hall_remmel_suite(m_max=3, weight_max=4, even_n_max=-1)
+        # Every class check fails, the first included: no verdict of the clean call was kept.
+        assert result.failures == result.checked > 0
+        assert result.first_failure == "rearrangement rho=(0,) X=[] Y=[]"
+
     @pytest.mark.parametrize(
         "skews, by_class, by_sum",
         [

@@ -170,6 +170,8 @@ CHECKS = [
     # The grouped counts through the CLI's bound mapping: many unused letters, then heavy classes.
     _suite("verify hall-remmel --m-max 4 --weight-max 2 --n-max 8", 4678),
     _suite("verify hall-remmel --m-max 2 --weight-max 7 --n-max 8", 698),
+    # Most classes carry zeros, so most share their shape's derivation with a smaller m.
+    _suite("verify hall-remmel --m-max 6 --weight-max 3 --n-max 0", 411826),
     # The even-words sum alone, its letter pass to n = 30.
     _suite("verify hall-remmel --m-max 0 --weight-max 0 --n-max 30", 992),
     _suite("verify formulas-vs-oracle --k-max 10 --n-max 10", 78185),
