@@ -8,37 +8,32 @@ add, and sorting the keys as ints gives the canonical printed order
 (total degree, then exponent tuples lexicographically), which the CLI
 relies on for deterministic output.
 
-No field carries silently: a key sum carries only if its degree field
-overflows, and ``adopt`` refuses such a key with ``InputError``
-(``check_degree``).  ``Polynomial``'s one arithmetic operator, ``*`` by
-an int or by a polynomial over the same names, wraps its result through
-``from_keys``, which copies its terms into ``adopt``.  The series engine
-does its own arithmetic on term dicts with ``add_product`` and hands a
-series out through one ``adopt`` call, which takes its dicts without a
-copy and checks the largest key of the whole series once (``series``
-says why that is enough).  Keys are decoded only where exponents are
-shown: ``exponents`` and ``series.coefficient_distribution`` decode
-through ``combinat``, and ``render``, the one renderer (``__str__``
-renders a list of one), reads each key in two halves and caches each
-half's text for the whole list, so the coefficients of a series share it.
+``Polynomial`` is a ``words.Record`` of ``names`` and packed ``terms``:
+its constructor, equality and repr are the record's.  No field carries
+silently: a key sum carries only if its degree field overflows, and
+``adopt`` refuses such a key with ``InputError`` (``check_degree``).
+``Polynomial``'s one arithmetic operator, ``*`` by an int or by a
+polynomial over the same names, wraps its result through ``from_keys``,
+which copies its terms into ``adopt``.  The series engine does its own
+arithmetic on term dicts with ``add_product`` and hands a series out
+through one ``adopt`` call, which takes its dicts without a copy and
+checks the largest key of the whole series once (``series`` says why
+that is enough).  Keys are decoded only where exponents are shown:
+``exponents`` and ``series.coefficient_distribution`` decode through
+``combinat``, and ``render``, the one renderer (``__str__`` renders a
+list of one), reads each key in two halves and caches each half's text
+for the whole list, so the coefficients of a series share it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .combinat import decode_keys, encode_key, key_degree, key_units
-from .words import InputError
+from .combinat import decode_keys, key_degree, key_units
+from .words import InputError, Record
 
 FIELD_BITS = 16
 _MASK = (1 << FIELD_BITS) - 1
-
-
-def encode(exponents: tuple[int, ...]) -> int:
-    """The key of ``exponents``, once their total fits the degree field and none is negative."""
-    if sum(exponents) > _MASK or min(exponents, default=0) < 0:
-        raise InputError(f"exponents {tuple(exponents)} outside 0..{_MASK} in total")
-    return encode_key(exponents, FIELD_BITS, degree=True)
 
 
 def add_product(acc: dict[int, int], left: dict[int, int], right: dict[int, int], sign: int = 1) -> None:
@@ -55,21 +50,12 @@ def add_product(acc: dict[int, int], left: dict[int, int], right: dict[int, int]
             acc[key] = get(key, 0) + coeff_a * coeff_b
 
 
-class Polynomial:
+class Polynomial(Record):
     """``terms`` maps packed keys to nonzero ints; ``exponents()`` decodes them."""
 
     __slots__ = ("names", "terms")
-
-    def __init__(self, names: tuple[str, ...], terms: dict[tuple[int, ...], int] | None = None):
-        self.names = tuple(names)
-        self.terms = {}
-        for exponents, coefficient in (terms or {}).items():
-            if len(exponents) != len(self.names):
-                raise InputError(
-                    f"exponent tuple {exponents} has arity {len(exponents)}, expected {len(self.names)}"
-                )
-            if coefficient:
-                self.terms[encode(exponents)] = coefficient
+    names: tuple[str, ...]
+    terms: dict[int, int]
 
     @classmethod
     def from_keys(cls, names: tuple[str, ...], terms: dict[int, int]) -> "Polynomial":
@@ -93,13 +79,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({0: other} if other else {})
-        if isinstance(other, Polynomial):
-            return self.names == other.names and self.terms == other.terms
-        return NotImplemented
-
     def exponents(self) -> dict[tuple[int, ...], int]:
         """Terms keyed by exponent tuples, in the order of ``names``."""
         units = key_units(FIELD_BITS, len(self.names), degree=True)
@@ -107,9 +86,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return render([self])[0]
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self})"
 
 
 def check_degree(names: tuple[str, ...], degree: int) -> None:
@@ -126,13 +102,7 @@ def adopt(names: tuple[str, ...], terms: list[dict[int, int]]) -> list[Polynomia
     carried key with ``InputError``.
     """
     check_degree(names, key_degree(max([max(t) for t in terms if t], default=0), FIELD_BITS, len(names)))
-    polys = []
-    for t in terms:
-        poly = object.__new__(Polynomial)
-        poly.names = names
-        poly.terms = t
-        polys.append(poly)
-    return polys
+    return [Polynomial(names, t) for t in terms]
 
 
 def render(polys: Sequence[Polynomial]) -> list[str]:

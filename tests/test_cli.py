@@ -560,6 +560,7 @@ class TestSeries:
             ("threshold:abc", "partition threshold:<int> needs an integer, got 'abc'"),
             ("mod:x", "partition mod:<int> needs an integer, got 'x'"),
             ("blocks:1,x", "expected a comma-separated integer list, got '1,x'"),
+            ("blocks:1,2,3", "blocks list covers 3 letters, alphabet has 2"),
         ]:
             code, out, err = run(
                 capsys, "series", "--gf", "A", "--k", "2", "--partition", spec,

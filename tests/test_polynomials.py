@@ -6,14 +6,24 @@ from hypothesis import strategies as st
 
 from test_properties import PROPERTY
 from wordstats import InputError, Polynomial, PowerSeries
-from wordstats.polynomials import FIELD_BITS, add_product, adopt, encode, render
+from wordstats.combinat import encode_key
+from wordstats.polynomials import FIELD_BITS, add_product, adopt, render
 from wordstats.series import _signed_sum
 
 NAMES = ("x1", "y1", "q")
 
 
+def polynomial(names, terms):
+    """The polynomial over ``names`` of tuple-keyed ``terms``, zeros dropped, built as the series engine builds one."""
+    return adopt(names, [{encode_key(e, FIELD_BITS, degree=True): c for e, c in terms.items() if c}])[0]
+
+
+def constant(names, value):
+    return polynomial(names, {(0,) * len(names): value})
+
+
 def P(terms):
-    return Polynomial(NAMES, terms)
+    return polynomial(NAMES, terms)
 
 
 def packed_sum(a, b, sign=1):
@@ -41,13 +51,9 @@ class TestConstruction:
         poly = P({(1, 0, 0): 0, (0, 1, 0): 2})
         assert poly.exponents() == {(0, 1, 0): 2}
 
-    def test_arity_checked(self):
-        with pytest.raises(InputError):
-            P({(1, 0): 1})
-
     def test_constant(self):
         assert Polynomial.constant(NAMES, 5).exponents() == {(0, 0, 0): 5}
-        assert Polynomial.constant(NAMES, 0) == 0
+        assert Polynomial.constant(NAMES, 0) == P({})
 
 
 class TestArithmetic:
@@ -55,13 +61,13 @@ class TestArithmetic:
         a = P({(1, 0, 0): 3})
         b = P({(1, 0, 0): -3, (0, 0, 1): 1})
         assert packed_sum(a, b).exponents() == {(0, 0, 1): 1}
-        assert packed_sum(a, a, -1) == 0
+        assert packed_sum(a, a, -1) == P({})
 
     def test_int_operands(self):
         x = P({(1, 0, 0): 1})
         assert (2 * x).exponents() == {(1, 0, 0): 2}
         assert (x * -1).exponents() == {(1, 0, 0): -1}
-        assert (x * 0) == 0
+        assert (x * 0) == P({})
 
     def test_product(self):
         left = P({(0, 0, 0): 1, (1, 0, 0): 1})
@@ -75,16 +81,16 @@ class TestArithmetic:
         }
 
     def test_mixed_variable_sets_rejected(self):
-        other = Polynomial(("a",), {(1,): 1})
+        other = polynomial(("a",), {(1,): 1})
         with pytest.raises(InputError):
             P({(1, 0, 0): 1}) * other
         with pytest.raises(InputError):
             other * P({(1, 0, 0): 1})
 
-    def test_equality_with_int(self):
-        assert Polynomial.constant(NAMES, 7) == 7
-        assert Polynomial(NAMES) == 0
-        assert not P({(0, 0, 1): 1}) == 1
+    def test_equality_compares_names_and_terms(self):
+        assert P({(0, 0, 1): 2}) == P({(0, 0, 1): 2})
+        assert P({(0, 0, 1): 2}) != P({(0, 0, 1): 1})
+        assert polynomial(("a",), {(1,): 1}) != polynomial(("b",), {(1,): 1})
 
     def test_equality_with_another_type_is_not_implemented(self):
         x = P({(1, 0, 0): 1})
@@ -95,12 +101,12 @@ class TestArithmetic:
     def test_constant_term(self):
         poly = P({(0, 0, 0): 3, (0, 0, 1): 1})
         assert poly.exponents().get((0, 0, 0)) == 3
-        assert (0, 0, 0) not in Polynomial(NAMES).exponents()
+        assert (0, 0, 0) not in P({}).exponents()
 
 
 class TestPrinting:
     def test_zero(self):
-        assert str(Polynomial(NAMES)) == "0"
+        assert str(P({})) == "0"
 
     def test_constant_plus_variable(self):
         assert str(P({(0, 0, 0): 3, (1, 0, 0): 1})) == "3 + x1"
@@ -108,10 +114,6 @@ class TestPrinting:
     def test_signs_and_powers(self):
         poly = P({(2, 0, 1): 2, (0, 0, 1): -3, (0, 0, 0): -1})
         assert str(poly) == "-1 - 3*q + 2*x1^2*q"
-
-    def test_repr_wraps_the_text(self):
-        assert repr(P({(2, 0, 1): 2, (0, 0, 0): -1})) == "Polynomial(-1 + 2*x1^2*q)"
-        assert repr(Polynomial(NAMES)) == "Polynomial(0)"
 
     def test_leading_negative(self):
         x = P({(1, 0, 0): 1})
@@ -138,12 +140,12 @@ class TestPrinting:
             return tuple(powers[:arity]) + (0,) * (arity - len(powers[:arity]))
 
         polys = [
-            Polynomial(names, {unit(): 7, unit(1): 1, unit(0, 2): -1, unit(1, 2, 1): -7}),
-            Polynomial(names, {unit(1, 2, 1): 1, unit(0, 0, 3, 1): 7, unit(1): -1}),
-            Polynomial(names),
-            Polynomial(names, {unit(): -1, unit(2, 0, 0, 1, 1): -7, unit(1, 2, 1): 7}),
-            Polynomial(names, {unit(): 1}),
-            Polynomial(names, {unit(): -7, unit(0, 2): 1}),
+            polynomial(names, {unit(): 7, unit(1): 1, unit(0, 2): -1, unit(1, 2, 1): -7}),
+            polynomial(names, {unit(1, 2, 1): 1, unit(0, 0, 3, 1): 7, unit(1): -1}),
+            polynomial(names, {}),
+            polynomial(names, {unit(): -1, unit(2, 0, 0, 1, 1): -7, unit(1, 2, 1): 7}),
+            polynomial(names, {unit(): 1}),
+            polynomial(names, {unit(): -7, unit(0, 2): 1}),
         ]
         texts = render(polys)
         assert texts == [render([poly])[0] for poly in polys]
@@ -153,7 +155,7 @@ class TestPrinting:
 
     def test_render_refuses_mixed_variable_sets(self):
         with pytest.raises(InputError):
-            render([P({(1, 0, 0): 1}), Polynomial(("x1", "y1"), {(1, 0): 1})])
+            render([P({(1, 0, 0): 1}), polynomial(("x1", "y1"), {(1, 0): 1})])
 
 
 class TestNoCarry:
@@ -162,11 +164,6 @@ class TestNoCarry:
     def test_largest_total_degree_fits(self):
         x = P({(1, 0, 0): 1})
         assert (P({(self.TOP - 1, 0, 0): 1}) * x).exponents() == {(self.TOP, 0, 0): 1}
-
-    def test_constructor_refuses_exponents_outside_the_field(self):
-        for exponents in [(self.TOP + 1, 0, 0), (self.TOP, 1, 0), (-1, 0, 0)]:
-            with pytest.raises(InputError):
-                P({exponents: 1})
 
     def test_product_overflowing_a_field_raises(self):
         # x1*y1 overflows only the degree field, x1*x1 also the x1 field.
@@ -196,7 +193,7 @@ class TestNoCarry:
             PowerSeries._wrap("v", NAMES, [{0: 1}, {}, {carried: 1}])
 
     def test_series_hand_out_keeps_its_term_dicts(self):
-        terms = [{0: 1}, {}, {encode((1, 0, 0)): -3}]
+        terms = [{0: 1}, {}, {encode_key((1, 0, 0), FIELD_BITS, degree=True): -3}]
         series = PowerSeries._wrap("v", NAMES, terms)
         assert all(c.terms is t for c, t in zip(series.coeffs, terms))
 
@@ -275,7 +272,7 @@ def _unit(index, power=1):
           {_unit(8): -(2**70), _unit(7): 1}))
 def test_packed_arithmetic_matches_tuple_reference(pair):
     names, left, right = pair
-    a, b = Polynomial(names, left), Polynomial(names, right)
+    a, b = polynomial(names, left), polynomial(names, right)
     assert a.exponents() == left
     for got, want in [
         (a, left),
@@ -329,7 +326,7 @@ def test_series_arithmetic_matches_tuple_reference(pair):
     order = len(left) - 1
 
     def lift(coefficients):
-        return PowerSeries.lift("q", names, [Polynomial(names, c) for c in coefficients], order)
+        return PowerSeries.lift("q", names, [polynomial(names, c) for c in coefficients], order)
 
     a, b = lift(left), lift(right)
     negated = [{e: -c for e, c in coefficient.items()} for coefficient in right]

@@ -87,9 +87,9 @@ def test_a_row_that_names_no_function_fails(scan):
     ],
 )
 def test_a_row_must_cite_evidence_that_exists(scan, row, problem):
-    code, lines = scan({**reachability.LEDGER, "formulas.count_des_le": row})
+    code, lines = scan({**reachability.LEDGER, "identities.IdentityReport.ok": row})
     assert code == 1
-    assert lines[0] == f"FAIL formulas.count_des_le: {problem}"
+    assert lines[0] == f"FAIL identities.IdentityReport.ok: {problem}"
 
 
 def test_functions_are_keyed_by_module_and_qualified_name_at_their_first_line():

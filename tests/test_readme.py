@@ -21,6 +21,23 @@ def test_library_example_runs():
     exec(compile(_library_example(), str(README), "exec"), {})
 
 
+def _listed_exports() -> dict[str, str]:
+    """README's list of public names, each by the module it names: ``- `module`: `name`, ...``."""
+    section = README.read_text().split("The public names, `wordstats.__all__`", 1)[1]
+    listed = {}
+    for module, names in re.findall(r"^- `(\w+)`: (.*)$", section, re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            assert name not in listed, name
+            listed[name] = module
+    return listed
+
+
+def test_readme_lists_the_public_names_by_module():
+    listed = _listed_exports()
+    assert sorted(listed) == wordstats.__all__
+    assert listed == wordstats._EXPORTS
+
+
 def test_every_export_resolves():
     assert [name for name in wordstats.__all__ if not hasattr(wordstats, name)] == []
 

@@ -12,7 +12,9 @@ function under ``src/wordstats`` that ran:
   same keywords for an unlisted one;
 - ``verify.des_mod_errata(2, 2)``, with each case's ``resolved`` read: it returns cases,
   not a suite's result, so it has no row in the table;
-- the self-test ``verify formulas-vs-oracle --inject-fault --k-max 2 --n-max 2``, and ``-h``;
+- the self-test ``verify formulas-vs-oracle --inject-fault --k-max 2 --n-max 2``, ``-h``,
+  and ``table des-le --k 3 --t 1 --n 66``, whose closed form widens its packed fields
+  past length 64 (``combinat.respace``), which no benchmark request reaches;
 - README's library example.
 
 It compares them with every ``def`` it finds by parsing the sources, keyed by module and
@@ -91,30 +93,11 @@ LEDGER: dict[str, tuple[str, str]] = {
     "series.PowerSeries.__add__": ("bench-pinned", "bench/checks.py:158"),
     "series.PowerSeries._terms": ("bench-pinned", "bench/checks.py:158"),
     "series.PowerSeries.divide": ("bench-pinned", "bench/tracing.py:264"),
-    # The library's own names, which the CLI reaches through the tables and the series engine.
+    # Public names that neither a benchmark request nor README's example reaches.
     "__init__.__dir__": ("export", "tests/test_readme.py::test_dir_lists_every_export"),
-    "formulas.distribution": ("export", "tests/test_formulas.py::TestDistribution::test_threshold_tables_equal_counts"),
-    "formulas.count_levels_threshold": (
-        "export", "tests/test_formulas.py::TestCountLevelsThreshold::test_constant_word",
-    ),
-    "formulas.count_levels_blocks": (
-        "export", "tests/test_formulas.py::TestCountLevelsBlocks::test_two_singleton_blocks",
-    ),
-    "formulas.count_des_le": ("export", "tests/test_formulas.py::TestCountDesLe::test_examples"),
-    "formulas.count_des_gt": ("export", "tests/test_formulas.py::TestCountDesGt::test_examples"),
-    "formulas.hall_remmel_count": ("export", "tests/test_formulas.py::TestHallRemmelCount::test_examples"),
     "identities.IdentityReport.ok": ("export", "tests/test_identities.py::TestIdentityReport::test_unequal_verdict"),
-    "polynomials.encode": (
-        "export", "tests/test_polynomials.py::TestNoCarry::test_constructor_refuses_exponents_outside_the_field",
-    ),
-    "polynomials.Polynomial.__init__": ("export", "tests/test_polynomials.py::TestConstruction::test_arity_checked"),
-    "polynomials.Polynomial.__eq__": ("export", "tests/test_polynomials.py::TestArithmetic::test_equality_with_int"),
-    "polynomials.Polynomial.__str__": ("export", "tests/test_polynomials.py::TestPrinting::test_signs_and_powers"),
-    "polynomials.Polynomial.__repr__": ("export", "tests/test_polynomials.py::TestPrinting::test_repr_wraps_the_text"),
     "words.Record.__repr__": ("export", "tests/test_words.py::TestRecord::test_positional_keyword_and_default_fields"),
     "words.FrozenRecord.__reduce__": ("export", "tests/test_words.py::TestBlockPartition::test_copies_and_pickles_equal"),
-    # Runs once a closed form's table passes length 64, which no benchmark request asks for.
-    "combinat.respace": ("export", "tests/test_formulas.py::TestPackedRecurrence::test_fields_widen_past_n_64"),
     # The identities suite builds a report only for a row whose two sides differ.
     "identities.check_top_letter_identity": (
         "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
@@ -209,7 +192,11 @@ def declared_calls() -> list:
     """The calls the scan runs, in order."""
     from wordstats import verify
 
-    argvs = [["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2", "--n-max", "2"], ["-h"]]
+    argvs = [
+        ["verify", "formulas-vs-oracle", "--inject-fault", "--k-max", "2", "--n-max", "2"],
+        ["-h"],
+        ["table", "des-le", "--k", "3", "--t", "1", "--n", "66"],
+    ]
     streams = [name for name in golden.streams() if name != golden.ARGV_STREAM]
     return [
         *(lambda name=name: golden.stream_digests(name, ROUNDS) for name in streams),
