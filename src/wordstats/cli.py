@@ -9,8 +9,8 @@ any consumer.  Exit codes are part of the contract:
     2  invalid usage or parameters; or, from ``entrypoint``, stdout closed or full
     3  enumeration budget exceeded
 
-``count`` and ``table`` have one leaf per family of ``formulas.FAMILIES``,
-which declares each family once.  Its ``names`` are the leaf's options and
+``count`` and ``table`` have one parser per family of ``formulas.FAMILIES``,
+which declares each family once.  Its ``names`` are the parser's options and
 the keys of the ``parameters`` echo, in order, each spelled ``--name``
 with ``-`` for ``_``; ``table`` leaves out the last, the statistic value.
 An option is an int unless the family reads it as text (``_TEXT``, with
@@ -30,20 +30,20 @@ the table has none.
 function's name, with the keywords each bound sets; only its ``listed``
 rows are ``verify`` choices, and an unlisted suite runs as a library call.
 
-``main`` reads an argv over one route table, ``build_parser``'s.  Its
-leading words, ``count <family>``, ``table <family>``, ``series`` or
-``verify <suite>``, select a leaf: ``Option`` records of one argument
-each.  ``_root`` builds a parser per command and per ``count`` or
-``table`` family over it once, each a ``_Reader``, and they read every
-argv as the standard library's ``ArgumentParser`` reads it from parsers
-that declare the same arguments: a flag in full or abbreviated,
-``--flag=value``, a flag given again, the last one winning, a negative
-number as a value, and ``--``.  One reading differs: ``--flag=--`` gives
-the value ``--``, where ``ArgumentParser`` gives an empty list.  ``-h``
-and a usage error are answered from the same parsers; ``usage``, loaded
-only to write them, writes the text Python 3.11's ``ArgumentParser``
-writes in 80 columns, on every Python and in any terminal.  No module of
-the package imports the standard library's parser.
+``main`` reads an argv with one parser tree, ``build_parser``'s, built
+once: a ``_Reader`` per command, and per ``count`` or ``table`` family,
+each declaring its arguments as ``Option`` records.  Its leading words,
+``count <family>``, ``table <family>``, ``series`` or ``verify``, select
+the parser that reads the rest, as the standard library's
+``ArgumentParser`` reads it from parsers that declare the same arguments:
+a flag in full or abbreviated, ``--flag=value``, a flag given again, the
+last one winning, a negative number as a value, and ``--``.  One reading
+differs: ``--flag=--`` gives the value ``--``, where ``ArgumentParser``
+gives an empty list.  ``-h`` and a usage error are answered from the
+same parsers; ``usage``, loaded only to write them, writes the text
+Python 3.11's ``ArgumentParser`` writes in 80 columns, on every Python
+and in any terminal.  No module of the package imports the standard
+library's parser.
 
 A record is written from its known shape, in the text
 ``json.dumps(record, indent=2)`` gives it.  ``_record`` writes the
@@ -235,15 +235,13 @@ _TEXT = {
 }
 
 
-# Names loaded from a sibling module on first access (``__getattr__``) and then bound here: what
-# only ``--engine oracle`` and ``--engine transfer`` run, and the ``series`` builders.  A module's
+# Names loaded from a sibling module on first access (``__getattr__``) and then bound here: the
+# ``oracle`` module, and the functions bench/tracing.py binds wrappers to on ``cli``.  A module's
 # own name maps to it.  count_matching is not called here; bench/tracing.py counts calls at it.
 _LAZY = {
     "oracle": "oracle",
-    "charge_walk": "oracle",
     "count_matching": "oracle",
     "rearrangement_distribution": "oracle",
-    "TrackingSpec": "series",
     "build_ak_series": "series",
     "build_bk_series": "series",
 }
@@ -270,7 +268,7 @@ def _oracle(family: str, params: tuple) -> dict:
     if forms.query is None:
         return _HERE.rearrangement_distribution(*params)
     # The walk is charged before the query builds a partition, which holds one entry per letter.
-    _HERE.charge_walk(*forms.words(*params))
+    _HERE.oracle.charge_walk(*forms.words(*params))
     k, n, partition, coords = forms.query(*params)
     return forms.keyed(_HERE.oracle.brute_distribution(k, n, partition).joint(coords))
 
@@ -376,6 +374,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_series(args) -> int:
     from .polynomials import render
+    from .series import TrackingSpec
 
     k = args.k
     partition = _parse_partition(args.partition, k)
@@ -390,7 +389,7 @@ def _cmd_series(args) -> int:
         tracked = set(args.track.split(","))
         if "" in tracked:
             raise InputError(f"expected a comma-separated marker list, got {args.track!r}")
-    spec = _HERE.TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
+    spec = TrackingSpec.only(partition.t, tracked, per_block_q=args.q == "per-block")
     build = _HERE.build_ak_series if args.gf == "A" else _HERE.build_bk_series
     series = build(k, partition, spec, args.order)
     parameters = {
@@ -416,7 +415,7 @@ def _cmd_series(args) -> int:
 
 
 class Option(FrozenRecord):
-    """One argument of a leaf, a ``--flag`` or a positional's name, as ``add_argument`` declares it."""
+    """One argument of a parser, a ``--flag`` or a positional's name, as ``add_argument`` declares it."""
 
     flag: str
     dest: str
@@ -428,7 +427,7 @@ class Option(FrozenRecord):
     help: str | None = None
 
 
-# The options of every verify leaf: the suites' bounds (see ``VERIFY_SUITES``) and the self-test.
+# The options of the verify parser: the suites' bounds (see ``VERIFY_SUITES``) and the self-test.
 _BOUNDS = (
     *(Option("--" + bound.replace("_", "-"), bound, int) for bound in ("k_max", "n_max", "m_max", "weight_max")),
     Option("--inject-fault", "inject_fault", takes_value=False,
@@ -487,51 +486,6 @@ def _cmd_verify(args) -> int:
 _COMMANDS = {"count": _cmd_count, "table": _cmd_table, "series": _cmd_series, "verify": _cmd_verify}
 
 
-def build_parser() -> dict[tuple[str, ...], tuple[Option, ...]]:
-    """The route table: the leading argv words that select a leaf, and the leaf's arguments.
-
-    Its keys are ``(command, family)`` for ``count`` and ``table``, ``("series",)`` and
-    ``("verify", suite)``; a leaf's positional, its family or suite, is its key's second word.
-    """
-    routes = {}
-    family = Option("family", "family", choices=tuple(formulas.FAMILIES))
-    engine = Option("--engine", "engine", choices=tuple(ENGINES), default=next(iter(ENGINES)))
-    table = Option("--format", "format", choices=("json", "csv"), default="json")
-    for name, forms in formulas.FAMILIES.items():
-        text = _TEXT[name][0] if name in _TEXT else ()
-        options = [
-            # A count's statistic value, the last name, may be left out, save a joint family's targets.
-            Option("--" + option.replace("_", "-"), option, None if option in text else int,
-                   required=option != forms.names[-1] or forms.joint, help=_HELP.get(name, {}).get(option))
-            for option in forms.names
-        ]
-        routes["count", name] = (family, *options, engine)
-        routes["table", name] = (family, *options[:-1], engine, table)
-    routes["series",] = (
-        Option("--gf", "gf", choices=("A", "B"), required=True,
-               help="A: words graded by length; B: compositions graded by weight"),
-        Option("--k", "k", int, required=True),
-        Option("--partition", "partition", required=True, help="threshold:<t> | mod:<s> | blocks:<b1,...>"),
-        Option("--order", "order", int, required=True),
-        Option("--track", "track", default="all", help="'all', 'none', or comma list like x2,z1"),
-        Option("--q", "q", choices=("common", "per-block"), default="common"),
-    )
-    suite = Option("suite", "suite", choices=tuple(sorted(_LISTED)))
-    for name in _LISTED:
-        routes["verify", name] = (suite, *_BOUNDS)
-    return routes
-
-
-_routes = functools.cache(build_parser)  # the one route table ``main`` reads with
-
-# The top parser's description, and each command's line in its help.
-_DESCRIPTION = "Count words over [k] by refined descent, rise, and level statistics."
-_SUMMARIES = {
-    "count": "count one statistic family",
-    "table": "table one statistic family",
-    "series": "expand a generating function",
-    "verify": "run a cross-engine verification suite",
-}
 # Every parser's first option; ``--help`` is its long flag.
 _ASK_HELP = Option("-h", "help", takes_value=False, help="show this help message and exit")
 _NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # a word that matches no flag reads as a value if it matches this
@@ -708,26 +662,45 @@ class _Reader:
 
 
 @functools.cache
-def _root() -> _Reader:
-    """The parser tree over ``_routes()``, built once: the top parser, whose children are the commands'.
+def build_parser() -> _Reader:
+    """The parser tree ``main`` reads every argv with, built once: the top parser, whose children are the commands'.
 
-    A command whose leaves all declare the same arguments, ``series`` and
-    ``verify``, has one parser, which reads a suite in place; ``count`` and
-    ``table`` have a parser per family, which the family's name selects.
+    ``count`` and ``table`` have a parser per family, which the family's
+    name selects; ``series`` has one, and so has ``verify``, which reads its
+    suite in place.
     """
-    commands = {}
-    for key, arguments in _routes().items():
-        commands.setdefault(key[0], {})[key[1:]] = arguments
-    readers = {}
-    for command, leaves in commands.items():
-        prog, summary, first = f"wordstats {command}", _SUMMARIES[command], next(iter(leaves.values()))
-        if len(set(leaves.values())) == 1:
-            readers[command] = _Reader(prog, first, summary=summary)
-        else:
-            children = {key[0]: _Reader(f"{prog} {key[0]}", arguments[1:]) for key, arguments in leaves.items()}
-            readers[command] = _Reader(prog, first[:1], children, summary)
-    command = Option("command", "command", choices=tuple(readers))
-    return _Reader("wordstats", (command,), readers, description=_DESCRIPTION)
+    family = Option("family", "family", choices=tuple(formulas.FAMILIES))
+    engine = Option("--engine", "engine", choices=tuple(ENGINES), default=next(iter(ENGINES)))
+    table = Option("--format", "format", choices=("json", "csv"), default="json")
+    families = {"count": {}, "table": {}}
+    for name, forms in formulas.FAMILIES.items():
+        text = _TEXT[name][0] if name in _TEXT else ()
+        options = [
+            # A count's statistic value, the last name, may be left out, save a joint family's targets.
+            Option("--" + option.replace("_", "-"), option, None if option in text else int,
+                   required=option != forms.names[-1] or forms.joint, help=_HELP.get(name, {}).get(option))
+            for option in forms.names
+        ]
+        families["count"][name] = _Reader(f"wordstats count {name}", (*options, engine))
+        families["table"][name] = _Reader(f"wordstats table {name}", (*options[:-1], engine, table))
+    commands = {
+        command: _Reader(f"wordstats {command}", (family,), readers, f"{command} one statistic family")
+        for command, readers in families.items()
+    }
+    commands["series"] = _Reader("wordstats series", (
+        Option("--gf", "gf", choices=("A", "B"), required=True,
+               help="A: words graded by length; B: compositions graded by weight"),
+        Option("--k", "k", int, required=True),
+        Option("--partition", "partition", required=True, help="threshold:<t> | mod:<s> | blocks:<b1,...>"),
+        Option("--order", "order", int, required=True),
+        Option("--track", "track", default="all", help="'all', 'none', or comma list like x2,z1"),
+        Option("--q", "q", choices=("common", "per-block"), default="common"),
+    ), summary="expand a generating function")
+    suite = Option("suite", "suite", choices=tuple(sorted(_LISTED)))
+    commands["verify"] = _Reader("wordstats verify", (suite, *_BOUNDS), summary="run a cross-engine verification suite")
+    command = Option("command", "command", choices=tuple(commands))
+    return _Reader("wordstats", (command,), commands,
+                   description="Count words over [k] by refined descent, rise, and level statistics.")
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
@@ -736,9 +709,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     A usage error, including words no parser reads, and ``-h`` raise ``_Answer``.
     """
     values, extras = {}, []
-    _root().read(argv, values, extras)
+    build_parser().read(argv, values, extras)
     if extras:
-        raise _Answer(_root(), f"unrecognized arguments: {' '.join(extras)}")
+        raise _Answer(build_parser(), f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**values)
 
 

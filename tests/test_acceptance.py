@@ -63,13 +63,13 @@ def test_criterion_6_rearrangement_cross_check():
 def test_criterion_7_complement_dualities():
     result = verify.duality_suite(k_max=4, n_max=6)
     _report(7, "complement dualities", result.ok)
-    assert result.ok, result.first_failure
+    assert result == verify.SuiteResult("dualities", 65512, 0, None), result.first_failure
 
 
 def test_criterion_8_weight_compatibility():
     result = verify.series_weight_suite(k_max=3, n_max=4)
     _report(8, "composition/word series compatibility", result.ok)
-    assert result.ok, result.first_failure
+    assert result == verify.SuiteResult("series-weight-compatibility", 30, 0, None), result.first_failure
 
 
 def test_criterion_9_cli_contract(capsys):

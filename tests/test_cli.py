@@ -908,24 +908,25 @@ class TestParserReuse:
 
     def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
-        built, build = [], cli._root.__wrapped__
+        built, build = [], cli.build_parser.__wrapped__
 
         def counting_build():
             built.append(1)
             return build()
 
-        monkeypatch.setattr(cli, "_root", functools.cache(counting_build))
+        monkeypatch.setattr(cli, "build_parser", functools.cache(counting_build))
         reused = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert len(built) == 1
-        monkeypatch.setattr(cli, "_root", build)
-        monkeypatch.setattr(cli, "_routes", cli.build_parser)
+        monkeypatch.setattr(cli, "build_parser", build)
         fresh = [outcome(capsys, argv) for argv in self.ARGVS * 2]
         assert reused == fresh
         assert [code for code, _, _ in reused[: len(self.ARGVS)]] == [0, 2, 0, 2, 3, 2, 0, 0, 2, 0]
 
-    def test_main_builds_the_parser_once(self):
-        assert cli._routes() is cli._routes()
-        assert cli._root() is cli._root()
+    def test_main_builds_the_parser_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+        tree = cli.build_parser()
+        assert cli.build_parser() is tree
+        assert isinstance(tree, cli._Reader)
 
 
 def _count_and_table_argvs():
@@ -995,24 +996,32 @@ SERIES_ARGVS = [
 
 
 class TestRouting:
-    def test_routes_name_every_leaf(self):
-        families = {(command, family) for command in ("count", "table") for family in formulas.FAMILIES}
-        suites = {("verify", suite) for suite in cli._LISTED}
-        assert set(cli.build_parser()) == families | {("series",)} | suites
+    def test_tree_names_every_parser(self):
+        """The top parser's children are the commands'; ``count`` and ``table`` have one child per family."""
+        tree = cli.build_parser()
+        assert list(tree.children) == ["count", "table", "series", "verify"]
+        assert [option.flag for option in tree.arguments] == ["-h", "command"]
+        for command in ("count", "table"):
+            assert list(tree.children[command].children) == list(formulas.FAMILIES)
+            assert [option.flag for option in tree.children[command].arguments] == ["-h", "family"]
+        assert tree.children["series"].children is None
+        verify = tree.children["verify"]
+        assert verify.children is None
+        assert verify.arguments[1].choices == tuple(sorted(cli._LISTED))
+        assert verify.arguments[2:] == cli._BOUNDS
 
     def test_leaf_options_are_the_family_names(self):
-        """A ``count`` leaf declares every name, a ``table`` leaf all but the statistic value's."""
-        routes = cli.build_parser()
+        """A ``count`` parser declares every name, a ``table`` parser all but the statistic value's."""
+        tree = cli.build_parser()
         for family, forms in formulas.FAMILIES.items():
             for command, names, extra in (("count", forms.names, []), ("table", forms.names[:-1], ["--format"])):
-                declared = [option.flag for option in routes[command, family]]
-                assert declared == ["family", *map(flag, names), "--engine", *extra], (command, family)
+                declared = [option.flag for option in tree.children[command].children[family].arguments]
+                assert declared == ["-h", *map(flag, names), "--engine", *extra], (command, family)
 
     def test_a_family_declared_only_in_formulas_gets_both_leaves(self, capsys, monkeypatch):
         """A new entry of ``formulas.FAMILIES`` is counted and tabled with no ``cli`` edit."""
         monkeypatch.setitem(formulas.FAMILIES, "des-copy", formulas.FAMILIES["des-le"])
-        monkeypatch.setattr(cli, "_routes", functools.cache(cli.build_parser))
-        monkeypatch.setattr(cli, "_root", functools.cache(cli._root.__wrapped__))
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
         query = ["--k", "3", "--t", "1", "--n", "4"]
         for command, extra in (("table", []), ("count", ["--s", "2"])):
             copied = run_json(capsys, command, "des-copy", *query, *extra)
@@ -1389,8 +1398,8 @@ import sys
 from wordstats import cli
 assert cli.evaluate.__module__ == "wordstats.formulas"
 names = {
-    "series": ("TrackingSpec", "build_ak_series", "build_bk_series"),
-    "oracle": ("charge_walk", "count_matching", "rearrangement_distribution"),
+    "series": ("build_ak_series", "build_bk_series"),
+    "oracle": ("count_matching", "rearrangement_distribution"),
 }
 values = {}
 for source, taken in names.items():
@@ -1420,6 +1429,36 @@ assert calls == [((3, 3, 3, 2), {1, 2, 3, 4}, {1, 2, 3, 4})], calls
             "error: enumeration needs 39916800 words, over the budget of 16777216 "
             f"(override with an explicit budget or {BUDGET_ENV_VAR})\n"
         )
+
+    def test_build_parser_leaves_main_nothing_to_build(self):
+        """After ``build_parser()``, ``main`` answers each command, ``-h`` and a usage error with no new parser.
+
+        ``bench/run.py`` times the import and ``build_parser()`` as setup, so
+        the parsers it builds are the ones every request reads with.
+        """
+        done = spawn(code="""
+import sys
+from wordstats import cli
+cli.build_parser()
+built, init = [], cli._Reader.__init__
+def counting_init(self, prog, *args, **kwargs):
+    built.append(prog)
+    init(self, prog, *args, **kwargs)
+cli._Reader.__init__ = counting_init
+argvs = [
+    ["count", "des-le", "--k", "3", "--t", "1", "--n", "4", "--s", "1"],
+    ["table", "hall-remmel", "--rho", "2,1", "--x", "all", "--y", "1", "--engine", "oracle"],
+    ["series", "--gf", "B", "--k", "2", "--partition", "mod:2", "--order", "2"],
+    ["verify", "identities", "--n-max", "1"],
+    ["-h"],
+    ["table", "des-le", "--k", "x"],
+]
+codes = [cli.main(argv) for argv in argvs]
+assert codes == [0, 0, 0, 0, 0, 2], codes
+sys.stderr.write(f"built: {built}\\n")
+""", stdout=subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.endswith("\nbuilt: []\n"), done.stderr
 
     @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_2_without_a_traceback(self, unbuffered):

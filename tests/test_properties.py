@@ -231,7 +231,21 @@ STRING_VALUES = {
     "track": ["all", "none", "x1,z2"],
 }
 
-READ_LEAVES = sorted(cli.build_parser())
+def leaf_options(key: tuple[str, ...]) -> tuple:
+    """The arguments after ``-h`` of the parser in ``cli.build_parser()``'s tree that reads the words after ``key``.
+
+    ``key`` is ``(command, family)`` for ``count`` and ``table``, ``("series",)``
+    and ``("verify", suite)``; ``series`` and ``verify`` each have one parser.
+    """
+    reader = cli.build_parser().children[key[0]]
+    return reader.arguments[1:] if reader.children is None else reader.children[key[1]].arguments[1:]
+
+
+# Every argv's leading words that select a parser, the suite's included.
+READ_LEAVES = sorted(
+    [(command, family) for command in ("count", "table") for family in cli.build_parser().children[command].children]
+    + [("series",)] + [("verify", suite) for suite in leaf_options(("verify",))[0].choices]
+)
 
 
 @functools.cache
@@ -239,7 +253,7 @@ def argparse_tree() -> argparse.ArgumentParser:
     """The reference: an argparse tree that declares the arguments of ``cli.build_parser()``'s records.
 
     ``count`` and ``table`` have a subparser per family, and ``verify`` one
-    parser whose every suite's leaf declares the same arguments.
+    parser that reads every suite.
     """
 
     def leaf(parser, options) -> None:
@@ -249,15 +263,16 @@ def argparse_tree() -> argparse.ArgumentParser:
                 kwargs.update(dest=option.dest, required=option.required)
             parser.add_argument(option.flag, default=option.default, help=option.help, **kwargs)
 
-    routes = cli.build_parser()
-    parser = argparse.ArgumentParser(prog="wordstats", description=cli._DESCRIPTION)
+    tree = cli.build_parser()
+    parser = argparse.ArgumentParser(prog="wordstats", description=tree.description)
     sub = parser.add_subparsers(dest="command", required=True)
     for command in ("count", "table"):
-        families = sub.add_parser(command, help=cli._SUMMARIES[command]).add_subparsers(dest="family", required=True)
+        families = sub.add_parser(command, help=tree.children[command].summary)
+        families = families.add_subparsers(dest="family", required=True)
         for name in formulas.FAMILIES:
-            leaf(families.add_parser(name), routes[command, name][1:])
-    leaf(sub.add_parser("series", help=cli._SUMMARIES["series"]), routes["series",])
-    leaf(sub.add_parser("verify", help=cli._SUMMARIES["verify"]), routes["verify", min(cli._LISTED)])
+            leaf(families.add_parser(name), leaf_options((command, name)))
+    for command in ("series", "verify"):
+        leaf(sub.add_parser(command, help=tree.children[command].summary), leaf_options((command,)))
     return parser
 
 
@@ -298,7 +313,7 @@ def leaf_argvs(draw):
     key = draw(st.sampled_from(READ_LEAVES))
     taken = cli.VERIFY_SUITES[key[1]][1] if key[0] == "verify" else {}
     pairs = []
-    for option in cli.build_parser()[key]:
+    for option in leaf_options(key):
         if option.flag[0] != "-":  # a positional is the route's own word
             continue
         if not option.takes_value:

@@ -28,9 +28,9 @@ test that ``tests/`` does not define.  Otherwise it prints one summary line and 
 A function is matched to the code object that ran by its file, its first line (a
 decorated function's code starts at its first decorator) and its name, the same on
 Python 3.10 to 3.13.  The modules are imported before the profile starts, so code that
-runs only at import is not counted as run.  The CLI builds its parser tree and route
-table once per process, so the scan runs in a fresh interpreter and refuses to run in
-one that has already imported ``wordstats``.  It uses the standard library only.
+runs only at import is not counted as run.  The CLI builds its parser tree once per
+process, so the scan runs in a fresh interpreter and refuses to run in one that has
+already imported ``wordstats``.  It uses the standard library only.
 """
 
 from __future__ import annotations
