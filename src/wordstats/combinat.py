@@ -37,8 +37,9 @@ and with one coordinate it is {0: g}, count s in field s.  Digit 1 is a
 shift by one field, digit 2 by R fields, and digit i >= 3 a step of
 R^(i-3) in the key: ``tally_units`` gives each coordinate's (sparse
 step, field shift), and ``decode_tally`` reads a tally back.  Only the
-final counts must fit a field.  The transfer DP (``oracle.statistic_tallies``) and each closed
-form's packed pass hand out tallies.  The DP sizes its fields for
+final counts must fit a field.  Every closed form's packed pass, the transfer DP
+(``oracle.statistic_tallies``) and the rearrangement DP (``oracle.pair_distribution``)
+hand out tallies, with their field size.  The DP sizes its fields for
 alphabet**n.  The closed forms (``formulas._packed_table``) size them for
 alphabet**min(n, 64) and widen them by an eighth whenever the length
 passes that bound: sizing for alphabet**n from the first step was

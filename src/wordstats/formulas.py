@@ -42,30 +42,24 @@ Splitting T = 1 + sum_i E_i, E_i = c_i x T / (1 - (u_i-1) x) being the
 words that end in block i, the parts e_i of E_i and g of T at each length
 follow e_i <- (u_i - 1) e_i + c_i g, g = sum_i e_i, from e_i = 0 and g = 1
 at length 0 (``_levels_blocks_table``).  A table costs n steps, each a
-pass over t dicts of big-integer adds.  Each word family's ``packed``
-pass hands out tallies (see ``combinat``), and its ``tables`` decode
-them.  ``hall-remmel`` is one sum over r, and its rows summed over every
-class of a weight, with every letter at the bottom, come from one pass
-over the letters (``hall_remmel_summed_rows``).
-``FAMILIES`` declares each family once: its parameter checks, its table
-builder, its word DP query, the (alphabet, n, partition, coordinates) of
-the statistic it counts, which the CLI's oracle and transfer engines and
-the verification suites read, its verify grid, the cells on which
-``verify.formulas_vs_oracle`` checks it, the names of its parameters and
-its statistic value, which the CLI's options and the suite's reports give
-them, and whether its table is keyed by target tuples.  A word engine
-keys its answer by tuples, and ``FamilyForms.keyed`` keys it as the
-table, the one rule the CLI and the suites read.  ``distribution``
-returns a whole table of any family from one call, and every count is
-one entry of that table, read after the count's own parameter checks;
-the builders check nothing.
+pass over t dicts of big-integer adds.  ``hall-remmel`` is one sum over
+r, and its rows summed over every class of a weight, with every letter
+at the bottom, come from one pass over the letters
+(``hall_remmel_summed_rows``).
+
+``FAMILIES`` declares each family once, as a ``FamilyForms`` that the
+CLI and the verification suites read.  Every family's one pass,
+``packed``, answers in one shape, (field bytes, tally) (see
+``combinat``), and one rule, ``FamilyForms.decode``, reads a table off
+any answer.  ``distribution`` returns a whole table of any family from
+one call, and every count is one entry of that table, read after the
+count's own parameter checks; the passes check nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache, partial
-from itertools import repeat, zip_longest
+from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -144,15 +138,14 @@ def _check_class(rho: Sequence[int], *letters_and_value) -> None:
     _check_length(0, *letters_and_value[2:])
 
 
-def _packed_table(n: int, alphabet: int, program: list, first: int | None = None, read: Callable | None = None) -> Iterator:
+def _packed_table(n: int, alphabet: int, program: list, first: int | None = None) -> Iterator:
     """The tables g_first, ..., g_n of a family whose tables g_j follow Horner's ``program`` in v.
 
     One pass to length n computes every g_j on its way; it hands out those
     from ``first`` on, by default g_n alone, as it reaches them, each as
-    a one-coordinate tally (field bytes, {0: g_j}), or as ``read(field
-    bytes, g_j, j)``, which the tables use.  g_0 = 1 and g_1 = alphabet;
-    from j = 2 on, a term (i, c) adds c g_(j-i) and None multiplies by v
-    (a shift and a subtract), highest power first.  The
+    a one-coordinate tally (field bytes, {0: g_j}).  g_0 = 1 and g_1 =
+    alphabet; from j = 2 on, a term (i, c) adds c g_(j-i) and None
+    multiplies by v (a shift and a subtract), highest power first.  The
     entries of g_j are word counts in 0..alphabet^j, so fields of
     ``field_bytes(alphabet**bound)`` bytes hold every g_j with j <= bound;
     the bound starts at min(n, 64) and grows by an eighth whenever j
@@ -166,7 +159,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
     first = n if first is None else first
     _check_length(first)
     for j in range(first, min(n, 1) + 1):
-        yield (size, {0: [1, alphabet][j]}) if read is None else read(size, [1, alphabet][j], j)
+        yield size, {0: [1, alphabet][j]}
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
@@ -183,7 +176,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
         history.append(acc)
         del history[0]
         if j >= first:
-            yield (size, {0: acc}) if read is None else read(size, acc, j)
+            yield size, {0: acc}
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -198,14 +191,14 @@ def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -
     return coefficients[: n + 1]
 
 
-def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None, read: Callable | None) -> Iterator:
+def _descent_table(alphabet: int, n: int, factor: list[int], first: int | None) -> Iterator:
     """The tables to length n of a factor F with F(0) = 0: g_j = sum_i f_i v^(i-1) g_(j-i)."""
     program: list = []
     for i in range(len(factor) - 1, 0, -1):
         # From the highest nonzero f_i down: add f_i g_(j-i), then multiply by v.
         if program or factor[i]:
             program += ([(i, factor[i])] if factor[i] else []) + [None]
-    return _packed_table(n, alphabet, program[:-1], first, read)
+    return _packed_table(n, alphabet, program[:-1], first)
 
 
 def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
@@ -217,7 +210,7 @@ def count_levels_threshold(k: int, t: int, n: int, s: int) -> int:
     return _entry("levels-threshold", (k, t, n), s)
 
 
-def _levels_threshold(k: int, t: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
+def _levels_threshold(k: int, t: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_levels_threshold``.
 
     C(i+d-1, d) is [x^d] (1-x)^(-i), so the i-sum of inner(m) is
@@ -225,7 +218,7 @@ def _levels_threshold(k: int, t: int, n: int, first: int | None = None, read: Ca
     and T = (1 - vx) / (1 - (v+k)x + (k-t)v x^2): g_j = k g_(j-1) +
     v (g_(j-1) - (k-t) g_(j-2)) from g_0 = 1 and g_1 = k.
     """
-    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first, read)
+    return _packed_table(n, k, [(2, t - k), (1, 1), None, (1, k)], first)
 
 
 def count_levels_blocks(
@@ -270,8 +263,8 @@ def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
     return BlockPartition.from_blocks(blocks, t=len(block_sizes))
 
 
-def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
-    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, tally) or ``read((field bytes, tally), n + 1, t)``.
+def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator:
+    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, tally), digits in radix n + 1.
 
     One recurrence in the length hands out the lengths from ``first`` on,
     by default n alone, as it reaches them:
@@ -305,7 +298,7 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None =
                 for key, value in e.items():
                     total[key] = total.get(key, 0) + value
         if length >= first:
-            yield (size, total) if read is None else read((size, total), n + 1, len(block_sizes))
+            yield size, total
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -317,14 +310,14 @@ def count_des_le(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-le", (k, t, n), s)
 
 
-def _des_le(k: int, t: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
+def _des_le(k: int, t: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_des_le``, from its factor F.
 
     inner(m) = sum_{a,b} (-1)^(m-a-b) C(m,a) C(m-a,b) C(ta, n-b) (k-t)^b.
     The b-sum is [x^n] (1+x)^(ta) ((k-t)x - 1)^(m-a) and the a-sum a
     binomial expansion, so F = (1+x)^t + (k-t)x - 1.
     """
-    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first, read)
+    return _descent_table(k, n, _descent_factor(t, 1, 0, 1, t - k, n), first)
 
 
 def count_des_gt(k: int, t: int, n: int, s: int) -> int:
@@ -336,14 +329,14 @@ def count_des_gt(k: int, t: int, n: int, s: int) -> int:
     return _entry("des-gt", (k, t, n), s)
 
 
-def _des_gt(k: int, t: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
+def _des_gt(k: int, t: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_des_gt``, from its factor F.
 
     inner(m) = sum_a (-1)^(m-a) C(m,a) g(a), whose m-free b-sum
     g(a) = sum_b C(a,b) C((k-t)a, n-b) t^b is [x^n] L^a with
     L = (1+tx)(1+x)^(k-t); so F = L - 1.
     """
-    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first, read)
+    return _descent_table(k, n, _descent_factor(k - t, 1, t, 1, 0, n), first)
 
 
 def count_des_mod(s: int, alphabet: int, r: int, n: int, p: int) -> int:
@@ -385,7 +378,7 @@ def count_des_mod_uncorrected(s: int, alphabet: int, r: int, n: int, p: int) -> 
     return total
 
 
-def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None, read: Callable | None = None) -> Iterator:
+def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None) -> Iterator:
     """The table of ``count_des_mod``, from its factor F.
 
     Offset regime (t > 0): inner(m) = sum_j (-1)^(m+j) C(m,j) sum_{i1,i2}
@@ -400,7 +393,7 @@ def _des_mod(s: int, alphabet: int, r: int, n: int, first: int | None = None, re
     """
     kq, t = divmod(alphabet, s)
     factor = _descent_factor(kq + (r <= t), s, r - 1, s, (r - 1 - t) % s, n)
-    return _descent_table(alphabet, n, factor, first, read)
+    return _descent_table(alphabet, n, factor, first)
 
 
 def hall_remmel_count(
@@ -446,14 +439,20 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
     return outside, tuple(slots), sum(rho)
 
 
-def hall_remmel_table(outside, slots, n: int) -> dict[int, int]:
-    """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, from one pass over r.
+def hall_remmel_table(outside, slots, n: int) -> tuple[int, dict[int, int]]:
+    """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, as (field bytes, {0: g}).
 
-    The counts are the coefficients of the weighted row
-    (``hall_remmel_row``) times (1-u)^(n+1) up to u^n
-    (``combinat.differences``); above u^n they vanish.
+    The counts are the coefficients of the weighted row (``hall_remmel_row``)
+    times (1-u)^(n+1) up to u^n (``combinat.differences``); above u^n they
+    vanish.  They sum to the class's size, n! / prod rho_x!, for which
+    ``oracle.pair_distribution`` sizes its fields too, and are packed in
+    such fields by shift and add: a wrong count changes g, never raises.
     """
-    return dict(enumerate(differences(hall_remmel_row(outside, slots, n))))
+    counts = differences(hall_remmel_row(outside, slots, n))
+    width, packed = 8 * field_bytes(sum(counts)), 0
+    for count in reversed(counts):
+        packed = (packed << width) + count
+    return width // 8, {0: packed}
 
 
 def hall_remmel_row(outside, slots, n: int) -> list[int]:
@@ -568,12 +567,14 @@ def _des_mod_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
 
 
 class FamilyForms(NamedTuple):
-    """A family's parameter checks, table pass (which checks nothing), query and verify grid.
+    """A family's parameter checks, packed pass (which checks nothing), query and verify grid.
 
-    ``tables(*params)`` yields the family's table; a word family's params
-    end in the length n, and ``tables(*params, first=j)`` yields lengths
-    j..n from one pass; ``first=None``, the default, is n alone, as in
-    every length pass.  ``query(*params)`` is the word DP's (alphabet, n,
+    ``packed(*params)`` hands out the family's table as (field bytes,
+    tally); a word family's params end in the length n, and
+    ``packed(*params, first=j)`` hands out lengths j..n from one pass;
+    ``first=None``, the default, is n alone, as in every length pass.
+    ``decode`` reads a table off an answer, and ``table`` and ``tables``
+    read the pass by it.  ``query(*params)`` is the word DP's (alphabet, n,
     partition, coordinates) of the statistic the family counts; the
     partition never depends on the length n, and ``words(*params)`` is its
     (alphabet, n) alone, for a charge made before any partition is built.
@@ -581,73 +582,74 @@ class FamilyForms(NamedTuple):
     cells ``verify.formulas_vs_oracle`` checks, each head's cells in order
     of n from 0.  ``names`` names each parameter, in order, and then the
     statistic value: the CLI's options and the suite's reports read them.
-    A ``joint`` table is keyed by target tuples, one target per block; any
-    other by statistic value, as ``keyed`` keys a word engine's answer.
-    ``packed(*params, first=j)`` is the pass ``tables`` decodes: per length,
-    (field bytes, tally) over the query's coordinates (see ``combinat``).
-    ``hall-remmel`` has no query, no packed pass and no grid cells.
+    A ``joint`` table is keyed by target tuples, one per block of
+    ``params[0]``; any other by statistic value, as ``keyed`` keys a word
+    engine's answer.  ``hall-remmel`` has no query, words, grid or ``first``.
     """
 
     checks: Callable[..., None]
-    tables: Callable[..., Iterator[dict]]
+    packed: Callable[..., Iterator[tuple[int, dict[int, int]]]]
     query: Callable[..., tuple] | None
     names: tuple[str, ...]
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
-    packed: Callable[..., Iterator[tuple[int, dict[int, int]]]] | None = None
+
+    def decode(self, params: tuple, n: int, answer: tuple[int, dict[int, int]], radix: int | None = None) -> dict:
+        """The table in ``answer`` at length n, digits in ``radix``, n + 1 by default.
+
+        A joint tally goes through ``decode_tally``, one target per block of
+        ``params[0]``; {0: g} lists every value 0..n, and any field of g past n.
+        """
+        if self.joint:
+            return decode_tally(answer, radix or n + 1, len(params[0]))
+        counts = unpack(answer[1].get(0, 0), answer[0])
+        return dict(enumerate(counts + [0] * (n + 1 - len(counts))))
 
     def table(self, *params) -> dict:
-        """The table at the length ``params`` end in, the last one ``tables`` hands out; ``params`` are not checked."""
-        return deque(self.tables(*params), maxlen=1).pop()
+        """The one answer of ``packed(*params)``, decoded at n: a word family's last param, hall-remmel's sum(rho); unchecked."""
+        return self.decode(params, params[-1] if self.query else sum(params[0]), next(self.packed(*params)))
+
+    def tables(self, *params, first: int | None = None) -> Iterator[dict]:
+        """Each answer of ``packed(*params, first=first)``, decoded at its length; ``first=None`` is ``table`` alone."""
+        if first is None:
+            return iter([self.table(*params)])
+        *head, n = params
+        return (self.decode(params, j, answer, n + 1) for j, answer in enumerate(self.packed(*params, first=first), first))
 
     def keyed(self, dist: dict[tuple[int, ...], int]) -> dict:
         """A word engine's answer to ``query``, keyed by tuples, keyed as the family's table."""
         return dist if self.joint else {key: count for (key,), count in dist.items()}
 
 
-def _fields(size: int, g: int, j: int) -> dict[int, int]:
-    """The table of a one-coordinate tally's integer g at length j: field s counts value s <= j."""
-    return dict(zip_longest(range(j + 1), unpack(g, size), fillvalue=0))
-
-
-def _levels_blocks_tables(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator[dict]:
-    """Every nonzero ``count_levels_blocks`` value, keyed by target tuple: each tally of the pass, decoded."""
-    return _levels_blocks_table(block_sizes, n, first, decode_tally)
-
-
 def _threshold_family(lowest: int, packed: Callable, coordinate: tuple[int, str]) -> FamilyForms:
     """Thresholds from ``lowest``, tables off the ``packed`` pass, one coordinate of the partition at t."""
     return FamilyForms(
         partial(_check_threshold, lowest),
-        partial(packed, read=_fields),
+        packed,
         lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
         ("k", "t", "n", "s"),
         lambda alphabet_max, n_max: _lengths(
             ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
         ),
         lambda k, t, n: (k, n),
-        packed=packed,
     )
 
 
 FAMILIES = {
     "levels-threshold": _threshold_family(1, _levels_threshold, (1, "lev")),
     "levels-blocks": FamilyForms(
-        _check_blocks, _levels_blocks_tables, _levels_blocks_query, ("block_sizes", "n", "targets"),
+        _check_blocks, _levels_blocks_table, _levels_blocks_query, ("block_sizes", "n", "targets"),
         _levels_blocks_grid, lambda block_sizes, n: (sum(block_sizes), n), joint=True,
-        packed=_levels_blocks_table,
     ),
     "des-le": _threshold_family(1, _des_le, (1, "des")),
     "des-gt": _threshold_family(0, _des_gt, (2, "des")),
     "des-mod": FamilyForms(
-        _check_des_mod, partial(_des_mod, read=_fields), _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
-        lambda s, alphabet, r, n: (alphabet, n), packed=_des_mod,
+        _check_des_mod, _des_mod, _des_mod_query, ("s", "alphabet", "r", "n", "p"), _des_mod_grid,
+        lambda s, alphabet, r, n: (alphabet, n),
     ),
     "hall-remmel": FamilyForms(
-        _check_class,
-        lambda rho, tops, bottoms: iter([hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms))]),
-        None,
-        ("rho", "x", "y", "s"),
+        _check_class, lambda rho, tops, bottoms: iter([hall_remmel_table(*hall_remmel_inputs(rho, tops, bottoms))]),
+        None, ("rho", "x", "y", "s"),
     ),
 }

@@ -11,7 +11,8 @@ only there and through C(m, a), so the sum over m is Chu-Vandermonde's:
 sum_m C(m, a) C(n-m, s) = C(n+1, a+s+1).  That leaves
 rhs(s) = sum_a (-1)^(n-s-a) C(n+1, n-s-a) f(a) for an s-free f, the
 coefficient of u^(n-s) in (1-u)^(n+1) sum_a f(a) u^a: the step that ends
-the Hall-Remmel closed form (``combinat.differences``), read backwards.
+the Hall-Remmel closed form, read backwards, which ``combinat.differences``
+takes here.
 ``top_letter_sides`` and ``two_bottom_sides`` read every s of one (n, r)
 off that one row, as the closed forms do: n + 1 binomial products and
 (n+1)^2 subtractions.  The left-hand sides come as a list of every s
@@ -36,10 +37,6 @@ class IdentityReport(FrozenRecord):
     lhs: int
     rhs: int
     alt_rhs: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def direct_count_top_letter(k: int, n: int, s: int) -> int:

@@ -53,6 +53,8 @@ depends only on the set of counted (top, bottom) letter pairs
 (``counted_pairs``), and ``pair_distribution`` runs the program for one
 such set.  Each state holds its whole distribution of counted descents
 packed into one integer, so appending a letter is a shift and an add.
+It hands out (field bytes, {0: g}) undecoded, in the fields of
+``formulas.hall_remmel_table``; ``rearrangement_distribution`` decodes it.
 
 All counts are exact Python integers; nothing here floats.
 """
@@ -377,7 +379,8 @@ def rearrangement_distribution(
     # 2!, 3!, ... only until one passes the limit; an n! past 10,000 letters is named, not computed.
     if any(product > limit for product in itertools.accumulate(range(2, n + 1), mul, initial=1)):
         raise BudgetExceededError(factorial(n) if n <= 10_000 else f"{n}!", limit)
-    return pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
+    size, tally = pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
+    return {hits: count for hits, count in enumerate(unpack(tally[0], size)) if count}
 
 
 def counted_pairs(
@@ -396,10 +399,8 @@ def counted_pairs(
     )
 
 
-def pair_distribution(
-    rho: Sequence[int], pairs: Iterable[tuple[int, int]]
-) -> dict[int, int]:
-    """Number of rearrangements of rho with each number of adjacent ``pairs``.
+def pair_distribution(rho: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, dict[int, int]]:
+    """Number of rearrangements of rho with each number of adjacent ``pairs``, as (field bytes, {0: g}).
 
     A dynamic program over (letters placed, last letter).  The letters
     placed are a mixed-radix integer with digit j in 0..rho[j], and placing
@@ -413,7 +414,7 @@ def pair_distribution(
     rho = tuple(rho)
     n = sum(rho)
     if n == 0:
-        return {0: 1}
+        return 1, {0: 1}
     m = len(rho)
     counted = frozenset(pairs)
     size = field_bytes(multinomial(n, rho))
@@ -440,4 +441,4 @@ def pair_distribution(
                 shifted += ends[a]
             # (total - shifted) + (shifted << 8 * size): a counted pair moves its words up a field.
             ends_at[used + place[b]][b] += total + shifted * field
-    return {hits: count for hits, count in enumerate(unpack(sum(ends_at[-1]), size)) if count}
+    return size, {0: sum(ends_at[-1])}

@@ -13,17 +13,19 @@ of the full joint as int-keyed dicts and decode no key (see
 ``_joint_sweep``), ``formulas_vs_oracle`` and ``des_mod_errata``
 over each family's grid in ``formulas.FAMILIES``, which names a failing
 check, and the even-words sums of ``hall_remmel_suite``.  Each pass is
-asked for every length by keyword, ``first=0``.  The family suites read
-the closed form's ``packed`` pass and the DP's ``statistic_tallies``,
-one tally layout (see ``combinat``), through ``_packed_walk``; ``_agree``
-compares two tallies as they are, and a cell is decoded, keyed as the
-family's table (``FamilyForms.keyed``), only to name a failing value or
+asked for every length by keyword, ``first=0``.  Every engine the
+family suites read answers in one shape, (field bytes, tally) (see
+``combinat``): the family suites read the closed form's ``packed`` pass
+and the DP's ``statistic_tallies`` through ``_packed_walk``; ``_agree``
+compares two tallies as they are, and a cell is decoded by the one rule
+of every table, ``FamilyForms.decode``, only to name a failing value or
 to look for a rejected reading's counterexample.
 ``hall_remmel_suite`` derives each class shape, the class's nonzero
 multiplicities in letter order, once per call, so classes that differ only
 by unused letters share one derivation and one verdict; it asks each engine
 each distinct question once per call: the DP by the shape and its counted
-pairs, and the closed form by its own inputs.
+pairs, and the closed form by its own inputs.  Both answer (field bytes,
+{0: g}) in fields sized for the class, and are compared as they come.
 ``corrupt=True`` skews ``formulas_vs_oracle``'s closed-form
 ``levels-threshold`` answers by +1; that self-test must fail.
 ``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
@@ -50,7 +52,7 @@ from .oracle import (
 )
 from .series import TrackingSpec, build_ak_series, build_bk_series, statistic_keys
 from .words import BlockPartition, InputError, Record, stat_key
-from .combinat import compositions, decode_tally, differences, respace, tally_units
+from .combinat import compositions, differences, respace, tally_units
 
 
 class SuiteResult(Record):
@@ -156,11 +158,6 @@ def _agree(answer: tuple[int, dict], other: tuple[int, dict]) -> bool:
     return tally == wide
 
 
-def _decoded(forms: formulas.FamilyForms, params: tuple, answer: tuple[int, dict], n_max: int) -> dict:
-    """A cell's (field bytes, tally) answer, in a pass to n_max, keyed as the family's table."""
-    return forms.keyed(decode_tally(answer, n_max + 1, len(forms.query(*params)[3])))
-
-
 def formulas_vs_oracle(
     alphabet_max: int = 6, n_max: int = 7, corrupt: bool = False
 ) -> SuiteResult:
@@ -189,7 +186,7 @@ def formulas_vs_oracle(
             if _agree(table, marginal):
                 result.record(True, None, len(values))
                 continue
-            got, want = (_decoded(forms, params, answer, n_max) for answer in (table, marginal))
+            got, want = (forms.decode(params, params[-1], answer, n_max + 1) for answer in (table, marginal))
             for value in values:
                 result.record(
                     got.get(value, 0) == want.get(value, 0),
@@ -264,15 +261,16 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     the class's first failing pair.  Both answers are kept for the whole
     call, each keyed by its own engine's question: the oracle runs once per
     distinct shape and counted pairs, and the closed form once per distinct
-    ``hall_remmel_inputs`` tuple, which shapes may share.
+    ``hall_remmel_inputs`` tuple, which shapes may share; both answers are
+    packed rows, compared as they come: the integers the CLI decodes.
 
     It also checks, on the alphabets of sizes 2 and 4, that the closed form
     with the even letters on top and every letter at the bottom, summed
     over every rearrangement class of a given weight, reproduces the
     residue-class descent count with modulus 2.  The closed form's table
     is linear in its weighted row, so the rows summed over the classes of
-    each weight are differenced once per (alphabet, n), by the same
-    ``combinat.differences`` as each class's table.  One letter pass per alphabet
+    each weight are differenced once per (alphabet, n), as lists, by
+    ``combinat.differences``.  One letter pass per alphabet
     (``formulas.hall_remmel_summed_rows``) gives the summed rows of every
     n without enumerating a class, building its factors from the same
     ``formulas.hall_remmel_weights`` as each class's row, and one residue
@@ -282,8 +280,8 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
     # Per tuple of letters: its sets in check order, the U of a shape or the keys of a U row.
     sets_of: dict[tuple, list[frozenset]] = {}
     # Both answers for the whole call: the oracle's by its own question, the closed form's by its own inputs.
-    oracle_by_question: dict[tuple, dict[int, int]] = {}
-    closed_by_inputs: dict[tuple, dict[int, int]] = {}
+    oracle_by_question: dict[tuple, tuple[int, dict[int, int]]] = {}
+    closed_by_inputs: dict[tuple, tuple[int, dict[int, int]]] = {}
     # Per shape: the checks its passing rows count at m = len(shape), and its failing (U, key, checks) rows.
     summaries: dict[tuple, tuple[int, list]] = {}
     for m in range(1, m_max + 1):
@@ -299,8 +297,7 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
                         for bottoms in _sets_of(relevant, sets_of):
                             question = shape, counted_pairs(shape, tops, bottoms)
                             if question not in oracle_by_question:
-                                dist = pair_distribution(*question)
-                                oracle_by_question[question] = {s: dist.get(s, 0) for s in range(weight + 1)}
+                                oracle_by_question[question] = pair_distribution(*question)
                             inputs = formulas.hall_remmel_inputs(shape, tops, bottoms)
                             if inputs not in closed_by_inputs:
                                 closed_by_inputs[inputs] = formulas.hall_remmel_table(*inputs)
@@ -445,7 +442,7 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
         case.shipped_ok = case.shipped_ok and _agree(table, marginal)
         if not need_example:
             continue
-        marginal = _decoded(forms, params, marginal, n_max)
+        marginal = forms.decode(params, n, marginal, n_max + 1)
         for p in values:
             want, rejected = marginal.get(p, 0), formulas.count_des_mod_uncorrected(s, alphabet, r, n, p)
             if rejected != want:

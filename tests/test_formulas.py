@@ -21,7 +21,7 @@ from wordstats import (
     statistic_distribution,
 )
 from wordstats import formulas
-from wordstats.combinat import binom, compositions, differences, field_bytes, multinomial, respace, sign, unpack
+from wordstats.combinat import binom, compositions, decode_tally, differences, field_bytes, multinomial, respace, sign, unpack
 from wordstats.formulas import CLOSED_FORMS, check_params
 from wordstats.oracle import counted_pairs, pair_distribution
 
@@ -109,9 +109,13 @@ class TestDistribution:
         }
         assert set(queries) == set(CLOSED_FORMS)
         for family, (params, value) in queries.items():
-            stub = formulas.FAMILIES[family]._replace(tables=lambda *_: iter([{value: -7}]))
+            forms = formulas.FAMILIES[family]
+            # One pass whose one answer holds 7 at the value's field, digits in radix n + 1.
+            radix = (params[-1] if forms.query else sum(params[0])) + 1
+            field = value[0] + value[1] * radix if forms.joint else value
+            stub = forms._replace(packed=lambda *_, field=field: iter([(1, {0: 7 << 8 * field})]))
             monkeypatch.setitem(formulas.FAMILIES, family, stub)
-            assert evaluate(family, (*params, value)) == -7, family
+            assert evaluate(family, (*params, value)) == 7, family
 
     def test_validation_matches_counts(self):
         for family, params in [
@@ -140,6 +144,34 @@ class TestDistribution:
     def test_unknown_formula(self):
         with pytest.raises(InputError):
             distribution("des-diagonal", (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("levels-threshold", (3, 2, 6)),
+            ("levels-blocks", ((2, 1, 1), 6)),
+            ("des-le", (4, 2, 6)),
+            ("des-gt", (3, 1, 6)),
+            ("des-mod", (3, 7, 2, 6)),
+            ("hall-remmel", ((2, 0, 3, 1), {2, 3}, {1, 3})),
+        ],
+    )
+    def test_every_pass_hands_out_packed_answers_that_decode_to_the_table(self, family, params):
+        # One answer shape, (field bytes, tally), and one decode rule for every family.
+        forms = formulas.FAMILIES[family]
+        answers = list(forms.packed(*params))
+        assert len(answers) == 1
+        [(size, tally)] = answers
+        assert type(size) is int and type(tally) is dict
+        assert all(type(key) is int and type(packed) is int for key, packed in tally.items())
+        n = params[-1] if forms.query else sum(params[0])
+        assert forms.decode(params, n, answers[0]) == forms.table(*params) == distribution(family, params)
+        if forms.query is None:
+            return
+        # A pass over every length decodes, at each length, to that length's table.
+        *head, n = params
+        for length, answer in enumerate(forms.packed(*params, first=0)):
+            assert forms.decode(params, length, answer, n + 1) == distribution(family, (*head, length))
 
 
 def test_differences_single_powers():
@@ -352,7 +384,8 @@ class TestPastDegree128:
     def test_hall_remmel_is_the_rearrangement_dp(self):
         rho, tops, bottoms = (65, 65), {2}, {1}
         want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
-        assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == self.nonzero(want)
+        assert formulas.hall_remmel_table(*formulas.hall_remmel_inputs(rho, tops, bottoms)) == want
+        assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == decode_tally(want, 131, 1)
 
     def test_every_family_and_regime_around_n_128(self):
         """Tables at n straddling 128, joints on 2-6 blocks, and classes of weight 12-20."""
@@ -390,7 +423,7 @@ class TestPastDegree128:
             tops, bottoms = (set(rng.sample(range(1, m + 1), rng.randint(1, m))) for _ in range(2))
             want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
             table = distribution("hall-remmel", (rho, tops, bottoms))
-            assert self.nonzero(table) == self.nonzero(want), (rho, tops, bottoms)
+            assert self.nonzero(table) == decode_tally(want, weight + 1, 1), (rho, tops, bottoms)
 
 
 class TestInnerSumsReference:
@@ -849,7 +882,7 @@ class TestHallRemmelCount:
             for tops, bottoms in [(range(2, m + 1, 2), range(1, m + 1)), (range(1, m + 1),) * 2, ({m}, {1}), ((), ())]:
                 want = formulas.hall_remmel_table(*formulas.hall_remmel_inputs(rho, tops, bottoms))
                 got = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
-                assert got == {s: count for s, count in want.items() if count}, (rho, tops, bottoms)
+                assert got[0] == size and got == want, (rho, tops, bottoms)
 
     def test_top_letters_outside_class_are_inert(self):
         # letters beyond the multiplicity vector never occur in a word

@@ -60,14 +60,12 @@ class TestTopLetterIdentity:
     def test_small_example(self):
         report = check_top_letter_identity(2, 1, 1)
         assert report.lhs == 1 and report.rhs == 1
-        assert report.ok
         assert report.alt_rhs is None
 
     def test_vanishing_when_statistic_too_large(self):
         for n, r, s in [(4, 1, 2), (5, 4, 3), (3, 0, 1)]:
             report = check_top_letter_identity(n, r, s)
-            assert report.lhs == 0
-            assert report.ok
+            assert report.lhs == report.rhs == 0
 
     def test_frozen_value(self):
         report = check_top_letter_identity(6, 3, 2)
@@ -93,7 +91,8 @@ class TestTopLetterIdentity:
         for n in range(8):
             for r in range(n + 1):
                 for s in range(n + 1):
-                    assert check_top_letter_identity(n, r, s).ok
+                    report = check_top_letter_identity(n, r, s)
+                    assert report.lhs == report.rhs, (n, r, s)
 
 
 class TestTwoBottomIdentity:
@@ -105,25 +104,27 @@ class TestTwoBottomIdentity:
         # s = 0, r = n: both sides evaluate and agree
         for n in range(7):
             report = check_two_bottom_identity(n, n, 0)
-            assert report.ok
+            assert report.lhs == report.rhs
 
     def test_middle_example(self):
-        assert check_two_bottom_identity(4, 1, 1).ok
+        report = check_two_bottom_identity(4, 1, 1)
+        assert report.lhs == report.rhs
 
     def test_full_small_grid(self):
         for n in range(8):
             for r in range(n + 1):
                 for s in range(n + 1):
                     report = check_two_bottom_identity(n, r, s)
-                    assert report.ok, (n, r, s, report.lhs, report.rhs)
+                    assert report.lhs == report.rhs, (n, r, s, report.lhs, report.rhs)
 
 
 class TestIdentityReport:
-    def test_unequal_verdict(self):
+    def test_unequal_sides_are_held_as_given(self):
         from wordstats import IdentityReport
 
         report = IdentityReport("demo", (1,), 2, 3)
-        assert not report.ok
+        assert (report.identity, report.params, report.lhs, report.rhs, report.alt_rhs) == ("demo", (1,), 2, 3, None)
+        assert report == IdentityReport("demo", (1,), 2, 3, None) != IdentityReport("demo", (1,), 2, 2)
 
 
 class TestIdentityRows:
@@ -207,4 +208,3 @@ class TestIdentityRows:
             for a in range(m + 1)
         )
         assert (bottom.rhs, bottom.alt_rhs) == (bottom.lhs + 1, widened)
-        assert not bottom.ok

@@ -66,7 +66,7 @@ def test_a_row_whose_function_ran_is_stale(scan):
 
 
 def test_a_row_that_names_no_function_fails(scan):
-    ledger = {**reachability.LEDGER, "oracle.statistic_lengths": ("export", "tests/test_lengths.py::test_a_pass")}
+    ledger = {**reachability.LEDGER, "oracle.statistic_lengths": ("failure-path", "tests/test_lengths.py::test_a_pass")}
     code, lines = scan(ledger)
     assert code == 1
     assert lines[0] == "FAIL oracle.statistic_lengths: the ledger row names no function in src/wordstats"
@@ -76,20 +76,20 @@ def test_a_row_that_names_no_function_fails(scan):
     "row, problem",
     [
         (("unused", "tests/test_formulas.py::TestCountDesLe::test_examples"),
-         "its reason 'unused' is none of bench-pinned, export, failure-path, import-time, subprocess"),
+         "its reason 'unused' is none of bench-pinned, failure-path, import-time, subprocess"),
         (("bench-pinned", "tests/test_formulas.py::TestCountDesLe::test_examples"),
          "its evidence 'tests/test_formulas.py::TestCountDesLe::test_examples' does not cite a line "
          r"as bench/[\w/]+\.py:\d+"),
         (("bench-pinned", "bench/tracing.py:100000"), "bench/tracing.py:100000 is no line of code"),
-        (("export", "tests/test_formulas.py::TestCountDesLe::test_no_such_test"),
+        (("failure-path", "tests/test_formulas.py::TestCountDesLe::test_no_such_test"),
          "tests/test_formulas.py::TestCountDesLe::test_no_such_test is no test"),
-        (("export", "tests/test_no_such_file.py::test_examples"), "tests/test_no_such_file.py::test_examples is no test"),
+        (("subprocess", "tests/test_no_such_file.py::test_examples"), "tests/test_no_such_file.py::test_examples is no test"),
     ],
 )
 def test_a_row_must_cite_evidence_that_exists(scan, row, problem):
-    code, lines = scan({**reachability.LEDGER, "identities.IdentityReport.ok": row})
+    code, lines = scan({**reachability.LEDGER, "cli.entrypoint": row})
     assert code == 1
-    assert lines[0] == f"FAIL identities.IdentityReport.ok: {problem}"
+    assert lines[0] == f"FAIL cli.entrypoint: {problem}"
 
 
 def test_functions_are_keyed_by_module_and_qualified_name_at_their_first_line():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from wordstats import formulas, identities, oracle, verify
-from wordstats.combinat import compositions, decode_keys, decode_tally, field_bytes, key_units, respace, unpack
+from wordstats.combinat import compositions, decode_keys, field_bytes, key_units, respace, unpack
 from wordstats.oracle import counted_pairs, statistic_distribution
 from wordstats.polynomials import FIELD_BITS, adopt
 from wordstats.series import TrackingSpec, statistic_keys
@@ -13,27 +13,15 @@ from wordstats.words import _STAT_INDEX, BlockPartition, InputError
 def skew_table(monkeypatch, family, cell, key):
     """Add 1 to ``key`` in the family's closed-form table at ``cell``; the passes run are logged.
 
-    Both the decoded pass, ``tables``, and the packed one, ``packed``, are
-    skewed: a packed answer (field bytes, tally) of a pass to n gains 1 at
-    the value tuple ``key``, digits in radix n + 1, the first two in the
-    fields and the rest in the key.  A pass over lengths first..n is logged
-    by its parameters, which end in n.
+    The family's one pass, ``packed``, is skewed, so every reader of the
+    table, the suites and ``FamilyForms.table`` and ``tables`` alike, meets
+    the fault through the real decode.  A packed answer (field bytes, tally)
+    of a pass to n gains 1 at the value tuple ``key``, digits in radix n + 1,
+    the first two in the fields and the rest in the key.  A pass over
+    lengths first..n is logged by its parameters, which end in n.
     """
     forms = formulas.FAMILIES[family]
     passes = []
-
-    def skewing(run, add):
-        def skewed(*params, first=None):
-            passes.append(params)
-            lengths = itertools.count(params[-1] if first is None else first)
-            for n, answer in zip(lengths, run(*params, first=first)):
-                yield add(answer, params[-1] + 1) if (*params[:-1], n) == cell else answer
-
-        return skewed
-
-    def add_to_table(dist, radix):
-        dist[key] = dist.get(key, 0) + 1
-        return dist
 
     def add_to_field(answer, radix):
         size, tally = answer
@@ -42,9 +30,33 @@ def skew_table(monkeypatch, family, cell, key):
         sparse, field = divmod(index, radix ** min(2, len(digits)))
         return size, {**tally, sparse: tally.get(sparse, 0) + (1 << 8 * size * field)}
 
-    replaced = {"tables": skewing(forms.tables, add_to_table), "packed": skewing(forms.packed, add_to_field)}
-    monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(**replaced))
+    def skewed(*params, first=None):
+        passes.append(params)
+        lengths = itertools.count(params[-1] if first is None else first)
+        for n, answer in zip(lengths, forms.packed(*params, first=first)):
+            yield add_to_field(answer, params[-1] + 1) if (*params[:-1], n) == cell else answer
+
+    monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(packed=skewed))
     return passes
+
+
+def log_decodes(monkeypatch) -> list:
+    """Log each (params, answer, radix) that ``FamilyForms.decode`` reads a table off."""
+    decoded = []
+    decode = formulas.FamilyForms.decode
+
+    def logging(forms, params, n, answer, radix=None):
+        decoded.append((params, answer, radix))
+        return decode(forms, params, n, answer, radix)
+
+    monkeypatch.setattr(formulas.FamilyForms, "decode", logging)
+    return decoded
+
+
+def add_to_field(answer: tuple[int, dict[int, int]], field: int, count: int = 1) -> tuple[int, dict[int, int]]:
+    """A one-coordinate (field bytes, {0: g}) answer with ``count`` added to field ``field`` of g."""
+    size, tally = answer
+    return size, {0: tally[0] + (count << 8 * size * field)}
 
 
 # The deepest grid each suite gets from the benchmark's verify catalog, with its result.
@@ -228,8 +240,7 @@ class TestFormulasVsOracle:
         )
 
     def test_agreeing_cells_are_never_decoded(self, monkeypatch):
-        decoded = []
-        monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))
+        decoded = log_decodes(monkeypatch)
         assert verify.formulas_vs_oracle() == verify.SuiteResult("formulas-vs-oracle", 12387, 0, None)
         assert decoded == []
         # Every levels-threshold cell differs once skewed, and each of its two tallies is decoded; no other is.
@@ -237,7 +248,8 @@ class TestFormulasVsOracle:
         assert (result.checked, result.failures, result.first_failure) == (1080, 90, "levels-threshold k=1 t=1 n=0 s=0")
         cells = list(formulas.FAMILIES["levels-threshold"].grid(3, 4))
         assert len(decoded) == 2 * len(cells) == 60
-        assert all(args[1:] == (5, 1) for args in decoded)
+        assert [params for params, _, _ in decoded[::2]] == [params for params, _ in cells]
+        assert all(radix == 5 for _, _, radix in decoded)
 
     def test_levels_blocks_grid_is_the_product_filtered(self):
         # Per cell, every tuple of product(range(n + 1), repeat=t) summing to at most max(n - 1, 0), in order.
@@ -294,8 +306,7 @@ class TestFormulasVsOracle:
                 yield (size + 1, {0: answer}) if (*params[:-1], n) == cell else packed
 
         monkeypatch.setitem(formulas.FAMILIES, "des-le", forms._replace(packed=wider))
-        decoded = []
-        monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))
+        decoded = log_decodes(monkeypatch)
         result = verify.formulas_vs_oracle(4, 6)
         marginal = forms.keyed(statistic_distribution(*forms.query(*cell)))
         table = dict(enumerate(unpack(answer, size + 1)))
@@ -304,7 +315,7 @@ class TestFormulasVsOracle:
         assert (result.checked, result.failures) == (checked, len(wrong))
         assert result.first_failure == (f"des-le k=4 t=2 n=6 s={wrong[0]}" if wrong else None)
         # only a cell that differs is decoded, both its answers
-        assert decoded == ([] if respaced else [((size + 1, {0: answer}), 7, 1), ((size, {0: g}), 7, 1)])
+        assert decoded == ([] if respaced else [(cell, (size + 1, {0: answer}), 7), (cell, (size, {0: g}), 7)])
 
     def test_past_n_max_64_no_cell_is_decoded(self, monkeypatch):
         # At alphabet 3 the closed form's pass to n = 66 packs lengths up to 64 in 13-byte fields,
@@ -313,8 +324,7 @@ class TestFormulasVsOracle:
         sizes = [size for size, _ in forms.packed(3, 1, 66, first=0)]
         assert (sizes[64], sizes[65], field_bytes(3**66)) == (13, 14, 14)
         monkeypatch.setattr(formulas, "FAMILIES", {"des-le": forms})
-        decoded = []
-        monkeypatch.setattr(verify, "decode_tally", lambda *args: decoded.append(args) or decode_tally(*args))
+        decoded = log_decodes(monkeypatch)
         result = verify.formulas_vs_oracle(3, 66)
         assert (result.checked, result.failures, decoded) == (13668, 0, [])
 
@@ -470,15 +480,35 @@ class TestHallRemmelSuite:
         evaluate = formulas.hall_remmel_table
 
         def skewed(*inputs):
-            table = evaluate(*inputs)
-            table[0] += 1
-            return table
+            return add_to_field(evaluate(*inputs), 0)
 
         monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
         result = verify.hall_remmel_suite(m_max=3, weight_max=4, even_n_max=-1)
         # Every class check fails, the first included: no verdict of the clean call was kept.
         assert result.failures == result.checked > 0
         assert result.first_failure == "rearrangement rho=(0,) X=[] Y=[]"
+
+    def test_a_count_moved_to_its_neighbour_fails_though_the_class_total_holds(self, monkeypatch):
+        # The closed form's lowest nonzero count gives one word to the next value.  Every class
+        # total holds, yet each class of weight >= 1 fails, as its packed row differs: the first
+        # in check order is (1,) with X = Y = [].  The classes of weight 0, 4 + 4^2 + 4^3 + 4^4
+        # checks, have one value, and the 56 even-words sums read no class's table.
+        evaluate = formulas.hall_remmel_table
+
+        def moved(outside, slots, n):
+            answer = evaluate(outside, slots, n)
+            counts = unpack(answer[1][0], answer[0])
+            low = next(s for s, count in enumerate(counts) if count)
+            if low == n:
+                return answer
+            answer = add_to_field(add_to_field(answer, low, -1), low + 1)
+            assert sum(unpack(answer[1][0], answer[0])) == sum(counts)
+            return answer
+
+        monkeypatch.setattr(formulas, "hall_remmel_table", moved)
+        result = verify.hall_remmel_suite()
+        assert (result.checked, result.failures) == (92824, 92824 - 340 - 56)
+        assert result.first_failure == "rearrangement rho=(1,) X=[] Y=[]"
 
     @pytest.mark.parametrize(
         "skews, by_class, by_sum",
@@ -531,9 +561,7 @@ class TestHallRemmelSuite:
         def skewed(*inputs):
             calls.append(inputs)
             table = evaluate(*inputs)
-            if inputs == wrong:
-                table[1] += 1
-            return table
+            return add_to_field(table, 1) if inputs == wrong else table
 
         monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
         result = verify.hall_remmel_suite(m_max=2, weight_max=3, even_n_max=2)
@@ -561,9 +589,7 @@ class TestHallRemmelSuite:
 
         def skewed(*inputs):
             table = evaluate(*inputs)
-            if inputs == wrong:
-                table[0] += 1
-            return table
+            return add_to_field(table, 0) if inputs == wrong else table
 
         monkeypatch.setattr(formulas, "hall_remmel_table", skewed)
         result = verify.hall_remmel_suite(m_max=3, weight_max=3, even_n_max=0)
@@ -577,10 +603,8 @@ class TestHallRemmelSuite:
         dp = verify.pair_distribution
 
         def skewed(rho, pairs):
-            dist = dp(rho, pairs)
-            if rho == (2, 1):
-                dist[0] = dist.get(0, 0) + 1
-            return dist
+            answer = dp(rho, pairs)
+            return add_to_field(answer, 0) if rho == (2, 1) else answer
 
         monkeypatch.setattr(verify, "pair_distribution", skewed)
         result = verify.hall_remmel_suite(m_max=3, weight_max=3, even_n_max=0)

@@ -141,6 +141,11 @@ CHECKS = [
           ("series --gf A --k 10 --partition threshold:1 --track none --order 4300",), 0,
           {"coefficients": [{"order": i, "polynomial": "1" + "0" * i} for i in range(4301)]}),
     Check("hall-remmel refusal", "exit", ("count hall-remmel --rho 1,1 --x 5 --y 1 --s 0",), 2),
+    # Past the suite's weight 7: the class of 25,200 words counts in two-byte fields, and the
+    # closed form's packed row prints what the rearrangement DP prints.
+    Check("hall-remmel oracle = closed form past weight 7", "same",
+          ("table hall-remmel --rho 3,3,2,2 --x 2,4 --y all --format csv --engine oracle",
+           "table hall-remmel --rho 3,3,2,2 --x 2,4 --y all --format csv"), 0, 25200, timeout=10),
     # An empty piece of a --track list is refused, not dropped.
     Check("empty --track piece refusal", "exit",
           ("series --gf A --k 2 --partition mod:2 --track x1,,y1 --order 1",), 2),

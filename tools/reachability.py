@@ -64,7 +64,6 @@ golden = _load_golden()
 
 REASONS = {
     "bench-pinned": "kept because bench/ names it or calls it (ROADMAP items 9, 13 and 32); cites the bench/ line",
-    "export": "public, and no benchmark request calls it; cites a test that reaches it",
     "failure-path": "runs only when a check fails; cites a test that makes the check fail",
     "import-time": "runs only while its module is imported; cites the src/ line that runs it",
     "subprocess": "runs only as the console script's process; cites a test that spawns it",
@@ -93,11 +92,6 @@ LEDGER: dict[str, tuple[str, str]] = {
     "series.PowerSeries.__add__": ("bench-pinned", "bench/checks.py:158"),
     "series.PowerSeries._terms": ("bench-pinned", "bench/checks.py:158"),
     "series.PowerSeries.divide": ("bench-pinned", "bench/tracing.py:264"),
-    # Public names that neither a benchmark request nor README's example reaches.
-    "__init__.__dir__": ("export", "tests/test_readme.py::test_dir_lists_every_export"),
-    "identities.IdentityReport.ok": ("export", "tests/test_identities.py::TestIdentityReport::test_unequal_verdict"),
-    "words.Record.__repr__": ("export", "tests/test_words.py::TestRecord::test_positional_keyword_and_default_fields"),
-    "words.FrozenRecord.__reduce__": ("export", "tests/test_words.py::TestBlockPartition::test_copies_and_pickles_equal"),
     # The identities suite builds a report only for a row whose two sides differ.
     "identities.check_top_letter_identity": (
         "failure-path", "tests/test_verify.py::TestIdentitiesSuite::test_wrong_identity_row_is_caught_and_named",
@@ -124,7 +118,7 @@ LEDGER: dict[str, tuple[str, str]] = {
     "words.FrozenRecord.__delattr__": (
         "failure-path", "tests/test_words.py::TestBlockPartition::test_refuses_assignment_and_deletion",
     ),
-    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:638"),
+    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:640"),
     "words.Record.__init_subclass__": ("import-time", "src/wordstats/words.py:119"),
     "cli.entrypoint": ("subprocess", "tests/test_cli.py::TestColdProcess::test_closed_stdout_exits_2_without_a_traceback"),
 }
