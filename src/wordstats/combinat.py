@@ -28,23 +28,26 @@ Series coefficients (``polynomials``, ``series.statistic_keys``) use
 16-bit fields under a degree field, for their printed order and to
 refuse a carried key.
 
-*Tallies* hold a table of a coordinates, none past the pass's length n,
-as a value tuple d_1 + d_2 R + d_3 R^2 + ... in radix R = n + 1.  Its
-first min(2, a) digits, the dense part, name a byte field of one integer
-(``field_bytes``, ``unpack``, ``respace``), and the other, sparse, digits
-key a dict: a tally maps sparse part -> packed fields, no entry zero,
-and with one coordinate it is {0: g}, count s in field s.  Digit 1 is a
-shift by one field, digit 2 by R fields, and digit i >= 3 a step of
+*Tallies* hold a table of a coordinates, each below a radix R, as a
+value tuple d_1 + d_2 R + d_3 R^2 + ... in radix R.  Its first min(2, a)
+digits, the dense part, name a byte field of one integer
+(``field_bytes``, ``unpack``, ``respace``), and the other, sparse,
+digits key a dict: a tally maps sparse part -> packed fields, no entry
+zero, and with one coordinate it is {0: g}, count s in field s.  Digit 1
+is a shift by one field, digit 2 by R fields, and digit i >= 3 a step of
 R^(i-3) in the key: ``tally_units`` gives each coordinate's (sparse
-step, field shift), and ``decode_tally`` reads a tally back.  Only the
-final counts must fit a field.  Every closed form's packed pass, the transfer DP
-(``oracle.statistic_tallies``) and the rearrangement DP (``oracle.pair_distribution``)
-hand out tallies, with their field size.  The DP sizes its fields for
-alphabet**n.  The closed forms (``formulas._packed_table``) size them for
-alphabet**min(n, 64) and widen them by an eighth whenever the length
-passes that bound: sizing for alphabet**n from the first step was
-1.2-1.7x slower from n = 300 on (des-gt (6, 2, 600) 81 -> 103 ms), as
-every early step then works on fields wider than its counts.
+step, field shift).  Only the final counts must fit a field.  Every
+packed pass (the closed forms', ``oracle.statistic_tallies`` and
+``oracle.pair_distribution``) hands out answers (field bytes, R, tally),
+R = n + 1 for every length of a pass to n and for a class of weight n;
+``decode_tally`` reads one back by that layout alone.  The DP sizes its
+fields for alphabet**n.  The closed forms (``formulas._packed_table``)
+size them for alphabet**min(n, 64) and widen them by an eighth whenever
+the length passes that bound.  Sizing them for alphabet**n from the
+first step, every early step then working on fields wider than its
+counts, took 0.75-0.89x the time at n = 65-100 (seven of eight heads),
+0.90-1.03x at n = 200, 1.02-1.15x at n = 300 and 1.35-1.79x at n =
+1,000: the crossover lies between n = 200 and 300.
 """
 
 from __future__ import annotations
@@ -162,9 +165,9 @@ def _digits(key: int, size: int, radix: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def decode_tally(answer: tuple[int, dict[int, int]], radix: int, arity: int) -> dict[tuple[int, ...], int]:
-    """A (field bytes, tally) answer over ``arity`` coordinates, digits in ``radix``, keyed by value tuples."""
-    size, tally = answer
+def decode_tally(answer: tuple[int, int, dict[int, int]], arity: int) -> dict[tuple[int, ...], int]:
+    """A (field bytes, radix, tally) answer over ``arity`` coordinates, keyed by value tuples."""
+    size, radix, tally = answer
     dense = min(2, arity)
     table = {}
     for sparse, packed in tally.items():

@@ -49,11 +49,11 @@ at the bottom, come from one pass over the letters
 
 ``FAMILIES`` declares each family once, as a ``FamilyForms`` that the
 CLI and the verification suites read.  Every family's one pass,
-``packed``, answers in one shape, (field bytes, tally) (see
+``packed``, answers in one shape, (field bytes, radix, tally) (see
 ``combinat``), and one rule, ``FamilyForms.decode``, reads a table off
-any answer.  ``distribution`` returns a whole table of any family from
-one call, and every count is one entry of that table, read after the
-count's own parameter checks; the passes check nothing.
+any answer by the answer's own layout.  ``distribution`` returns a whole
+table of any family from one call, and every count is one entry of that
+table, read after the count's own parameter checks; the passes check nothing.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
 
     One pass to length n computes every g_j on its way; it hands out those
     from ``first`` on, by default g_n alone, as it reaches them, each as
-    a one-coordinate tally (field bytes, {0: g_j}).  g_0 = 1 and g_1 =
+    a one-coordinate answer (field bytes, n + 1, {0: g_j}).  g_0 = 1 and g_1 =
     alphabet; from j = 2 on, a term (i, c) adds c g_(j-i) and None
     multiplies by v (a shift and a subtract), highest power first.  The
     entries of g_j are word counts in 0..alphabet^j, so fields of
@@ -159,7 +159,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
     first = n if first is None else first
     _check_length(first)
     for j in range(first, min(n, 1) + 1):
-        yield size, {0: [1, alphabet][j]}
+        yield size, n + 1, {0: [1, alphabet][j]}
     for j in range(2, n + 1):
         if j > bound:
             bound = min(n, bound + bound // 8)
@@ -176,7 +176,7 @@ def _packed_table(n: int, alphabet: int, program: list, first: int | None = None
         history.append(acc)
         del history[0]
         if j >= first:
-            yield size, {0: acc}
+            yield size, n + 1, {0: acc}
 
 
 def _descent_factor(tau: int, lead: int, slope: int, c0: int, c1: int, n: int) -> list[int]:
@@ -264,7 +264,7 @@ def _contiguous_blocks(block_sizes: tuple[int, ...]) -> BlockPartition:
 
 
 def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None = None) -> Iterator:
-    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, tally), digits in radix n + 1.
+    """The ``count_levels_blocks`` tables at each length first..n, as (field bytes, n + 1, tally).
 
     One recurrence in the length hands out the lengths from ``first`` on,
     by default n alone, as it reaches them:
@@ -298,7 +298,7 @@ def _levels_blocks_table(block_sizes: Sequence[int], n: int, first: int | None =
                 for key, value in e.items():
                     total[key] = total.get(key, 0) + value
         if length >= first:
-            yield size, total
+            yield size, n + 1, total
 
 
 def count_des_le(k: int, t: int, n: int, s: int) -> int:
@@ -439,8 +439,8 @@ def hall_remmel_inputs(rho: Sequence[int], top_letters, bottom_letters) -> tuple
     return outside, tuple(slots), sum(rho)
 
 
-def hall_remmel_table(outside, slots, n: int) -> tuple[int, dict[int, int]]:
-    """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, as (field bytes, {0: g}).
+def hall_remmel_table(outside, slots, n: int) -> tuple[int, int, dict[int, int]]:
+    """Every ``hall_remmel_count`` value of one ``hall_remmel_inputs`` tuple, as (field bytes, n + 1, {0: g}).
 
     The counts are the coefficients of the weighted row (``hall_remmel_row``)
     times (1-u)^(n+1) up to u^n (``combinat.differences``); above u^n they
@@ -452,7 +452,7 @@ def hall_remmel_table(outside, slots, n: int) -> tuple[int, dict[int, int]]:
     width, packed = 8 * field_bytes(sum(counts)), 0
     for count in reversed(counts):
         packed = (packed << width) + count
-    return width // 8, {0: packed}
+    return width // 8, n + 1, {0: packed}
 
 
 def hall_remmel_row(outside, slots, n: int) -> list[int]:
@@ -569,53 +569,48 @@ def _des_mod_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
 class FamilyForms(NamedTuple):
     """A family's parameter checks, packed pass (which checks nothing), query and verify grid.
 
-    ``packed(*params)`` hands out the family's table as (field bytes,
+    ``packed(*params)`` hands out the family's table as (field bytes, radix,
     tally); a word family's params end in the length n, and
-    ``packed(*params, first=j)`` hands out lengths j..n from one pass;
-    ``first=None``, the default, is n alone, as in every length pass.
-    ``decode`` reads a table off an answer, and ``table`` and ``tables``
-    read the pass by it.  ``query(*params)`` is the word DP's (alphabet, n,
-    partition, coordinates) of the statistic the family counts; the
-    partition never depends on the length n, and ``words(*params)`` is its
-    (alphabet, n) alone, for a charge made before any partition is built.
-    ``grid(alphabet_max, n_max)`` yields the (params, statistic values)
-    cells ``verify.formulas_vs_oracle`` checks, each head's cells in order
-    of n from 0.  ``names`` names each parameter, in order, and then the
-    statistic value: the CLI's options and the suite's reports read them.
-    A ``joint`` table is keyed by target tuples, one per block of
-    ``params[0]``; any other by statistic value, as ``keyed`` keys a word
-    engine's answer.  ``hall-remmel`` has no query, words, grid or ``first``.
+    ``packed(*params, first=j)`` hands out lengths j..n from one pass, each
+    in radix n + 1; ``first=None``, the default, is n alone, as in every
+    length pass.  ``decode`` reads a table off an answer by the answer's own
+    layout, and ``table`` reads the pass by it.  ``query(*params)`` is the
+    word DP's (alphabet, n, partition, coordinates) of the statistic the
+    family counts; the partition never depends on the length n, and
+    ``words(*params)`` is its (alphabet, n) alone, for a charge made before
+    any partition is built.  ``grid(alphabet_max, n_max)`` yields the
+    (params, statistic values) cells ``verify.formulas_vs_oracle`` checks,
+    each head's cells in order of n from 0.  ``names`` names each parameter,
+    in order, and then the statistic value: the CLI's options and the
+    suite's reports read them.  A ``joint`` table is keyed by target tuples,
+    one per block of ``params[0]``; any other by statistic value, as
+    ``keyed`` keys a word engine's answer.  ``hall-remmel`` has no query,
+    words, grid or ``first``.
     """
 
     checks: Callable[..., None]
-    packed: Callable[..., Iterator[tuple[int, dict[int, int]]]]
+    packed: Callable[..., Iterator[tuple[int, int, dict[int, int]]]]
     query: Callable[..., tuple] | None
     names: tuple[str, ...]
     grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
 
-    def decode(self, params: tuple, n: int, answer: tuple[int, dict[int, int]], radix: int | None = None) -> dict:
-        """The table in ``answer`` at length n, digits in ``radix``, n + 1 by default.
+    def decode(self, params: tuple, answer: tuple[int, int, dict[int, int]]) -> dict:
+        """The table in a (field bytes, radix, tally) ``answer``, read in the answer's own layout.
 
         A joint tally goes through ``decode_tally``, one target per block of
-        ``params[0]``; {0: g} lists every value 0..n, and any field of g past n.
+        ``params[0]``; {0: g} lists every value below the radix, and any field of g past it.
         """
         if self.joint:
-            return decode_tally(answer, radix or n + 1, len(params[0]))
-        counts = unpack(answer[1].get(0, 0), answer[0])
-        return dict(enumerate(counts + [0] * (n + 1 - len(counts))))
+            return decode_tally(answer, len(params[0]))
+        size, radix, tally = answer
+        counts = unpack(tally.get(0, 0), size)
+        return dict(enumerate(counts + [0] * (radix - len(counts))))
 
     def table(self, *params) -> dict:
-        """The one answer of ``packed(*params)``, decoded at n: a word family's last param, hall-remmel's sum(rho); unchecked."""
-        return self.decode(params, params[-1] if self.query else sum(params[0]), next(self.packed(*params)))
-
-    def tables(self, *params, first: int | None = None) -> Iterator[dict]:
-        """Each answer of ``packed(*params, first=first)``, decoded at its length; ``first=None`` is ``table`` alone."""
-        if first is None:
-            return iter([self.table(*params)])
-        *head, n = params
-        return (self.decode(params, j, answer, n + 1) for j, answer in enumerate(self.packed(*params, first=first), first))
+        """The one answer of ``packed(*params)``, decoded; unchecked."""
+        return self.decode(params, next(self.packed(*params)))
 
     def keyed(self, dist: dict[tuple[int, ...], int]) -> dict:
         """A word engine's answer to ``query``, keyed by tuples, keyed as the family's table."""

@@ -26,9 +26,9 @@ block, each statistic's (sparse step, field shift) in a packing of
   count and table runs it, and a ``levels-blocks`` joint of three or
   more blocks keys the rest.  On the level joint of blocks (2, 3, 1)
   that ran 6-7x faster than plain dict counts at n = 30 and 60 (one
-  process, Python 3.11, 2 vCPU).  It hands each tally out with its field
-  size, as the closed forms' packed passes do, and
-  ``statistic_distribution`` decodes its one tally.
+  process, Python 3.11, 2 vCPU).  It hands each tally out as (field
+  bytes, radix, tally), as the closed forms' packed passes do, and
+  ``statistic_distribution`` decodes its one answer by that layout.
 - ``transfer_distribution`` keeps plain counts, keyed as the walk's
   (``compact_keys``).  A full vector's coordinates depend on each other,
   des + ris + lev = cnt - [last letter in the block], so a dense pair of
@@ -53,8 +53,8 @@ depends only on the set of counted (top, bottom) letter pairs
 (``counted_pairs``), and ``pair_distribution`` runs the program for one
 such set.  Each state holds its whole distribution of counted descents
 packed into one integer, so appending a letter is a shift and an add.
-It hands out (field bytes, {0: g}) undecoded, in the fields of
-``formulas.hall_remmel_table``; ``rearrangement_distribution`` decodes it.
+It hands out (field bytes, n + 1, {0: g}), n the class's weight, as
+``formulas.hall_remmel_table`` does; ``rearrangement_distribution`` reads it.
 
 All counts are exact Python integers; nothing here floats.
 """
@@ -313,20 +313,20 @@ def transfer_distribution(k: int, n: int, partition: BlockPartition) -> DistPoly
 
 def statistic_tallies(
     k: int, n: int, partition: BlockPartition, coords: Sequence[tuple[int, str]], first: int | None = None
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """The kernel's (field bytes, tally) of selected (block, statistic) coordinates, per length first..n, by default n alone.
+) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """The kernel's (field bytes, radix, tally) of selected (block, statistic) coordinates, per length first..n, by default n alone.
 
     The transfer DP tracking just the requested coordinates, keeping the
     state space small when a query needs a single marginal out of a large
     partition: tallies (see ``combinat``) in fields of ``field_bytes(k**n)``
-    bytes, handed out with that size, as the closed forms' packed passes
-    hand theirs out.  The coordinates and shape are checked at the call.
+    bytes, digits in radix n + 1, as the closed forms' packed passes hand
+    theirs out.  The coordinates and shape are checked at the call.
     """
     indexed = [(block, _check_coordinate(partition, block, stat)) for block, stat in coords]
     first = _validate_shape(k, n, partition, first)
     size = field_bytes(k**n)
     units = tally_units(len(indexed), size, n + 1)
-    return zip(itertools.repeat(size), _kernel(k, n, partition, _letter_keys(partition, indexed, units), first))
+    return ((size, n + 1, tally) for tally in _kernel(k, n, partition, _letter_keys(partition, indexed, units), first))
 
 
 def statistic_distribution(
@@ -336,7 +336,7 @@ def statistic_distribution(
     coords: Sequence[tuple[int, str]],
 ) -> dict[tuple[int, ...], int]:
     """Joint distribution of selected (block, statistic) coordinates: the one tally of ``statistic_tallies``, decoded."""
-    return decode_tally(next(statistic_tallies(k, n, partition, coords)), n + 1, len(coords))
+    return decode_tally(next(statistic_tallies(k, n, partition, coords)), len(coords))
 
 
 def count_matching(
@@ -379,7 +379,7 @@ def rearrangement_distribution(
     # 2!, 3!, ... only until one passes the limit; an n! past 10,000 letters is named, not computed.
     if any(product > limit for product in itertools.accumulate(range(2, n + 1), mul, initial=1)):
         raise BudgetExceededError(factorial(n) if n <= 10_000 else f"{n}!", limit)
-    size, tally = pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
+    size, _, tally = pair_distribution(rho, counted_pairs(rho, top_letters, bottom_letters))
     return {hits: count for hits, count in enumerate(unpack(tally[0], size)) if count}
 
 
@@ -399,8 +399,8 @@ def counted_pairs(
     )
 
 
-def pair_distribution(rho: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, dict[int, int]]:
-    """Number of rearrangements of rho with each number of adjacent ``pairs``, as (field bytes, {0: g}).
+def pair_distribution(rho: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, int, dict[int, int]]:
+    """Number of rearrangements of rho with each number of adjacent ``pairs``, as (field bytes, n + 1, {0: g}), n = sum(rho).
 
     A dynamic program over (letters placed, last letter).  The letters
     placed are a mixed-radix integer with digit j in 0..rho[j], and placing
@@ -414,7 +414,7 @@ def pair_distribution(rho: Sequence[int], pairs: Iterable[tuple[int, int]]) -> t
     rho = tuple(rho)
     n = sum(rho)
     if n == 0:
-        return 1, {0: 1}
+        return 1, 1, {0: 1}
     m = len(rho)
     counted = frozenset(pairs)
     size = field_bytes(multinomial(n, rho))
@@ -441,4 +441,4 @@ def pair_distribution(rho: Sequence[int], pairs: Iterable[tuple[int, int]]) -> t
                 shifted += ends[a]
             # (total - shifted) + (shifted << 8 * size): a counted pair moves its words up a field.
             ends_at[used + place[b]][b] += total + shifted * field
-    return size, {0: sum(ends_at[-1])}
+    return size, n + 1, {0: sum(ends_at[-1])}

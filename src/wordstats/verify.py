@@ -14,18 +14,19 @@ of the full joint as int-keyed dicts and decode no key (see
 over each family's grid in ``formulas.FAMILIES``, which names a failing
 check, and the even-words sums of ``hall_remmel_suite``.  Each pass is
 asked for every length by keyword, ``first=0``.  Every engine the
-family suites read answers in one shape, (field bytes, tally) (see
-``combinat``): the family suites read the closed form's ``packed`` pass
-and the DP's ``statistic_tallies`` through ``_packed_walk``; ``_agree``
-compares two tallies as they are, and a cell is decoded by the one rule
-of every table, ``FamilyForms.decode``, only to name a failing value or
-to look for a rejected reading's counterexample.
+family suites read answers in one shape, (field bytes, radix, tally)
+(see ``combinat``), and each reader takes the layout from the answer:
+the family suites read the closed form's ``packed`` pass and the DP's
+``statistic_tallies`` through ``_packed_walk``; ``_agree`` compares two
+answers as they are, and a cell is decoded, each side in its own radix,
+by ``FamilyForms.decode``, only to name a failing value or to look for
+a rejected reading's counterexample.
 ``hall_remmel_suite`` derives each class shape, the class's nonzero
 multiplicities in letter order, once per call, so classes that differ only
 by unused letters share one derivation and one verdict; it asks each engine
 each distinct question once per call: the DP by the shape and its counted
 pairs, and the closed form by its own inputs.  Both answer (field bytes,
-{0: g}) in fields sized for the class, and are compared as they come.
+radix, {0: g}) in fields sized for the class, and are compared as they come.
 ``corrupt=True`` skews ``formulas_vs_oracle``'s closed-form
 ``levels-threshold`` answers by +1; that self-test must fail.
 ``duality_suite`` checks the complement dualities on ``words.stat_key`` itself.
@@ -145,17 +146,17 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
 
 
 def _packed_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
-    """``_walk`` over a family's grid: the closed form's ``packed`` pass and the DP's, each per length a (field bytes, tally)."""
+    """``_walk`` over a family's grid: the closed form's ``packed`` pass and the DP's, each per length a (field bytes, radix, tally)."""
     passes = lambda *params: (forms.packed(*params, first=0), statistic_tallies(*forms.query(*params), first=0))
     return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
 
 
-def _agree(answer: tuple[int, dict], other: tuple[int, dict]) -> bool:
-    """Whether two (field bytes, tally) answers hold the same counts: the narrower re-laid in the wider fields."""
-    (size, tally), (wider, wide) = sorted((answer, other), key=lambda pair: pair[0])
+def _agree(answer: tuple[int, int, dict], other: tuple[int, int, dict]) -> bool:
+    """Whether two (field bytes, radix, tally) answers hold the same counts in one radix: the narrower re-laid in the wider fields."""
+    (size, radix, tally), (wider, wide_radix, wide) = sorted((answer, other), key=lambda triple: triple[0])
     if size < wider:
         tally = {key: respace(packed, size, wider) for key, packed in tally.items()}
-    return tally == wide
+    return radix == wide_radix and tally == wide
 
 
 def formulas_vs_oracle(
@@ -180,13 +181,13 @@ def formulas_vs_oracle(
         skewed = corrupt and family == "levels-threshold"
         for params, values, table, marginal in _packed_walk(forms, alphabet_max, n_max):
             if skewed:
-                size, tally = table
-                [(_, shift)] = tally_units(1, size, n_max + 1)
-                table = size, {0: tally.get(0, 0) + sum(1 << shift * value for value in values)}
+                size, radix, tally = table
+                [(_, shift)] = tally_units(1, size, radix)
+                table = size, radix, {0: tally.get(0, 0) + sum(1 << shift * value for value in values)}
             if _agree(table, marginal):
                 result.record(True, None, len(values))
                 continue
-            got, want = (forms.decode(params, params[-1], answer, n_max + 1) for answer in (table, marginal))
+            got, want = (forms.decode(params, answer) for answer in (table, marginal))
             for value in values:
                 result.record(
                     got.get(value, 0) == want.get(value, 0),
@@ -222,13 +223,14 @@ def identities_suite(top_n_max: int = 12, two_bottom_n_max: int = 10) -> SuiteRe
                     )
     # Per direct count: the closed form it equals at each (alphabet, threshold).
     direct = (
-        ("direct-top", identities.direct_count_top_letter, "des-gt", [(k, k - 1) for k in range(1, 7)]),
-        ("direct-two-bottom", identities.direct_count_two_bottom, "des-le", [(k, 2) for k in range(2, 7)]),
+        ("direct-top", identities.direct_count_top_letter, formulas.FAMILIES["des-gt"], [(k, k - 1) for k in range(1, 7)]),
+        ("direct-two-bottom", identities.direct_count_two_bottom, formulas.FAMILIES["des-le"], [(k, 2) for k in range(2, 7)]),
     )
-    for name, count, family, cells in direct:
+    for name, count, forms, cells in direct:
         for k, t in cells:
             # One closed-form pass per (k, t) answers every n and s of the cell.
-            for n, table in enumerate(formulas.FAMILIES[family].tables(k, t, 8, first=0)):
+            for n, answer in enumerate(forms.packed(k, t, 8, first=0)):
+                table = forms.decode((k, t, n), answer)
                 for s in range(n + 1):
                     result.record(
                         count(k, n, s) == table.get(s, 0),
@@ -318,10 +320,10 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
 
     passes = lambda alphabet, n: (
         formulas.hall_remmel_summed_rows(alphabet, range(2, alphabet + 1, 2), n),
-        formulas.FAMILIES["des-mod"].tables(2, alphabet, 2, n, first=0),
+        formulas.FAMILIES["des-mod"].packed(2, alphabet, 2, n, first=0),
     )
-    for (alphabet, n), values, row, residue in _walk(formulas._lengths([(2,), (4,)], even_n_max), even_n_max, passes):
-        summed = differences(row)
+    for (alphabet, n), values, row, answer in _walk(formulas._lengths([(2,), (4,)], even_n_max), even_n_max, passes):
+        summed, residue = differences(row), formulas.FAMILIES["des-mod"].decode((2, alphabet, 2, n), answer)
         for p in values:
             result.record(
                 summed[p] == residue.get(p, 0),
@@ -442,7 +444,7 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
         case.shipped_ok = case.shipped_ok and _agree(table, marginal)
         if not need_example:
             continue
-        marginal = forms.decode(params, n, marginal, n_max + 1)
+        marginal = forms.decode(params, marginal)
         for p in values:
             want, rejected = marginal.get(p, 0), formulas.count_des_mod_uncorrected(s, alphabet, r, n, p)
             if rejected != want:

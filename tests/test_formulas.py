@@ -110,10 +110,10 @@ class TestDistribution:
         assert set(queries) == set(CLOSED_FORMS)
         for family, (params, value) in queries.items():
             forms = formulas.FAMILIES[family]
-            # One pass whose one answer holds 7 at the value's field, digits in radix n + 1.
-            radix = (params[-1] if forms.query else sum(params[0])) + 1
+            # One pass whose one answer holds 7 at the value's field, digits in the radix it hands out.
+            radix = 5
             field = value[0] + value[1] * radix if forms.joint else value
-            stub = forms._replace(packed=lambda *_, field=field: iter([(1, {0: 7 << 8 * field})]))
+            stub = forms._replace(packed=lambda *_, field=field: iter([(1, radix, {0: 7 << 8 * field})]))
             monkeypatch.setitem(formulas.FAMILIES, family, stub)
             assert evaluate(family, (*params, value)) == 7, family
 
@@ -157,21 +157,26 @@ class TestDistribution:
         ],
     )
     def test_every_pass_hands_out_packed_answers_that_decode_to_the_table(self, family, params):
-        # One answer shape, (field bytes, tally), and one decode rule for every family.
+        # One answer shape, (field bytes, radix, tally), and one decode rule for every family.
         forms = formulas.FAMILIES[family]
         answers = list(forms.packed(*params))
         assert len(answers) == 1
-        [(size, tally)] = answers
+        [(size, radix, tally)] = answers
         assert type(size) is int and type(tally) is dict
         assert all(type(key) is int and type(packed) is int for key, packed in tally.items())
-        n = params[-1] if forms.query else sum(params[0])
-        assert forms.decode(params, n, answers[0]) == forms.table(*params) == distribution(family, params)
+        assert radix == (params[-1] if forms.query else sum(params[0])) + 1
+        assert forms.decode(params, answers[0]) == forms.table(*params) == distribution(family, params)
         if forms.query is None:
             return
-        # A pass over every length decodes, at each length, to that length's table.
+        # A pass over every length decodes, at each length, to that length's nonzero counts,
+        # and a one-coordinate answer lists every value below the pass's radix, n + 1.
         *head, n = params
+        nonzero = lambda table: {key: count for key, count in table.items() if count}
         for length, answer in enumerate(forms.packed(*params, first=0)):
-            assert forms.decode(params, length, answer, n + 1) == distribution(family, (*head, length))
+            assert answer[1] == n + 1
+            table = forms.decode((*head, length), answer)
+            assert nonzero(table) == nonzero(distribution(family, (*head, length))), length
+            assert forms.joint or list(table) == list(range(n + 1))
 
 
 def test_differences_single_powers():
@@ -385,7 +390,8 @@ class TestPastDegree128:
         rho, tops, bottoms = (65, 65), {2}, {1}
         want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
         assert formulas.hall_remmel_table(*formulas.hall_remmel_inputs(rho, tops, bottoms)) == want
-        assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == decode_tally(want, 131, 1)
+        assert want[1] == 131
+        assert self.nonzero(distribution("hall-remmel", (rho, tops, bottoms))) == decode_tally(want, 1)
 
     def test_every_family_and_regime_around_n_128(self):
         """Tables at n straddling 128, joints on 2-6 blocks, and classes of weight 12-20."""
@@ -423,7 +429,8 @@ class TestPastDegree128:
             tops, bottoms = (set(rng.sample(range(1, m + 1), rng.randint(1, m))) for _ in range(2))
             want = pair_distribution(rho, counted_pairs(rho, tops, bottoms))
             table = distribution("hall-remmel", (rho, tops, bottoms))
-            assert self.nonzero(table) == decode_tally(want, weight + 1, 1), (rho, tops, bottoms)
+            assert want[1] == weight + 1
+            assert self.nonzero(table) == decode_tally(want, 1), (rho, tops, bottoms)
 
 
 class TestInnerSumsReference:

@@ -15,6 +15,8 @@ from wordstats.oracle import (
     brute_distribution,
     brute_tallies,
     compact_keys,
+    counted_pairs,
+    pair_distribution,
     statistic_distribution,
     statistic_tallies,
     transfer_distribution,
@@ -70,7 +72,7 @@ def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
     forms = formulas.FAMILIES[family]
     for head in _heads(forms, 4, n_max):
         query = forms.query(*head, n_max)
-        lengths = [decode_tally(answer, n_max + 1, len(query[3])) for answer in statistic_tallies(*query, first=0)]
+        lengths = [decode_tally(answer, len(query[3])) for answer in statistic_tallies(*query, first=0)]
         assert len(lengths) == n_max + 1
         for n, marginal in enumerate(lengths):
             assert marginal == statistic_distribution(*forms.query(*head, n)), (family, head, n)
@@ -79,39 +81,89 @@ def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
 @pytest.mark.parametrize("n_max", N_MAXES)
 @pytest.mark.parametrize("family", WORD_FAMILIES)
 def test_closed_form_lengths_are_the_single_length_tables(family, n_max):
+    # A sweep's answers are laid out in radix n_max + 1, so a one-coordinate table lists 0..n_max.
     forms = formulas.FAMILIES[family]
     for head in _heads(forms, 4, n_max):
-        lengths = list(forms.tables(*head, n_max, first=0))
+        lengths = [forms.decode((*head, n), answer) for n, answer in enumerate(forms.packed(*head, n_max, first=0))]
         assert len(lengths) == n_max + 1
         for n, table in enumerate(lengths):
-            assert table == formulas.distribution(family, (*head, n)), (family, head, n)
+            single = formulas.distribution(family, (*head, n))
+            assert {key: count for key, count in table.items() if count} == {
+                key: count for key, count in single.items() if count
+            }, (family, head, n)
 
 
 @pytest.mark.parametrize("family", WORD_FAMILIES)
 def test_kernel_tallies_decode_to_the_marginals_and_match_the_packed_tables(family):
-    # A tally maps sparse part -> fields of field_bytes(k**n) bytes; field f of sparse part p
-    # is the key p (n + 1)**dense + f, dense = min(2, coordinates), read as digits in radix n + 1.
+    # An answer is (field bytes, radix, tally): a tally maps sparse part -> fields of that many
+    # bytes; field f of sparse part p is the key p radix**dense + f, dense = min(2, coordinates),
+    # read as digits in the answer's radix.  The kernel lays a pass to n in field_bytes(k**n)
+    # bytes, digits in radix n + 1.
     forms = formulas.FAMILIES[family]
     for n_max in range(7):
         for head in _heads(forms, 4, n_max):
             k, n, partition, coords = query = forms.query(*head, n_max)
-            size, radix = field_bytes(k**n), n + 1
             answers = list(statistic_tallies(*query, first=0))
-            assert [answer_size for answer_size, _ in answers] == [size] * (n_max + 1)
+            assert [answer[:2] for answer in answers] == [(field_bytes(k**n), n + 1)] * (n_max + 1)
             decoded = [
                 {_digits(sparse * radix ** min(2, len(coords)) + field, len(coords), radix): count
                  for sparse, packed in tally.items() for field, count in enumerate(unpack(packed, size)) if count}
-                for _, tally in answers
+                for size, radix, tally in answers
             ]
-            assert decoded == [decode_tally(answer, radix, len(coords)) for answer in answers], (family, head, n_max)
-            # The closed form's packed pass is the same tallies, in the same fields.
+            assert decoded == [decode_tally(answer, len(coords)) for answer in answers], (family, head, n_max)
+            # The closed form's packed pass is the same tallies, in the same layout.
             assert list(forms.packed(*head, n_max, first=0)) == answers
             if len(coords) == 1:  # sparse part 0, field s the count of value s
-                assert all(list(tally) == [0] for _, tally in answers)
+                assert all(list(tally) == [0] for _, _, tally in answers)
+
+
+# Per family, heads of every regime: empty and full thresholds, three blocks and an empty block,
+# both des-mod regimes, and the empty class.
+LAYOUT_PARAMS = {
+    "levels-threshold": [(3, 2, 6), (1, 1, 3)],
+    "levels-blocks": [((2, 1, 1), 6), ((2, 0, 3), 5), ((4,), 4), ((1, 1), 0)],
+    "des-le": [(4, 2, 6), (2, 2, 1)],
+    "des-gt": [(3, 0, 6), (3, 3, 4)],
+    "des-mod": [(3, 7, 2, 6), (2, 4, 2, 5)],
+    "hall-remmel": [((2, 0, 3, 1), {2, 3}, {1, 3}), ((), set(), set()), ((3,), {1}, {1}), ((1, 2), {2}, {1, 2})],
+}
+
+
+def _passes(family, params):
+    """Each engine's passes for ``params``: a word family's length passes, hall-remmel's one answer each."""
+    forms = formulas.FAMILIES[family]
+    if forms.query is None:
+        rho, tops, bottoms = params
+        return [lambda: forms.packed(*params), lambda: iter([pair_distribution(rho, counted_pairs(rho, tops, bottoms))])]
+    return [lambda **first: forms.packed(*params, **first), lambda **first: statistic_tallies(*forms.query(*params), **first)]
+
+
+@pytest.mark.parametrize("family", LAYOUT_PARAMS)
+def test_every_answer_carries_its_layout_and_decodes_by_it_alone(family):
+    # Closed form and kernel (for hall-remmel, closed form and DP): each answer of a single-length
+    # pass and of a first=0 sweep is (field bytes, radix, tally), radix n + 1 for a pass to n or a
+    # class of weight n, and decodes, by nothing but itself, to the nonzero counts of ``distribution``.
+    assert set(LAYOUT_PARAMS) == set(formulas.FAMILIES)
+    forms = formulas.FAMILIES[family]
+    nonzero = lambda table: {key: count for key, count in table.items() if count}
+    for params in LAYOUT_PARAMS[family]:
+        n = params[-1] if forms.query else sum(params[0])
+        for run in _passes(family, params):
+            [single] = run()
+            lengths = [(params, single)]
+            if forms.query:
+                lengths += [((*params[:-1], j), answer) for j, answer in enumerate(run(first=0))]
+                assert len(lengths) == n + 2
+            for at, answer in lengths:
+                size, radix, tally = answer
+                assert (type(size), radix, type(tally)) == (int, n + 1, dict), (family, params, at)
+                table = forms.decode(at, answer)
+                assert nonzero(table) == nonzero(formulas.distribution(family, at)), (family, params, at)
+                assert forms.joint or list(table) == list(range(radix)), (family, params, at)
 
 
 def test_levels_blocks_engines_pack_alike_on_every_grid_partition():
-    # The closed form's pass and the DP's, both to n, as (field bytes, tally) length by length:
+    # The closed form's pass and the DP's, both to n, as (field bytes, radix, tally) length by length:
     # levels of blocks 1 and 2 in the fields, of blocks 3.. in the keys, digits in radix n + 1.
     forms = formulas.FAMILIES["levels-blocks"]
     for k in range(1, 7):
@@ -161,7 +213,7 @@ LENGTH_PASSES = {
     "brute": lambda **first: iter(brute_tallies(2, 2, HALVES, **first)),
     "transfer": lambda **first: transfer_tallies(2, 2, HALVES, compact_keys(2, 2), **first),
     "statistic-tallies": lambda **first: statistic_tallies(2, 2, HALVES, [(1, "des")], **first),
-    **{family: lambda family=family, **first: formulas.FAMILIES[family].tables(*FAMILY_HEADS[family], 2, **first)
+    **{family: lambda family=family, **first: formulas.FAMILIES[family].packed(*FAMILY_HEADS[family], 2, **first)
        for family in WORD_FAMILIES},
 }
 
@@ -198,13 +250,15 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     formulas.distribution("des-le", (4, 2, 7))
     assert len(unpacked) == 1
     unpacked.clear()
-    list(formulas.FAMILIES["des-le"].tables(4, 2, 7, first=0))
+    forms = formulas.FAMILIES["des-le"]
+    [forms.decode((4, 2, n), answer) for n, answer in enumerate(forms.packed(4, 2, 7, first=0))]
     assert len(unpacked) == 8
     # A levels-blocks table decodes one tally per length.
     decoded = _counting(monkeypatch, formulas, "decode_tally")
     formulas.distribution("levels-blocks", ((3,), 7))
     assert len(decoded) == 1
-    list(formulas.FAMILIES["levels-blocks"].tables((1, 2, 1), 7, first=0))
+    forms = formulas.FAMILIES["levels-blocks"]
+    [forms.decode(((1, 2, 1), n), answer) for n, answer in enumerate(forms.packed((1, 2, 1), 7, first=0))]
     assert len(decoded) == 9
     # The kernel's all-dense state is one integer per length, which ``combinat.decode_tally`` unpacks.
     tallied = _counting(monkeypatch, combinat, "unpack")
@@ -212,7 +266,7 @@ def test_a_single_length_decodes_no_shorter_length(monkeypatch):
     statistic_distribution(4, 7, part, [(1, "des")])
     assert len(tallied) == 1
     tallied.clear()
-    [decode_tally(answer, 8, 1) for answer in statistic_tallies(4, 7, part, [(1, "des")], first=0)]
+    [decode_tally(answer, 1) for answer in statistic_tallies(4, 7, part, [(1, "des")], first=0)]
     assert len(tallied) == 8  # lengths 0..7, the empty word's tally too
 
 

@@ -536,14 +536,15 @@ class TestRearrangementDistribution:
         rho = (2, 1, 2)
         # 3 is never the bottom of a descent and 1 never its top
         same = [({3}, {1, 2}), ({1, 3}, {1, 2, 3}), ({3}, {1, 2, 3})]
-        size, tally = pair_distribution(rho, {(3, 1), (3, 2)})
+        size, radix, tally = pair_distribution(rho, {(3, 1), (3, 2)})
         want = {hits: count for hits, count in enumerate(unpack(tally[0], size)) if count}
         for tops, bottoms in same:
             assert rearrangement_distribution(rho, tops, bottoms) == want
-        # the DP's answer is packed: count s in byte field s of the class size's field bytes
-        assert (size, want) == (field_bytes(30), {0: 3, 1: 18, 2: 9})
-        assert pair_distribution((0, 0), set()) == (1, {0: 1})
-        assert pair_distribution((), set()) == (1, {0: 1})
+        # the DP's answer is packed: count s in byte field s of the class size's field bytes,
+        # digits in radix weight + 1
+        assert (size, radix, want) == (field_bytes(30), 6, {0: 3, 1: 18, 2: 9})
+        assert pair_distribution((0, 0), set()) == (1, 1, {0: 1})
+        assert pair_distribution((), set()) == (1, 1, {0: 1})
 
     def test_letters_of_multiplicity_zero_change_no_answer(self):
         # A class with zeros asks what the class without them asks, its letters renamed by rank,

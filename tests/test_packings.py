@@ -71,7 +71,7 @@ def test_a_tally_decodes_to_its_table(answer):
         tally[step] = tally.get(step, 0) + (count << shift)
     arity = len(next(iter(table), (0,)))
     # Distinct tuples land in distinct (key, field) places, so the sum of units never carries.
-    assert decode_tally((size, tally), radix, arity) == table
+    assert decode_tally((size, radix, tally), arity) == table
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -92,6 +92,40 @@ def test_a_row_must_cite_evidence_that_exists(scan, row, problem):
     assert lines[0] == f"FAIL cli.entrypoint: {problem}"
 
 
+def _line_of(module: str, text: str) -> str:
+    """The ``path:line`` citation of the first line of ``src/wordstats/<module>`` that starts with ``text``."""
+    lines = (reachability.SOURCES / module).read_text(encoding="utf-8").splitlines()
+    return f"src/wordstats/{module}:{next(i for i, line in enumerate(lines, 1) if line.strip().startswith(text))}"
+
+
+@pytest.mark.parametrize(
+    "name, module, text, problem",
+    [
+        # A line of the levels-blocks entry of FAMILIES, which calls no _threshold_family.
+        ("formulas._threshold_family", "formulas.py", '"levels-blocks": FamilyForms(', "does not name _threshold_family"),
+        # The hook's own def names it, but runs at a class statement that subclasses Record.
+        ("words.Record.__init_subclass__", "words.py", "def __init_subclass__", "is no class statement with Record among its bases"),
+        # A subclass of FrozenRecord runs the hook too, but does not list Record among its bases.
+        ("words.Record.__init_subclass__", "words.py", "class BlockPartition(", "is no class statement with Record among its bases"),
+    ],
+)
+def test_an_import_time_row_must_cite_a_line_that_runs_its_function(scan, name, module, text, problem):
+    evidence = _line_of(module, text)
+    code, lines = scan({**reachability.LEDGER, name: ("import-time", evidence)})
+    assert code == 1
+    assert lines[0] == f"FAIL {name}: {evidence} {problem}"
+
+
+def test_an_import_time_row_may_cite_any_line_that_runs_its_function(scan):
+    ledger = {
+        **reachability.LEDGER,
+        "formulas._threshold_family": ("import-time", _line_of("formulas.py", '"des-gt": _threshold_family(')),
+        "words.Record.__init_subclass__": ("import-time", _line_of("polynomials.py", "class Polynomial(Record):")),
+    }
+    code, lines = scan(ledger)
+    assert code == 0, lines
+
+
 def test_functions_are_keyed_by_module_and_qualified_name_at_their_first_line():
     path, line, name = DEFINED["words.BlockPartition.threshold"]  # under @classmethod and @lru_cache
     source = Path(path).read_text(encoding="utf-8").splitlines()

@@ -14,49 +14,49 @@ def skew_table(monkeypatch, family, cell, key):
     """Add 1 to ``key`` in the family's closed-form table at ``cell``; the passes run are logged.
 
     The family's one pass, ``packed``, is skewed, so every reader of the
-    table, the suites and ``FamilyForms.table`` and ``tables`` alike, meets
-    the fault through the real decode.  A packed answer (field bytes, tally)
-    of a pass to n gains 1 at the value tuple ``key``, digits in radix n + 1,
-    the first two in the fields and the rest in the key.  A pass over
-    lengths first..n is logged by its parameters, which end in n.
+    table, the suites and ``FamilyForms.table`` alike, meets the fault
+    through the real decode.  A packed answer (field bytes, radix, tally)
+    gains 1 at the value tuple ``key``, digits in the answer's radix, the
+    first two in the fields and the rest in the key.  A pass over lengths
+    first..n is logged by its parameters, which end in n.
     """
     forms = formulas.FAMILIES[family]
     passes = []
 
-    def add_to_field(answer, radix):
-        size, tally = answer
+    def add_to_field(answer):
+        size, radix, tally = answer
         digits = key if isinstance(key, tuple) else (key,)
         index = sum(digit * radix**i for i, digit in enumerate(digits))
         sparse, field = divmod(index, radix ** min(2, len(digits)))
-        return size, {**tally, sparse: tally.get(sparse, 0) + (1 << 8 * size * field)}
+        return size, radix, {**tally, sparse: tally.get(sparse, 0) + (1 << 8 * size * field)}
 
     def skewed(*params, first=None):
         passes.append(params)
         lengths = itertools.count(params[-1] if first is None else first)
         for n, answer in zip(lengths, forms.packed(*params, first=first)):
-            yield add_to_field(answer, params[-1] + 1) if (*params[:-1], n) == cell else answer
+            yield add_to_field(answer) if (*params[:-1], n) == cell else answer
 
     monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(packed=skewed))
     return passes
 
 
 def log_decodes(monkeypatch) -> list:
-    """Log each (params, answer, radix) that ``FamilyForms.decode`` reads a table off."""
+    """Log each (params, answer) that ``FamilyForms.decode`` reads a table off."""
     decoded = []
     decode = formulas.FamilyForms.decode
 
-    def logging(forms, params, n, answer, radix=None):
-        decoded.append((params, answer, radix))
-        return decode(forms, params, n, answer, radix)
+    def logging(forms, params, answer):
+        decoded.append((params, answer))
+        return decode(forms, params, answer)
 
     monkeypatch.setattr(formulas.FamilyForms, "decode", logging)
     return decoded
 
 
-def add_to_field(answer: tuple[int, dict[int, int]], field: int, count: int = 1) -> tuple[int, dict[int, int]]:
-    """A one-coordinate (field bytes, {0: g}) answer with ``count`` added to field ``field`` of g."""
-    size, tally = answer
-    return size, {0: tally[0] + (count << 8 * size * field)}
+def add_to_field(answer: tuple[int, int, dict[int, int]], field: int, count: int = 1) -> tuple[int, int, dict[int, int]]:
+    """A one-coordinate (field bytes, radix, {0: g}) answer with ``count`` added to field ``field`` of g."""
+    size, radix, tally = answer
+    return size, radix, {0: tally[0] + (count << 8 * size * field)}
 
 
 # The deepest grid each suite gets from the benchmark's verify catalog, with its result.
@@ -248,8 +248,9 @@ class TestFormulasVsOracle:
         assert (result.checked, result.failures, result.first_failure) == (1080, 90, "levels-threshold k=1 t=1 n=0 s=0")
         cells = list(formulas.FAMILIES["levels-threshold"].grid(3, 4))
         assert len(decoded) == 2 * len(cells) == 60
-        assert [params for params, _, _ in decoded[::2]] == [params for params, _ in cells]
-        assert all(radix == 5 for _, _, radix in decoded)
+        assert [params for params, _ in decoded[::2]] == [params for params, _ in cells]
+        # Each side is read in the radix it carries, that of the passes to n_max = 4.
+        assert all(answer[1] == 5 for _, answer in decoded)
 
     def test_levels_blocks_grid_is_the_product_filtered(self):
         # Per cell, every tuple of product(range(n + 1), repeat=t) summing to at most max(n - 1, 0), in order.
@@ -296,14 +297,14 @@ class TestFormulasVsOracle:
         checked = verify.formulas_vs_oracle(4, 6).checked
         forms = formulas.FAMILIES["des-le"]
         cell = (4, 2, 6)
-        [(size, tally)] = forms.packed(*cell)
+        [(size, radix, tally)] = forms.packed(*cell)
         g = tally[0]
         answer = respace(g, size, size + 1) if respaced else g
 
         def wider(*params, first=None):
             lengths = itertools.count(params[-1] if first is None else first)
             for n, packed in zip(lengths, forms.packed(*params, first=first)):
-                yield (size + 1, {0: answer}) if (*params[:-1], n) == cell else packed
+                yield (size + 1, radix, {0: answer}) if (*params[:-1], n) == cell else packed
 
         monkeypatch.setitem(formulas.FAMILIES, "des-le", forms._replace(packed=wider))
         decoded = log_decodes(monkeypatch)
@@ -315,13 +316,34 @@ class TestFormulasVsOracle:
         assert (result.checked, result.failures) == (checked, len(wrong))
         assert result.first_failure == (f"des-le k=4 t=2 n=6 s={wrong[0]}" if wrong else None)
         # only a cell that differs is decoded, both its answers
-        assert decoded == ([] if respaced else [(cell, (size + 1, {0: answer}), 7), (cell, (size, {0: g}), 7)])
+        assert decoded == ([] if respaced else [(cell, (size + 1, 7, {0: answer})), (cell, (size, 7, {0: g}))])
+
+    def test_answers_that_differ_only_in_radix_do_not_agree(self):
+        [(size, radix, tally)] = formulas.FAMILIES["des-le"].packed(4, 2, 6)
+        wider = size + 1, radix, {0: respace(tally[0], size, size + 1)}
+        assert verify._agree((size, radix, tally), (size, radix, tally)) and verify._agree(wider, (size, radix, tally))
+        assert not verify._agree((size, radix, tally), (size, radix + 1, tally))
+        assert not verify._agree((size + 1, radix + 1, wider[2]), (size, radix, tally))
+
+    def test_a_levels_blocks_answer_off_by_one_in_radix_fails(self, monkeypatch):
+        # Each side is decoded in its own radix, so the closed form's fields, read in radix n_max + 2,
+        # move a level of block 2 to block 1.  A one-block table reads alike in any radix.
+        forms = formulas.FAMILIES["levels-blocks"]
+
+        def off(*params, first=None):
+            for size, radix, tally in forms.packed(*params, first=first):
+                yield size, radix + 1, tally
+
+        monkeypatch.setitem(formulas.FAMILIES, "levels-blocks", forms._replace(packed=off))
+        assert verify.formulas_vs_oracle() == verify.SuiteResult(
+            "formulas-vs-oracle", 12387, 1230, "levels-blocks block_sizes=(0, 1) n=2 targets=(0, 1)"
+        )
 
     def test_past_n_max_64_no_cell_is_decoded(self, monkeypatch):
         # At alphabet 3 the closed form's pass to n = 66 packs lengths up to 64 in 13-byte fields,
         # sized for 3**64, and the DP's in 14-byte ones: the narrower answer is re-laid, not decoded.
         forms = formulas.FAMILIES["des-le"]
-        sizes = [size for size, _ in forms.packed(3, 1, 66, first=0)]
+        sizes = [size for size, _, _ in forms.packed(3, 1, 66, first=0)]
         assert (sizes[64], sizes[65], field_bytes(3**66)) == (13, 14, 14)
         monkeypatch.setattr(formulas, "FAMILIES", {"des-le": forms})
         decoded = log_decodes(monkeypatch)
@@ -497,12 +519,12 @@ class TestHallRemmelSuite:
 
         def moved(outside, slots, n):
             answer = evaluate(outside, slots, n)
-            counts = unpack(answer[1][0], answer[0])
+            counts = unpack(answer[2][0], answer[0])
             low = next(s for s, count in enumerate(counts) if count)
             if low == n:
                 return answer
             answer = add_to_field(add_to_field(answer, low, -1), low + 1)
-            assert sum(unpack(answer[1][0], answer[0])) == sum(counts)
+            assert sum(unpack(answer[2][0], answer[0])) == sum(counts)
             return answer
 
         monkeypatch.setattr(formulas, "hall_remmel_table", moved)

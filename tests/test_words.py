@@ -232,10 +232,10 @@ SHARED_REFUSALS = {
     "length-direct_count_top_letter": (LENGTH, lambda: identities.direct_count_top_letter(2, -1, 0)),
     "length-direct_count_two_bottom": (LENGTH, lambda: identities.direct_count_two_bottom(2, 2, -1)),
     "length-distribution-levels-blocks": (LENGTH, lambda: formulas.distribution("levels-blocks", ((1, 2), -1))),
-    "length-tables-levels-blocks-first": (
-        LENGTH, lambda: next(formulas.FAMILIES["levels-blocks"].tables((1, 2), 2, first=-1)),
+    "length-packed-levels-blocks-first": (
+        LENGTH, lambda: next(formulas.FAMILIES["levels-blocks"].packed((1, 2), 2, first=-1)),
     ),
-    "length-tables-des-le-first": (LENGTH, lambda: next(formulas.FAMILIES["des-le"].tables(2, 1, 2, first=-1))),
+    "length-packed-des-le-first": (LENGTH, lambda: next(formulas.FAMILIES["des-le"].packed(2, 1, 2, first=-1))),
     "length-statistic_distribution": (LENGTH, lambda: oracle.statistic_distribution(2, -1, TWO_LETTERS, [(1, "des")])),
     "length-brute_distribution": (LENGTH, lambda: oracle.brute_distribution(2, -1, TWO_LETTERS)),
     "length-transfer_distribution": (LENGTH, lambda: oracle.transfer_distribution(2, -1, TWO_LETTERS)),

@@ -22,8 +22,10 @@ qualified name (``oracle.count_matching``, ``series.PowerSeries.divide``), and w
 ``LEDGER``, which gives each function that does not run exactly one reason (``REASONS``)
 and its evidence.  It exits 1, naming the function, when a function neither runs nor has
 a row, when a row's function ran after all, when a row names no function, or when a row's
-reason or evidence does not hold: a ``bench/`` or ``src/`` line that does not exist, or a
-test that ``tests/`` does not define.  Otherwise it prints one summary line and exits 0.
+reason or evidence does not hold: a ``bench/`` or ``src/`` line that does not exist, an
+``import-time`` row's ``src/`` line that does not name its function (for a class's
+``__init_subclass__``, one that is no ``class`` statement with that class among its bases),
+or a test that ``tests/`` does not define.  Otherwise it prints one summary line and exits 0.
 
 A function is matched to the code object that ran by its file, its first line (a
 decorated function's code starts at its first decorator) and its name, the same on
@@ -118,7 +120,7 @@ LEDGER: dict[str, tuple[str, str]] = {
     "words.FrozenRecord.__delattr__": (
         "failure-path", "tests/test_words.py::TestBlockPartition::test_refuses_assignment_and_deletion",
     ),
-    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:640"),
+    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:635"),
     "words.Record.__init_subclass__": ("import-time", "src/wordstats/words.py:119"),
     "cli.entrypoint": ("subprocess", "tests/test_cli.py::TestColdProcess::test_closed_stdout_exits_2_without_a_traceback"),
 }
@@ -241,8 +243,8 @@ def _test_names(path: Path) -> set[str]:
     return names
 
 
-def _evidence_problem(reason: str, evidence: str) -> str | None:
-    """Why a row's evidence does not hold, or None."""
+def _evidence_problem(name: str, reason: str, evidence: str) -> str | None:
+    """Why the evidence of ``name``'s row does not hold, or None."""
     if reason not in REASONS:
         return f"its reason {reason!r} is none of {', '.join(REASONS)}"
     pattern = _CITES.get(reason, _TEST)
@@ -253,10 +255,27 @@ def _evidence_problem(reason: str, evidence: str) -> str | None:
         lines = (ROOT / path).read_text(encoding="utf-8").splitlines() if (ROOT / path).is_file() else []
         if not 1 <= int(line) <= len(lines) or not lines[int(line) - 1].strip():
             return f"{evidence} is no line of code"
-        return None
+        return _cited_line_problem(name, evidence, lines[int(line) - 1]) if reason == "import-time" else None
     path, _, test = evidence.partition("::")
     if not (ROOT / path).is_file() or test not in _test_names(ROOT / path):
         return f"{evidence} is no test"
+    return None
+
+
+def _cited_line_problem(name: str, evidence: str, code: str) -> str | None:
+    """Why an import-time row's cited line does not run its function, or None.
+
+    The line must name the function; a class's ``__init_subclass__`` runs
+    at a ``class`` statement instead, which must list the class among its bases.
+    """
+    *_, owner, function = name.split(".")
+    if function == "__init_subclass__":
+        bases = re.match(r"\s*class\s+\w+\s*\((.*)\)\s*:", code)
+        if bases is None or owner not in re.findall(r"\w+", bases.group(1)):
+            return f"{evidence} is no class statement with {owner} among its bases"
+        return None
+    if not re.search(rf"\b{re.escape(function)}\b", code):
+        return f"{evidence} does not name {function}"
     return None
 
 
@@ -272,7 +291,7 @@ def audit(defined: dict[str, tuple], ran: set[tuple], ledger: dict[str, tuple[st
         if name not in defined:
             problems.append(f"{name}: the ledger row names no function in src/wordstats")
         else:
-            problem = _evidence_problem(reason, evidence)
+            problem = _evidence_problem(name, reason, evidence)
             if problem:
                 problems.append(f"{name}: {problem}")
     return problems
