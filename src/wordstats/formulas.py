@@ -539,31 +539,20 @@ def _grid_partitions(k: int) -> list[BlockPartition]:
     return parts
 
 
-def _lengths(heads: Iterable[tuple], n_max: int) -> Iterator[tuple]:
-    """The cells (*head, n) for n = 0..n_max of each head, with statistic values 0..n."""
-    return (((*head, n), range(n + 1)) for head in heads for n in range(n_max + 1))
+@lru_cache(maxsize=256)
+def _targets(t: int, n: int) -> list[tuple[int, ...]]:
+    """The target tuples of t blocks summing to at most max(n - 1, 0), in lexicographic order."""
+    # Compositions into t + 1 parts, the last part the slack.
+    return [parts[:-1] for parts in compositions(max(n - 1, 0), t + 1)]
 
 
-def _levels_blocks_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
-    """The block sizes of every grid partition; the target tuples summing to at most n - 1, in lexicographic order."""
-    targets: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # per (t, bound), built once
-    for k in range(1, alphabet_max + 1):
-        for partition in _grid_partitions(k):
-            for n in range(n_max + 1):
-                shape = partition.t, max(n - 1, 0)
-                if shape not in targets:  # compositions into t + 1 parts, the last part the slack
-                    targets[shape] = [parts[:-1] for parts in compositions(shape[1], shape[0] + 1)]
-                yield (partition.block_sizes(), n), targets[shape]
+def _levels_blocks_grid(alphabet_max: int) -> Iterator[tuple]:
+    """The block sizes of every grid partition, in grid order; equal sizes are listed again."""
+    return ((p.block_sizes(),) for k in range(1, alphabet_max + 1) for p in _grid_partitions(k))
 
 
-def _des_mod_grid(alphabet_max: int, n_max: int) -> Iterator[tuple]:
-    heads = (
-        (s, alphabet, r)
-        for alphabet in range(1, alphabet_max + 1)
-        for s in range(2, alphabet_max + 2)
-        for r in range(1, s + 1)
-    )
-    return _lengths(heads, n_max)
+def _des_mod_grid(alphabet_max: int) -> Iterator[tuple]:
+    return ((s, a, r) for a in range(1, alphabet_max + 1) for s in range(2, alphabet_max + 2) for r in range(1, s + 1))
 
 
 class FamilyForms(NamedTuple):
@@ -578,21 +567,23 @@ class FamilyForms(NamedTuple):
     word DP's (alphabet, n, partition, coordinates) of the statistic the
     family counts; the partition never depends on the length n, and
     ``words(*params)`` is its (alphabet, n) alone, for a charge made before
-    any partition is built.  ``grid(alphabet_max, n_max)`` yields the
-    (params, statistic values) cells ``verify.formulas_vs_oracle`` checks,
-    each head's cells in order of n from 0.  ``names`` names each parameter,
-    in order, and then the statistic value: the CLI's options and the
-    suite's reports read them.  A ``joint`` table is keyed by target tuples,
-    one per block of ``params[0]``; any other by statistic value, as
-    ``keyed`` keys a word engine's answer.  ``hall-remmel`` has no query,
-    words, grid or ``first``.
+    any partition is built.  ``grid(alphabet_max)`` lists the heads
+    ``verify.formulas_vs_oracle`` checks, the params without n, in check
+    order; a head may be listed more than once, and the suite runs it once
+    and counts it as often as it is listed.  At a cell, its params ending in
+    n, the suite checks the statistic values ``values(params)``.  ``names``
+    names each parameter, in order, and then the statistic value: the CLI's
+    options and the suite's reports read them.  A ``joint`` table is keyed
+    by target tuples, one per block of ``params[0]``; any other by
+    statistic value, as ``keyed`` keys a word engine's answer.
+    ``hall-remmel`` has no query, words, grid or ``first``.
     """
 
     checks: Callable[..., None]
     packed: Callable[..., Iterator[tuple[int, int, dict[int, int]]]]
     query: Callable[..., tuple] | None
     names: tuple[str, ...]
-    grid: Callable[[int, int], Iterable[tuple]] = lambda alphabet_max, n_max: ()
+    grid: Callable[[int], Iterable[tuple]] = lambda alphabet_max: ()
     words: Callable[..., tuple[int, int]] | None = None
     joint: bool = False
 
@@ -607,6 +598,10 @@ class FamilyForms(NamedTuple):
         size, radix, tally = answer
         counts = unpack(tally.get(0, 0), size)
         return dict(enumerate(counts + [0] * (radix - len(counts))))
+
+    def values(self, params: tuple) -> Sequence:
+        """The statistic values checked at a grid cell: a joint family's ``_targets``, any other's 0..n."""
+        return _targets(len(params[0]), params[-1]) if self.joint else range(params[-1] + 1)
 
     def table(self, *params) -> dict:
         """The one answer of ``packed(*params)``, decoded; unchecked."""
@@ -624,9 +619,7 @@ def _threshold_family(lowest: int, packed: Callable, coordinate: tuple[int, str]
         packed,
         lambda k, t, n: (k, n, BlockPartition.threshold(k, t), [coordinate]),
         ("k", "t", "n", "s"),
-        lambda alphabet_max, n_max: _lengths(
-            ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)), n_max
-        ),
+        lambda alphabet_max: ((k, t) for k in range(1, alphabet_max + 1) for t in range(lowest, k + 1)),
         lambda k, t, n: (k, n),
     )
 

@@ -7,20 +7,23 @@ Results come back as a summary; the first mismatch is recorded verbatim so
 a failing run is immediately actionable.
 
 The pairwise checks read two engines through ``_walk``, one pass of each
-per distinct grid head: ``oracle_vs_transfer`` and ``series_vs_oracle``
-over each k's grid partitions, which compare the engines' packed tallies
-of the full joint as int-keyed dicts and decode no key (see
-``_joint_sweep``), ``formulas_vs_oracle`` and ``des_mod_errata``
+per distinct head, a grid cell's params without n; a head the grid lists
+twice runs once and counts twice: ``oracle_vs_transfer`` and
+``series_vs_oracle`` over each k's grid partitions, which compare the
+engines' packed tallies of the full joint as int-keyed dicts and decode no
+key (see ``_joint_sweep``), ``formulas_vs_oracle`` and ``des_mod_errata``
 over each family's grid in ``formulas.FAMILIES``, which names a failing
-check, and the even-words sums of ``hall_remmel_suite``.  Each pass is
-asked for every length by keyword, ``first=0``.  Every engine the
+value of ``FamilyForms.values``, and the even-words sums of
+``hall_remmel_suite``.  Each pass is asked for every length by keyword,
+``first=0``.  Every engine the
 family suites read answers in one shape, (field bytes, radix, tally)
 (see ``combinat``), and each reader takes the layout from the answer:
 the family suites read the closed form's ``packed`` pass and the DP's
 ``statistic_tallies`` through ``_packed_walk``; ``_agree`` compares two
 answers as they are, and a cell is decoded, each side in its own radix,
 by ``FamilyForms.decode``, only to name a failing value or to look for
-a rejected reading's counterexample.
+a rejected reading's counterexample; a cell whose two answers differ in
+radix fails every value.
 ``hall_remmel_suite`` derives each class shape, the class's nonzero
 multiplicities in letter order, once per call, so classes that differ only
 by unused letters share one derivation and one verdict; it asks each engine
@@ -75,26 +78,20 @@ class SuiteResult(Record):
                 self.first_failure = describe()
 
 
-def _walk(cells, n_max: int, passes):
-    """Each ``(params, values)`` cell of a grid, then two engines' answers at its length n.
+def _walk(heads, n_max: int, passes):
+    """Each distinct head of a grid at each length n = 0..n_max: ``((*head, n), times, *answers)``.
 
-    Params are a head, then n; each run of a head's cells goes n = 0..n_max.
-    ``passes(*head, n_max)`` gives both engines' passes to n_max, each an
-    iterable of the answers at lengths 0..n_max, called once per distinct
-    head however many runs the grid gives it, and before any answer of the
-    head is read.
+    A grid lists heads, params without n; a head it lists ``times`` times
+    comes once, in the order of its first listing, and its checks count
+    ``times`` times.  ``passes(*head, n_max)`` gives both engines' passes to
+    n_max, each an iterable of the answers at lengths 0..n_max; it is called
+    once per distinct head, and not at all when n_max < 0.
     """
-    cells = list(cells)
-    runs = Counter(params[:-1] for params, _ in cells if params[-1] == 0)
-    copies: dict[tuple, list] = {}
-    for params, values in cells:
-        head = params[:-1]
-        if params[-1] == 0:
-            if head not in copies:
-                # One copy per run of the head's cells; tee drops an answer once every copy has read it.
-                copies[head] = list(itertools.tee(zip(*passes(*head, n_max)), runs[head]))
-            answers = copies[head].pop()
-        yield params, values, *next(answers)
+    if n_max < 0:
+        return
+    for head, times in Counter(heads).items():
+        for n, *answers in zip(range(n_max + 1), *passes(*head, n_max)):
+            yield (*head, n), times, *answers
 
 
 def _joint_sweep(suite: str, k_max: int, n_max: int, passes) -> SuiteResult:
@@ -105,11 +102,12 @@ def _joint_sweep(suite: str, k_max: int, n_max: int, passes) -> SuiteResult:
     int-keyed dicts and that they hold all k**n words; no key is decoded.
     """
     result = SuiteResult(suite)
-    cells = (((k, p, n), None) for k in range(1, k_max + 1) for p in _grid_partitions(k) for n in range(n_max + 1))
-    for (k, partition, n), _, got, want in _walk(cells, n_max, passes):
+    heads = ((k, partition) for k in range(1, k_max + 1) for partition in _grid_partitions(k))
+    for (k, partition, n), times, got, want in _walk(heads, n_max, passes):
         result.record(
             got == want and sum(want.values()) == k**n,
             lambda k=k, n=n, partition=partition: f"k={k} n={n} partition={partition.blocks}",
+            times,
         )
     return result
 
@@ -148,7 +146,7 @@ def series_vs_oracle(k_max: int = 4, n_max: int = 6) -> SuiteResult:
 def _packed_walk(forms: formulas.FamilyForms, alphabet_max: int, n_max: int):
     """``_walk`` over a family's grid: the closed form's ``packed`` pass and the DP's, each per length a (field bytes, radix, tally)."""
     passes = lambda *params: (forms.packed(*params, first=0), statistic_tallies(*forms.query(*params), first=0))
-    return _walk(forms.grid(alphabet_max, n_max), n_max, passes)
+    return _walk(forms.grid(alphabet_max), n_max, passes)
 
 
 def _agree(answer: tuple[int, int, dict], other: tuple[int, int, dict]) -> bool:
@@ -164,10 +162,12 @@ def formulas_vs_oracle(
 ) -> SuiteResult:
     """Every closed form against the reduced transfer oracle, on a dense grid.
 
-    Each cell of a family's declared grid holds one check per statistic
-    value, read from one pass of each engine to n_max per distinct head.
-    A cell whose two tallies agree (``_agree``) counts its checks at once;
-    any other is decoded and compared value by value.  A ``corrupt`` run
+    A cell, a head of a family's declared grid at a length n, holds one
+    check per statistic value of ``FamilyForms.values``, read from one pass
+    of each engine to n_max per distinct head, and counted as often as the
+    grid lists the head.  A cell whose two tallies agree (``_agree``)
+    counts its checks at once; any other is decoded and compared value by
+    value, and fails every value if its radices differ.  A ``corrupt`` run
     adds 1 to every field 0..n of the closed form's ``levels-threshold``
     answers.  It needs ``alphabet_max >= 1``: below that no skewed entry
     is checked, and the run could not fail.
@@ -177,21 +177,23 @@ def formulas_vs_oracle(
             f"an injected fault is checked only with alphabet_max (--k-max) at least 1, got {alphabet_max}"
         )
     result = SuiteResult("formulas-vs-oracle")
-    for family, forms in formulas.FAMILIES.items():  # hall-remmel's grid has no cells
+    for family, forms in formulas.FAMILIES.items():  # hall-remmel's grid has no heads
         skewed = corrupt and family == "levels-threshold"
-        for params, values, table, marginal in _packed_walk(forms, alphabet_max, n_max):
+        for params, times, table, marginal in _packed_walk(forms, alphabet_max, n_max):
+            values = forms.values(params)
             if skewed:
                 size, radix, tally = table
                 [(_, shift)] = tally_units(1, size, radix)
                 table = size, radix, {0: tally.get(0, 0) + sum(1 << shift * value for value in values)}
             if _agree(table, marginal):
-                result.record(True, None, len(values))
+                result.record(True, None, len(values) * times)
                 continue
             got, want = (forms.decode(params, answer) for answer in (table, marginal))
             for value in values:
                 result.record(
-                    got.get(value, 0) == want.get(value, 0),
+                    table[1] == marginal[1] and got.get(value, 0) == want.get(value, 0),
                     lambda cell=(*params, value): " ".join([family, *map("{}={}".format, forms.names, cell)]),
+                    times,
                 )
     return result
 
@@ -322,9 +324,9 @@ def hall_remmel_suite(m_max: int = 4, weight_max: int = 7, even_n_max: int = 6) 
         formulas.hall_remmel_summed_rows(alphabet, range(2, alphabet + 1, 2), n),
         formulas.FAMILIES["des-mod"].packed(2, alphabet, 2, n, first=0),
     )
-    for (alphabet, n), values, row, answer in _walk(formulas._lengths([(2,), (4,)], even_n_max), even_n_max, passes):
+    for (alphabet, n), _, row, answer in _walk([(2,), (4,)], even_n_max, passes):
         summed, residue = differences(row), formulas.FAMILIES["des-mod"].decode((2, alphabet, 2, n), answer)
-        for p in values:
+        for p in range(n + 1):
             result.record(
                 summed[p] == residue.get(p, 0),
                 lambda alphabet=alphabet, n=n, p=p: f"even-words-sum alphabet={alphabet} n={n} p={p}",
@@ -435,7 +437,7 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
     names = ("aligned-power-base", "offset-high-sum-index", "offset-low-sum-index")
     cases = {name: ErrataCase(name, True, None) for name in names}
     forms = formulas.FAMILIES["des-mod"]
-    for params, values, table, marginal in _packed_walk(forms, alphabet_max, n_max):
+    for params, _, table, marginal in _packed_walk(forms, alphabet_max, n_max):
         s, alphabet, r, n = params
         t = alphabet % s
         case = cases["aligned-power-base" if t == 0 else "offset-high-sum-index" if r > t else "offset-low-sum-index"]
@@ -445,7 +447,7 @@ def des_mod_errata(alphabet_max: int = 6, n_max: int = 7) -> list[ErrataCase]:
         if not need_example:
             continue
         marginal = forms.decode(params, marginal)
-        for p in values:
+        for p in forms.values(params):
             want, rejected = marginal.get(p, 0), formulas.count_des_mod_uncorrected(s, alphabet, r, n, p)
             if rejected != want:
                 case.rejected_counterexample = (s, alphabet, r, n, p)

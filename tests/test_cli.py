@@ -59,7 +59,7 @@ def _family_queries(alphabet_max=4, n=6):
     """
     queries = []
     for family, forms in formulas.FAMILIES.items():
-        cells = [params for params, _ in forms.grid(alphabet_max, n) if params[-1] == n]
+        cells = [(*head, n) for head in forms.grid(alphabet_max)]
         if not cells:
             queries.append((family, ["--rho", "2,1,2", "--x", "2,3", "--y", "all"]))
             continue

@@ -28,11 +28,6 @@ N_MAXES = [0, 1, 3, 7]
 WORD_FAMILIES = [family for family, forms in formulas.FAMILIES.items() if forms.query]
 
 
-def _heads(forms, alphabet_max, n_max):
-    """The heads of a family's grid, one per run of cells n = 0..n_max, in grid order."""
-    return [params[:-1] for params, _ in forms.grid(alphabet_max, n_max) if params[-1] == 0]
-
-
 def _decoded(tally, n_max, t):
     """A tally in ``compact_keys(n_max, t)``'s layout, keyed by per-block (des, ris, lev, cnt) tuples.
 
@@ -70,7 +65,7 @@ def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
     # The threshold and residue queries keep every coordinate dense; a levels-blocks
     # head of three or more blocks keys its third level in the kernel's dicts.
     forms = formulas.FAMILIES[family]
-    for head in _heads(forms, 4, n_max):
+    for head in forms.grid(4):
         query = forms.query(*head, n_max)
         lengths = [decode_tally(answer, len(query[3])) for answer in statistic_tallies(*query, first=0)]
         assert len(lengths) == n_max + 1
@@ -83,7 +78,7 @@ def test_reduced_dp_lengths_are_the_single_length_calls(family, n_max):
 def test_closed_form_lengths_are_the_single_length_tables(family, n_max):
     # A sweep's answers are laid out in radix n_max + 1, so a one-coordinate table lists 0..n_max.
     forms = formulas.FAMILIES[family]
-    for head in _heads(forms, 4, n_max):
+    for head in forms.grid(4):
         lengths = [forms.decode((*head, n), answer) for n, answer in enumerate(forms.packed(*head, n_max, first=0))]
         assert len(lengths) == n_max + 1
         for n, table in enumerate(lengths):
@@ -101,7 +96,7 @@ def test_kernel_tallies_decode_to_the_marginals_and_match_the_packed_tables(fami
     # bytes, digits in radix n + 1.
     forms = formulas.FAMILIES[family]
     for n_max in range(7):
-        for head in _heads(forms, 4, n_max):
+        for head in forms.grid(4):
             k, n, partition, coords = query = forms.query(*head, n_max)
             answers = list(statistic_tallies(*query, first=0))
             assert [answer[:2] for answer in answers] == [(field_bytes(k**n), n + 1)] * (n_max + 1)
@@ -176,8 +171,8 @@ def test_levels_blocks_engines_pack_alike_on_every_grid_partition():
 
 def test_grids_reach_one_letter_and_dict_keyed_joints():
     # k = 1 heads, and levels-blocks heads of three or more inhabited blocks
-    assert (1, 1) in _heads(formulas.FAMILIES["des-le"], 4, 0)
-    sizes = [head[0] for head in _heads(formulas.FAMILIES["levels-blocks"], 4, 0)]
+    assert (1, 1) in list(formulas.FAMILIES["des-le"].grid(4))
+    sizes = [head[0] for head in formulas.FAMILIES["levels-blocks"].grid(4)]
     assert any(sum(1 for size in head if size) >= 3 for head in sizes)
 
 

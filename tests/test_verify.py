@@ -53,6 +53,17 @@ def log_decodes(monkeypatch) -> list:
     return decoded
 
 
+def skew_radix(monkeypatch, family):
+    """Raise the radix of every closed-form answer of ``family`` by 1, its fields as they are."""
+    forms = formulas.FAMILIES[family]
+
+    def off(*params, first=None):
+        for size, radix, tally in forms.packed(*params, first=first):
+            yield size, radix + 1, tally
+
+    monkeypatch.setitem(formulas.FAMILIES, family, forms._replace(packed=off))
+
+
 def add_to_field(answer: tuple[int, int, dict[int, int]], field: int, count: int = 1) -> tuple[int, int, dict[int, int]]:
     """A one-coordinate (field bytes, radix, {0: g}) answer with ``count`` added to field ``field`` of g."""
     size, radix, tally = answer
@@ -246,21 +257,23 @@ class TestFormulasVsOracle:
         # Every levels-threshold cell differs once skewed, and each of its two tallies is decoded; no other is.
         result = verify.formulas_vs_oracle(3, 4, corrupt=True)
         assert (result.checked, result.failures, result.first_failure) == (1080, 90, "levels-threshold k=1 t=1 n=0 s=0")
-        cells = list(formulas.FAMILIES["levels-threshold"].grid(3, 4))
+        cells = [(*head, n) for head in formulas.FAMILIES["levels-threshold"].grid(3) for n in range(5)]
         assert len(decoded) == 2 * len(cells) == 60
-        assert [params for params, _ in decoded[::2]] == [params for params, _ in cells]
+        assert [params for params, _ in decoded[::2]] == cells
         # Each side is read in the radix it carries, that of the passes to n_max = 4.
         assert all(answer[1] == 5 for _, answer in decoded)
 
     def test_levels_blocks_grid_is_the_product_filtered(self):
-        # Per cell, every tuple of product(range(n + 1), repeat=t) summing to at most max(n - 1, 0), in order.
+        # One head per grid partition; per cell, every tuple of product(range(n + 1), repeat=t)
+        # summing to at most max(n - 1, 0), in order.
+        forms = formulas.FAMILIES["levels-blocks"]
         for alphabet_max in range(5):
-            for n_max in range(7):
-                want = [((partition.block_sizes(), n),
-                         [tt for tt in itertools.product(range(n + 1), repeat=partition.t) if sum(tt) <= max(n - 1, 0)])
-                        for k in range(1, alphabet_max + 1) for partition in formulas._grid_partitions(k)
-                        for n in range(n_max + 1)]
-                assert list(formulas._levels_blocks_grid(alphabet_max, n_max)) == want, (alphabet_max, n_max)
+            partitions = [partition for k in range(1, alphabet_max + 1) for partition in formulas._grid_partitions(k)]
+            assert list(formulas._levels_blocks_grid(alphabet_max)) == [(p.block_sizes(),) for p in partitions]
+            for partition in partitions:
+                for n in range(7):
+                    want = [tt for tt in itertools.product(range(n + 1), repeat=partition.t) if sum(tt) <= max(n - 1, 0)]
+                    assert list(forms.values((partition.block_sizes(), n))) == want, (partition.blocks, n)
 
     def test_injected_fault_needs_a_letter(self):
         # alphabet_max 0 checks no skewed entry, so the run could not fail; it is refused
@@ -285,7 +298,7 @@ class TestFormulasVsOracle:
         result = verify.formulas_vs_oracle(4, 6)
         assert (result.failures, result.first_failure) == (1, name)
         # one pass to n = 6 per distinct head of the grid, in first-seen order
-        heads = [params[:-1] for params, _ in formulas.FAMILIES[family].grid(4, 6) if params[-1] == 0]
+        heads = formulas.FAMILIES[family].grid(4)
         assert passes == [(*head, 6) for head in dict.fromkeys(heads)]
 
 
@@ -326,18 +339,37 @@ class TestFormulasVsOracle:
         assert not verify._agree((size + 1, radix + 1, wider[2]), (size, radix, tally))
 
     def test_a_levels_blocks_answer_off_by_one_in_radix_fails(self, monkeypatch):
-        # Each side is decoded in its own radix, so the closed form's fields, read in radix n_max + 2,
-        # move a level of block 2 to block 1.  A one-block table reads alike in any radix.
-        forms = formulas.FAMILIES["levels-blocks"]
-
-        def off(*params, first=None):
-            for size, radix, tally in forms.packed(*params, first=first):
-                yield size, radix + 1, tally
-
-        monkeypatch.setitem(formulas.FAMILIES, "levels-blocks", forms._replace(packed=off))
+        # Answers in different radices never agree, so every levels-blocks check fails, even where
+        # the fields, each side read in its own radix, decode to the same counts.
+        skew_radix(monkeypatch, "levels-blocks")
         assert verify.formulas_vs_oracle() == verify.SuiteResult(
-            "formulas-vs-oracle", 12387, 1230, "levels-blocks block_sizes=(0, 1) n=2 targets=(0, 1)"
+            "formulas-vs-oracle", 12387, 4071, "levels-blocks block_sizes=(0, 1) n=0 targets=(0, 0)"
         )
+
+    @pytest.mark.parametrize(
+        "family, failures, name",
+        [("levels-threshold", 756, "levels-threshold k=1 t=1 n=0 s=0"), ("des-mod", 5832, "des-mod s=2 alphabet=1 r=1 n=0 p=0")],
+    )
+    def test_a_one_coordinate_answer_off_by_one_in_radix_fails_every_value(self, monkeypatch, family, failures, name):
+        # A one-coordinate table decodes to the same counts in any radix, yet the answers do not agree
+        # (``_agree``): each of the family's checks fails, 36 per head at n_max = 7, as des_mod_errata finds.
+        skew_radix(monkeypatch, family)
+        heads = list(formulas.FAMILIES[family].grid(6))
+        assert verify.formulas_vs_oracle() == verify.SuiteResult("formulas-vs-oracle", 12387, failures, name)
+        assert failures == 36 * len(heads)
+        assert [case.shipped_ok for case in verify.des_mod_errata()] == [family != "des-mod"] * 3
+
+    def test_a_repeated_head_runs_once_and_counts_as_often_as_listed(self, monkeypatch):
+        # At k = 2, threshold(2, 1) and mod_residue(2, 2) are both blocks (1, 2): the grid lists the
+        # head (1, 1) twice.  Each engine runs one pass for it, and its one wrong value fails twice.
+        forms = formulas.FAMILIES["levels-blocks"]
+        assert list(forms.grid(2)).count(((1, 1),)) == 2
+        tables = skew_table(monkeypatch, "levels-blocks", ((1, 1), 3), (1, 0))
+        marginals = log_passes(monkeypatch, "statistic_tallies")
+        result = verify.formulas_vs_oracle(2, 4)
+        assert (result.failures, result.first_failure) == (2, "levels-blocks block_sizes=(1, 1) n=3 targets=(1, 0)")
+        assert tables.count(((1, 1), 4)) == 1
+        assert marginals.count(("statistic_tallies", *forms.query((1, 1), 4))) == 1
 
     def test_past_n_max_64_no_cell_is_decoded(self, monkeypatch):
         # At alphabet 3 the closed form's pass to n = 66 packs lengths up to 64 in 13-byte fields,
@@ -357,7 +389,7 @@ class TestDesModErrata:
         marginals = log_passes(monkeypatch, "statistic_tallies")
         verify.des_mod_errata(6, 7)
         forms = formulas.FAMILIES["des-mod"]
-        heads = [params[:-1] for params, _ in forms.grid(6, 7) if params[-1] == 0]
+        heads = list(forms.grid(6))
         assert len(heads) == len(set(heads))
         assert tables == [(*head, 7) for head in heads]
         assert marginals == [("statistic_tallies", *forms.query(*head, 7)) for head in heads]

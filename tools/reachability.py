@@ -120,7 +120,7 @@ LEDGER: dict[str, tuple[str, str]] = {
     "words.FrozenRecord.__delattr__": (
         "failure-path", "tests/test_words.py::TestBlockPartition::test_refuses_assignment_and_deletion",
     ),
-    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:635"),
+    "formulas._threshold_family": ("import-time", "src/wordstats/formulas.py:628"),
     "words.Record.__init_subclass__": ("import-time", "src/wordstats/words.py:119"),
     "cli.entrypoint": ("subprocess", "tests/test_cli.py::TestColdProcess::test_closed_stdout_exits_2_without_a_traceback"),
 }
